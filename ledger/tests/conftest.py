@@ -1,0 +1,10 @@
+"""Make ``ledger`` and ``repro`` importable: run from the repository
+root with ``python -m pytest ledger/tests -q`` (outside tier-1)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
