@@ -43,7 +43,6 @@ class SwishLayer(NeuronLayer):
         x = bottom[0].flat_data[lo:hi]
         sig = 1.0 / (1.0 + np.exp(-self.beta * x))
         np.multiply(x, sig, out=top[0].flat_data[lo:hi])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, top, propagate_down, bottom, lo, hi,
                        param_grads):
@@ -56,7 +55,6 @@ class SwishLayer(NeuronLayer):
         # d/dx [x*sig] = sig + beta*y*(1 - sig)
         np.copyto(bottom[0].flat_diff[lo:hi],
                   dy * (sig + self.beta * y * (1.0 - sig)))
-        bottom[0].mark_host_diff_dirty()
 
 
 SWISH_NET = """

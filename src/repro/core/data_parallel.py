@@ -169,7 +169,6 @@ class DataParallelSolver:
             total *= scale
             for net in self.nets[1:]:
                 np.copyto(net.learnable_params[param_index].flat_diff, total)
-                net.learnable_params[param_index].mark_host_diff_dirty()
 
     def step(self, iters: int) -> float:
         last = 0.0

@@ -34,14 +34,12 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.plan import (
     ExecutionPlan,
-    LayerPlan,
     PlannedSchedule,
     plan_schedule_for,
 )
@@ -53,10 +51,16 @@ from repro.core.reduction import (
     invariance_tier,
     tree_combine,
 )
-from repro.core.scheduling import Schedule, StaticSchedule, make_schedule
+from repro.core.scheduling import (
+    Chunk,
+    Schedule,
+    StaticSchedule,
+    make_schedule,
+)
 from repro.core.team import RegionContext, ThreadTeam, WorkerError
 from repro.framework.layer import LoopSpec
 from repro.framework.net import Net
+from repro.framework.solvers.base import LayerwiseExecutor
 
 
 def iteration_owners(
@@ -89,19 +93,29 @@ def iteration_owners(
     return owners
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
-    """One dispatched chunk, recorded when instrumentation is enabled."""
+#: Block buffers alive at once in the ``"blockwise"`` reduction: bounds its
+#: extra memory to ``BLOCK_WINDOW x (largest layer's coefficient bytes)``.
+BLOCK_WINDOW = 8
 
-    layer: str
-    phase: str  # "forward" or "backward"
-    lo: int
-    hi: int
-    thread_id: int
-    reduction: bool = False
+#: Work of one chunk: ``work(lo, hi, into)`` processes coalesced iterations
+#: ``[lo, hi)``; ``into`` is where a backward chunk accumulates coefficient
+#: gradients (the shared targets or a private buffer), ``None`` on forward.
+ChunkWork = Callable[[int, int, Optional[Sequence[np.ndarray]]], None]
 
 
-class ParallelExecutor:
+def _chunks_of(
+    schedule: Schedule, space: int, num_threads: int
+) -> Callable[[int], Iterable[Chunk]]:
+    """``tid -> chunks that thread walks``: its share of the static plan,
+    or whatever it pulls off the shared dynamic/guided chunk server."""
+    if schedule.is_static:
+        plan = schedule.plan(space, num_threads)
+        return plan.__getitem__
+    server = schedule.chunk_server(space, num_threads)
+    return lambda tid: iter(server.next_chunk, None)
+
+
+class ParallelExecutor(LayerwiseExecutor):
     """Drives a framework :class:`~repro.framework.net.Net` with
     batch-level parallelism.
 
@@ -113,16 +127,8 @@ class ParallelExecutor:
         Loop schedule; defaults to OpenMP static, the paper's choice.
     reduction:
         One of :data:`~repro.core.reduction.REDUCTION_MODES`.
-    block_window:
-        For ``"blockwise"``: number of block buffers alive at once
-        (bounds the extra memory to ``window x largest layer``).
     team:
         Optionally share an existing :class:`ThreadTeam`.
-    instrument:
-        When True, every dispatched chunk is recorded in
-        :attr:`ownership_log` as a :class:`ChunkRecord` (used by the
-        parallel-safety analyzer and tests).  Default off: the execution
-        paths are then byte-for-byte the uninstrumented ones.
     plan:
         Optional per-layer :class:`~repro.core.plan.ExecutionPlan`
         (typically produced by ``repro.analysis plancheck``).  Layers
@@ -138,9 +144,7 @@ class ParallelExecutor:
         num_threads: int = 1,
         schedule: Optional[Schedule] = None,
         reduction: str = "ordered",
-        block_window: int = 8,
         team: Optional[ThreadTeam] = None,
-        instrument: bool = False,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         if team is None and num_threads < 1:
@@ -153,8 +157,6 @@ class ParallelExecutor:
                 f"unknown reduction mode {reduction!r}; expected one of "
                 f"{REDUCTION_MODES}"
             )
-        if block_window <= 0:
-            raise ValueError(f"block_window must be positive: {block_window}")
         if reduction == "ordered" and schedule is not None and not schedule.is_static:
             raise ValueError(
                 "the ordered reduction requires a static schedule to be "
@@ -162,13 +164,10 @@ class ParallelExecutor:
             )
         self.schedule = schedule or StaticSchedule()
         self.reduction = reduction
-        self.block_window = block_window
         self._own_team = team is None
         self.team = team or ThreadTeam(num_threads)
         self.pool = PrivatePool()
-        self.instrument = instrument
         self.plan = plan
-        self.ownership_log: List[ChunkRecord] = []
 
     @property
     def num_threads(self) -> int:
@@ -197,323 +196,165 @@ class ParallelExecutor:
         by_rank = {v: k for k, v in TIER_ORDER.items()}
         return by_rank[rank]
 
-    def _layer_plan(self, layer_name: str) -> Optional[LayerPlan]:
-        if self.plan is None:
-            return None
-        return self.plan.for_layer(layer_name)
+    # ------------------------------------------------------------------
+    # per-layer passes (Algorithm 4 forward, Algorithm 5 backward)
+    # ------------------------------------------------------------------
+    def forward_layer(self, net: Net, i: int) -> float:
+        layer, bottom, top = net.layers[i], net.bottoms[i], net.tops[i]
+        layer.reshape(bottom, top)  # sequential, as in Caffe
+        self._dispatch(
+            layer.name, "forward", layer.forward_space(bottom, top),
+            lambda lo, hi, _into: layer.forward_chunk(bottom, top, lo, hi),
+        )
+        layer.forward_finalize(bottom, top)
+        loss = 0.0
+        for top_blob, weight in zip(top, layer.loss_weights):
+            if weight:
+                loss += weight * float(top_blob.flat_data[0])
+        return loss
 
-    def _record(
-        self, layer: str, phase: str, lo: int, hi: int, tid: int,
-        reduction: bool = False,
-    ) -> None:
-        # list.append is atomic under the GIL, so worker threads may call
-        # this concurrently without a lock.
-        self.ownership_log.append(
-            ChunkRecord(layer, phase, lo, hi, tid, reduction)
+    def backward_layer(self, net: Net, i: int) -> None:
+        layer = net.layers[i]
+        for loop in layer.backward_loops(
+            net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
+        ):
+            self._run_backward_loop(loop, layer.name)
+
+    def _run_backward_loop(self, loop: LoopSpec, layer_name: str) -> None:
+        self._dispatch(
+            layer_name, "backward", loop.space, loop.body,
+            loop.grad_targets, loop.reduction, loop.block,
         )
 
     # ------------------------------------------------------------------
-    # forward (Algorithm 4 per layer)
+    # dispatch: the one path from an iteration space to its chunks
     # ------------------------------------------------------------------
-    def forward(self, net: Net) -> float:
-        total = 0.0
-        for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
-            layer.reshape(bottom, top)  # sequential, as in Caffe
-            space = layer.forward_space(bottom, top)
-            if space <= 0:
-                raise ValueError(
-                    f"layer {layer.name!r} ({type(layer).__name__}) has an "
-                    f"empty coalesced forward space ({space}); check its "
-                    "batch size / bottom shapes"
-                )
-            if self.instrument:
-                name = layer.name
+    def _dispatch(
+        self,
+        layer_name: str,
+        phase: str,
+        space: int,
+        work: ChunkWork,
+        targets: Optional[Sequence[np.ndarray]] = None,
+        reduction: bool = False,
+        block: int = 1,
+    ) -> None:
+        """Run ``work`` over ``[0, space)`` as the layer's plan (or the
+        executor-wide settings) prescribes.
 
-                def body(lo: int, hi: int, tid: int,
-                         layer=layer, bottom=bottom, top=top,
-                         name=name) -> None:
-                    self._record(name, "forward", lo, hi, tid)
-                    layer.forward_chunk(bottom, top, lo, hi)
-            else:
-                body = lambda lo, hi, tid: layer.forward_chunk(
-                    bottom, top, lo, hi
-                )
-            sync = self.team.sync
-            if sync.observes_chunks:
-                inner = body
-
-                def body(lo: int, hi: int, tid: int,
-                         inner=inner, name=layer.name) -> None:
-                    sync.chunk_point(self.team, tid, name, "forward", lo, hi)
-                    inner(lo, hi, tid)
-            layer_plan = self._layer_plan(layer.name)
-            try:
-                if layer_plan is not None and layer_plan.threads <= 1:
-                    # Planned single-thread layer: run inline on the
-                    # master, no parallel region (bitwise equal to the
-                    # sequential pass, no fork/join overhead).
-                    body(0, space, 0)
-                else:
-                    self.team.parallel_for(
-                        space,
-                        body,
-                        self.schedule if layer_plan is None
-                        else plan_schedule_for(layer_plan, space),
-                    )
-            except WorkerError as exc:
-                # Chunk-failure reporting: name the layer/phase whose
-                # region failed before the error unwinds to the solver.
-                exc.layer = layer.name
-                exc.phase = "forward"
-                raise
-            layer.forward_finalize(bottom, top)
-            for top_blob, weight in zip(top, layer.loss_weights):
-                if weight:
-                    total += weight * float(top_blob.flat_data[0])
-        return total
-
-    # ------------------------------------------------------------------
-    # backward (Algorithm 5 per layer)
-    # ------------------------------------------------------------------
-    def backward(self, net: Net) -> None:
-        net._seed_loss_diffs()
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            if not any(net.bottom_need_backward[i]) and not layer.blobs:
-                continue
-            loops = layer.backward_loops(
-                net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
-            )
-            try:
-                for loop in loops:
-                    self._run_backward_loop(loop, layer.name)
-            except WorkerError as exc:
-                exc.layer = layer.name
-                exc.phase = "backward"
-                raise
-
-    def _run_backward_loop(self, loop: LoopSpec, layer_name: str = "?") -> None:
-        if loop.space <= 0:
+        Without ``reduction`` every chunk gets ``targets`` itself (chunks
+        write disjoint regions).  With it, chunks accumulate into private
+        buffers that the layer's reduction mode merges into ``targets``.
+        """
+        if space <= 0:
             raise ValueError(
-                f"layer {layer_name!r} produced a backward loop with an "
-                f"empty iteration space ({loop.space}); a LoopSpec must "
-                "cover at least one coalesced iteration"
+                f"layer {layer_name!r} has an empty coalesced {phase} space "
+                f"({space}); an empty iteration space has no chunk to "
+                "dispatch — check its batch size / bottom shapes"
             )
-        layer_plan = self._layer_plan(layer_name)
-        mode = self.reduction
-        inline = False
-        if layer_plan is not None:
-            if layer_plan.reduction is not None:
-                mode = layer_plan.reduction
-            inline = layer_plan.threads <= 1
-        if not loop.reduction:
-            if inline:
-                if self.instrument:
-                    self._record(layer_name, "backward", 0, loop.space, 0)
-                loop.body(0, loop.space, loop.grad_targets)
-                return
-            if self.instrument:
-                def plain_body(lo: int, hi: int, tid: int) -> None:
-                    self._record(layer_name, "backward", lo, hi, tid)
-                    loop.body(lo, hi, loop.grad_targets)
-            else:
-                plain_body = lambda lo, hi, tid: loop.body(
-                    lo, hi, loop.grad_targets
-                )
-            sync = self.team.sync
-            if sync.observes_chunks:
-                inner = plain_body
+        team = self.team
+        sync = team.sync
+        if sync.observes_chunks:
+            def chunk(lo: int, hi: int, tid: int, into) -> None:
+                sync.chunk_point(team, tid, layer_name, phase, lo, hi)
+                work(lo, hi, into)
+        else:
+            def chunk(lo: int, hi: int, tid: int, into) -> None:
+                work(lo, hi, into)
 
-                def plain_body(lo: int, hi: int, tid: int,
-                               inner=inner) -> None:
-                    sync.chunk_point(
-                        self.team, tid, layer_name, "backward", lo, hi
-                    )
-                    inner(lo, hi, tid)
-            self.team.parallel_for(
-                loop.space, plain_body,
-                self.schedule if layer_plan is None
-                else plan_schedule_for(layer_plan, loop.space),
-            )
-            return
-        if inline:
-            # Planned single-thread reduction: accumulate straight into
-            # the shared targets, exactly like the sequential pass.
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
+        layer_plan = None if self.plan is None else self.plan.for_layer(layer_name)
+        mode = None
+        if reduction:
+            mode = self.reduction
+            if layer_plan is not None and layer_plan.reduction is not None:
+                mode = layer_plan.reduction
+        # One call over the whole space, straight into the shared targets
+        # — exactly the sequential pass — on a planned single-thread layer
+        # (no region, no fork/join) and for a per-thread merge with one
+        # thread.  Blockwise is exempt: its block boundaries, hence its
+        # summation order, must not depend on the thread count.
+        if (layer_plan is not None and layer_plan.threads <= 1) or (
+            mode in ("ordered", "atomic", "tree") and team.num_threads == 1
+        ):
+            chunk(0, space, 0, targets)
             return
         schedule = (
             self.schedule if layer_plan is None
-            else plan_schedule_for(layer_plan, loop.space)
+            else plan_schedule_for(layer_plan, space)
         )
-        if mode == "blockwise":
-            # The blockwise window loop iterates over *block indices*,
-            # not civ iterations, so a plan's civ granularity must not
-            # rescale its chunks — keep the thread limit only.
-            block_schedule = (
-                self.schedule if layer_plan is None
-                else PlannedSchedule(
-                    make_schedule(layer_plan.schedule),
-                    layer_plan.threads,
+        try:
+            if mode is None:
+                team.parallel_for(
+                    space,
+                    lambda lo, hi, tid: chunk(lo, hi, tid, targets),
+                    schedule,
                 )
-            )
-            self._blockwise_loop(loop, layer_name, schedule=block_schedule)
-        elif mode in ("ordered", "atomic"):
-            self._privatized_loop(
-                loop, ordered=mode == "ordered",
-                layer_name=layer_name, schedule=schedule,
-            )
-        else:  # tree
-            self._tree_loop(loop, layer_name, schedule=schedule)
+            elif mode == "blockwise":
+                # The window loop distributes *block indices*, not civ
+                # iterations, so a plan's civ granularity must not
+                # rescale its chunks — keep the thread limit only.
+                if layer_plan is not None:
+                    schedule = PlannedSchedule(
+                        make_schedule(layer_plan.schedule), layer_plan.threads
+                    )
+                self._blockwise(space, max(block, 1), chunk, targets, schedule)
+            else:
+                self._per_thread(space, chunk, targets, schedule, mode)
+        except WorkerError as exc:
+            # Chunk-failure reporting: name the layer/phase whose region
+            # failed before the error unwinds to the solver.
+            exc.layer = layer_name
+            exc.phase = phase
+            raise
 
-    def _privatized_loop(
-        self, loop: LoopSpec, ordered: bool, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
-    ) -> None:
-        """Algorithm 5: privatized accumulation + ordered/atomic merge."""
+    def _per_thread(self, space, chunk, targets, schedule, mode: str) -> None:
+        """Algorithm 5: every thread accumulates its chunks into a private
+        buffer, then the buffers are merged — in thread-id order
+        (``ordered``), under the critical lock in completion order
+        (``atomic``), or pairwise by the master after the region
+        (``tree``)."""
         team = self.team
-        sched = schedule or self.schedule
-        sizes = [t.size for t in loop.grad_targets]
-        if team.num_threads == 1:
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
-            return
-        plan = (
-            sched.plan(loop.space, team.num_threads)
-            if sched.is_static else None
-        )
-        server = (
-            None if plan is not None
-            else sched.chunk_server(loop.space, team.num_threads)
-        )
-        instrument = self.instrument
-        observe = team.sync.observes_chunks
+        sizes = [t.size for t in targets]
+        chunks_of = _chunks_of(schedule, space, team.num_threads)
+        private: List[List[np.ndarray]] = [None] * team.num_threads  # type: ignore
 
         def region(ctx: RegionContext) -> None:
-            grads = self.pool.request(ctx.thread_id, sizes)
-            if plan is not None:
-                for lo, hi in plan[ctx.thread_id]:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", lo, hi, ctx.thread_id, True
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, grads)
-            else:
-                while (chunk := server.next_chunk()) is not None:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", chunk[0], chunk[1],
-                            ctx.thread_id, True,
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward",
-                            chunk[0], chunk[1],
-                        )
-                    loop.body(chunk[0], chunk[1], grads)
-            merge = lambda: add_into(loop.grad_targets, grads)
-            if ordered:
-                ctx.ordered(merge)
-            else:
-                ctx.critical(merge)
+            tid = ctx.thread_id
+            grads = private[tid] = self.pool.request(tid, sizes)
+            for lo, hi in chunks_of(tid):
+                chunk(lo, hi, tid, grads)
+            if mode == "ordered":
+                ctx.ordered(lambda: add_into(targets, grads))
+            elif mode == "atomic":
+                ctx.critical(lambda: add_into(targets, grads))
 
         team.parallel(region)
+        if mode == "tree":
+            add_into(targets, tree_combine(private))
 
-    def _tree_loop(
-        self, loop: LoopSpec, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
-    ) -> None:
-        team = self.team
-        sched = schedule or self.schedule
-        sizes = [t.size for t in loop.grad_targets]
-        if team.num_threads == 1:
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
-            return
-        plan = sched.plan(loop.space, team.num_threads) \
-            if sched.is_static else None
-        server = None if plan is not None else \
-            sched.chunk_server(loop.space, team.num_threads)
-        per_thread: List[List[np.ndarray]] = [None] * team.num_threads  # type: ignore
-        instrument = self.instrument
-        observe = team.sync.observes_chunks
-
-        def region(ctx: RegionContext) -> None:
-            grads = self.pool.request(ctx.thread_id, sizes)
-            per_thread[ctx.thread_id] = grads
-            if plan is not None:
-                for lo, hi in plan[ctx.thread_id]:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", lo, hi, ctx.thread_id, True
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, grads)
-            else:
-                while (chunk := server.next_chunk()) is not None:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", chunk[0], chunk[1],
-                            ctx.thread_id, True,
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward",
-                            chunk[0], chunk[1],
-                        )
-                    loop.body(chunk[0], chunk[1], grads)
-
-        team.parallel(region)
-        combined = tree_combine([g for g in per_thread if g is not None])
-        add_into(loop.grad_targets, combined)
-
-    def _blockwise_loop(
-        self, loop: LoopSpec, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
-    ) -> None:
+    def _blockwise(self, space, block: int, chunk, targets, schedule) -> None:
         """Fixed-block accumulation: bitwise thread-count invariant.
 
-        The space is cut at multiples of ``loop.block`` (block boundaries
+        The space is cut at multiples of ``block`` (block boundaries
         never depend on the thread count); a window of blocks is computed
         in parallel — one private buffer per block — then merged in block
         order by the master.  Memory is bounded by
-        ``block_window x sum(target sizes)``.
+        ``BLOCK_WINDOW x sum(target sizes)``.
         """
-        sched = schedule or self.schedule
-        block = max(loop.block, 1)
-        nblocks = -(-loop.space // block)
-        sizes = [t.size for t in loop.grad_targets]
-        window = self.block_window
-        for first in range(0, nblocks, window):
-            count = min(window, nblocks - first)
+        nblocks = -(-space // block)
+        sizes = [t.size for t in targets]
+        for first in range(0, nblocks, BLOCK_WINDOW):
+            count = min(BLOCK_WINDOW, nblocks - first)
             buffers = [self.pool.request(slot, sizes) for slot in range(count)]
 
             def window_body(b_lo: int, b_hi: int, tid: int) -> None:
                 for rel in range(b_lo, b_hi):
-                    block_index = first + rel
-                    lo = block_index * block
-                    hi = min(lo + block, loop.space)
-                    if self.instrument:
-                        self._record(layer_name, "backward", lo, hi, tid, True)
-                    if self.team.sync.observes_chunks:
-                        self.team.sync.chunk_point(
-                            self.team, tid, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, buffers[rel])
+                    lo = (first + rel) * block
+                    chunk(lo, min(lo + block, space), tid, buffers[rel])
 
-            self.team.parallel_for(count, window_body, sched)
-            for rel in range(count):  # fixed block order
-                add_into(loop.grad_targets, buffers[rel])
+            self.team.parallel_for(count, window_body, schedule)
+            for buffer in buffers:  # fixed block order
+                add_into(targets, buffer)
 
     # ------------------------------------------------------------------
     # memory accounting & lifecycle

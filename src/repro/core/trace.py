@@ -2,8 +2,8 @@
 
 The paper's Figures 4 and 7 are per-layer execution-time breakdowns.
 On real multi-core hardware this module produces the same breakdown from
-*measured* wall time: a :class:`TracingExecutor` wraps any executor-like
-object and records one event per layer pass (name, pass, duration,
+*measured* wall time: a :class:`TracingExecutor` is a view over any
+executor that records one event per layer pass (name, pass, duration,
 thread count), aggregating across iterations.
 
 On the single-core evaluation container the absolute numbers carry no
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.framework.net import Net
+from repro.framework.solvers.base import LayerwiseExecutor
 
 
 @dataclass
@@ -77,72 +78,32 @@ class Trace:
         self.events.clear()
 
 
-class TracingExecutor:
-    """Wraps an executor and times each layer pass.
+class TracingExecutor(LayerwiseExecutor):
+    """A view over another executor that times each layer pass.
 
-    Works with both the sequential path (pass any object with
-    ``forward(net)``/``backward(net)``) and :class:`ParallelExecutor`.
-    The wrapped executor's layer loop is re-driven here so each layer
-    gets its own timestamp; semantics are unchanged (same chunking,
-    same reductions) because the underlying executor's own per-layer
-    machinery is reused.
+    It owns no execution logic: every layer goes through the wrapped
+    executor's own ``forward_layer`` / ``backward_layer`` — plans,
+    reduction modes and error annotation included — and the view only
+    timestamps the two calls.
     """
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner: LayerwiseExecutor) -> None:
         self.inner = inner
         self.trace = Trace()
 
     @property
-    def _threads(self) -> int:
-        return getattr(self.inner, "num_threads", 1)
+    def num_threads(self) -> int:
+        return self.inner.num_threads
 
-    def forward(self, net: Net) -> float:
-        total = 0.0
-        for i, layer in enumerate(net.layers):
-            bottom, top = net.bottoms[i], net.tops[i]
-            start = time.perf_counter()
-            total += self._forward_layer(layer, bottom, top)
-            self.trace.record(layer.name, "forward",
-                              time.perf_counter() - start, self._threads)
-        return total
+    def forward_layer(self, net: Net, i: int) -> float:
+        start = time.perf_counter()
+        loss = self.inner.forward_layer(net, i)
+        self.trace.record(net.layers[i].name, "forward",
+                          time.perf_counter() - start, self.num_threads)
+        return loss
 
-    def _forward_layer(self, layer, bottom, top) -> float:
-        if hasattr(self.inner, "team"):
-            layer.reshape(bottom, top)
-            space = layer.forward_space(bottom, top)
-            self.inner.team.parallel_for(
-                space,
-                lambda lo, hi, tid: layer.forward_chunk(bottom, top, lo, hi),
-                self.inner.schedule,
-            )
-            layer.forward_finalize(bottom, top)
-            loss = 0.0
-            for top_blob, weight in zip(top, layer.loss_weights):
-                if weight:
-                    loss += weight * float(top_blob.flat_data[0])
-            return loss
-        return layer.forward(bottom, top)
-
-    def backward(self, net: Net) -> None:
-        net._seed_loss_diffs()
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            if not any(net.bottom_need_backward[i]) and not layer.blobs:
-                continue
-            start = time.perf_counter()
-            self._backward_layer(net, i)
-            self.trace.record(layer.name, "backward",
-                              time.perf_counter() - start, self._threads)
-
-    def _backward_layer(self, net: Net, index: int) -> None:
-        layer = net.layers[index]
-        if hasattr(self.inner, "_run_backward_loop"):
-            for loop in layer.backward_loops(
-                net.tops[index], net.bottom_need_backward[index],
-                net.bottoms[index],
-            ):
-                self.inner._run_backward_loop(loop)
-        else:
-            layer.backward(net.tops[index],
-                           net.bottom_need_backward[index],
-                           net.bottoms[index])
+    def backward_layer(self, net: Net, i: int) -> None:
+        start = time.perf_counter()
+        self.inner.backward_layer(net, i)
+        self.trace.record(net.layers[i].name, "backward",
+                          time.perf_counter() - start, self.num_threads)

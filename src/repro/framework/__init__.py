@@ -4,8 +4,7 @@ This package re-implements, in Python, the parts of the Caffe framework
 that the paper's coarse-grain parallelization operates on:
 
 * :class:`~repro.framework.blob.Blob` — the unified N-d storage unit with
-  ``data`` and ``diff`` halves and a host/device synchronization state
-  machine (Section 2.1.1 of the paper).
+  ``data`` and ``diff`` halves (Section 2.1.1 of the paper).
 * :mod:`repro.framework.layers` — the layer zoo.  Every layer implements
   the forward/backward interface of Algorithm 2/3 and, additionally, the
   *chunk protocol* that exposes its coalescable outer iteration space to
@@ -16,7 +15,7 @@ that the paper's coarse-grain parallelization operates on:
   Caffe's learning-rate policies.
 """
 
-from repro.framework.blob import Blob, SyncState
+from repro.framework.blob import Blob
 from repro.framework.layer import Layer, LayerParams
 from repro.framework.net import Net
 from repro.framework.net_spec import LayerSpec, NetSpec
@@ -29,6 +28,5 @@ __all__ = [
     "LayerSpec",
     "Net",
     "NetSpec",
-    "SyncState",
     "parse_prototxt",
 ]

@@ -8,15 +8,13 @@ flat offset ``((n * K + k) * H + h) * W + w``, exactly the layout the
 paper's Figure 1 describes.  One ``(H, W)`` plane of one image is a *data
 segment*; layers operate segment-wise (Figure 2).
 
-Blobs also conceal mixed host/device execution: Caffe's ``SyncedMemory``
-lazily copies between CPU and GPU.  We reproduce that protocol against the
-:mod:`repro.simulator` device so fine-grain (GPU) execution paths exercise
-the same state machine, including transfer accounting.
+Both buffers are plain host arrays.  Caffe's ``SyncedMemory`` (lazy
+CPU/GPU copies) has no counterpart here: the runtime is CPU-only, and the
+fine-grain GPU path exists only as a cost model in :mod:`repro.simulator`.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,11 +24,11 @@ DTYPE = np.float32
 # ---------------------------------------------------------------------------
 # write-hook points (used by repro.analysis's shadow-memory race detector)
 # ---------------------------------------------------------------------------
-#: When set, every host-buffer access (``data`` / ``diff`` / ``flat_data`` /
-#: ``flat_diff`` / ``mark_host_*_dirty``) notifies the tracker via
-#: ``tracker.on_host_access(blob, which)`` with ``which`` in
-#: ``("data", "diff")``.  ``None`` (the default) keeps the hot path to a
-#: single global ``is not None`` test.
+#: When set, every buffer access (``data`` / ``diff`` / ``flat_data`` /
+#: ``flat_diff`` — every read and write goes through one of these)
+#: notifies the tracker via ``tracker.on_host_access(blob, which)`` with
+#: ``which`` in ``("data", "diff")``.  ``None`` (the default) keeps the
+#: hot path to a single global ``is not None`` test.
 _write_tracker = None
 
 
@@ -50,13 +48,8 @@ def write_tracker():
     return _write_tracker
 
 
-class SyncState(enum.Enum):
-    """Synchronization state of a blob buffer (Caffe's ``SyncedMemory``)."""
-
-    UNINITIALIZED = "uninitialized"
-    AT_CPU = "at_cpu"
-    AT_DEVICE = "at_device"
-    SYNCED = "synced"
+def _count_of(shape: Tuple[int, ...]) -> int:
+    return int(np.prod(shape, dtype=np.int64)) if shape else 1
 
 
 class Blob:
@@ -79,12 +72,6 @@ class Blob:
 
     def __init__(self, shape: Sequence[int] = (), name: str = "") -> None:
         self.name = name
-        self._transfers_to_device = 0
-        self._transfers_to_host = 0
-        self._data_state = SyncState.UNINITIALIZED
-        self._diff_state = SyncState.UNINITIALIZED
-        self._device_data: np.ndarray | None = None
-        self._device_diff: np.ndarray | None = None
         self._allocate(tuple(int(d) for d in shape))
 
     # ------------------------------------------------------------------
@@ -95,13 +82,9 @@ class Blob:
             if dim < 0:
                 raise ValueError(f"blob {self.name!r}: negative dimension in {shape}")
         self._shape = shape
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        self._flat_data = np.zeros(count, dtype=DTYPE)
-        self._flat_diff = np.zeros(count, dtype=DTYPE)
-        self._data_state = SyncState.AT_CPU
-        self._diff_state = SyncState.AT_CPU
-        self._device_data = None
-        self._device_diff = None
+        self._count = _count_of(shape)
+        self._flat_data = np.zeros(self._count, dtype=DTYPE)
+        self._flat_diff = np.zeros(self._count, dtype=DTYPE)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -114,7 +97,7 @@ class Blob:
         May be smaller than the underlying storage after a shrinking
         reshape (the buffer is retained, Caffe-style).
         """
-        return int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
+        return self._count
 
     @property
     def num_axes(self) -> int:
@@ -165,11 +148,12 @@ class Blob:
         the new count).
         """
         new_shape = tuple(int(d) for d in shape)
-        new_count = int(np.prod(new_shape, dtype=np.int64)) if new_shape else 1
+        new_count = _count_of(new_shape)
         if new_count > self._flat_data.size:
             self._allocate(new_shape)
         else:
             self._shape = new_shape
+            self._count = new_count
         return self
 
     def reshape_like(self, other: "Blob") -> "Blob":
@@ -204,113 +188,34 @@ class Blob:
         return off
 
     # ------------------------------------------------------------------
-    # host accessors (trigger device -> host sync when needed)
+    # accessors
     # ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
-        """Host view of the value buffer, shaped like :attr:`shape`."""
+        """View of the value buffer, shaped like :attr:`shape`."""
         if _write_tracker is not None:
             _write_tracker.on_host_access(self, "data")
-        self._sync_to_host("data")
-        count = int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
-        return self._flat_data[:count].reshape(self._shape)
+        return self._flat_data[:self._count].reshape(self._shape)
 
     @property
     def diff(self) -> np.ndarray:
-        """Host view of the gradient buffer, shaped like :attr:`shape`."""
+        """View of the gradient buffer, shaped like :attr:`shape`."""
         if _write_tracker is not None:
             _write_tracker.on_host_access(self, "diff")
-        self._sync_to_host("diff")
-        count = int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
-        return self._flat_diff[:count].reshape(self._shape)
+        return self._flat_diff[:self._count].reshape(self._shape)
 
     @property
     def flat_data(self) -> np.ndarray:
-        """Host view of the raw 1-D value storage (length :attr:`count`)."""
+        """View of the raw 1-D value storage (length :attr:`count`)."""
         if _write_tracker is not None:
             _write_tracker.on_host_access(self, "data")
-        self._sync_to_host("data")
-        count = int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
-        return self._flat_data[:count]
+        return self._flat_data[:self._count]
 
     @property
     def flat_diff(self) -> np.ndarray:
         if _write_tracker is not None:
             _write_tracker.on_host_access(self, "diff")
-        self._sync_to_host("diff")
-        count = int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
-        return self._flat_diff[:count]
-
-    # ------------------------------------------------------------------
-    # device protocol (used by the simulated fine-grain executor)
-    # ------------------------------------------------------------------
-    def device_data(self) -> np.ndarray:
-        """Device-resident value buffer; copies host data over if stale."""
-        if self._data_state in (SyncState.AT_CPU, SyncState.UNINITIALIZED):
-            self._device_data = self.data.copy()
-            self._transfers_to_device += 1
-            self._data_state = SyncState.SYNCED
-        elif self._device_data is None:
-            raise RuntimeError(f"blob {self.name!r}: device data lost")
-        return self._device_data
-
-    def mark_device_data_dirty(self) -> None:
-        """Record that a device kernel wrote the value buffer."""
-        if self._device_data is None:
-            raise RuntimeError(f"blob {self.name!r}: no device data to dirty")
-        self._data_state = SyncState.AT_DEVICE
-
-    def device_diff(self) -> np.ndarray:
-        if self._diff_state in (SyncState.AT_CPU, SyncState.UNINITIALIZED):
-            self._device_diff = self.diff.copy()
-            self._transfers_to_device += 1
-            self._diff_state = SyncState.SYNCED
-        elif self._device_diff is None:
-            raise RuntimeError(f"blob {self.name!r}: device diff lost")
-        return self._device_diff
-
-    def mark_device_diff_dirty(self) -> None:
-        if self._device_diff is None:
-            raise RuntimeError(f"blob {self.name!r}: no device diff to dirty")
-        self._diff_state = SyncState.AT_DEVICE
-
-    def _sync_to_host(self, which: str) -> None:
-        state = self._data_state if which == "data" else self._diff_state
-        if state is SyncState.AT_DEVICE:
-            device = self._device_data if which == "data" else self._device_diff
-            assert device is not None
-            host = self._flat_data if which == "data" else self._flat_diff
-            count = int(np.prod(self._shape, dtype=np.int64)) if self._shape else 1
-            host[:count] = device.ravel()[:count]
-            self._transfers_to_host += 1
-            if which == "data":
-                self._data_state = SyncState.SYNCED
-            else:
-                self._diff_state = SyncState.SYNCED
-
-    def mark_host_data_dirty(self) -> None:
-        """Record that host code wrote the value buffer."""
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "data")
-        self._data_state = SyncState.AT_CPU
-
-    def mark_host_diff_dirty(self) -> None:
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "diff")
-        self._diff_state = SyncState.AT_CPU
-
-    @property
-    def data_state(self) -> SyncState:
-        return self._data_state
-
-    @property
-    def diff_state(self) -> SyncState:
-        return self._diff_state
-
-    @property
-    def transfer_counts(self) -> Tuple[int, int]:
-        """``(host_to_device, device_to_host)`` transfer tallies."""
-        return (self._transfers_to_device, self._transfers_to_host)
+        return self._flat_diff[:self._count]
 
     # ------------------------------------------------------------------
     # sharing (Caffe's ShareData/ShareDiff, used by split layers)
@@ -323,7 +228,6 @@ class Blob:
                 f"{other.name!r} ({self.count} > {other.count})"
             )
         self._flat_data = other._flat_data
-        self._data_state = other._data_state
 
     def share_diff_with(self, other: "Blob") -> None:
         if self.count > other.count:
@@ -332,7 +236,6 @@ class Blob:
                 f"{other.name!r} ({self.count} > {other.count})"
             )
         self._flat_diff = other._flat_diff
-        self._diff_state = other._diff_state
 
     # ------------------------------------------------------------------
     # numerics helpers
@@ -345,17 +248,14 @@ class Blob:
                 f"count {self.count}"
             )
         self.flat_data[:] = arr.ravel()
-        self.mark_host_data_dirty()
         return self
 
     def zero_data(self) -> "Blob":
         self.flat_data.fill(0.0)
-        self.mark_host_data_dirty()
         return self
 
     def zero_diff(self) -> "Blob":
         self.flat_diff.fill(0.0)
-        self.mark_host_diff_dirty()
         return self
 
     def asum_data(self) -> float:
@@ -376,14 +276,12 @@ class Blob:
     def scale_diff(self, factor: float) -> "Blob":
         diff = self.flat_diff
         diff *= DTYPE(factor)
-        self.mark_host_diff_dirty()
         return self
 
     def update(self) -> "Blob":
         """Apply the accumulated gradient: ``data -= diff`` (Caffe Update)."""
         data = self.flat_data
         data -= self.flat_diff
-        self.mark_host_data_dirty()
         return self
 
     def copy_from(
@@ -398,10 +296,8 @@ class Blob:
             self.reshape(other.shape)
         if copy_diff:
             self.flat_diff[:] = other.flat_diff
-            self.mark_host_diff_dirty()
         else:
             self.flat_data[:] = other.flat_data
-            self.mark_host_data_dirty()
         return self
 
     @property

@@ -103,5 +103,4 @@ def fill(blob: Blob, spec: FillerSpec, rng: np.random.Generator) -> Blob:
         blob.flat_data[:] = mat.ravel()
     else:
         raise ValueError(f"unknown filler type {spec.type!r}")
-    blob.mark_host_data_dirty()
     return blob

@@ -71,7 +71,6 @@ def check_gradient(
     # Analytic pass: seed top diffs with the objective's gradient.
     for t, w in zip(top, weights):
         t.flat_diff[:] = w.astype(np.float32)
-        t.mark_host_diff_dirty()
     for blob in layer.blobs:
         blob.zero_diff()
     if check_bottom is None:
@@ -92,15 +91,12 @@ def check_gradient(
         for index in range(blob.count):
             original = float(data[index])
             data[index] = original + step
-            blob.mark_host_data_dirty()
             layer.forward(bottom, top)
             plus = _objective(top, weights)
             data[index] = original - step
-            blob.mark_host_data_dirty()
             layer.forward(bottom, top)
             minus = _objective(top, weights)
             data[index] = original
-            blob.mark_host_data_dirty()
             numeric = (plus - minus) / (2.0 * step)
             estimate = float(analytic[label][index])
             scale = max(abs(numeric), abs(estimate), 1.0)

@@ -99,7 +99,6 @@ class AccuracyLayer(Layer):
         for s in range(bottom[0].shape[0]):
             total += self._hits[s]
         top[0].flat_data[0] = DTYPE(total / max(valid, 1))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, *args, **kwargs) -> None:
         raise RuntimeError(

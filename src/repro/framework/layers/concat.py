@@ -73,7 +73,6 @@ class ConcatLayer(Layer):
             src = b.flat_data.reshape(self.outer, inner)[lo:hi]
             out[:, offset : offset + inner] = src
             offset += inner
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -90,7 +89,6 @@ class ConcatLayer(Layer):
             if prop:
                 dst = b.flat_diff.reshape(self.outer, inner)[lo:hi]
                 np.copyto(dst, dtop[:, offset : offset + inner])
-                b.mark_host_diff_dirty()
             offset += inner
 
 

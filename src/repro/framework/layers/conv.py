@@ -176,7 +176,6 @@ class ConvolutionLayer(Layer):
             if self.bias_term:
                 bias = self.blobs[1].data
                 y[s] += bias[:, None, None]
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -232,8 +231,6 @@ class ConvolutionLayer(Layer):
                         self.stride_h, self.stride_w,
                         out=dx[s, g * cg : (g + 1) * cg],
                     )
-        if dx is not None:
-            bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Convolution")

@@ -131,10 +131,8 @@ class DataLayer(Layer):
         if self.scale != 1.0:
             data = data * DTYPE(self.scale)
         top[0].flat_data[:] = data.ravel()
-        top[0].mark_host_data_dirty()
         if len(top) > 1:
             top[1].flat_data[:] = np.asarray(labels, dtype=DTYPE).ravel()
-            top[1].mark_host_data_dirty()
 
     def backward_chunk(self, *args, **kwargs) -> None:
         pass  # data layers have nothing to backpropagate
@@ -195,14 +193,12 @@ class MemoryDataLayer(Layer):
                 f"layer {self.name!r}: set_batch() was never called"
             )
         top[0].flat_data[:] = self._images.ravel()
-        top[0].mark_host_data_dirty()
         if len(top) > 1:
             if self._labels is None:
                 raise RuntimeError(
                     f"layer {self.name!r}: labels requested but not provided"
                 )
             top[1].flat_data[:] = self._labels.ravel()
-            top[1].mark_host_data_dirty()
 
     def backward_chunk(self, *args, **kwargs) -> None:
         pass

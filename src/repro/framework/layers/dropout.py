@@ -81,7 +81,6 @@ class DropoutLayer(NeuronLayer):
             np.multiply(x, self._mask[lo:hi], out=y)
         elif top[0] is not bottom[0]:
             np.copyto(y, x)
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -100,7 +99,6 @@ class DropoutLayer(NeuronLayer):
             np.multiply(dy, self._mask[lo:hi], out=dx)
         elif bottom[0] is not top[0]:
             np.copyto(dx, dy)
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Dropout", inplace_ok=True)

@@ -96,7 +96,6 @@ class EltwiseLayer(Layer):
             arg = stacked.argmax(axis=0)
             self._argmax[lo:hi] = arg
             np.copyto(y, np.take_along_axis(stacked, arg[None], axis=0)[0])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -121,7 +120,6 @@ class EltwiseLayer(Layer):
                         dx *= other.flat_data[lo:hi]
             else:  # MAX: route to the winner only
                 np.multiply(dy, self._argmax[lo:hi] == i, out=dx)
-            b.mark_host_diff_dirty()
 
 
 @register_shape_rule("Eltwise")

@@ -47,7 +47,6 @@ class FlattenLayer(Layer):
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
         np.copyto(top[0].flat_data[lo:hi], bottom[0].flat_data[lo:hi])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -61,7 +60,6 @@ class FlattenLayer(Layer):
         if not propagate_down[0]:
             return
         np.copyto(bottom[0].flat_diff[lo:hi], top[0].flat_diff[lo:hi])
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Flatten")

@@ -172,14 +172,12 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
         n = top[0].shape[0]
         y = top[0].flat_data.reshape(n, -1)[lo:hi]
         np.maximum(y, 0.0, out=y)
-        top[0].mark_host_data_dirty()
 
     # -- backward ------------------------------------------------------
     def _relu_mask_chunk(self, top: Sequence[Blob], lo: int, hi: int) -> None:
         dy = top[0].flat_diff[lo:hi]
         y = top[0].flat_data[lo:hi]
         np.multiply(dy, y > 0, out=dy)
-        top[0].mark_host_diff_dirty()
 
     def _middle_bias_channels(self, top, lo: int, hi: int) -> None:
         self._middle._backward_param_channels(top, lo, hi)
@@ -250,13 +248,11 @@ class FusedInnerProductReLU(InnerProductLayer):
         super().forward_chunk(bottom, top, lo, hi)
         y = top[0].flat_data.reshape(self.outer, self.num_output)[lo:hi]
         np.maximum(y, 0.0, out=y)
-        top[0].mark_host_data_dirty()
 
     def _relu_mask_chunk(self, top: Sequence[Blob], lo: int, hi: int) -> None:
         dy = top[0].flat_diff[lo:hi]
         y = top[0].flat_data[lo:hi]
         np.multiply(dy, y > 0, out=dy)
-        top[0].mark_host_diff_dirty()
 
     def backward_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
         # Mask first: the weight-row loop reads every sample's dy.
@@ -286,13 +282,11 @@ class FusedEltwiseReLU(EltwiseLayer):
         super().forward_chunk(bottom, top, lo, hi)
         y = top[0].flat_data[lo:hi]
         np.maximum(y, 0.0, out=y)
-        top[0].mark_host_data_dirty()
 
     def _relu_mask_chunk(self, top: Sequence[Blob], lo: int, hi: int) -> None:
         dy = top[0].flat_diff[lo:hi]
         y = top[0].flat_data[lo:hi]
         np.multiply(dy, y > 0, out=dy)
-        top[0].mark_host_diff_dirty()
 
     def backward_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
         loops: List[LoopSpec] = [LoopSpec(

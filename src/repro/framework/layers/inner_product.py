@@ -120,7 +120,6 @@ class InnerProductLayer(Layer):
             blaslib.gemv(False, 1.0, weights, x[s], 0.0, y[s])
             if bias is not None:
                 y[s] += bias
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -154,7 +153,6 @@ class InnerProductLayer(Layer):
         weights = self.blobs[0].data
         for s in range(lo, hi):
             blaslib.gemv(True, 1.0, weights, dy[s], 0.0, dx[s])
-        bottom[0].mark_host_diff_dirty()
 
     def _backward_weight_rows(self, top: Sequence[Blob],
                               bottom: Sequence[Blob], lo: int, hi: int) -> None:
@@ -176,9 +174,6 @@ class InnerProductLayer(Layer):
             blaslib.gemv(True, 1.0, x, dy_row, 1.0, dweights[row])
             if dbias is not None:
                 dbias[row] += dy_row.sum()
-        self.blobs[0].mark_host_diff_dirty()
-        if dbias is not None:
-            self.blobs[1].mark_host_diff_dirty()
 
     def backward_loops(self, top, propagate_down, bottom):
         """Two reduction-free loops: bottom grads over sample rows, weight

@@ -55,7 +55,6 @@ class LossLayer(Layer):
         for s in range(batch):  # fixed order: bitwise thread-invariant
             total += self._per_sample[s]
         top[0].flat_data[0] = DTYPE(total / self._normalizer(batch))
-        top[0].mark_host_data_dirty()
 
     def _normalizer(self, batch: int) -> float:
         return float(batch)
@@ -157,7 +156,6 @@ class SoftmaxWithLossLayer(LossLayer):
         dscores[rows, safe_labels] -= scale
         if self.ignore_label is not None:
             dscores[~valid] = 0.0
-        bottom[0].mark_host_diff_dirty()
 
     @property
     def prob(self) -> np.ndarray:
@@ -217,7 +215,6 @@ class EuclideanLossLayer(LossLayer):
             if propagate_down[i]:
                 dx = bottom[i].flat_diff.reshape(batch, -1)[lo:hi]
                 np.copyto(dx, sign * scale * self._diff[lo:hi])
-                bottom[i].mark_host_diff_dirty()
 
 
 @register_shape_rule("SoftmaxWithLoss", terminal_ok=True)

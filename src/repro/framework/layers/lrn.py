@@ -124,7 +124,6 @@ class LRNLayer(Layer):
         scale = self.k + (self.alpha / self.local_size) * window
         self._scale[lo:hi] = scale.astype(DTYPE)
         np.copyto(y, (x * np.power(self._scale[lo:hi], -self.beta)).astype(DTYPE))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -153,7 +152,6 @@ class LRNLayer(Layer):
             (dy * np.power(scale, -self.beta)
              - coeff * x * window.astype(DTYPE)),
         )
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("LRN")

@@ -54,7 +54,6 @@ class ReLULayer(NeuronLayer):
             np.maximum(x, 0.0, out=y)
         else:
             np.copyto(y, np.where(x > 0, x, self.negative_slope * x))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -76,7 +75,6 @@ class ReLULayer(NeuronLayer):
             np.multiply(dy, x > 0, out=dx)
         else:
             np.copyto(dx, dy * np.where(x > 0, 1.0, self.negative_slope))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("Sigmoid")
@@ -93,7 +91,6 @@ class SigmoidLayer(NeuronLayer):
         # Numerically stable split by sign.
         np.copyto(y, np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                               np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -110,7 +107,6 @@ class SigmoidLayer(NeuronLayer):
         dy = top[0].flat_diff[lo:hi]
         dx = bottom[0].flat_diff[lo:hi]
         np.copyto(dx, dy * y * (1.0 - y))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("TanH")
@@ -123,7 +119,6 @@ class TanHLayer(NeuronLayer):
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
         np.tanh(bottom[0].flat_data[lo:hi], out=top[0].flat_data[lo:hi])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -140,7 +135,6 @@ class TanHLayer(NeuronLayer):
         dy = top[0].flat_diff[lo:hi]
         dx = bottom[0].flat_diff[lo:hi]
         np.copyto(dx, dy * (1.0 - y * y))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("Power")
@@ -164,7 +158,6 @@ class PowerLayer(NeuronLayer):
             np.copyto(y, base)
         else:
             np.copyto(y, np.power(base, self.power))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -187,7 +180,6 @@ class PowerLayer(NeuronLayer):
             # d/dx (base^p) = p * scale * base^(p-1)
             np.copyto(dx, dy * self.power * self.scale
                       * np.power(base, self.power - 1.0))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("AbsVal")
@@ -200,7 +192,6 @@ class AbsValLayer(NeuronLayer):
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
         np.abs(bottom[0].flat_data[lo:hi], out=top[0].flat_data[lo:hi])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -216,7 +207,6 @@ class AbsValLayer(NeuronLayer):
         x = bottom[0].flat_data[lo:hi]
         dy = top[0].flat_diff[lo:hi]
         np.copyto(bottom[0].flat_diff[lo:hi], dy * np.sign(x))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("Exp")
@@ -243,7 +233,6 @@ class ExpLayer(NeuronLayer):
         x = bottom[0].flat_data[lo:hi]
         np.exp(self.inner_shift + self.inner_scale * x,
                out=top[0].flat_data[lo:hi])
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -259,7 +248,6 @@ class ExpLayer(NeuronLayer):
         y = top[0].flat_data[lo:hi]
         dy = top[0].flat_diff[lo:hi]
         np.copyto(bottom[0].flat_diff[lo:hi], dy * y * self.inner_scale)
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("Log")
@@ -284,7 +272,6 @@ class LogLayer(NeuronLayer):
         x = bottom[0].flat_data[lo:hi]
         np.copyto(top[0].flat_data[lo:hi],
                   np.log(self.shift + self.scale * x) / self.denominator)
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -304,7 +291,6 @@ class LogLayer(NeuronLayer):
             dy * self.scale / ((self.shift + self.scale * x)
                                * self.denominator),
         )
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_layer("BNLL")
@@ -321,7 +307,6 @@ class BNLLLayer(NeuronLayer):
         # log(1 + e^x) = max(x, 0) + log(1 + e^-|x|)
         np.copyto(top[0].flat_data[lo:hi],
                   np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -339,7 +324,6 @@ class BNLLLayer(NeuronLayer):
         sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         np.copyto(bottom[0].flat_diff[lo:hi], dy * sig)
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule(

@@ -181,7 +181,6 @@ class PoolingLayer(Layer):
         else:
             sums = windows.sum(axis=(3, 4), dtype=DTYPE)
             np.divide(sums, self._ave_divisor[None], out=out)
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -222,7 +221,6 @@ class PoolingLayer(Layer):
                            kw:w_stop:self.stride_w] += contrib
             dplanes += padded[:, self.pad_h : self.pad_h + self.in_h,
                               self.pad_w : self.pad_w + self.in_w]
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Pooling")

@@ -122,13 +122,11 @@ class ScaleLayer(_ChannelAffineBase):
         np.multiply(x, gamma, out=y)
         if self.bias_term:
             y += self.blobs[1].data[None, :, None]
-        top[0].mark_host_data_dirty()
 
     def _backward_data_chunk(self, top, bottom, lo: int, hi: int) -> None:
         dy = self._view(top[0].flat_diff)[lo:hi]
         dx = self._view(bottom[0].flat_diff)[lo:hi]
         np.multiply(dy, self.blobs[0].data[None, :, None], out=dx)
-        bottom[0].mark_host_diff_dirty()
 
     def _backward_param_channels(self, top, bottom, lo: int, hi: int) -> None:
         """Coefficient gradients for channels [lo, hi): full reductions
@@ -144,9 +142,6 @@ class ScaleLayer(_ChannelAffineBase):
             )
             if dbeta is not None:
                 dbeta[c] += dy[:, c].sum(dtype=np.float64)
-        self.blobs[0].mark_host_diff_dirty()
-        if dbeta is not None:
-            self.blobs[1].mark_host_diff_dirty()
 
     def backward_chunk(self, top, propagate_down, bottom, lo, hi,
                        param_grads) -> None:
@@ -206,20 +201,17 @@ class BiasLayer(_ChannelAffineBase):
         x = self._view(bottom[0].flat_data)[lo:hi]
         y = self._view(top[0].flat_data)[lo:hi]
         np.add(x, self.blobs[0].data[None, :, None], out=y)
-        top[0].mark_host_data_dirty()
 
     def _backward_param_channels(self, top, lo: int, hi: int) -> None:
         dy = self._view(top[0].flat_diff)
         dbeta = self.blobs[0].flat_diff
         for c in range(lo, hi):
             dbeta[c] += dy[:, c].sum(dtype=np.float64)
-        self.blobs[0].mark_host_diff_dirty()
 
     def _backward_data_chunk(self, top, bottom, lo: int, hi: int) -> None:
         if top[0] is not bottom[0]:
             np.copyto(self._view(bottom[0].flat_diff)[lo:hi],
                       self._view(top[0].flat_diff)[lo:hi])
-            bottom[0].mark_host_diff_dirty()
 
     def backward_chunk(self, top, propagate_down, bottom, lo, hi,
                        param_grads) -> None:

@@ -58,7 +58,6 @@ class SoftmaxLayer(Layer):
         shifted = x - x.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         np.divide(exp, exp.sum(axis=1, keepdims=True), out=y)
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -77,7 +76,6 @@ class SoftmaxLayer(Layer):
         # dx = y * (dy - sum(dy * y, axis=classes))
         dot = (dy * y).sum(axis=1, keepdims=True)
         np.copyto(dx, y * (dy - dot))
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Softmax", inplace_ok=True)

@@ -41,7 +41,6 @@ class SplitLayer(Layer):
         src = bottom[0].flat_data[lo:hi]
         for t in top:
             np.copyto(t.flat_data[lo:hi], src)
-            t.mark_host_data_dirty()
 
     def backward_chunk(
         self,
@@ -58,7 +57,6 @@ class SplitLayer(Layer):
         np.copyto(dst, top[0].flat_diff[lo:hi])
         for t in top[1:]:
             dst += t.flat_diff[lo:hi]
-        bottom[0].mark_host_diff_dirty()
 
 
 @register_shape_rule("Split")

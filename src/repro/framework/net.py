@@ -258,7 +258,6 @@ class Net:
             for top_blob, weight in zip(tops, layer.loss_weights):
                 if weight:
                     top_blob.flat_diff[0] = 1.0
-                    top_blob.mark_host_diff_dirty()
 
     def forward_backward(self) -> float:
         loss = self.forward()

@@ -30,4 +30,3 @@ class AdaGradSolver(Solver):
         blob.flat_diff[:] = (
             local_rate * grad / (np.sqrt(history) + DTYPE(self.params.delta))
         )
-        blob.mark_host_diff_dirty()

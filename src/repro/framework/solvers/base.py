@@ -47,14 +47,51 @@ class SolverParams:
     clip_gradients: float = -1.0
 
 
-class SequentialExecutor:
-    """Default executor: plain sequential forward/backward."""
+class LayerwiseExecutor:
+    """An executor is two per-layer hooks; its passes are loops over them.
+
+    The passes themselves are inherently sequential (Algorithm 1) — what
+    an executor chooses is how one layer's pass runs.  Subclasses
+    implement :meth:`forward_layer` and :meth:`backward_layer`;
+    wrapping those two calls (see :class:`repro.core.trace.TracingExecutor`)
+    observes an executor without re-implementing it.
+    """
+
+    #: Team size the layer hooks run with.
+    num_threads = 1
+
+    def forward_layer(self, net: Net, i: int) -> float:
+        """Run layer ``i`` forward; returns its weighted loss share."""
+        raise NotImplementedError
+
+    def backward_layer(self, net: Net, i: int) -> None:
+        """Run layer ``i`` backward (only called on layers that take
+        part in the backward pass)."""
+        raise NotImplementedError
 
     def forward(self, net: Net) -> float:
-        return net.forward()
+        total = 0.0
+        for i in range(len(net.layers)):
+            total += self.forward_layer(net, i)
+        return total
 
     def backward(self, net: Net) -> None:
-        net.backward()
+        net._seed_loss_diffs()
+        for i in range(len(net.layers) - 1, -1, -1):
+            if any(net.bottom_need_backward[i]) or net.layers[i].blobs:
+                self.backward_layer(net, i)
+
+
+class SequentialExecutor(LayerwiseExecutor):
+    """Default executor: plain sequential forward/backward."""
+
+    def forward_layer(self, net: Net, i: int) -> float:
+        return net.layers[i].forward(net.bottoms[i], net.tops[i])
+
+    def backward_layer(self, net: Net, i: int) -> None:
+        net.layers[i].backward(
+            net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
+        )
 
 
 class Solver:

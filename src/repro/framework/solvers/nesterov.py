@@ -22,4 +22,3 @@ class NesterovSolver(Solver):
         history *= momentum
         history += local_rate * blob.flat_diff
         blob.flat_diff[:] = (DTYPE(1.0) + momentum) * history - momentum * prev
-        blob.mark_host_diff_dirty()

@@ -25,4 +25,3 @@ class SGDSolver(Solver):
         history *= momentum
         history += local_rate * blob.flat_diff
         blob.flat_diff[:] = history
-        blob.mark_host_diff_dirty()

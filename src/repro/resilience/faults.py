@@ -212,7 +212,6 @@ class _ExecutorProxy:
                         and fault.iteration == iteration):
                     blob = net.blob(fault.blob)
                     blob.flat_data[:] = np.nan
-                    blob.mark_host_data_dirty()
         return loss
 
     def backward(self, net) -> None:
@@ -239,8 +238,8 @@ class _Injector:
         # A one-thread *team* still runs chunks (on the master thread),
         # so the abort fires there; a plain SequentialExecutor has no
         # parallel region at all — the fault stays silent.
-        num_threads = getattr(self._orig_executor, "num_threads", None)
-        solo = num_threads is not None and num_threads <= 1
+        team = getattr(self._orig_executor, "team", None)
+        solo = team is not None and team.num_threads <= 1
         for fault in self.plan:
             if isinstance(fault, LayerRaise):
                 layer = self.solver.net.layer(fault.layer)

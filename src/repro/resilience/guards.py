@@ -223,6 +223,5 @@ class HealthGuard:
     def _restore(solver, shadow: _Shadow) -> None:
         for blob, saved in zip(solver.net.learnable_params, shadow.params):
             blob.flat_data[:] = saved
-            blob.mark_host_data_dirty()
         for live, saved in zip(solver.history, shadow.history):
             live[:] = saved

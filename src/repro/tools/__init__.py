@@ -4,7 +4,6 @@
   file) with the coarse-grain parallel runtime.
 * ``python -m repro.tools.profile`` — per-layer breakdown of a real
   traced run plus the simulated testbed scaling figures.
-* ``python -m repro.tools.analyze`` — the analysis suite (parallel
-  safety, netcheck, detcheck, rescheck); alias for
-  ``python -m repro.analysis``.
+
+The analysis suite is ``python -m repro.analysis``.
 """

@@ -186,6 +186,8 @@ class TestCli:
             main(["rescheck", "--iters", "0"])
 
     def test_tools_analyze_alias(self):
-        from repro.tools import analyze
+        import runpy
+        from pathlib import Path
 
-        assert analyze.main is main
+        wrapper = Path(__file__).resolve().parents[2] / "tools" / "analyze.py"
+        assert runpy.run_path(str(wrapper))["main"] is main

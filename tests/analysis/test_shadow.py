@@ -127,10 +127,10 @@ class TestShadowTracker:
         prev = set_write_tracker(tracker)
         try:
             tracker.begin(0)
-            blob.mark_host_data_dirty()
+            blob.flat_data
             tracker.end()
             tracker.begin(1)
-            blob.mark_host_diff_dirty()
+            blob.flat_diff
             tracker.end()
         finally:
             set_write_tracker(prev)
@@ -143,7 +143,7 @@ class TestShadowTracker:
         tracker = ShadowTracker()
         prev = set_write_tracker(tracker)
         try:
-            blob.mark_host_data_dirty()
+            blob.flat_data
         finally:
             set_write_tracker(prev)
         assert tracker.accesses == {}

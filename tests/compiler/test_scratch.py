@@ -90,7 +90,6 @@ class TestConvZeroAlloc:
         def one_iter():
             layer.forward(bottom, top)
             top[0].flat_diff[:] = 1.0
-            top[0].mark_host_diff_dirty()
             layer.backward(top, [True], bottom)
 
         one_iter()  # warmup populates the pool

@@ -8,9 +8,12 @@ mode, thread count and network.
 import numpy as np
 import pytest
 
-from repro.core import ParallelExecutor
+from repro.analysis.plancheck import plan_spec
+from repro.core import ParallelExecutor, ThreadTeam
 from repro.core.scheduling import DynamicSchedule, StaticSchedule
-from repro.zoo import build_net
+from repro.core.team import TeamSync
+from repro.data import register_default_sources
+from repro.zoo import build_net, lenet_spec
 
 
 def run_once(net, executor):
@@ -128,10 +131,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="reduction"):
             ParallelExecutor(reduction="magic")
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="block_window"):
-            ParallelExecutor(block_window=0)
-
     def test_shared_team_not_shut_down(self):
         from repro.core.team import ThreadTeam
         with ThreadTeam(2) as team:
@@ -179,3 +178,74 @@ class TestCifar:
             loss, grads, _ = run_once(net2, ex)
         assert loss == ref_loss
         assert np.array_equal(grads, ref_grads)
+
+
+class RecordingSync(TeamSync):
+    """Real synchronization, plus a log of every chunk the executor
+    announces (what the synccheck model checker sees)."""
+
+    observes_chunks = True
+
+    def __init__(self):
+        self.chunks = []
+
+    def chunk_point(self, team, tid, layer, phase, lo, hi):
+        self.chunks.append((layer, phase, lo, hi))  # append is GIL-atomic
+
+
+class TestChunkStream:
+    """Every dispatched loop announces chunks that tile its iteration
+    space exactly once — whichever route (region, blockwise window,
+    per-thread walk, inline single call) the dispatch routine took."""
+
+    @staticmethod
+    def observe(threads, reduction, plan=None):
+        net = build_net("lenet")
+        spaces = {}  # (layer, phase) -> loop spaces in dispatch order
+        for layer in net.layers:
+            def loops(*args, _name=layer.name, _loops=layer.backward_loops):
+                out = _loops(*args)
+                spaces[_name, "backward"] = [loop.space for loop in out]
+                return out
+            layer.backward_loops = loops
+        sync = RecordingSync()
+        with ThreadTeam(threads, sync=sync) as team:
+            executor = ParallelExecutor(team=team, reduction=reduction,
+                                        plan=plan)
+            run_once(net, executor)
+        for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
+            spaces[layer.name, "forward"] = [layer.forward_space(bottom, top)]
+        return spaces, sync.chunks
+
+    @staticmethod
+    def assert_tiles(spaces, chunks):
+        streams = {}
+        for layer, phase, lo, hi in chunks:
+            streams.setdefault((layer, phase), []).append((lo, hi))
+        assert set(streams) == set(spaces)
+        for key, stream in streams.items():
+            # Loops of one layer run one after the other, so the stream
+            # is the concatenation of one tiling per loop.
+            for space in spaces[key]:
+                covered, tiling = 0, []
+                while covered < space:
+                    assert stream, f"{key}: chunks stop short of {space}"
+                    tiling.append(stream.pop(0))
+                    covered += tiling[-1][1] - tiling[-1][0]
+                edges = sorted(tiling)
+                assert edges[0][0] == 0 and edges[-1][1] == space, key
+                assert all(a[1] == b[0] for a, b in zip(edges, edges[1:])), key
+            assert not stream, f"{key}: chunks beyond its loops: {stream}"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("reduction",
+                             ["ordered", "atomic", "tree", "blockwise"])
+    def test_every_mode_tiles_every_space(self, reduction, threads):
+        self.assert_tiles(*self.observe(threads, reduction))
+
+    def test_planned_run_tiles_every_space(self):
+        register_default_sources()  # the planner sizes the Data layer
+        plan = plan_spec(lenet_spec(), net_name="lenet",
+                         threads=2).plan
+        assert any(lp.threads <= 1 for lp in plan.layers.values())
+        self.assert_tiles(*self.observe(2, "blockwise", plan))

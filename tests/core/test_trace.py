@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analysis.plancheck import plan_spec
 from repro.core import ParallelExecutor, Trace, TracingExecutor
+from repro.data import register_default_sources
 from repro.framework.solvers.base import SequentialExecutor
-from repro.zoo import build_net
+from repro.zoo import build_net, lenet_spec
 
 
 class TestTrace:
@@ -100,3 +102,43 @@ class TestTracingExecutor:
             tracer = TracingExecutor(inner)
             tracer.forward(net)
         assert all(e.threads == 2 for e in tracer.trace.events)
+
+    def test_traced_planned_run_is_the_planned_run(self):
+        """The tracer is a view: under a per-layer plan it runs the
+        wrapped executor's own path — same loss and gradients bitwise,
+        same number of parallel regions (planned-inline layers open
+        none) — instead of re-driving the layers with the executor-wide
+        schedule and no plan."""
+        register_default_sources()  # the planner sizes the Data layer
+        plan = plan_spec(lenet_spec(), net_name="lenet",
+                         threads=2).plan
+        assert any(lp.threads <= 1 for lp in plan.layers.values())
+        assert any(lp.threads > 1 for lp in plan.layers.values())
+        state = build_net("lenet").state_dict()
+
+        def run(view):
+            net = build_net("lenet")
+            net.load_state_dict(state)
+            regions = []
+            with ParallelExecutor(num_threads=2, reduction="blockwise",
+                                  plan=plan) as inner:
+                parallel_for = inner.team.parallel_for
+
+                def counted(space, body, schedule=None):
+                    regions.append(space)
+                    parallel_for(space, body, schedule)
+
+                inner.team.parallel_for = counted
+                executor = view(inner)
+                net.clear_param_diffs()
+                loss = executor.forward(net)
+                executor.backward(net)
+            grads = np.concatenate([b.flat_diff.copy()
+                                    for b in net.learnable_params])
+            return loss, grads, regions
+
+        loss, grads, regions = run(lambda inner: inner)
+        traced_loss, traced_grads, traced_regions = run(TracingExecutor)
+        assert traced_loss == loss
+        assert np.array_equal(traced_grads, grads)
+        assert traced_regions == regions

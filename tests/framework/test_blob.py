@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.framework.blob import Blob, SyncState
+from repro.framework.blob import Blob
 
 
 class TestShape:
@@ -144,55 +144,6 @@ class TestDataDiff:
             b.copy_from(a)
         b.copy_from(a, reshape=True)
         assert b.shape == (2,)
-
-
-class TestDeviceSync:
-    def test_initial_state(self):
-        blob = Blob((2,))
-        assert blob.data_state is SyncState.AT_CPU
-
-    def test_round_trip(self):
-        blob = Blob((2,))
-        blob.set_data([1, 2])
-        device = blob.device_data()
-        assert blob.data_state is SyncState.SYNCED
-        device[:] = [7, 8]
-        blob.mark_device_data_dirty()
-        assert blob.data_state is SyncState.AT_DEVICE
-        assert np.allclose(blob.data, [7, 8])  # triggers device->host
-        assert blob.data_state is SyncState.SYNCED
-
-    def test_transfer_counting(self):
-        blob = Blob((2,))
-        blob.device_data()
-        blob.mark_device_data_dirty()
-        _ = blob.data
-        assert blob.transfer_counts == (1, 1)
-
-    def test_no_redundant_transfers(self):
-        blob = Blob((2,))
-        blob.device_data()
-        blob.device_data()  # already synced
-        assert blob.transfer_counts == (1, 0)
-
-    def test_host_write_invalidates_device(self):
-        blob = Blob((2,))
-        blob.device_data()
-        blob.set_data([3, 4])  # marks host dirty
-        device = blob.device_data()  # must re-transfer
-        assert np.allclose(device, [3, 4])
-        assert blob.transfer_counts[0] == 2
-
-    def test_diff_sync_independent(self):
-        blob = Blob((2,))
-        blob.device_diff()[:] = [1, 1]
-        blob.mark_device_diff_dirty()
-        assert np.allclose(blob.diff, [1, 1])
-        assert blob.data_state is SyncState.AT_CPU
-
-    def test_dirty_without_device_raises(self):
-        with pytest.raises(RuntimeError, match="no device data"):
-            Blob((1,)).mark_device_data_dirty()
 
 
 class TestSharing:

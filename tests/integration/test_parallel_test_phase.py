@@ -70,7 +70,6 @@ class TestFailureInjection:
         with ParallelExecutor(num_threads=2) as executor:
             executor.forward(net)
             net.blob("label").flat_data[0] = 99  # out of range
-            net.blob("label").mark_host_data_dirty()
             # re-run only the loss layer's forward path via full forward:
             # data layer refreshes labels, so corrupt the source instead
             loss_layer = net.layer("loss")

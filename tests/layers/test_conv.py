@@ -87,7 +87,6 @@ class TestForward:
         x2 = Blob((1, 4, 5, 5), name="x2")
         x2.set_data(bottom[0].flat_data)
         x2.data[0, 2:] = 0  # zero group-1 channels
-        x2.mark_host_data_dirty()
         top2 = [Blob()]
         out1 = top[0].data.copy()
         layer.forward([x2], top2)

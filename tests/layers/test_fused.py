@@ -158,9 +158,7 @@ def backward_parity(fused_spec_, chain_specs, x, rng):
 
     dy = rng.standard_normal(fused_top[0].count).astype(np.float32)
     fused_top[0].flat_diff[:] = dy
-    fused_top[0].mark_host_diff_dirty()
     current[0].flat_diff[:] = dy
-    current[0].mark_host_diff_dirty()
     for layer in layers:
         for blob in layer.blobs:
             blob.zero_diff()

@@ -81,7 +81,6 @@ class TestBackward:
         layer.setup(bottom, top)
         layer.forward(bottom, top)
         top[0].flat_diff[:] = rng.standard_normal(top[0].count)
-        top[0].mark_host_diff_dirty()
 
         def grads_with_rows(splits):
             for blob in layer.blobs:

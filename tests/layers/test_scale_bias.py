@@ -69,7 +69,6 @@ class TestScaleBackward:
         layer.setup(bottom, top)
         layer.forward(bottom, top)
         top[0].flat_diff[:] = rng.standard_normal(top[0].count)
-        top[0].mark_host_diff_dirty()
 
         def grads(splits):
             layer.blobs[0].zero_diff()

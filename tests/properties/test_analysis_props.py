@@ -31,7 +31,6 @@ class RacyForwardLayer(Layer):
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].flat_data[:] = bottom[0].flat_data * 2.0
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
         bottom[0].flat_diff[lo:hi] = top[0].flat_diff[lo:hi] * 2.0
@@ -48,7 +47,6 @@ class RacyHiddenStateLayer(Layer):
     def forward_chunk(self, bottom, top, lo, hi):
         self._stash = np.maximum(bottom[0].flat_data[lo:hi], 0.0)
         top[0].flat_data[lo:hi] = self._stash
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
         bottom[0].flat_diff[lo:hi] = top[0].flat_diff[lo:hi]
@@ -69,7 +67,6 @@ class RacyReductionLayer(Layer):
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].flat_data[lo:hi] = bottom[0].flat_data[lo:hi]
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
         dw = self.blobs[0].flat_diff
@@ -86,11 +83,9 @@ class CleanScaledLayer(Layer):
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].flat_data[lo:hi] = bottom[0].flat_data[lo:hi] * 2.0
-        top[0].mark_host_data_dirty()
 
     def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
         bottom[0].flat_diff[lo:hi] = top[0].flat_diff[lo:hi] * 2.0
-        bottom[0].mark_host_diff_dirty()
 
 
 _TEST_LAYERS = {

@@ -105,7 +105,6 @@ class TestSkipBatchPolicy:
             inner()
             blob = solver.net.learnable_params[0]
             blob.flat_data[0] = np.nan
-            blob.mark_host_data_dirty()
 
         solver.apply_update = poisoned_update
         with pytest.raises(NumericFault) as info:
@@ -150,7 +149,6 @@ class TestRollbackPolicy:
                 fired.append(True)
                 blob = solver.net.learnable_params[0]
                 blob.flat_data[0] = np.inf
-                blob.mark_host_data_dirty()
 
         solver.apply_update = poisoned_update
         solver.step(1)

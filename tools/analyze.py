@@ -1,43 +1,5 @@
-"""Analysis entry point: safety analyzer + net checker + detcheck.
-
-Thin wrapper so every analysis can be run straight from a checkout::
-
-    python tools/analyze.py --net lenet --net cifar10 --gate
-    python tools/analyze.py netcheck --prototxt my_net.prototxt --gate
-    python tools/analyze.py detcheck --net lenet --threads 1,2,8 --gate
-    python tools/analyze.py rescheck --net lenet --threads 1,2,8 --gate
-    python tools/analyze.py synccheck --net lenet --threads 1,2,8 --gate
-    python tools/analyze.py perfcheck --gate --static-only
-    python tools/analyze.py --list-codes
-
-Flag mode runs the parallel-safety analyzer (static write-footprint
-classification + shadow-memory race replay).  The ``netcheck``
-subcommand runs the net-graph static checker (symbolic shape inference,
-DAG lint NG001-NG009, static schedule / memory / FLOP plan).  The
-``detcheck`` subcommand runs the determinism certifier: static
-nondeterminism lint (DC001-DC007), configuration invariance-tier rules
-(DC101-DC104), and bitwise replay certification of convergence
-invariance (DC201-DC203).  The ``rescheck`` subcommand runs the
-resilience certifier: static state-safety lint (RS001-RS004), bitwise
-checkpoint/resume certification (RS101-RS102), and fault-injection
-recovery certification (RS201-RS204).  The ``plancheck`` subcommand
-runs the auto-parallelization planner (PL001-PL006 lint, PL201/PL202
-replay certification).  The ``fusecheck`` subcommand runs the graph
-compiler's certifier: fusion + arena transform checks (FU001-FU005)
-and fused-vs-unfused bitwise replay certification (FU201/FU202).  The
-``synccheck`` subcommand runs the concurrency certifier: lock-order /
-barrier-protocol static lint (SY001-SY006), seeded-defect
-certification of the interleaving model checker (SY201/SY202), and
-CHESS-style bounded model checking of each zoo net's training
-iteration (SY101-SY104).  The ``perfcheck`` subcommand runs the
-performance certifier: static performance-bug lint against per-layer
-PerfDecl allow-lists (PE001-PE005), roofline classification
-(PE101/PE102), and cost-model calibration with a per-layer-type
-residual gate (PE201-PE203).
-``--list-codes`` prints the full FP/RT/NG/DC/RS/PL/FU/SY/PE catalogue;
-``--check-codes`` verifies catalogue/source agreement.
-Equivalent to ``PYTHONPATH=src python -m repro.analysis``.
-"""
+"""Run the analysis suite straight from a checkout (sets ``sys.path``);
+same as ``PYTHONPATH=src python -m repro.analysis`` — see its ``--help``."""
 
 import os
 import sys
