@@ -12,26 +12,22 @@ Two cooperating passes:
   per simulated thread, diff the write sets, and report cross-thread
   overlaps not routed through privatization.
 
-A third pass certifies determinism (:mod:`repro.analysis.rng_lint`,
-:mod:`repro.analysis.detcheck`): static nondeterminism lint (DC001-
-DC007), configuration invariance-tier rules (DC101-DC104), and bitwise
-replay certification of the paper's convergence-invariance property
-(DC201-DC203).
-
-A performance pass (:mod:`repro.analysis.perflint`,
-:mod:`repro.analysis.perfcheck`) lints chunk-reachable layer code for
-performance bugs against per-layer ``PerfDecl`` allow-lists
-(PE001-PE005), classifies every layer pass on the cost model's
-roofline (PE101/PE102), and calibrates ``CPUModel.layer_time`` against
-traced wall-clock runs (PE201-PE203).  :mod:`repro.analysis.codes`
-names every FP/RT/NG/DC/RS/PL/FU/SY/PE code in one catalogue.
+Eight more families certify what is built on that contract, each a
+subcommand of ``python -m repro.analysis`` with its own ``--help``:
+``netcheck`` (NG: net-graph shapes, lint and static plan), ``detcheck``
+(DC: determinism and convergence invariance), ``rescheck`` (RS:
+checkpoint/resume and fault recovery), ``plancheck`` (PL: per-layer
+auto-parallelization plans), ``fusecheck`` (FU: operator fusion and the
+memory arena), ``synccheck`` (SY: locks, barriers and interleavings),
+``perfcheck`` (PE: performance lint, roofline and cost-model
+calibration) and ``servecheck`` (SV: the serving path under chaos).
+:mod:`repro.analysis.codes` names every FP/RT/NG/DC/RS/PL/FU/SY/PE/SV
+code in one catalogue.
 
 Entry points: :func:`analyze_layer_class` for one class,
 :func:`run_static` / :func:`run_dynamic` / :func:`run_analysis` for
-whole nets, :func:`run_detcheck` / :func:`certify_mode` for the
-determinism certifier, :func:`lint_perf` / :func:`run_perfcheck` for
-the performance certifier, and ``python -m repro.analysis`` for the
-CLI.
+whole nets, each family module's ``run_*`` function for its
+certifier, and ``python -m repro.analysis`` for the CLI.
 """
 
 from repro.analysis.footprint import (

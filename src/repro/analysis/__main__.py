@@ -1,169 +1,36 @@
-"""CLI for the parallel-safety analyzer and the net-graph checker.
+"""CLI for the analyzer families: ``python -m repro.analysis [MODE] ...``.
 
-Flag mode (parallel-safety analysis, the original interface)::
-
-    python -m repro.analysis --net lenet --net cifar10 --threads 1,2,8
-    python -m repro.analysis --prototxt my_net.prototxt --gate
-    python -m repro.analysis --static-only --json
-
-Both passes run by default: the static write-footprint classification
-over every registered layer class (plus the runtime-invariant lint),
-and the dynamic shadow-memory race detection over each requested net at
-each simulated thread count.  ``--gate`` exits nonzero when any ERROR
-finding or race is present, for use in CI.
-
-Subcommand mode (net-graph static checker)::
-
-    python -m repro.analysis netcheck --net lenet --net cifar10 --gate
-    python -m repro.analysis netcheck --prototxt my_net.prototxt --json
-    python -m repro.analysis netcheck --batch 32 --threads 1,2,8
-
-``netcheck`` lints a net spec (coded findings NG001-NG009), infers every
-blob shape symbolically, and emits the static schedule / memory / FLOP
-plan — all without instantiating a single layer.  With no ``--net`` or
-``--prototxt`` it checks every zoo net.
-
-Subcommand mode (determinism certifier)::
-
-    python -m repro.analysis detcheck --net lenet --threads 1,2,8 --gate
-    python -m repro.analysis detcheck --mode blockwise --mode atomic --json
-    python -m repro.analysis detcheck --static-only
-
-``detcheck`` runs the static nondeterminism lint (DC001-DC007), the
-configuration invariance-tier rules (DC101-DC104), and — unless
-``--static-only`` — the bitwise replay certifier (DC201-DC203), which
-trains every requested zoo net a few iterations at each thread count
-under each reduction mode and diffs the trajectories bitwise and in
-ULPs against the sequential run.
-
-Subcommand mode (resilience certifier)::
-
-    python -m repro.analysis rescheck --net lenet --threads 1,2,8 --gate
-    python -m repro.analysis rescheck --mode blockwise --json
-    python -m repro.analysis rescheck --static-only
-
-``rescheck`` runs the static state-safety lint (RS001-RS004: raw
-serialization outside the atomic checkpoint writer, uncapturable RNG
-streams, cursorless batch sources), then — unless ``--static-only`` —
-certifies per net x reduction mode x thread count that a mid-run
-checkpoint + fresh-solver resume is bitwise identical to the
-uninterrupted run (RS101/RS102), and fires the deterministic
-fault-injection harness (RS201-RS204): chunk aborts, in-layer
-exceptions, NaN injection under every guard policy, and corrupt /
-truncated / old-format checkpoint files.  ``--skip-faults`` certifies
-resume only.
-
-Subcommand mode (auto-parallelization planner)::
-
-    python -m repro.analysis plancheck --net lenet --threads 8 --gate
-    python -m repro.analysis plancheck --threads 1,2,8 --json
-    python -m repro.analysis plancheck --net lenet --threads 8 \\
-        --emit-plan lenet.plan.json
-    python -m repro.analysis plancheck --net lenet --certify
-
-``plancheck`` statically searches a per-layer execution strategy
-(coalesce depth, thread count, schedule, reduction mode) for each
-requested team size, priced by the simulator's cost model, and lints
-the resulting plan (PL001-PL006).  ``--emit-plan`` writes the
-serialized :class:`~repro.core.plan.ExecutionPlan` for
-``repro.tools.train --plan``; ``--certify`` additionally replays the
-planned configuration and certifies its claimed invariance tier
-bitwise (PL201/PL202).  ``--gate`` fails on any ERROR or on a plan
-predicted slower than the uniform baseline (PL005).
-
-Subcommand mode (graph compiler certifier)::
-
-    python -m repro.analysis fusecheck --net lenet --threads 1,2,8 --gate
-    python -m repro.analysis fusecheck --certify --json
-    python -m repro.analysis fusecheck --prototxt my_net.prototxt
-
-``fusecheck`` runs every requested net through the graph compiler
-(:mod:`repro.compiler`): operator fusion + in-place rewriting, then the
-static memory arena.  The transformed net is held to the existing
-gates — netcheck shape parity and footprint lint (FU002 + absorbed FP
-codes), arena aliasing audit (FU003), spec/net cost-model parity
-(FU004), and plancheck's plan lint — and ``--certify`` replays the
-fused+arena net under the planner's plan at each team size, requiring
-bitwise identity with the unfused sequential baseline (FU201/FU202).
-
-Subcommand mode (concurrency certifier)::
-
-    python -m repro.analysis synccheck --net lenet --threads 1,2,8 --gate
-    python -m repro.analysis synccheck --preemptions 3 --json
-    python -m repro.analysis synccheck --static-only
-    python -m repro.analysis synccheck --trace traces.json
-    python -m repro.analysis synccheck --replay traces.json
-
-``synccheck`` runs the lock-order / barrier-protocol static lint over
-the runtime sources (SY001-SY006), certifies the interleaving model
-checker against seeded defects — a planted lock-order inversion and
-barrier skip must be rediscovered as deadlocks with faithfully
-replaying schedules (SY201/SY202) — and then model-checks each
-requested zoo net's training iteration at each team size under a
-CHESS-style preemption bound (SY101-SY104): every synchronization
-operation is virtualized, the threads fully serialized, and the
-bounded schedule space explored for deadlocks, interleaving-dependent
-exceptions, and schedule-dependent output bits.  ``--trace`` writes
-every verdict's schedule as a replayable JSON trace; ``--replay``
-re-executes previously recorded traces deterministically.
-
-Subcommand mode (performance certifier)::
-
-    python -m repro.analysis perfcheck --gate --static-only
-    python -m repro.analysis perfcheck --net lenet --threads 1,2,8 --gate
-    python -m repro.analysis perfcheck --timing-warn-only \\
-        --bench-out BENCH_perf.json
-    python -m repro.analysis perfcheck --iters 5 --tolerance 8 --json
-
-``perfcheck`` runs the static performance-bug lint over the layer
-chunk code and the core/compiler sources (PE001-PE005: undeclared
-float64 upcasts, hot-loop allocations, implicit copies,
-iteration-space Python loops, and stale ``PerfDecl`` allowances), the
-roofline classifier (PE101/PE102: per-layer arithmetic intensity,
-compute- vs bandwidth-bound at each planned width, DRAM saturation),
-and — unless ``--static-only`` — the cost-model calibration certifier
-(PE201-PE203): every zoo layer is timed fwd/bwd through the tracing
-executor at each team size with BLAS pools pinned, compared against
-``CPUModel.layer_times``, and gated on per-layer-type residual drift.
-``--timing-warn-only`` demotes PE201 to WARNING for hosts where
-wall-clock gating would flake; ``--bench-out`` writes the calibration
-run as ``BENCH_perf.json`` in the ``repro-bench/1`` envelope.
-
-Subcommand mode (serving certifier)::
-
-    python -m repro.analysis servecheck --net lenet --threads 1,2 --gate
-    python -m repro.analysis servecheck --static-only --json
-    python -m repro.analysis servecheck --requests 200 \\
-        --trace-out serve_trace.json
-
-``servecheck`` runs the static serve-path lint over
-:mod:`repro.serve` (SV001-SV005: unbounded queues, unbounded waits,
-synccheck's lock rules re-applied, wall-clock reads outside the clock
-module, swallowed exceptions), then — unless ``--static-only`` —
-replays a deterministic request trace per (net, team width) on a
-virtual clock, twice: healthy (every request must come back ``ok``
-and bitwise equal to sequential ``Net.forward`` of the identical
-staged batch) and under chaos (an injected worker crash, straggler
-chunk, poisoned NaN sample, request storm past admission capacity,
-and a mid-trace hot reload), gating on zero lost (SV101), zero
-duplicated (SV102) responses, bitwise output parity (SV103), and the
-degradation protocol (SV104: quarantined poison, no late ``ok``,
-restart exercised).
-
-``--list-codes`` (any mode) prints the full
-FP/RT/NG/DC/RS/PL/FU/SY/PE/SV catalogue; ``--check-codes`` (any mode)
-fails when the catalogue and the analyzer sources disagree about which
-codes exist.
+One table (:data:`FAMILIES`) maps each mode to its module, flags,
+validator and ``run_*`` call; :func:`main` is the only driver.  With no
+MODE the parallel-safety analysis runs.  ``--help`` (in any mode) prints
+that family's own module docstring and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import os
 import sys
-from typing import Callable, List, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.analysis.race import run_analysis
+import repro.analysis as safety
+from repro.analysis import (
+    detcheck, fusecheck, netcheck, perfcheck, plancheck, rescheck,
+    servecheck, synccheck,
+)
+from repro.analysis.codes import catalogue_lines, drift_lines
+from repro.core.reduction import BITWISE_INVARIANT, REDUCTION_MODES, TIER_ORDER
+from repro.data import register_default_sources
+from repro.framework.net import Net
+from repro.framework.prototxt import parse_prototxt
+from repro.zoo.build import ZOO_NETS, UnknownNet, build_net, zoo_spec
+
+
+class _InputError(Exception):
+    """A file the user named holds something the mode cannot use."""
 
 
 def _parse_threads(text: str) -> List[int]:
@@ -180,379 +47,152 @@ def _parse_threads(text: str) -> List[int]:
     return threads
 
 
-def _load_specs(net_names, prototxt_paths):
-    """Resolve CLI net selectors into (label, NetSpec) pairs."""
-    from repro.data import register_default_sources
-    from repro.framework.prototxt import parse_prototxt
-    from repro.zoo.build import _SPECS
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+#: Flags more than one family takes, declared once.  A family lists the
+#: ones it accepts and may override a default (or, for --mode, whether
+#: the flag repeats).
+_SHARED: Dict[str, dict] = {
+    "net": dict(
+        action="append", default=[], metavar="NAME",
+        help="zoo network (repeatable; without it the mode's default "
+             "nets run)"),
+    "prototxt": dict(
+        action="append", default=[], metavar="FILE",
+        help="user prototxt (repeatable)"),
+    "mode": dict(
+        metavar="MODE", choices=list(REDUCTION_MODES),
+        help="reduction mode (default: %(default)s)"),
+    "threads": dict(
+        type=_parse_threads, default=[1, 2, 8], metavar="N,N,...",
+        help="thread counts / team sizes (default: 1,2,8)"),
+    "iters": dict(
+        type=int, metavar="N",
+        help="iterations per run (default: %(default)s)"),
+    "batch": dict(
+        type=int, default=None, metavar="N",
+        help="batch size to analyze at (default: %(default)s; None "
+             "keeps each net's own)"),
+    "claim": dict(
+        choices=sorted(TIER_ORDER), default=None,
+        help="invariance tier the configuration claims (default: "
+             "%(default)s)"),
+    "static_only": dict(
+        action="store_true", help="skip the dynamic pass"),
+    "certify": dict(
+        action="store_true",
+        help="also replay each zoo net and certify it bitwise"),
+    "certify_iters": dict(
+        type=int, default=2, metavar="N",
+        help="training iterations per certification replay (default: 2)"),
+    "certify_batch": dict(
+        type=int, default=4, metavar="N",
+        help="batch size for the certification replays (default: 4)"),
+}
+_REPEATED = dict(
+    action="append", default=[],
+    help="reduction mode to certify (repeatable; default: blockwise, "
+         "ordered, tree — atomic is opt-in, its tier promises nothing a "
+         "gate could enforce)")
+_CERTIFY = dict(certify={}, certify_iters={}, certify_batch={})
 
+#: Smallest accepted value per integer flag, whichever mode declares it.
+_MINIMUM = {"batch": 1, "iters": 1, "certify_iters": 1, "certify_batch": 1,
+            "preemptions": 0, "max_runs": 1, "warmup": 0, "requests": 3}
+#: Flags naming a file the mode writes; checked before the work starts.
+_OUTPUTS = ("emit_plan", "trace", "trace_out", "bench_out")
+
+
+class Family(NamedTuple):
+    #: the family's module; its docstring is the mode's --help text.
+    module: object
+    #: shared flag -> overrides of its :data:`_SHARED` declaration.
+    flags: Dict[str, dict]
+    #: ``args -> report | [report, ...] | exit code`` (an int when the
+    #: mode already printed its own output).
+    run: Callable
+    #: ``(option, add_argument kwargs)`` for flags only this family has.
+    extras: Tuple[Tuple[str, dict], ...] = ()
+    #: ``(parser, args)``: cross-flag rules beyond :data:`_MINIMUM`.
+    validate: Optional[Callable] = None
+
+
+def _nets(args, default=ZOO_NETS, validate: bool = False) -> list:
+    """``--net`` names, then each ``--prototxt`` as a ``(path, NetSpec)``
+    pair; ``default`` (every zoo net) when neither flag was given."""
     register_default_sources()
-    specs = []
-    names = list(net_names)
-    if not names and not prototxt_paths:
-        names = sorted(_SPECS)
-    for name in names:
-        if name not in _SPECS:
-            raise SystemExit(
-                f"unknown zoo net {name!r}; available: "
-                f"{', '.join(sorted(_SPECS))}"
-            )
-        specs.append((name, _SPECS[name][0]()))
-    for path in prototxt_paths:
+    nets = list(args.net)
+    for path in args.prototxt:
         with open(path) as fh:
             text = fh.read()
         try:
-            spec = parse_prototxt(text, validate=False)
+            nets.append((path, parse_prototxt(text, validate=validate)))
         except ValueError as exc:
-            raise SystemExit(f"{path}: {exc}")
-        specs.append((path, spec))
-    return specs
+            raise _InputError(f"{path}: {exc}")
+    return nets or list(default)
 
 
-def netcheck_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis netcheck",
-        description="Static net-graph checker: symbolic shape inference, "
-                    "DAG lint (NG001-NG009), and the static schedule / "
-                    "memory / FLOP plan.",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to check (repeatable; default: all zoo nets "
-             "when no --prototxt is given)",
-    )
-    parser.add_argument(
-        "--prototxt", action="append", default=[], metavar="FILE",
-        help="user prototxt to check (repeatable; parsed without "
-             "validation so broken graphs lint instead of crashing)",
-    )
-    parser.add_argument(
-        "--phase", choices=["TRAIN", "TEST", "both"], default="both",
-        help="phase graph(s) to check (default: both)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads, default=[1, 2, 8],
-        metavar="N,N,...",
-        help="thread counts to plan static chunking for (default: 1,2,8)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="override every feeder's batch size before planning",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable reports as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero if any net has an ERROR finding",
-    )
-    args = parser.parse_args(argv)
+# ---------------------------------------------------------------------------
+# one run callable per family
+# ---------------------------------------------------------------------------
+def _run_safety(args):
+    nets = []
+    if not args.static_only:
+        for net in _nets(args, default=["lenet"], validate=True):
+            if isinstance(net, str):
+                nets.append((net, partial(build_net, net, batch=args.batch)))
+            else:
+                path, spec = net
+                nets.append((path, lambda spec=spec: Net(
+                    copy.deepcopy(spec), phase="TRAIN")))
+    return safety.run_analysis(nets=nets, threads=args.threads)
 
-    if args.batch is not None and args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
 
-    from repro.analysis.netcheck import check_spec
-
+def _run_netcheck(args):
     phases = ["TRAIN", "TEST"] if args.phase == "both" else [args.phase]
     reports = []
-    for label, spec in _load_specs(args.net, args.prototxt):
+    for net in _nets(args):
+        label, spec = (net, zoo_spec(net)) if isinstance(net, str) else net
         for phase in phases:
-            report = check_spec(
-                spec, phase=phase, threads=args.threads, batch=args.batch,
-            )
-            if not report.net:
-                report.net = label
+            report = netcheck.check_spec(
+                spec, phase=phase, threads=args.threads, batch=args.batch)
+            report.net = report.net or label
             reports.append(report)
-
-    if args.as_json:
-        print(json.dumps([r.to_json() for r in reports], indent=2))
-    else:
-        for report in reports:
-            for line in report.summary_lines():
-                print(line)
-
-    if args.gate and not all(r.ok for r in reports):
-        return 1
-    return 0
+    return reports
 
 
-def detcheck_main(argv) -> int:
-    from repro.analysis.detcheck import (
-        DEFAULT_MODES,
-        DEFAULT_THREADS,
-        run_detcheck,
-    )
-    from repro.core.reduction import REDUCTION_MODES, TIER_ORDER
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis detcheck",
-        description="Determinism certifier: static nondeterminism lint "
-                    "(DC001-DC007), configuration invariance-tier rules "
-                    "(DC101-DC104), and bitwise replay certification of "
-                    "convergence invariance (DC201-DC203).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to certify (repeatable; default: all zoo nets)",
-    )
-    parser.add_argument(
-        "--mode", action="append", default=[], metavar="MODE",
-        choices=list(REDUCTION_MODES),
-        help="reduction mode to certify (repeatable; default: "
-             f"{','.join(DEFAULT_MODES)}; atomic is opt-in — its tier "
-             "promises nothing a gate could enforce)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads,
-        default=list(DEFAULT_THREADS), metavar="N,N,...",
-        help="thread counts to replay at (default: "
-             f"{','.join(map(str, DEFAULT_THREADS))})",
-    )
-    parser.add_argument(
-        "--iters", type=int, default=2, metavar="N",
-        help="training iterations per replay (default: 2)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=4, metavar="N",
-        help="shrink data-layer batch sizes to N for the replays "
-             "(default: 4)",
-    )
-    parser.add_argument(
-        "--claim", choices=sorted(TIER_ORDER), default=None,
-        help="invariance tier the configuration claims; rejected "
-             "(DC101) when the reduction mode cannot deliver it",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="skip the dynamic replay certification",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero if any ERROR finding is present",
-    )
-    args = parser.parse_args(argv)
-
-    if args.iters < 1:
-        parser.error(f"--iters must be >= 1, got {args.iters}")
-    if args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-
-    report = run_detcheck(
+def _run_detcheck(args):
+    return detcheck.run_detcheck(
         nets=args.net or ("lenet", "cifar10", "mlp"),
-        modes=args.mode or DEFAULT_MODES,
-        threads=args.threads,
-        iters=args.iters,
-        batch=args.batch,
-        claim=args.claim,
-        static_only=args.static_only,
+        modes=args.mode or detcheck.DEFAULT_MODES,
+        threads=args.threads, iters=args.iters, batch=args.batch,
+        claim=args.claim, static_only=args.static_only,
     )
 
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
 
-    if args.gate and not report.ok:
-        return 1
-    return 0
-
-
-def rescheck_main(argv) -> int:
-    from repro.analysis.rescheck import (
-        DEFAULT_MODES,
-        DEFAULT_THREADS,
-        run_rescheck,
-    )
-    from repro.core.reduction import REDUCTION_MODES
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis rescheck",
-        description="Resilience certifier: static state-safety lint "
-                    "(RS001-RS004), bitwise checkpoint/resume "
-                    "certification (RS101-RS102), and fault-injection "
-                    "recovery certification (RS201-RS204).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to certify (repeatable; default: all zoo nets)",
-    )
-    parser.add_argument(
-        "--mode", action="append", default=[], metavar="MODE",
-        choices=list(REDUCTION_MODES),
-        help="reduction mode to certify resume under (repeatable; "
-             f"default: {','.join(DEFAULT_MODES)}; atomic is opt-in — "
-             "its tier promises nothing bitwise a resume could be "
-             "checked against)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads,
-        default=list(DEFAULT_THREADS), metavar="N,N,...",
-        help="thread counts to certify at (default: "
-             f"{','.join(map(str, DEFAULT_THREADS))}; faults fire at "
-             "the highest count)",
-    )
-    parser.add_argument(
-        "--iters", type=int, default=2, metavar="N",
-        help="training iterations per certification run (default: 2; "
-             "the checkpoint lands at the midpoint)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=4, metavar="N",
-        help="shrink data-layer batch sizes to N for the runs "
-             "(default: 4)",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="run only the static state-safety lint",
-    )
-    parser.add_argument(
-        "--skip-faults", action="store_true",
-        help="certify checkpoint/resume but skip the fault-injection "
-             "harness",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero if any ERROR finding is present",
-    )
-    args = parser.parse_args(argv)
-
-    if args.iters < 1:
-        parser.error(f"--iters must be >= 1, got {args.iters}")
-    if args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-
-    report = run_rescheck(
+def _run_rescheck(args):
+    return rescheck.run_rescheck(
         nets=args.net or ("lenet", "cifar10", "mlp"),
-        modes=args.mode or DEFAULT_MODES,
-        threads=args.threads,
-        iters=args.iters,
-        batch=args.batch,
-        static_only=args.static_only,
-        skip_faults=args.skip_faults,
+        modes=args.mode or rescheck.DEFAULT_MODES,
+        threads=args.threads, iters=args.iters, batch=args.batch,
+        static_only=args.static_only, skip_faults=args.skip_faults,
     )
 
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
 
-    if args.gate and not report.ok:
-        return 1
-    return 0
-
-
-def plancheck_main(argv) -> int:
-    from repro.analysis.plancheck import (
-        PlancheckReport,
-        certify_plan,
-        plan_spec,
-    )
-    from repro.core.reduction import BITWISE_INVARIANT, TIER_ORDER
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis plancheck",
-        description="Static per-layer auto-parallelization planner: "
-                    "searches coalesce depth / thread count / schedule / "
-                    "reduction mode per layer against the simulator's "
-                    "cost model, lints the plan (PL001-PL006), and "
-                    "optionally certifies its invariance tier "
-                    "(PL201/PL202).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to plan (repeatable; default: all zoo nets "
-             "when no --prototxt is given)",
-    )
-    parser.add_argument(
-        "--prototxt", action="append", default=[], metavar="FILE",
-        help="user prototxt to plan (repeatable)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads, default=[1, 2, 8],
-        metavar="N,N,...",
-        help="team sizes to plan for (default: 1,2,8)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="override every feeder's batch size before planning",
-    )
-    parser.add_argument(
-        "--claim", choices=sorted(TIER_ORDER), default=BITWISE_INVARIANT,
-        help="invariance tier the plan must preserve; restricts the "
-             "reduction modes the search may pick (default: "
-             f"{BITWISE_INVARIANT})",
-    )
-    parser.add_argument(
-        "--emit-plan", default=None, metavar="PATH",
-        help="write the serialized ExecutionPlan to PATH (requires "
-             "exactly one net and one team size)",
-    )
-    parser.add_argument(
-        "--certify", action="store_true",
-        help="replay each planned configuration (team sizes > 1) and "
-             "certify the claimed tier bitwise (zoo nets only)",
-    )
-    parser.add_argument(
-        "--certify-iters", type=int, default=2, metavar="N",
-        help="training iterations per certification replay (default: 2)",
-    )
-    parser.add_argument(
-        "--certify-batch", type=int, default=4, metavar="N",
-        help="batch size for the certification replays (default: 4)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero on any ERROR finding or a plan predicted "
-             "slower than the uniform baseline (PL005)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.batch is not None and args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-    if args.certify_iters < 1:
-        parser.error(f"--certify-iters must be >= 1, "
-                     f"got {args.certify_iters}")
-    if args.certify_batch < 1:
-        parser.error(f"--certify-batch must be >= 1, "
-                     f"got {args.certify_batch}")
-
-    specs = _load_specs(args.net, args.prototxt)
-    if args.emit_plan and (len(specs) != 1 or len(args.threads) != 1):
+def _validate_plancheck(parser, args) -> None:
+    if args.emit_plan and (len(args.net) + len(args.prototxt) != 1
+                           or len(args.threads) != 1):
         parser.error("--emit-plan requires exactly one net and one "
                      "team size (--threads N)")
 
-    from repro.zoo.build import _SPECS
 
-    report = PlancheckReport()
-    for label, spec in specs:
-        for team in args.threads:
-            net_report = plan_spec(
-                spec, net_name=label, threads=team, batch=args.batch,
-                claim=args.claim,
-            )
-            if args.certify and team > 1 and label in _SPECS:
-                certify_findings, _ = certify_plan(
-                    label, threads=team, claim=args.claim,
-                    iters=args.certify_iters, batch=args.certify_batch,
-                )
-                net_report.findings.extend(certify_findings)
-            report.reports.append(net_report)
-
+def _run_plancheck(args):
+    report = plancheck.run_plancheck(
+        _nets(args), threads=args.threads, batch=args.batch,
+        claim=args.claim, certify=args.certify,
+        certify_iters=args.certify_iters, certify_batch=args.certify_batch,
+    )
     if args.emit_plan:
         only = report.reports[0]
         if only.plan is None:
@@ -561,577 +201,294 @@ def plancheck_main(argv) -> int:
             return 1
         only.plan.save(args.emit_plan)
         print(f"plan written to {args.emit_plan}")
-
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
+    return report
 
 
-def fusecheck_main(argv) -> int:
-    from repro.analysis.fusecheck import (
-        FusecheckReport,
-        certify_fuse,
-        check_fuse,
+def _run_fusecheck(args):
+    return fusecheck.run_fusecheck(
+        _nets(args), threads=args.threads, batch=args.batch,
+        certify=args.certify, certify_iters=args.certify_iters,
+        certify_batch=args.certify_batch,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis fusecheck",
-        description="Graph-compiler certifier: fuses each net's "
-                    "elementwise chains, plans the static memory arena, "
-                    "and holds the transformed net to the existing "
-                    "gates (FU001-FU005); --certify replays the "
-                    "fused+arena net and requires bitwise identity "
-                    "with the unfused sequential baseline "
-                    "(FU201/FU202).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to compile (repeatable; default: all zoo nets "
-             "when no --prototxt is given)",
-    )
-    parser.add_argument(
-        "--prototxt", action="append", default=[], metavar="FILE",
-        help="user prototxt to compile (repeatable)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads, default=[1, 2, 8],
-        metavar="N,N,...",
-        help="team sizes to check/certify at (default: 1,2,8)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="override every feeder's batch size before compiling",
-    )
-    parser.add_argument(
-        "--certify", action="store_true",
-        help="replay the fused+arena net at each team size and require "
-             "bitwise identity with the unfused sequential baseline "
-             "(zoo nets only)",
-    )
-    parser.add_argument(
-        "--certify-iters", type=int, default=2, metavar="N",
-        help="training iterations per certification replay (default: 2)",
-    )
-    parser.add_argument(
-        "--certify-batch", type=int, default=4, metavar="N",
-        help="batch size for the certification replays (default: 4)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero on any ERROR finding",
-    )
-    args = parser.parse_args(argv)
 
-    if args.batch is not None and args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-    if args.certify_iters < 1:
-        parser.error(f"--certify-iters must be >= 1, "
-                     f"got {args.certify_iters}")
-    if args.certify_batch < 1:
-        parser.error(f"--certify-batch must be >= 1, "
-                     f"got {args.certify_batch}")
-
-    specs = _load_specs(args.net, args.prototxt)
-
-    from repro.zoo.build import _SPECS
-
-    report = FusecheckReport()
-    for label, spec in specs:
-        for team in args.threads:
-            net_report = check_fuse(
-                spec, net_name=label, threads=team, batch=args.batch)
-            if args.certify and label in _SPECS:
-                certify_findings, _ = certify_fuse(
-                    label, threads=team,
-                    iters=args.certify_iters, batch=args.certify_batch,
-                )
-                net_report.findings.extend(certify_findings)
-            report.reports.append(net_report)
-
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
-
-
-def synccheck_main(argv) -> int:
-    from repro.analysis.synccheck import (
-        DEFAULT_MAX_RUNS,
-        DEFAULT_MODE,
-        DEFAULT_NETS,
-        replay_trace,
-        run_synccheck,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis synccheck",
-        description="Concurrency certifier: lock-order / "
-                    "barrier-protocol static lint (SY001-SY006), "
-                    "seeded-defect certification of the interleaving "
-                    "model checker (SY201/SY202), and CHESS-style "
-                    "bounded model checking of each zoo net's training "
-                    "iteration (SY101-SY104).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to model-check (repeatable; default: "
-             f"{', '.join(DEFAULT_NETS)})",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads, default=[1, 2, 8],
-        metavar="N,N,...",
-        help="team sizes to model-check at (default: 1,2,8)",
-    )
-    parser.add_argument(
-        "--mode", default=DEFAULT_MODE, metavar="MODE",
-        help="reduction mode for the model-checked configurations "
-             f"(default: {DEFAULT_MODE})",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=4, metavar="N",
-        help="batch size for the model-checked training iteration "
-             "(default: 4)",
-    )
-    parser.add_argument(
-        "--iters", type=int, default=1, metavar="N",
-        help="training iterations per explored schedule (default: 1)",
-    )
-    parser.add_argument(
-        "--preemptions", type=int, default=2, metavar="N",
-        help="CHESS preemption bound (default: 2)",
-    )
-    parser.add_argument(
-        "--max-runs", type=int, default=DEFAULT_MAX_RUNS, metavar="N",
-        help="schedule budget per configuration; exceeding it is the "
-             f"SY104 warning (default: {DEFAULT_MAX_RUNS})",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="run only the static sync-protocol lint (SY001-SY006)",
-    )
-    parser.add_argument(
-        "--skip-certify", action="store_true",
-        help="skip the seeded-defect certification (SY201/SY202)",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write every dynamic verdict's replayable schedule trace "
-             "to FILE as JSON",
-    )
-    parser.add_argument(
-        "--replay", metavar="FILE", default=None,
-        help="re-execute the schedule traces in FILE deterministically "
-             "and report faithfulness (no exploration)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero on any ERROR finding",
-    )
-    args = parser.parse_args(argv)
-
-    if args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-    if args.iters < 1:
-        parser.error(f"--iters must be >= 1, got {args.iters}")
-    if args.preemptions < 0:
-        parser.error(
-            f"--preemptions must be >= 0, got {args.preemptions}"
-        )
-    if args.max_runs < 1:
-        parser.error(f"--max-runs must be >= 1, got {args.max_runs}")
-
-    if args.replay:
+def _replay(args) -> int:
+    try:
         with open(args.replay, encoding="utf-8") as fh:
             payload = json.load(fh)
-        traces = payload.get("traces", [payload])
-        ok = True
-        results = []
-        for i, trace in enumerate(traces):
-            faithful, record = replay_trace(trace)
-            ok = ok and faithful
-            results.append({
-                "trace": i, "faithful": faithful,
-                "status": record.status,
-                "steps": len(record.schedule),
-            })
-            if not args.as_json:
-                print(f"trace {i}: {record.status} after "
-                      f"{len(record.schedule)} steps, replay "
-                      f"{'faithful' if faithful else 'BROKEN'}")
-        if args.as_json:
-            print(json.dumps({"ok": ok, "replays": results}, indent=2))
-        return 0 if ok or not args.gate else 1
+        runs = [synccheck.replay_trace(trace)
+                for trace in payload.get("traces", [payload])]
+    except (ValueError, LookupError, AttributeError, TypeError) as exc:
+        raise _InputError(f"{args.replay}: not a replayable trace file "
+                          f"({exc!r})")
+    ok = all(faithful for faithful, _ in runs)
+    if args.as_json:
+        print(json.dumps({"ok": ok, "replays": [
+            {"trace": i, "faithful": faithful, "status": record.status,
+             "steps": len(record.schedule)}
+            for i, (faithful, record) in enumerate(runs)]}, indent=2))
+    else:
+        for i, (faithful, record) in enumerate(runs):
+            print(f"trace {i}: {record.status} after "
+                  f"{len(record.schedule)} steps, replay "
+                  f"{'faithful' if faithful else 'BROKEN'}")
+    return 0 if ok or not args.gate else 1
 
-    report = run_synccheck(
-        nets=args.net or list(DEFAULT_NETS),
-        threads=args.threads,
-        mode=args.mode,
-        batch=args.batch,
-        iters=args.iters,
-        preemptions=args.preemptions,
-        max_runs=args.max_runs,
-        static_only=args.static_only,
+
+def _run_synccheck(args):
+    if args.replay:
+        return _replay(args)
+    report = synccheck.run_synccheck(
+        nets=args.net or list(synccheck.DEFAULT_NETS),
+        threads=args.threads, mode=args.mode, batch=args.batch,
+        iters=args.iters, preemptions=args.preemptions,
+        max_runs=args.max_runs, static_only=args.static_only,
         certify=not args.skip_certify,
     )
-
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump({"traces": report.traces}, fh, indent=2)
-
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
+    return report
 
 
-def perfcheck_main(argv) -> int:
-    from repro.analysis.perfcheck import (
-        DEFAULT_ITERS,
-        DEFAULT_NETS,
-        DEFAULT_THREADS,
-        DEFAULT_TOLERANCE,
-        DEFAULT_WARMUP,
-        run_perfcheck,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis perfcheck",
-        description="Performance certifier: static performance-bug "
-                    "lint over chunk-reachable layer code and the "
-                    "core/compiler sources (PE001-PE005), roofline "
-                    "classification against the cost model "
-                    "(PE101/PE102), and wall-clock calibration of "
-                    "CPUModel.layer_time with a per-layer-type "
-                    "residual gate (PE201-PE203).",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to certify (repeatable; default: "
-             f"{', '.join(DEFAULT_NETS)})",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads,
-        default=list(DEFAULT_THREADS), metavar="N,N,...",
-        help="team sizes to classify and calibrate at (default: "
-             f"{','.join(map(str, DEFAULT_THREADS))})",
-    )
-    parser.add_argument(
-        "--iters", type=int, default=DEFAULT_ITERS, metavar="N",
-        help="timed iterations per (net, team) for the median "
-             f"(default: {DEFAULT_ITERS})",
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=DEFAULT_WARMUP, metavar="N",
-        help="untimed warmup iterations per configuration "
-             f"(default: {DEFAULT_WARMUP})",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        metavar="X",
-        help="PE201 band half-width: a per-(type, pass) geomean "
-             "residual outside [1/X, X] after scale normalization "
-             f"fails the gate (default: {DEFAULT_TOLERANCE})",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="run the PE lint and roofline classifier but skip the "
-             "wall-clock calibration",
-    )
-    parser.add_argument(
-        "--timing-warn-only", action="store_true",
-        help="demote PE201 calibration drift to WARNING (for hosts "
-             "where wall-clock gating would flake)",
-    )
-    parser.add_argument(
-        "--bench-out", default=None, metavar="PATH",
-        help="write the calibration run as a repro-bench/1 envelope "
-             "(e.g. BENCH_perf.json); requires the timing pass",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero if any ERROR finding is present",
-    )
-    args = parser.parse_args(argv)
-
-    if args.iters < 1:
-        parser.error(f"--iters must be >= 1, got {args.iters}")
-    if args.warmup < 0:
-        parser.error(f"--warmup must be >= 0, got {args.warmup}")
+def _validate_perfcheck(parser, args) -> None:
     if args.tolerance <= 1.0:
         parser.error(f"--tolerance must be > 1, got {args.tolerance}")
     if args.bench_out and args.static_only:
         parser.error("--bench-out needs the timing pass; drop "
                      "--static-only")
 
-    report = run_perfcheck(
-        nets=args.net or DEFAULT_NETS,
-        threads=args.threads,
-        iters=args.iters,
-        warmup=args.warmup,
-        tolerance=args.tolerance,
-        static_only=args.static_only,
+
+def _run_perfcheck(args):
+    report = perfcheck.run_perfcheck(
+        nets=args.net or perfcheck.DEFAULT_NETS,
+        threads=args.threads, iters=args.iters, warmup=args.warmup,
+        tolerance=args.tolerance, static_only=args.static_only,
         timing_warn_only=args.timing_warn_only,
         log=lambda msg: print(msg, file=sys.stderr),
     )
-
     if args.bench_out and report.timing_ran:
         from repro.bench.schema import dump_bench, envelope
 
         doc = envelope(kind="perf", timer=report.timer,
                        nets=report.bench_nets)
         dump_bench(doc, args.bench_out)
-        print(f"calibration written to {args.bench_out}",
-              file=sys.stderr)
-
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
+        print(f"calibration written to {args.bench_out}", file=sys.stderr)
+    return report
 
 
-def servecheck_main(argv) -> int:
-    from repro.analysis.servecheck import (
-        DEFAULT_NETS,
-        DEFAULT_REQUESTS,
-        DEFAULT_THREADS,
-        run_servecheck,
+def _run_servecheck(args):
+    return servecheck.run_servecheck(
+        nets=args.net or servecheck.DEFAULT_NETS,
+        threads=args.threads, requests=args.requests, seed=args.seed,
+        static_only=args.static_only, trace_out=args.trace_out,
     )
 
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+FAMILIES: Dict[str, Family] = {
+    "": Family(
+        safety,
+        dict(net={}, prototxt={}, threads={}, batch=dict(default=4),
+             static_only={}),
+        _run_safety),
+    "netcheck": Family(
+        netcheck,
+        dict(net={}, prototxt={}, threads={}, batch={}),
+        _run_netcheck,
+        extras=(("--phase", dict(
+            choices=["TRAIN", "TEST", "both"], default="both",
+            help="phase graph(s) to check (default: both)")),)),
+    "detcheck": Family(
+        detcheck,
+        dict(net={}, mode=_REPEATED,
+             threads=dict(default=list(detcheck.DEFAULT_THREADS)),
+             iters=dict(default=2), batch=dict(default=4), claim={},
+             static_only={}),
+        _run_detcheck),
+    "rescheck": Family(
+        rescheck,
+        dict(net={}, mode=_REPEATED,
+             threads=dict(default=list(rescheck.DEFAULT_THREADS)),
+             iters=dict(default=2), batch=dict(default=4), static_only={}),
+        _run_rescheck,
+        extras=(("--skip-faults", dict(
+            action="store_true",
+            help="certify checkpoint/resume but skip the fault-injection "
+                 "harness")),)),
+    "plancheck": Family(
+        plancheck,
+        dict(net={}, prototxt={}, threads={}, batch={},
+             claim=dict(default=BITWISE_INVARIANT), **_CERTIFY),
+        _run_plancheck,
+        extras=(("--emit-plan", dict(
+            default=None, metavar="PATH",
+            help="write the serialized ExecutionPlan to PATH (requires "
+                 "exactly one net and one team size)")),),
+        validate=_validate_plancheck),
+    "fusecheck": Family(
+        fusecheck,
+        dict(net={}, prototxt={}, threads={}, batch={}, **_CERTIFY),
+        _run_fusecheck),
+    "synccheck": Family(
+        synccheck,
+        dict(net={}, threads={},
+             mode=dict(default=synccheck.DEFAULT_MODE),
+             batch=dict(default=4), iters=dict(default=1), static_only={}),
+        _run_synccheck,
+        extras=(
+            ("--preemptions", dict(
+                type=int, default=2, metavar="N",
+                help="CHESS preemption bound (default: 2)")),
+            ("--max-runs", dict(
+                type=int, default=synccheck.DEFAULT_MAX_RUNS, metavar="N",
+                help="schedule budget per configuration; exceeding it is "
+                     "the SY104 warning (default: %(default)s)")),
+            ("--skip-certify", dict(
+                action="store_true",
+                help="skip the seeded-defect certification "
+                     "(SY201/SY202)")),
+            ("--trace", dict(
+                metavar="FILE", default=None,
+                help="write every dynamic verdict's replayable schedule "
+                     "trace to FILE as JSON")),
+            ("--replay", dict(
+                metavar="FILE", default=None,
+                help="re-execute the schedule traces in FILE "
+                     "deterministically and report faithfulness (no "
+                     "exploration)")),
+        )),
+    "perfcheck": Family(
+        perfcheck,
+        dict(net={}, threads=dict(default=list(perfcheck.DEFAULT_THREADS)),
+             iters=dict(default=perfcheck.DEFAULT_ITERS), static_only={}),
+        _run_perfcheck,
+        extras=(
+            ("--warmup", dict(
+                type=int, default=perfcheck.DEFAULT_WARMUP, metavar="N",
+                help="untimed warmup iterations per configuration "
+                     "(default: %(default)s)")),
+            ("--tolerance", dict(
+                type=float, default=perfcheck.DEFAULT_TOLERANCE,
+                metavar="X",
+                help="PE201 band half-width: a per-(type, pass) geomean "
+                     "residual outside [1/X, X] after scale normalization "
+                     "fails the gate (default: %(default)s)")),
+            ("--timing-warn-only", dict(
+                action="store_true",
+                help="demote PE201 calibration drift to WARNING (for "
+                     "hosts where wall-clock gating would flake)")),
+            ("--bench-out", dict(
+                default=None, metavar="PATH",
+                help="write the calibration run as a repro-bench/1 "
+                     "envelope (e.g. BENCH_perf.json); requires the "
+                     "timing pass")),
+        ),
+        validate=_validate_perfcheck),
+    "servecheck": Family(
+        servecheck,
+        dict(net={}, threads=dict(default=list(servecheck.DEFAULT_THREADS)),
+             static_only={}),
+        _run_servecheck,
+        extras=(
+            ("--requests", dict(
+                type=int, default=servecheck.DEFAULT_REQUESTS, metavar="N",
+                help="trace length per replay (default: %(default)s; the "
+                     "chaos storm adds more)")),
+            ("--seed", dict(
+                type=int, default=0, metavar="N",
+                help="trace seed (default: 0)")),
+            ("--trace-out", dict(
+                default=None, metavar="FILE",
+                help="save the generated request trace as repro-trace/1 "
+                     "JSON")),
+        )),
+}
+
+
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+def _build_parser(mode: str) -> argparse.ArgumentParser:
+    family = FAMILIES[mode]
+    others = ", ".join(name for name in FAMILIES if name and name != mode)
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis servecheck",
-        description="Serving certifier: static serve-path lint "
-                    "(SV001-SV005) plus deterministic healthy + chaos "
-                    "trace replays per (net, team width) gating on zero "
-                    "lost / zero duplicated responses, bitwise output "
-                    "parity with sequential Net.forward, and the coded "
-                    "degradation protocol (SV101-SV105).",
+        prog=f"python -m repro.analysis {mode}".rstrip(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description=family.module.__doc__,
+        epilog=f"other modes (each has its own --help):\n  {others}\n"
+               "in any mode:\n"
+               "  --list-codes   print the finding-code catalogue\n"
+               "  --check-codes  fail when the catalogue and the analyzer "
+               "sources disagree\n                 about which codes exist",
     )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to certify serving for (repeatable; default: "
-             f"{', '.join(DEFAULT_NETS)})",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads,
-        default=list(DEFAULT_THREADS), metavar="N,N,...",
-        help="team widths to certify at (default: "
-             f"{','.join(map(str, DEFAULT_THREADS))})",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=DEFAULT_REQUESTS, metavar="N",
-        help="trace length per replay (default: "
-             f"{DEFAULT_REQUESTS}; the chaos storm adds more)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="trace seed (default: 0)",
-    )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="save the generated request trace as repro-trace/1 JSON",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="run only the static serve-path lint (SV001-SV005)",
-    )
+    declared = [("--" + key.replace("_", "-"), {**_SHARED[key], **overrides})
+                for key, overrides in family.flags.items()]
+    for option, kwargs in [*declared, *family.extras]:
+        parser.add_argument(option, **kwargs)
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
+        help="emit the full machine-readable report as JSON")
     parser.add_argument(
         "--gate", action="store_true",
-        help="exit nonzero on any ERROR finding",
-    )
-    args = parser.parse_args(argv)
-
-    if args.requests < 3:
-        parser.error(f"--requests must be >= 3, got {args.requests}")
-
-    report = run_servecheck(
-        nets=args.net or DEFAULT_NETS,
-        threads=args.threads,
-        requests=args.requests,
-        seed=args.seed,
-        static_only=args.static_only,
-        trace_out=args.trace_out,
-    )
-
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
+        help="exit nonzero on any ERROR finding")
+    return parser
 
 
-def _zoo_factory(name: str, batch: int) -> Callable[[], object]:
-    def build():
-        from repro.data import register_default_sources
-        from repro.framework.net import Net
-        from repro.zoo.build import _SPECS
-
-        register_default_sources()
-        if name not in _SPECS:
-            raise SystemExit(
-                f"unknown zoo net {name!r}; available: "
-                f"{', '.join(sorted(_SPECS))}"
-            )
-        spec = _SPECS[name][0]()
-        for layer_spec in spec.layers:
-            if "batch_size" in layer_spec.params:
-                layer_spec.params["batch_size"] = batch
-        return Net(spec, phase="TRAIN")
-    return build
-
-
-def _prototxt_factory(path: str) -> Callable[[], object]:
-    def build():
-        from repro.data import register_default_sources
-        from repro.framework.net import Net
-        from repro.framework.prototxt import parse_prototxt
-
-        register_default_sources()
-        with open(path) as fh:
-            return Net(parse_prototxt(fh.read()), phase="TRAIN")
-    return build
+def _validate(parser, args, family: Family) -> None:
+    for dest, minimum in _MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < minimum:
+            parser.error(f"--{dest.replace('_', '-')} must be >= "
+                         f"{minimum}, got {value}")
+    for dest in _OUTPUTS:
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"--{dest.replace('_', '-')}: cannot write "
+                         f"{path!r}, its directory does not exist")
+    if family.validate is not None:
+        family.validate(parser, args)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if "--list-codes" in argv:
-        from repro.analysis.codes import catalogue_lines
-
-        for line in catalogue_lines():
-            print(line)
+        print("\n".join(catalogue_lines()))
         return 0
-    if argv and argv[0] == "netcheck":
-        return netcheck_main(argv[1:])
-    if argv and argv[0] == "detcheck":
-        return detcheck_main(argv[1:])
-    if argv and argv[0] == "rescheck":
-        return rescheck_main(argv[1:])
-    if argv and argv[0] == "plancheck":
-        return plancheck_main(argv[1:])
     if "--check-codes" in argv:
-        from repro.analysis.codes import check_code_drift
+        drift = drift_lines()
+        print("\n".join(
+            drift or ["codes: catalogue and analyzer sources agree"]))
+        return 1 if drift else 0
 
-        unregistered, unreferenced = check_code_drift()
-        for code in unregistered:
-            print(f"DRIFT {code}: emitted by an analyzer but missing "
-                  "from the catalogue")
-        for code in unreferenced:
-            print(f"DRIFT {code}: registered in the catalogue but no "
-                  "analyzer source mentions it")
-        if unregistered or unreferenced:
-            return 1
-        print("codes: catalogue and analyzer sources agree")
-        return 0
-    if argv and argv[0] == "fusecheck":
-        return fusecheck_main(argv[1:])
-    if argv and argv[0] == "synccheck":
-        return synccheck_main(argv[1:])
-    if argv and argv[0] == "perfcheck":
-        return perfcheck_main(argv[1:])
-    if argv and argv[0] == "servecheck":
-        return servecheck_main(argv[1:])
+    mode = argv[0] if argv and argv[0] in FAMILIES else ""
+    family = FAMILIES[mode]
+    parser = _build_parser(mode)
+    args = parser.parse_args(argv[1:] if mode else argv)
+    _validate(parser, args, family)
+    try:
+        for name in args.net:
+            if name not in ZOO_NETS:
+                raise UnknownNet(name)
+        out = family.run(args)
+    except (UnknownNet, _InputError, OSError) as exc:
+        parser.error(str(exc))
+    if isinstance(out, int):
+        return out
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Static + dynamic parallel-safety analysis of the "
-                    "coarse-grain runtime and its layers.",
-    )
-    parser.add_argument(
-        "--net", action="append", default=[], metavar="NAME",
-        help="zoo network to race-check (repeatable; e.g. lenet, cifar10)",
-    )
-    parser.add_argument(
-        "--prototxt", action="append", default=[], metavar="FILE",
-        help="user prototxt to race-check (repeatable)",
-    )
-    parser.add_argument(
-        "--threads", type=_parse_threads, default=[1, 2, 8],
-        metavar="N,N,...",
-        help="simulated thread counts for the dynamic pass "
-             "(default: 1,2,8)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=4, metavar="N",
-        help="shrink data-layer batch sizes to N for the dynamic replay "
-             "(default: 4; the race check is batch-size independent)",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="skip the dynamic pass entirely",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full machine-readable report as JSON",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit nonzero if any ERROR finding or race was detected",
-    )
-    args = parser.parse_args(argv)
-
-    if args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-
-    nets: List[Tuple[str, Callable[[], object]]] = []
-    if not args.static_only:
-        names = args.net or ([] if args.prototxt else ["lenet"])
-        for name in names:
-            nets.append((name, _zoo_factory(name, args.batch)))
-        for path in args.prototxt:
-            nets.append((path, _prototxt_factory(path)))
-
-    report = run_analysis(nets=nets, threads=args.threads)
-
+    reports = out if isinstance(out, list) else [out]
     if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        docs = [report.to_json() for report in reports]
+        print(json.dumps(docs if isinstance(out, list) else docs[0],
+                         indent=2))
     else:
-        for line in report.summary_lines():
-            print(line)
-
-    if args.gate and not report.ok:
-        return 1
-    return 0
+        for report in reports:
+            for line in report.summary_lines():
+                print(line)
+    return 1 if args.gate and not all(r.ok for r in reports) else 0
 
 
 if __name__ == "__main__":

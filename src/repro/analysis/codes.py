@@ -405,6 +405,16 @@ def check_code_drift() -> Tuple[List[str], List[str]]:
     return unregistered, unreferenced
 
 
+def drift_lines() -> List[str]:
+    """One line per catalogue/source disagreement; empty when in sync."""
+    unregistered, unreferenced = check_code_drift()
+    lines = [f"DRIFT {code}: emitted by an analyzer but missing from the "
+             "catalogue" for code in unregistered]
+    lines += [f"DRIFT {code}: registered in the catalogue but no analyzer "
+              "source mentions it" for code in unreferenced]
+    return lines
+
+
 def catalogue_lines() -> List[str]:
     """Human-readable rendering of the full code catalogue."""
     lines = [f"{len(CODE_CATALOGUE)} finding codes "

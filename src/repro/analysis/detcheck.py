@@ -50,6 +50,7 @@ from repro.core.reduction import (
     TIER_ORDER,
     invariance_tier,
 )
+from repro.zoo.build import build_solver, zoo_solver_params, zoo_spec
 
 #: Solver types the certifier has exercised; others run fine but get a
 #: DC104 warning because no replay evidence backs them.
@@ -107,34 +108,27 @@ class Trajectory:
     snapshots: Tuple[IterationSnapshot, ...]
 
 
-def _build_solver(name: str, iters: int, batch: Optional[int], executor,
-                  spec_transform=None, post_build=None):
-    from repro.data import register_default_sources
-    from repro.framework.net import Net
-    from repro.framework.solvers import create_solver
-    from repro.zoo.build import _SPECS
+def snapshot_steps(solver, iters: int) -> List[IterationSnapshot]:
+    """Advance ``solver`` by ``iters`` steps, recording each bitwise."""
+    net = solver.net
+    snapshots = []
+    for _ in range(iters):
+        solver.step(1)
+        snapshots.append(IterationSnapshot(
+            loss=solver.loss_history[-1],
+            updates=tuple(b.flat_diff.copy() for b in net.learnable_params),
+            params=tuple(b.flat_data.copy() for b in net.learnable_params),
+        ))
+    return snapshots
 
-    register_default_sources()
-    if name not in _SPECS:
-        raise SystemExit(
-            f"unknown zoo net {name!r}; available: "
-            f"{', '.join(sorted(_SPECS))}"
-        )
-    spec_fn, params_fn = _SPECS[name]
-    spec = spec_fn()
-    if batch is not None:
-        for layer_spec in spec.layers:
-            if "batch_size" in layer_spec.params:
-                layer_spec.params["batch_size"] = batch
-    if spec_transform is not None:
-        spec = spec_transform(spec)
-    net = Net(spec, phase="TRAIN")
-    if post_build is not None:
-        post_build(net)
-    solver = create_solver(params_fn(max_iter=iters), net)
-    if executor is not None:
-        solver.executor = executor
-    return solver
+
+def trajectory_of(net, snapshots: Sequence[IterationSnapshot]) -> Trajectory:
+    """Label ``snapshots`` with ``net``'s parameter names and owners."""
+    return Trajectory(
+        param_names=tuple(b.name for b in net.learnable_params),
+        param_owners=tuple(net.param_owners),
+        snapshots=tuple(snapshots),
+    )
 
 
 def capture_trajectory(
@@ -162,25 +156,10 @@ def capture_trajectory(
     from repro.core import ParallelExecutor
 
     def run(executor) -> Trajectory:
-        solver = _build_solver(name, iters, batch, executor,
-                               spec_transform=spec_transform,
-                               post_build=post_build)
-        net = solver.net
-        snapshots = []
-        for _ in range(iters):
-            solver.step(1)
-            snapshots.append(IterationSnapshot(
-                loss=solver.loss_history[-1],
-                updates=tuple(b.flat_diff.copy()
-                              for b in net.learnable_params),
-                params=tuple(b.flat_data.copy()
-                             for b in net.learnable_params),
-            ))
-        return Trajectory(
-            param_names=tuple(b.name for b in net.learnable_params),
-            param_owners=tuple(net.param_owners),
-            snapshots=tuple(snapshots),
-        )
+        solver = build_solver(name, iters, executor=executor, batch=batch,
+                              spec_transform=spec_transform,
+                              post_build=post_build)
+        return trajectory_of(solver.net, snapshot_steps(solver, iters))
 
     if threads == 0:
         return run(None)
@@ -566,8 +545,6 @@ def run_detcheck(
     rules); the dynamic half trains every requested zoo net under every
     reduction mode at every thread count unless ``static_only``.
     """
-    from repro.zoo.build import _SPECS
-
     assert all(code in CODE_CATALOGUE
                for code in ("DC001", "DC101", "DC201"))
     report = DetcheckReport(static_findings=lint_rng())
@@ -575,14 +552,8 @@ def run_detcheck(
     nets = list(nets)
     modes = list(modes)
     for name in nets:
-        if name not in _SPECS:
-            raise SystemExit(
-                f"unknown zoo net {name!r}; available: "
-                f"{', '.join(sorted(_SPECS))}"
-            )
-        spec_fn, params_fn = _SPECS[name]
-        spec = spec_fn()
-        solver_type = params_fn(max_iter=1).type
+        spec = zoo_spec(name)
+        solver_type = zoo_solver_params(name, max_iter=1).type
         for mode in modes:
             report.config_findings.extend(classify_config(
                 name, mode, threads, spec=spec, solver_type=solver_type,

@@ -29,8 +29,9 @@ The ``--gate`` contract matches the other passes: any ERROR fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.plancheck import PlancheckReport, plan_spec
 from repro.analysis.report import ERROR, INFO, Finding
 from repro.framework.net_spec import NetSpec
 
@@ -106,53 +107,9 @@ class NetFuseReport:
         return lines
 
 
-@dataclass
-class FusecheckReport:
-    """Top-level document: one entry per (net, team size)."""
-
-    reports: List[NetFuseReport] = field(default_factory=list)
-
-    @property
-    def findings(self) -> List[Finding]:
-        out: List[Finding] = []
-        for report in self.reports:
-            out.extend(report.findings)
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return all(r.gate_ok for r in self.reports)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reports": [r.to_json() for r in self.reports],
-        }
-
-    def summary_lines(self) -> List[str]:
-        lines: List[str] = []
-        for report in self.reports:
-            lines.extend(report.summary_lines())
-        lines.append("verdict: " + ("OK" if self.ok else "VIOLATIONS FOUND"))
-        return lines
-
-
-def _with_batch(spec: NetSpec, batch: Optional[int]) -> NetSpec:
-    """A deep copy of ``spec`` with every feeder's batch extent patched,
-    mirroring what ``infer_net(batch=...)`` does symbolically so the
-    live net and the symbolic costs describe the same workload."""
-    import copy
-
-    if batch is None:
-        return spec
-    patched = copy.deepcopy(spec)
-    for layer_spec in patched.layers:
-        if "batch_size" in layer_spec.params:
-            layer_spec.params["batch_size"] = batch
-    patched.input_shapes = [
-        [batch, *shape[1:]] for shape in patched.input_shapes
-    ]
-    return patched
+class FusecheckReport(PlancheckReport):
+    """Top-level document: one :class:`NetFuseReport` per (net, team
+    size) — same verdict, JSON and summary shape as plancheck's."""
 
 
 def _fused_layer_classes():
@@ -182,10 +139,10 @@ def check_fuse(
     """Run the static stages (1-6 above) for one net at one team size."""
     from repro.analysis.footprint import analyze_classes
     from repro.analysis.netcheck import check_spec
-    from repro.analysis.plancheck import plan_spec
     from repro.compiler.fuse import FusionError, fuse_spec
     from repro.framework.net import Net
     from repro.simulator.cost_model import net_costs, spec_costs
+    from repro.zoo.build import with_batch
 
     label = net_name or spec.name or "<anonymous>"
     report = NetFuseReport(
@@ -234,7 +191,7 @@ def check_fuse(
     net = None
     if fused_check.ok:
         try:
-            net = Net(_with_batch(fused_spec, batch), phase=phase)
+            net = Net(with_batch(fused_spec, batch), phase=phase)
             net.forward()
         except Exception as exc:
             report.findings.append(Finding(
@@ -287,15 +244,12 @@ def certify_fuse(
     """Stage 7: bitwise replay of the fused+arena net vs the unfused
     sequential baseline.  Returns ``(findings, plan)``."""
     from repro.analysis.detcheck import capture_trajectory, first_divergence
-    from repro.analysis.plancheck import plan_spec
     from repro.compiler.arena import apply_arena
     from repro.compiler.fuse import fuse_spec
-    from repro.zoo.build import _SPECS
+    from repro.zoo.build import zoo_spec
 
-    if net_name not in _SPECS:
-        raise KeyError(f"unknown zoo net {net_name!r}")
     findings: List[Finding] = []
-    fused_spec, _ = fuse_spec(_SPECS[net_name][0]())
+    fused_spec, _ = fuse_spec(zoo_spec(net_name))
     plan_report = plan_spec(
         fused_spec, net_name=net_name, threads=threads, batch=batch)
     findings.extend(
@@ -331,3 +285,36 @@ def certify_fuse(
             f"sequential baseline ({iters} iters, batch {batch}, "
             f"{threads} thread(s))"))
     return findings, plan
+
+
+def run_fusecheck(
+    nets: Sequence[Union[str, Tuple[str, NetSpec]]],
+    threads: Sequence[int] = (1, 2, 8),
+    batch: Optional[int] = None,
+    certify: bool = False,
+    certify_iters: int = 2,
+    certify_batch: int = 4,
+) -> FusecheckReport:
+    """Compile + check every requested net at every team size.
+
+    A net is a zoo name, or a ``(label, NetSpec)`` pair for a spec from
+    anywhere else (a user prototxt); only zoo nets can be replayed, so
+    ``certify`` skips the pairs.
+    """
+    from repro.zoo.build import zoo_spec
+
+    report = FusecheckReport()
+    for net in nets:
+        in_zoo = isinstance(net, str)
+        name, spec = (net, zoo_spec(net)) if in_zoo else net
+        for team in threads:
+            net_report = check_fuse(
+                spec, net_name=name, threads=team, batch=batch)
+            if certify and in_zoo:
+                certify_findings, _ = certify_fuse(
+                    name, threads=team,
+                    iters=certify_iters, batch=certify_batch,
+                )
+                net_report.findings.extend(certify_findings)
+            report.reports.append(net_report)
+    return report

@@ -20,10 +20,10 @@ team has joined.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.report import ERROR, Finding
+from repro.analysis.sources import _terminal_name, walk_sources
 
 _GUARD_ATTRS = {"ordered", "critical"}
 
@@ -77,40 +77,29 @@ def lint_runtime(source_path: Optional[str] = None) -> List[Finding]:
     if source_path is None:
         import repro.core.parallel_net as pn
         source_path = pn.__file__
-    path = Path(source_path)
     findings: List[Finding] = []
-    try:
-        tree = ast.parse(path.read_text())
-    except (OSError, SyntaxError) as exc:
-        findings.append(Finding(
-            rule="RT001", severity=ERROR, layer="<runtime>",
-            message=f"cannot parse {path}: {exc}",
-        ))
-        return findings
-
-    parents = _parent_map(tree)
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.FunctionDef) and node.name == "region"):
-            continue
-        guarded = _guarded_lambdas(node)
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
+    for path, tree in walk_sources([source_path], "RT001", findings):
+        parents = _parent_map(tree)
+        for region in ast.walk(tree):
+            if not (isinstance(region, ast.FunctionDef)
+                    and region.name == "region"):
                 continue
-            func = call.func
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else None)
-            if name != "add_into":
-                continue
-            lam = _enclosing_lambda(call, parents, stop=node)
-            if lam is None or lam not in guarded:
-                findings.append(Finding(
-                    rule="RT001", severity=ERROR, layer="<runtime>",
-                    message=(
-                        "add_into at line "
-                        f"{call.lineno} executes inside a parallel region "
-                        "without ctx.ordered/ctx.critical protection; "
-                        "concurrent merges into the shared gradient race"
-                    ),
-                    location=f"{path}:{call.lineno}",
-                ))
+            guarded = _guarded_lambdas(region)
+            for call in ast.walk(region):
+                if not (isinstance(call, ast.Call)
+                        and _terminal_name(call.func) == "add_into"):
+                    continue
+                lam = _enclosing_lambda(call, parents, stop=region)
+                if lam is None or lam not in guarded:
+                    findings.append(Finding(
+                        rule="RT001", severity=ERROR, layer="<runtime>",
+                        message=(
+                            "add_into at line "
+                            f"{call.lineno} executes inside a parallel "
+                            "region without ctx.ordered/ctx.critical "
+                            "protection; concurrent merges into the shared "
+                            "gradient race"
+                        ),
+                        location=f"{path}:{call.lineno}",
+                    ))
     return findings

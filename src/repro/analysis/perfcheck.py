@@ -157,19 +157,16 @@ def roofline_net(
 ) -> Tuple[List[RooflineRow], List[Finding]]:
     """Roofline rows + PE101/PE102 findings for one zoo net."""
     from repro.analysis.plancheck import plan_spec
-    from repro.data import register_default_sources
     from repro.simulator.cost_model import spec_costs
-    from repro.zoo.build import _SPECS
+    from repro.zoo.build import zoo_spec
 
-    register_default_sources()
-    spec_fn = _SPECS[name][0]
-    costs = spec_costs(spec_fn())
+    costs = spec_costs(zoo_spec(name))
     sat = dram_saturation_width(model)
 
     rows: Dict[str, RooflineRow] = {}
     findings: List[Finding] = []
     for team in sorted(set(threads)):
-        plan = plan_spec(spec_fn(), net_name=name, threads=team).plan
+        plan = plan_spec(zoo_spec(name), net_name=name, threads=team).plan
         for cost in costs:
             row = rows.get(cost.key)
             if row is None:

@@ -51,8 +51,15 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.footprint import _parse_function
 from repro.analysis.report import ERROR, WARNING, Finding
+from repro.analysis.sources import (
+    _dotted,
+    _is_chunk_method,
+    _own_method_trees,
+    _terminal_name,
+    package_roots,
+    walk_sources,
+)
 
 #: numpy array-constructing calls that allocate a fresh buffer per call.
 _ALLOC_CONSTRUCTORS = {
@@ -62,11 +69,6 @@ _ALLOC_CONSTRUCTORS = {
     "column_stack", "tile", "meshgrid",
 }
 
-#: Methods whose own def makes a layer "chunk code" (the roots of the
-#: chunk-reachability closure) — same convention as the DC004 lint.
-_CHUNK_METHOD_PREFIXES = ("_backward", "_forward")
-_CHUNK_METHOD_NAMES = {"forward_chunk", "backward_chunk"}
-
 #: PerfDecl category -> (rule, severity) of the finding it silences.
 _CATEGORY_RULES = {
     "float64": ("PE001", ERROR),
@@ -74,26 +76,6 @@ _CATEGORY_RULES = {
     "copies": ("PE003", WARNING),
     "loops": ("PE004", WARNING),
 }
-
-
-def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``a.b.c`` attribute chain as a name tuple, or None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _is_float64_ref(node: ast.AST) -> bool:
@@ -227,24 +209,6 @@ _HAZARD_HINTS = {
 # ---------------------------------------------------------------------------
 # chunk reachability
 # ---------------------------------------------------------------------------
-def _own_method_trees(cls) -> Dict[str, ast.FunctionDef]:
-    """Parsed ASTs of every function defined in the class's own __dict__."""
-    trees: Dict[str, ast.FunctionDef] = {}
-    for name, obj in cls.__dict__.items():
-        if not callable(obj) or isinstance(obj, type):
-            continue
-        func = getattr(obj, "__func__", obj)  # unwrap staticmethod et al.
-        node = _parse_function(func)
-        if node is not None:
-            trees[name] = node
-    return trees
-
-
-def _is_chunk_method(name: str) -> bool:
-    return (name in _CHUNK_METHOD_NAMES
-            or name.startswith(_CHUNK_METHOD_PREFIXES))
-
-
 def _self_calls(tree: ast.FunctionDef) -> Set[str]:
     """Names of own methods invoked as ``self.<name>(...)``."""
     called: Set[str] = set()
@@ -358,41 +322,26 @@ def analyze_layer_classes_perf(
 # ---------------------------------------------------------------------------
 # runtime/compiler source scan (PE001 only — no declaration mechanism)
 # ---------------------------------------------------------------------------
-def default_scan_roots() -> List[Path]:
-    """Packages whose hot paths must stay float64-free."""
-    import repro.compiler
-    import repro.core
-
-    return [Path(pkg.__file__).parent
-            for pkg in (repro.core, repro.compiler)]
+#: Packages whose hot paths must stay float64-free.
+SCAN_PACKAGES = ("core", "compiler")
 
 
 def lint_sources_perf(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """PE001 over every ``.py`` file under ``roots``."""
     findings: List[Finding] = []
-    for root in (roots if roots is not None else default_scan_roots()):
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            where = f"<{path.stem}>"
-            try:
-                tree = ast.parse(path.read_text())
-            except (OSError, SyntaxError) as exc:
-                findings.append(Finding(
-                    rule="PE001", severity=ERROR, layer=where,
-                    message=f"cannot parse {path}: {exc}",
-                ))
-                continue
-            for lineno, what in _float64_sites(tree):
-                findings.append(Finding(
-                    rule="PE001", severity=ERROR, layer=where,
-                    message=(
-                        f"{what}: runtime/compiler code computes in DTYPE "
-                        "(float32); float64 here doubles the bandwidth the "
-                        "cost model and arena are sized for"
-                    ),
-                    location=f"{path}:{lineno}",
-                ))
+    if roots is None:
+        roots = package_roots(*SCAN_PACKAGES)
+    for path, tree in walk_sources(roots, "PE001", findings):
+        for lineno, what in _float64_sites(tree):
+            findings.append(Finding(
+                rule="PE001", severity=ERROR, layer=f"<{path.stem}>",
+                message=(
+                    f"{what}: runtime/compiler code computes in DTYPE "
+                    "(float32); float64 here doubles the bandwidth the "
+                    "cost model and arena are sized for"
+                ),
+                location=f"{path}:{lineno}",
+            ))
     return findings
 
 

@@ -43,7 +43,7 @@ delivers the plan's claimed invariance tier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import ERROR, INFO, WARNING, Finding
 from repro.core.plan import ExecutionPlan, LayerPlan, plan_drift
@@ -782,13 +782,10 @@ def certify_plan(
     * claim ``nondeterministic`` — nothing to certify.
     """
     from repro.analysis.detcheck import capture_trajectory, first_divergence
-    from repro.zoo.build import _SPECS
+    from repro.zoo.build import zoo_spec
 
-    if net_name not in _SPECS:
-        raise KeyError(f"unknown zoo net {net_name!r}")
-    spec = _SPECS[net_name][0]()
     report = plan_spec(
-        spec, net_name=net_name, threads=threads, batch=batch,
+        zoo_spec(net_name), net_name=net_name, threads=threads, batch=batch,
         claim=claim, model=model,
     )
     findings = [
@@ -835,7 +832,7 @@ def certify_plan(
 
 
 def run_plancheck(
-    nets: Sequence[str],
+    nets: Sequence[Union[str, Tuple[str, NetSpec]]],
     threads: Sequence[int] = (1, 2, 8),
     batch: Optional[int] = None,
     claim: str = BITWISE_INVARIANT,
@@ -843,23 +840,23 @@ def run_plancheck(
     certify_iters: int = 2,
     certify_batch: int = 4,
 ) -> PlancheckReport:
-    """Plan + lint every requested zoo net at every team size."""
-    from repro.zoo.build import _SPECS
+    """Plan + lint every requested net at every team size.
+
+    A net is a zoo name, or a ``(label, NetSpec)`` pair for a spec from
+    anywhere else (a user prototxt); only zoo nets can be replayed, so
+    ``certify`` skips the pairs.
+    """
+    from repro.zoo.build import zoo_spec
 
     report = PlancheckReport()
-    for name in nets:
-        if name not in _SPECS:
-            raise SystemExit(
-                f"unknown zoo net {name!r}; available: "
-                f"{', '.join(sorted(_SPECS))}"
-            )
-        spec_fn = _SPECS[name][0]
+    for net in nets:
+        in_zoo = isinstance(net, str)
+        name, spec = (net, zoo_spec(net)) if in_zoo else net
         for team in threads:
             net_report = plan_spec(
-                spec_fn(), net_name=name, threads=team, batch=batch,
-                claim=claim,
+                spec, net_name=name, threads=team, batch=batch, claim=claim,
             )
-            if certify and team > 1:
+            if certify and in_zoo and team > 1:
                 certify_findings, _ = certify_plan(
                     name, threads=team, claim=claim,
                     iters=certify_iters, batch=certify_batch,

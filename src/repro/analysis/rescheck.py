@@ -49,14 +49,21 @@ import numpy as np
 
 from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.detcheck import (
-    IterationSnapshot,
     Trajectory,
-    _build_solver,
     capture_trajectory,
     first_divergence,
+    snapshot_steps,
+    trajectory_of,
 )
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.rng_lint import _dotted, class_constructs_rng
+from repro.analysis.rng_lint import class_constructs_rng
+from repro.analysis.sources import (
+    _dotted,
+    _own_method_trees,
+    package_roots,
+    walk_sources,
+)
+from repro.zoo.build import build_solver
 
 #: Modes certified by default; atomic's tier promises nothing bitwise a
 #: resume could be checked against, so it is opt-in (mirrors detcheck).
@@ -79,17 +86,8 @@ _RAW_WRITERS = {"savez", "savez_compressed", "save"}
 _NUMPY_NAMES = ("np", "numpy")
 
 
-def _default_state_roots() -> List[Path]:
-    import repro.core
-    import repro.data
-    import repro.framework
-    import repro.resilience
-    import repro.tools
-
-    return [Path(pkg.__file__).parent for pkg in (
-        repro.core, repro.framework, repro.data, repro.resilience,
-        repro.tools,
-    )]
+#: Packages that may touch trajectory state on disk.
+_STATE_PACKAGES = ("core", "framework", "data", "resilience", "tools")
 
 
 def lint_state_writes(
@@ -97,21 +95,11 @@ def lint_state_writes(
 ) -> List[Finding]:
     """RS001/RS002: raw serialization outside the atomic writer."""
     findings: List[Finding] = []
-    for root in (roots if roots is not None else _default_state_roots()):
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            posix = path.as_posix()
-            if any(posix.endswith(allowed) for allowed in _WRITER_ALLOWLIST):
-                continue
-            try:
-                tree = ast.parse(path.read_text())
-            except (OSError, SyntaxError) as exc:
-                findings.append(Finding(
-                    rule="RS001", severity=ERROR, layer=f"<{path.stem}>",
-                    message=f"cannot parse {path}: {exc}",
-                ))
-                continue
+    if roots is None:
+        roots = package_roots(*_STATE_PACKAGES)
+    for path, tree in walk_sources(roots, "RS001", findings):
+        posix = path.as_posix()
+        if not any(posix.endswith(allowed) for allowed in _WRITER_ALLOWLIST):
             findings.extend(_scan_state_calls(tree, path))
     return findings
 
@@ -151,8 +139,6 @@ def _scan_state_calls(tree: ast.AST, path: Path) -> List[Finding]:
 
 def _assigns_self_rng(cls) -> bool:
     """Does the class source assign ``self._rng`` (the capture hook)?"""
-    from repro.analysis.rng_lint import _own_method_trees
-
     for node in _own_method_trees(cls).values():
         for sub in ast.walk(node):
             if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
@@ -245,19 +231,6 @@ def lint_resilience() -> List[Finding]:
 # ---------------------------------------------------------------------------
 # resume certification (RS101 / RS102)
 # ---------------------------------------------------------------------------
-def _capture_segment(solver, iters: int) -> List[IterationSnapshot]:
-    net = solver.net
-    snapshots = []
-    for _ in range(iters):
-        solver.step(1)
-        snapshots.append(IterationSnapshot(
-            loss=solver.loss_history[-1],
-            updates=tuple(b.flat_diff.copy() for b in net.learnable_params),
-            params=tuple(b.flat_data.copy() for b in net.learnable_params),
-        ))
-    return snapshots
-
-
 def _state_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
     if set(a) != set(b):
         return False
@@ -296,8 +269,8 @@ def capture_resumed_trajectory(
 
     executor = make_executor()
     try:
-        first = _build_solver(name, iters, batch, executor)
-        snapshots = _capture_segment(first, resume_at)
+        first = build_solver(name, iters, batch=batch, executor=executor)
+        snapshots = snapshot_steps(first, resume_at)
         first.save_state(path)
     finally:
         if executor is not None:
@@ -305,17 +278,12 @@ def capture_resumed_trajectory(
 
     executor = make_executor()
     try:
-        second = _build_solver(name, iters, batch, executor)
+        second = build_solver(name, iters, batch=batch, executor=executor)
         second.load_state(path)
         roundtrip_ok = _state_equal(checked_load(path),
                                     capture_state(second))
-        snapshots.extend(_capture_segment(second, iters - resume_at))
-        trajectory = Trajectory(
-            param_names=tuple(b.name
-                              for b in second.net.learnable_params),
-            param_owners=tuple(second.net.param_owners),
-            snapshots=tuple(snapshots),
-        )
+        snapshots.extend(snapshot_steps(second, iters - resume_at))
+        trajectory = trajectory_of(second.net, snapshots)
     finally:
         if executor is not None:
             executor.close()
@@ -508,7 +476,7 @@ def certify_faults(
     tmpdir = tempfile.mkdtemp(prefix="rescheck-faults-")
     executor = ParallelExecutor(num_threads=threads, reduction=mode)
     try:
-        solver = _build_solver(net, iters, batch, executor)
+        solver = build_solver(net, iters, batch=batch, executor=executor)
         layer_name = _fault_layer(solver.net)
         blob_name = _fault_blob(solver.net)
 
@@ -566,9 +534,10 @@ def certify_faults(
         crash_executor = ParallelExecutor(num_threads=threads,
                                           reduction=mode)
         try:
-            crasher = _build_solver(net, iters, batch, crash_executor)
+            crasher = build_solver(net, iters, batch=batch,
+                                   executor=crash_executor)
             resume_at = max(1, iters // 2)
-            snapshots = _capture_segment(crasher, resume_at)
+            snapshots = snapshot_steps(crasher, resume_at)
             crasher.save_state(crash_path)
             plan = FaultPlan(LayerRaise(layer=layer_name,
                                         iteration=crasher.iteration,
@@ -584,16 +553,12 @@ def certify_faults(
         resumed_executor = ParallelExecutor(num_threads=threads,
                                             reduction=mode)
         try:
-            survivor = _build_solver(net, iters, batch, resumed_executor)
+            survivor = build_solver(net, iters, batch=batch,
+                                    executor=resumed_executor)
             survivor.load_state(crash_path)
             snapshots.extend(
-                _capture_segment(survivor, iters - resume_at))
-            resumed = Trajectory(
-                param_names=tuple(
-                    b.name for b in survivor.net.learnable_params),
-                param_owners=tuple(survivor.net.param_owners),
-                snapshots=tuple(snapshots),
-            )
+                snapshot_steps(survivor, iters - resume_at))
+            resumed = trajectory_of(survivor.net, snapshots)
         finally:
             resumed_executor.close()
         div = first_divergence(reference, resumed)
@@ -607,7 +572,8 @@ def certify_faults(
             policy_executor = ParallelExecutor(num_threads=threads,
                                                reduction=mode)
             try:
-                victim = _build_solver(net, iters, batch, policy_executor)
+                victim = build_solver(net, iters, batch=batch,
+                                      executor=policy_executor)
                 victim.guard = HealthGuard(policy=policy)
                 before = _params_snapshot(victim)
                 plan = FaultPlan(NaNBlob(blob=blob_name, iteration=0))
@@ -655,7 +621,7 @@ def certify_faults(
         solver.save_state(good_path)
 
         def expect_rejection(label: str, path: str, expected) -> None:
-            fresh = _build_solver(net, iters, batch, None)
+            fresh = build_solver(net, iters, batch=batch)
             try:
                 fresh.load_state(path)
             except expected:
@@ -769,8 +735,6 @@ def run_rescheck(
     skip_faults: bool = False,
 ) -> RescheckReport:
     """The full resilience-certification pass."""
-    from repro.zoo.build import _SPECS
-
     assert all(code in CODE_CATALOGUE
                for code in ("RS001", "RS101", "RS201"))
     report = RescheckReport(static_findings=lint_resilience())
@@ -780,11 +744,6 @@ def run_rescheck(
     nets = list(nets)
     modes = list(modes)
     for name in nets:
-        if name not in _SPECS:
-            raise SystemExit(
-                f"unknown zoo net {name!r}; available: "
-                f"{', '.join(sorted(_SPECS))}"
-            )
         for mode in modes:
             report.certificates.append(certify_resume(
                 name, mode, threads, iters=iters, batch=batch,

@@ -32,8 +32,15 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.footprint import _parse_function
 from repro.analysis.report import ERROR, Finding
+from repro.analysis.sources import (
+    _dotted,
+    _is_chunk_method,
+    _own_method_trees,
+    _terminal_name,
+    package_roots,
+    walk_sources,
+)
 
 #: Constructors that create an independent RNG stream.
 _RNG_CONSTRUCTORS = {"default_rng", "RandomState"}
@@ -69,32 +76,6 @@ _WALLCLOCK_CALLS = {
     ("time", "perf_counter_ns"), ("datetime", "now"),
     ("datetime", "utcnow"), ("os", "getpid"),
 }
-
-#: Methods whose own def makes a layer "chunk code": draws inside them
-#: execute under the thread team, so their order depends on the schedule.
-_CHUNK_METHOD_PREFIXES = ("_backward", "_forward")
-_CHUNK_METHOD_NAMES = {"forward_chunk", "backward_chunk"}
-
-
-def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``a.b.c`` attribute chain as a name tuple, or None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
 
 def _is_rng_construction(call: ast.Call) -> bool:
     return _terminal_name(call.func) in _RNG_CONSTRUCTORS
@@ -204,59 +185,23 @@ def _scan_tree(tree: ast.AST, where: str, path: str) -> List[Finding]:
     return findings
 
 
-def default_lint_roots() -> List[Path]:
-    """The packages whose determinism the certifier vouches for."""
-    import repro.compiler
-    import repro.core
-    import repro.data
-    import repro.framework
-
-    return [Path(pkg.__file__).parent
-            for pkg in (repro.core, repro.framework, repro.data,
-                        repro.compiler)]
+#: The packages whose determinism the certifier vouches for.
+LINT_PACKAGES = ("core", "framework", "data", "compiler")
 
 
 def lint_sources(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """Run the DC0xx source scan over every ``.py`` file under ``roots``."""
     findings: List[Finding] = []
-    for root in (roots if roots is not None else default_lint_roots()):
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            where = f"<{path.stem}>"
-            try:
-                tree = ast.parse(path.read_text())
-            except (OSError, SyntaxError) as exc:
-                findings.append(Finding(
-                    rule="DC001", severity=ERROR, layer=where,
-                    message=f"cannot parse {path}: {exc}",
-                ))
-                continue
-            findings.extend(_scan_tree(tree, where, str(path)))
+    if roots is None:
+        roots = package_roots(*LINT_PACKAGES)
+    for path, tree in walk_sources(roots, "DC001", findings):
+        findings.extend(_scan_tree(tree, f"<{path.stem}>", str(path)))
     return findings
 
 
 # ---------------------------------------------------------------------------
 # layer-class provenance check (DC004 / DC006 / DC007)
 # ---------------------------------------------------------------------------
-def _own_method_trees(cls) -> Dict[str, ast.FunctionDef]:
-    """Parsed ASTs of every function defined in the class's own __dict__."""
-    trees: Dict[str, ast.FunctionDef] = {}
-    for name, obj in cls.__dict__.items():
-        if not callable(obj) or isinstance(obj, type):
-            continue
-        func = getattr(obj, "__func__", obj)  # unwrap staticmethod et al.
-        node = _parse_function(func)
-        if node is not None:
-            trees[name] = node
-    return trees
-
-
-def _is_chunk_method(name: str) -> bool:
-    return (name in _CHUNK_METHOD_NAMES
-            or name.startswith(_CHUNK_METHOD_PREFIXES))
-
-
 def _string_constants(trees: Dict[str, ast.FunctionDef]) -> set:
     consts = set()
     for node in trees.values():

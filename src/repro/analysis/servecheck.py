@@ -14,8 +14,8 @@ dynamic pass that replays concrete chaos and demands exact outcomes.
 * SV002  unbounded blocking: ``.wait()`` / ``.join()`` calls with no
   timeout argument.
 * SV003  synccheck's SY001-SY006 lock rules re-applied to the serve
-  sources (:func:`repro.analysis.synclint.lint_sync` with the serve
-  package as the corpus root).
+  sources (:func:`repro.analysis.synclint.analyze_sync` over the
+  serve package's parsed modules).
 * SV004  wall-clock reads (``time`` / ``datetime``) anywhere except
   ``clock.py`` — the detcheck DC discipline applied to serving:
   deadlines must replay in virtual time.
@@ -55,7 +55,8 @@ import numpy as np
 
 from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.synclint import lint_sync
+from repro.analysis.sources import package_roots, walk_sources
+from repro.analysis.synclint import analyze_sync
 
 DEFAULT_NETS = ("lenet", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
@@ -84,12 +85,6 @@ def _finding(code: str, layer: str, message: str,
                    message=message, location=location)
 
 
-def serve_package_root() -> Path:
-    import repro.serve
-
-    return Path(repro.serve.__file__).parent
-
-
 # ---------------------------------------------------------------------------
 # static lint (SV001-SV005)
 # ---------------------------------------------------------------------------
@@ -104,16 +99,8 @@ def _enclosing_classes(tree: ast.Module) -> Dict[int, str]:
     return spans
 
 
-def _lint_module(path: Path, rel: str) -> List[Finding]:
+def _lint_module(tree: ast.Module, path: Path, rel: str) -> List[Finding]:
     findings: List[Finding] = []
-    try:
-        tree = ast.parse(path.read_text())
-    except (OSError, SyntaxError) as exc:
-        findings.append(_finding(
-            "SV005", rel, f"serve module failed to parse: {exc}",
-            str(path),
-        ))
-        return findings
     classes = _enclosing_classes(tree)
     is_clock = path.name == _CLOCK_MODULE
 
@@ -213,14 +200,14 @@ def _lint_module(path: Path, rel: str) -> List[Finding]:
 
 def lint_serve(root: Optional[Path] = None) -> List[Finding]:
     """The full SV001-SV005 static pass over the serve package."""
-    root = Path(root) if root is not None else serve_package_root()
+    root = Path(root) if root is not None else package_roots("serve")[0]
     findings: List[Finding] = []
-    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-    for path in files:
+    parsed = list(walk_sources([root], "SV001", findings))
+    for path, tree in parsed:
         rel = os.path.relpath(str(path), str(root.parent))
-        findings.extend(_lint_module(path, rel))
+        findings.extend(_lint_module(tree, path, rel))
     # SV003: synccheck's lock rules with the serve package as corpus.
-    for sy in lint_sync(roots=[root]):
+    for sy in analyze_sync(parsed):
         findings.append(_finding(
             "SV003", sy.layer,
             f"[{sy.rule}] {sy.message}",

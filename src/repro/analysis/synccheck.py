@@ -59,6 +59,7 @@ from repro.analysis.interleave import (
 )
 from repro.analysis.report import ERROR, Finding
 from repro.analysis.synclint import lint_sync
+from repro.zoo.build import build_solver
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
@@ -104,7 +105,6 @@ def zoo_program(name: str, threads: int, mode: str,
     """
 
     def program(sync: CheckerSync) -> int:
-        from repro.analysis.detcheck import _build_solver
         from repro.core import ParallelExecutor
         from repro.core.team import ThreadTeam
 
@@ -114,7 +114,8 @@ def zoo_program(name: str, threads: int, mode: str,
                 num_threads=threads, reduction=mode, team=team
             )
             try:
-                solver = _build_solver(name, iters, batch, executor)
+                solver = build_solver(name, iters, executor=executor,
+                                      batch=batch)
                 solver.step(iters)
                 return _solver_digest(solver)
             finally:
@@ -139,10 +140,9 @@ def chunk_independence(name: str,
     sample-disjoint/privatized-reduction writes (backward).  Anything
     uncertified is dependent and both orders are explored.
     """
-    from repro.analysis.detcheck import _build_solver
     from repro.framework.layer import REDUCTION, SAMPLE_DISJOINT
 
-    solver = _build_solver(name, 1, batch, None)
+    solver = build_solver(name, 1, batch=batch)
     decls = {layer.name: layer.footprint() for layer in solver.net.layers}
 
     def independent(a: Op, b: Op) -> bool:

@@ -41,9 +41,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import ERROR, Finding
+from repro.analysis.sources import package_roots, walk_sources
 
 #: threading constructors we track, mapped to a primitive kind.
 _PRIMITIVE_CTORS = {
@@ -573,14 +574,8 @@ def _barrier_counts(body: List[ast.stmt],
 # ---------------------------------------------------------------------------
 # corpus analysis
 # ---------------------------------------------------------------------------
-def default_lint_roots() -> List[Path]:
-    """The packages whose synchronization synccheck vouches for."""
-    import repro.compiler
-    import repro.core
-    import repro.resilience
-
-    return [Path(pkg.__file__).parent
-            for pkg in (repro.core, repro.compiler, repro.resilience)]
+#: The packages whose synchronization synccheck vouches for.
+LINT_PACKAGES = ("core", "compiler", "resilience")
 
 
 def _iter_functions(tree: ast.Module, modname: str):
@@ -594,25 +589,19 @@ def _iter_functions(tree: ast.Module, modname: str):
                     yield f"{modname}.{node.name}.{sub.name}", sub
 
 
-def _parse_corpus(roots: Iterable[Path]):
-    """Parse every module under roots; returns per-module records."""
-    modules = []
-    for root in roots:
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            try:
-                tree = ast.parse(path.read_text())
-            except (OSError, SyntaxError):
-                continue
-            modules.append((path.stem, str(path), tree))
-    return modules
-
-
 def lint_sync(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """Run the full SY0xx static pass over every module under roots."""
-    modules = _parse_corpus(roots if roots is not None
-                            else default_lint_roots())
+    findings: List[Finding] = []
+    if roots is None:
+        roots = package_roots(*LINT_PACKAGES)
+    parsed = list(walk_sources(roots, "SY001", findings))
+    return findings + analyze_sync(parsed)
+
+
+def analyze_sync(parsed: Sequence[Tuple[Path, ast.Module]]) -> List[Finding]:
+    """The SY0xx rules over an already-parsed corpus of (path, tree)
+    pairs (servecheck re-applies them to the serve sources it walked)."""
+    modules = [(path.stem, str(path), tree) for path, tree in parsed]
 
     index = CorpusIndex()
     for modname, path, tree in modules:

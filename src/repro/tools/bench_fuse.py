@@ -53,6 +53,7 @@ from repro.compiler.fuse import fuse_spec  # noqa: E402
 from repro.compiler.scratch import pool_stats, reset_pool_stats  # noqa: E402
 from repro.core import ParallelExecutor  # noqa: E402
 from repro.framework.net import Net  # noqa: E402
+from repro.zoo import build_net, zoo_spec  # noqa: E402
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
@@ -72,8 +73,10 @@ def _grad_state(net):
     return b"".join(parts)
 
 
-def _timed_run(spec, threads, iters, warmup, plan, arena=False):
-    """Wall-clock us/iter plus grads and steady-state pool misses."""
+def timed_run(spec, threads, iters, warmup, plan, arena=False):
+    """Wall-clock us/iter for ``iters`` fwd+bwd passes of a fresh net
+    built from ``spec``, plus its final parameter-gradient bytes and the
+    steady-state scratch-pool misses (bench_plan times through here too)."""
     net = Net(spec, phase="TRAIN")
     if arena:
         apply_arena(net)
@@ -101,30 +104,25 @@ def _timed_run(spec, threads, iters, warmup, plan, arena=False):
 
 def bench_net(name, threads, iters, warmup, log=lambda msg: None):
     """Benchmark one net at every team size; returns a JSON-ready dict."""
-    from repro.data import register_default_sources
-    from repro.zoo.build import _SPECS
-
-    register_default_sources()
-    spec_fn = _SPECS[name][0]
-    fused_spec, fusion = fuse_spec(spec_fn())
+    fused_spec, fusion = fuse_spec(zoo_spec(name))
 
     # Activation-memory accounting is team-size independent.
-    unfused_bytes = plan_arena(Net(spec_fn(), phase="TRAIN")).baseline_bytes
+    unfused_bytes = plan_arena(build_net(name)).baseline_bytes
     arena_report = plan_arena(Net(fused_spec, phase="TRAIN"))
 
     per_team = {}
     batch = None
     for team in threads:
-        base_report = plan_spec(spec_fn(), net_name=name, threads=team)
+        base_report = plan_spec(zoo_spec(name), net_name=name, threads=team)
         fuse_report = plan_spec(fused_spec, net_name=name, threads=team)
         batch = fuse_report.plan.batch if fuse_report.plan else batch
 
-        uniform_us, uniform_grads, uniform_misses = _timed_run(
-            spec_fn(), team, iters, warmup, plan=None)
-        planned_us, planned_grads, planned_misses = _timed_run(
-            spec_fn(), team, iters, warmup, plan=base_report.plan)
-        fused_us, fused_grads, fused_misses = _timed_run(
-            fuse_spec(spec_fn())[0], team, iters, warmup,
+        uniform_us, uniform_grads, uniform_misses = timed_run(
+            zoo_spec(name), team, iters, warmup, plan=None)
+        planned_us, planned_grads, planned_misses = timed_run(
+            zoo_spec(name), team, iters, warmup, plan=base_report.plan)
+        fused_us, fused_grads, fused_misses = timed_run(
+            fuse_spec(zoo_spec(name))[0], team, iters, warmup,
             plan=fuse_report.plan, arena=True)
 
         entry = {

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from repro.bench.pinning import pin_blas_threads
 
@@ -35,68 +34,27 @@ from repro.bench.pinning import pin_blas_threads
 #: pools have already sized themselves from the ambient environment.
 _BLAS_PIN = pin_blas_threads()
 
-import numpy as np  # noqa: E402
-
 from repro.analysis.plancheck import plan_spec  # noqa: E402
 from repro.bench.schema import dump_bench, envelope  # noqa: E402
-from repro.core import ParallelExecutor  # noqa: E402
-from repro.zoo import build_net  # noqa: E402
+from repro.tools.bench_fuse import timed_run  # noqa: E402
+from repro.zoo import zoo_spec  # noqa: E402
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
 
 
-def _grad_state(net):
-    """Concatenated parameter-gradient bytes after the last iteration."""
-    parts = []
-    for layer in net.layers:
-        for blob in layer.blobs:
-            parts.append(np.ascontiguousarray(blob.diff).tobytes())
-    return b"".join(parts)
-
-
-def _timed_run(name, threads, iters, warmup, plan):
-    """Wall-clock us/iter for ``iters`` fwd+bwd passes of a fresh net.
-
-    ``plan=None`` is the uniform configuration; the executor-wide mode
-    is blockwise either way so both runs sit at the same claimed tier.
-    """
-    net = build_net(name)
-    executor = ParallelExecutor(
-        num_threads=threads, reduction="blockwise", plan=plan
-    )
-    try:
-        for _ in range(warmup):
-            net.clear_param_diffs()
-            executor.forward(net)
-            executor.backward(net)
-        start = time.perf_counter()
-        for _ in range(iters):
-            net.clear_param_diffs()
-            executor.forward(net)
-            executor.backward(net)
-        elapsed = time.perf_counter() - start
-        grads = _grad_state(net)
-    finally:
-        executor.close()
-    return elapsed * 1e6 / max(iters, 1), grads
-
-
 def bench_net(name, threads, iters, warmup, log=lambda msg: None):
     """Benchmark one net at every team size; returns a JSON-ready dict."""
-    from repro.data import register_default_sources
-    from repro.zoo.build import _SPECS
-
-    register_default_sources()
-    spec_fn = _SPECS[name][0]
     per_team = {}
     for team in threads:
-        report = plan_spec(spec_fn(), net_name=name, threads=team)
+        report = plan_spec(zoo_spec(name), net_name=name, threads=team)
         plan = report.plan
-        uniform_us, uniform_grads = _timed_run(name, team, iters, warmup,
-                                               plan=None)
-        planned_us, planned_grads = _timed_run(name, team, iters, warmup,
-                                               plan=plan)
+        # plan=None is the uniform configuration; timed_run's executor is
+        # blockwise either way so both runs sit at the same claimed tier.
+        uniform_us, uniform_grads, _ = timed_run(
+            zoo_spec(name), team, iters, warmup, plan=None)
+        planned_us, planned_grads, _ = timed_run(
+            zoo_spec(name), team, iters, warmup, plan=plan)
         entry = {
             "uniform_us_per_iter": round(uniform_us, 1),
             "planned_us_per_iter": round(planned_us, 1),

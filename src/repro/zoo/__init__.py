@@ -19,12 +19,20 @@ from repro.zoo.cifar10 import (
     cifar10_spec,
 )
 from repro.zoo.mlp import MLP_PROTOTXT, mlp_solver_params, mlp_spec
-from repro.zoo.build import build_net, build_solver
+from repro.zoo.build import (
+    ZOO_NETS,
+    UnknownNet,
+    build_net,
+    build_solver,
+    zoo_spec,
+)
 
 __all__ = [
     "CIFAR10_PROTOTXT",
     "LENET_PROTOTXT",
     "MLP_PROTOTXT",
+    "ZOO_NETS",
+    "UnknownNet",
     "mlp_solver_params",
     "mlp_spec",
     "build_net",
@@ -33,4 +41,5 @@ __all__ = [
     "cifar10_spec",
     "lenet_solver_params",
     "lenet_spec",
+    "zoo_spec",
 ]

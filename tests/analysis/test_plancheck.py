@@ -35,7 +35,7 @@ from repro.core.reduction import BITWISE_INVARIANT, DETERMINISTIC_PER_T
 from repro.data import register_default_sources
 from repro.simulator import CPUModel, net_costs
 from repro.zoo import build_net
-from repro.zoo.build import _SPECS
+from repro.zoo.build import _SPECS, UnknownNet
 
 ZOO = ("lenet", "cifar10", "mlp")
 
@@ -284,7 +284,7 @@ class TestReportAndCLI:
         assert entry["gate_ok"] is True
 
     def test_unknown_net_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UnknownNet, match="unknown zoo net"):
             run_plancheck(("imagenet",))
 
     def test_cli_gate_ok(self, capsys):

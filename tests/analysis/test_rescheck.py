@@ -26,6 +26,7 @@ from repro.analysis.rescheck import (
     run_rescheck,
 )
 from repro.framework.layer import Layer, RNGDecl
+from repro.zoo import UnknownNet
 
 
 class TestStaticLint:
@@ -148,7 +149,7 @@ class TestReport:
         json.dumps(report.to_json())
 
     def test_unknown_net_rejected(self):
-        with pytest.raises(SystemExit, match="unknown zoo net"):
+        with pytest.raises(UnknownNet, match="unknown zoo net"):
             run_rescheck(nets=["resnet152"], static_only=False,
                          threads=(1,), skip_faults=True)
 

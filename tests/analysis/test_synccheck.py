@@ -317,9 +317,9 @@ class TestCodesAndCli:
         assert unreferenced == []
 
     def test_cli_static_only_json(self, capsys):
-        from repro.analysis.__main__ import synccheck_main
+        from repro.analysis.__main__ import main
 
-        rc = synccheck_main(["--static-only", "--json", "--gate"])
+        rc = main(["synccheck", "--static-only", "--json", "--gate"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["ok"] is True
@@ -332,18 +332,18 @@ class TestCodesAndCli:
         assert "agree" in capsys.readouterr().out
 
     def test_cli_trace_and_replay_roundtrip(self, tmp_path, capsys):
-        from repro.analysis.__main__ import synccheck_main
+        from repro.analysis.__main__ import main
 
         trace_file = tmp_path / "traces.json"
-        rc = synccheck_main([
-            "--net", "mlp", "--threads", "2", "--max-runs", "16",
+        rc = main([
+            "synccheck", "--net", "mlp", "--threads", "2", "--max-runs", "16",
             "--trace", str(trace_file), "--json",
         ])
         capsys.readouterr()
         assert rc == 0
         payload = json.loads(trace_file.read_text())
         assert payload["traces"], "seeded certification traces expected"
-        rc = synccheck_main(["--replay", str(trace_file), "--gate"])
+        rc = main(["synccheck", "--replay", str(trace_file), "--gate"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "faithful" in out

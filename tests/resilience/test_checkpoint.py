@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.detcheck import _build_solver
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     MAGIC,
@@ -29,6 +28,7 @@ from repro.resilience.checkpoint import (
     read_container,
     write_container,
 )
+from repro.zoo import build_solver
 
 
 def _arrays():
@@ -147,15 +147,15 @@ class TestTrajectoryResume:
         iters, resume_at = 4, 2
         path = str(tmp_path / "ck.rckp")
 
-        reference = _build_solver(net, iters, 4, None)
+        reference = build_solver(net, iters, batch=4)
         reference.step(iters)
         ref_losses, ref_params = _losses_and_params(reference)
 
-        first = _build_solver(net, iters, 4, None)
+        first = build_solver(net, iters, batch=4)
         first.step(resume_at)
         first.save_state(path)
 
-        second = _build_solver(net, iters, 4, None)
+        second = build_solver(net, iters, batch=4)
         second.load_state(path)
         assert second.iteration == resume_at
         second.step(iters - resume_at)
@@ -167,10 +167,10 @@ class TestTrajectoryResume:
 
     def test_roundtrip_state_is_stable(self, tmp_path):
         path = str(tmp_path / "ck.rckp")
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.step(2)
         solver.save_state(path)
-        fresh = _build_solver("mlp", 4, 4, None)
+        fresh = build_solver("mlp", 4, batch=4)
         fresh.load_state(path)
         saved = checked_load(path)
         recaptured = capture_state(fresh)
@@ -180,13 +180,13 @@ class TestTrajectoryResume:
 
     def test_solver_type_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "ck.rckp")
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.step(1)
         solver.save_state(path)
 
         from repro.framework.solvers import create_solver
 
-        other = _build_solver("mlp", 4, 4, None)
+        other = build_solver("mlp", 4, batch=4)
         params = other.params
         params.type = "AdaGrad"
         params.momentum = 0.0
@@ -196,17 +196,17 @@ class TestTrajectoryResume:
 
     def test_lr_policy_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "ck.rckp")
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.step(1)
         solver.save_state(path)
-        other = _build_solver("mlp", 8, 4, None)  # different max_iter
+        other = build_solver("mlp", 8, batch=4)  # different max_iter
         with pytest.raises(CheckpointMismatch, match="max_iter"):
             other.load_state(path)
 
     def test_old_format_snapshot_rejected_on_load_state(self, tmp_path):
         path = str(tmp_path / "legacy.npz")
         np.savez(path, __iteration__=np.array(3))
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         with pytest.raises(CheckpointFormatError):
             solver.load_state(path)
 
@@ -214,11 +214,11 @@ class TestTrajectoryResume:
         from repro.resilience import corrupt_checkpoint
 
         path = str(tmp_path / "ck.rckp")
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.step(1)
         solver.save_state(path)
         corrupt_checkpoint(path, seed=7)
-        fresh = _build_solver("mlp", 4, 4, None)
+        fresh = build_solver("mlp", 4, batch=4)
         with pytest.raises(CheckpointCorrupt):
             fresh.load_state(path)
 
@@ -226,10 +226,10 @@ class TestTrajectoryResume:
 class TestNetSave:
     def test_net_save_verified_roundtrip(self, tmp_path):
         path = str(tmp_path / "weights.npz")
-        solver = _build_solver("mlp", 2, 4, None)
+        solver = build_solver("mlp", 2, batch=4)
         solver.step(1)
         solver.net.save(path)
-        fresh = _build_solver("mlp", 2, 4, None)
+        fresh = build_solver("mlp", 2, batch=4)
         fresh.net.load(path)
         for got, want in zip(
             fresh.net.learnable_params, solver.net.learnable_params

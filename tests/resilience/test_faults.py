@@ -9,7 +9,7 @@ contain the damage, and a resumed run rejoins the reference trajectory.
 import numpy as np
 import pytest
 
-from repro.analysis.detcheck import _build_solver, capture_trajectory
+from repro.analysis.detcheck import capture_trajectory
 from repro.core import ParallelExecutor
 from repro.core.team import WorkerError
 from repro.resilience import (
@@ -24,6 +24,7 @@ from repro.resilience import (
     inject,
     truncate_checkpoint,
 )
+from repro.zoo import build_solver
 
 
 def _params(solver):
@@ -42,7 +43,7 @@ class TestFaultPlan:
 
 class TestNaNBlob:
     def test_poisons_named_blob_at_exact_iteration(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="halt")
         solver.step(1)  # iteration 0 runs clean
         plan = FaultPlan(NaNBlob(blob="fc1", iteration=1))
@@ -53,10 +54,10 @@ class TestNaNBlob:
         assert all(np.all(np.isfinite(p)) for p in _params(solver))
 
     def test_sequential_run_unaffected_before_fault_iteration(self):
-        reference = _build_solver("mlp", 4, 4, None)
+        reference = build_solver("mlp", 4, batch=4)
         reference.step(2)
 
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         plan = FaultPlan(NaNBlob(blob="fc1", iteration=3))
         with inject(solver, plan):
             solver.step(2)  # fault iteration never reached
@@ -66,7 +67,7 @@ class TestNaNBlob:
 class TestLayerRaise:
     @pytest.mark.parametrize("phase", ["forward", "backward"])
     def test_raises_injected_fault_in_phase(self, phase):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.step(1)
         plan = FaultPlan(
             LayerRaise(layer="fc1", iteration=1, phase=phase))
@@ -75,7 +76,7 @@ class TestLayerRaise:
                 solver.step(1)
 
     def test_patches_removed_on_exit(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         plan = FaultPlan(
             LayerRaise(layer="fc1", iteration=0, phase="forward"))
         with inject(solver, plan):
@@ -85,7 +86,7 @@ class TestLayerRaise:
         assert solver.iteration == 1
 
     def test_guard_contains_and_state_survives(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="halt")
         solver.step(1)
         before = _params(solver)
@@ -103,7 +104,7 @@ class TestChunkAbort:
     def test_surfaces_root_cause_and_team_recovers(self):
         executor = ParallelExecutor(num_threads=2, reduction="blockwise")
         try:
-            solver = _build_solver("mlp", 4, 4, executor)
+            solver = build_solver("mlp", 4, batch=4, executor=executor)
             plan = FaultPlan(ChunkAbort(layer="fc1", iteration=0))
             with inject(solver, plan):
                 with pytest.raises(WorkerError) as info:
@@ -119,7 +120,7 @@ class TestChunkAbort:
             executor.close()
 
     def test_never_fires_under_sequential_executor(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         plan = FaultPlan(ChunkAbort(layer="fc1", iteration=0))
         with inject(solver, plan):
             solver.step(1)  # no parallel region exists to abort
@@ -133,7 +134,7 @@ class TestChunkAbort:
 
         executor = ParallelExecutor(num_threads=2, reduction="blockwise")
         try:
-            crasher = _build_solver("mlp", iters, 4, executor)
+            crasher = build_solver("mlp", iters, batch=4, executor=executor)
             crasher.guard = HealthGuard(policy="halt")
             crasher.step(crash_at)
             crasher.save_state(path)
@@ -150,7 +151,7 @@ class TestChunkAbort:
 
         executor = ParallelExecutor(num_threads=2, reduction="blockwise")
         try:
-            survivor = _build_solver("mlp", iters, 4, executor)
+            survivor = build_solver("mlp", iters, batch=4, executor=executor)
             survivor.load_state(path)
             survivor.step(iters - crash_at)
             for snapshot, params in zip(

@@ -10,13 +10,13 @@ diffs cleared, re-raised) under every policy.
 import numpy as np
 import pytest
 
-from repro.analysis.detcheck import _build_solver
 from repro.resilience.guards import (
     GUARD_POLICIES,
     GuardEvent,
     HealthGuard,
     NumericFault,
 )
+from repro.zoo import build_solver
 
 
 def _params(solver):
@@ -38,10 +38,10 @@ def _poison_loss_once(solver, at_iteration):
 
 class TestHealthyPath:
     def test_guarded_run_bitwise_equals_unguarded(self):
-        plain = _build_solver("mlp", 4, 4, None)
+        plain = build_solver("mlp", 4, batch=4)
         plain.step(4)
 
-        guarded = _build_solver("mlp", 4, 4, None)
+        guarded = build_solver("mlp", 4, batch=4)
         guarded.guard = HealthGuard(policy="halt")
         guarded.step(4)
 
@@ -57,7 +57,7 @@ class TestHealthyPath:
 
 class TestHaltPolicy:
     def test_nan_loss_halts_with_restored_params(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="halt")
         solver.step(1)
         before = _params(solver)
@@ -77,7 +77,7 @@ class TestHaltPolicy:
 
 class TestSkipBatchPolicy:
     def test_update_dropped_iteration_counts(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="skip-batch")
         solver.step(1)
         before = _params(solver)
@@ -94,7 +94,7 @@ class TestSkipBatchPolicy:
         assert solver.iteration == 4
 
     def test_post_update_poison_escalates_to_halt(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="skip-batch")
         solver.step(1)
         before = _params(solver)
@@ -117,7 +117,7 @@ class TestSkipBatchPolicy:
 
 class TestRollbackPolicy:
     def test_rollback_restores_and_continues(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="rollback")
         solver.step(1)
         before = _params(solver)
@@ -135,7 +135,7 @@ class TestRollbackPolicy:
         )
 
     def test_rollback_recovers_post_update_poison(self):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="rollback")
         solver.step(1)
         before = _params(solver)
@@ -160,7 +160,7 @@ class TestRollbackPolicy:
 class TestExceptionContainment:
     @pytest.mark.parametrize("policy", GUARD_POLICIES)
     def test_restores_state_and_reraises(self, policy):
-        solver = _build_solver("mlp", 4, 4, None)
+        solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy=policy)
         solver.step(1)
         before = _params(solver)
