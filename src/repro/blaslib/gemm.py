@@ -60,6 +60,10 @@ def gemm(
             np.matmul(op_a, op_b, out=c)
         else:
             np.copyto(c, alpha * (op_a @ op_b))
+    elif alpha == 1.0 and beta == 1.0:
+        # Plain accumulation (every dW update): scaling by one changes no
+        # bit, so skip both passes and the scaled temporary.
+        c += op_a @ op_b
     else:
         c *= beta
         c += alpha * (op_a @ op_b)

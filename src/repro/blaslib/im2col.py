@@ -8,6 +8,22 @@ per-sample unit of work inside the convolutional layers.
 The column buffer layout matches Caffe: shape
 ``(channels * kernel_h * kernel_w, output_h * output_w)`` with the kernel
 offsets varying slowest, so that ``weights @ col`` yields the convolution.
+
+Both kernels move each element once.  ``im2col`` assigns the strided
+``(C, kernel_h, kernel_w, out_h, out_w)`` window view of the zero-padded
+image straight into ``out`` seen under that same 5-d shape — which is why
+``out`` must be C-contiguous: on anything else that reshape would be a
+copy and the columns would be lost.  ``col2im`` accumulates the
+``kernel_h * kernel_w`` column slabs into the padded plane in (kh, kw)
+order — the order fixes every pixel's summation order and with it the
+bits of the result — and crops the interior into ``out``.
+
+The padded plane is ``work``, a ``(C, H + 2 pad_h, W + 2 pad_w)`` array
+of the input's dtype supplied by the caller (the conv layer passes one
+from its per-thread scratch pool; this package does not know the pool).
+Its contents on entry are ignored: it is cleared on every call.  Without
+``work`` the call allocates the plane, which is fine for one-off use;
+``im2col`` of an unpadded image reads the image itself and needs none.
 """
 
 from __future__ import annotations
@@ -32,6 +48,31 @@ def conv_out_size(in_size: int, kernel: int, pad: int, stride: int) -> int:
     return out
 
 
+def _check_buffer(func: str, name: str, buf: np.ndarray,
+                  shape: tuple, dtype: np.dtype) -> None:
+    """``ValueError`` naming the argument if a caller buffer cannot be
+    written in place."""
+    if buf.shape != shape:
+        raise ValueError(
+            f"{func} {name} has shape {buf.shape}, expected {shape}"
+        )
+    if buf.dtype != dtype:
+        raise ValueError(
+            f"{func} {name} has dtype {buf.dtype}, expected {dtype} "
+            "(the input's)"
+        )
+
+
+def _padded_plane(func: str, work: np.ndarray | None,
+                  shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """The zeroed padded work plane: the caller's, or a fresh one."""
+    if work is None:
+        return np.zeros(shape, dtype=dtype)
+    _check_buffer(func, "work", work, shape, dtype)
+    work.fill(0.0)
+    return work
+
+
 def im2col(
     image: np.ndarray,
     kernel_h: int,
@@ -41,12 +82,14 @@ def im2col(
     stride_h: int,
     stride_w: int,
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unfold one image ``(C, H, W)`` into a column matrix.
 
     Returns an array of shape
     ``(C * kernel_h * kernel_w, out_h * out_w)``; ``out`` may supply a
-    preallocated destination of that shape.
+    preallocated C-contiguous destination of that shape and the image's
+    dtype, ``work`` the padded plane (module docstring).
     """
     if image.ndim != 3:
         raise ValueError(f"im2col expects (C, H, W), got shape {image.shape}")
@@ -56,8 +99,10 @@ def im2col(
     col_shape = (c * kernel_h * kernel_w, out_h * out_w)
     if out is None:
         out = np.empty(col_shape, dtype=image.dtype)
-    elif out.shape != col_shape:
-        raise ValueError(f"im2col out has shape {out.shape}, expected {col_shape}")
+    else:
+        _check_buffer("im2col", "out", out, col_shape, image.dtype)
+        if not out.flags["C_CONTIGUOUS"]:
+            raise ValueError("im2col out must be C-contiguous")
 
     record_op("im2col", 0, image.nbytes + out.nbytes)
     if backend_name() == "reference":
@@ -67,7 +112,9 @@ def im2col(
         return out
 
     if pad_h or pad_w:
-        padded = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=image.dtype)
+        padded = _padded_plane(
+            "im2col", work, (c, h + 2 * pad_h, w + 2 * pad_w), image.dtype
+        )
         padded[:, pad_h : pad_h + h, pad_w : pad_w + w] = image
     else:
         padded = image
@@ -79,7 +126,7 @@ def im2col(
         strides=(sc, sh, sw, sh * stride_h, sw * stride_w),
         writeable=False,
     )
-    np.copyto(out, view.reshape(col_shape))
+    np.copyto(out.reshape(view.shape), view)
     return out
 
 
@@ -125,12 +172,14 @@ def col2im(
     stride_h: int,
     stride_w: int,
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fold a column matrix back into an image, summing overlaps.
 
     The adjoint of :func:`im2col`: entries of ``col`` that originated from
     the same image pixel are accumulated.  Returns an array of shape
-    ``(channels, height, width)``.
+    ``(channels, height, width)``; ``out`` may supply the destination
+    (``col``'s dtype), ``work`` the padded plane (module docstring).
     """
     out_h = conv_out_size(height, kernel_h, pad_h, stride_h)
     out_w = conv_out_size(width, kernel_w, pad_w, stride_w)
@@ -138,25 +187,23 @@ def col2im(
     if col.shape != expected:
         raise ValueError(f"col2im col has shape {col.shape}, expected {expected}")
     if out is None:
-        out = np.zeros((channels, height, width), dtype=col.dtype)
+        out = np.empty((channels, height, width), dtype=col.dtype)
     else:
-        if out.shape != (channels, height, width):
-            raise ValueError(
-                f"col2im out has shape {out.shape}, expected "
-                f"({channels}, {height}, {width})"
-            )
-        out.fill(0.0)
+        _check_buffer("col2im", "out", out,
+                      (channels, height, width), col.dtype)
 
     record_op("col2im", col.size, col.nbytes + out.nbytes)
     if backend_name() == "reference":
+        out.fill(0.0)
         _col2im_reference(
             col, channels, height, width, kernel_h, kernel_w,
             pad_h, pad_w, stride_h, stride_w, out,
         )
         return out
 
-    padded = np.zeros(
-        (channels, height + 2 * pad_h, width + 2 * pad_w), dtype=col.dtype
+    padded = _padded_plane(
+        "col2im", work,
+        (channels, height + 2 * pad_h, width + 2 * pad_w), col.dtype,
     )
     view = col.reshape(channels, kernel_h, kernel_w, out_h, out_w)
     for kh in range(kernel_h):

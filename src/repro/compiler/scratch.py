@@ -17,8 +17,9 @@ with a keyed pool:
   (``conv.col`` and ``conv.dcol`` in the conv backward pass);
 * **uninitialised** — buffers come from ``np.empty`` and are *not*
   cleared between calls.  Callers must fully overwrite the region they
-  read (``im2col`` overwrites its whole output; ``col2im`` starts with
-  ``out.fill(0.0)``), which the pooled call sites already do.
+  read (``im2col`` overwrites its whole output; both it and ``col2im``
+  clear the padded ``work`` plane they are handed before using it),
+  which the pooled call sites already do.
 
 ``pool_stats()`` aggregates hit/miss counters across every thread that
 ever touched the pool; the zero-allocation regression test resets the

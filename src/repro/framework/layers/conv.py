@@ -4,9 +4,10 @@ The coarse-grain iteration space is the batch dimension ``S``: one
 iteration unfolds one image into a column matrix and multiplies it against
 the filter bank — the exact per-sample work unit the paper assigns to a
 thread chunk for the conv1/conv2/conv3 layers.  The column scratch buffer
-comes from the per-thread pool in :mod:`repro.compiler.scratch`, so
-concurrent chunks never share scratch (the "object privatization" of
-Algorithm 4, line 2) and the steady state allocates nothing per call.
+and the zero-padded plane ``im2col``/``col2im`` work on come from the
+per-thread pool in :mod:`repro.compiler.scratch`, so concurrent chunks
+never share scratch (the "object privatization" of Algorithm 4, line 2)
+and the steady state allocates nothing per call.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class ConvolutionLayer(Layer):
         note=(
             "one im2col + gemm per coalesced iteration (sample x group) "
             "is the chunking design, priced as segments dispatch by the "
-            "cost model; the column buffers come from the scratch pool"
+            "cost model; the column buffers and the padded plane "
+            "im2col/col2im work on come from the scratch pool"
         ),
     )
 
@@ -142,6 +144,9 @@ class ConvolutionLayer(Layer):
             (c // self.group) * self.kernel_h * self.kernel_w,
             self.out_h * self.out_w,
         )
+        self._padded_shape = (
+            c // self.group, h + 2 * self.pad_h, w + 2 * self.pad_w
+        )
 
     # ------------------------------------------------------------------
     # chunk protocol: one iteration == one sample
@@ -156,6 +161,7 @@ class ConvolutionLayer(Layer):
         y = top[0].data
         weights = self.blobs[0].data.reshape(self.num_output, -1)
         col = scratch_buffer("conv.col", self._col_shape, DTYPE)
+        padded = scratch_buffer("conv.padded", self._padded_shape, DTYPE)
         cg = self.channels // self.group
         og = self.num_output // self.group
         for s in range(lo, hi):
@@ -165,7 +171,7 @@ class ConvolutionLayer(Layer):
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
-                    out=col,
+                    out=col, work=padded,
                 )
                 out_plane = y[s, g * og : (g + 1) * og].reshape(og, -1)
                 blaslib.gemm(
@@ -195,6 +201,7 @@ class ConvolutionLayer(Layer):
 
         col = scratch_buffer("conv.col", self._col_shape, DTYPE)
         dcol = scratch_buffer("conv.dcol", self._col_shape, DTYPE)
+        padded = scratch_buffer("conv.padded", self._padded_shape, DTYPE)
         cg = self.channels // self.group
         og = self.num_output // self.group
         _, _, in_h, in_w = bottom[0].shape
@@ -210,7 +217,7 @@ class ConvolutionLayer(Layer):
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
-                    out=col,
+                    out=col, work=padded,
                 )
                 # dW_g += dY_g @ col^T
                 blaslib.gemm(
@@ -229,7 +236,7 @@ class ConvolutionLayer(Layer):
                         self.kernel_h, self.kernel_w,
                         self.pad_h, self.pad_w,
                         self.stride_h, self.stride_w,
-                        out=dx[s, g * cg : (g + 1) * cg],
+                        out=dx[s, g * cg : (g + 1) * cg], work=padded,
                     )
 
 

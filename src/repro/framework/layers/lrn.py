@@ -46,7 +46,7 @@ class LRNLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl(scratch=("_scale",))
+    write_footprint = FootprintDecl(scratch=("_scale", "_scale_pow"))
 
     perf_decl = PerfDecl(
         float64=("forward_chunk", "backward_chunk", "_window_sum"),
@@ -83,6 +83,8 @@ class LRNLayer(Layer):
             )
         top[0].reshape_like(bottom[0])
         self._scale = np.empty(bottom[0].shape, dtype=DTYPE)
+        # scale ** -beta, kept from forward for backward's first term.
+        self._scale_pow = np.empty(bottom[0].shape, dtype=DTYPE)
 
     def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
         return bottom[0].shape[0]
@@ -123,7 +125,9 @@ class LRNLayer(Layer):
         window = self._window_sum(sq)
         scale = self.k + (self.alpha / self.local_size) * window
         self._scale[lo:hi] = scale.astype(DTYPE)
-        np.copyto(y, (x * np.power(self._scale[lo:hi], -self.beta)).astype(DTYPE))
+        scale_pow = self._scale_pow[lo:hi]
+        np.power(self._scale[lo:hi], -self.beta, out=scale_pow)
+        np.multiply(x, scale_pow, out=y)
 
     def backward_chunk(
         self,
@@ -149,7 +153,7 @@ class LRNLayer(Layer):
         coeff = 2.0 * self.alpha * self.beta / self.local_size
         np.copyto(
             dx,
-            (dy * np.power(scale, -self.beta)
+            (dy * self._scale_pow[lo:hi]
              - coeff * x * window.astype(DTYPE)),
         )
 

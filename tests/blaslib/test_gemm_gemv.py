@@ -28,6 +28,20 @@ class TestGemm:
         blaslib.gemm(False, False, 2.0, a, b, 0.5, c)
         assert np.allclose(c, expected, atol=1e-5)
 
+    @pytest.mark.parametrize("trans_b", [False, True])
+    def test_unit_accumulate_bytes(self, rng, trans_b):
+        """alpha == beta == 1 (every dW update) skips the scaling passes;
+        scaling by one changes no bit, so the general path must agree."""
+        a = rng.standard_normal((32, 75)).astype(np.float32)
+        b = rng.standard_normal((75, 64)).astype(np.float32)
+        c = rng.standard_normal((32, 64)).astype(np.float32)
+        op_b = np.ascontiguousarray(b.T) if trans_b else b
+        general = c.copy()
+        general *= np.float32(1.0)
+        general += np.float32(1.0) * (a @ b)
+        blaslib.gemm(False, trans_b, 1.0, a, op_b, 1.0, c)
+        assert c.tobytes() == general.tobytes()
+
     def test_trans_a(self, rng):
         a = rng.standard_normal((3, 4)).astype(np.float32)
         b = rng.standard_normal((3, 5)).astype(np.float32)

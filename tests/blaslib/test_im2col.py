@@ -108,3 +108,98 @@ class TestCol2im:
         with pytest.raises(ValueError, match="col has shape"):
             blaslib.col2im(np.zeros((3, 3), np.float32),
                            1, 4, 4, 2, 2, 0, 0, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Frozen-oracle parity and caller-buffer validation
+# ----------------------------------------------------------------------
+import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
+
+#: (C, H, W, kh, kw, ph, pw, sh, sw): the three cifar10 convs' geometry
+#: in small, lenet's pad-free one, and a lopsided strided case.
+GEOMETRIES = [
+    (3, 8, 8, 5, 5, 2, 2, 1, 1),
+    (2, 6, 6, 5, 5, 0, 0, 1, 1),
+    (3, 7, 5, 3, 2, 1, 0, 2, 1),
+    (1, 4, 9, 2, 4, 1, 3, 3, 2),
+]
+
+
+def padded_shape(c, h, w, ph, pw):
+    return (c, h + 2 * ph, w + 2 * pw)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+class TestOracleParity:
+    def test_im2col_bytes(self, rng, geometry):
+        c, h, w, kh, kw, ph, pw, sh, sw = geometry
+        image = rng.standard_normal((c, h, w)).astype(np.float32)
+        args = (kh, kw, ph, pw, sh, sw)
+        want = oracle.im2col(image, *args)
+        work = np.full(padded_shape(c, h, w, ph, pw), np.nan, np.float32)
+        out = np.full_like(want, 7.0)
+        assert blaslib.im2col(image, *args, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+        assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
+        with use_backend("reference"):
+            assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
+
+    def test_col2im_bytes(self, rng, geometry):
+        c, h, w, kh, kw, ph, pw, sh, sw = geometry
+        args = (c, h, w, kh, kw, ph, pw, sh, sw)
+        shape = oracle.im2col(np.zeros((c, h, w), np.float32),
+                              kh, kw, ph, pw, sh, sw).shape
+        col = rng.standard_normal(shape).astype(np.float32)
+        want = oracle.col2im(col, *args)
+        work = np.full(padded_shape(c, h, w, ph, pw), np.nan, np.float32)
+        out = np.full((c, h, w), 7.0, np.float32)
+        assert blaslib.col2im(col, *args, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+        assert blaslib.col2im(col, *args).tobytes() == want.tobytes()
+        with use_backend("reference"):
+            assert blaslib.col2im(col, *args).tobytes() == want.tobytes()
+
+
+class TestCallerBuffers:
+    """``out`` and ``work`` are written in place, so a buffer that cannot
+    be — wrong shape, another dtype, a non-contiguous ``out`` — is a
+    ``ValueError`` naming the argument, never a silent cast or a write
+    into a temporary copy."""
+
+    IMAGE = np.ones((2, 4, 4), np.float32)
+    ARGS = (3, 3, 1, 1, 1, 1)  # -> col (18, 16), padded plane (2, 6, 6)
+
+    def im2col(self, **buffers):
+        return blaslib.im2col(self.IMAGE, *self.ARGS, **buffers)
+
+    def col2im(self, **buffers):
+        return blaslib.col2im(np.ones((18, 16), np.float32), 2, 4, 4,
+                              *self.ARGS, **buffers)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(out=np.empty((16, 18), np.float32)), "im2col out has shape"),
+        (dict(out=np.empty((18, 16), np.float64)), "im2col out has dtype"),
+        (dict(out=np.empty((16, 18), np.float32).T),
+         "im2col out must be C-contiguous"),
+        (dict(work=np.empty((2, 4, 4), np.float32)), "im2col work has shape"),
+        (dict(work=np.empty((2, 6, 6), np.float64)), "im2col work has dtype"),
+    ])
+    def test_im2col_rejects(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.im2col(**bad)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(out=np.empty((2, 4, 5), np.float32)), "col2im out has shape"),
+        (dict(out=np.empty((2, 4, 4), np.float64)), "col2im out has dtype"),
+        (dict(work=np.empty((2, 6, 5), np.float32)), "col2im work has shape"),
+        (dict(work=np.empty((2, 6, 6), np.int32)), "col2im work has dtype"),
+    ])
+    def test_col2im_rejects(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.col2im(**bad)
+
+    def test_rejected_out_is_left_untouched(self):
+        out = np.full((16, 18), 7.0, np.float32).T
+        with pytest.raises(ValueError):
+            self.im2col(out=out)
+        assert (out == 7.0).all()

@@ -115,6 +115,39 @@ class TestScratchRouting:
         assert np.array_equal(bottom[0].diff, full)
 
 
+class TestScalePowerCache:
+    """Backward reuses forward's ``scale ** -beta`` array instead of a
+    second ``np.power`` over the blob; bits must not move."""
+
+    def test_backward_equals_recomputed_power(self, rng):
+        layer = lrn_layer(local_size=5, alpha=5e-5)
+        bottom = [make_blob((3, 6, 4, 4), rng=rng)]
+        top = [Blob()]
+        layer.setup(bottom, top)
+        layer.forward(bottom, top)
+        top[0].flat_diff[:] = rng.standard_normal(top[0].data.size)
+        layer.backward(top, [True], bottom)
+        cached = bottom[0].diff.tobytes()
+        # Poison the cache with what backward used to compute itself.
+        layer._scale_pow[...] = 0.0
+        np.power(layer._scale, -layer.beta, out=layer._scale_pow)
+        layer.backward(top, [True], bottom)
+        assert bottom[0].diff.tobytes() == cached
+
+    def test_cache_is_chunk_sliced(self, rng):
+        layer = lrn_layer()
+        bottom = [make_blob((4, 6, 3, 3), rng=rng)]
+        top = [Blob()]
+        layer.setup(bottom, top)
+        layer._scale_pow.fill(np.nan)
+        layer.forward_chunk(bottom, top, 1, 3)
+        assert np.isnan(layer._scale_pow[[0, 3]]).all()
+        assert np.array_equal(
+            layer._scale_pow[1:3],
+            np.power(layer._scale[1:3], np.float32(-layer.beta)),
+        )
+
+
 class TestValidation:
     def test_even_local_size(self):
         with pytest.raises(ValueError, match="odd"):

@@ -207,3 +207,200 @@ class TestValidation:
             pool_layer(kernel_size=2, pad=2).setup(
                 [make_blob((1, 1, 4, 4))], [Blob()]
             )
+
+
+# ----------------------------------------------------------------------
+# Frozen-oracle parity: the MAX kernels against tests/_oracle_kernels.py
+# ----------------------------------------------------------------------
+import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.compiler import scratch  # noqa: E402
+from repro.framework.layers import pooling  # noqa: E402
+
+NEG_NAN = np.float32(np.nan).view(np.uint32) | np.uint32(0x80000000)
+SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, NEG_NAN.view(np.float32)],
+    dtype=np.float32,
+)
+
+
+def dirty_scratch_pool():
+    """Overwrite every scratch buffer this thread holds with junk bytes
+    (a tiny negative float, a non-canonical ``True``, offset 171)."""
+    for buf in scratch._state().buffers.values():
+        buf.view(np.uint8).fill(0xAB)
+
+
+@st.composite
+def max_pool_case(draw):
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    sh, sw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ph, pw = draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1))
+    h = draw(st.integers(max(1, kh - 2 * ph), 11))
+    w = draw(st.integers(max(1, kw - 2 * pw), 11))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return dict(
+        geometry=dict(kernel_h=kh, kernel_w=kw, stride_h=sh, stride_w=sw,
+                      pad_h=ph, pad_w=pw),
+        shape=(n, c, h, w),
+        content=draw(st.sampled_from(
+            ["normal", "quantised", "constant", "inf", "specials"])),
+        seed=draw(st.integers(0, 2**16)),
+        block=draw(st.integers(1, 4)),
+        cuts=draw(st.lists(st.integers(0, n * c), max_size=3)),
+    )
+
+
+def case_input(shape, content, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    if content == "quantised":  # ties, and both zeros
+        x = np.round(x * 2) / 2
+    elif content == "constant":
+        x[:] = rng.choice(SPECIALS[:3])
+    elif content == "inf":
+        mask = rng.random(shape) < 0.4
+        x[mask] = rng.choice(SPECIALS[2:4], int(mask.sum()))
+    elif content == "specials":
+        mask = rng.random(shape) < 0.3
+        x[mask] = rng.choice(SPECIALS, int(mask.sum()))
+    return x
+
+
+def setup_max_case(case):
+    layer = pool_layer(pool="MAX", **case["geometry"])
+    x = case_input(case["shape"], case["content"], case["seed"])
+    bottom, top = [make_blob(x.shape, values=x)], [Blob()]
+    layer.setup(bottom, top)
+    # Plane counts that are not a multiple of the block, tiny blocks.
+    layer._block = case["block"]
+    space = layer.forward_space(bottom, top)
+    bounds = sorted({0, space, *case["cuts"]})
+    return layer, bottom, top, list(zip(bounds, bounds[1:]))
+
+
+class TestMaxOracleParity:
+    @given(case=max_pool_case())
+    @settings(max_examples=300, deadline=None)
+    def test_forward_bytes_and_indices(self, case):
+        layer, bottom, top, chunks = setup_max_case(case)
+        if top[0].count == 0:
+            return
+        for warm in (True, False):  # the second pass finds dirty buffers
+            for lo, hi in chunks:
+                layer.forward_chunk(bottom, top, lo, hi)
+            if warm:
+                dirty_scratch_pool()
+                top[0].data[...] = 7.0
+                layer._max_idx[...] = -99
+        got, got_idx = top[0].data.tobytes(), layer._max_idx.copy()
+        top[0].data[...] = 7.0
+        layer._max_idx[...] = -99
+        oracle.max_pool_forward_chunk(layer, bottom, top, 0, chunks[-1][1])
+        assert got == top[0].data.tobytes()
+        assert np.array_equal(got_idx, layer._max_idx)
+
+    @given(case=max_pool_case())
+    @settings(max_examples=150, deadline=None)
+    def test_backward_bytes(self, case):
+        layer, bottom, top, chunks = setup_max_case(case)
+        if top[0].count == 0:
+            return
+        layer.forward(bottom, top)
+        rng = np.random.default_rng(case["seed"])
+        top[0].diff[...] = rng.standard_normal(top[0].shape)
+        space = chunks[-1][1]
+        try:
+            oracle.max_pool_backward_chunk(
+                layer, top, [True], bottom, 0, space, [])
+        except IndexError:
+            # An all -inf window recorded a cell more than a plane away;
+            # per-plane indexing refused it and so must the slab form.
+            # (One more plane away on the positive side — kernel_w >=
+            # in_w + 2 — it lands in a neighbour instead: accepted.)
+            if layer._max_idx.min() < -layer.in_h * layer.in_w:
+                with pytest.raises(IndexError):
+                    layer.backward(top, [True], bottom)
+            return
+        want = bottom[0].diff.tobytes()
+        for warm in (True, False):
+            bottom[0].diff[...] = 5.0
+            for lo, hi in chunks:
+                layer.backward_chunk(top, [True], bottom, lo, hi, [])
+            if warm:
+                dirty_scratch_pool()
+        assert bottom[0].diff.tobytes() == want
+
+
+class TestMaxRegressions:
+    """The two cases tier-1 never covered before the kernel rewrite."""
+
+    def run(self, values, shape, **geometry):
+        layer = pool_layer(**geometry)
+        bottom, top = [make_blob(shape, values=values)], [Blob()]
+        layer.setup(bottom, top)
+        layer.forward(bottom, top)
+        top[0].diff[...] = 1.0
+        layer.backward(top, [True], bottom)
+        return layer, bottom[0], top[0]
+
+    def test_tie_routes_to_first_max_row_major(self):
+        # Both 2x2 windows of a 2x4 plane hold their maximum three times.
+        values = [5, 1, 2, 9,
+                  5, 5, 9, 9]
+        layer, bottom, top = self.run(values, (1, 1, 2, 4),
+                                      kernel_size=2, stride=2)
+        assert top.data.ravel().tolist() == [5.0, 9.0]
+        assert layer._max_idx.ravel().tolist() == [0, 3]
+        assert bottom.diff.ravel().tolist() == [1, 0, 0, 1, 0, 0, 0, 0]
+
+    def test_overlapping_ties_accumulate_on_the_shared_cell(self):
+        # kernel 2 stride 1: the middle 7 is the first max of one window
+        # and the only max of its neighbour -> gradient 2 on one cell.
+        values = [1, 7, 7,
+                  0, 0, 0]
+        layer, bottom, top = self.run(values, (1, 1, 2, 3),
+                                      kernel_size=2, stride=1)
+        assert layer._max_idx.ravel().tolist() == [1, 1]
+        assert bottom.diff.ravel().tolist() == [0, 2, 0, 0, 0, 0]
+
+    def test_signed_zero_keeps_the_first_zeros_sign(self):
+        values = [-0.0, 0.0, 0.0, -0.0]
+        layer, bottom, top = self.run(values, (1, 1, 1, 4),
+                                      kernel_h=1, kernel_w=2, stride=2)
+        assert np.signbit(top.data.ravel()).tolist() == [True, False]
+
+    def test_nan_window_yields_nan_and_routes_to_first_nan(self):
+        nan = np.nan
+        values = [1, nan, 3, 4,
+                  9, nan, 7, 8]
+        layer, bottom, top = self.run(values, (1, 1, 2, 4),
+                                      kernel_size=2, stride=2)
+        out = top.data.ravel()
+        assert np.isnan(out[0]) and out[1] == 8.0
+        # first NaN row-major is cell 1, not the larger 9 nor the later NaN
+        assert layer._max_idx.ravel().tolist() == [1, 7]
+        assert bottom.diff.ravel().tolist() == [0, 1, 0, 0, 0, 0, 0, 1]
+
+    def test_nan_payload_is_the_first_nans(self):
+        values = np.array([1, 0, 2, 0], dtype=np.float32)
+        values[[1, 3]] = SPECIALS[[5, 4]]  # -nan first, then +nan
+        layer, bottom, top = self.run(values, (1, 1, 1, 4),
+                                      kernel_h=1, kernel_w=4, stride=1)
+        assert top.data.tobytes() == SPECIALS[5].tobytes()
+        assert layer._max_idx.ravel().tolist() == [1]
+
+    def test_result_does_not_depend_on_the_block_size(self, rng,
+                                                      monkeypatch):
+        x = np.round(rng.standard_normal((3, 5, 9, 7)) * 2) / 2
+        outs = []
+        for block_bytes in (1, pooling._BLOCK_BYTES):  # 1 plane / all 15
+            monkeypatch.setattr(pooling, "_BLOCK_BYTES", block_bytes)
+            layer = pool_layer(kernel_size=3, stride=2, pad=1)
+            bottom, top = [make_blob(x.shape, values=x)], [Blob()]
+            layer.setup(bottom, top)
+            layer.forward(bottom, top)
+            outs.append((top[0].data.tobytes(), layer._max_idx.tobytes()))
+        assert outs[0] == outs[1]
