@@ -52,14 +52,19 @@ def gemm(
                 acc = 0.0
                 for p in range(k):
                     acc += float(op_a[i, p]) * float(op_b[p, j])
-                c[i, j] = alpha * acc + beta * c[i, j]
+                # beta == 0 makes C write-only, as in BLAS: callers hand
+                # in uninitialised scratch and NaN * 0 is NaN.
+                c[i, j] = (alpha * acc if beta == 0.0
+                           else alpha * acc + beta * c[i, j])
         return c
 
     if beta == 0.0:
         if alpha == 1.0 and c.flags["C_CONTIGUOUS"]:
             np.matmul(op_a, op_b, out=c)
         else:
-            np.copyto(c, alpha * (op_a @ op_b))
+            product = op_a @ op_b
+            # Scaling by one changes no bit: skip the scaled temporary.
+            np.copyto(c, product if alpha == 1.0 else alpha * product)
     elif alpha == 1.0 and beta == 1.0:
         # Plain accumulation (every dW update): scaling by one changes no
         # bit, so skip both passes and the scaled temporary.

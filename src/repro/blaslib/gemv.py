@@ -44,12 +44,16 @@ def gemv(
             acc = 0.0
             for j in range(in_len):
                 acc += float(op_a[i, j]) * float(x[j])
-            y[i] = alpha * acc + beta * y[i]
+            # beta == 0 makes y write-only, as in BLAS (NaN * 0 is NaN).
+            y[i] = (alpha * acc if beta == 0.0
+                    else alpha * acc + beta * y[i])
         return y
 
     op_a = a.T if trans else a
     if beta == 0.0:
-        np.copyto(y, alpha * (op_a @ x))
+        product = op_a @ x
+        # Scaling by one changes no bit: skip the scaled temporary.
+        np.copyto(y, product if alpha == 1.0 else alpha * product)
     else:
         y *= beta
         y += alpha * (op_a @ x)

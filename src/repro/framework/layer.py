@@ -169,8 +169,8 @@ class RNGDecl:
 #: pool (PE002).  ``copies`` — deliberate contiguity copies feeding BLAS
 #: (PE003).  ``loops`` — Python-level loops over iteration-space-sized
 #: ranges that are the architecture, not an accident (PE004): one BLAS call
-#: per coalesced iteration, priced as ``segments`` dispatch by the cost
-#: model.
+#: per coalesced iteration (or per block of them), priced as ``segments``
+#: dispatch by the cost model.
 _PERF_CATEGORIES = ("float64", "allocs", "copies", "loops")
 
 
@@ -191,7 +191,7 @@ class PerfDecl:
     float64:
         Methods that deliberately compute in ``np.float64`` — fixed-order
         double accumulation backing the bitwise-invariance contract
-        (e.g. LRN's window sums).
+        (e.g. Scale's per-channel coefficient gradients).
     allocs:
         Methods whose array-constructing calls are deliberate: either the
         allocation is batch-sized-but-cheap (boolean masks, ``arange``

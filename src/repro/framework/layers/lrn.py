@@ -9,6 +9,14 @@ sample.  The paper's CIFAR-10 network uses two of these (norm1, norm2);
 their per-layer scalability differs from the neighbouring conv/pool layers
 because the normalization reads a window of channels, changing the
 data-thread affinity (Section 4.2.1).
+
+Everything is float32 (``DTYPE``), like the blobs.  A window sum is the
+centre channel plus its neighbours at distance 1, 2, ... added in place,
+left before right — one fixed add order per element whatever the chunk,
+since chunks cut the sample axis and the window runs along channels.
+``_scale`` is built in place in its chunk rows and the one work array
+(``lrn.work``, shared by both passes) comes from the per-thread scratch
+pool, so a chunk allocates nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from repro.framework.blob import DTYPE, Blob
 from repro.framework.layer import (
     FootprintDecl,
     Layer,
-    PerfDecl,
     register_layer,
 )
 from repro.framework.shape_inference import (
@@ -47,16 +54,6 @@ class LRNLayer(Layer):
     exact_num_top = 1
 
     write_footprint = FootprintDecl(scratch=("_scale", "_scale_pow"))
-
-    perf_decl = PerfDecl(
-        float64=("forward_chunk", "backward_chunk", "_window_sum"),
-        note=(
-            "window sums accumulate in float64 with a fixed prefix-sum "
-            "order so the normalization scale is bitwise identical for "
-            "any chunking; results are cast back to DTYPE at the blob "
-            "boundary"
-        ),
-    )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
@@ -89,45 +86,29 @@ class LRNLayer(Layer):
     def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
         return bottom[0].shape[0]
 
-    def _window_sum(self, per_channel: np.ndarray) -> np.ndarray:
-        """Sliding-window sum over the channel axis (axis 1) with zero
-        padding, window ``local_size`` centered at each channel.
-
-        Returns a float64 array from the per-thread scratch pool — valid
-        until this thread's next ``_window_sum`` call with the same
-        chunk geometry; callers consume it before then.
-        """
-        half = self.local_size // 2
-        c = per_channel.shape[1]
-        shape = list(per_channel.shape)
-        shape[1] = c + 2 * half
-        padded = scratch_buffer("lrn.padded", shape, dtype=np.float64)
-        padded.fill(0.0)
-        padded[:, half : half + c] = per_channel
-        # Prefix sums with a leading zero: ext[:, j] = sum(padded[:, :j]),
-        # so the window [i, i + local_size) is ext[i + local_size] - ext[i].
-        shape[1] = c + 2 * half + 1
-        ext = scratch_buffer("lrn.ext", shape, dtype=np.float64)
-        ext[:, :1] = 0.0
-        np.cumsum(padded, axis=1, dtype=np.float64, out=ext[:, 1:])
-        shape[1] = c
-        win = scratch_buffer("lrn.win", shape, dtype=np.float64)
-        np.subtract(ext[:, self.local_size : self.local_size + c],
-                    ext[:, :c], out=win)
-        return win
+    def _window_sum(self, src: np.ndarray, out: np.ndarray) -> None:
+        """Sliding-window sum of ``src`` over the channel axis (axis 1)
+        into ``out``: window ``local_size`` centered at each channel,
+        zero beyond the ends."""
+        np.copyto(out, src)
+        reach = min(self.local_size // 2, src.shape[1] - 1)
+        for shift in range(1, reach + 1):
+            out[:, shift:] += src[:, :-shift]
+            out[:, :-shift] += src[:, shift:]
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
         x = bottom[0].data[lo:hi]
-        y = top[0].data[lo:hi]
-        sq = x.astype(np.float64) ** 2
-        window = self._window_sum(sq)
-        scale = self.k + (self.alpha / self.local_size) * window
-        self._scale[lo:hi] = scale.astype(DTYPE)
+        scale = self._scale[lo:hi]
         scale_pow = self._scale_pow[lo:hi]
-        np.power(self._scale[lo:hi], -self.beta, out=scale_pow)
-        np.multiply(x, scale_pow, out=y)
+        squares = scratch_buffer("lrn.work", x.shape, DTYPE)
+        np.multiply(x, x, out=squares)
+        self._window_sum(squares, scale)
+        scale *= self.alpha / self.local_size
+        scale += self.k
+        np.power(scale, -self.beta, out=scale_pow)
+        np.multiply(x, scale_pow, out=top[0].data[lo:hi])
 
     def backward_chunk(
         self,
@@ -141,21 +122,19 @@ class LRNLayer(Layer):
         if not propagate_down[0]:
             return
         x = bottom[0].data[lo:hi]
-        y = top[0].data[lo:hi]
         dy = top[0].diff[lo:hi]
         dx = bottom[0].diff[lo:hi]
-        scale = self._scale[lo:hi]
 
         # dx_i = dy_i * scale_i^-beta
         #        - (2 alpha beta / n) * x_i * sum_{j: i in win(j)} dy_j y_j / scale_j
-        ratio = (dy * y / scale).astype(np.float64)
-        window = self._window_sum(ratio)
-        coeff = 2.0 * self.alpha * self.beta / self.local_size
-        np.copyto(
-            dx,
-            (dy * self._scale_pow[lo:hi]
-             - coeff * x * window.astype(DTYPE)),
-        )
+        work = scratch_buffer("lrn.work", x.shape, DTYPE)
+        np.multiply(dy, top[0].data[lo:hi], out=work)
+        work /= self._scale[lo:hi]
+        self._window_sum(work, dx)
+        dx *= x
+        dx *= -2.0 * self.alpha * self.beta / self.local_size
+        np.multiply(dy, self._scale_pow[lo:hi], out=work)
+        dx += work
 
 
 @register_shape_rule("LRN")

@@ -37,10 +37,18 @@ It walks the chunk in blocks of planes sized to stay in L2
    ``np.maximum`` does not pin down bit for bit (``+0.0`` against
    ``-0.0``, two NaN payloads) are re-read from the recorded cell.
 
-MAX backward is one ``np.add.at`` per chunk over plane-offset indices;
-AVE runs on strided window views of a padded scratch copy.  Every work
-array comes from the per-thread scratch pool; the block loop runs
-``ceil(planes / block)`` times, not once per plane.
+MAX backward is one ``np.add.at`` per chunk over plane-offset indices.
+
+AVE works on a zero-padded scratch copy of the chunk's planes, forward
+and backward as mirrors of each other: window offset ``(kh, kw)`` is one
+strided view of the padded planes, and the ``k**2`` views are added into
+the top blob (forward) or receive the scaled top diff (backward) in
+row-major offset order.  A window's sum therefore has one fixed float32
+add order, and nothing ``k**2`` times the input is ever materialised.
+
+Every work array comes from the per-thread scratch pool; the block loop
+runs ``ceil(planes / block)`` times, not once per plane.  All of it is
+plane-wise, so no value depends on where a chunk is cut.
 """
 
 from __future__ import annotations
@@ -253,17 +261,6 @@ class PoolingLayer(Layer):
         n, c = bottom[0].shape[0], bottom[0].shape[1]
         return n * c
 
-    def _windows(self, padded: np.ndarray) -> np.ndarray:
-        """Strided view ``(P, out_h, out_w, kernel_h, kernel_w)``."""
-        sp, sh, sw = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(padded.shape[0], self.out_h, self.out_w,
-                   self.kernel_h, self.kernel_w),
-            strides=(sp, sh * self.stride_h, sw * self.stride_w, sh, sw),
-            writeable=False,
-        )
-
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
@@ -281,8 +278,18 @@ class PoolingLayer(Layer):
         padded.fill(0.0)
         padded[:, self.pad_h : self.pad_h + self.in_h,
                self.pad_w : self.pad_w + self.in_w] = planes
-        sums = self._windows(padded).sum(axis=(3, 4), dtype=DTYPE)
-        np.divide(sums, self._ave_divisor[None], out=out)
+        # The mirror of backward: each window offset contributes one
+        # strided view of the padded planes to every output.
+        views = [
+            padded[:, kh : kh + self.stride_h * self.out_h : self.stride_h,
+                   kw : kw + self.stride_w * self.out_w : self.stride_w]
+            for kh in range(self.kernel_h)
+            for kw in range(self.kernel_w)
+        ]
+        np.copyto(out, views[0])
+        for view in views[1:]:
+            out += view
+        out /= self._ave_divisor
 
     def backward_chunk(
         self,

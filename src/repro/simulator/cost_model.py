@@ -36,6 +36,7 @@ from repro.framework.layers.fused import (
     FusedInnerProductReLU,
     FusedScaleBias,
 )
+from repro.framework.layers.inner_product import _BLOCK as IP_BLOCK
 from repro.framework.layers.inner_product import InnerProductLayer
 from repro.framework.layers.loss import LossLayer
 from repro.framework.layers.lrn import LRNLayer
@@ -149,29 +150,37 @@ def ip_costs(
     in_bytes = n * inner * BYTES
     out_bytes = n * num_output * BYTES
     weight_bytes = weight_count * BYTES
-    # Every sample's gemv re-reads the full weight matrix; large weights
-    # do not stay cache-resident, so the layer is weight-traffic bound —
-    # the mechanism behind the paper's ip1 plateau (Section 4.1.1).
-    refetch = min(n, 16)
+    # One gemm — one segment — per aligned block of IP_BLOCK samples
+    # (forward, backward-data) or output rows (backward-weight).  Every
+    # block GEMM re-reads the full weight matrix, and a block that a chunk
+    # edge cuts is computed whole on both sides, so with the modelled
+    # machine's 16 cores busy no active thread reads it less than once.
+    # Large weights do not stay cache-resident, so the layer is
+    # weight-traffic bound — the mechanism behind the paper's ip1
+    # plateau (Section 4.1.1).
+    blocks = -(-n // IP_BLOCK)
+    row_blocks = -(-num_output // IP_BLOCK)
+    refetch = max(blocks, min(n, 16))
     fwd = LayerCost(
         name=name, type="InnerProduct", pass_="forward",
         flops=2.0 * macs + out_bytes / BYTES,
         bytes=in_bytes + out_bytes + weight_bytes * refetch,
-        space=n, segments=n, dist="sample", input_bytes=in_bytes,
+        space=n, segments=blocks, dist="sample", input_bytes=in_bytes,
     )
-    # backward: dX over samples + dW over output rows (no reduction).
+    # backward: dX over sample blocks + dW over output-row blocks (no
+    # reduction).
     bwd = LayerCost(
         name=name, type="InnerProduct", pass_="backward",
         flops=4.0 * macs,
         bytes=2 * in_bytes + 2 * out_bytes + weight_bytes * refetch,
-        space=n, segments=n + num_output, dist="sample",
+        space=n, segments=blocks + row_blocks, dist="sample",
         input_bytes=out_bytes,
     )
     return [fwd, bwd]
 
 
 def lrn_costs(name: str, *, n: int, elems: int) -> List[LayerCost]:
-    # square, window prefix-sum, scale, power per element.
+    # square, window adds, scale, power per element — float32 streams.
     fwd = LayerCost(
         name=name, type="LRN", pass_="forward",
         flops=6.0 * elems, bytes=3 * elems * BYTES,

@@ -1,21 +1,31 @@
-"""Frozen copies of the window kernels as they stood before PR 15.
+"""Frozen copies of kernels as they stood before they were rewritten.
 
-Test-only: nothing under ``src/`` imports this module.  The production
-kernels in ``repro.framework.layers.pooling`` and
-``repro.blaslib.im2col`` were rewritten for speed under the promise that
-their outputs stay byte-for-byte what these produce; the parity tests
-hold them to it.  Every function has the call signature of the
-production routine it froze, so a test can ``monkeypatch.setattr`` it
-in and replay a whole training trajectory on the old kernels.
+Test-only: nothing under ``src/`` imports this module.  Every function
+has the call signature of the production routine it froze, so a test can
+``monkeypatch.setattr`` it in and replay a whole training trajectory on
+the old kernels.  Two generations live here, held to two standards:
 
-Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop and
-the double copy in ``im2col`` are the point.
+* **Bitwise** (PR 15): MAX pooling, ``im2col`` and ``col2im`` were
+  rewritten for speed under the promise that their outputs stay
+  byte-for-byte what these produce; the parity tests hold them to it.
+* **Tolerance-bounded** (the one deliberate numeric re-baseline):
+  InnerProduct's per-sample / per-output-row ``gemv`` loops, AVE
+  pooling's ``windows.sum`` forward and LRN's float64 prefix-sum window
+  were replaced by kernels that sum in another order or precision.  The
+  new kernels agree with these to ``rtol=1e-5, atol=1e-6``; what stays
+  bitwise is parallel == sequential == fused == served == resumed under
+  the *new* kernels, at every chunk cut.
+
+Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
+the double copy in ``im2col``, the Python loop around ``gemv`` and the
+float64 upcast are the point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import blaslib
 from repro.blaslib.im2col import conv_out_size
 from repro.framework.blob import DTYPE
 
@@ -131,3 +141,101 @@ def col2im(col, channels, height, width, kernel_h, kernel_w, pad_h, pad_w,
             padded[:, kh:h_stop:stride_h, kw:w_stop:stride_w] += view[:, kh, kw]
     np.copyto(out, padded[:, pad_h : pad_h + height, pad_w : pad_w + width])
     return out
+
+
+# ----------------------------------------------------------------------
+# InnerProduct (forward_chunk / _backward_data_chunk /
+# _backward_weight_rows): one gemv per sample, one per output row
+# ----------------------------------------------------------------------
+def ip_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
+    x = bottom[0].flat_data.reshape(layer.outer, layer.inner)
+    y = top[0].flat_data.reshape(layer.outer, layer.num_output)
+    weights = layer.blobs[0].data
+    bias = layer.blobs[1].data if layer.bias_term else None
+    for s in range(lo, hi):
+        blaslib.gemv(False, 1.0, weights, x[s], 0.0, y[s])
+        if bias is not None:
+            y[s] += bias
+
+
+def ip_backward_data_chunk(layer, top, bottom, lo: int, hi: int) -> None:
+    dy = top[0].flat_diff.reshape(layer.outer, layer.num_output)
+    dx = bottom[0].flat_diff.reshape(layer.outer, layer.inner)
+    weights = layer.blobs[0].data
+    for s in range(lo, hi):
+        blaslib.gemv(True, 1.0, weights, dy[s], 0.0, dx[s])
+
+
+def ip_backward_weight_rows(layer, top, bottom, lo: int, hi: int) -> None:
+    x = bottom[0].flat_data.reshape(layer.outer, layer.inner)
+    dy = top[0].flat_diff.reshape(layer.outer, layer.num_output)
+    dweights = layer.blobs[0].flat_diff.reshape(layer.num_output, layer.inner)
+    dbias = layer.blobs[1].flat_diff if layer.bias_term else None
+    for row in range(lo, hi):
+        dy_row = np.ascontiguousarray(dy[:, row])
+        blaslib.gemv(True, 1.0, x, dy_row, 1.0, dweights[row])
+        if dbias is not None:
+            dbias[row] += dy_row.sum()
+
+
+# ----------------------------------------------------------------------
+# AVE pooling forward (PoolingLayer.forward_chunk, AVE branch)
+# ----------------------------------------------------------------------
+def ave_pool_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
+    """``sum`` over the two window axes of the strided window view."""
+    planes = bottom[0].data.reshape(-1, layer.in_h, layer.in_w)[lo:hi]
+    out = top[0].data.reshape(-1, layer.out_h, layer.out_w)[lo:hi]
+    if hi - lo <= 0:
+        return
+    windows = _windows(layer, _padded_planes(layer, planes, 0.0))
+    sums = windows.sum(axis=(3, 4), dtype=DTYPE)
+    np.divide(sums, layer._ave_divisor[None], out=out)
+
+
+# ----------------------------------------------------------------------
+# LRN (LRNLayer.forward_chunk / backward_chunk): float64 prefix sums
+# ----------------------------------------------------------------------
+def _lrn_window_sum(layer, per_channel: np.ndarray) -> np.ndarray:
+    half = layer.local_size // 2
+    c = per_channel.shape[1]
+    shape = list(per_channel.shape)
+    shape[1] = c + 2 * half
+    padded = np.zeros(shape, dtype=np.float64)
+    padded[:, half : half + c] = per_channel
+    # Prefix sums with a leading zero: ext[:, j] = sum(padded[:, :j]),
+    # so the window [i, i + local_size) is ext[i + local_size] - ext[i].
+    shape[1] = c + 2 * half + 1
+    ext = np.zeros(shape, dtype=np.float64)
+    np.cumsum(padded, axis=1, dtype=np.float64, out=ext[:, 1:])
+    return ext[:, layer.local_size : layer.local_size + c] - ext[:, :c]
+
+
+def lrn_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
+    x = bottom[0].data[lo:hi]
+    y = top[0].data[lo:hi]
+    sq = x.astype(np.float64) ** 2
+    window = _lrn_window_sum(layer, sq)
+    scale = layer.k + (layer.alpha / layer.local_size) * window
+    layer._scale[lo:hi] = scale.astype(DTYPE)
+    scale_pow = layer._scale_pow[lo:hi]
+    np.power(layer._scale[lo:hi], -layer.beta, out=scale_pow)
+    np.multiply(x, scale_pow, out=y)
+
+
+def lrn_backward_chunk(layer, top, propagate_down, bottom,
+                       lo: int, hi: int, param_grads) -> None:
+    if not propagate_down[0]:
+        return
+    x = bottom[0].data[lo:hi]
+    y = top[0].data[lo:hi]
+    dy = top[0].diff[lo:hi]
+    dx = bottom[0].diff[lo:hi]
+    scale = layer._scale[lo:hi]
+    ratio = (dy * y / scale).astype(np.float64)
+    window = _lrn_window_sum(layer, ratio)
+    coeff = 2.0 * layer.alpha * layer.beta / layer.local_size
+    np.copyto(
+        dx,
+        (dy * layer._scale_pow[lo:hi]
+         - coeff * x * window.astype(DTYPE)),
+    )

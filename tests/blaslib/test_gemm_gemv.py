@@ -7,6 +7,16 @@ from repro import blaslib
 from repro.blaslib import use_backend
 
 
+#: What an uninitialised scratch buffer may hold.
+JUNK = [np.nan, np.inf, -np.inf]
+
+
+def small_ints(rng, shape):
+    """Integer-valued float32: products and sums are exact in float32
+    and in the reference backend's Python floats alike."""
+    return rng.integers(-4, 5, size=shape).astype(np.float32)
+
+
 @pytest.fixture
 def mats(rng):
     a = rng.standard_normal((4, 3)).astype(np.float32)
@@ -41,6 +51,57 @@ class TestGemm:
         general += np.float32(1.0) * (a @ b)
         blaslib.gemm(False, trans_b, 1.0, a, op_b, 1.0, c)
         assert c.tobytes() == general.tobytes()
+
+    def test_unit_overwrite_bytes(self, rng):
+        """alpha == 1, beta == 0 into a strided C (no ``out=`` for
+        matmul) skips the scaled temporary; the general path agrees."""
+        a = rng.standard_normal((32, 75)).astype(np.float32)
+        b = rng.standard_normal((75, 64)).astype(np.float32)
+        c = np.full((64, 32), 7.0, dtype=np.float32).T
+        blaslib.gemm(False, False, 1.0, a, b, 0.0, c)
+        assert c.tobytes() == (np.float32(1.0) * (a @ b)).tobytes()
+
+    @pytest.mark.parametrize("junk", JUNK)
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("trans_a", [False, True])
+    @pytest.mark.parametrize("trans_b", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_beta_zero_never_reads_c(self, rng, alpha, trans_b, trans_a,
+                                     contiguous, junk):
+        """With beta == 0, C is write-only, as in BLAS: scratch comes
+        uninitialised from the pool and NaN * 0 is NaN.  Operands are
+        small integers, so both backends are exact and their bytes must
+        be equal."""
+        op_a, op_b = small_ints(rng, (4, 3)), small_ints(rng, (3, 5))
+        a = np.ascontiguousarray(op_a.T) if trans_a else op_a
+        b = np.ascontiguousarray(op_b.T) if trans_b else op_b
+        want = (np.float32(alpha) * (op_a @ op_b)).tobytes()
+
+        def run():
+            c = (np.full((4, 5), junk, np.float32) if contiguous
+                 else np.full((5, 4), junk, np.float32).T)
+            assert c.flags["C_CONTIGUOUS"] is contiguous
+            blaslib.gemm(trans_a, trans_b, alpha, a, b, 0.0, c)
+            return c
+
+        numpy_c = run()
+        with use_backend("reference"):
+            reference_c = run()
+        assert np.isfinite(numpy_c).all() and np.isfinite(reference_c).all()
+        assert numpy_c.tobytes() == want == reference_c.tobytes()
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_beta_nonzero_still_reads_c(self, rng, backend):
+        a, b = small_ints(rng, (4, 3)), small_ints(rng, (3, 5))
+        c = small_ints(rng, (4, 5))
+        want = 2.0 * (a @ b) + 0.5 * c
+        with use_backend(backend):
+            blaslib.gemm(False, False, 2.0, a, b, 0.5, c)
+        assert c.tobytes() == want.astype(np.float32).tobytes()
+        c[0, 0] = np.nan  # beta != 0 propagates what C held
+        with use_backend(backend):
+            blaslib.gemm(False, False, 1.0, a, b, 1.0, c)
+        assert np.isnan(c[0, 0]) and np.isfinite(c.ravel()[1:]).all()
 
     def test_trans_a(self, rng):
         a = rng.standard_normal((3, 4)).astype(np.float32)
@@ -101,6 +162,45 @@ class TestGemv:
         y = np.zeros(3, dtype=np.float32)
         blaslib.gemv(True, 1.0, a, x, 0.0, y)
         assert np.allclose(y, a.T @ x, atol=1e-5)
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_unit_overwrite_bytes(self, rng, trans):
+        a = rng.standard_normal((75, 75)).astype(np.float32)
+        x = rng.standard_normal(75).astype(np.float32)
+        y = np.full(75, 7.0, dtype=np.float32)
+        blaslib.gemv(trans, 1.0, a, x, 0.0, y)
+        op_a = a.T if trans else a
+        assert y.tobytes() == (np.float32(1.0) * (op_a @ x)).tobytes()
+
+    @pytest.mark.parametrize("junk", JUNK)
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_beta_zero_never_reads_y(self, rng, alpha, trans, junk):
+        a, x = small_ints(rng, (4, 3)), small_ints(rng, 4 if trans else 3)
+        op_a = a.T if trans else a
+        want = (np.float32(alpha) * (op_a @ x)).tobytes()
+
+        def run():
+            y = np.full(len(op_a), junk, np.float32)
+            blaslib.gemv(trans, alpha, a, x, 0.0, y)
+            return y
+
+        numpy_y = run()
+        with use_backend("reference"):
+            reference_y = run()
+        assert np.isfinite(numpy_y).all() and np.isfinite(reference_y).all()
+        assert numpy_y.tobytes() == want == reference_y.tobytes()
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_beta_nonzero_still_reads_y(self, rng, backend):
+        a, x = small_ints(rng, (4, 3)), small_ints(rng, 3)
+        y = small_ints(rng, 4)
+        want = 2.0 * (a @ x) + 0.5 * y
+        y[0] = np.nan
+        with use_backend(backend):
+            blaslib.gemv(False, 2.0, a, x, 0.5, y)
+        assert np.isnan(y[0])
+        assert y[1:].tobytes() == want[1:].astype(np.float32).tobytes()
 
     def test_beta_accumulate(self, rng):
         a = rng.standard_normal((2, 2)).astype(np.float32)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelExecutor
+from repro.core.scheduling import make_schedule
 from repro.zoo import build_solver
 
 ITERS = 8
@@ -43,6 +44,35 @@ class TestBlockwiseBitwiseInvariance:
         seq = trajectory("cifar10", 0, "blockwise", iters=4)
         par = trajectory("cifar10", 3, "blockwise", iters=4)
         assert par == seq
+
+
+class TestEveryCutSameBytes:
+    """InnerProduct multiplies aligned blocks of 8 samples; a chunk edge
+    inside a block must not move a bit.  mlp at batch 20 (two full
+    blocks and a ragged one of 4) under schedules whose chunks are 1, 3,
+    shrinking or ``ceil(20 / T)`` samples cuts blocks everywhere."""
+
+    @staticmethod
+    def run(executor=None, iters=3):
+        solver = build_solver("mlp", max_iter=iters, batch=20,
+                              executor=executor)
+        solver.step(iters)
+        return solver.loss_history, [
+            blob.data.tobytes()
+            for layer in solver.net.layers for blob in layer.blobs
+        ]
+
+    @pytest.fixture(scope="class")
+    def sequential(self):
+        return self.run()
+
+    @pytest.mark.parametrize("schedule",
+                             ["static", "static,3", "dynamic,1", "guided"])
+    @pytest.mark.parametrize("threads", [2, 3, 5, 8])
+    def test_mlp_losses_and_parameters(self, sequential, threads, schedule):
+        with ParallelExecutor(threads, schedule=make_schedule(schedule),
+                              reduction="blockwise") as executor:
+            assert self.run(executor) == sequential
 
 
 class TestOrderedDeterminism:

@@ -6,7 +6,9 @@ import pytest
 from repro.framework.blob import Blob
 from repro.framework.layer import create_layer
 from repro.framework.gradient_check import check_gradient
-from repro.testing import make_blob, spec
+from repro.testing import NAN_BYTE, dirty_scratch_pool, make_blob, spec
+
+import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
 
 
 def lrn_layer(**params):
@@ -77,9 +79,9 @@ class TestBackward:
 
 
 class TestScratchRouting:
-    """The float64 window sums run through the pooled scratch buffers
-    (PerfDecl: no per-chunk allocation), so results must stay bitwise
-    stable across pool reuse and any chunking."""
+    """The window sums run through one pooled scratch buffer (no
+    per-chunk allocation), so results must stay bitwise stable across
+    pool reuse and any chunking."""
 
     def test_forward_bitwise_stable_across_pool_reuse(self, rng):
         layer = lrn_layer()
@@ -146,6 +148,58 @@ class TestScalePowerCache:
             layer._scale_pow[1:3],
             np.power(layer._scale[1:3], np.float32(-layer.beta)),
         )
+
+
+class TestOracleParity:
+    """float32 shifted adds against the frozen float64 prefix sums:
+    within tolerance, a window wider than the channel count included
+    (``local_size`` 9 over 1, 2 or 3 channels), and the same bytes for
+    any sample cut on a NaN-filled scratch pool."""
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 32])
+    @pytest.mark.parametrize("local_size", [3, 5, 9])
+    def test_close_to_oracle_and_cut_invariant(self, rng, local_size,
+                                               channels):
+        layer = lrn_layer(local_size=local_size, alpha=0.9)
+        bottom, top = [make_blob((5, channels, 3, 4), rng=rng)], [Blob()]
+        layer.setup(bottom, top)
+        top[0].diff[...] = rng.standard_normal(top[0].shape)
+
+        def run(forward_chunk, backward_chunk, cuts):
+            top[0].data[...] = 7.0  # poison what the kernels must write
+            bottom[0].diff[...] = 7.0
+            for lo, hi in cuts:
+                forward_chunk(layer, bottom, top, lo, hi)
+            for lo, hi in cuts:
+                backward_chunk(layer, top, [True], bottom, lo, hi, [])
+            return top[0].data.copy(), bottom[0].diff.copy()
+
+        new = type(layer).forward_chunk, type(layer).backward_chunk
+        cuts = [(3, 5), (0, 1), (1, 3)]
+        y, dx = run(*new, [(0, 5)])
+        run(*new, cuts)  # warm: a fresh buffer is not yet a dirty one
+        dirty_scratch_pool(NAN_BYTE)
+        y_cut, dx_cut = run(*new, cuts)
+        assert y_cut.tobytes() == y.tobytes()
+        assert dx_cut.tobytes() == dx.tobytes()
+        y_old, dx_old = run(oracle.lrn_forward_chunk,
+                            oracle.lrn_backward_chunk, [(0, 5)])
+        np.testing.assert_allclose(y, y_old, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(dx, dx_old, rtol=1e-5, atol=1e-6)
+
+    def test_no_float64_scratch_left(self, rng):
+        from repro.compiler import scratch
+
+        layer = lrn_layer(local_size=5)
+        bottom, top = [make_blob((2, 6, 3, 3), rng=rng)], [Blob()]
+        layer.setup(bottom, top)
+        scratch.clear_pool()
+        layer.forward(bottom, top)
+        layer.backward(top, [True], bottom)
+        # one work array for both passes, float32 like the blobs
+        assert list(scratch._state().buffers) == [
+            ("lrn.work", (2, 6, 3, 3), np.dtype(np.float32).str)]
+        assert layer._scale.dtype == layer._scale_pow.dtype == np.float32
 
 
 class TestValidation:

@@ -216,8 +216,8 @@ import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.compiler import scratch  # noqa: E402
 from repro.framework.layers import pooling  # noqa: E402
+from repro.testing import NAN_BYTE, dirty_scratch_pool  # noqa: E402
 
 NEG_NAN = np.float32(np.nan).view(np.uint32) | np.uint32(0x80000000)
 SPECIALS = np.array(
@@ -226,15 +226,11 @@ SPECIALS = np.array(
 )
 
 
-def dirty_scratch_pool():
-    """Overwrite every scratch buffer this thread holds with junk bytes
-    (a tiny negative float, a non-canonical ``True``, offset 171)."""
-    for buf in scratch._state().buffers.values():
-        buf.view(np.uint8).fill(0xAB)
+CONTENTS = ["normal", "quantised", "constant", "inf", "specials"]
 
 
 @st.composite
-def max_pool_case(draw):
+def pool_case(draw, contents=CONTENTS):
     kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     sh, sw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     ph, pw = draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1))
@@ -245,8 +241,7 @@ def max_pool_case(draw):
         geometry=dict(kernel_h=kh, kernel_w=kw, stride_h=sh, stride_w=sw,
                       pad_h=ph, pad_w=pw),
         shape=(n, c, h, w),
-        content=draw(st.sampled_from(
-            ["normal", "quantised", "constant", "inf", "specials"])),
+        content=draw(st.sampled_from(contents)),
         seed=draw(st.integers(0, 2**16)),
         block=draw(st.integers(1, 4)),
         cuts=draw(st.lists(st.integers(0, n * c), max_size=3)),
@@ -269,8 +264,8 @@ def case_input(shape, content, seed):
     return x
 
 
-def setup_max_case(case):
-    layer = pool_layer(pool="MAX", **case["geometry"])
+def setup_case(case, pool="MAX"):
+    layer = pool_layer(pool=pool, **case["geometry"])
     x = case_input(case["shape"], case["content"], case["seed"])
     bottom, top = [make_blob(x.shape, values=x)], [Blob()]
     layer.setup(bottom, top)
@@ -282,10 +277,10 @@ def setup_max_case(case):
 
 
 class TestMaxOracleParity:
-    @given(case=max_pool_case())
+    @given(case=pool_case())
     @settings(max_examples=300, deadline=None)
     def test_forward_bytes_and_indices(self, case):
-        layer, bottom, top, chunks = setup_max_case(case)
+        layer, bottom, top, chunks = setup_case(case)
         if top[0].count == 0:
             return
         for warm in (True, False):  # the second pass finds dirty buffers
@@ -302,10 +297,10 @@ class TestMaxOracleParity:
         assert got == top[0].data.tobytes()
         assert np.array_equal(got_idx, layer._max_idx)
 
-    @given(case=max_pool_case())
+    @given(case=pool_case())
     @settings(max_examples=150, deadline=None)
     def test_backward_bytes(self, case):
-        layer, bottom, top, chunks = setup_max_case(case)
+        layer, bottom, top, chunks = setup_case(case)
         if top[0].count == 0:
             return
         layer.forward(bottom, top)
@@ -332,6 +327,33 @@ class TestMaxOracleParity:
             if warm:
                 dirty_scratch_pool()
         assert bottom[0].diff.tobytes() == want
+
+
+class TestAveOracleParity:
+    """AVE forward adds the k**2 window offsets in a fixed order instead
+    of ``windows.sum``: within tolerance of the frozen kernel, and the
+    same bytes however the planes are cut."""
+
+    @given(case=pool_case(contents=["normal", "quantised"]))
+    @settings(max_examples=150, deadline=None)
+    def test_forward_close_to_oracle_and_cut_invariant(self, case):
+        layer, bottom, top, chunks = setup_case(case, pool="AVE")
+        if top[0].count == 0:
+            return
+        space = chunks[-1][1]
+        for warm in (True, False):  # the second pass finds a NaN pool
+            for lo, hi in chunks:
+                layer.forward_chunk(bottom, top, lo, hi)
+            if warm:
+                dirty_scratch_pool(NAN_BYTE)
+                top[0].data[...] = 7.0
+        got = top[0].data.copy()
+        top[0].data[...] = 7.0
+        layer.forward_chunk(bottom, top, 0, space)
+        assert got.tobytes() == top[0].data.tobytes()
+        top[0].data[...] = 7.0
+        oracle.ave_pool_forward_chunk(layer, bottom, top, 0, space)
+        np.testing.assert_allclose(got, top[0].data, rtol=1e-5, atol=1e-6)
 
 
 class TestMaxRegressions:
