@@ -19,8 +19,8 @@ subcommand of ``python -m repro.analysis`` with its own ``--help``:
 checkpoint/resume and fault recovery), ``plancheck`` (PL: per-layer
 auto-parallelization plans), ``fusecheck`` (FU: operator fusion and the
 memory arena), ``synccheck`` (SY: locks, barriers and interleavings),
-``perfcheck`` (PE: performance lint, roofline and cost-model
-calibration) and ``servecheck`` (SV: the serving path under chaos).
+``perfcheck`` (PE: performance lint and roofline) and ``servecheck``
+(SV: the serving path under chaos).
 :mod:`repro.analysis.codes` names every FP/RT/NG/DC/RS/PL/FU/SY/PE/SV
 code in one catalogue.
 

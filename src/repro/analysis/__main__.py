@@ -99,9 +99,9 @@ _CERTIFY = dict(certify={}, certify_iters={}, certify_batch={})
 
 #: Smallest accepted value per integer flag, whichever mode declares it.
 _MINIMUM = {"batch": 1, "iters": 1, "certify_iters": 1, "certify_batch": 1,
-            "preemptions": 0, "max_runs": 1, "warmup": 0, "requests": 3}
+            "preemptions": 0, "max_runs": 1, "requests": 3}
 #: Flags naming a file the mode writes; checked before the work starts.
-_OUTPUTS = ("emit_plan", "trace", "trace_out", "bench_out")
+_OUTPUTS = ("emit_plan", "trace", "trace_out")
 
 
 class Family(NamedTuple):
@@ -251,30 +251,11 @@ def _run_synccheck(args):
     return report
 
 
-def _validate_perfcheck(parser, args) -> None:
-    if args.tolerance <= 1.0:
-        parser.error(f"--tolerance must be > 1, got {args.tolerance}")
-    if args.bench_out and args.static_only:
-        parser.error("--bench-out needs the timing pass; drop "
-                     "--static-only")
-
-
 def _run_perfcheck(args):
-    report = perfcheck.run_perfcheck(
-        nets=args.net or perfcheck.DEFAULT_NETS,
-        threads=args.threads, iters=args.iters, warmup=args.warmup,
-        tolerance=args.tolerance, static_only=args.static_only,
-        timing_warn_only=args.timing_warn_only,
+    return perfcheck.run_perfcheck(
+        nets=args.net or perfcheck.DEFAULT_NETS, threads=args.threads,
         log=lambda msg: print(msg, file=sys.stderr),
     )
-    if args.bench_out and report.timing_ran:
-        from repro.bench.schema import dump_bench, envelope
-
-        doc = envelope(kind="perf", timer=report.timer,
-                       nets=report.bench_nets)
-        dump_bench(doc, args.bench_out)
-        print(f"calibration written to {args.bench_out}", file=sys.stderr)
-    return report
 
 
 def _run_servecheck(args):
@@ -362,31 +343,8 @@ FAMILIES: Dict[str, Family] = {
         )),
     "perfcheck": Family(
         perfcheck,
-        dict(net={}, threads=dict(default=list(perfcheck.DEFAULT_THREADS)),
-             iters=dict(default=perfcheck.DEFAULT_ITERS), static_only={}),
-        _run_perfcheck,
-        extras=(
-            ("--warmup", dict(
-                type=int, default=perfcheck.DEFAULT_WARMUP, metavar="N",
-                help="untimed warmup iterations per configuration "
-                     "(default: %(default)s)")),
-            ("--tolerance", dict(
-                type=float, default=perfcheck.DEFAULT_TOLERANCE,
-                metavar="X",
-                help="PE201 band half-width: a per-(type, pass) geomean "
-                     "residual outside [1/X, X] after scale normalization "
-                     "fails the gate (default: %(default)s)")),
-            ("--timing-warn-only", dict(
-                action="store_true",
-                help="demote PE201 calibration drift to WARNING (for "
-                     "hosts where wall-clock gating would flake)")),
-            ("--bench-out", dict(
-                default=None, metavar="PATH",
-                help="write the calibration run as a repro-bench/1 "
-                     "envelope (e.g. BENCH_perf.json); requires the "
-                     "timing pass")),
-        ),
-        validate=_validate_perfcheck),
+        dict(net={}, threads=dict(default=list(perfcheck.DEFAULT_THREADS))),
+        _run_perfcheck),
     "servecheck": Family(
         servecheck,
         dict(net={}, threads=dict(default=list(servecheck.DEFAULT_THREADS)),

@@ -24,9 +24,8 @@ Nine passes, ten code families, one place that names them all:
 * **PE** — performance certifier (PR 9): static performance-bug lint
   over the layer chunk code (float64 upcasts, hot-loop allocations,
   implicit copies, iteration-space Python loops) gated by per-layer
-  ``PerfDecl`` allow-lists, a roofline classifier over the cost model,
-  and wall-clock calibration of ``CPUModel.layer_time`` against traced
-  zoo runs.
+  ``PerfDecl`` allow-lists, and a roofline classifier over the cost
+  model.
 * **SV** — serving certifier (PR 10): static robustness lint over the
   ``repro.serve`` path (bounded-queue discipline, unbounded waits,
   wall-clock reads outside the injected clock, swallowed exceptions,
@@ -310,19 +309,6 @@ CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
               "dispatch/fork-join overhead exceeds half the modelled "
               "layer time at the planned width (layer too small to "
               "parallelize profitably)"),
-    # ---- performance certifier: calibration certification ----
-    "PE201": ("perfcheck", "error",
-              "cost-model drift: a (layer type, pass) geometric-mean "
-              "residual of measured vs predicted time falls outside "
-              "the calibration tolerance band after per-run scale "
-              "normalization"),
-    "PE202": ("perfcheck", "info",
-              "calibration fit summary (per-run scale factors and the "
-              "per-type residual spread actually observed)"),
-    "PE203": ("perfcheck", "warning",
-              "noisy timing sample (MAD/median above threshold or "
-              "below the timer noise floor); layer excluded from the "
-              "calibration fit"),
     # ---- serving certifier: static serve-path lint ----
     "SV001": ("servecheck", "error",
               "bounded-queue discipline violated in the serve path: a "

@@ -1,12 +1,12 @@
-"""Performance certifier: PE static lint, roofline classifier, and
-cost-model calibration (the ninth analyzer family).
+"""Performance certifier: PE static lint and roofline classifier (the
+ninth analyzer family).
 
 The paper's coarse-grain claim is a *performance* claim, and the planner
 (PL) optimizes against :class:`~repro.simulator.cpu_model.CPUModel` —
-so two things need certifying that no correctness gate covers: the
-source stays free of the anti-patterns that eat the planned speedups,
-and the cost model keeps predicting the machine it runs on.  Three
-passes:
+so the source must stay free of the anti-patterns that eat the planned
+speedups, and the places where the model itself says planned threads
+are wasted should be visible.  Two passes, neither of which reads a
+clock:
 
 * **Static lint (PE001-PE005)** — :mod:`repro.analysis.perflint`:
   float64 upcast creep, hot-loop allocations, contiguity copies, and
@@ -14,7 +14,7 @@ passes:
   against each layer's declared
   :class:`~repro.framework.layer.PerfDecl` allow-list.
 * **Roofline classifier (PE101/PE102)** — from
-  :func:`~repro.simulator.cost_model.net_costs` and the CPU model:
+  :func:`~repro.simulator.cost_model.spec_costs` and the CPU model:
   per-layer arithmetic intensity and compute- vs bandwidth-bound
   classification at each thread count.  PE101 (INFO) surfaces layers
   whose *planned* thread width exceeds the DRAM bandwidth saturation
@@ -22,55 +22,22 @@ passes:
   while the layer is DRAM-bound, i.e. threads the planner spent that
   the memory system cannot feed.  PE102 (INFO) flags layers whose
   modelled time is majority per-segment dispatch (granularity-limited).
-* **Calibration certifier (PE201-PE203)** — times every zoo layer
-  fwd/bwd through :class:`~repro.core.trace.TracingExecutor` at each
-  thread count (median-of-k, BLAS pools pinned), compares against
-  ``CPUModel.layer_times``, and gates on drift.  Absolute microseconds
-  are host-specific — the model is calibrated to the paper's Xeon, the
-  measuring container is whatever CI hands us — so a global scale
-  (geometric mean of measured/predicted over all quiet layers) absorbs
-  the host difference, and the gate checks the *per-layer-type
-  residuals* around that scale: the model's job here is ranking layers
-  and thread counts for the planner, which survives a uniform rescale
-  but not a per-type bias.  PE201 (ERROR) fires when a (type, pass)
-  geomean residual leaves the tolerance band; PE203 (WARNING) marks
-  measurements too noisy to use (MAD/median above 0.5, or under the
-  noise floor); PE202 (INFO) summarizes each fit.
 
-The calibration run is written to ``BENCH_perf.json`` in the
-``repro-bench/1`` envelope (:mod:`repro.bench.schema`) so CI can diff
-successive runs on the same host.
+Measured time is not this family's business: wall-clock numbers come
+from ``ledger/run.py`` (``BENCHMARK.json``) and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.perflint import lint_perf
-from repro.analysis.report import ERROR, INFO, WARNING, Finding
+from repro.analysis.report import ERROR, INFO, Finding
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
-DEFAULT_ITERS = 3
-DEFAULT_WARMUP = 1
-
-#: Band half-width for PE201: a (type, pass) geomean residual outside
-#: [1/tol, tol] of the fitted global scale fails the gate.  Python-level
-#: per-type overheads differ (a numpy pooling plane walk and a BLAS gemm
-#: sit at different distances from the model's C-like efficiency
-#: assumptions), so the band is wide; what it refuses is a *systematic*
-#: per-type bias large enough to invert the planner's layer ranking.
-DEFAULT_TOLERANCE = 8.0
-
-#: Layers measured below this are timer noise on any host; they never
-#: enter the scale fit or the gate (they stay in the report).
-NOISE_FLOOR_US = 50.0
-
-#: MAD/median above this marks a measurement unstable (PE203).
-NOISY_MAD_RATIO = 0.5
 
 #: Marginal DRAM bandwidth gain per extra thread below which the
 #: saturation width is reached (PE101's threshold).
@@ -216,181 +183,22 @@ def roofline_net(
 
 
 # ---------------------------------------------------------------------------
-# calibration certifier (PE201 / PE202 / PE203)
-# ---------------------------------------------------------------------------
-def _geomean(values: Sequence[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def _measure_net(
-    name: str, team: int, iters: int, warmup: int
-) -> Tuple[Dict[str, List[float]], object]:
-    """Per-(layer, pass) microsecond samples over ``iters`` iterations.
-
-    Returns ``(samples, net)`` — the net is reused for cost extraction
-    so predictions see the measured batch geometry.
-    """
-    from repro.core import ParallelExecutor, TracingExecutor
-    from repro.framework.solvers.base import SequentialExecutor
-    from repro.zoo import build_net
-
-    net = build_net(name)
-    if team > 1:
-        inner = ParallelExecutor(num_threads=team, reduction="blockwise")
-    else:
-        inner = SequentialExecutor()
-    tracer = TracingExecutor(inner)
-    samples: Dict[str, List[float]] = {}
-    try:
-        for _ in range(max(warmup, 0)):
-            net.clear_param_diffs()
-            tracer.forward(net)
-            tracer.backward(net)
-        for _ in range(max(iters, 1)):
-            tracer.trace.clear()
-            net.clear_param_diffs()
-            tracer.forward(net)
-            tracer.backward(net)
-            for (layer, pass_), secs in tracer.trace.totals().items():
-                suffix = "fwd" if pass_ == "forward" else "bwd"
-                samples.setdefault(f"{layer}.{suffix}", []).append(secs * 1e6)
-    finally:
-        if isinstance(inner, ParallelExecutor):
-            inner.close()
-    return samples, net
-
-
-def calibrate_net(
-    name: str,
-    threads: Sequence[int],
-    iters: int,
-    warmup: int,
-    model,
-    residual_pool: Dict[Tuple[str, str], List[float]],
-) -> Tuple[Dict[str, object], List[Finding]]:
-    """Measure one net at every team size; returns (BENCH entry, findings).
-
-    Per-type residuals are appended to ``residual_pool`` so the PE201
-    gate aggregates across every net before judging a layer type.
-    """
-    from repro.simulator import net_costs
-
-    findings: List[Finding] = []
-    per_team: Dict[str, object] = {}
-    batch = None
-    for team in threads:
-        samples, net = _measure_net(name, team, iters, warmup)
-        if net.tops and net.tops[0]:
-            batch = net.tops[0][0].shape[0]
-        costs = list(net_costs(net))
-        predicted = model.layer_times(costs, team)
-        kinds = {c.key: (c.type, c.pass_) for c in costs}
-
-        records: Dict[str, Dict[str, object]] = {}
-        fit: List[Tuple[str, float, float]] = []  # (key, measured, predicted)
-        for key in sorted(samples):
-            values = samples[key]
-            med = statistics.median(values)
-            mad = statistics.median([abs(v - med) for v in values])
-            pred = predicted.get(key)
-            noisy = (med <= 0 or (len(values) > 1 and mad / med
-                                  > NOISY_MAD_RATIO))
-            quiet = (not noisy and med >= NOISE_FLOOR_US
-                     and pred is not None and pred > 0)
-            records[key] = {
-                "measured_us": round(med, 1),
-                "mad_us": round(mad, 1),
-                "predicted_us": (None if pred is None else round(pred, 1)),
-                "residual": None,
-                "noisy": not quiet,
-            }
-            if quiet:
-                fit.append((key, med, pred))
-            elif noisy and med >= NOISE_FLOOR_US:
-                findings.append(Finding(
-                    rule="PE203", severity=WARNING,
-                    layer=f"{name}:{key}",
-                    message=(
-                        f"unstable measurement at T={team}: median "
-                        f"{med:.1f}us with MAD {mad:.1f}us over {iters} "
-                        "iterations; excluded from the calibration fit"
-                    ),
-                ))
-
-        scale = _geomean([m / p for _, m, p in fit]) if fit else 1.0
-        residuals = []
-        for key, measured, pred in fit:
-            residual = (measured / pred) / scale
-            records[key]["residual"] = round(residual, 3)
-            residuals.append(residual)
-            kind = kinds.get(key)
-            if kind is not None:
-                residual_pool.setdefault(kind, []).append(residual)
-        spread = (f"[{min(residuals):.2f}, {max(residuals):.2f}]"
-                  if residuals else "[]")
-        findings.append(Finding(
-            rule="PE202", severity=INFO, layer=name,
-            message=(
-                f"T={team}: host/model scale {scale:.2f}x over "
-                f"{len(fit)} quiet layer passes, residual spread {spread}"
-            ),
-        ))
-        per_team[str(team)] = {"scale": round(scale, 4), "layers": records}
-
-    entry = {"iters": iters, "warmup": warmup, "threads": per_team}
-    if batch is not None:
-        entry["batch"] = int(batch)
-    return entry, findings
-
-
-def judge_residuals(
-    residual_pool: Dict[Tuple[str, str], List[float]],
-    tolerance: float,
-    severity: str = ERROR,
-) -> Tuple[Dict[str, float], List[Finding]]:
-    """PE201 over the pooled per-(type, pass) residuals."""
-    findings: List[Finding] = []
-    summary: Dict[str, float] = {}
-    for (layer_type, pass_), residuals in sorted(residual_pool.items()):
-        geo = _geomean(residuals)
-        summary[f"{layer_type}.{pass_}"] = round(geo, 3)
-        if geo > tolerance or geo < 1.0 / tolerance:
-            findings.append(Finding(
-                rule="PE201", severity=severity,
-                layer=f"{layer_type}.{pass_}",
-                message=(
-                    f"calibration drift: measured/predicted residual "
-                    f"{geo:.2f}x (geomean over {len(residuals)} "
-                    f"measurements) outside the [{1.0 / tolerance:.3f}, "
-                    f"{tolerance:.1f}] tolerance band; recalibrate "
-                    "op_efficiency for this layer type or investigate "
-                    "the regression"
-                ),
-            ))
-    return summary, findings
-
-
-# ---------------------------------------------------------------------------
 # the combined report
 # ---------------------------------------------------------------------------
 @dataclass
 class PerfReport:
-    """Static lint + roofline + calibration for a set of zoo nets."""
+    """Static lint + roofline for a set of zoo nets."""
 
     nets: Tuple[str, ...]
     threads: Tuple[int, ...]
     static_findings: List[Finding] = field(default_factory=list)
     roofline: Dict[str, List[RooflineRow]] = field(default_factory=dict)
     saturation_width: int = 0
-    calibration_findings: List[Finding] = field(default_factory=list)
-    type_residuals: Dict[str, float] = field(default_factory=dict)
-    bench_nets: Dict[str, object] = field(default_factory=dict)
-    timing_ran: bool = False
-    timer: Optional[Dict[str, object]] = None
+    roofline_findings: List[Finding] = field(default_factory=list)
 
     @property
     def findings(self) -> List[Finding]:
-        return list(self.static_findings) + list(self.calibration_findings)
+        return list(self.static_findings) + list(self.roofline_findings)
 
     @property
     def ok(self) -> bool:
@@ -407,9 +215,7 @@ class PerfReport:
                 name: [row.to_json() for row in rows]
                 for name, rows in sorted(self.roofline.items())
             },
-            "type_residuals": dict(sorted(self.type_residuals.items())),
-            "timing_ran": self.timing_ran,
-            "findings": [f.to_json() for f in self.calibration_findings],
+            "findings": [f.to_json() for f in self.roofline_findings],
         }
 
     def summary_lines(self) -> List[str]:
@@ -436,13 +242,7 @@ class PerfReport:
                 f"    {name}: {len(rows)} passes, {bound_at_max} "
                 f"bandwidth-bound at T={max(self.threads)}"
             )
-        if self.timing_ran:
-            lines.append("  calibration:")
-            for key, value in sorted(self.type_residuals.items()):
-                lines.append(f"    residual {key}: {value:.2f}x")
-        else:
-            lines.append("  calibration: skipped (--static-only)")
-        for f in self.calibration_findings:
+        for f in self.roofline_findings:
             lines.append(f"  {f.rule} [{f.severity}] {f.layer}: {f.message}")
         verdict = "OK" if self.ok else "FAILED"
         lines.append(f"  perfcheck verdict: {verdict}")
@@ -452,18 +252,10 @@ class PerfReport:
 def run_perfcheck(
     nets: Sequence[str] = DEFAULT_NETS,
     threads: Sequence[int] = DEFAULT_THREADS,
-    iters: int = DEFAULT_ITERS,
-    warmup: int = DEFAULT_WARMUP,
-    tolerance: float = DEFAULT_TOLERANCE,
-    static_only: bool = False,
-    timing_warn_only: bool = False,
     model=None,
     log=lambda msg: None,
 ) -> PerfReport:
     """The full perfcheck pass over the given zoo nets."""
-    from repro.bench.pinning import pin_blas_threads
-
-    blas = pin_blas_threads()
     if model is None:
         from repro.simulator import CPUModel
 
@@ -478,25 +270,5 @@ def run_perfcheck(
         log(f"perfcheck: roofline {name} ...")
         rows, findings = roofline_net(name, threads, model)
         report.roofline[name] = rows
-        report.calibration_findings.extend(findings)
-
-    if not static_only:
-        residual_pool: Dict[Tuple[str, str], List[float]] = {}
-        for name in nets:
-            log(f"perfcheck: calibrating {name} at "
-                f"T={','.join(str(t) for t in threads)} "
-                f"(iters={iters}, warmup={warmup}) ...")
-            entry, findings = calibrate_net(
-                name, threads, iters, warmup, model, residual_pool,
-            )
-            report.bench_nets[name] = entry
-            report.calibration_findings.extend(findings)
-        severity = WARNING if timing_warn_only else ERROR
-        residual_summary, drift = judge_residuals(
-            residual_pool, tolerance, severity)
-        report.type_residuals = residual_summary
-        report.calibration_findings.extend(drift)
-        report.timing_ran = True
-        report.timer = {"iters": iters, "warmup": warmup,
-                        "clock": "perf_counter", "blas": blas}
+        report.roofline_findings.extend(findings)
     return report

@@ -60,8 +60,8 @@ from repro.analysis.synclint import analyze_sync
 
 DEFAULT_NETS = ("lenet", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
-#: Requests per certification replay (CI default; the acceptance-level
-#: 1k-request run lives in repro.tools.bench_serve).
+#: Requests per certification replay (the real-clock chaos run of the
+#: same shape is tests/serve/test_server.py::TestBackgroundDispatcher).
 DEFAULT_REQUESTS = 60
 
 #: The one module allowed to touch the real clock.

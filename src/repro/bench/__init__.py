@@ -8,8 +8,7 @@ with pytest-benchmark so the functional runtime is exercised too.
 The harness re-exports (``emit``, ``lenet_costs``, ...) load lazily:
 importing ``repro.bench`` submodules must not pull numpy, because
 :mod:`repro.bench.pinning` has to run *before* numpy loads for the BLAS
-thread pin to take effect, and :mod:`repro.bench.schema` is imported by
-CI validators that never touch the numeric stack.
+thread pin to take effect (the ledger's worker processes rely on it).
 """
 
 _HARNESS_EXPORTS = ("cifar_costs", "emit", "lenet_costs", "models",

@@ -1,22 +1,22 @@
 """BLAS / NumPy thread pinning for reproducible wall-clock measurement.
 
-Ambient BLAS threading is the single biggest source of variance in the
-BENCH numbers: OpenBLAS (and MKL, BLIS, Accelerate) each spin up their
+Ambient BLAS threading is the single biggest source of variance in a
+wall-clock number: OpenBLAS (and MKL, BLIS, Accelerate) each spin up their
 own thread pool sized from the environment, so a gemm timed on a laptop
 with ``OMP_NUM_THREADS`` unset races the coarse-grain thread team the
-runtime itself manages.  Every measuring entry point (``bench_plan``,
-``bench_fuse``, ``profile``, the perfcheck calibration timer) calls
+runtime itself manages.  Every measuring entry point (the ledger's
+worker processes, ``repro.tools.profile``) calls
 :func:`pin_blas_threads` *before importing numpy*, pinning the BLAS
 pools to one thread so the only parallelism in a measurement is the one
 the paper studies.
 
 The knob: an explicitly-set environment variable wins — export
 ``OPENBLAS_NUM_THREADS=8`` (or any of :data:`BLAS_THREAD_VARS`) before
-launching to override the pin; the value in effect is recorded in every
-``BENCH_*.json`` timer config.  BLAS pools size themselves when the
+launching to override the pin; the values in effect are what
+:func:`pin_blas_threads` returns.  BLAS pools size themselves when the
 library loads, so pinning is only fully effective before numpy's first
-import; :func:`pin_blas_threads` reports whether it ran early enough and
-the bench schema records that too (``pinned_before_numpy``).
+import; :func:`pin_blas_threads` reports whether it ran early enough
+(``pinned_before_numpy``).
 
 This module deliberately imports nothing heavy — importing it must not
 load numpy, or the pin would always come too late.

@@ -1,30 +1,25 @@
-"""The ``repro-bench/1`` envelope: one versioned schema for BENCH files.
+"""Validating reader for the retired ``repro-bench/1`` envelope.
 
-``BENCH_plan.json`` (planner speedups), ``BENCH_fuse.json`` (compiler
-speedups), ``BENCH_perf.json`` (cost-model calibration), and
-``BENCH_serve.json`` (serving latency/throughput, healthy vs chaos)
-form the repo's wall-clock regression trajectory — CI diffs successive runs, so
-the files must say *where* and *how* they were measured, not just what.
-Every file is one envelope::
+Nothing in the tree writes this format any more: the tools that did
+(the plan/fuse/serve bench CLIs and perfcheck's wall-clock calibration)
+are deleted, their committed files with them, and performance numbers
+come from ``ledger/run.py`` (``BENCHMARK.json``) only.  What is left is
+the envelope check and the one per-entry shape
+(``kind: "perf"``) that ``tests/analysis/test_perfcheck.py::
+TestBenchSchema`` exercises::
 
     {
       "format":  "repro-bench/1",
-      "kind":    "plan" | "fuse" | "perf" | "serve",
+      "kind":    "perf",
       "host":    {platform, machine, processor, python, numpy, cpus},
       "git_rev": "<short rev>" | null,
-      "timer":   {iters, warmup, clock, blas: {<pin vars>,
-                  pinned_before_numpy}},
-      "nets":    {<net>: {..., "threads": {"<T>": <entry>}}}
+      "timer":   {iters, warmup, clock, blas},
+      "nets":    {<net>: {..., "threads": {"<T>": {scale, layers}}}}
     }
 
-Numbers from different hosts are not comparable — the host fingerprint
-is what lets a reader (or CI) refuse the comparison instead of drawing a
-false regression.  :func:`validate_bench` checks the envelope and the
-kind-specific per-``(net, T)`` entry keys; :func:`load_bench` is the
-validating loader every consumer goes through.  Files written by the
-pre-envelope tools (``repro-bench-plan/1`` / ``repro-bench-fuse/1``) are
-rejected with a pointer to the regenerating tool: wrapping old numbers
-in a fresh envelope would fabricate a host fingerprint.
+The module stays only because those ten tests are on the tier-1 floor
+and one change may retire just a few floor tests; delete it together
+with that class (see ROADMAP).  Do not build on it.
 """
 
 from __future__ import annotations
@@ -36,29 +31,17 @@ from typing import Dict, Optional
 
 BENCH_FORMAT = "repro-bench/1"
 
-#: Legacy per-tool format strings, recognized only to give a precise
-#: migration error.
+#: Pre-envelope format strings -> the (deleted) tool that wrote them,
+#: recognized only to give a precise error.
 _LEGACY_FORMATS = {
     "repro-bench-plan/1": "repro.tools.bench_plan",
     "repro-bench-fuse/1": "repro.tools.bench_fuse",
 }
 
 #: kind -> keys every per-(net, T) entry must carry.
-_ENTRY_KEYS = {
-    "plan": ("uniform_us_per_iter", "planned_us_per_iter", "bitwise_match"),
-    "fuse": ("uniform_us_per_iter", "planned_us_per_iter",
-             "fused_us_per_iter", "bitwise_match"),
-    "perf": ("scale", "layers"),
-    "serve": ("healthy", "chaos"),
-}
+_ENTRY_KEYS = {"perf": ("scale", "layers")}
 
-#: Keys every per-regime serving record (kind == "serve") must carry.
-_SERVE_REGIME_KEYS = (
-    "requests", "lost", "duplicated", "statuses",
-    "p50_ms", "p90_ms", "p99_ms", "throughput_rps",
-)
-
-#: Keys every per-layer calibration record (kind == "perf") must carry.
+#: Keys every per-layer record must carry.
 _PERF_LAYER_KEYS = ("measured_us", "predicted_us", "residual", "noisy")
 
 _HOST_KEYS = ("platform", "machine", "python", "numpy", "cpus")
@@ -123,10 +106,9 @@ def validate_bench(doc: object) -> Dict[str, object]:
     fmt = doc.get("format")
     if fmt in _LEGACY_FORMATS:
         _fail(
-            f"legacy format {fmt!r}: regenerate the file with "
-            f"`python -m {_LEGACY_FORMATS[fmt]}` — old numbers cannot be "
-            "wrapped in a new envelope without fabricating the host "
-            "fingerprint"
+            f"legacy format {fmt!r} (written by the retired "
+            f"{_LEGACY_FORMATS[fmt]}): old numbers cannot be wrapped in "
+            "an envelope without fabricating the host fingerprint"
         )
     if fmt != BENCH_FORMAT:
         _fail(f"format must be {BENCH_FORMAT!r}, got {fmt!r}")
@@ -167,30 +149,21 @@ def validate_bench(doc: object) -> Dict[str, object]:
             for key in _ENTRY_KEYS[kind]:
                 if key not in entry:
                     _fail(f"{where} missing key {key!r}")
-            if kind == "serve":
-                for regime in _ENTRY_KEYS["serve"]:
-                    record = entry[regime]
-                    if not isinstance(record, dict):
-                        _fail(f"{where}.{regime} must be an object")
-                    for key in _SERVE_REGIME_KEYS:
-                        if key not in record:
-                            _fail(f"{where}.{regime} missing key {key!r}")
-            if kind == "perf":
-                layers = entry["layers"]
-                if not isinstance(layers, dict) or not layers:
-                    _fail(f"{where}.layers must be a non-empty object")
-                for lkey, record in layers.items():
-                    if not isinstance(record, dict):
-                        _fail(f"{where}.layers[{lkey!r}] must be an object")
-                    for key in _PERF_LAYER_KEYS:
-                        if key not in record:
-                            _fail(f"{where}.layers[{lkey!r}] missing "
-                                  f"key {key!r}")
+            layers = entry["layers"]
+            if not isinstance(layers, dict) or not layers:
+                _fail(f"{where}.layers must be a non-empty object")
+            for lkey, record in layers.items():
+                if not isinstance(record, dict):
+                    _fail(f"{where}.layers[{lkey!r}] must be an object")
+                for key in _PERF_LAYER_KEYS:
+                    if key not in record:
+                        _fail(f"{where}.layers[{lkey!r}] missing "
+                              f"key {key!r}")
     return doc
 
 
 def load_bench(path) -> Dict[str, object]:
-    """Load and validate one BENCH_*.json file."""
+    """Load and validate one ``repro-bench/1`` file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -203,7 +176,7 @@ def load_bench(path) -> Dict[str, object]:
 
 
 def dump_bench(doc: Dict[str, object], path) -> None:
-    """Validate and write one BENCH_*.json file (stable key order)."""
+    """Validate and write one ``repro-bench/1`` file (stable key order)."""
     validate_bench(doc)
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"

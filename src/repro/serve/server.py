@@ -7,8 +7,8 @@ Two driving modes share one dispatch cycle (:meth:`InferenceServer.pump`):
   at chosen instants; the whole serving pipeline, deadlines included,
   replays deterministically in virtual time.
 * **background** — :meth:`start` runs a dispatcher thread that pumps on
-  submissions and flush-deadline hints (the bench_serve load generator
-  uses this with the real monotonic clock).
+  submissions and flush-deadline hints (the ledger's serve workloads
+  use this with the real monotonic clock).
 
 The dispatcher is supervised: a pump that raises is counted, the batch
 it was executing is answered with coded errors (inside

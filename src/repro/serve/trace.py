@@ -2,7 +2,7 @@
 
 A trace is the serving analogue of a seeded training run: arrival
 offsets, latency budgets and per-request sample seeds are all derived
-from one integer seed, so the servecheck certifier and the bench_serve
+from one integer seed, so the servecheck certifier and a real-clock
 load generator replay the *identical* request stream — healthy and
 under chaos — without storing any sample bytes (samples regenerate from
 their seeds on demand).

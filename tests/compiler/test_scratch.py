@@ -11,9 +11,14 @@ from repro.compiler.scratch import (
     reset_pool_stats,
     scratch_buffer,
 )
+from repro.analysis.plancheck import plan_spec
+from repro.compiler import apply_arena, fuse_spec
+from repro.core import ParallelExecutor
 from repro.framework.blob import Blob
 from repro.framework.layer import create_layer
+from repro.framework.net import Net
 from repro.testing import make_blob, spec
+from repro.zoo import zoo_spec
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +105,45 @@ class TestConvZeroAlloc:
         assert stats["misses"] == 0, (
             f"conv scratch hit the allocator in steady state: {stats}")
         assert stats["hits"] > 0
+
+
+def _grad_state(net):
+    """Concatenated parameter-gradient bytes; fusion keeps the
+    learnable-parameter order, so fused and unfused nets compare."""
+    return b"".join(
+        np.ascontiguousarray(blob.diff).tobytes()
+        for layer in net.layers for blob in layer.blobs
+    )
+
+
+class TestNetZeroAlloc:
+    """A fused + arena + planned net at two threads: no scratch miss
+    after the first iteration, and the gradients of the plain net."""
+
+    def _run(self, spec, plan, arena):
+        net = Net(spec, phase="TRAIN")
+        if arena:
+            apply_arena(net)
+        executor = ParallelExecutor(2, reduction="blockwise", plan=plan)
+        try:
+            for it in range(3):
+                if it == 1:
+                    reset_pool_stats()
+                net.clear_param_diffs()
+                executor.forward(net)
+                executor.backward(net)
+            return _grad_state(net), pool_stats()["misses"]
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("name", ["lenet", "cifar10"])
+    def test_fused_planned_net_never_allocates_and_matches(self, name):
+        fused, _ = fuse_spec(zoo_spec(name, batch=4))
+        plan = plan_spec(fused, net_name=name, threads=2).plan
+        grads, misses = self._run(fused, plan, arena=True)
+        assert misses == 0
+        plain, _ = self._run(zoo_spec(name, batch=4), None, arena=False)
+        assert grads == plain
 
 
 class TestDeadStateRelease:

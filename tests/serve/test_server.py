@@ -1,5 +1,7 @@
 """End-to-end server behavior: pumped virtual-time mode and chaos replay."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,61 @@ class TestBackgroundDispatcher:
         finally:
             server.stop()
             engine.close()
+
+    def test_real_clock_chaos_loses_and_duplicates_nothing(self):
+        """Open-loop trace replay on the real clock through a worker
+        crash, a straggler, a poisoned sample and a storm that overflows
+        the queue.  Only timing-independent facts are asserted."""
+        max_batch, capacity = 8, 32
+        deliveries = {}
+        engine = InferenceEngine(
+            lambda: build_net("mlp", phase="TEST"),
+            num_threads=2, max_batch=max_batch,
+        )
+        assert isinstance(engine.clock, MonotonicClock)
+        server = InferenceServer(
+            engine, capacity=capacity,
+            on_deliver=lambda r: deliveries.setdefault(
+                r.request_id, []).append(r),
+        )
+        trace = RequestTrace.generate(
+            60, engine.sample_shape, seed=3, mean_interarrival=0.002,
+            budget=0.5,
+        )
+        layer = next(l for l in engine.net.layers if l.blobs).name
+        plan = FaultPlan(
+            ChunkAbort(layer=layer, iteration=1),
+            SlowChunk(layer=layer, batch=3, delay_s=0.05),
+            PoisonSample(request=20),
+            RequestStorm(at_request=40, count=capacity + max_batch),
+        )
+        submitted = []
+        try:
+            with chaos(engine, plan) as harness:
+                server.start()
+                start = time.monotonic()
+                for event in trace.events:
+                    time.sleep(max(0.0, start + event.offset
+                                   - time.monotonic()))
+                    sample = harness.poison_sample(
+                        event.index, trace.sample_for(event))
+                    server.submit(sample, budget=event.budget,
+                                  request_id=event.request_id)
+                    submitted.append(event.request_id)
+                    for burst in range(harness.storm_count(event.index)):
+                        storm_id = f"{event.request_id}::storm{burst}"
+                        server.submit(trace.sample_for(event),
+                                      budget=event.budget,
+                                      request_id=storm_id)
+                        submitted.append(storm_id)
+                assert server.drain(timeout=30.0)
+        finally:
+            server.stop()
+            engine.close()
+        assert len(submitted) == 60 + capacity + max_batch
+        assert sorted(deliveries) == sorted(submitted)
+        assert all(len(rs) == 1 for rs in deliveries.values())
+        assert engine.restarts == 1
+        poisoned = deliveries[trace.events[20].request_id][0]
+        assert poisoned.status == STATUS_QUARANTINED_INPUT
+        assert any(rs[0].status == STATUS_OK for rs in deliveries.values())
