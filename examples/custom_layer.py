@@ -20,6 +20,7 @@ from repro.framework.layer import FootprintDecl, register_layer
 from repro.framework.layers.neuron import NeuronLayer
 from repro.framework.net import Net
 from repro.framework.prototxt import parse_prototxt
+from repro.framework.shape_inference import RuleResult, register_shape_rule
 from repro.framework.solvers import SGDSolver, SolverParams
 
 
@@ -55,6 +56,13 @@ class SwishLayer(NeuronLayer):
         # d/dx [x*sig] = sig + beta*y*(1 - sig)
         np.copyto(bottom[0].flat_diff[lo:hi],
                   dy * (sig + self.beta * y * (1.0 - sig)))
+
+
+@register_shape_rule("Swish", inplace_ok=True)
+def _swish_shape_rule(spec, bottoms):
+    """The other half of the contract: shapes from the spec alone, so
+    netcheck, the planner and the cost model see Swish without a net."""
+    return RuleResult(tops=[bottoms[0]], forward_space=bottoms[0].count)
 
 
 SWISH_NET = """
@@ -120,10 +128,24 @@ def analyzer_demo() -> None:
     print(f"analyzer on UndeclaredSwish: {missing[0].message}")
 
 
+def planned_cost_demo() -> None:
+    """Priced from the prototxt as the NeuronLayer it subclasses — the
+    same numbers ``net_costs`` reads off the built net."""
+    from repro.simulator import CPUModel
+    from repro.simulator.cost_model import spec_costs
+
+    cost = next(c for c in spec_costs(parse_prototxt(SWISH_NET))
+                if c.key == "swish1.fwd")
+    print(f"swish1 priced from the spec: {cost.flops:.0f} flops in "
+          f"{cost.segments} segments, "
+          f"{CPUModel().layer_time(cost, 8):.1f} us modelled at 8 threads")
+
+
 def main() -> None:
     register_default_sources()
     gradient_check_swish()
     analyzer_demo()
+    planned_cost_demo()
 
     def train(executor=None):
         net = Net(parse_prototxt(SWISH_NET))

@@ -328,7 +328,7 @@ def _check_spec_rng(net: str, spec) -> List[Finding]:
     """DC103: every stochastic layer in the net must carry a provenance
     declaration, else the certificate would vouch for a stream nobody
     described."""
-    from repro.framework.layer import _REGISTRY
+    from repro.framework.layer import registered_layer_class
 
     findings: List[Finding] = []
     try:
@@ -336,7 +336,7 @@ def _check_spec_rng(net: str, spec) -> List[Finding]:
     except AttributeError:
         layer_specs = spec.layers
     for layer_spec in layer_specs:
-        cls = _REGISTRY.get(layer_spec.type.lower())
+        cls = registered_layer_class(layer_spec.type)
         if cls is None:
             continue  # NG007's problem, not ours
         constructs = any(class_constructs_rng(c) for c in cls.__mro__

@@ -13,9 +13,9 @@ holds the result to the analyzers' standards:
 4. **Arena audit** — :func:`repro.compiler.arena.plan_arena` on the
    built net; no two simultaneously-live blobs may share storage
    (FU003), and the liveness-peak memory is reported.
-5. **Cost parity** — ``spec_costs`` and ``net_costs`` must agree on the
-   fused net's work descriptors (FU004), so the planner prices fused
-   layers identically from a spec or a live net.
+5. **Cost parity** — the one cost ladder must price the fused net alike
+   from its live shapes (``net_costs``) and from the inferred ones
+   (FU004): a fused shape rule must report the shapes the layer takes.
 6. **Plan lint** — the fused spec goes through plancheck's planner;
    its PL findings are absorbed.
 7. **Replay certification** (zoo nets) — the fused net, with the arena
@@ -29,6 +29,7 @@ The ``--gate`` contract matches the other passes: any ERROR fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.plancheck import PlancheckReport, plan_spec
@@ -141,7 +142,7 @@ def check_fuse(
     from repro.analysis.netcheck import check_spec
     from repro.compiler.fuse import FusionError, fuse_spec
     from repro.framework.net import Net
-    from repro.simulator.cost_model import net_costs, spec_costs
+    from repro.simulator.cost_model import costs_of, net_costs
     from repro.zoo.build import with_batch
 
     label = net_name or spec.name or "<anonymous>"
@@ -209,25 +210,19 @@ def check_fuse(
                 f"arena aliasing: blobs {a!r} and {b!r} share storage "
                 f"while simultaneously live"))
 
-        live = net_costs(net)
-        symbolic = spec_costs(fused_spec, phase=phase, batch=batch)
-        if len(live) != len(symbolic):
-            report.findings.append(Finding(
-                "FU004", ERROR, "",
-                f"fused cost parity broken: net_costs has {len(live)} "
-                f"entries, spec_costs {len(symbolic)}"))
-        else:
-            for lc, sc in zip(live, symbolic):
-                if lc != sc:
-                    report.findings.append(Finding(
-                        "FU004", ERROR, lc.name,
-                        f"fused cost parity broken at {lc.key}: "
-                        f"net={lc} vs spec={sc}"))
-                    break
+        for lc, sc in zip_longest(
+                net_costs(net), costs_of(fused_check.sym.layers)):
+            if lc != sc:
+                report.findings.append(Finding(
+                    "FU004", ERROR, (lc or sc).name,
+                    f"fused cost parity broken at {(lc or sc).key}: "
+                    f"net={lc} vs spec={sc}"))
+                break
 
     # 6. plan lint of the fused spec
     plan_report = plan_spec(
-        fused_spec, net_name=label, threads=threads, batch=batch)
+        fused_spec, net_name=label, phase=phase, threads=threads,
+        batch=batch, sym=fused_check.sym)
     report.predicted_us = plan_report.predicted_us
     report.uniform_us = plan_report.uniform_us
     report.findings.extend(plan_report.findings)

@@ -35,7 +35,7 @@ build (or a crashed training run) to answer:
    (computed with the runtime's own
    :class:`~repro.core.scheduling.StaticSchedule`, so the prediction *is*
    the schedule), FLOP counts from
-   :func:`repro.simulator.cost_model.spec_costs`, and static memory
+   :func:`repro.simulator.cost_model.costs_of`, and static memory
    accounting (parameters, resident activations, and a liveness-based
    peak for inference-style execution).
 """
@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ERROR, WARNING, Finding
 from repro.core.scheduling import StaticSchedule
+from repro.framework.layer import runs_sequential
 from repro.framework.net_spec import LayerSpec, NetSpec
 from repro.framework.shape_inference import (
     NOTE_DROPPED_PIXELS,
@@ -54,7 +55,7 @@ from repro.framework.shape_inference import (
     shape_rule_for,
 )
 from repro.framework.symbolic import SymbolicNet, infer_net
-from repro.simulator.cost_model import BYTES, LayerCost, spec_costs
+from repro.simulator.cost_model import BYTES, LayerCost, costs_of
 
 #: Lint codes (see module docstring for the full table).
 NG_SHAPE_MISMATCH = "NG001"
@@ -173,6 +174,9 @@ class NetcheckReport:
     layers: List[LayerWork] = field(default_factory=list)
     plans: List[SchedulePlan] = field(default_factory=list)
     memory: MemoryPlan = field(default_factory=MemoryPlan)
+    #: The inference the report was built from, for callers that go on to
+    #: cost or plan the same spec (None when the graph could not be walked).
+    sym: Optional[SymbolicNet] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -388,8 +392,7 @@ def _plan_schedules(
         for inf in sym.layers:
             if inf.result is None:
                 continue
-            rule = shape_rule_for(inf.spec.type)
-            sequential = bool(rule is not None and rule.sequential)
+            sequential = runs_sequential(inf.spec.type)
             space = int(inf.result.forward_space)
             per_thread = [
                 sum(hi - lo for lo, hi in chunks)
@@ -455,11 +458,10 @@ def _layer_work(
     for inf in sym.layers:
         if inf.result is None:
             continue
-        rule = shape_rule_for(inf.spec.type)
         out.append(LayerWork(
             name=inf.spec.name, type=inf.spec.type,
             space=int(inf.result.forward_space),
-            sequential=bool(rule is not None and rule.sequential),
+            sequential=runs_sequential(inf.spec.type),
             flops_forward=flops_fwd.get(inf.spec.name, 0.0),
             flops_backward=flops_bwd.get(inf.spec.name, 0.0),
             param_count=inf.result.param_count,
@@ -501,13 +503,8 @@ def check_spec(
         name: info.shape for name, info in sym.blob_map.items()
     }
 
-    costs: List[LayerCost] = []
-    if sym.ok:
-        try:
-            costs = spec_costs(spec, phase=phase, batch=batch)
-        except (ValueError, KeyError):  # pragma: no cover - lint caught it
-            costs = []
-    report.layers = _layer_work(sym, costs)
+    report.sym = sym
+    report.layers = _layer_work(sym, costs_of(sym.layers) if sym.ok else [])
     report.plans = _plan_schedules(sym, threads)
     report.memory = _plan_memory(sym)
     return report

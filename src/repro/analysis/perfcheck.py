@@ -14,7 +14,7 @@ clock:
   against each layer's declared
   :class:`~repro.framework.layer.PerfDecl` allow-list.
 * **Roofline classifier (PE101/PE102)** — from
-  :func:`~repro.simulator.cost_model.spec_costs` and the CPU model:
+  :func:`~repro.simulator.cost_model.costs_of` and the CPU model:
   per-layer arithmetic intensity and compute- vs bandwidth-bound
   classification at each thread count.  PE101 (INFO) surfaces layers
   whose *planned* thread width exceeds the DRAM bandwidth saturation
@@ -124,16 +124,19 @@ def roofline_net(
 ) -> Tuple[List[RooflineRow], List[Finding]]:
     """Roofline rows + PE101/PE102 findings for one zoo net."""
     from repro.analysis.plancheck import plan_spec
-    from repro.simulator.cost_model import spec_costs
+    from repro.framework.symbolic import infer_net
+    from repro.simulator.cost_model import costs_of
     from repro.zoo.build import zoo_spec
 
-    costs = spec_costs(zoo_spec(name))
+    spec = zoo_spec(name)
+    sym = infer_net(spec)
+    costs = costs_of(sym.layers)
     sat = dram_saturation_width(model)
 
     rows: Dict[str, RooflineRow] = {}
     findings: List[Finding] = []
     for team in sorted(set(threads)):
-        plan = plan_spec(zoo_spec(name), net_name=name, threads=team).plan
+        plan = plan_spec(spec, net_name=name, threads=team, sym=sym).plan
         for cost in costs:
             row = rows.get(cost.key)
             if row is None:

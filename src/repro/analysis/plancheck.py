@@ -14,8 +14,8 @@ strategy for a given team size:
   tier is at least the *claimed* tier of the whole plan.
 
 Candidates are priced by the simulator's cost oracle
-(:func:`repro.simulator.cost_model.spec_costs` for the geometry —
-structurally identical to ``net_costs`` — and
+(:func:`repro.simulator.cost_model.costs_of` for the geometry — the
+ladder ``net_costs`` prices a live net through — and
 :meth:`repro.simulator.cpu_model.CPUModel.plan_layer_time` for the
 time).  Because a producer/consumer thread-width mismatch costs input
 re-fetches, per-layer choices couple along the net DAG; the search is a
@@ -57,8 +57,8 @@ from repro.core.reduction import (
 )
 from repro.framework.net_spec import NetSpec
 from repro.framework.shape_inference import ShapeError
-from repro.framework.symbolic import infer_net
-from repro.simulator.cost_model import LayerCost, spec_costs
+from repro.framework.symbolic import SymbolicNet, infer_net
+from repro.simulator.cost_model import LayerCost, costs_of
 from repro.simulator.cpu_model import CPUModel
 
 #: PL006 fires when a layer's predicted static imbalance exceeds this.
@@ -293,18 +293,16 @@ def _prune(node: _Node, oracle: _Oracle, team: int) -> None:
 # ---------------------------------------------------------------------------
 # the DP search
 # ---------------------------------------------------------------------------
-def _build_nodes(
-    spec: NetSpec, phase: str, batch: Optional[int]
-) -> List[_Node]:
-    costs = spec_costs(spec, phase=phase, batch=batch)
+def _build_nodes(sym: SymbolicNet) -> List[_Node]:
+    if not sym.ok:
+        raise ShapeError(sym.errors()[0])
     by_name: Dict[str, Dict[str, LayerCost]] = {}
     order: List[str] = []
-    for cost in costs:
+    for cost in costs_of(sym.layers):
         if cost.name not in by_name:
             by_name[cost.name] = {}
             order.append(cost.name)
         by_name[cost.name][cost.pass_] = cost
-    sym = infer_net(spec, phase=phase, batch=batch, strict=True)
     shapes: Dict[str, Sequence[int]] = {}
     types: Dict[str, str] = {}
     for inf in sym.layers:
@@ -663,8 +661,10 @@ def plan_spec(
     batch: Optional[int] = None,
     claim: str = BITWISE_INVARIANT,
     model: Optional[CPUModel] = None,
+    sym: Optional[SymbolicNet] = None,
 ) -> NetPlanReport:
-    """Plan one net at one team size; lint the result."""
+    """Plan one net at one team size; lint the result.  ``sym`` is
+    ``infer_net(spec, phase, batch)`` when the caller already holds it."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if claim not in TIER_ORDER:
@@ -678,8 +678,10 @@ def plan_spec(
         net=label, phase=phase, batch=batch, threads=threads, claim=claim,
     )
     try:
-        nodes = _build_nodes(spec, phase, batch)
-    except (KeyError, ShapeError) as exc:
+        nodes = _build_nodes(
+            sym or infer_net(spec, phase=phase, batch=batch))
+    except (KeyError, ValueError) as exc:
+        # ShapeError, or the split inserter refusing an in-place conflict
         report.findings.append(Finding(
             "PL001", ERROR, "",
             f"cannot plan {label!r}: {exc} (run netcheck for a full "
@@ -754,7 +756,7 @@ def uniform_chain_time(
     cost-model parity regression asserts it for every zoo net.
     """
     model = model or CPUModel()
-    nodes = _build_nodes(spec, phase, batch)
+    nodes = _build_nodes(infer_net(spec, phase=phase, batch=batch))
     oracle = _Oracle(model, threads)
     return _chain_time(nodes, uniform_candidates(nodes, threads, mode), oracle)
 

@@ -275,9 +275,23 @@ def register_layer(*type_names: str) -> Callable[[Type["Layer"]], Type["Layer"]]
     return decorator
 
 
+def registered_layer_class(type_name: str) -> Type["Layer"] | None:
+    """The class registered under ``type_name``, or None."""
+    return _REGISTRY.get(type_name.lower())
+
+
+def runs_sequential(type_name: str) -> bool:
+    """Whether the class registered under ``type_name`` declares
+    ``FootprintDecl(forward=SEQUENTIAL)``: its pass runs as one chunk
+    (the data feeders).  The one place that question is answered."""
+    cls = registered_layer_class(type_name)
+    decl = cls.write_footprint if cls is not None else None
+    return decl is not None and decl.forward == SEQUENTIAL
+
+
 def create_layer(spec: LayerSpec) -> "Layer":
     """Instantiate the registered layer class for ``spec.type``."""
-    cls = _REGISTRY.get(spec.type.lower())
+    cls = registered_layer_class(spec.type)
     if cls is None:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown layer type {spec.type!r}; known types: {known}")

@@ -41,19 +41,37 @@ from repro.framework.shape_inference import (
 
 def _pair(spec, base: str, default=None) -> tuple[int, int]:
     """Resolve Caffe's ``kernel_size`` vs ``kernel_h``/``kernel_w`` style
-    parameters into an ``(h, w)`` pair."""
+    parameters into an ``(h, w)`` pair.
+
+    Raises :class:`ShapeError` (a ``ValueError``) naming the layer, so
+    the layer's setup and its shape rule reject the same specs with the
+    same text."""
     h = spec.param(f"{base}_h")
     w = spec.param(f"{base}_w")
     if (h is None) != (w is None):
-        raise ValueError(
+        raise ShapeError(
             f"layer {spec.name!r}: {base}_h and {base}_w must be given together"
         )
-    if h is not None:
+    if h is None:
+        h = w = spec.param(base if base != "kernel" else "kernel_size", default)
+        if h is None:
+            raise ShapeError(f"layer {spec.name!r}: missing {base} size")
+    try:
         return int(h), int(w)
-    size = spec.param(base if base != "kernel" else "kernel_size", default)
-    if size is None:
-        raise ValueError(f"layer {spec.name!r}: missing {base} size")
-    return int(size), int(size)
+    except (TypeError, ValueError):
+        # e.g. a scalar field repeated in the prototxt parses to a list
+        raise ShapeError(
+            f"layer {spec.name!r}: {base} size must be one integer per "
+            f"axis, got ({h!r}, {w!r})"
+        ) from None
+
+
+def _check_group(name: str, group: int, channels: int, num_output: int) -> None:
+    if group <= 0 or num_output % group or channels % group:
+        raise ShapeError(
+            f"layer {name!r}: group {group} must be positive and divide "
+            f"both channels {channels} and num_output {num_output}"
+        )
 
 
 @register_layer("Convolution")
@@ -104,11 +122,7 @@ class ConvolutionLayer(Layer):
                 f"shape {bottom[0].shape}"
             )
         channels = bottom[0].shape[1]
-        if self.num_output % self.group or channels % self.group:
-            raise ValueError(
-                f"layer {self.name!r}: group {self.group} must divide both "
-                f"channels {channels} and num_output {self.num_output}"
-            )
+        _check_group(self.name, self.group, channels, self.num_output)
         self.channels = channels
 
         weight_shape = (
@@ -250,11 +264,7 @@ def _conv_shape_rule(spec, bottoms) -> RuleResult:
     stride_h, stride_w = _pair(spec, "stride", default=1)
     pad_h, pad_w = _pair(spec, "pad", default=0)
     group = int(spec.param("group", 1))
-    if num_output % group or c % group:
-        raise ShapeError(
-            f"layer {spec.name!r}: group {group} must divide both channels "
-            f"{c} and num_output {num_output}"
-        )
+    _check_group(spec.name, group, c, num_output)
     try:
         out_h = conv_out_size(h, kernel_h, pad_h, stride_h)
         out_w = conv_out_size(w, kernel_w, pad_w, stride_w)

@@ -251,7 +251,7 @@ class InputLayer(Layer):
 # ---------------------------------------------------------------------------
 # inference rules (the feeders anchor every downstream symbolic shape)
 # ---------------------------------------------------------------------------
-@register_shape_rule("Data", sequential=True)
+@register_shape_rule("Data")
 def _data_shape_rule(spec, bottoms) -> RuleResult:
     batch = int(spec.require("batch_size"))
     if batch <= 0:
@@ -276,7 +276,7 @@ def _data_shape_rule(spec, bottoms) -> RuleResult:
     return RuleResult(tops=tops, forward_space=1)
 
 
-@register_shape_rule("MemoryData", sequential=True)
+@register_shape_rule("MemoryData")
 def _memory_data_shape_rule(spec, bottoms) -> RuleResult:
     batch = int(spec.require("batch_size"))
     if batch <= 0:
@@ -295,7 +295,7 @@ def _memory_data_shape_rule(spec, bottoms) -> RuleResult:
     return RuleResult(tops=tops, forward_space=1)
 
 
-@register_shape_rule("Input", sequential=True)
+@register_shape_rule("Input")
 def _input_shape_rule(spec, bottoms) -> RuleResult:
     raw = spec.require("shape")
     shapes = raw if isinstance(raw, list) else [raw]

@@ -84,6 +84,9 @@ _BLOCK_BYTES = 1 << 20
 
 def pool_out_size(in_size: int, kernel: int, pad: int, stride: int) -> int:
     """Pooled output extent with Caffe's ceil semantics."""
+    if kernel <= 0 or stride <= 0:
+        raise ValueError(
+            f"kernel ({kernel}) and stride ({stride}) must be positive")
     out = int(math.ceil((in_size + 2 * pad - kernel) / stride)) + 1
     # The last window must start strictly inside the (padded) image;
     # kernel < stride geometries can otherwise produce an empty window.
@@ -367,8 +370,11 @@ def _pool_shape_rule(spec, bottoms) -> RuleResult:
             f"layer {spec.name!r}: pad ({pad_h}, {pad_w}) must be smaller "
             f"than the kernel ({kernel_h}, {kernel_w})"
         )
-    out_h = pool_out_size(h, kernel_h, pad_h, stride_h)
-    out_w = pool_out_size(w, kernel_w, pad_w, stride_w)
+    try:
+        out_h = pool_out_size(h, kernel_h, pad_h, stride_h)
+        out_w = pool_out_size(w, kernel_w, pad_w, stride_w)
+    except ValueError as exc:
+        raise ShapeError(f"layer {spec.name!r}: {exc}") from exc
     if out_h <= 0 or out_w <= 0:
         raise ShapeError(
             f"layer {spec.name!r}: window does not fit "

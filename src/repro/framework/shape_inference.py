@@ -30,6 +30,7 @@ A rule may additionally report:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,10 +61,7 @@ class BlobInfo:
 
     @property
     def count(self) -> int:
-        n = 1
-        for dim in self.shape:
-            n *= dim
-        return n
+        return math.prod(self.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BlobInfo({self.shape}, {self.dtype})"
@@ -80,13 +78,7 @@ class RuleResult:
 
     @property
     def param_count(self) -> int:
-        total = 0
-        for shape in self.param_shapes:
-            n = 1
-            for dim in shape:
-                n *= dim
-            total += n
-        return total
+        return sum(math.prod(shape) for shape in self.param_shapes)
 
 
 RuleFn = Callable[[LayerSpec, Sequence[BlobInfo]], "RuleResult | List[BlobInfo]"]
@@ -104,8 +96,14 @@ class ShapeRule:
     #: The layer's top is a terminal output (loss/accuracy scalar) that
     #: is legitimately never consumed downstream.
     terminal_ok: bool = False
-    #: The layer executes as a single sequential chunk (data feeders).
-    sequential: bool = False
+
+    @property
+    def sequential(self) -> bool:
+        """The layer executes as a single sequential chunk (data
+        feeders) — declared on the registered class, not here."""
+        from repro.framework.layer import runs_sequential
+
+        return all(runs_sequential(name) for name in self.type_names)
 
 
 _SHAPE_RULES: Dict[str, ShapeRule] = {}
@@ -115,7 +113,6 @@ def register_shape_rule(
     *type_names: str,
     inplace_ok: bool = False,
     terminal_ok: bool = False,
-    sequential: bool = False,
 ) -> Callable[[RuleFn], RuleFn]:
     """Decorator registering an inference rule for one or more types."""
 
@@ -125,7 +122,6 @@ def register_shape_rule(
             type_names=tuple(type_names),
             inplace_ok=inplace_ok,
             terminal_ok=terminal_ok,
-            sequential=sequential,
         )
         for type_name in type_names:
             key = type_name.lower()

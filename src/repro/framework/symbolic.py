@@ -88,6 +88,19 @@ def _override_batch(specs: List[LayerSpec], batch: int) -> None:
                         dims[0] = batch
 
 
+def _require_extents(
+    layer_spec: LayerSpec, names: List[str], infos: List[BlobInfo]
+) -> None:
+    """An empty blob (a feeder with batch 0, say) carries no work to
+    cost or schedule; the formulas downstream divide by its extents."""
+    for name, info in zip(names, infos):
+        if any(dim <= 0 for dim in info.shape):
+            raise ShapeError(
+                f"layer {layer_spec.name!r}: blob {name!r} has a "
+                f"non-positive extent in shape {info.shape}"
+            )
+
+
 def infer_net(
     spec: NetSpec,
     phase: str = "TRAIN",
@@ -143,7 +156,15 @@ def infer_net(
             continue
 
         try:
+            _require_extents(layer_spec, layer_spec.bottoms, bottoms)
             result = infer_layer(layer_spec, bottoms)
+            if len(result.tops) != len(layer_spec.tops):
+                raise ShapeError(
+                    f"layer {layer_spec.name!r}: rule produced "
+                    f"{len(result.tops)} tops for {len(layer_spec.tops)} "
+                    "declared top(s)"
+                )
+            _require_extents(layer_spec, layer_spec.tops, result.tops)
         except ShapeError as exc:
             if strict:
                 raise
@@ -157,19 +178,6 @@ def infer_net(
             layers.append(LayerInference(
                 layer_spec, bottoms, None,
                 error=str(exc.args[0]) if exc.args else str(exc),
-            ))
-            continue
-
-        if len(result.tops) != len(layer_spec.tops):
-            msg = (
-                f"layer {layer_spec.name!r}: rule produced "
-                f"{len(result.tops)} tops for {len(layer_spec.tops)} "
-                "declared top(s)"
-            )
-            if strict:
-                raise ShapeError(msg)
-            layers.append(LayerInference(
-                layer_spec, bottoms, None, error=msg,
             ))
             continue
 

@@ -1,4 +1,4 @@
-"""Per-layer cost extraction from real networks — or from specs alone.
+"""Per-layer cost extraction: one ladder, two sources of shapes.
 
 For every layer of a network, this module computes the quantities the
 machine models consume: floating point operations, bytes streamed, the
@@ -7,31 +7,37 @@ data-thread *distribution signature* used by the locality model, and the
 privatized reduction volume of the backward pass.
 
 The per-type cost formulas are pure **geometry functions** (``conv_costs``,
-``pool_costs``, ...) taking plain integers, with two front ends sharing
-them:
+``pool_costs``, ...) taking plain integers.  One ladder, :func:`costs_of`,
+picks the formula from the *registered layer class* of ``spec.type``
+(``issubclass``, so a user's ``NeuronLayer`` subclass is priced as a
+neuron layer) and reads the integers from nothing but ``(LayerSpec,
+bottom shapes, RuleResult)``.  Its two public callers differ only in
+where those shapes come from:
 
-* :func:`net_costs` reads the geometry off an instantiated (already
-  shaped) :class:`~repro.framework.net.Net` — figures follow the actual
+* :func:`net_costs` takes them off an instantiated (already shaped)
+  :class:`~repro.framework.net.Net` — figures follow the actual
   network, as on real hardware;
-* :func:`spec_costs` derives the same geometry symbolically via
+* :func:`spec_costs` takes them from
   :func:`repro.framework.symbolic.infer_net`, so the simulator can run
-  from a prototxt alone, without allocating a single blob.
+  from a prototxt alone, without allocating a single blob.  A caller
+  that already holds the :class:`SymbolicNet` calls
+  ``costs_of(sym.layers)`` instead of inferring again.
 
-Because both paths call the same formulas, their agreement is structural
-rather than coincidental — the parity the static planner's acceptance
-tests assert.
+Their agreement is therefore structural: the two can differ only where a
+shape rule reports other shapes than the live layer takes, which is what
+the parity tests and fusecheck's FU004 check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
+from repro.framework.layer import Layer, registered_layer_class, runs_sequential
 from repro.framework.layers.accuracy import AccuracyLayer
 from repro.framework.layers.conv import ConvolutionLayer, _pair
-from repro.framework.layers.data import DataLayer, InputLayer, MemoryDataLayer
 from repro.framework.layers.fused import (
-    FusedConvolutionLayer,
     FusedEltwiseReLU,
     FusedInnerProductReLU,
     FusedScaleBias,
@@ -42,22 +48,13 @@ from repro.framework.layers.loss import LossLayer
 from repro.framework.layers.lrn import LRNLayer
 from repro.framework.layers.neuron import NeuronLayer
 from repro.framework.layers.pooling import PoolingLayer
-from repro.framework.layers.scale import ScaleLayer
 from repro.framework.layers.softmax import SoftmaxLayer
 from repro.framework.net import Net
 from repro.framework.net_spec import NetSpec
-from repro.framework.symbolic import infer_net
+from repro.framework.shape_inference import BlobInfo, RuleResult
+from repro.framework.symbolic import LayerInference, infer_net
 
 BYTES = 4  # single precision
-
-#: Layer types (lowercased) routed to each geometry function when costing
-#: a spec symbolically; mirrors the isinstance dispatch of net_costs.
-_DATA_TYPES = frozenset(("data", "memorydata", "input"))
-_NEURON_TYPES = frozenset((
-    "relu", "sigmoid", "tanh", "power", "absval", "exp", "log", "bnll",
-    "dropout",
-))
-_LOSS_TYPES = frozenset(("softmaxwithloss", "euclideanloss", "softmax"))
 
 
 @dataclass
@@ -85,7 +82,7 @@ class LayerCost:
 
 
 # ---------------------------------------------------------------------------
-# geometry functions: pure integer arithmetic, shared by both front ends
+# geometry functions: pure integer arithmetic
 # ---------------------------------------------------------------------------
 def conv_costs(
     name: str, *, n: int, c: int, h: int, w: int, k: int, oh: int, ow: int,
@@ -312,135 +309,136 @@ def structural_costs(
 
 
 # ---------------------------------------------------------------------------
-# front end 1: instantiated nets
+# the ladder: registered class of spec.type -> geometry function
 # ---------------------------------------------------------------------------
-def net_costs(net: Net, include_accuracy: bool = False) -> List[LayerCost]:
-    """Extract forward and backward costs for every layer of ``net``.
+def costs_of(
+    layers: Iterable[LayerInference], include_accuracy: bool = False,
+) -> List[LayerCost]:
+    """Forward and backward costs of inferred layers (each ``inf.ok``).
 
-    The net must have been shaped (run one forward pass first).  Costs
-    come back in network order, forward pass first per layer; the
+    Costs come back in network order, forward pass first per layer; the
     backward entries appear for layers that participate in it.
     """
     out: List[LayerCost] = []
-    for i, layer in enumerate(net.layers):
-        bottom, top = net.bottoms[i], net.tops[i]
-        if isinstance(layer, (DataLayer, MemoryDataLayer, InputLayer)):
+    for inf in layers:
+        spec, bottoms, result = inf.spec, inf.bottoms, inf.result
+        cls = registered_layer_class(spec.type) or Layer
+        if runs_sequential(spec.type):
             out.extend(data_costs(
-                layer.name, out_count=sum(t.count for t in top),
+                spec.name, out_count=sum(t.count for t in result.tops),
             ))
-        elif isinstance(layer, FusedConvolutionLayer):
-            # Must precede the ConvolutionLayer branch (subclass).  The
+        elif issubclass(cls, ConvolutionLayer):
+            # FusedConv included: its absorbed middle and ReLU are spec
+            # params a plain convolution never sets, and its middle's
+            # coefficients follow the primary's in param_shapes.  The
             # privatized reduction covers only the primary's params; the
-            # middle's coefficients reduce over channels, not samples.
-            n, c, h, w = bottom[0].shape
-            _, k, oh, ow = top[0].shape
-            primary = layer._num_primary_blobs
-            costs = conv_costs(
-                layer.name, n=n, c=c, h=h, w=w, k=k, oh=oh, ow=ow,
-                kernel=layer.kernel_h * layer.kernel_w, group=layer.group,
-                weight_count=layer.blobs[0].count,
-                param_count=sum(b.count for b in layer.blobs[:primary]),
-            )
-            middle = None
-            if isinstance(layer._middle, ScaleLayer):
-                middle = "scale"
-            elif layer._middle is not None:
-                middle = "bias"
+            # middle's reduce over channels, not samples.
+            n, c, h, w = bottoms[0].shape
+            _, k, oh, ow = result.tops[0].shape
+            kernel_h, kernel_w = _pair(spec, "kernel")
+            n_primary = 1 + (1 if spec.param("bias_term", True) else 0)
+            primary_count = sum(
+                math.prod(s) for s in result.param_shapes[:n_primary])
+            raw = spec.param("fused_middle")
+            middle = raw["type"].lower() if raw else None
             out.extend(fuse_epilogue_costs(
-                costs, elems=top[0].count, relu=layer._fused_relu,
+                conv_costs(
+                    spec.name, n=n, c=c, h=h, w=w, k=k, oh=oh, ow=ow,
+                    kernel=kernel_h * kernel_w,
+                    group=int(spec.param("group", 1)),
+                    weight_count=math.prod(result.param_shapes[0]),
+                    param_count=primary_count,
+                ),
+                elems=result.tops[0].count,
+                relu=bool(spec.param("fused_relu", False)),
                 middle=middle,
-                middle_params=sum(b.count for b in layer.blobs[primary:]),
-                stash=layer._prescale is not None,
+                middle_params=result.param_count - primary_count,
+                stash=middle == "scale",
             ))
-        elif isinstance(layer, ConvolutionLayer):
-            n, c, h, w = bottom[0].shape
-            _, k, oh, ow = top[0].shape
-            out.extend(conv_costs(
-                layer.name, n=n, c=c, h=h, w=w, k=k, oh=oh, ow=ow,
-                kernel=layer.kernel_h * layer.kernel_w, group=layer.group,
-                weight_count=layer.blobs[0].count,
-                param_count=sum(b.count for b in layer.blobs),
-            ))
-        elif isinstance(layer, PoolingLayer):
-            n, c, h, w = bottom[0].shape
-            _, _, oh, ow = top[0].shape
+        elif issubclass(cls, PoolingLayer):
+            n, c, h, w = bottoms[0].shape
+            _, _, oh, ow = result.tops[0].shape
+            kernel_h, kernel_w = _pair(spec, "kernel")
             out.extend(pool_costs(
-                layer.name, n=n, c=c, h=h, w=w, oh=oh, ow=ow,
-                window=layer.kernel_h * layer.kernel_w, method=layer.method,
+                spec.name, n=n, c=c, h=h, w=w, oh=oh, ow=ow,
+                window=kernel_h * kernel_w,
+                method=str(spec.param("pool", "MAX")).upper(),
             ))
-        elif isinstance(layer, FusedInnerProductReLU):
-            out.extend(fuse_epilogue_costs(
-                ip_costs(
-                    layer.name, outer=layer.outer, inner=layer.inner,
-                    num_output=layer.num_output,
-                    weight_count=layer.blobs[0].count,
-                ),
-                elems=top[0].count, relu=True,
-            ))
-        elif isinstance(layer, InnerProductLayer):
-            out.extend(ip_costs(
-                layer.name, outer=layer.outer, inner=layer.inner,
-                num_output=layer.num_output,
-                weight_count=layer.blobs[0].count,
-            ))
-        elif isinstance(layer, LRNLayer):
+        elif issubclass(cls, InnerProductLayer):
+            num_output, inner = result.param_shapes[0]
+            costs = ip_costs(
+                spec.name, outer=result.forward_space, inner=inner,
+                num_output=num_output, weight_count=num_output * inner,
+            )
+            if issubclass(cls, FusedInnerProductReLU):
+                fuse_epilogue_costs(
+                    costs, elems=result.tops[0].count, relu=True)
+            out.extend(costs)
+        elif issubclass(cls, LRNLayer):
             out.extend(lrn_costs(
-                layer.name, n=bottom[0].shape[0], elems=bottom[0].count,
+                spec.name, n=bottoms[0].shape[0], elems=bottoms[0].count,
             ))
-        elif isinstance(layer, NeuronLayer):
-            batch = bottom[0].shape[0] if bottom[0].num_axes else 1
+        elif issubclass(cls, NeuronLayer):
+            batch = bottoms[0].shape[0] if bottoms[0].num_axes else 1
             out.extend(neuron_costs(
-                layer.name, layer.type, elems=bottom[0].count, batch=batch,
+                spec.name, spec.type, elems=bottoms[0].count, batch=batch,
             ))
-        elif isinstance(layer, (LossLayer, SoftmaxLayer)):
-            batch = bottom[0].shape[0]
-            out.extend(loss_costs(
-                layer.name, layer.type, batch=batch,
-                classes=bottom[0].count // batch,
-            ))
-        elif isinstance(layer, AccuracyLayer):
-            if include_accuracy:
-                batch = bottom[0].shape[0]
+        elif issubclass(cls, (LossLayer, SoftmaxLayer, AccuracyLayer)):
+            if include_accuracy or not issubclass(cls, AccuracyLayer):
+                batch = bottoms[0].shape[0]
                 out.extend(loss_costs(
-                    layer.name, layer.type, batch=batch,
-                    classes=bottom[0].count // batch,
+                    spec.name, spec.type, batch=batch,
+                    classes=bottoms[0].count // batch,
                 ))
-        elif isinstance(layer, FusedEltwiseReLU):
-            out.extend(fuse_epilogue_costs(
-                structural_costs(
-                    layer.name, layer.type,
-                    elems=sum(b.count for b in bottom),
-                ),
-                elems=top[0].count, relu=True,
-            ))
-        elif isinstance(layer, FusedScaleBias):
-            primary = layer._num_primary_blobs
-            out.extend(fuse_epilogue_costs(
-                structural_costs(
-                    layer.name, layer.type,
-                    elems=sum(b.count for b in bottom),
-                ),
-                elems=top[0].count, middle="bias",
-                middle_params=sum(b.count for b in layer.blobs[primary:]),
-            ))
         else:
-            out.extend(structural_costs(
-                layer.name, layer.type,
-                elems=sum(b.count for b in bottom),
-            ))
+            costs = structural_costs(
+                spec.name, spec.type, elems=sum(b.count for b in bottoms),
+            )
+            if issubclass(cls, FusedEltwiseReLU):
+                fuse_epilogue_costs(
+                    costs, elems=result.tops[0].count, relu=True)
+            elif issubclass(cls, FusedScaleBias):
+                n_primary = 1 + (1 if spec.param("bias_term", False) else 0)
+                fuse_epilogue_costs(
+                    costs, elems=result.tops[0].count, middle="bias",
+                    middle_params=sum(
+                        math.prod(s)
+                        for s in result.param_shapes[n_primary:]),
+                )
+            out.extend(costs)
     return out
 
 
-# ---------------------------------------------------------------------------
-# front end 2: specs, via symbolic shape inference
-# ---------------------------------------------------------------------------
+def net_costs(net: Net, include_accuracy: bool = False) -> List[LayerCost]:
+    """Costs of an instantiated net, from its live blobs' shapes.
+
+    The net must have been shaped (run one forward pass first).
+    """
+    return costs_of(
+        (
+            LayerInference(
+                layer.spec,
+                [BlobInfo(b.shape) for b in bottom],
+                RuleResult(
+                    tops=[BlobInfo(t.shape) for t in top],
+                    forward_space=layer.forward_space(bottom, top),
+                    param_shapes=[b.shape for b in layer.blobs],
+                ),
+            )
+            for layer, bottom, top in zip(net.layers, net.bottoms, net.tops)
+        ),
+        include_accuracy,
+    )
+
+
 def spec_costs(
     spec: NetSpec,
     phase: str = "TRAIN",
     batch: Optional[int] = None,
     include_accuracy: bool = False,
 ) -> List[LayerCost]:
-    """Cost the network *symbolically* — same formulas, no instantiation.
+    """Costs of a spec, from symbolically inferred shapes — no
+    instantiation.
 
     ``batch`` overrides every feeder's batch extent (see
     :func:`repro.framework.symbolic.infer_net`).  Raises
@@ -449,119 +447,7 @@ def spec_costs(
     out — run the netcheck linter first for a readable report.
     """
     sym = infer_net(spec, phase=phase, batch=batch, strict=True)
-    out: List[LayerCost] = []
-    for inf in sym.layers:
-        layer_spec, bottoms, result = inf.spec, inf.bottoms, inf.result
-        type_name = layer_spec.type.lower()
-        if type_name in _DATA_TYPES:
-            out.extend(data_costs(
-                layer_spec.name,
-                out_count=sum(t.count for t in result.tops),
-            ))
-        elif type_name in ("convolution", "fusedconv"):
-            n, c, h, w = bottoms[0].shape
-            _, k, oh, ow = result.tops[0].shape
-            kernel_h, kernel_w = _pair(layer_spec, "kernel")
-            n_primary = 1 + (1 if layer_spec.param("bias_term", True) else 0)
-            if type_name == "convolution":
-                n_primary = len(result.param_shapes)
-            primary_count = sum(
-                _shape_count(s) for s in result.param_shapes[:n_primary])
-            costs = conv_costs(
-                layer_spec.name, n=n, c=c, h=h, w=w, k=k, oh=oh, ow=ow,
-                kernel=kernel_h * kernel_w,
-                group=int(layer_spec.param("group", 1)),
-                weight_count=_shape_count(result.param_shapes[0]),
-                param_count=primary_count,
-            )
-            if type_name == "fusedconv":
-                raw = layer_spec.param("fused_middle")
-                middle = raw["type"].lower() if raw else None
-                fuse_epilogue_costs(
-                    costs, elems=result.tops[0].count,
-                    relu=bool(layer_spec.param("fused_relu", False)),
-                    middle=middle,
-                    middle_params=result.param_count - primary_count,
-                    stash=middle == "scale",
-                )
-            out.extend(costs)
-        elif type_name == "pooling":
-            n, c, h, w = bottoms[0].shape
-            _, _, oh, ow = result.tops[0].shape
-            kernel_h, kernel_w = _pair(layer_spec, "kernel")
-            out.extend(pool_costs(
-                layer_spec.name, n=n, c=c, h=h, w=w, oh=oh, ow=ow,
-                window=kernel_h * kernel_w,
-                method=str(layer_spec.param("pool", "MAX")).upper(),
-            ))
-        elif type_name in ("innerproduct", "fusedinnerproductrelu"):
-            num_output, inner = result.param_shapes[0]
-            costs = ip_costs(
-                layer_spec.name, outer=result.forward_space, inner=inner,
-                num_output=num_output,
-                weight_count=_shape_count(result.param_shapes[0]),
-            )
-            if type_name == "fusedinnerproductrelu":
-                fuse_epilogue_costs(
-                    costs, elems=result.tops[0].count, relu=True)
-            out.extend(costs)
-        elif type_name == "lrn":
-            out.extend(lrn_costs(
-                layer_spec.name, n=bottoms[0].shape[0],
-                elems=bottoms[0].count,
-            ))
-        elif type_name in _NEURON_TYPES:
-            batch_ = bottoms[0].shape[0] if bottoms[0].num_axes else 1
-            out.extend(neuron_costs(
-                layer_spec.name, layer_spec.type,
-                elems=bottoms[0].count, batch=batch_,
-            ))
-        elif type_name in _LOSS_TYPES:
-            batch_ = bottoms[0].shape[0]
-            out.extend(loss_costs(
-                layer_spec.name, layer_spec.type, batch=batch_,
-                classes=bottoms[0].count // batch_,
-            ))
-        elif type_name == "accuracy":
-            if include_accuracy:
-                batch_ = bottoms[0].shape[0]
-                out.extend(loss_costs(
-                    layer_spec.name, layer_spec.type, batch=batch_,
-                    classes=bottoms[0].count // batch_,
-                ))
-        elif type_name == "fusedeltwiserelu":
-            out.extend(fuse_epilogue_costs(
-                structural_costs(
-                    layer_spec.name, layer_spec.type,
-                    elems=sum(b.count for b in bottoms),
-                ),
-                elems=result.tops[0].count, relu=True,
-            ))
-        elif type_name == "fusedscalebias":
-            n_primary = 1 + (1 if layer_spec.param("bias_term", False) else 0)
-            primary_count = sum(
-                _shape_count(s) for s in result.param_shapes[:n_primary])
-            out.extend(fuse_epilogue_costs(
-                structural_costs(
-                    layer_spec.name, layer_spec.type,
-                    elems=sum(b.count for b in bottoms),
-                ),
-                elems=result.tops[0].count, middle="bias",
-                middle_params=result.param_count - primary_count,
-            ))
-        else:
-            out.extend(structural_costs(
-                layer_spec.name, layer_spec.type,
-                elems=sum(b.count for b in bottoms),
-            ))
-    return out
-
-
-def _shape_count(shape) -> int:
-    n = 1
-    for dim in shape:
-        n *= dim
-    return n
+    return costs_of(sym.layers, include_accuracy)
 
 
 def producer_dist(costs: List[LayerCost], index: int) -> Optional[str]:

@@ -110,41 +110,9 @@ class CPUModel:
         threads: int,
         producer: Optional[str] = None,
     ) -> float:
-        """Modelled time (us) of one layer pass at ``threads`` threads."""
-        p = self.params
-        if threads <= 0:
-            raise ValueError(f"threads must be positive, got {threads}")
-        serial_compute = cost.flops / self.op_rate(cost.type)
-        serial_dispatch = cost.segments * p.dispatch_us
-        if cost.serial or threads == 1:
-            serial_mem = (
-                cost.bytes / p.serial_bw_bytes_per_us if cost.serial
-                else self.memory_time(cost.bytes, 1)
-            )
-            return max(serial_compute, serial_mem) + serial_dispatch
-
-        used = min(threads, max(cost.space, 1))
-        imbalance = self._imbalance(cost.space, threads)
-        cores = min(self.effective_cores(threads), used)
-        compute = serial_compute / cores * imbalance
-        mem = self.memory_time(cost.bytes, used)
-        dispatch = serial_dispatch / used * imbalance
-
-        locality = 0.0
-        if producer is not None and _dist_mismatch(producer, cost.dist):
-            miss = p.locality_miss * (1.0 - 1.0 / threads)
-            moved = cost.input_bytes * miss
-            if threads > p.cores_per_node:
-                locality = moved / p.qpi_bw_bytes_per_us
-            else:
-                locality = moved / self.dram_bandwidth(threads)
-
-        reduction = 0.0
-        if cost.reduction_bytes:
-            reduction = threads * cost.reduction_bytes / p.merge_bw_bytes_per_us
-
-        fork_join = p.fork_join_us * (1.0 + math.log2(threads))
-        return max(compute, mem) + dispatch + locality + reduction + fork_join
+        """Modelled time (us) of one layer pass at ``threads`` threads:
+        :meth:`plan_layer_time` with no plan knob turned."""
+        return self.plan_layer_time(cost, threads, producer=producer)
 
     # ------------------------------------------------------------------
     # per-candidate pricing (the plancheck planner's cost oracle)
@@ -194,16 +162,17 @@ class CPUModel:
     ) -> float:
         """Modelled time (us) of one layer pass under a *plan candidate*.
 
-        Generalizes :meth:`layer_time` with the knobs a per-layer plan
-        can turn; with none of them turned (same threads as the team,
-        ``ordered`` reduction, no space override, producer at the same
-        width) it reduces to exactly ``layer_time(cost, threads)`` —
-        the cost-parity regression pins that.
+        The one timing formula.  :meth:`layer_time` is its default call:
+        with no knob turned (same threads as the team, ``ordered``
+        reduction, no space override, producer at the same width) the
+        layer runs uniformly at ``threads``.
 
         ``threads``
             Threads this layer actually uses.  ``1`` means the layer
             runs inline on the master with **no parallel region**: no
-            fork/join, no imbalance, no merge — the serial formula.
+            fork/join, no imbalance, no merge, no locality re-fetch —
+            the serial baseline.  A ``serial`` cost (data layers) runs
+            that way at any width, at the single-stream bandwidth.
         ``space``
             Distributable unit count after granularity folding (a
             coalesce-depth choice shrinks the schedulable space, which
@@ -215,17 +184,21 @@ class CPUModel:
             re-fetches the fraction of the input that lands on a
             different thread's slice: ``miss * (1 - min/max)`` of the
             input bytes — an inline (1-thread) producer degenerates to
-            the serial-producer penalty of :meth:`layer_time`.
+            the serial-producer penalty.
         """
         p = self.params
         if threads <= 0:
             raise ValueError(f"threads must be positive, got {threads}")
-        if cost.serial or threads == 1:
-            return self.layer_time(cost, 1, producer)
-
-        dist_space = cost.space if space is None else space
         serial_compute = cost.flops / self.op_rate(cost.type)
         serial_dispatch = cost.segments * p.dispatch_us
+        if cost.serial or threads == 1:
+            serial_mem = (
+                cost.bytes / p.serial_bw_bytes_per_us if cost.serial
+                else self.memory_time(cost.bytes, 1)
+            )
+            return max(serial_compute, serial_mem) + serial_dispatch
+
+        dist_space = cost.space if space is None else space
         used = min(threads, max(dist_space, 1))
         imbalance = self._imbalance(dist_space, threads)
         cores = min(self.effective_cores(threads), used)

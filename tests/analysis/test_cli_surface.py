@@ -163,6 +163,22 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, capsys):
     assert ": error: " in last
 
 
+def test_hostile_geometry_is_findings_and_exit_one(tmp_path, capsys):
+    """A prototxt that parses but cannot be shaped is a report, not a
+    usage error and not a traceback: coded findings, exit 1 under
+    ``--gate``."""
+    path = tmp_path / "stride0.prototxt"
+    path.write_text(
+        'layer { name: "in" type: "Input" top: "x" '
+        'input_param { shape { dim: 4 dim: 3 dim: 8 dim: 8 } } }\n'
+        'layer { name: "pool" type: "Pooling" bottom: "x" top: "y" '
+        'pooling_param { kernel_size: 2 stride: 0 } }\n')
+    assert main(["netcheck", "--prototxt", str(path), "--gate"]) == 1
+    captured = capsys.readouterr()
+    assert "[NG001/error] pool:" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 if __name__ == "__main__":
     SNAPSHOT_PATH.write_text(json.dumps(
         {mode: pinned_surface(mode) for mode in MODES}, indent=1,

@@ -69,6 +69,61 @@ class TestCheckFuse:
             assert net_costs(net) == spec_costs(fused_spec, phase="TRAIN")
 
 
+    def test_fu004_fires_when_a_rule_misreports_live_shapes(self, monkeypatch):
+        """Both sides go through one cost ladder, so FU004 is exactly
+        "the fused shape rule reports other shapes than the layer takes"."""
+        import dataclasses
+
+        from repro.framework import shape_inference
+
+        rule = shape_inference.shape_rule_for("FusedInnerProductReLU")
+
+        def wrong_weights(spec, bottoms):
+            result = rule.fn(spec, bottoms)
+            num_output, inner = result.param_shapes[0]
+            result.param_shapes[0] = (num_output, inner + 1)
+            return result
+
+        monkeypatch.setitem(
+            shape_inference._SHAPE_RULES, "fusedinnerproductrelu",
+            dataclasses.replace(rule, fn=wrong_weights))
+        report = check_fuse(_zoo_spec("lenet"), net_name="lenet",
+                            threads=2, batch=4)
+        assert [f.layer for f in report.findings if f.rule == "FU004"] == [
+            "ip1"]
+
+    def test_each_spec_is_inferred_once(self, monkeypatch):
+        """The callers hand the SymbolicNet on instead of re-inferring:
+        one ``infer_net`` per spec in check_fuse (unfused + fused), one
+        per check_spec / plan_spec / roofline_net net."""
+        from repro.analysis import netcheck, perfcheck, plancheck
+        from repro.framework import symbolic
+        from repro.simulator import cost_model
+        from repro.simulator.cpu_model import CPUModel
+
+        calls = []
+        real = symbolic.infer_net
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (symbolic, netcheck, plancheck, cost_model):
+            monkeypatch.setattr(module, "infer_net", counting)
+
+        def count(fn, *args, **kwargs):
+            del calls[:]
+            fn(*args, **kwargs)
+            return len(calls)
+
+        spec = _zoo_spec("lenet")
+        assert count(netcheck.check_spec, spec, batch=4) == 1
+        assert count(plancheck.plan_spec, spec, threads=2, batch=4) == 1
+        assert count(perfcheck.roofline_net, "lenet", (1, 2, 8),
+                     CPUModel()) == 1
+        assert count(check_fuse, spec, threads=2, batch=4) == 2
+
+
 class TestCertifyFuse:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenet_certifies_bitwise(self, threads):

@@ -158,6 +158,91 @@ def test_ng001_shape_mismatch():
     assert not report.ok
 
 
+#: Specs that used to end in ZeroDivisionError / TypeError tracebacks:
+#: (feeder batch, offending layer, its name, Net(spec) rejects it too).
+HOSTILE_LAYERS = {
+    "pool-stride-0": (4, 'layer { name: "bad" type: "Pooling" bottom: "x" '
+                         'top: "y" pooling_param { kernel_size: 2 stride: 0 } }',
+                      "bad", True),
+    "conv-group-0": (4, 'layer { name: "bad" type: "Convolution" bottom: "x" '
+                        'top: "y" convolution_param { num_output: 4 '
+                        'kernel_size: 3 group: 0 } }', "bad", True),
+    "repeated-scalar": (4, 'layer { name: "bad" type: "Convolution" '
+                           'bottom: "x" top: "y" convolution_param { '
+                           'num_output: 4 kernel_size: 3 kernel_size: 0 } }',
+                        "bad", True),
+    # A live zero-batch net builds (numpy is fine with empty arrays);
+    # there is just nothing to cost or schedule.
+    "feeder-batch-0": (0, 'layer { name: "ip" type: "InnerProduct" '
+                          'bottom: "x" top: "y" inner_product_param { '
+                          'num_output: 4 } }\n'
+                          'layer { name: "sm" type: "Softmax" bottom: "y" '
+                          'top: "z" }', "in", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LAYERS))
+def test_hostile_geometry_is_ng001_not_a_traceback(case):
+    from repro.analysis.fusecheck import check_fuse
+    from repro.analysis.plancheck import plan_spec
+
+    batch, layer_text, culprit, net_rejects = HOSTILE_LAYERS[case]
+    spec = parse_prototxt(
+        f'layer {{ name: "in" type: "Input" top: "x" input_param {{ '
+        f'shape {{ dim: {batch} dim: 3 dim: 8 dim: 8 }} }} }}\n'
+        + layer_text, validate=False)
+    report = check_spec(spec)
+    errors = [f for f in report.findings if f.severity == ERROR]
+    assert [(f.rule, f.layer) for f in errors] == [
+        (NG_SHAPE_MISMATCH, culprit)]
+    assert repr(culprit) in errors[0].message
+    assert [f.rule for f in plan_spec(spec).findings] == ["PL001"]
+    assert {"FU002", "PL001"} <= {f.rule for f in check_fuse(spec).findings}
+    if net_rejects:
+        with pytest.raises(ValueError) as raised:
+            Net(spec)
+        assert str(raised.value) in errors[0].message
+
+
+def test_inplace_conflict_is_coded_by_every_family():
+    """The split inserter refuses the graph outright; plancheck and
+    fusecheck used to let its ValueError escape."""
+    from repro.analysis.fusecheck import check_fuse
+    from repro.analysis.plancheck import plan_spec
+
+    spec = parse_prototxt(
+        INPUT_8x8
+        + 'layer { name: "r1" type: "ReLU" bottom: "x" top: "x" }\n'
+        + 'layer { name: "s" type: "Sigmoid" bottom: "x" top: "y" }\n'
+        + 'layer { name: "r2" type: "ReLU" bottom: "x" top: "x" }\n',
+        validate=False)
+    assert NG_ILLEGAL_INPLACE in codes(check_spec(spec))
+    assert [f.rule for f in plan_spec(spec).findings] == ["PL001"]
+    assert {"FU002", "PL001"} <= {f.rule for f in check_fuse(spec).findings}
+
+
+def test_sequential_is_declared_on_the_layer_class_only():
+    """``ShapeRule.sequential`` reads the registered class's footprint;
+    the feeders are the types that declare ``forward=SEQUENTIAL``."""
+    from repro.framework.layer import (
+        SEQUENTIAL,
+        registered_layer_class,
+        registered_layer_types,
+    )
+    from repro.framework.shape_inference import shape_rule_for
+
+    declared = {
+        t for t in registered_layer_types()
+        if getattr(registered_layer_class(t).write_footprint, "forward",
+                   None) == SEQUENTIAL
+    }
+    assert {"data", "memorydata", "input"} <= declared
+    for type_name in registered_layer_types():
+        rule = shape_rule_for(type_name)
+        if rule is not None:
+            assert rule.sequential == (type_name in declared), type_name
+
+
 def test_ng002_illegal_inplace():
     # LRN reads a neighbourhood across channels; writing its own bottom
     # violates the chunk-write protocol.

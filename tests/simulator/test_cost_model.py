@@ -1,5 +1,6 @@
 """Unit tests for per-layer cost extraction."""
 
+import numpy as np
 import pytest
 
 from repro.simulator import net_costs
@@ -102,3 +103,53 @@ class TestCifarCosts:
         variants = {c.name: c.variant for c in net_costs(net)
                     if c.type == "Pooling" and c.pass_ == "forward"}
         assert variants == {"pool1": "MAX", "pool2": "AVE", "pool3": "AVE"}
+
+
+class TestOffZooParity:
+    """One ladder: a layer type the zoo has never seen is priced the same
+    from its spec as from the live net, in its base class's family."""
+
+    @pytest.fixture
+    def swish_type(self):
+        """A throw-away NeuronLayer subclass + shape rule (the shape of
+        ``examples/custom_layer.py``'s Swish), unregistered afterwards."""
+        from repro.framework.layer import _REGISTRY, FootprintDecl, register_layer
+        from repro.framework.layers.neuron import NeuronLayer, _neuron_shape_rule
+        from repro.framework.shape_inference import (
+            _SHAPE_RULES,
+            register_shape_rule,
+        )
+
+        @register_layer("ThrowawaySwish")
+        class ThrowawaySwish(NeuronLayer):
+            write_footprint = FootprintDecl()
+
+            def forward_chunk(self, bottom, top, lo, hi):
+                x = bottom[0].flat_data[lo:hi]
+                top[0].flat_data[lo:hi] = x / (1.0 + np.exp(-x))
+
+        register_shape_rule("ThrowawaySwish", inplace_ok=True)(
+            _neuron_shape_rule)
+        yield "ThrowawaySwish"
+        del _REGISTRY["throwawayswish"], _SHAPE_RULES["throwawayswish"]
+
+    def test_user_neuron_subclass_priced_alike_from_spec_and_net(
+            self, swish_type):
+        from repro.framework.net import Net
+        from repro.framework.net_spec import LayerSpec, NetSpec
+        from repro.simulator.cost_model import spec_costs
+
+        batch = 4
+        spec = NetSpec(name="swish", layers=[
+            LayerSpec(name="in", type="Input", tops=["x"],
+                      params={"shape": {"dim": [batch, 3, 5, 5]}}),
+            LayerSpec(name="sw", type=swish_type, bottoms=["x"], tops=["y"]),
+        ])
+        net = Net(spec)
+        net.forward()
+        live, symbolic = net_costs(net), spec_costs(spec)
+        assert live == symbolic
+        forward = by_key(live)["sw.fwd"]
+        assert forward.type == swish_type
+        assert forward.flops == batch * 3 * 5 * 5 > 0
+        assert forward.segments == batch

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator import CPUModel, net_costs
-from repro.simulator.cost_model import LayerCost
+from repro.simulator.cost_model import LayerCost, producer_dist
 from repro.zoo import build_net
 
 
@@ -55,6 +55,17 @@ class TestBuildingBlocks:
     def test_invalid_threads(self, model):
         with pytest.raises(ValueError):
             model.layer_time(synthetic_cost(), 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8, 16])
+def test_layer_time_is_plan_layer_time_default_call(
+        model, lenet_costs, threads):
+    """One formula: kept so a later edit cannot fork the two again."""
+    costs = list(lenet_costs)
+    for index, cost in enumerate(costs):
+        for producer in (None, "serial", producer_dist(costs, index)):
+            assert model.layer_time(cost, threads, producer) == (
+                model.plan_layer_time(cost, threads, producer=producer))
 
 
 class TestEdgeCases:
