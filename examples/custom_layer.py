@@ -60,8 +60,9 @@ class SwishLayer(NeuronLayer):
 
 @register_shape_rule("Swish", inplace_ok=True)
 def _swish_shape_rule(spec, bottoms):
-    """The other half of the contract: shapes from the spec alone, so
-    netcheck, the planner and the cost model see Swish without a net."""
+    """*The* shape source for Swish: the live layer's tops and iteration
+    space come from this rule (``layer.geometry``), and netcheck, the
+    planner and the cost model run it on the bare spec — one answer."""
     return RuleResult(tops=[bottoms[0]], forward_space=bottoms[0].count)
 
 
@@ -146,6 +147,9 @@ def main() -> None:
     gradient_check_swish()
     analyzer_demo()
     planned_cost_demo()
+
+    print("swish1 geometry, from its rule:",
+          Net(parse_prototxt(SWISH_NET)).layer("swish1").geometry)
 
     def train(executor=None):
         net = Net(parse_prototxt(SWISH_NET))

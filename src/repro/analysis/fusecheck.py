@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.plancheck import PlancheckReport, plan_spec
 from repro.analysis.report import ERROR, INFO, Finding
-from repro.framework.net_spec import NetSpec
+from repro.framework.net_spec import NetSpec, with_batch
 
 
 @dataclass
@@ -143,7 +143,6 @@ def check_fuse(
     from repro.compiler.fuse import FusionError, fuse_spec
     from repro.framework.net import Net
     from repro.simulator.cost_model import costs_of, net_costs
-    from repro.zoo.build import with_batch
 
     label = net_name or spec.name or "<anonymous>"
     report = NetFuseReport(

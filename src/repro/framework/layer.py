@@ -29,13 +29,19 @@ the parallel execution bitwise-comparable to the sequential one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.framework.blob import Blob
 from repro.framework.net_spec import LayerSpec
+from repro.framework.shape_inference import (
+    BlobInfo,
+    RuleResult,
+    infer_layer,
+    shape_rule_for,
+)
 
 # ---------------------------------------------------------------------------
 # write-footprint classification (the parallel-safety contract)
@@ -305,9 +311,12 @@ def registered_layer_types() -> List[str]:
 class Layer:
     """Base class of all layers.
 
-    Subclasses implement :meth:`setup`, :meth:`reshape`,
-    :meth:`forward_chunk` and :meth:`backward_chunk`; everything else
-    (sequential drivers, gradient-space defaults) is derived.
+    Subclasses implement :meth:`forward_chunk` and
+    :meth:`backward_chunk` and register a shape rule
+    (:func:`~repro.framework.shape_inference.register_shape_rule`);
+    shapes, the iteration space and parameter shapes come from that rule
+    through :meth:`reshape`, and everything else (sequential drivers,
+    gradient-space defaults) is derived.
     """
 
     type_names: tuple = ()
@@ -338,14 +347,28 @@ class Layer:
         self.blobs: List[Blob] = []
         #: Per-top-blob loss weights; non-zero marks a loss output.
         self.loss_weights: List[float] = []
+        #: What the registered shape rule derives from the current bottom
+        #: shapes: top shapes, forward space, parameter shapes.  ``None``
+        #: for a layer that shapes itself (the feeders, rule-less layers).
+        self.geometry: RuleResult | None = None
+        self._geometry_for: Tuple[Tuple[int, ...], ...] | None = None
         self._setup_done = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        """One-time initialization: validate counts, create parameters."""
+        """One-time initialization: validate counts, derive the geometry,
+        create parameters (from ``self.geometry.param_shapes``).
+
+        A layer without bottoms is where shapes *enter* the net: it has
+        nothing to derive from and shapes itself in its own
+        :meth:`reshape`.
+        """
         self.check_blob_counts(bottom, top)
+        self._geometry_for, self._setup_done = None, False  # also on re-setup
+        if bottom and shape_rule_for(self.spec.type) is not None:
+            self._derive_geometry(bottom, top)
         self.layer_setup(bottom, top)
         self.reshape(bottom, top)
         self.loss_weights = [0.0] * len(top)
@@ -390,9 +413,59 @@ class Layer:
             )
         rng.bit_generator.state = state
 
+    # ------------------------------------------------------------------
+    # shaping: one path, through the registered shape rule
+    # ------------------------------------------------------------------
+    def _derive_geometry(
+        self, bottom: Sequence[Blob], top: Sequence[Blob]
+    ) -> bool:
+        """Re-run the shape rule if the bottom shapes moved since the
+        last call; True when it did.  The rule is the one validator: a
+        bad spec or bottom raises its ``ShapeError`` here, naming the
+        layer, exactly as ``infer_net`` reports it."""
+        shapes = tuple(b.shape for b in bottom)
+        if shapes == self._geometry_for:
+            return False
+        spec = self.spec
+        if (len(spec.bottoms), len(spec.tops)) != (len(bottom), len(top)):
+            # Driven outside a Net (tests, the gradient checker) the spec
+            # names no wiring; the blobs it is called with are the truth.
+            spec = replace(spec, bottoms=[b.name for b in bottom],
+                           tops=[t.name for t in top])
+        geometry = infer_layer(spec, [BlobInfo(shape) for shape in shapes])
+        if self._setup_done and (
+                geometry.param_shapes != self.geometry.param_shapes):
+            raise ValueError(
+                f"layer {self.name!r}: bottom shapes {shapes} need "
+                f"parameters of shape {geometry.param_shapes}, but it was "
+                f"set up with {self.geometry.param_shapes} (input inner "
+                "size / channel count changed after setup)"
+            )
+        self.geometry, self._geometry_for = geometry, shapes
+        return True
+
     def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        """Shape the top blobs (and scratch space) from the bottoms."""
-        raise NotImplementedError
+        """Shape the top blobs from the bottoms, through the shape rule.
+
+        The rule runs only when a bottom shape changed (and once at
+        setup); :meth:`shape_changed` then sizes work arrays.  Tops are
+        brought to ``self.geometry.tops`` on every call — a tuple compare
+        when nothing moved, and an in-place top already has its shape.
+        A layer with no registered rule overrides this wholesale.
+        """
+        changed = self._derive_geometry(bottom, top) or not self._setup_done
+        for blob, info in zip(top, self.geometry.tops):
+            if blob.shape != info.shape:
+                blob.reshape(info.shape)
+        if changed:
+            self.shape_changed(bottom, top)
+
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        """Subclass hook: size work arrays and derived extents.  Runs
+        after the tops are shaped, at setup and whenever
+        ``self.geometry`` was re-derived.  Arrays it allocates live until
+        the next shape change, so a kernel that writes one only in part
+        must clear it in its per-forward prologue, not here."""
 
     def default_loss_weight(self) -> float:
         """Loss layers override this to return 1.0."""
@@ -440,10 +513,12 @@ class Layer:
     def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
         """Total coalesced iterations of the forward pass.
 
-        Defaults to the batch size (pure batch-level parallelism, no
-        coalescing); layers override to expose deeper coalescing
-        (Algorithm 4's ``S * D1 * ... * Dk``).
+        What the shape rule reported (Algorithm 4's
+        ``S * D1 * ... * Dk``); for a layer that shapes itself, the
+        batch size (pure batch-level parallelism, no coalescing).
         """
+        if self.geometry is not None:
+            return self.geometry.forward_space
         return bottom[0].shape[0] if bottom and bottom[0].num_axes else 1
 
     def forward_chunk(

@@ -18,6 +18,7 @@ from repro.framework.layer import (
     PerfDecl,
     register_layer,
 )
+from repro.framework.layers.loss import _score_batch
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -56,20 +57,11 @@ class AccuracyLayer(Layer):
         if self.ignore_label is not None:
             self.ignore_label = int(self.ignore_label)
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        # Per-sample arrays: every forward chunk overwrites its rows.
         batch = bottom[0].shape[0]
-        classes = bottom[0].count // batch
-        if self.top_k > classes:
-            raise ValueError(
-                f"layer {self.name!r}: top_k {self.top_k} exceeds class "
-                f"count {classes}"
-            )
-        top[0].reshape(())
         self._hits = np.zeros(batch, dtype=np.float64)
         self._valid = np.ones(batch, dtype=bool)
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].shape[0]
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -113,8 +105,8 @@ def _accuracy_shape_rule(spec, bottoms) -> RuleResult:
             f"layer {spec.name!r}: needs 2 bottoms (scores, labels), "
             f"got {len(bottoms)}"
         )
-    batch = bottoms[0].shape[0] if bottoms[0].num_axes else 1
-    classes = bottoms[0].count // max(batch, 1)
+    batch = _score_batch(spec, bottoms)
+    classes = bottoms[0].count // batch
     top_k = int(spec.param("top_k", 1))
     if top_k > classes:
         raise ShapeError(

@@ -31,38 +31,10 @@ class ConcatLayer(Layer):
 
     write_footprint = FootprintDecl()
 
-    def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        self.axis = bottom[0].canonical_axis(int(self.spec.param("axis", 1)))
-
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        ref = bottom[0].shape
-        concat_total = 0
-        for b in bottom:
-            shape = b.shape
-            if len(shape) != len(ref):
-                raise ValueError(
-                    f"layer {self.name!r}: rank mismatch {shape} vs {ref}"
-                )
-            for ax, (da, db) in enumerate(zip(shape, ref)):
-                if ax != self.axis and da != db:
-                    raise ValueError(
-                        f"layer {self.name!r}: non-concat axis {ax} differs "
-                        f"({da} vs {db})"
-                    )
-            concat_total += shape[self.axis]
-        out_shape = list(ref)
-        out_shape[self.axis] = concat_total
-        top[0].reshape(tuple(out_shape))
-        self.outer = 1
-        for dim in ref[: self.axis]:
-            self.outer *= dim
-        self._bottom_inner = [
-            b.count // self.outer for b in bottom
-        ]
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        self.outer = self.geometry.forward_space
+        self._bottom_inner = [b.count // self.outer for b in bottom]
         self._top_inner = top[0].count // self.outer
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return self.outer
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int

@@ -43,9 +43,7 @@ def _pair(spec, base: str, default=None) -> tuple[int, int]:
     """Resolve Caffe's ``kernel_size`` vs ``kernel_h``/``kernel_w`` style
     parameters into an ``(h, w)`` pair.
 
-    Raises :class:`ShapeError` (a ``ValueError``) naming the layer, so
-    the layer's setup and its shape rule reject the same specs with the
-    same text."""
+    Raises :class:`ShapeError` (a ``ValueError``) naming the layer."""
     h = spec.param(f"{base}_h")
     w = spec.param(f"{base}_w")
     if (h is None) != (w is None):
@@ -109,34 +107,21 @@ class ConvolutionLayer(Layer):
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
-        self.num_output = int(spec.require("num_output"))
-        self.kernel_h, self.kernel_w = _pair(spec, "kernel")
         self.stride_h, self.stride_w = _pair(spec, "stride", default=1)
         self.pad_h, self.pad_w = _pair(spec, "pad", default=0)
         self.group = int(spec.param("group", 1))
         self.bias_term = bool(spec.param("bias_term", True))
+        self.channels = bottom[0].shape[1]
 
-        if bottom[0].num_axes != 4:
-            raise ValueError(
-                f"layer {self.name!r}: convolution needs a 4-d bottom, got "
-                f"shape {bottom[0].shape}"
-            )
-        channels = bottom[0].shape[1]
-        _check_group(self.name, self.group, channels, self.num_output)
-        self.channels = channels
-
-        weight_shape = (
-            self.num_output,
-            channels // self.group,
-            self.kernel_h,
-            self.kernel_w,
-        )
+        weight_shape = self.geometry.param_shapes[0]
+        self.num_output, _, self.kernel_h, self.kernel_w = weight_shape
         weights = Blob(weight_shape, name=f"{self.name}.weights")
         rng = self._filler_rng()
         fill(weights, _filler_spec(self.spec.param("weight_filler")), rng)
         self.blobs = [weights]
         if self.bias_term:
-            bias = Blob((self.num_output,), name=f"{self.name}.bias")
+            bias = Blob(self.geometry.param_shapes[1],
+                        name=f"{self.name}.bias")
             fill(bias, _filler_spec(self.spec.param("bias_filler")), rng)
             self.blobs.append(bias)
 
@@ -144,16 +129,9 @@ class ConvolutionLayer(Layer):
         seed = int(self.spec.param("filler_seed", 0)) or stable_seed(self.name)
         return np.random.default_rng(seed)
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        n, c, h, w = bottom[0].shape
-        if c != self.channels:
-            raise ValueError(
-                f"layer {self.name!r}: channel count changed from "
-                f"{self.channels} to {c}"
-            )
-        self.out_h = conv_out_size(h, self.kernel_h, self.pad_h, self.stride_h)
-        self.out_w = conv_out_size(w, self.kernel_w, self.pad_w, self.stride_w)
-        top[0].reshape((n, self.num_output, self.out_h, self.out_w))
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        _, c, h, w = bottom[0].shape
+        _, _, self.out_h, self.out_w = top[0].shape
         self._col_shape = (
             (c // self.group) * self.kernel_h * self.kernel_w,
             self.out_h * self.out_w,
@@ -165,9 +143,6 @@ class ConvolutionLayer(Layer):
     # ------------------------------------------------------------------
     # chunk protocol: one iteration == one sample
     # ------------------------------------------------------------------
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].shape[0]
-
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
@@ -256,7 +231,6 @@ class ConvolutionLayer(Layer):
 
 @register_shape_rule("Convolution")
 def _conv_shape_rule(spec, bottoms) -> RuleResult:
-    """Symbolic mirror of :meth:`ConvolutionLayer.reshape`."""
     require_axes(spec, bottoms[0], 4)
     n, c, h, w = bottoms[0].shape
     num_output = int(spec.require("num_output"))

@@ -217,19 +217,7 @@ class InputLayer(Layer):
     write_footprint = FootprintDecl(forward=SEQUENTIAL, backward=SEQUENTIAL)
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        raw = self.spec.require("shape")
-        shapes = raw if isinstance(raw, list) else [raw]
-        self.shapes = []
-        for blk in shapes:
-            dims = blk.get("dim") if isinstance(blk, dict) else blk
-            if not isinstance(dims, list):
-                dims = [dims]
-            self.shapes.append(tuple(int(d) for d in dims))
-        if len(self.shapes) not in (1, len(top)):
-            raise ValueError(
-                f"layer {self.name!r}: {len(self.shapes)} shapes for "
-                f"{len(top)} tops"
-            )
+        self.shapes = _input_shapes(self.spec, len(top))
 
     def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         for i, t in enumerate(top):
@@ -248,8 +236,25 @@ class InputLayer(Layer):
         pass
 
 
+def _input_shapes(spec, num_tops: int) -> list:
+    """An Input layer's ``shape { dim }`` blocks: one per top, or a
+    single one serving every top."""
+    raw = spec.require("shape")
+    parsed = []
+    for blk in raw if isinstance(raw, list) else [raw]:
+        dims = blk.get("dim") if isinstance(blk, dict) else blk
+        if not isinstance(dims, list):
+            dims = [dims]
+        parsed.append(tuple(int(d) for d in dims))
+    if len(parsed) not in (1, num_tops):
+        raise ShapeError(
+            f"layer {spec.name!r}: {len(parsed)} shapes for {num_tops} tops"
+        )
+    return parsed
+
+
 # ---------------------------------------------------------------------------
-# inference rules (the feeders anchor every downstream symbolic shape)
+# inference rules (the feeders anchor every downstream shape)
 # ---------------------------------------------------------------------------
 @register_shape_rule("Data")
 def _data_shape_rule(spec, bottoms) -> RuleResult:
@@ -297,19 +302,7 @@ def _memory_data_shape_rule(spec, bottoms) -> RuleResult:
 
 @register_shape_rule("Input")
 def _input_shape_rule(spec, bottoms) -> RuleResult:
-    raw = spec.require("shape")
-    shapes = raw if isinstance(raw, list) else [raw]
-    parsed = []
-    for blk in shapes:
-        dims = blk.get("dim") if isinstance(blk, dict) else blk
-        if not isinstance(dims, list):
-            dims = [dims]
-        parsed.append(tuple(int(d) for d in dims))
-    if len(parsed) not in (1, len(spec.tops)):
-        raise ShapeError(
-            f"layer {spec.name!r}: {len(parsed)} shapes for "
-            f"{len(spec.tops)} tops"
-        )
+    parsed = _input_shapes(spec, len(spec.tops))
     tops = [
         BlobInfo(parsed[i if len(parsed) > 1 else 0])
         for i in range(len(spec.tops))

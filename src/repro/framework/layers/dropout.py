@@ -56,11 +56,6 @@ class DropoutLayer(NeuronLayer):
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.ratio = float(self.spec.param("dropout_ratio", 0.5))
-        if not 0.0 <= self.ratio < 1.0:
-            raise ValueError(
-                f"layer {self.name!r}: dropout_ratio must be in [0, 1), "
-                f"got {self.ratio}"
-            )
         self.scale = 1.0 / (1.0 - self.ratio)
         self._rng = np.random.default_rng(int(self.spec.param("seed", 1)))
         self._mask = np.zeros(0, dtype=DTYPE)

@@ -45,39 +45,13 @@ class EltwiseLayer(Layer):
     )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        op = str(self.spec.param("operation", "SUM")).upper()
-        if op not in ("SUM", "PROD", "MAX"):
-            raise ValueError(f"layer {self.name!r}: unknown operation {op!r}")
-        self.operation = op
-        coeff = self.spec.param("coeff")
-        if coeff is None:
-            self.coeffs = [1.0] * len(bottom)
-        else:
-            coeffs = coeff if isinstance(coeff, list) else [coeff]
-            if len(coeffs) != len(bottom):
-                raise ValueError(
-                    f"layer {self.name!r}: {len(coeffs)} coeffs for "
-                    f"{len(bottom)} bottoms"
-                )
-            if op != "SUM":
-                raise ValueError(
-                    f"layer {self.name!r}: coeff only applies to SUM"
-                )
-            self.coeffs = [float(c) for c in coeffs]
+        self.operation = str(self.spec.param("operation", "SUM")).upper()
+        self.coeffs = _coeffs(self.spec, len(bottom))
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        for b in bottom[1:]:
-            if b.shape != bottom[0].shape:
-                raise ValueError(
-                    f"layer {self.name!r}: bottoms disagree in shape "
-                    f"({b.shape} vs {bottom[0].shape})"
-                )
-        top[0].reshape_like(bottom[0])
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         if self.operation == "MAX":
+            # Winner per element; every forward chunk overwrites its range.
             self._argmax = np.zeros(bottom[0].count, dtype=np.int32)
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].count
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -122,11 +96,28 @@ class EltwiseLayer(Layer):
                 np.multiply(dy, self._argmax[lo:hi] == i, out=dx)
 
 
+def _coeffs(spec, num_bottoms: int) -> list:
+    """The SUM coefficients, one per bottom (default 1.0 each)."""
+    coeff = spec.param("coeff")
+    if coeff is None:
+        return [1.0] * num_bottoms
+    coeffs = coeff if isinstance(coeff, list) else [coeff]
+    if len(coeffs) != num_bottoms:
+        raise ShapeError(
+            f"layer {spec.name!r}: {len(coeffs)} coeffs for "
+            f"{num_bottoms} bottoms"
+        )
+    if str(spec.param("operation", "SUM")).upper() != "SUM":
+        raise ShapeError(f"layer {spec.name!r}: coeff only applies to SUM")
+    return [float(c) for c in coeffs]
+
+
 @register_shape_rule("Eltwise")
 def _eltwise_shape_rule(spec, bottoms) -> RuleResult:
     op = str(spec.param("operation", "SUM")).upper()
     if op not in ("SUM", "PROD", "MAX"):
         raise ShapeError(f"layer {spec.name!r}: unknown operation {op!r}")
+    _coeffs(spec, len(bottoms))
     for b in bottoms[1:]:
         if b.shape != bottoms[0].shape:
             raise ShapeError(

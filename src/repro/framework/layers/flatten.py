@@ -30,19 +30,6 @@ class FlattenLayer(Layer):
 
     write_footprint = FootprintDecl()
 
-    def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        self.axis = bottom[0].canonical_axis(int(self.spec.param("axis", 1)))
-
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        shape = bottom[0].shape
-        flattened = 1
-        for dim in shape[self.axis :]:
-            flattened *= dim
-        top[0].reshape(tuple(shape[: self.axis]) + (flattened,))
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].count
-
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:

@@ -87,8 +87,8 @@ def _middle_layer_spec(raw: dict, top_name: str) -> LayerSpec:
 class _MiddleHost:
     """Mixin managing a lazily built Bias/Scale middle layer.
 
-    The middle is constructed on first :meth:`reshape` (the primary's
-    top has its final shape by then) and its parameter blobs are
+    The middle is constructed on the first :meth:`shape_changed` (the
+    primary's top has its final shape by then) and its parameter blobs are
     appended to ``self.blobs`` — the enclosing ``Net`` collects
     learnable parameters after every layer's setup, so the middle's
     gamma/beta train exactly like the standalone layer's.
@@ -132,14 +132,12 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
         self._middle = None
         self._prescale = None
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        super().reshape(bottom, top)
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        super().shape_changed(bottom, top)
         self._ensure_middle(top)
         if isinstance(self._middle, ScaleLayer):
             n = top[0].shape[0]
-            row = top[0].count // n
-            if self._prescale is None or self._prescale.shape != (n, row):
-                self._prescale = np.zeros((n, row), dtype=DTYPE)
+            self._prescale = np.zeros((n, top[0].count // n), dtype=DTYPE)
 
     def footprint(self) -> FootprintDecl:
         # The inherited clip is against len(self.blobs), which now also
@@ -308,8 +306,8 @@ class FusedScaleBias(_MiddleHost, ScaleLayer):
         self._num_primary_blobs = len(self.blobs)
         self._middle = None
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        super().reshape(bottom, top)
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        super().shape_changed(bottom, top)
         self._ensure_middle(top)
 
     def forward_chunk(

@@ -93,41 +93,24 @@ class InnerProductLayer(Layer):
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
-        self.num_output = int(spec.require("num_output"))
         self.bias_term = bool(spec.param("bias_term", True))
-        self.axis = bottom[0].canonical_axis(int(spec.param("axis", 1)))
-        inner = 1
-        for dim in bottom[0].shape[self.axis:]:
-            inner *= dim
-        self.inner = inner
+        weight_shape = self.geometry.param_shapes[0]
+        self.num_output, self.inner = weight_shape
 
         rng = np.random.default_rng(
             int(spec.param("filler_seed", 0)) or stable_seed(self.name)
         )
-        weights = Blob((self.num_output, inner), name=f"{self.name}.weights")
+        weights = Blob(weight_shape, name=f"{self.name}.weights")
         fill(weights, _filler_spec(spec.param("weight_filler")), rng)
         self.blobs = [weights]
         if self.bias_term:
-            bias = Blob((self.num_output,), name=f"{self.name}.bias")
+            bias = Blob(self.geometry.param_shapes[1],
+                        name=f"{self.name}.bias")
             fill(bias, _filler_spec(spec.param("bias_filler")), rng)
             self.blobs.append(bias)
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        inner = 1
-        for dim in bottom[0].shape[self.axis:]:
-            inner *= dim
-        if inner != self.inner:
-            raise ValueError(
-                f"layer {self.name!r}: input inner size changed from "
-                f"{self.inner} to {inner}"
-            )
-        self.outer = 1
-        for dim in bottom[0].shape[: self.axis]:
-            self.outer *= dim
-        top[0].reshape(tuple(bottom[0].shape[: self.axis]) + (self.num_output,))
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return self.outer
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        self.outer = self.geometry.forward_space
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -221,7 +204,6 @@ class InnerProductLayer(Layer):
 
 @register_shape_rule("InnerProduct")
 def _ip_shape_rule(spec, bottoms) -> RuleResult:
-    """Symbolic mirror of :meth:`InnerProductLayer.reshape`."""
     num_output = int(spec.require("num_output"))
     axis = canonical_axis(spec, bottoms[0], int(spec.param("axis", 1)))
     shape = bottoms[0].shape

@@ -40,12 +40,9 @@ class LossLayer(Layer):
     def default_loss_weight(self) -> float:
         return 1.0
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        top[0].reshape(())
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        # Per-sample arrays: every forward chunk overwrites its rows.
         self._per_sample = np.zeros(bottom[0].shape[0], dtype=np.float64)
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].shape[0]
 
     def forward_finalize(
         self, bottom: Sequence[Blob], top: Sequence[Blob]
@@ -87,8 +84,8 @@ class SoftmaxWithLossLayer(LossLayer):
         if self.ignore_label is not None:
             self.ignore_label = int(self.ignore_label)
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        super().reshape(bottom, top)
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        super().shape_changed(bottom, top)
         batch = bottom[0].shape[0]
         classes = bottom[0].count // batch
         self._prob = np.zeros((batch, classes), dtype=DTYPE)
@@ -177,13 +174,8 @@ class EuclideanLossLayer(LossLayer):
         ),
     )
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        if bottom[0].count != bottom[1].count:
-            raise ValueError(
-                f"layer {self.name!r}: bottoms disagree in count "
-                f"({bottom[0].count} vs {bottom[1].count})"
-            )
-        super().reshape(bottom, top)
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        super().shape_changed(bottom, top)
         self._diff = np.zeros(
             (bottom[0].shape[0], bottom[0].count // bottom[0].shape[0]),
             dtype=DTYPE,
@@ -217,6 +209,26 @@ class EuclideanLossLayer(LossLayer):
                 np.copyto(dx, sign * scale * self._diff[lo:hi])
 
 
+def _score_batch(spec, bottoms) -> int:
+    """Batch extent of the scores in bottom 0, checked against the
+    labels in bottom 1: the kernels index the flat label blob by sample,
+    so anything but one label per sample reads the wrong labels or runs
+    off the end."""
+    if not bottoms[0].num_axes:
+        raise ShapeError(
+            f"layer {spec.name!r}: scores need a batch axis, got a "
+            "0-d bottom"
+        )
+    batch = bottoms[0].shape[0]
+    if bottoms[1].count != batch:
+        raise ShapeError(
+            f"layer {spec.name!r}: labels of shape {bottoms[1].shape} "
+            f"hold {bottoms[1].count} value(s) for a score batch of "
+            f"{batch}; need one label per sample"
+        )
+    return batch
+
+
 @register_shape_rule("SoftmaxWithLoss", terminal_ok=True)
 def _softmax_loss_shape_rule(spec, bottoms) -> RuleResult:
     """Scalar loss over the batch; bottom 1 carries the labels."""
@@ -225,14 +237,8 @@ def _softmax_loss_shape_rule(spec, bottoms) -> RuleResult:
             f"layer {spec.name!r}: needs 2 bottoms (scores, labels), "
             f"got {len(bottoms)}"
         )
-    batch = bottoms[0].shape[0] if bottoms[0].num_axes else 1
-    labels = bottoms[1]
-    if labels.num_axes and labels.shape[0] != batch:
-        raise ShapeError(
-            f"layer {spec.name!r}: label batch {labels.shape[0]} != "
-            f"score batch {batch}"
-        )
-    return RuleResult(tops=[BlobInfo(())], forward_space=batch)
+    return RuleResult(tops=[BlobInfo(())],
+                      forward_space=_score_batch(spec, bottoms))
 
 
 @register_shape_rule("EuclideanLoss", terminal_ok=True)
@@ -246,5 +252,8 @@ def _euclidean_loss_shape_rule(spec, bottoms) -> RuleResult:
             f"layer {spec.name!r}: bottoms disagree in count "
             f"({bottoms[0].count} vs {bottoms[1].count})"
         )
-    batch = bottoms[0].shape[0] if bottoms[0].num_axes else 1
-    return RuleResult(tops=[BlobInfo(())], forward_space=batch)
+    if not bottoms[0].num_axes:
+        raise ShapeError(
+            f"layer {spec.name!r}: needs a batch axis, got 0-d bottoms"
+        )
+    return RuleResult(tops=[BlobInfo(())], forward_space=bottoms[0].shape[0])

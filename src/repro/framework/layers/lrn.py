@@ -58,33 +58,15 @@ class LRNLayer(Layer):
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
         self.local_size = int(spec.param("local_size", 5))
-        if self.local_size % 2 == 0:
-            raise ValueError(
-                f"layer {self.name!r}: local_size must be odd, got "
-                f"{self.local_size}"
-            )
         self.alpha = float(spec.param("alpha", 1.0))
         self.beta = float(spec.param("beta", 0.75))
         self.k = float(spec.param("k", 1.0))
-        region = str(spec.param("norm_region", "ACROSS_CHANNELS")).upper()
-        if region != "ACROSS_CHANNELS":
-            raise ValueError(
-                f"layer {self.name!r}: only ACROSS_CHANNELS LRN is supported"
-            )
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        if bottom[0].num_axes != 4:
-            raise ValueError(
-                f"layer {self.name!r}: LRN needs a 4-d bottom, got shape "
-                f"{bottom[0].shape}"
-            )
-        top[0].reshape_like(bottom[0])
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        # Both are written whole, chunk rows by chunk rows, every forward.
         self._scale = np.empty(bottom[0].shape, dtype=DTYPE)
         # scale ** -beta, kept from forward for backward's first term.
         self._scale_pow = np.empty(bottom[0].shape, dtype=DTYPE)
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].shape[0]
 
     def _window_sum(self, src: np.ndarray, out: np.ndarray) -> None:
         """Sliding-window sum of ``src`` over the channel axis (axis 1)

@@ -28,13 +28,6 @@ class NeuronLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        if top[0] is not bottom[0]:
-            top[0].reshape_like(bottom[0])
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].count
-
 
 @register_layer("ReLU")
 class ReLULayer(NeuronLayer):
@@ -331,7 +324,8 @@ class BNLLLayer(NeuronLayer):
     inplace_ok=True,
 )
 def _neuron_shape_rule(spec, bottoms) -> RuleResult:
-    """Element-wise layers: top mirrors the bottom, fully coalesced space."""
+    """Element-wise layers: top has the bottom's shape, fully coalesced
+    space."""
     return RuleResult(
         tops=[BlobInfo(bottoms[0].shape, bottoms[0].dtype)],
         forward_space=bottoms[0].count,

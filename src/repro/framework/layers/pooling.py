@@ -30,7 +30,7 @@ It walks the chunk in blocks of planes sized to stay in L2
 3. **index by arithmetic**: the first offset equal to the maximum is
    ``min over o of (o if equal else k**2)``, computed as
    ``(cand != max) * (k**2 - o) + o`` in a one-byte integer — no masks,
-   no ``argmax``; a table built in ``reshape`` maps offset to plane index;
+   no ``argmax``; a table built in ``shape_changed`` maps offset to plane index;
 4. **NaN pass**: a NaN maximum equals no candidate and leaves the
    sentinel ``k**2`` behind; only then the same arithmetic runs once more
    on ``cand == cand`` to find the window's first NaN.  Values
@@ -111,26 +111,15 @@ class PoolingLayer(Layer):
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
-        method = str(spec.param("pool", "MAX")).upper()
-        if method not in ("MAX", "AVE"):
-            raise ValueError(
-                f"layer {self.name!r}: unsupported pool method {method!r}"
-            )
-        self.method = method
+        self.method = str(spec.param("pool", "MAX")).upper()
         self.kernel_h, self.kernel_w = _pair(spec, "kernel")
         self.stride_h, self.stride_w = _pair(spec, "stride", default=1)
         self.pad_h, self.pad_w = _pair(spec, "pad", default=0)
-        if self.pad_h >= self.kernel_h or self.pad_w >= self.kernel_w:
-            raise ValueError(
-                f"layer {self.name!r}: pad must be smaller than the kernel"
-            )
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         n, c, h, w = bottom[0].shape
         self.in_h, self.in_w = h, w
-        self.out_h = pool_out_size(h, self.kernel_h, self.pad_h, self.stride_h)
-        self.out_w = pool_out_size(w, self.kernel_w, self.pad_w, self.stride_w)
-        top[0].reshape((n, c, self.out_h, self.out_w))
+        _, _, self.out_h, self.out_w = top[0].shape
         # Padded scratch extents: large enough for every (possibly
         # overhanging) window.
         self.eff_h = max(h + 2 * self.pad_h,
@@ -138,7 +127,8 @@ class PoolingLayer(Layer):
         self.eff_w = max(w + 2 * self.pad_w,
                          (self.out_w - 1) * self.stride_w + self.kernel_w)
         if self.method == "MAX":
-            # Plane-local flat index (ih * in_w + iw) of each window max.
+            # Plane-local flat index (ih * in_w + iw) of each window max;
+            # every forward chunk overwrites its planes' entries.
             self._max_idx = np.zeros(
                 (n * c, self.out_h, self.out_w), dtype=np.int64
             )
@@ -260,10 +250,6 @@ class PoolingLayer(Layer):
     # ------------------------------------------------------------------
     # chunk protocol: one iteration == one (sample, channel) plane
     # ------------------------------------------------------------------
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        n, c = bottom[0].shape[0], bottom[0].shape[1]
-        return n * c
-
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
@@ -354,7 +340,7 @@ class PoolingLayer(Layer):
 
 @register_shape_rule("Pooling")
 def _pool_shape_rule(spec, bottoms) -> RuleResult:
-    """Symbolic mirror of :meth:`PoolingLayer.reshape` (ceil semantics)."""
+    """Caffe's ceil output sizing (:func:`pool_out_size`)."""
     require_axes(spec, bottoms[0], 4)
     n, c, h, w = bottoms[0].shape
     method = str(spec.param("pool", "MAX")).upper()

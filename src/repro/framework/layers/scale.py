@@ -37,35 +37,18 @@ from repro.framework.shape_inference import (
 
 
 class _ChannelAffineBase(Layer):
-    """Shared machinery: channel axis handling and loop decomposition."""
+    """Shared machinery: the ``(outer, channels, inner)`` view."""
 
     exact_num_bottom = 1
     exact_num_top = 1
 
-    def _setup_geometry(self, bottom: Sequence[Blob]) -> None:
-        self.axis = bottom[0].canonical_axis(int(self.spec.param("axis", 1)))
-        self.channels = bottom[0].shape[self.axis]
-        self.outer = 1
-        for dim in bottom[0].shape[: self.axis]:
-            self.outer *= dim
-        self.inner = 1
-        for dim in bottom[0].shape[self.axis + 1:]:
-            self.inner *= dim
-
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        if bottom[0].shape[self.axis] != self.channels:
-            raise ValueError(
-                f"layer {self.name!r}: channel extent changed from "
-                f"{self.channels} to {bottom[0].shape[self.axis]}"
-            )
-        if top[0] is not bottom[0]:
-            top[0].reshape_like(bottom[0])
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        (self.channels,) = self.geometry.param_shapes[0]
+        self.outer = self.geometry.forward_space
+        self.inner = bottom[0].count // (self.outer * self.channels)
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self.outer, self.channels, self.inner)
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return self.outer
 
 
 @register_layer("Scale")
@@ -96,12 +79,11 @@ class ScaleLayer(_ChannelAffineBase):
     )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        self._setup_geometry(bottom)
         self.bias_term = bool(self.spec.param("bias_term", False))
         rng = np.random.default_rng(
             int(self.spec.param("filler_seed", 0)) or stable_seed(self.name)
         )
-        gamma = Blob((self.channels,), name=f"{self.name}.scale")
+        gamma = Blob(self.geometry.param_shapes[0], name=f"{self.name}.scale")
         filler = self.spec.param("filler")
         if filler is None:
             gamma.flat_data.fill(1.0)
@@ -109,7 +91,8 @@ class ScaleLayer(_ChannelAffineBase):
             fill(gamma, _filler_spec(filler), rng)
         self.blobs = [gamma]
         if self.bias_term:
-            beta = Blob((self.channels,), name=f"{self.name}.bias")
+            beta = Blob(self.geometry.param_shapes[1],
+                        name=f"{self.name}.bias")
             fill(beta, _filler_spec(self.spec.param("bias_filler")), rng)
             self.blobs.append(beta)
 
@@ -189,11 +172,10 @@ class BiasLayer(_ChannelAffineBase):
     )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        self._setup_geometry(bottom)
         rng = np.random.default_rng(
             int(self.spec.param("filler_seed", 0)) or stable_seed(self.name)
         )
-        beta = Blob((self.channels,), name=f"{self.name}.bias")
+        beta = Blob(self.geometry.param_shapes[0], name=f"{self.name}.bias")
         fill(beta, _filler_spec(self.spec.param("filler")), rng)
         self.blobs = [beta]
 

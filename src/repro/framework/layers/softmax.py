@@ -30,22 +30,12 @@ class SoftmaxLayer(Layer):
 
     write_footprint = FootprintDecl()
 
-    def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        self.axis = bottom[0].canonical_axis(int(self.spec.param("axis", 1)))
-
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        if top[0] is not bottom[0]:
-            top[0].reshape_like(bottom[0])
-        shape = bottom[0].shape
-        self.outer = int(np.prod(shape[: self.axis])) if self.axis else 1
-        self.classes = shape[self.axis]
-        self.inner = (
-            int(np.prod(shape[self.axis + 1 :]))
-            if self.axis + 1 < len(shape) else 1
-        )
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return self.outer
+    def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
+        axis = canonical_axis(self.spec, bottom[0],
+                              int(self.spec.param("axis", 1)))
+        self.outer = self.geometry.forward_space
+        self.classes = bottom[0].shape[axis]
+        self.inner = bottom[0].count // (self.outer * self.classes)
 
     def _view(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self.outer, self.classes, self.inner)

@@ -28,13 +28,6 @@ class SplitLayer(Layer):
 
     write_footprint = FootprintDecl()
 
-    def reshape(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
-        for t in top:
-            t.reshape_like(bottom[0])
-
-    def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
-        return bottom[0].count
-
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:

@@ -26,25 +26,12 @@ import numpy as np
 
 from repro.framework.blob import Blob
 from repro.framework.layer import Layer, create_layer
-from repro.framework.net_spec import BlobLrSpec, LayerSpec, NetSpec
-
-
-def _copy_layer_spec(spec: LayerSpec) -> LayerSpec:
-    """Deep-copy a layer spec, sharing any injected live source object.
-
-    ``source_object`` entries are runtime handles (batch sources with
-    cursors, locks, thread teams behind them) passed in by reference;
-    they must not be cloned.
-    """
-    source = spec.params.pop("source_object", None)
-    try:
-        clone = _copy.deepcopy(spec)
-    finally:
-        if source is not None:
-            spec.params["source_object"] = source
-    if source is not None:
-        clone.params["source_object"] = source
-    return clone
+from repro.framework.net_spec import (
+    BlobLrSpec,
+    LayerSpec,
+    NetSpec,
+    _copy_layer_spec,
+)
 
 
 def _insert_splits(specs: List[LayerSpec]) -> List[LayerSpec]:

@@ -8,6 +8,7 @@ parameter dictionary (the ``*_param`` blocks of the prototxt).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -99,3 +100,55 @@ class NetSpec:
                             f"which no earlier layer produces (phase {phase})"
                         )
                 available.update(spec.tops)
+
+
+def _copy_layer_spec(spec: LayerSpec) -> LayerSpec:
+    """Deep-copy a layer spec, sharing any injected live source object.
+
+    ``source_object`` entries are runtime handles (batch sources with
+    cursors, locks, thread teams behind them) passed in by reference;
+    they must not be cloned.
+    """
+    source = spec.params.pop("source_object", None)
+    try:
+        clone = copy.deepcopy(spec)
+    finally:
+        if source is not None:
+            spec.params["source_object"] = source
+    if source is not None:
+        clone.params["source_object"] = source
+    return clone
+
+
+def with_batch(spec: NetSpec, batch: Optional[int]) -> NetSpec:
+    """A copy of ``spec`` with every batch extent set to ``batch``
+    (``spec`` itself when ``batch`` is None): each feeder's
+    ``batch_size``, the leading ``dim`` of every ``Input`` layer's
+    ``shape`` blocks and of every net-level input shape.  The one batch
+    override — ``infer_net(batch=...)`` and the zoo builders both go
+    through it, so a live net and the symbolic view describe the same
+    workload."""
+    if batch is None:
+        return spec
+    batch = int(batch)
+    if batch <= 0:
+        raise ValueError(f"batch override must be positive, got {batch}")
+    patched = NetSpec(
+        name=spec.name,
+        layers=[_copy_layer_spec(layer) for layer in spec.layers],
+        inputs=list(spec.inputs),
+        input_shapes=[
+            [batch, *shape[1:]] if len(shape) else list(shape)
+            for shape in spec.input_shapes
+        ],
+    )
+    for layer_spec in patched.layers:
+        if "batch_size" in layer_spec.params:
+            layer_spec.params["batch_size"] = batch
+        elif layer_spec.type.lower() == "input":
+            raw = layer_spec.params.get("shape")
+            for blk in raw if isinstance(raw, list) else [raw]:
+                dims = blk.get("dim") if isinstance(blk, dict) else None
+                if isinstance(dims, list) and dims:
+                    dims[0] = batch
+    return patched

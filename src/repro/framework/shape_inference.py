@@ -12,18 +12,19 @@ instantiation, no parameter filling and no blob allocation.
 
 Rules are registered alongside the layer classes (same module, same
 import side effect), so importing :mod:`repro.framework.layers` loads
-both registries in lockstep.  The consumer is
-:mod:`repro.analysis.netcheck`, which walks a spec DAG through these
-rules to produce shape tables, lint findings and the static schedule /
-memory plan.
+both registries in lockstep.  There are two consumers and one answer:
+:meth:`Layer.reshape` shapes a live layer's tops, iteration space and
+parameter blobs from its rule's result (``layer.geometry``), and
+:func:`repro.framework.symbolic.infer_net` walks a spec DAG through the
+same rules for netcheck's shape tables and lint findings, the planner
+and the cost model.
 
 A rule may additionally report:
 
-* ``forward_space`` — the coalesced forward iteration count, mirroring
-  :meth:`Layer.forward_space` symbolically (defaults to the batch
-  extent of the first bottom, the base-class rule);
-* ``param_shapes`` — shapes of the parameter blobs the layer would
-  create, for static memory accounting;
+* ``forward_space`` — the coalesced forward iteration count, which
+  :meth:`Layer.forward_space` returns (defaults to the batch extent of
+  the first bottom);
+* ``param_shapes`` — shapes of the parameter blobs the layer creates;
 * ``notes`` — ``(kind, message)`` diagnostics for legal-but-lossy
   geometry (e.g. a conv stride that drops boundary pixels).
 """
@@ -144,20 +145,48 @@ def registered_shape_rule_types() -> List[str]:
     return sorted(_SHAPE_RULES)
 
 
-def infer_layer(spec: LayerSpec, bottoms: Sequence[BlobInfo]) -> RuleResult:
-    """Run the registered rule for ``spec.type``.
+def _require_extents(
+    spec: LayerSpec, names: Sequence[str], shapes: Sequence[Tuple[int, ...]]
+) -> None:
+    """An empty blob (a feeder with batch 0, ``num_output: 0``) carries
+    no work to run, cost or schedule; the formulas downstream divide by
+    its extents."""
+    for name, shape in zip(names, shapes):
+        if any(dim <= 0 for dim in shape):
+            raise ShapeError(
+                f"layer {spec.name!r}: blob {name!r} has a "
+                f"non-positive extent in shape {tuple(shape)}"
+            )
 
-    Raises :class:`ShapeError` when bottoms are incompatible, KeyError
-    when the layer type has no rule, and normalizes bare top lists into
-    a :class:`RuleResult` with the base-class forward space (the batch
-    extent of the first bottom, or 1).
+
+def infer_layer(spec: LayerSpec, bottoms: Sequence[BlobInfo]) -> RuleResult:
+    """Run the registered rule for ``spec.type`` — the one validator and
+    the one source of a layer's geometry, for :meth:`Layer.reshape` and
+    :func:`~repro.framework.symbolic.infer_net` alike.
+
+    Raises :class:`ShapeError` when bottoms are incompatible, the rule's
+    tops do not match the declared ones or any extent is non-positive,
+    KeyError when the layer type has no rule, and normalizes bare top
+    lists into a :class:`RuleResult` with the base-class forward space
+    (the batch extent of the first bottom, or 1).
     """
     rule = shape_rule_for(spec.type)
     if rule is None:
         raise KeyError(f"no shape rule for layer type {spec.type!r}")
+    _require_extents(spec, spec.bottoms, [b.shape for b in bottoms])
     result = rule.fn(spec, list(bottoms))
     if not isinstance(result, RuleResult):
         result = RuleResult(tops=list(result))
+    if len(result.tops) != len(spec.tops):
+        raise ShapeError(
+            f"layer {spec.name!r}: rule produced {len(result.tops)} tops "
+            f"for {len(spec.tops)} declared top(s)"
+        )
+    _require_extents(spec, spec.tops, [t.shape for t in result.tops])
+    _require_extents(
+        spec, [f"param {i}" for i in range(len(result.param_shapes))],
+        result.param_shapes,
+    )
     if result.forward_space is None:
         if rule.sequential:
             result.forward_space = 1

@@ -1,12 +1,14 @@
 """Symbolic net construction: shape propagation without instantiation.
 
-This mirrors the graph transformations of :class:`~repro.framework.net.Net`
+This applies the graph transformations of :class:`~repro.framework.net.Net`
 — phase filtering, automatic Split insertion, in-place wiring — but pushes
 :class:`~repro.framework.shape_inference.BlobInfo` records through the
 registered shape rules instead of instantiating layers and allocating
-blobs.  The resulting :class:`SymbolicNet` therefore has *exactly* the
-blob names and shapes the real net would have (split copies included),
-which is what lets :mod:`repro.analysis.netcheck` assert parity and
+blobs.  A live layer shapes itself through the same
+:func:`~repro.framework.shape_inference.infer_layer` call, so the
+resulting :class:`SymbolicNet` has *exactly* the blob names and shapes the
+real net has (split copies included) and refuses exactly the specs
+``Net(spec)`` refuses — which is what lets
 :func:`repro.simulator.cost_model.spec_costs` run the machine models from
 a spec alone.
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.framework.net import _copy_layer_spec, _insert_splits
-from repro.framework.net_spec import LayerSpec, NetSpec
+from repro.framework.net import _insert_splits
+from repro.framework.net_spec import LayerSpec, NetSpec, with_batch
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -72,35 +74,6 @@ class SymbolicNet:
         return [l.error for l in self.layers if l.error is not None]
 
 
-def _override_batch(specs: List[LayerSpec], batch: int) -> None:
-    """Rewrite every feeder's batch extent in-place (specs are copies)."""
-    for spec in specs:
-        type_name = spec.type.lower()
-        if type_name in ("data", "memorydata") and "batch_size" in spec.params:
-            spec.params["batch_size"] = batch
-        elif type_name == "input":
-            raw = spec.params.get("shape")
-            blocks = raw if isinstance(raw, list) else [raw]
-            for blk in blocks:
-                if isinstance(blk, dict):
-                    dims = blk.get("dim")
-                    if isinstance(dims, list) and dims:
-                        dims[0] = batch
-
-
-def _require_extents(
-    layer_spec: LayerSpec, names: List[str], infos: List[BlobInfo]
-) -> None:
-    """An empty blob (a feeder with batch 0, say) carries no work to
-    cost or schedule; the formulas downstream divide by its extents."""
-    for name, info in zip(names, infos):
-        if any(dim <= 0 for dim in info.shape):
-            raise ShapeError(
-                f"layer {layer_spec.name!r}: blob {name!r} has a "
-                f"non-positive extent in shape {info.shape}"
-            )
-
-
 def infer_net(
     spec: NetSpec,
     phase: str = "TRAIN",
@@ -109,27 +82,16 @@ def infer_net(
 ) -> SymbolicNet:
     """Propagate shapes through one phase of ``spec``.
 
-    ``batch`` overrides the batch extent of every feeder (Data/MemoryData
-    ``batch_size``, Input and net-level input shapes' leading dim) before
-    propagation, so what-if planning at a different batch size needs no
-    spec surgery.
+    ``batch`` overrides every batch extent first
+    (:func:`~repro.framework.net_spec.with_batch`), so what-if planning
+    at a different batch size needs no spec surgery.
     """
-    if batch is not None:
-        batch = int(batch)
-        if batch <= 0:
-            raise ValueError(f"batch override must be positive, got {batch}")
-
-    phase_specs = [_copy_layer_spec(s) for s in spec.layers_for_phase(phase)]
-    if batch is not None:
-        _override_batch(phase_specs, batch)
-    phase_specs = _insert_splits(phase_specs)
+    spec = with_batch(spec, batch)
+    phase_specs = _insert_splits(spec.layers_for_phase(phase))
 
     blob_map: Dict[str, BlobInfo] = {}
     for input_name, input_shape in zip(spec.inputs, spec.input_shapes):
-        shape = tuple(int(d) for d in input_shape)
-        if batch is not None and shape:
-            shape = (batch,) + shape[1:]
-        blob_map[input_name] = BlobInfo(shape)
+        blob_map[input_name] = BlobInfo(tuple(int(d) for d in input_shape))
     # Inputs beyond input_shapes get no entry: their consumers are
     # reported (lint NG006 / strict ShapeError) rather than guessed at.
 
@@ -156,15 +118,7 @@ def infer_net(
             continue
 
         try:
-            _require_extents(layer_spec, layer_spec.bottoms, bottoms)
             result = infer_layer(layer_spec, bottoms)
-            if len(result.tops) != len(layer_spec.tops):
-                raise ShapeError(
-                    f"layer {layer_spec.name!r}: rule produced "
-                    f"{len(result.tops)} tops for {len(layer_spec.tops)} "
-                    "declared top(s)"
-                )
-            _require_extents(layer_spec, layer_spec.tops, result.tops)
         except ShapeError as exc:
             if strict:
                 raise

@@ -23,9 +23,11 @@ where those shapes come from:
   that already holds the :class:`SymbolicNet` calls
   ``costs_of(sym.layers)`` instead of inferring again.
 
-Their agreement is therefore structural: the two can differ only where a
-shape rule reports other shapes than the live layer takes, which is what
-the parity tests and fusecheck's FU004 check.
+Their agreement is structural twice over: a live layer's shapes *are* its
+rule's result (``layer.geometry``, see :meth:`Layer.reshape`), so both
+callers hand the ladder the same ``RuleResult``.  The parity tests and
+fusecheck's FU004 guard the rules' arithmetic and the ladder, not a second
+copy of either.
 """
 
 from __future__ import annotations
@@ -410,16 +412,18 @@ def costs_of(
 
 
 def net_costs(net: Net, include_accuracy: bool = False) -> List[LayerCost]:
-    """Costs of an instantiated net, from its live blobs' shapes.
+    """Costs of an instantiated net, from its layers' geometry.
 
-    The net must have been shaped (run one forward pass first).
+    The net must have been shaped (run one forward pass first).  A layer
+    that shapes itself (the feeders) has no ``geometry``; its view is
+    read off the live blobs.
     """
     return costs_of(
         (
             LayerInference(
                 layer.spec,
                 [BlobInfo(b.shape) for b in bottom],
-                RuleResult(
+                layer.geometry or RuleResult(
                     tops=[BlobInfo(t.shape) for t in top],
                     forward_space=layer.forward_space(bottom, top),
                     param_shapes=[b.shape for b in layer.blobs],

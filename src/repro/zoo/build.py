@@ -8,12 +8,11 @@ each exist once.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Optional
 
 from repro.data import register_default_sources
 from repro.framework.net import Net
-from repro.framework.net_spec import NetSpec
+from repro.framework.net_spec import NetSpec, with_batch
 from repro.framework.solvers import SolverParams, create_solver
 from repro.zoo.cifar10 import cifar10_solver_params, cifar10_spec
 from repro.zoo.lenet import lenet_solver_params, lenet_spec
@@ -46,23 +45,6 @@ def _entry(name: str):
         raise UnknownNet(name)
     register_default_sources()
     return _SPECS[name]
-
-
-def with_batch(spec: NetSpec, batch: Optional[int]) -> NetSpec:
-    """A deep copy of ``spec`` with every feeder's batch extent set to
-    ``batch`` (``spec`` itself when ``batch`` is None), mirroring what
-    ``infer_net(batch=...)`` does symbolically so a live net and the
-    symbolic costs describe the same workload."""
-    if batch is None:
-        return spec
-    patched = copy.deepcopy(spec)
-    for layer_spec in patched.layers:
-        if "batch_size" in layer_spec.params:
-            layer_spec.params["batch_size"] = batch
-    patched.input_shapes = [
-        [batch, *shape[1:]] for shape in patched.input_shapes
-    ]
-    return patched
 
 
 def zoo_spec(name: str, batch: Optional[int] = None) -> NetSpec:

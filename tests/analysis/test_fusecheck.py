@@ -69,28 +69,68 @@ class TestCheckFuse:
             assert net_costs(net) == spec_costs(fused_spec, phase="TRAIN")
 
 
-    def test_fu004_fires_when_a_rule_misreports_live_shapes(self, monkeypatch):
-        """Both sides go through one cost ladder, so FU004 is exactly
-        "the fused shape rule reports other shapes than the layer takes"."""
+    def test_batch_override_reaches_input_layers_on_both_sides(self):
+        """One batch override (``with_batch``) under ``infer_net`` and the
+        live net: an ``Input`` layer's ``shape { dim }`` is rewritten for
+        both, so ``--batch`` on a correct prototxt is no FU004."""
+        from repro.framework.net import Net
+        from repro.framework.net_spec import with_batch
+        from repro.framework.prototxt import parse_prototxt
+
+        spec = parse_prototxt("""
+            name: "tiny"
+            layer { name: "in" type: "Input" top: "x"
+                    input_param { shape { dim: 10 dim: 12 } } }
+            layer { name: "ip" type: "InnerProduct" bottom: "x" top: "y"
+                    inner_product_param { num_output: 5 } }
+            layer { name: "relu" type: "ReLU" bottom: "y" top: "y" }
+        """)
+        report = check_fuse(spec, net_name="tiny", threads=2, batch=2)
+        assert [f.rule for f in report.findings if f.severity == ERROR] == []
+        assert Net(with_batch(spec, 2)).blob("y").shape == (2, 5)
+        assert Net(spec).blob("y").shape == (10, 5)  # spec left alone
+
+    @staticmethod
+    def _lenet_under_a_lying_ip1_rule(monkeypatch, lies):
+        """check_fuse on lenet with the fused ip1's rule reporting one
+        weight column too many on its first ``lies`` calls."""
         import dataclasses
 
         from repro.framework import shape_inference
 
         rule = shape_inference.shape_rule_for("FusedInnerProductReLU")
+        asked = []
 
         def wrong_weights(spec, bottoms):
             result = rule.fn(spec, bottoms)
-            num_output, inner = result.param_shapes[0]
-            result.param_shapes[0] = (num_output, inner + 1)
+            asked.append(spec.name)
+            if len(asked) <= lies:
+                num_output, inner = result.param_shapes[0]
+                result.param_shapes[0] = (num_output, inner + 1)
             return result
 
         monkeypatch.setitem(
             shape_inference._SHAPE_RULES, "fusedinnerproductrelu",
             dataclasses.replace(rule, fn=wrong_weights))
-        report = check_fuse(_zoo_spec("lenet"), net_name="lenet",
-                            threads=2, batch=4)
+        return check_fuse(_zoo_spec("lenet"), net_name="lenet",
+                          threads=2, batch=4)
+
+    def test_fu004_fires_when_a_rule_misreports_live_shapes(self, monkeypatch):
+        """Both sides go through one cost ladder and one shape rule, so
+        FU004 is exactly "the rule told netcheck (who asks first)
+        something else than it told the live layer" — an impure rule."""
+        report = self._lenet_under_a_lying_ip1_rule(monkeypatch, lies=1)
         assert [f.layer for f in report.findings if f.rule == "FU004"] == [
             "ip1"]
+
+    def test_a_consistently_wrong_rule_cannot_build_a_net(self, monkeypatch):
+        """The live layer has no shape arithmetic of its own to disagree
+        with: a rule that always misreports the weights allocates them
+        that way, and the first forward fails — FU001, not a silent cost
+        skew."""
+        report = self._lenet_under_a_lying_ip1_rule(monkeypatch, lies=99)
+        assert [f.rule for f in report.findings
+                if f.severity == ERROR] == ["FU001"]
 
     def test_each_spec_is_inferred_once(self, monkeypatch):
         """The callers hand the SymbolicNet on instead of re-inferring:

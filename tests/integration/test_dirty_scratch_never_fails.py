@@ -7,6 +7,11 @@ a non-finite loss.  So the pool is filled with NaN bytes
 (:data:`repro.testing.NAN_BYTE`) between operations, in every thread,
 and the operations must neither fail nor move a bit.  A ``0xAB`` fill
 (-1.2e-12) could hide inside a tolerance; a NaN cannot hide anywhere.
+
+The same goes for the per-sample arrays the layers' ``shape_changed``
+hooks own (``_max_idx``, ``_scale``, ``_prob``, ``_per_sample``, ...):
+they are allocated when a shape changes, not every forward, so whatever
+the previous iteration left in them must never be read.
 """
 
 import numpy as np
@@ -20,7 +25,7 @@ from repro.serve import (
     ManualClock,
 )
 from repro.serve.engine import _resolve_output_blob, _swap_in_staged_sources
-from repro.testing import NAN_BYTE, dirty_scratch_pool
+from repro.testing import JUNK_BYTE, NAN_BYTE, dirty_scratch_pool
 from repro.zoo import build_net, build_solver
 
 MAX_BATCH = 8
@@ -115,3 +120,52 @@ class TestTrainingSurvivesANanFilledPool:
                 dirty_every_thread(executor)
         assert np.isfinite(solver.loss_history).all()
         assert (solver.loss_history, parameters(solver)) == undirtied[network]
+
+
+def dirty_work_arrays(net, byte):
+    """Overwrite every array a layer declares as footprint scratch;
+    returns how many there were."""
+    dirtied = 0
+    for layer in net.layers:
+        decl = layer.write_footprint
+        for attr in decl.scratch if decl is not None else ():
+            array = getattr(layer, attr, None)
+            if array is not None:
+                array.view(np.uint8).fill(byte)
+                dirtied += 1
+    return dirtied
+
+
+class TestTrainingSurvivesDirtyWorkArrays:
+    """lenet (MAX pooling, loss) and cifar10 (LRN, AVE pooling too) at
+    batch 8: with every layer-owned work array overwritten between
+    iterations the trajectory stays bitwise that of a clean run."""
+
+    ITERS = 4
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        runs = {}
+        for network in ("lenet", "cifar10"):
+            solver = build_solver(network, max_iter=self.ITERS, batch=8)
+            solver.step(self.ITERS)
+            runs[network] = solver.loss_history, parameters(solver)
+        return runs
+
+    @pytest.mark.parametrize("byte", [JUNK_BYTE, NAN_BYTE])
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("network", ["lenet", "cifar10"])
+    def test_trajectory_bitwise(self, clean, network, threads, byte):
+        executor = (ParallelExecutor(threads, reduction="blockwise")
+                    if threads else None)
+        try:
+            solver = build_solver(network, max_iter=self.ITERS, batch=8,
+                                  executor=executor)
+            for _ in range(self.ITERS):
+                solver.step(1)
+                # pool1's _max_idx and the loss layer's three, at least
+                assert dirty_work_arrays(solver.net, byte) >= 4
+        finally:
+            if executor is not None:
+                executor.close()
+        assert (solver.loss_history, parameters(solver)) == clean[network]
