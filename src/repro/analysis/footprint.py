@@ -23,8 +23,10 @@ Classification per pass:
 
 Classes overriding :meth:`backward_loops` are analyzed through the
 ``self._backward_*`` helper methods their loop bodies call (each helper
-has its own ``lo``/``hi`` loop space), mirroring what the runtime
-actually executes.
+has its own ``lo``/``hi`` loop space) and, transitively, the own methods
+those call (a fused conv reaches conv's chunk helpers through the
+``_conv_loops`` helper both share), mirroring what the runtime actually
+executes.
 """
 
 from __future__ import annotations
@@ -554,7 +556,12 @@ def analyze_layer_class(cls) -> LayerReport:
                 ("unknown",), False, 0,
                 "backward_loops body could not be followed"
             ))
-        for name in helper_names:
+        followed: Set[str] = set()
+        while helper_names:
+            name = helper_names.pop(0)
+            if name in followed:
+                continue
+            followed.add(name)
             helper = getattr(cls, name, None)
             sub = analyze_method(helper, "helper") if helper else None
             if sub is None:
@@ -562,10 +569,11 @@ def analyze_layer_class(cls) -> LayerReport:
                     ("unknown",), False, 0, f"helper {name} unavailable"
                 ))
                 continue
-            mw, _ = sub
+            mw, calls = sub
             bwd_writes += [w for w in mw.writes if w.kind != "attr"]
             attr_writes += [w for w in mw.writes if w.kind == "attr"]
             bwd_unresolved += mw.unresolved
+            helper_names += calls
     else:
         bwd_func = getattr(cls, "backward_chunk", None)
         analyzed = (analyze_method(bwd_func, "backward_chunk")

@@ -11,7 +11,10 @@ This package provides that surface:
   :func:`asum`, :func:`nrm2`, :func:`copy`, :func:`set_scalar`.
 * Level 2: :func:`gemv`, :func:`ger`.
 * Level 3: :func:`gemm`.
-* Convolution lowering: :func:`im2col`, :func:`col2im`.
+* Convolution lowering: :func:`im2col`, :func:`col2im`.  No layer calls
+  ``col2im`` (convolution's backward-data is an ``im2col`` + ``gemm``
+  correlation); it is kept as the tested adjoint of ``im2col`` and the
+  reference that correlation is checked against.
 
 Two backends are registered:
 

@@ -3,16 +3,30 @@
 The coarse-grain iteration space is the batch dimension ``S``: one
 iteration unfolds one image into a column matrix and multiplies it against
 the filter bank — the exact per-sample work unit the paper assigns to a
-thread chunk for the conv1/conv2/conv3 layers.  The column scratch buffer
-and the zero-padded plane ``im2col``/``col2im`` work on come from the
+thread chunk for the conv1/conv2/conv3 layers.  Every work array (column
+buffers, padded planes, the rotated filter bank) comes from the
 per-thread pool in :mod:`repro.compiler.scratch`, so concurrent chunks
 never share scratch (the "object privatization" of Algorithm 4, line 2)
 and the steady state allocates nothing per call.
+
+The backward pass is two loops over samples, the split InnerProduct
+uses: the weight/bias gradients as a privatized reduction
+(``dW_g += dY_g @ im2col(x)ᵀ``), and the bottom gradient as a
+reduction-free loop that never scatters.  ``dX`` is the *correlation* of
+the top diff with the filter bank rotated 180° and channel-transposed,
+``W_rot[g][c, (o, i, j)] = W[g·og + o, c, kh−1−i, kw−1−j]``: the top diff
+is written into a zeroed ``(og, H+kh−1, W+kw−1)`` plane — entry
+``(oh, ow)`` at ``(oh·stride_h + kh−1−pad_h, ow·stride_w + kw−1−pad_w)``,
+so a stride leaves zeros between entries and entries whose window lies
+wholly in the padding fall outside the plane and are dropped — and then
+``dX_g = W_rot[g] @ im2col(plane)`` with a stride-1, unpadded ``kh × kw``
+window.  One path serves every stride, pad and group; each sample's
+``dX`` still depends on that sample alone.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -24,6 +38,7 @@ from repro.framework.fillers import FillerSpec, fill, stable_seed
 from repro.framework.layer import (
     FootprintDecl,
     Layer,
+    LoopSpec,
     PerfDecl,
     REDUCTION,
     RNGDecl,
@@ -85,9 +100,10 @@ class ConvolutionLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    # Backward accumulates dW (and db) across samples -> privatized
+    # The weight loop accumulates dW (and db) across samples -> privatized
     # reduction over both param blobs; footprint() drops the bias index
-    # automatically when bias_term is off.
+    # automatically when bias_term is off.  The backward-data loop writes
+    # only its own samples' bottom diff.
     write_footprint = FootprintDecl(
         backward=REDUCTION, reduction_params=(0, 1)
     )
@@ -96,12 +112,13 @@ class ConvolutionLayer(Layer):
                              fallback="stable_digest")
 
     perf_decl = PerfDecl(
-        loops=("forward_chunk", "backward_chunk"),
+        loops=("forward_chunk", "_backward_weight_chunk",
+               "_backward_data_chunk"),
         note=(
             "one im2col + gemm per coalesced iteration (sample x group) "
             "is the chunking design, priced as segments dispatch by the "
-            "cost model; the column buffers and the padded plane "
-            "im2col/col2im work on come from the scratch pool"
+            "cost model; the column buffers, padded planes and rotated "
+            "filter bank come from the scratch pool"
         ),
     )
 
@@ -139,6 +156,17 @@ class ConvolutionLayer(Layer):
         self._padded_shape = (
             c // self.group, h + 2 * self.pad_h, w + 2 * self.pad_w
         )
+        og = self.num_output // self.group
+        window = self.kernel_h * self.kernel_w
+        self._wrot_shape = (self.group, c // self.group, og * window)
+        self._dy_plane_shape = (
+            og, h + self.kernel_h - 1, w + self.kernel_w - 1
+        )
+        self._dy_col_shape = (og * window, h * w)
+        self._dy_rows = _interleave(
+            h, self.kernel_h, self.pad_h, self.stride_h, self.out_h)
+        self._dy_cols = _interleave(
+            w, self.kernel_w, self.pad_w, self.stride_w, self.out_w)
 
     # ------------------------------------------------------------------
     # chunk protocol: one iteration == one sample
@@ -172,28 +200,25 @@ class ConvolutionLayer(Layer):
                 bias = self.blobs[1].data
                 y[s] += bias[:, None, None]
 
-    def backward_chunk(
+    def _backward_weight_chunk(
         self,
         top: Sequence[Blob],
-        propagate_down: Sequence[bool],
         bottom: Sequence[Blob],
         lo: int,
         hi: int,
         param_grads: Sequence[np.ndarray],
     ) -> None:
+        """dW (and db) contributions of samples ``[lo, hi)``, accumulated
+        into the privatized ``param_grads``."""
         x = bottom[0].data
         dy = top[0].diff
-        dx = bottom[0].diff if propagate_down[0] else None
-        weights = self.blobs[0].data.reshape(self.num_output, -1)
         dweights = param_grads[0].reshape(self.num_output, -1)
         dbias = param_grads[1] if self.bias_term else None
 
         col = scratch_buffer("conv.col", self._col_shape, DTYPE)
-        dcol = scratch_buffer("conv.dcol", self._col_shape, DTYPE)
         padded = scratch_buffer("conv.padded", self._padded_shape, DTYPE)
         cg = self.channels // self.group
         og = self.num_output // self.group
-        _, _, in_h, in_w = bottom[0].shape
 
         for s in range(lo, hi):
             dy_s = dy[s].reshape(self.num_output, -1)
@@ -213,20 +238,85 @@ class ConvolutionLayer(Layer):
                     False, True, 1.0, dy_g, col, 1.0,
                     dweights[g * og : (g + 1) * og],
                 )
-                if dx is not None:
-                    # dcol = W_g^T @ dY_g, then fold back onto the image.
-                    blaslib.gemm(
-                        True, False, 1.0,
-                        weights[g * og : (g + 1) * og], dy_g,
-                        0.0, dcol,
-                    )
-                    blaslib.col2im(
-                        dcol, cg, in_h, in_w,
-                        self.kernel_h, self.kernel_w,
-                        self.pad_h, self.pad_w,
-                        self.stride_h, self.stride_w,
-                        out=dx[s, g * cg : (g + 1) * cg], work=padded,
-                    )
+
+    def _backward_data_chunk(
+        self, top: Sequence[Blob], bottom: Sequence[Blob], lo: int, hi: int
+    ) -> None:
+        """Bottom gradients of samples ``[lo, hi)`` (disjoint): per sample
+        and group, the top diff interleaved into the zeroed plane, one
+        unpadded stride-1 ``im2col`` of it and one ``gemm`` against the
+        rotated filter bank straight into the bottom diff (module
+        docstring)."""
+        dy = top[0].diff
+        dx = bottom[0].diff
+        cg = self.channels // self.group
+        og = self.num_output // self.group
+        kh, kw = self.kernel_h, self.kernel_w
+
+        wrot = scratch_buffer("conv.wrot", self._wrot_shape, DTYPE)
+        np.copyto(
+            wrot.reshape(self.group, cg, og, kh, kw),
+            self.blobs[0].data.reshape(self.group, og, cg, kh, kw)
+            [..., ::-1, ::-1].transpose(0, 2, 1, 3, 4),
+        )
+        # Only the interleave positions are ever written, so the zeros
+        # between and around them survive every sample.
+        plane = scratch_buffer("conv.dy_plane", self._dy_plane_shape, DTYPE)
+        plane.fill(0.0)
+        cols = scratch_buffer("conv.dy_col", self._dy_col_shape, DTYPE)
+        plane_h, top_h = self._dy_rows
+        plane_w, top_w = self._dy_cols
+
+        for s in range(lo, hi):
+            for g in range(self.group):
+                plane[:, plane_h, plane_w] = (
+                    dy[s, g * og : (g + 1) * og, top_h, top_w])
+                blaslib.im2col(plane, kh, kw, 0, 0, 1, 1, out=cols)
+                blaslib.gemm(
+                    False, False, 1.0, wrot[g], cols, 0.0,
+                    dx[s, g * cg : (g + 1) * cg].reshape(cg, -1),
+                )
+
+    def backward_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
+        return self._conv_loops(top, propagate_down, bottom)
+
+    def _conv_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
+        """The weight/bias reduction over samples, then — when the bottom
+        wants a gradient — the reduction-free backward-data loop.  A
+        fused conv runs these after its epilogue loops."""
+        space = self.backward_space(top, bottom)
+        loops = [LoopSpec(
+            space=space,
+            body=lambda lo, hi, grads: self._backward_weight_chunk(
+                top, bottom, lo, hi, grads),
+            reduction=True,
+            grad_targets=tuple(
+                blob.flat_diff
+                for blob in self.blobs[:2 if self.bias_term else 1]
+            ),
+            block=self.grad_block(space, bottom[0].shape[0]),
+        )]
+        if propagate_down[0]:
+            loops.append(LoopSpec(
+                space=space,
+                body=lambda lo, hi, grads: self._backward_data_chunk(
+                    top, bottom, lo, hi),
+            ))
+        return loops
+
+
+def _interleave(extent: int, kernel: int, pad: int, stride: int,
+                out: int) -> tuple[slice, slice]:
+    """``(plane slice, top slice)`` along one axis of the backward-data
+    plane: output position ``o`` lands at ``o * stride + kernel - 1 -
+    pad``; positions outside ``[0, extent + kernel - 1)`` have windows
+    wholly in the padding, reach no input pixel and are dropped."""
+    offset = kernel - 1 - pad
+    first = max(0, -(offset // stride))
+    count = max(0, min(out, (extent - 1 + pad) // stride + 1) - first)
+    start = first * stride + offset
+    return (slice(start, start + count * stride, stride),
+            slice(first, first + count))
 
 
 @register_shape_rule("Convolution")

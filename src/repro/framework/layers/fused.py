@@ -218,19 +218,7 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
                 body=lambda lo, hi, grads: self._middle_bias_channels(
                     top, lo, hi),
             ))
-        space = self.backward_space(top, bottom)
-        batch = bottom[0].shape[0]
-        loops.append(LoopSpec(
-            space=space,
-            body=lambda lo, hi, grads: self.backward_chunk(
-                top, propagate_down, bottom, lo, hi, grads),
-            reduction=True,
-            grad_targets=tuple(
-                blob.flat_diff
-                for blob in self.blobs[:self._num_primary_blobs]
-            ),
-            block=self.grad_block(space, batch),
-        ))
+        loops.extend(self._conv_loops(top, propagate_down, bottom))
         return loops
 
 

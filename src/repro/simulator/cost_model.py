@@ -104,7 +104,8 @@ def conv_costs(
         space=n, segments=n * group, dist="sample",
         input_bytes=in_bytes, channels_in=c, plane_out=oh * ow,
     )
-    # backward: dW (gemm), dX (gemm + col2im) — ~2x forward arithmetic.
+    # backward: dW (im2col + gemm), dX (im2col of the interleaved top
+    # diff + gemm against the rotated filters) — ~2x forward arithmetic.
     bwd_flops = 4.0 * macs + n * k * oh * ow
     bwd = LayerCost(
         name=name, type="Convolution", pass_="backward",

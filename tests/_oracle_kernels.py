@@ -8,17 +8,19 @@ the old kernels.  Two generations live here, held to two standards:
 * **Bitwise** (PR 15): MAX pooling, ``im2col`` and ``col2im`` were
   rewritten for speed under the promise that their outputs stay
   byte-for-byte what these produce; the parity tests hold them to it.
-* **Tolerance-bounded** (the one deliberate numeric re-baseline):
+* **Tolerance-bounded** (the deliberate numeric re-baselines):
   InnerProduct's per-sample / per-output-row ``gemv`` loops, AVE
   pooling's ``windows.sum`` forward and LRN's float64 prefix-sum window
-  were replaced by kernels that sum in another order or precision.  The
-  new kernels agree with these to ``rtol=1e-5, atol=1e-6``; what stays
-  bitwise is parallel == sequential == fused == served == resumed under
-  the *new* kernels, at every chunk cut.
+  were replaced by kernels that sum in another order or precision, and
+  so was convolution's backward-data ``Wᵀ @ dY`` + ``col2im`` scatter
+  (now a correlation with the rotated filter bank).  The new kernels
+  agree with these to ``rtol=1e-5, atol=1e-6``; what stays bitwise is
+  parallel == sequential == fused == served == resumed under the *new*
+  kernels, at every chunk cut.
 
 Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
-the double copy in ``im2col``, the Python loop around ``gemv`` and the
-float64 upcast are the point.
+the double copy in ``im2col``, the Python loop around ``gemv``, the
+float64 upcast and the ``col2im`` scatter are the point.
 """
 
 from __future__ import annotations
@@ -141,6 +143,30 @@ def col2im(col, channels, height, width, kernel_h, kernel_w, pad_h, pad_w,
             padded[:, kh:h_stop:stride_h, kw:w_stop:stride_w] += view[:, kh, kw]
     np.copyto(out, padded[:, pad_h : pad_h + height, pad_w : pad_w + width])
     return out
+
+
+# ----------------------------------------------------------------------
+# Convolution backward-data (ConvolutionLayer._backward_data_chunk):
+# dcol = W_g^T @ dY_g per sample and group, folded back by col2im
+# ----------------------------------------------------------------------
+def conv_backward_data_chunk(layer, top, bottom, lo: int, hi: int) -> None:
+    dy = top[0].diff
+    dx = bottom[0].diff
+    weights = layer.blobs[0].data.reshape(layer.num_output, -1)
+    _, _, in_h, in_w = bottom[0].shape
+    cg = layer.channels // layer.group
+    og = layer.num_output // layer.group
+    dcol = np.empty(layer._col_shape, DTYPE)
+    for s in range(lo, hi):
+        dy_s = dy[s].reshape(layer.num_output, -1)
+        for g in range(layer.group):
+            blaslib.gemm(True, False, 1.0, weights[g * og : (g + 1) * og],
+                         dy_s[g * og : (g + 1) * og], 0.0, dcol)
+            blaslib.col2im(
+                dcol, cg, in_h, in_w, layer.kernel_h, layer.kernel_w,
+                layer.pad_h, layer.pad_w, layer.stride_h, layer.stride_w,
+                out=dx[s, g * cg : (g + 1) * cg],
+            )
 
 
 # ----------------------------------------------------------------------

@@ -50,11 +50,16 @@ class TestEveryCutSameBytes:
     """InnerProduct multiplies aligned blocks of 8 samples; a chunk edge
     inside a block must not move a bit.  mlp at batch 20 (two full
     blocks and a ragged one of 4) under schedules whose chunks are 1, 3,
-    shrinking or ``ceil(20 / T)`` samples cuts blocks everywhere."""
+    shrinking or ``ceil(20 / T)`` samples cuts blocks everywhere.  lenet
+    at batch 10 adds convolution: its weight reduction and its
+    backward-data loop under the same cuts."""
+
+    SCHEDULES = ["static", "static,3", "dynamic,1", "guided"]
+    THREADS = [2, 3, 5, 8]
 
     @staticmethod
-    def run(executor=None, iters=3):
-        solver = build_solver("mlp", max_iter=iters, batch=20,
+    def run(network="mlp", batch=20, executor=None, iters=3):
+        solver = build_solver(network, max_iter=iters, batch=batch,
                               executor=executor)
         solver.step(iters)
         return solver.loss_history, [
@@ -62,17 +67,30 @@ class TestEveryCutSameBytes:
             for layer in solver.net.layers for blob in layer.blobs
         ]
 
+    def run_parallel(self, threads, schedule, network="mlp", batch=20):
+        with ParallelExecutor(threads, schedule=make_schedule(schedule),
+                              reduction="blockwise") as executor:
+            return self.run(network, batch, executor)
+
     @pytest.fixture(scope="class")
     def sequential(self):
         return self.run()
 
-    @pytest.mark.parametrize("schedule",
-                             ["static", "static,3", "dynamic,1", "guided"])
-    @pytest.mark.parametrize("threads", [2, 3, 5, 8])
+    @pytest.fixture(scope="class")
+    def lenet_sequential(self):
+        return self.run("lenet", 10)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("threads", THREADS)
     def test_mlp_losses_and_parameters(self, sequential, threads, schedule):
-        with ParallelExecutor(threads, schedule=make_schedule(schedule),
-                              reduction="blockwise") as executor:
-            assert self.run(executor) == sequential
+        assert self.run_parallel(threads, schedule) == sequential
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_lenet_losses_and_parameters(self, lenet_sequential, threads,
+                                         schedule):
+        assert self.run_parallel(threads, schedule, "lenet", 10) == (
+            lenet_sequential)
 
 
 class TestOrderedDeterminism:

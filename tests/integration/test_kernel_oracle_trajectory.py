@@ -9,9 +9,11 @@ the frozen pre-rewrite copies in ``tests/_oracle_kernels.py``.
   parameter blob agree **exactly**, sequentially and under the
   two-thread blockwise executor (whose chunking splits the plane/sample
   ranges differently).
-* InnerProduct, AVE pooling forward and LRN (the deliberate numeric
-  re-baseline — block GEMMs, ordered float32 adds): losses and
-  parameters are ``np.allclose`` at ``rtol=1e-5``.
+* InnerProduct, AVE pooling forward, LRN and convolution backward-data
+  (the deliberate numeric re-baselines — block GEMMs, ordered float32
+  adds, a correlation with the rotated filter bank instead of
+  ``col2im``): losses and parameters are ``np.allclose`` at
+  ``rtol=1e-5``.
 """
 
 import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
@@ -21,6 +23,7 @@ import pytest
 from repro import blaslib
 from repro.core import ParallelExecutor
 from repro.framework.blob import DTYPE
+from repro.framework.layers.conv import ConvolutionLayer
 from repro.framework.layers.inner_product import InnerProductLayer
 from repro.framework.layers.lrn import LRNLayer
 from repro.framework.layers.pooling import PoolingLayer
@@ -78,7 +81,7 @@ def test_trajectory_equals_oracle_kernels(network, threads, monkeypatch):
 
 
 def use_frozen_numerics(monkeypatch):
-    """The three re-baselined kernels, back on their old forms."""
+    """The re-baselined kernels, back on their old forms."""
     monkeypatch.setattr(PoolingLayer, "forward_chunk", for_method(
         "AVE", oracle.ave_pool_forward_chunk, PoolingLayer.forward_chunk))
     monkeypatch.setattr(InnerProductLayer, "forward_chunk",
@@ -89,6 +92,8 @@ def use_frozen_numerics(monkeypatch):
                         oracle.ip_backward_weight_rows)
     monkeypatch.setattr(LRNLayer, "forward_chunk", oracle.lrn_forward_chunk)
     monkeypatch.setattr(LRNLayer, "backward_chunk", oracle.lrn_backward_chunk)
+    monkeypatch.setattr(ConvolutionLayer, "_backward_data_chunk",
+                        oracle.conv_backward_data_chunk)
 
 
 @pytest.mark.parametrize("network", ["cifar10", "lenet", "mlp"])

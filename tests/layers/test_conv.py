@@ -1,11 +1,14 @@
 """Unit tests for the Convolution layer."""
 
+import itertools
+
+import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
 import numpy as np
 import pytest
 
 from repro.framework.blob import Blob
 from repro.framework.layer import create_layer
-from repro.framework.net_spec import LayerSpec
+from repro.framework.layers.conv import ConvolutionLayer
 
 from repro.testing import make_blob, spec
 
@@ -124,9 +127,18 @@ class TestBackward:
 
     def test_gradient_check_stride_pad(self, rng):
         from repro.framework.gradient_check import check_gradient
-        layer = conv_layer(num_output=2, kernel_size=3, stride=2, pad=1)
-        bottom = [make_blob((2, 1, 5, 5), rng=rng)]
-        check_gradient(layer, bottom, [Blob()])
+        for params, shape in (
+            (dict(kernel_size=3, stride=2, pad=1), (2, 1, 5, 5)),
+            # pad >= kernel: the border windows lie wholly in the padding
+            (dict(kernel_size=2, pad=3), (2, 1, 3, 3)),
+            # stride 3 drops the last 2 input rows/cols
+            (dict(kernel_size=3, stride=3), (2, 1, 8, 8)),
+            (dict(num_output=4, group=2, kernel_h=3, kernel_w=2, pad=1),
+             (2, 4, 4, 5)),
+        ):
+            layer = conv_layer(**{"num_output": 2, **params})
+            bottom = [make_blob(shape, rng=rng)]
+            check_gradient(layer, bottom, [Blob()])
 
     def test_param_grads_accumulate(self, rng):
         layer = conv_layer()
@@ -155,3 +167,50 @@ class TestBackward:
         layer.backward(top, [False], bottom)
         assert np.allclose(bottom[0].flat_diff, 7.0)  # untouched
         assert layer.blobs[0].asum_diff() > 0  # weights still updated
+
+
+#: ``(extent, kernel, stride, pad)`` per axis.  Height: every kernel 1-3
+#: and stride 1-3 at pad 0 up to kernel + 1, on an even and an odd extent
+#: (stride 3 drops rows on both).  Width: a sparser set, so kernels are
+#: rectangular.  72 x 16 x group 1-2 = 2304 geometries.
+_HEIGHTS = [(e, k, s, p) for e in (6, 7) for k in (1, 2, 3)
+            for s in (1, 2, 3) for p in range(k + 2)]
+_WIDTHS = [(7, k, s, p) for k in (1, 3) for s in (1, 3)
+           for p in (0, 1, k, k + 1)]
+
+
+class TestBackwardDataCorrelation:
+    """``_backward_data_chunk`` (a correlation of the interleaved top diff
+    with the rotated filter bank) against the ``col2im(W_gT @ dY_g)``
+    adjoint it replaced, frozen in ``tests/_oracle_kernels.py``."""
+
+    @staticmethod
+    def backward(layer, bottom, top):
+        for blob in layer.blobs:
+            blob.zero_diff()
+        bottom[0].flat_diff[:] = np.nan  # every cell must be written
+        layer.backward(top, [True], bottom)
+        return (bottom[0].diff.copy(),
+                [blob.diff.tobytes() for blob in layer.blobs])
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_matches_col2im_adjoint(self, group, rng, monkeypatch):
+        for (h, kh, sh, ph), (w, kw, sw, pw) in itertools.product(
+                _HEIGHTS, _WIDTHS):
+            geometry = (h, w, kh, kw, sh, sw, ph, pw)
+            layer = conv_layer(
+                num_output=3 * group, group=group, kernel_h=kh, kernel_w=kw,
+                stride_h=sh, stride_w=sw, pad_h=ph, pad_w=pw)
+            bottom = [make_blob((2, 2 * group, h, w), rng=rng)]
+            top = [Blob()]
+            layer.setup(bottom, top)
+            layer.forward(bottom, top)
+            top[0].flat_diff[:] = rng.standard_normal(top[0].count)
+            dx, grads = self.backward(layer, bottom, top)
+            with monkeypatch.context() as patch:
+                patch.setattr(ConvolutionLayer, "_backward_data_chunk",
+                              oracle.conv_backward_data_chunk)
+                want_dx, want_grads = self.backward(layer, bottom, top)
+            np.testing.assert_allclose(dx, want_dx, rtol=1e-5, atol=1e-6,
+                                       err_msg=str(geometry))
+            assert grads == want_grads, geometry
