@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import ParallelExecutor
 from repro.data import register_default_sources
 from repro.framework.blob import Blob
-from repro.framework.layer import FootprintDecl, register_layer
+from repro.framework.layer import LayerContract, register_layer
 from repro.framework.layers.neuron import NeuronLayer
 from repro.framework.net import Net
 from repro.framework.prototxt import parse_prototxt
@@ -31,11 +31,12 @@ class SwishLayer(NeuronLayer):
     Only the element-wise math is written; the chunk protocol inherited
     from :class:`NeuronLayer` is what the batch-parallel runtime needs.
 
-    The footprint declaration states the safety contract the analyzer
-    checks: every chunk writes only its own ``[lo, hi)`` slice.
+    The contract states what the analyzers check: every chunk writes
+    only its own ``[lo, hi)`` slice (the default footprint), no RNG, no
+    deliberate perf anti-patterns.
     """
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom, top):
         self.beta = float(self.spec.param("beta", 1.0))
@@ -107,7 +108,7 @@ def gradient_check_swish() -> None:
 
 def analyzer_demo() -> None:
     """The static pass vouches for Swish — and catches a clone that
-    forgot to declare its footprint."""
+    forgot to declare its contract."""
     from repro.analysis import analyze_layer_class
     from repro.framework.layer import SAMPLE_DISJOINT, UNKNOWN
 
@@ -118,7 +119,7 @@ def analyzer_demo() -> None:
           f"(forward={report.inferred_forward})")
 
     # The same code *without* the declaration is flagged: defining your
-    # own chunk methods means vouching for their footprint yourself.
+    # own chunk methods means vouching for them with your own contract.
     class UndeclaredSwish(SwishLayer):
         def forward_chunk(self, bottom, top, lo, hi):
             SwishLayer.forward_chunk(self, bottom, top, lo, hi)

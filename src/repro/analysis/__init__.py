@@ -5,7 +5,7 @@ Two cooperating passes:
 * **static** (:mod:`repro.analysis.footprint`, :mod:`repro.analysis.lint`)
   — AST classification of each layer's chunk-loop write footprint
   (``sample_disjoint`` / ``reduction`` / ``sequential`` / ``unsafe``)
-  checked against its :class:`~repro.framework.layer.FootprintDecl`,
+  checked against its :class:`~repro.framework.layer.LayerContract`,
   plus runtime-invariant lint (ordered-merge discipline).
 * **dynamic** (:mod:`repro.analysis.shadow`, :mod:`repro.analysis.race`)
   — shadow-memory race detection: replay each layer's chunk schedule
@@ -30,11 +30,7 @@ whole nets, each family module's ``run_*`` function for its
 certifier, and ``python -m repro.analysis`` for the CLI.
 """
 
-from repro.analysis.footprint import (
-    analyze_classes,
-    analyze_layer_class,
-    builtin_layer_classes,
-)
+from repro.analysis.footprint import analyze_classes, analyze_layer_class
 from repro.analysis.codes import CODE_CATALOGUE, catalogue_lines
 from repro.analysis.detcheck import (
     DetcheckReport,
@@ -72,6 +68,7 @@ from repro.analysis.rng_lint import (
     lint_rng,
     lint_sources,
 )
+from repro.analysis.sources import builtin_layer_classes
 
 __all__ = [
     "CODE_CATALOGUE",

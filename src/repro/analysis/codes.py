@@ -23,9 +23,9 @@ Nine passes, ten code families, one place that names them all:
   itself.
 * **PE** — performance certifier (PR 9): static performance-bug lint
   over the layer chunk code (float64 upcasts, hot-loop allocations,
-  implicit copies, iteration-space Python loops) gated by per-layer
-  ``PerfDecl`` allow-lists, and a roofline classifier over the cost
-  model.
+  implicit copies, iteration-space Python loops) gated by the perf
+  allowances of each layer's ``LayerContract``, and a roofline
+  classifier over the cost model.
 * **SV** — serving certifier (PR 10): static robustness lint over the
   ``repro.serve`` path (bounded-queue discipline, unbounded waits,
   wall-clock reads outside the injected clock, swallowed exceptions,

@@ -41,7 +41,8 @@ import numpy as np
 
 from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.report import ERROR, INFO, WARNING, Finding
-from repro.analysis.rng_lint import class_constructs_rng, lint_rng
+from repro.analysis.rng_lint import lint_rng, rng_owners
+from repro.analysis.sources import own_contract
 from repro.core.reduction import (
     BITWISE_INVARIANT,
     DETERMINISTIC_PER_T,
@@ -325,8 +326,9 @@ def classify_config(
 
 
 def _check_spec_rng(net: str, spec) -> List[Finding]:
-    """DC103: every stochastic layer in the net must carry a provenance
-    declaration, else the certificate would vouch for a stream nobody
+    """DC103: every stochastic layer in the net must have its stream
+    described — by the contract of each class on its MRO that constructs
+    an RNG — else the certificate would vouch for a stream nobody
     described."""
     from repro.framework.layer import registered_layer_class
 
@@ -339,17 +341,17 @@ def _check_spec_rng(net: str, spec) -> List[Finding]:
         cls = registered_layer_class(layer_spec.type)
         if cls is None:
             continue  # NG007's problem, not ours
-        constructs = any(class_constructs_rng(c) for c in cls.__mro__
-                        if c is not object)
-        if constructs and getattr(cls, "rng_provenance", None) is None:
+        undescribed = [owner.__name__ for owner in rng_owners(cls)
+                       if not own_contract(owner).seed_params]
+        if undescribed:
             findings.append(Finding(
                 rule="DC103", severity=ERROR,
                 layer=f"{net}/{layer_spec.name}",
                 message=(
                     f"stochastic layer {layer_spec.name!r} "
-                    f"({layer_spec.type}) constructs an RNG but its class "
-                    f"{cls.__name__} declares no rng_provenance; the "
-                    "configuration cannot be certified"
+                    f"({layer_spec.type}) constructs an RNG in "
+                    f"{', '.join(undescribed)}, whose contract names no "
+                    "seed_params; the configuration cannot be certified"
                 ),
             ))
     return findings

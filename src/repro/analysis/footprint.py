@@ -21,25 +21,26 @@ Classification per pass:
 * an unbounded write to a shared array         -> ``UNSAFE``
 * a write the analyzer cannot resolve          -> ``UNKNOWN``
 
-Classes overriding :meth:`backward_loops` are analyzed through the
-``self._backward_*`` helper methods their loop bodies call (each helper
-has its own ``lo``/``hi`` loop space) and, transitively, the own methods
-those call (a fused conv reaches conv's chunk helpers through the
-``_conv_loops`` helper both share), mirroring what the runtime actually
-executes.
+The analysis interprets what the runtime executes: ``forward_chunk``,
+and ``backward_loops`` with the loop bodies it builds (the base class's
+one body calls ``backward_chunk``; an override's lambdas call its own
+helpers, each with its own ``lo``/``hi`` loop space).  Every
+``self.<helper>(...)`` call is followed into the helper with each
+parameter bound to the root and chunk-boundedness of the argument at the
+call site — a helper is judged by what it is handed, never by its
+parameter names.  The methods reached are
+:func:`repro.analysis.sources.chunk_reachable`'s, plus the loop-building
+helpers on the way to them.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.framework.layer import (
-    DECLARABLE_FOOTPRINTS,
-    FootprintDecl,
+    LayerContract,
     REDUCTION,
     SAMPLE_DISJOINT,
     SEQUENTIAL,
@@ -47,10 +48,11 @@ from repro.framework.layer import (
     UNSAFE,
 )
 from repro.analysis.report import ERROR, WARNING, Finding, LayerReport
-
-#: Methods that constitute "defining your own chunk code": a class with
-#: any of these in its own ``__dict__`` must also declare its footprint.
-CHUNK_METHODS = ("forward_chunk", "backward_chunk", "backward_loops")
+from repro.analysis.sources import (
+    chunk_reachable,
+    method_tree,
+    source_location,
+)
 
 # Array-allocating numpy constructors whose results are chunk-private.
 _FRESH_FUNCS = {
@@ -111,30 +113,39 @@ class WriteEvent:
 
 
 @dataclass
-class MethodWrites:
-    """All writes of one analyzed method."""
+class _Pass:
+    """All writes one pass performs, over every method it reaches."""
 
-    name: str
     writes: List[WriteEvent] = field(default_factory=list)
-    unresolved: List[WriteEvent] = field(default_factory=list)
+    #: writes (and helpers) the analyzer could not resolve
+    unresolved: int = 0
+    #: loop bodies a loop builder handed the runtime
+    bodies: int = 0
 
 
-class _ChunkVisitor(ast.NodeVisitor):
-    """Walks one chunk-method body collecting write events.
+class _Interpreter(ast.NodeVisitor):
+    """Walks one method body collecting write events into ``out``.
 
-    ``roles`` maps parameter names to symbolic roots (e.g. the second
-    positional arg of ``forward_chunk`` is the bottom sequence); ``lo``
-    and ``hi`` name the chunk bounds.
+    ``env`` maps names to symbolic values; ``bound`` names the chunk
+    bounds and the indices drawn from them.  In a loop builder
+    (``per_chunk`` false) a lambda or nested def is a loop body
+    ``(lo, hi, grads)``; in chunk code it is ordinary code over the same
+    names.  ``stack`` is the chain of methods being interpreted, so
+    recursion stops.
     """
 
-    def __init__(self, func: ast.FunctionDef, roles: Dict[str, Val],
-                 lo: Optional[str], hi: Optional[str]) -> None:
-        self.env: Dict[str, Val] = dict(roles)
-        self.lo = lo
-        self.hi = hi
-        self.bound_names: Set[str] = set()
-        self.result = MethodWrites(func.name)
-        self.self_calls: List[str] = []
+    def __init__(self, cls, env: Dict[str, Val], bound: Set[str],
+                 per_chunk: bool, out: _Pass, stack: Tuple[str, ...]) -> None:
+        self.cls = cls
+        self.env = env
+        self.bound_names = bound
+        self.per_chunk = per_chunk
+        self.out = out
+        self.stack = stack
+
+    def run(self, body: Sequence[ast.AST]) -> None:
+        for node in body:
+            self.visit(node)
 
     # -- resolution ----------------------------------------------------
     def resolve(self, node: ast.AST) -> Val:
@@ -142,7 +153,7 @@ class _ChunkVisitor(ast.NodeVisitor):
             return self.env.get(node.id, _UNKNOWN)
         if isinstance(node, ast.Subscript):
             base = self.resolve(node.value)
-            bounded = self._slice_bounded(node.slice)
+            bounded = self._expr_bounded(node.slice)
             if base.root[0] == "seq":
                 index = self._const_index(node.slice)
                 seq = base.root[1]
@@ -188,12 +199,8 @@ class _ChunkVisitor(ast.NodeVisitor):
             if body.root[0] not in ("local", "unknown"):
                 return body
             return self.resolve(node.orelse)
-        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare,
-                             ast.ListComp, ast.GeneratorExp)):
-            return _LOCAL
-        if isinstance(node, ast.Constant):
-            return _LOCAL
-        if isinstance(node, ast.Tuple):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.Tuple,
+                             ast.ListComp, ast.GeneratorExp, ast.Constant)):
             return _LOCAL
         return _UNKNOWN
 
@@ -224,16 +231,8 @@ class _ChunkVisitor(ast.NodeVisitor):
 
     # -- chunk-boundedness --------------------------------------------
     def _expr_bounded(self, node: ast.AST) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                if sub.id in (self.lo, self.hi):
-                    return True
-                if sub.id in self.bound_names:
-                    return True
-        return False
-
-    def _slice_bounded(self, sl: ast.AST) -> bool:
-        return self._expr_bounded(sl)
+        return any(isinstance(sub, ast.Name) and sub.id in self.bound_names
+                   for sub in ast.walk(node))
 
     def _const_index(self, sl: ast.AST):
         if isinstance(sl, ast.Constant) and isinstance(sl.value, int):
@@ -244,20 +243,16 @@ class _ChunkVisitor(ast.NodeVisitor):
         return "*"
 
     # -- write recording ----------------------------------------------
-    def _record_write(self, target: ast.AST, lineno: int,
-                      desc: str, extra_bounded: bool = False) -> None:
+    def _record_write(self, target: ast.AST, lineno: int, desc: str) -> None:
         val = self.resolve(target)
-        bounded = val.bounded or extra_bounded
-        if isinstance(target, ast.Subscript):
-            bounded = bounded or self._slice_bounded(target.slice)
+        bounded = val.bounded or (isinstance(target, ast.Subscript)
+                                  and self._expr_bounded(target.slice))
         if val.root[0] == "local":
             return  # private scratch: always safe
         if val.root[0] in ("unknown", "self", "seq", "blob", "blob_param"):
-            self.result.unresolved.append(
-                WriteEvent(("unknown",), bounded, lineno, desc)
-            )
+            self.out.unresolved += 1
             return
-        self.result.writes.append(WriteEvent(val.root, bounded, lineno, desc))
+        self.out.writes.append(WriteEvent(val.root, bounded, lineno, desc))
 
     # -- statement handling -------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -272,7 +267,7 @@ class _ChunkVisitor(ast.NodeVisitor):
                 # every thread clobbers the same attribute.
                 resolved = self.resolve(target)
                 if resolved.root[0] == "attr":
-                    self.result.writes.append(WriteEvent(
+                    self.out.writes.append(WriteEvent(
                         resolved.root, False, node.lineno,
                         "attribute rebind"
                     ))
@@ -295,15 +290,12 @@ class _ChunkVisitor(ast.NodeVisitor):
         elif isinstance(target, ast.Name):
             val = self.env.get(target.id)
             if val is not None and val.root[0] not in ("local", "unknown"):
-                self.result.writes.append(
+                self.out.writes.append(
                     WriteEvent(val.root, val.bounded, node.lineno,
                                "accumulation")
                 )
             elif val is None or val.root[0] == "unknown":
-                self.result.unresolved.append(
-                    WriteEvent(("unknown",), False, node.lineno,
-                               "accumulation")
-                )
+                self.out.unresolved += 1
         self.visit(node.value)
 
     def _element_of(self, seq_expr: ast.AST) -> Val:
@@ -390,89 +382,88 @@ class _ChunkVisitor(ast.NodeVisitor):
             # arr.fill(v)
             if func.attr == "fill":
                 self._record_write(func.value, node.lineno, ".fill")
-            # self._helper(...) calls (followed for backward_loops)
+            # self._helper(...): interpret the helper as called here
             if (isinstance(func.value, ast.Name)
                     and self.env.get(func.value.id, _UNKNOWN).root[0]
                     == "self"):
-                self.self_calls.append(func.attr)
+                self._follow(node)
         # any call with an out= keyword writes through it
         for kw in node.keywords:
             if kw.arg == "out":
                 self._record_write(kw.value, node.lineno, "out= operand")
         self.generic_visit(node)
 
+    def _follow(self, call: ast.Call) -> None:
+        """Interpret ``self.<name>(...)`` with each helper parameter bound
+        to the root and chunk-boundedness of its argument here."""
+        name = call.func.attr
+        if name in self.stack:
+            return
+        tree = method_tree(self.cls, name)
+        if tree is None:  # no source to follow
+            self.out.unresolved += 1
+            return
+        params = [a.arg for a in tree.args.args]
+        env: Dict[str, Val] = {params[0]: Val(("self",))} if params else {}
+        bound: Set[str] = set()
+        args = list(zip(params[1:], call.args)) + [
+            (kw.arg, kw.value) for kw in call.keywords if kw.arg in params]
+        for param, arg in args:
+            val = self.resolve(arg)
+            bounded = val.bounded or self._expr_bounded(arg)
+            if val.root[0] in ("local", "unknown") and bounded:
+                bound.add(param)  # a chunk bound, or an index inside one
+            if val.root[0] != "unknown":
+                env[param] = Val(val.root, bounded)
+        _Interpreter(self.cls, env, bound, self.per_chunk, self.out,
+                     self.stack + (name,)).run(tree.body)
 
-def _method_roles(kind: str, func: ast.FunctionDef) -> Tuple[
-    Dict[str, Val], Optional[str], Optional[str]
-]:
-    """Map a chunk method's parameters to symbolic roots."""
-    params = [a.arg for a in func.args.args]
-    roles: Dict[str, Val] = {}
-    lo = hi = None
-    if params:
-        roles[params[0]] = Val(("self",))
-    if kind == "forward_chunk" and len(params) >= 5:
-        roles[params[1]] = Val(("seq", "bottom"))
-        roles[params[2]] = Val(("seq", "top"))
-        lo, hi = params[3], params[4]
-    elif kind == "backward_chunk" and len(params) >= 7:
-        roles[params[1]] = Val(("seq", "top"))
-        roles[params[3]] = Val(("seq", "bottom"))
-        lo, hi = params[4], params[5]
-        roles[params[6]] = Val(("seq", "param_grads"))
-    else:  # helper: go by name
-        for name in params[1:]:
-            if name == "bottom":
-                roles[name] = Val(("seq", "bottom"))
-            elif name == "top":
-                roles[name] = Val(("seq", "top"))
-            elif name == "param_grads" or name == "grads":
-                roles[name] = Val(("seq", "param_grads"))
-            elif name == "lo":
-                lo = name
-            elif name == "hi":
-                hi = name
-    return roles, lo, hi
+    def _loop_body(self, node, args: ast.arguments, body) -> None:
+        if self.per_chunk:
+            self.generic_visit(node)
+            return
+        # A loop builder hands the runtime body(lo, hi, grads).
+        names = [a.arg for a in args.args]
+        env = dict(self.env)
+        if len(names) >= 3:
+            env[names[2]] = Val(("seq", "param_grads"))
+        self.out.bodies += 1
+        _Interpreter(self.cls, env, self.bound_names | set(names[:2]), True,
+                     self.out, self.stack).run(body)
 
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._loop_body(node, node.args, [node.body])
 
-def _parse_function(func) -> Optional[ast.FunctionDef]:
-    try:
-        src = textwrap.dedent(inspect.getsource(func))
-        _, first_line = inspect.getsourcelines(func)
-    except (OSError, TypeError):
-        return None
-    try:
-        tree = ast.parse(src)
-    except SyntaxError:
-        return None
-    # report file line numbers, not method-relative ones
-    ast.increment_lineno(tree, first_line - 1)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            return node
-    return None
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._loop_body(node, node.args, node.body)
 
 
-def analyze_method(func, kind: str) -> Optional[Tuple[MethodWrites,
-                                                      List[str]]]:
-    """Extract write events from one chunk method (or helper).
-
-    Returns ``(writes, self_call_names)`` or ``None`` when the source is
-    unavailable (builtins, C extensions).
-    """
-    node = _parse_function(func)
-    if node is None:
-        return None
-    roles, lo, hi = _method_roles(kind, node)
-    visitor = _ChunkVisitor(node, roles, lo, hi)
-    for stmt in node.body:
-        visitor.visit(stmt)
-    return visitor.result, visitor.self_calls
+#: Symbolic roles of the pass roots' parameters, positionally.
+_FORWARD_ROLES = (("self",), ("seq", "bottom"), ("seq", "top"), "lo", "hi")
+_BACKWARD_ROLES = (("self",), ("seq", "top"), None, ("seq", "bottom"))
 
 
-def _classify(writes: Sequence[WriteEvent],
-              unresolved: Sequence[WriteEvent]) -> Tuple[str, Set[int],
-                                                         List[WriteEvent]]:
+def _interpret(cls, name: str, roles: Tuple, per_chunk: bool) -> _Pass:
+    """Interpret the method ``cls`` runs as ``name``, its parameters
+    bound to ``roles``, and everything it calls."""
+    out = _Pass()
+    tree = method_tree(cls, name)
+    if tree is None:
+        return out
+    env: Dict[str, Val] = {}
+    bound: Set[str] = set()
+    for param, role in zip((a.arg for a in tree.args.args), roles):
+        if role in ("lo", "hi"):
+            bound.add(param)
+        elif role is not None:
+            env[param] = Val(role)
+    _Interpreter(cls, env, bound, per_chunk, out, (name,)).run(tree.body)
+    if not per_chunk and not out.bodies:
+        out.unresolved += 1  # a loop builder whose bodies were not found
+    return out
+
+
+def _classify(p: _Pass) -> Tuple[str, Set[int], List[WriteEvent]]:
     """Classify one pass's writes.
 
     Returns ``(classification, reduction_indices, offending_writes)``.
@@ -480,7 +471,7 @@ def _classify(writes: Sequence[WriteEvent],
     reduction_indices: Set[int] = set()
     offending: List[WriteEvent] = []
     has_reduction = False
-    for w in writes:
+    for w in p.writes:
         if w.kind == "param_grad":
             has_reduction = True
             if isinstance(w.root[1], int):
@@ -492,104 +483,38 @@ def _classify(writes: Sequence[WriteEvent],
             offending.append(w)
     if offending:
         return UNSAFE, reduction_indices, offending
-    if unresolved:
-        return UNKNOWN, reduction_indices, list(unresolved)
+    if p.unresolved:
+        return UNKNOWN, reduction_indices, []
     if has_reduction:
         return REDUCTION, reduction_indices, []
     return SAMPLE_DISJOINT, reduction_indices, []
 
 
-def _location(cls, func) -> str:
-    try:
-        path = inspect.getsourcefile(func) or "?"
-        _, line = inspect.getsourcelines(func)
-        return f"{path}:{line}"
-    except (OSError, TypeError):
-        return cls.__name__
-
-
 def analyze_layer_class(cls) -> LayerReport:
     """Run the static footprint pass over one layer class."""
-    declared: Optional[FootprintDecl] = getattr(cls, "write_footprint", None)
-    own_chunk_code = any(m in cls.__dict__ for m in CHUNK_METHODS)
+    declared: Optional[LayerContract] = getattr(cls, "contract", None)
+    contract = declared or LayerContract()
     findings: List[Finding] = []
 
-    if own_chunk_code and "write_footprint" not in cls.__dict__:
-        findings.append(Finding(
-            rule="FP001", severity=ERROR, layer=cls.__name__,
-            message=(
-                "defines its own chunk method(s) "
-                f"({', '.join(m for m in CHUNK_METHODS if m in cls.__dict__)}) "
-                "but does not declare write_footprint; an inherited "
-                "declaration cannot vouch for overridden code"
-            ),
-            location=_location(cls, cls),
-        ))
+    def found(rule: str, message: str, severity: str = ERROR,
+              location: str = "") -> None:
+        findings.append(Finding(rule=rule, severity=severity,
+                                layer=cls.__name__, message=message,
+                                location=location))
 
-    # ---- forward ----
-    fwd_writes: List[WriteEvent] = []
-    fwd_unresolved: List[WriteEvent] = []
-    attr_writes: List[WriteEvent] = []
-    fwd_func = getattr(cls, "forward_chunk", None)
-    analyzed = analyze_method(fwd_func, "forward_chunk") if fwd_func else None
-    if analyzed is not None:
-        mw, _ = analyzed
-        fwd_writes = [w for w in mw.writes if w.kind != "attr"]
-        attr_writes += [w for w in mw.writes if w.kind == "attr"]
-        fwd_unresolved = mw.unresolved
-    inferred_forward, _, fwd_offending = _classify(
-        fwd_writes, fwd_unresolved
-    )
+    reachable = chunk_reachable(cls)
+    own_chunk_code = [m for m in cls.__dict__
+                      if m in reachable or m == "backward_loops"]
+    if own_chunk_code and "contract" not in cls.__dict__:
+        found("FP001",
+              f"defines its own chunk method(s) ({', '.join(own_chunk_code)})"
+              " but declares no contract; an inherited contract cannot "
+              "vouch for overridden code", location=source_location(cls))
 
-    # ---- backward ----
-    bwd_writes: List[WriteEvent] = []
-    bwd_unresolved: List[WriteEvent] = []
-    if "backward_loops" in cls.__dict__:
-        # Analyze the helper methods the loop bodies dispatch to.
-        analyzed = analyze_method(cls.__dict__["backward_loops"],
-                                  "backward_loops")
-        helper_names: List[str] = []
-        if analyzed is not None:
-            _, helper_names = analyzed
-        if not helper_names:
-            bwd_unresolved.append(WriteEvent(
-                ("unknown",), False, 0,
-                "backward_loops body could not be followed"
-            ))
-        followed: Set[str] = set()
-        while helper_names:
-            name = helper_names.pop(0)
-            if name in followed:
-                continue
-            followed.add(name)
-            helper = getattr(cls, name, None)
-            sub = analyze_method(helper, "helper") if helper else None
-            if sub is None:
-                bwd_unresolved.append(WriteEvent(
-                    ("unknown",), False, 0, f"helper {name} unavailable"
-                ))
-                continue
-            mw, calls = sub
-            bwd_writes += [w for w in mw.writes if w.kind != "attr"]
-            attr_writes += [w for w in mw.writes if w.kind == "attr"]
-            bwd_unresolved += mw.unresolved
-            helper_names += calls
-    else:
-        bwd_func = getattr(cls, "backward_chunk", None)
-        analyzed = (analyze_method(bwd_func, "backward_chunk")
-                    if bwd_func else None)
-        if analyzed is not None:
-            mw, _ = analyzed
-            bwd_writes = [w for w in mw.writes if w.kind != "attr"]
-            attr_writes += [w for w in mw.writes if w.kind == "attr"]
-            bwd_unresolved = mw.unresolved
-    inferred_backward, reduction_indices, bwd_offending = _classify(
-        bwd_writes, bwd_unresolved
-    )
-    # An unbounded direct write to a parameter blob diff is a racy
-    # reduction bypass, not merely "unsafe".
-    direct_param = [w for w in bwd_offending if w.kind == "param"]
-
+    forward = _interpret(cls, "forward_chunk", _FORWARD_ROLES, True)
+    backward = _interpret(cls, "backward_loops", _BACKWARD_ROLES, False)
+    inferred_forward, _, fwd_offending = _classify(forward)
+    inferred_backward, reduction_indices, bwd_offending = _classify(backward)
     report = LayerReport(
         cls_name=cls.__name__,
         declared=declared,
@@ -599,111 +524,70 @@ def analyze_layer_class(cls) -> LayerReport:
         findings=findings,
     )
 
-    decl_forward = declared.forward if declared else SAMPLE_DISJOINT
-    decl_backward = declared.backward if declared else SAMPLE_DISJOINT
-    scratch = set(declared.scratch) if declared else set()
-
     # FP005: whole-buffer writes in a layer not declared sequential
-    if inferred_forward == UNSAFE and decl_forward != SEQUENTIAL:
-        w = fwd_offending[0]
-        findings.append(Finding(
-            rule="FP005", severity=ERROR, layer=cls.__name__,
-            message=(
-                f"forward_chunk writes {_root_desc(w.root)} outside the "
-                f"chunk bounds ({w.desc}, line {w.lineno}); whole-buffer "
-                "writes require forward=SEQUENTIAL"
-            ),
-        ))
-    elif inferred_forward == UNKNOWN and decl_forward != SEQUENTIAL:
-        findings.append(Finding(
-            rule="FP006", severity=WARNING, layer=cls.__name__,
-            message=(
-                "forward_chunk contains a write the analyzer cannot "
-                "resolve; verify the footprint manually"
-            ),
-        ))
+    if contract.forward != SEQUENTIAL:
+        if inferred_forward == UNSAFE:
+            w = fwd_offending[0]
+            found("FP005",
+                  f"forward pass writes {_root_desc(w.root)} outside the "
+                  f"chunk bounds ({w.desc}, line {w.lineno}); whole-buffer "
+                  "writes require forward=SEQUENTIAL")
+        elif inferred_forward == UNKNOWN:
+            found("FP006", "forward pass contains a write the analyzer "
+                           "cannot resolve; verify the footprint manually",
+                  severity=WARNING)
 
-    # FP002/FP003: backward classification against the declaration
-    if decl_backward == SEQUENTIAL:
+    # FP002/FP003: backward classification against the declaration.  An
+    # unbounded direct write to a parameter blob diff is a racy reduction
+    # bypass, not merely "unsafe".
+    direct_param = [w for w in bwd_offending if w.kind == "param"]
+    undeclared = reduction_indices - set(contract.reduction_params)
+    if contract.backward == SEQUENTIAL:
         pass
     elif direct_param:
         w = direct_param[0]
-        findings.append(Finding(
-            rule="FP003", severity=ERROR, layer=cls.__name__,
-            message=(
-                f"backward pass writes parameter blob diff "
-                f"{_root_desc(w.root)} directly without chunk bounds "
-                f"(line {w.lineno}); cross-sample coefficient gradients "
-                "must accumulate into the privatized param_grads buffers"
-            ),
-        ))
+        found("FP003",
+              f"backward pass writes parameter blob diff "
+              f"{_root_desc(w.root)} directly without chunk bounds (line "
+              f"{w.lineno}); cross-sample coefficient gradients must "
+              "accumulate into the privatized param_grads buffers")
     elif inferred_backward == UNSAFE:
         w = bwd_offending[0]
-        findings.append(Finding(
-            rule="FP002", severity=ERROR, layer=cls.__name__,
-            message=(
-                f"backward pass writes {_root_desc(w.root)} outside the "
-                f"chunk bounds ({w.desc}, line {w.lineno}) but declares "
-                f"backward={decl_backward!r}"
-            ),
-        ))
-    elif inferred_backward == REDUCTION:
-        if decl_backward != REDUCTION:
-            findings.append(Finding(
-                rule="FP002", severity=ERROR, layer=cls.__name__,
-                message=(
-                    "backward pass accumulates into param_grads (a "
-                    "privatized reduction) but declares "
-                    f"backward={decl_backward!r}; declare "
-                    "backward=REDUCTION with its reduction_params"
-                ),
-            ))
-        else:
-            undeclared = reduction_indices - set(
-                declared.reduction_params if declared else ()
-            )
-            if undeclared:
-                findings.append(Finding(
-                    rule="FP003", severity=ERROR, layer=cls.__name__,
-                    message=(
-                        f"param_grads indices {sorted(undeclared)} are "
-                        "accumulated but missing from the declared "
-                        "reduction_params"
-                    ),
-                ))
+        found("FP002",
+              f"backward pass writes {_root_desc(w.root)} outside the chunk "
+              f"bounds ({w.desc}, line {w.lineno}) but declares "
+              f"backward={contract.backward!r}")
+    elif inferred_backward == REDUCTION and contract.backward != REDUCTION:
+        found("FP002",
+              "backward pass accumulates into param_grads (a privatized "
+              f"reduction) but declares backward={contract.backward!r}; "
+              "declare backward=REDUCTION with its reduction_params")
+    elif inferred_backward == REDUCTION and undeclared:
+        found("FP003",
+              f"param_grads indices {sorted(undeclared)} are accumulated "
+              "but missing from the declared reduction_params")
     elif inferred_backward == UNKNOWN:
-        findings.append(Finding(
-            rule="FP006", severity=WARNING, layer=cls.__name__,
-            message=(
-                "backward pass contains a write the analyzer cannot "
-                "resolve; verify the footprint manually"
-            ),
-        ))
+        found("FP006", "backward pass contains a write the analyzer cannot "
+                       "resolve; verify the footprint manually",
+              severity=WARNING)
 
     # FP004: hidden layer state written in the coalesced loop
-    if decl_forward != SEQUENTIAL or decl_backward != SEQUENTIAL:
-        for w in attr_writes:
+    if (contract.forward, contract.backward) != (SEQUENTIAL, SEQUENTIAL):
+        for w in forward.writes + backward.writes:
+            if w.kind != "attr":
+                continue
             name = w.root[1]
-            if name not in scratch:
-                findings.append(Finding(
-                    rule="FP004", severity=ERROR, layer=cls.__name__,
-                    message=(
-                        f"chunk code writes undeclared layer state "
-                        f"self.{name} (line {w.lineno}); declare it in the "
-                        "footprint's scratch tuple (and ensure the writes "
-                        "are chunk-disjoint) or move it out of the "
-                        "parallel loop"
-                    ),
-                ))
+            if name not in contract.scratch:
+                found("FP004",
+                      f"chunk code writes undeclared layer state self.{name} "
+                      f"(line {w.lineno}); declare it in the contract's "
+                      "scratch tuple (and ensure the writes are "
+                      "chunk-disjoint) or move it out of the parallel loop")
             elif not w.bounded:
-                findings.append(Finding(
-                    rule="FP004", severity=ERROR, layer=cls.__name__,
-                    message=(
-                        f"declared scratch self.{name} is written outside "
-                        f"the chunk bounds (line {w.lineno}); concurrent "
-                        "chunks would overlap"
-                    ),
-                ))
+                found("FP004",
+                      f"declared scratch self.{name} is written outside the "
+                      f"chunk bounds (line {w.lineno}); concurrent chunks "
+                      "would overlap")
     return report
 
 
@@ -720,19 +604,5 @@ def _root_desc(root: Tuple) -> str:
     return str(root)
 
 
-def builtin_layer_classes() -> Dict[str, type]:
-    """All registered layer classes (importing the built-in package)."""
-    import repro.framework.layers  # noqa: F401  (fills the registry)
-    from repro.framework.layer import _REGISTRY
-
-    classes: Dict[str, type] = {}
-    for cls in _REGISTRY.values():
-        classes[cls.__name__] = cls
-    return classes
-
-
 def analyze_classes(classes: Sequence[type]) -> Dict[str, LayerReport]:
-    reports: Dict[str, LayerReport] = {}
-    for cls in classes:
-        reports[cls.__name__] = analyze_layer_class(cls)
-    return reports
+    return {cls.__name__: analyze_layer_class(cls) for cls in classes}

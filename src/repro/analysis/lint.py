@@ -20,56 +20,57 @@ team has joined.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.sources import _terminal_name, walk_sources
+from repro.analysis.sources import Rule, _terminal_name, visit
 
 _GUARD_ATTRS = {"ordered", "critical"}
 
 
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
 def _guarded_lambdas(region: ast.FunctionDef) -> Set[ast.Lambda]:
-    """Lambdas inside ``region`` that flow into ctx.ordered/critical."""
-    guarded: Set[ast.Lambda] = set()
-    # names bound to lambdas: merge = lambda: ...
-    lambda_names: Dict[str, ast.Lambda] = {}
+    """Lambdas inside ``region`` that flow into ctx.ordered/critical —
+    directly, or through a name bound to them (``merge = lambda: ...``)."""
+    named, guarded, passed = {}, set(), set()
     for node in ast.walk(region):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    lambda_names[target.id] = node.value
-    for node in ast.walk(region):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in _GUARD_ATTRS):
-            continue
-        for arg in node.args:
-            if isinstance(arg, ast.Lambda):
-                guarded.add(arg)
-            elif isinstance(arg, ast.Name) and arg.id in lambda_names:
-                guarded.add(lambda_names[arg.id])
-    return guarded
+            named.update((target.id, node.value) for target in node.targets
+                         if isinstance(target, ast.Name))
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _GUARD_ATTRS):
+            for arg in node.args:
+                if isinstance(arg, ast.Lambda):
+                    guarded.add(arg)
+                elif isinstance(arg, ast.Name):
+                    passed.add(arg.id)
+    return guarded | {named[name] for name in passed if name in named}
 
 
-def _enclosing_lambda(node: ast.AST,
-                      parents: Dict[ast.AST, ast.AST],
-                      stop: ast.AST) -> Optional[ast.Lambda]:
-    cur = parents.get(node)
-    while cur is not None and cur is not stop:
-        if isinstance(cur, ast.Lambda):
-            return cur
-        cur = parents.get(cur)
-    return None
+class _MergeRule(Rule):
+    """RT001 on every ``add_into`` call inside a ``region`` function."""
+
+    code = "RT001"
+
+    def visit_Call(self, call: ast.Call, site) -> Optional[List[Finding]]:
+        if _terminal_name(call.func) != "add_into":
+            return None
+        lam = None
+        for node in site.ancestors(call):
+            if isinstance(node, ast.FunctionDef) and node.name == "region":
+                break
+            if lam is None and isinstance(node, ast.Lambda):
+                lam = node
+        else:
+            return None  # master-only merge, after the team has joined
+        if lam is not None and lam in _guarded_lambdas(node):
+            return None
+        return [site.finding(
+            "RT001", call,
+            f"add_into at line {call.lineno} executes inside a parallel "
+            "region without ctx.ordered/ctx.critical protection; "
+            "concurrent merges into the shared gradient race",
+            layer="<runtime>")]
 
 
 def lint_runtime(source_path: Optional[str] = None) -> List[Finding]:
@@ -77,29 +78,4 @@ def lint_runtime(source_path: Optional[str] = None) -> List[Finding]:
     if source_path is None:
         import repro.core.parallel_net as pn
         source_path = pn.__file__
-    findings: List[Finding] = []
-    for path, tree in walk_sources([source_path], "RT001", findings):
-        parents = _parent_map(tree)
-        for region in ast.walk(tree):
-            if not (isinstance(region, ast.FunctionDef)
-                    and region.name == "region"):
-                continue
-            guarded = _guarded_lambdas(region)
-            for call in ast.walk(region):
-                if not (isinstance(call, ast.Call)
-                        and _terminal_name(call.func) == "add_into"):
-                    continue
-                lam = _enclosing_lambda(call, parents, stop=region)
-                if lam is None or lam not in guarded:
-                    findings.append(Finding(
-                        rule="RT001", severity=ERROR, layer="<runtime>",
-                        message=(
-                            "add_into at line "
-                            f"{call.lineno} executes inside a parallel "
-                            "region without ctx.ordered/ctx.critical "
-                            "protection; concurrent merges into the shared "
-                            "gradient race"
-                        ),
-                        location=f"{path}:{call.lineno}",
-                    ))
-    return findings
+    return visit([source_path], [_MergeRule()])

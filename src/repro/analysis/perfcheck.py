@@ -11,8 +11,8 @@ clock:
 * **Static lint (PE001-PE005)** — :mod:`repro.analysis.perflint`:
   float64 upcast creep, hot-loop allocations, contiguity copies, and
   iteration-space-sized Python loops in chunk-reachable code, checked
-  against each layer's declared
-  :class:`~repro.framework.layer.PerfDecl` allow-list.
+  against the perf allowances of each layer's
+  :class:`~repro.framework.layer.LayerContract`.
 * **Roofline classifier (PE101/PE102)** — from
   :func:`~repro.simulator.cost_model.costs_of` and the CPU model:
   per-layer arithmetic intensity and compute- vs bandwidth-bound

@@ -10,8 +10,8 @@ dtype upcast multiplies by ``space x iterations x threads``:
   (``astype(np.float64)``, ``dtype=np.float64``, ``np.float64(...)``)
   double the memory traffic of a pipeline whose cost model and arena are
   sized for ``DTYPE`` (float32).  Deliberate double accumulation (fixed
-  summation order backing the bitwise contract) is declared via
-  :class:`~repro.framework.layer.PerfDecl`.
+  summation order backing the bitwise contract) is declared as an
+  allowance of the :class:`~repro.framework.layer.LayerContract`.
 * **PE002 — hot-loop allocation**: array-constructing calls
   (``np.zeros``/``np.empty``/``np.stack``/...) inside chunk code are
   allocator churn the per-thread scratch pool
@@ -26,23 +26,23 @@ dtype upcast multiplies by ``space x iterations x threads``:
   design (one BLAS call per civ, priced as ``segments`` dispatch by the
   cost model) — then it is declared, with the why in the note.
 
-Chunk-reachable means: the chunk protocol methods themselves
-(``forward_chunk``/``backward_chunk`` and ``_forward*``/``_backward*``
-loop bodies) plus every own method transitively reachable from them
-through ``self.<method>()`` calls (LRN's ``_window_sum`` helper).  The
-sequential prologue/epilogue (``reshape``, ``forward_finalize``,
-``backward_loops``) runs once per pass, not per chunk, and is exempt.
+Chunk-reachable means :func:`repro.analysis.sources.chunk_reachable`:
+``forward_chunk``, ``backward_chunk``, the loop bodies
+``backward_loops`` builds, and every method they call through
+``self.<method>()`` (LRN's ``_window_sum`` helper).  The sequential
+prologue/epilogue (``reshape``, ``forward_finalize``, ``backward_loops``)
+runs once per pass, not per chunk, and is exempt.
 
-Declarations are verified, not trusted: **PE005** flags drift — an
+Allowances are verified, not trusted: **PE005** flags drift — an
 allowance naming a method the class does not define, a method that is
 not chunk-reachable, or an allowance whose construct no longer exists in
-the code.  Inherited declarations never vouch for a subclass's own
-methods (mirrors FP001/DC006).
+the code.  Inherited contracts never vouch for a subclass's own methods
+(mirrors FP001/DC006).
 
 A small source scan also covers ``repro.core`` and ``repro.compiler``:
 the runtime and compiler hot paths must stay float64-free (PE001) —
 there is no declaration mechanism there because there is no legitimate
-use.
+use.  Both halves are rules on :func:`repro.analysis.sources.visit`.
 """
 
 from __future__ import annotations
@@ -53,13 +53,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import ERROR, WARNING, Finding
 from repro.analysis.sources import (
+    Rule,
     _dotted,
-    _is_chunk_method,
-    _own_method_trees,
     _terminal_name,
+    builtin_layer_classes,
+    chunk_reachable,
+    own_contract,
+    own_methods,
     package_roots,
-    walk_sources,
+    visit,
 )
+from repro.framework.layer import PERF_CATEGORIES
 
 #: numpy array-constructing calls that allocate a fresh buffer per call.
 _ALLOC_CONSTRUCTORS = {
@@ -69,12 +73,24 @@ _ALLOC_CONSTRUCTORS = {
     "column_stack", "tile", "meshgrid",
 }
 
-#: PerfDecl category -> (rule, severity) of the finding it silences.
+#: Allowance category -> (rule, severity) of the finding it silences.
 _CATEGORY_RULES = {
     "float64": ("PE001", ERROR),
     "allocs": ("PE002", ERROR),
     "copies": ("PE003", WARNING),
     "loops": ("PE004", WARNING),
+}
+
+_HAZARD_HINTS = {
+    "float64": ("float64 intermediate doubles memory traffic vs DTYPE; "
+                "declare deliberate double accumulation in the contract"),
+    "allocs": ("fresh allocation per chunk call is allocator churn; "
+               "route through repro.compiler.scratch.scratch_buffer or "
+               "declare why pooling does not apply"),
+    "copies": ("materializes a copy per call; declare it if a BLAS call "
+               "requires the contiguous operand"),
+    "loops": ("Python-level loop over an iteration-space-sized range; "
+              "declare it if per-civ BLAS dispatch is the design"),
 }
 
 
@@ -86,55 +102,40 @@ def _is_float64_ref(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "float64"
 
 
-def _float64_sites(tree: ast.AST) -> List[Tuple[int, str]]:
-    """(lineno, description) of every float64 construct under ``tree``."""
-    sites: List[Tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _terminal_name(node.func)
-        if name == "astype" and node.args and _is_float64_ref(node.args[0]):
-            sites.append((node.lineno, "astype(np.float64)"))
-        elif name == "float64":
-            sites.append((node.lineno, "np.float64(...)"))
-        else:
-            for kw in node.keywords:
-                if kw.arg == "dtype" and _is_float64_ref(kw.value):
-                    sites.append((node.lineno, f"{name}(dtype=np.float64)"))
-    return sites
+def _float64_site(call: ast.Call) -> Optional[str]:
+    """What makes this call a float64 construct, if it is one."""
+    name = _terminal_name(call.func)
+    if name == "astype" and call.args and _is_float64_ref(call.args[0]):
+        return "astype(np.float64)"
+    if name == "float64":
+        return "np.float64(...)"
+    if any(kw.arg == "dtype" and _is_float64_ref(kw.value)
+           for kw in call.keywords):
+        return f"{name}(dtype=np.float64)"
+    return None
 
 
-def _alloc_sites(tree: ast.AST) -> List[Tuple[int, str]]:
-    """(lineno, constructor) of every fresh-array allocation."""
-    sites: List[Tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = _dotted(node.func)
-        if (chain is not None and len(chain) >= 2
-                and chain[0] in ("np", "numpy")
-                and chain[-1] in _ALLOC_CONSTRUCTORS):
-            sites.append((node.lineno, f"np.{chain[-1]}"))
-    return sites
+def _alloc_site(call: ast.Call) -> Optional[str]:
+    """The constructor, when this call allocates a fresh array."""
+    chain = _dotted(call.func)
+    if (chain is not None and len(chain) >= 2
+            and chain[0] in ("np", "numpy")
+            and chain[-1] in _ALLOC_CONSTRUCTORS):
+        return f"np.{chain[-1]}"
+    return None
 
 
-def _copy_sites(tree: ast.AST) -> List[Tuple[int, str]]:
-    """(lineno, description) of implicit/explicit contiguity copies."""
-    sites: List[Tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _terminal_name(node.func)
-        if name == "ascontiguousarray":
-            sites.append((node.lineno, "np.ascontiguousarray"))
-        elif isinstance(node.func, ast.Attribute):
-            if name == "flatten":
-                sites.append((node.lineno, ".flatten() (always copies)"))
-            elif name == "ravel" and isinstance(node.func.value,
-                                                ast.Subscript):
-                sites.append((node.lineno,
-                              ".ravel() on a sliced (strided) receiver"))
-    return sites
+def _copy_site(call: ast.Call) -> Optional[str]:
+    """What makes this call an implicit/explicit contiguity copy."""
+    name = _terminal_name(call.func)
+    if name == "ascontiguousarray":
+        return "np.ascontiguousarray"
+    if isinstance(call.func, ast.Attribute):
+        if name == "flatten":
+            return ".flatten() (always copies)"
+        if name == "ravel" and isinstance(call.func.value, ast.Subscript):
+            return ".ravel() on a sliced (strided) receiver"
+    return None
 
 
 def _mentions_tainted(node: ast.AST, tainted: Set[str]) -> bool:
@@ -144,24 +145,17 @@ def _mentions_tainted(node: ast.AST, tainted: Set[str]) -> bool:
     return False
 
 
-def _loop_sites(tree: ast.FunctionDef) -> List[Tuple[int, str]]:
-    """(lineno, description) of iteration-space-sized Python loops.
+def _tainted(tree: ast.FunctionDef) -> Set[str]:
+    """Names tainted by the chunk bounds ``lo``/``hi`` in one method.
 
-    Taint analysis: the chunk bounds ``lo``/``hi`` seed the tainted set;
-    any name assigned from an expression mentioning a tainted name
-    becomes tainted (two passes reach a fixpoint for straight-line
-    code).  A ``for`` over ``range(...)`` whose arguments mention a
-    tainted name iterates O(chunk size) times — geometry-sized loops
-    (``range(self.kernel_h)``) stay clean.
+    The bounds seed the set; any name assigned from an expression
+    mentioning a tainted name becomes tainted (two passes reach a
+    fixpoint for straight-line code).  A ``for`` over ``range(...)``
+    whose arguments mention a tainted name iterates O(chunk size) times
+    — geometry-sized loops (``range(self.kernel_h)``) stay clean.
     """
-    tainted: Set[str] = set()
-    arg_names = {a.arg for a in tree.args.args}
-    for seed in ("lo", "hi"):
-        if seed in arg_names:
-            tainted.add(seed)
-    if not tainted:
-        return []
-    for _ in range(2):
+    tainted = {a.arg for a in tree.args.args} & {"lo", "hi"}
+    for _ in range(2 if tainted else 0):
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 if _mentions_tainted(node.value, tainted):
@@ -173,131 +167,89 @@ def _loop_sites(tree: ast.FunctionDef) -> List[Tuple[int, str]]:
                 if (_mentions_tainted(node.value, tainted)
                         and isinstance(node.target, ast.Name)):
                     tainted.add(node.target.id)
-    sites: List[Tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.For):
-            continue
-        call = node.iter
-        if (isinstance(call, ast.Call)
-                and _terminal_name(call.func) == "range"
-                and any(_mentions_tainted(a, tainted) for a in call.args)):
-            args = ", ".join(ast.unparse(a) for a in call.args)
-            sites.append((node.lineno, f"for ... in range({args})"))
-    return sites
-
-
-_SITE_SCANNERS = {
-    "float64": _float64_sites,
-    "allocs": _alloc_sites,
-    "copies": _copy_sites,
-    "loops": _loop_sites,
-}
-
-_HAZARD_HINTS = {
-    "float64": ("float64 intermediate doubles memory traffic vs DTYPE; "
-                "declare deliberate double accumulation via PerfDecl"),
-    "allocs": ("fresh allocation per chunk call is allocator churn; "
-               "route through repro.compiler.scratch.scratch_buffer or "
-               "declare why pooling does not apply"),
-    "copies": ("materializes a copy per call; declare it if a BLAS call "
-               "requires the contiguous operand"),
-    "loops": ("Python-level loop over an iteration-space-sized range; "
-              "declare it if per-civ BLAS dispatch is the design"),
-}
-
-
-# ---------------------------------------------------------------------------
-# chunk reachability
-# ---------------------------------------------------------------------------
-def _self_calls(tree: ast.FunctionDef) -> Set[str]:
-    """Names of own methods invoked as ``self.<name>(...)``."""
-    called: Set[str] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"):
-            called.add(node.func.attr)
-    return called
-
-
-def chunk_reachable_methods(trees: Dict[str, ast.FunctionDef]) -> Set[str]:
-    """Chunk roots plus own methods transitively self-called from them."""
-    reachable = {name for name in trees if _is_chunk_method(name)}
-    frontier = list(reachable)
-    while frontier:
-        method = frontier.pop()
-        for callee in _self_calls(trees[method]):
-            if callee in trees and callee not in reachable:
-                reachable.add(callee)
-                frontier.append(callee)
-    return reachable
+    return tainted
 
 
 # ---------------------------------------------------------------------------
 # layer-class lint (PE001-PE005)
 # ---------------------------------------------------------------------------
+class _PerfSites(Rule):
+    """PE001-PE004 sites in the chunk-reachable methods of one class."""
+
+    def __init__(self) -> None:
+        #: (method, category) -> [(lineno, what)]
+        self.sites: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
+        self.tainted: Dict[str, Set[str]] = {}
+
+    def _add(self, site, cat: str, lineno: int, what: Optional[str]) -> None:
+        if site.chunk and what:
+            self.sites.setdefault((site.method, cat), []).append(
+                (lineno, what))
+
+    def visit_FunctionDef(self, node: ast.FunctionDef, site) -> None:
+        if node is site.tree:  # the method itself comes first
+            self.tainted[site.method] = _tainted(node)
+
+    def visit_Call(self, node: ast.Call, site) -> None:
+        self._add(site, "float64", node.lineno, _float64_site(node))
+        self._add(site, "allocs", node.lineno, _alloc_site(node))
+        self._add(site, "copies", node.lineno, _copy_site(node))
+
+    def visit_For(self, node: ast.For, site) -> None:
+        call = node.iter
+        if (isinstance(call, ast.Call)
+                and _terminal_name(call.func) == "range"
+                and any(_mentions_tainted(a, self.tainted[site.method])
+                        for a in call.args)):
+            args = ", ".join(ast.unparse(a) for a in call.args)
+            self._add(site, "loops", node.lineno,
+                      f"for ... in range({args})")
+
+
 def analyze_layer_perf(cls) -> List[Finding]:
     """PE001-PE005 over one layer class."""
     findings: List[Finding] = []
-    trees = _own_method_trees(cls)
+    found = _PerfSites()
+    visit([cls], [found])
     cls_name = cls.__name__
-    reachable = chunk_reachable_methods(trees)
-    decl = cls.__dict__.get("perf_decl")
+    contract = own_contract(cls)
 
-    used: Dict[str, Set[str]] = {cat: set() for cat in _SITE_SCANNERS}
-    for method in sorted(reachable):
-        tree = trees[method]
-        for cat, scanner in _SITE_SCANNERS.items():
-            sites = scanner(tree)
-            if not sites:
+    for (method, cat), sites in sorted(
+            found.sites.items(),
+            key=lambda item: (item[0][0], PERF_CATEGORIES.index(item[0][1]))):
+        if method in getattr(contract, cat):
+            continue
+        rule, severity = _CATEGORY_RULES[cat]
+        lineno, what = sites[0]
+        extra = (f" (+{len(sites) - 1} more site(s))"
+                 if len(sites) > 1 else "")
+        findings.append(Finding(
+            rule=rule, severity=severity, layer=cls_name,
+            message=(
+                f"{what} in chunk-reachable method {method} (line "
+                f"{lineno}){extra}: {_HAZARD_HINTS[cat]}"
+            ),
+        ))
+
+    own = own_methods(cls)
+    reachable = chunk_reachable(cls)
+    for cat in PERF_CATEGORIES:
+        for method in getattr(contract, cat):
+            if method not in own:
+                drift = ("but the class defines no such method of its own; "
+                         "contracts never vouch for inherited code")
+            elif method not in reachable:
+                drift = ("which is not chunk-reachable; the allowance is "
+                         "dead weight — drop it")
+            elif (method, cat) not in found.sites:
+                drift = ("which no longer contains that construct; stale "
+                         "allowance — drop it")
+            else:
                 continue
-            allowed = getattr(decl, cat, ()) if decl is not None else ()
-            if method in allowed:
-                used[cat].add(method)
-                continue
-            rule, severity = _CATEGORY_RULES[cat]
-            lineno, what = sites[0]
-            extra = (f" (+{len(sites) - 1} more site(s))"
-                     if len(sites) > 1 else "")
             findings.append(Finding(
-                rule=rule, severity=severity, layer=cls_name,
-                message=(
-                    f"{what} in chunk-reachable method {method} (line "
-                    f"{lineno}){extra}: {_HAZARD_HINTS[cat]}"
-                ),
+                rule="PE005", severity=ERROR, layer=cls_name,
+                message=f"contract {cat} names {method!r}, {drift}",
             ))
-
-    if decl is not None:
-        for cat in _SITE_SCANNERS:
-            for method in getattr(decl, cat):
-                if method not in trees:
-                    findings.append(Finding(
-                        rule="PE005", severity=ERROR, layer=cls_name,
-                        message=(
-                            f"perf_decl {cat} names {method!r} but the "
-                            "class defines no such method of its own; "
-                            "declarations never vouch for inherited code"
-                        ),
-                    ))
-                elif method not in reachable:
-                    findings.append(Finding(
-                        rule="PE005", severity=ERROR, layer=cls_name,
-                        message=(
-                            f"perf_decl {cat} names {method!r}, which is "
-                            "not chunk-reachable; the allowance is dead "
-                            "weight — drop it"
-                        ),
-                    ))
-                elif method not in used[cat]:
-                    findings.append(Finding(
-                        rule="PE005", severity=ERROR, layer=cls_name,
-                        message=(
-                            f"perf_decl grants {cat} in {method!r} but the "
-                            "method no longer contains that construct; "
-                            "stale allowance — drop it"
-                        ),
-                    ))
     return findings
 
 
@@ -306,17 +258,9 @@ def analyze_layer_classes_perf(
 ) -> List[Finding]:
     """PE001-PE005 over every registered (or given) layer class."""
     if classes is None:
-        from repro.analysis.footprint import builtin_layer_classes
-
         classes = list(builtin_layer_classes().values())
-    findings: List[Finding] = []
-    seen = set()
-    for cls in classes:
-        if cls in seen:
-            continue
-        seen.add(cls)
-        findings.extend(analyze_layer_perf(cls))
-    return findings
+    return [f for cls in dict.fromkeys(classes)
+            for f in analyze_layer_perf(cls)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +270,25 @@ def analyze_layer_classes_perf(
 SCAN_PACKAGES = ("core", "compiler")
 
 
+class _Float64Rule(Rule):
+    """PE001 on every call of the runtime/compiler corpus."""
+
+    code = "PE001"
+
+    def visit_Call(self, node: ast.Call, site) -> Optional[List[Finding]]:
+        what = _float64_site(node)
+        return what and [site.finding(
+            "PE001", node,
+            f"{what}: runtime/compiler code computes in DTYPE (float32); "
+            "float64 here doubles the bandwidth the cost model and arena "
+            "are sized for")]
+
+
 def lint_sources_perf(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """PE001 over every ``.py`` file under ``roots``."""
-    findings: List[Finding] = []
     if roots is None:
         roots = package_roots(*SCAN_PACKAGES)
-    for path, tree in walk_sources(roots, "PE001", findings):
-        for lineno, what in _float64_sites(tree):
-            findings.append(Finding(
-                rule="PE001", severity=ERROR, layer=f"<{path.stem}>",
-                message=(
-                    f"{what}: runtime/compiler code computes in DTYPE "
-                    "(float32); float64 here doubles the bandwidth the "
-                    "cost model and arena are sized for"
-                ),
-                location=f"{path}:{lineno}",
-            ))
-    return findings
+    return visit(roots, [_Float64Rule()])
 
 
 def lint_perf() -> List[Finding]:

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.footprint import analyze_classes, builtin_layer_classes
+from repro.analysis.footprint import analyze_classes
 from repro.analysis.lint import lint_runtime
 from repro.analysis.report import (
     AnalysisReport,
@@ -29,6 +29,7 @@ from repro.analysis.report import (
     Race,
     StaticReport,
 )
+from repro.analysis.sources import builtin_layer_classes
 from repro.analysis.shadow import (
     ShadowTracker,
     collect_tracked_arrays,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.framework.layer import FootprintDecl
+from repro.framework.layer import LayerContract
 
 #: Finding severities.  Only ``ERROR`` findings fail the ``--gate``.
 ERROR = "error"
@@ -44,7 +44,7 @@ class LayerReport:
     """Static classification of one layer class."""
 
     cls_name: str
-    declared: Optional[FootprintDecl]
+    declared: Optional[LayerContract]
     inferred_forward: str
     inferred_backward: str
     inferred_reduction_params: Tuple[int, ...] = ()

@@ -56,12 +56,14 @@ from repro.analysis.detcheck import (
     trajectory_of,
 )
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.rng_lint import class_constructs_rng
+from repro.analysis.rng_lint import rng_owners, rng_sites
 from repro.analysis.sources import (
+    Rule,
     _dotted,
-    _own_method_trees,
+    builtin_layer_classes,
+    own_contract,
     package_roots,
-    walk_sources,
+    visit,
 )
 from repro.zoo.build import build_solver
 
@@ -90,68 +92,39 @@ _NUMPY_NAMES = ("np", "numpy")
 _STATE_PACKAGES = ("core", "framework", "data", "resilience", "tools")
 
 
+class _StateWriteRule(Rule):
+    """RS001/RS002 on every numpy call outside the atomic writer."""
+
+    code = "RS001"
+
+    def visit_Call(self, node: ast.Call, site) -> Optional[List[Finding]]:
+        chain = _dotted(node.func)
+        if (chain is None or len(chain) < 2 or chain[-2] not in _NUMPY_NAMES
+                or site.path.as_posix().endswith(_WRITER_ALLOWLIST)):
+            return None
+        if chain[-1] in _RAW_WRITERS:
+            return [site.finding(
+                "RS001", node,
+                f"np.{chain[-1]} writes state in place: a crash mid-save "
+                "destroys the previous snapshot; route the write through "
+                "repro.resilience.checkpoint (atomic temp + os.replace, "
+                "CRC-32)")]
+        if chain[-1] == "load":
+            return [site.finding(
+                "RS002", node,
+                "np.load without digest verification: a corrupt or "
+                "truncated file surfaces a raw zipfile error; use "
+                "repro.resilience.checkpoint's verified loaders")]
+        return None
+
+
 def lint_state_writes(
     roots: Optional[Iterable[Path]] = None,
 ) -> List[Finding]:
     """RS001/RS002: raw serialization outside the atomic writer."""
-    findings: List[Finding] = []
     if roots is None:
         roots = package_roots(*_STATE_PACKAGES)
-    for path, tree in walk_sources(roots, "RS001", findings):
-        posix = path.as_posix()
-        if not any(posix.endswith(allowed) for allowed in _WRITER_ALLOWLIST):
-            findings.extend(_scan_state_calls(tree, path))
-    return findings
-
-
-def _scan_state_calls(tree: ast.AST, path: Path) -> List[Finding]:
-    findings: List[Finding] = []
-    where = f"<{path.stem}>"
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = _dotted(node.func)
-        if chain is None or len(chain) < 2 or chain[-2] not in _NUMPY_NAMES:
-            continue
-        if chain[-1] in _RAW_WRITERS:
-            findings.append(Finding(
-                rule="RS001", severity=ERROR, layer=where,
-                message=(
-                    f"np.{chain[-1]} writes state in place: a crash "
-                    "mid-save destroys the previous snapshot; route the "
-                    "write through repro.resilience.checkpoint "
-                    "(atomic temp + os.replace, CRC-32)"
-                ),
-                location=f"{path}:{node.lineno}",
-            ))
-        elif chain[-1] == "load":
-            findings.append(Finding(
-                rule="RS002", severity=ERROR, layer=where,
-                message=(
-                    "np.load without digest verification: a corrupt or "
-                    "truncated file surfaces a raw zipfile error; use "
-                    "repro.resilience.checkpoint's verified loaders"
-                ),
-                location=f"{path}:{node.lineno}",
-            ))
-    return findings
-
-
-def _assigns_self_rng(cls) -> bool:
-    """Does the class source assign ``self._rng`` (the capture hook)?"""
-    for node in _own_method_trees(cls).values():
-        for sub in ast.walk(node):
-            if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = sub.targets if isinstance(sub, ast.Assign) \
-                else [sub.target]
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and target.attr == "_rng"
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    return True
-    return False
+    return visit(roots, [_StateWriteRule()])
 
 
 def lint_rng_capture(
@@ -159,26 +132,22 @@ def lint_rng_capture(
 ) -> List[Finding]:
     """RS003: per-forward random streams must be checkpoint-capturable.
 
-    A layer that declares ``draws='per_forward'`` holds a live stream
-    whose position is trajectory state; :meth:`Layer.rng_state` captures
-    it through the ``self._rng`` convention.  A per-forward drawer that
-    stores its generator anywhere else silently forks on resume.
+    A layer whose RNG-constructing class declares ``draws='per_forward'``
+    holds a live stream whose position is trajectory state;
+    :meth:`Layer.rng_state` captures it through the ``self._rng``
+    convention.  A per-forward drawer that stores its generator anywhere
+    else silently forks on resume.
     """
     from repro.framework.layer import RNG_PER_FORWARD
 
     if classes is None:
-        from repro.analysis.footprint import builtin_layer_classes
-
         classes = list(builtin_layer_classes().values())
     findings: List[Finding] = []
     for cls in classes:
-        decl = getattr(cls, "rng_provenance", None)
-        if decl is None or decl.draws != RNG_PER_FORWARD:
-            continue
-        constructs = any(class_constructs_rng(c) for c in cls.__mro__
-                         if c is not object)
-        if constructs and not any(
-                _assigns_self_rng(c) for c in cls.__mro__ if c is not object):
+        per_forward = any(own_contract(owner).draws == RNG_PER_FORWARD
+                          for owner in rng_owners(cls))
+        if per_forward and not any(rng_sites(c).stores_self_rng
+                                   for c in cls.__mro__ if c is not object):
             findings.append(Finding(
                 rule="RS003", severity=ERROR, layer=cls.__name__,
                 message=(

@@ -14,13 +14,16 @@ from the source, before anything runs:
   flowing into RNG state (DC003), and use of the legacy global numpy
   stream (DC005).
 * **Layer-class scan** (:func:`analyze_layer_rng`) — every registered
-  layer class is checked against its declared
-  :class:`~repro.framework.layer.RNGDecl`: draws inside chunk-parallel
-  methods are flagged unconditionally (DC004 — the draw order would
-  depend on the schedule), a class constructing an RNG without a
-  declaration is flagged (DC006), and declarations are verified against
-  the code — seed parameters actually read, the ``stable_seed`` fallback
-  actually present, draws happening where the declaration says (DC007).
+  layer class is checked against the RNG provenance its own
+  :class:`~repro.framework.layer.LayerContract` declares: draws in
+  chunk-reachable methods are flagged unconditionally (DC004 — the draw
+  order would depend on the schedule), a class constructing an RNG
+  without naming its seed is flagged (DC006), and declarations are
+  verified against the code — seed parameters actually read, the
+  ``stable_seed`` fallback actually present, draws happening where the
+  contract says (DC007).
+
+Both are rules on :func:`repro.analysis.sources.visit`.
 
 Like the footprint pass (FP codes) and netcheck (NG codes), findings are
 coded and stable; ``--gate`` fails on any ERROR.
@@ -29,18 +32,21 @@ coded and stable; ``--gate`` fails on any ERROR.
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import ERROR, Finding
 from repro.analysis.sources import (
+    Rule,
     _dotted,
-    _is_chunk_method,
-    _own_method_trees,
     _terminal_name,
+    builtin_layer_classes,
+    own_contract,
     package_roots,
-    walk_sources,
+    visit,
 )
+from repro.framework.layer import RNG_SETUP
 
 #: Constructors that create an independent RNG stream.
 _RNG_CONSTRUCTORS = {"default_rng", "RandomState"}
@@ -118,29 +124,29 @@ def _is_rng_draw(call: ast.Call) -> bool:
     return False
 
 
-def _scan_tree(tree: ast.AST, where: str, path: str) -> List[Finding]:
-    """DC001/DC002/DC003/DC005 over one parsed module or function."""
-    findings: List[Finding] = []
-    seen = set()
+class _SourceRule(Rule):
+    """DC001/DC002/DC003/DC005 on every call of the corpus."""
 
-    def emit(rule: str, lineno: int, message: str) -> None:
-        # A hash() inside a seed expression is visited twice by ast.walk
-        # (once via the seed walk, once as a bare call) — report it once.
-        if (rule, lineno) in seen:
-            return
-        seen.add((rule, lineno))
-        findings.append(Finding(
-            rule=rule, severity=ERROR, layer=where, message=message,
-            location=f"{path}:{lineno}",
-        ))
+    code = "DC001"
 
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    def __init__(self) -> None:
+        # A hash() inside a seed expression is met twice (once via the
+        # seed walk, once as a bare call) — report each site once.
+        self.seen: Set[Tuple[str, str]] = set()
+
+    def visit_Call(self, node: ast.Call, site) -> List[Finding]:
+        findings: List[Finding] = []
+
+        def emit(rule: str, node: ast.AST, message: str) -> None:
+            finding = site.finding(rule, node, message)
+            if (rule, finding.location) not in self.seen:
+                self.seen.add((rule, finding.location))
+                findings.append(finding)
+
         name = _terminal_name(node.func)
         if _is_rng_construction(node):
             if _is_unseeded(node):
-                emit("DC001", node.lineno,
+                emit("DC001", node,
                      f"{name}() constructed without a seed draws its "
                      "state from OS entropy; every process gets a "
                      "different stream")
@@ -154,14 +160,14 @@ def _scan_tree(tree: ast.AST, where: str, path: str) -> List[Finding]:
                         sub_name = _terminal_name(sub.func)
                         if (isinstance(sub.func, ast.Name)
                                 and sub_name in ("hash", "id")):
-                            emit("DC002", sub.lineno,
+                            emit("DC002", sub,
                                  f"seed derived from {sub_name}(): salted "
                                  "per process under hash randomization "
                                  "(PYTHONHASHSEED); use a stable digest "
                                  "(repro.framework.fillers.stable_seed)")
                         elif (_call_matches(sub, _WALLCLOCK_CALLS)
                               or _call_matches(sub, _ENTROPY_CALLS)):
-                            emit("DC003", sub.lineno,
+                            emit("DC003", sub,
                                  "seed derived from a wall-clock/entropy "
                                  f"source ({'.'.join(_dotted(sub.func))}); "
                                  "two runs can never replay each other")
@@ -169,20 +175,20 @@ def _scan_tree(tree: ast.AST, where: str, path: str) -> List[Finding]:
             # Bare id() is fine as an identity-map key (net.py does this);
             # it is only a hazard when it feeds a seed, which the
             # seed-expression walk above catches.
-            emit("DC002", node.lineno,
+            emit("DC002", node,
                  "hash() produces process-salted values; any seed or "
                  "ordering derived from it differs across interpreter "
                  "processes")
         elif _call_matches(node, _ENTROPY_CALLS):
-            emit("DC003", node.lineno,
+            emit("DC003", node,
                  f"OS-entropy source {'.'.join(_dotted(node.func))} in "
                  "deterministic-pipeline code")
         elif _is_legacy_global_draw(node):
-            emit("DC005", node.lineno,
+            emit("DC005", node,
                  f"legacy global numpy RNG (np.random.{name}): the hidden "
                  "shared stream couples draw order across unrelated call "
                  "sites; construct an explicit seeded Generator instead")
-    return findings
+        return findings
 
 
 #: The packages whose determinism the certifier vouches for.
@@ -191,133 +197,119 @@ LINT_PACKAGES = ("core", "framework", "data", "compiler")
 
 def lint_sources(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """Run the DC0xx source scan over every ``.py`` file under ``roots``."""
-    findings: List[Finding] = []
     if roots is None:
         roots = package_roots(*LINT_PACKAGES)
-    for path, tree in walk_sources(roots, "DC001", findings):
-        findings.extend(_scan_tree(tree, f"<{path.stem}>", str(path)))
-    return findings
+    return visit(roots, [_SourceRule()])
 
 
 # ---------------------------------------------------------------------------
 # layer-class provenance check (DC004 / DC006 / DC007)
 # ---------------------------------------------------------------------------
-def _string_constants(trees: Dict[str, ast.FunctionDef]) -> set:
-    consts = set()
-    for node in trees.values():
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                consts.add(sub.value)
-    return consts
+class RNGSites(Rule):
+    """What one class's own methods do with random streams."""
+
+    def __init__(self) -> None:
+        #: ``(method, line, runs per chunk)`` per construction and draw
+        self.constructions: List[Tuple[str, int, bool]] = []
+        self.draws: List[Tuple[str, int, bool]] = []
+        self.strings: Set[str] = set()
+        self.calls: Set[str] = set()
+        #: a method assigns ``self._rng`` (what rng_state() captures)
+        self.stores_self_rng = False
+
+    def visit_Call(self, node: ast.Call, site) -> None:
+        self.calls.add(_terminal_name(node.func))
+        if _is_rng_construction(node):
+            self.constructions.append((site.method, node.lineno, site.chunk))
+        if _is_rng_draw(node) or _is_legacy_global_draw(node):
+            self.draws.append((site.method, node.lineno, site.chunk))
+
+    def visit_Constant(self, node: ast.Constant, site) -> None:
+        if isinstance(node.value, str):
+            self.strings.add(node.value)
+
+    def visit_Assign(self, node: ast.Assign, site) -> None:
+        self.stores_self_rng |= any(map(_is_self_rng, node.targets))
+
+    def visit_AnnAssign(self, node: ast.AnnAssign, site) -> None:
+        self.stores_self_rng |= _is_self_rng(node.target)
 
 
-def _calls_name(trees: Dict[str, ast.FunctionDef], name: str) -> bool:
-    for node in trees.values():
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Call)
-                    and _terminal_name(sub.func) == name):
-                return True
-    return False
+def _is_self_rng(target: ast.AST) -> bool:
+    return (isinstance(target, ast.Attribute) and target.attr == "_rng"
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self")
 
 
-def class_constructs_rng(cls) -> bool:
-    """Does any method defined by this class construct an RNG stream?"""
-    for node in _own_method_trees(cls).values():
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and _is_rng_construction(sub):
-                return True
-    return False
+@functools.lru_cache(maxsize=None)
+def rng_sites(cls) -> RNGSites:
+    """The RNG sites of the methods in the class's own ``__dict__``,
+    found once per class (every MRO walk revisits ``Layer``); callers
+    only read the result."""
+    sites = RNGSites()
+    visit([cls], [sites])
+    return sites
+
+
+def rng_owners(cls) -> List[type]:
+    """The classes on ``cls``'s MRO whose own methods construct an RNG:
+    the contracts that must describe the stream (DC103, RS003)."""
+    return [c for c in cls.__mro__
+            if c is not object and rng_sites(c).constructions]
 
 
 def analyze_layer_rng(cls) -> List[Finding]:
     """DC004/DC006/DC007 over one layer class."""
     findings: List[Finding] = []
-    trees = _own_method_trees(cls)
-    cls_name = cls.__name__
+    sites = rng_sites(cls)
+    contract = own_contract(cls)
 
-    construction_sites: List[Tuple[str, int]] = []
-    draw_sites: Dict[str, List[int]] = {}
-    for method, node in trees.items():
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            if _is_rng_construction(sub):
-                construction_sites.append((method, sub.lineno))
-            if _is_rng_draw(sub) or _is_legacy_global_draw(sub):
-                draw_sites.setdefault(method, []).append(sub.lineno)
+    def error(rule: str, message: str) -> None:
+        findings.append(Finding(rule=rule, severity=ERROR,
+                                layer=cls.__name__, message=message))
 
     # DC004: draws (or constructions) inside chunk-parallel code.
-    for method, lines in sorted(draw_sites.items()):
-        if _is_chunk_method(method):
-            findings.append(Finding(
-                rule="DC004", severity=ERROR, layer=cls_name,
-                message=(
-                    f"RNG draw inside chunk method {method} (line "
-                    f"{lines[0]}): the draw count and order depend on how "
-                    "iterations are chunked across threads, so no two "
-                    "schedules replay the same stream; draw in the "
-                    "sequential reshape() prologue instead"
-                ),
-            ))
-    for method, lineno in construction_sites:
-        if _is_chunk_method(method):
-            findings.append(Finding(
-                rule="DC004", severity=ERROR, layer=cls_name,
-                message=(
-                    f"RNG constructed inside chunk method {method} (line "
-                    f"{lineno}); per-chunk generators make the stream a "
-                    "function of the schedule"
-                ),
-            ))
+    first_draw: Dict[str, int] = {}
+    for method, lineno, chunk in sites.draws:
+        if chunk:
+            first_draw.setdefault(method, lineno)
+    for method, lineno in sorted(first_draw.items()):
+        error("DC004",
+              f"RNG draw inside chunk method {method} (line {lineno}): the "
+              "draw count and order depend on how iterations are chunked "
+              "across threads, so no two schedules replay the same stream; "
+              "draw in the sequential reshape() prologue instead")
+    for method, lineno, chunk in sites.constructions:
+        if chunk:
+            error("DC004",
+                  f"RNG constructed inside chunk method {method} (line "
+                  f"{lineno}); per-chunk generators make the stream a "
+                  "function of the schedule")
 
-    decl = cls.__dict__.get("rng_provenance")
-    if construction_sites and decl is None:
-        # An inherited declaration vouches only for inherited code; a
-        # class writing its own RNG construction must declare its own
-        # provenance (mirrors FP001 for footprints).
-        findings.append(Finding(
-            rule="DC006", severity=ERROR, layer=cls_name,
-            message=(
-                "constructs an RNG in "
-                f"{', '.join(sorted({m for m, _ in construction_sites}))} "
-                "but declares no rng_provenance; detcheck cannot certify "
-                "where the seed comes from or when draws happen"
-            ),
-        ))
+    # DC006: an inherited contract vouches only for inherited code; a
+    # class writing its own RNG construction must name its own seed
+    # (mirrors FP001 for footprints).
+    if sites.constructions and not contract.seed_params:
+        owners = sorted({method for method, _, _ in sites.constructions})
+        error("DC006",
+              f"constructs an RNG in {', '.join(owners)} but its contract "
+              "names no seed_params; detcheck cannot certify where the "
+              "seed comes from or when draws happen")
 
-    if decl is not None:
-        consts = _string_constants(trees)
-        for param in decl.seed_params:
-            if param not in consts:
-                findings.append(Finding(
-                    rule="DC007", severity=ERROR, layer=cls_name,
-                    message=(
-                        f"rng_provenance names seed param {param!r} but "
-                        "the layer source never reads it"
-                    ),
-                ))
-        if decl.fallback == "stable_digest" and not _calls_name(
-                trees, "stable_seed"):
-            findings.append(Finding(
-                rule="DC007", severity=ERROR, layer=cls_name,
-                message=(
-                    "rng_provenance declares fallback='stable_digest' but "
-                    "the layer source never calls stable_seed"
-                ),
-            ))
-        from repro.framework.layer import RNG_SETUP
-
-        if decl.draws == RNG_SETUP:
-            offenders = [m for m in draw_sites if m == "reshape"]
-            if offenders:
-                findings.append(Finding(
-                    rule="DC007", severity=ERROR, layer=cls_name,
-                    message=(
-                        "rng_provenance declares draws='setup' but "
-                        "reshape() draws from the generator each forward "
-                        "pass; declare draws='per_forward'"
-                    ),
-                ))
+    # DC007: the contract against the code.
+    for param in contract.seed_params:
+        if param not in sites.strings:
+            error("DC007", f"contract names seed param {param!r} but the "
+                           "layer source never reads it")
+    if (contract.fallback == "stable_digest"
+            and "stable_seed" not in sites.calls):
+        error("DC007", "contract declares fallback='stable_digest' but the "
+                       "layer source never calls stable_seed")
+    if contract.seed_params and contract.draws == RNG_SETUP and any(
+            method == "reshape" for method, _, _ in sites.draws):
+        error("DC007", "contract declares draws='setup' but reshape() draws "
+                       "from the generator each forward pass; declare "
+                       "draws='per_forward'")
     return findings
 
 
@@ -326,13 +318,8 @@ def analyze_layer_classes_rng(
 ) -> List[Finding]:
     """DC004/DC006/DC007 over every registered (or given) layer class."""
     if classes is None:
-        from repro.analysis.footprint import builtin_layer_classes
-
         classes = list(builtin_layer_classes().values())
-    findings: List[Finding] = []
-    for cls in classes:
-        findings.extend(analyze_layer_rng(cls))
-    return findings
+    return [f for cls in classes for f in analyze_layer_rng(cls)]
 
 
 def lint_rng() -> List[Finding]:

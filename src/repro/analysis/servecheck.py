@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.sources import package_roots, walk_sources
+from repro.analysis.sources import Rule, package_roots, visit
 from repro.analysis.synclint import analyze_sync
 
 DEFAULT_NETS = ("lenet", "mlp")
@@ -88,132 +88,113 @@ def _finding(code: str, layer: str, message: str,
 # ---------------------------------------------------------------------------
 # static lint (SV001-SV005)
 # ---------------------------------------------------------------------------
-def _enclosing_classes(tree: ast.Module) -> Dict[int, str]:
-    """lineno -> class name, for every line inside a class body."""
-    spans: Dict[int, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            end = getattr(node, "end_lineno", node.lineno)
-            for line in range(node.lineno, end + 1):
-                spans.setdefault(line, node.name)
-    return spans
+class _ServeRule(Rule):
+    """SV001-SV005 over the serve package."""
 
+    code = "SV001"
 
-def _lint_module(tree: ast.Module, path: Path, rel: str) -> List[Finding]:
-    findings: List[Finding] = []
-    classes = _enclosing_classes(tree)
-    is_clock = path.name == _CLOCK_MODULE
+    def __init__(self, root: Path) -> None:
+        self.root = root
 
-    for node in ast.walk(tree):
-        # -- SV004: wall-clock reads -----------------------------------
-        if not is_clock:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = ([a.name for a in node.names]
-                         if isinstance(node, ast.Import)
-                         else [node.module or ""])
-                for name in names:
-                    if name.split(".")[0] in _WALL_CLOCK_MODULES:
-                        findings.append(_finding(
-                            "SV004", rel,
-                            f"imports {name!r}: only {_CLOCK_MODULE} may "
-                            "touch the real clock; take a Clock instance",
-                            f"{path}:{node.lineno}",
-                        ))
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in _WALL_CLOCK_MODULES
-                    and node.attr in _WALL_CLOCK_ATTRS):
-                findings.append(_finding(
-                    "SV004", rel,
-                    f"wall-clock read {node.value.id}.{node.attr}: "
-                    "deadlines must flow through the injected Clock",
-                    f"{path}:{node.lineno}",
-                ))
+    def _found(self, code: str, site, node: ast.AST,
+               message: str) -> List[Finding]:
+        return [site.finding(
+            code, node, message, severity=CODE_CATALOGUE[code][1],
+            layer=os.path.relpath(str(site.path), str(self.root.parent)))]
 
+    # -- SV004: wall-clock reads ---------------------------------------
+    def visit_Import(self, node, site) -> List[Finding]:
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""])
+        found: List[Finding] = []
+        if site.path.name != _CLOCK_MODULE:
+            for name in names:
+                if name.split(".")[0] in _WALL_CLOCK_MODULES:
+                    found += self._found(
+                        "SV004", site, node,
+                        f"imports {name!r}: only {_CLOCK_MODULE} may touch "
+                        "the real clock; take a Clock instance")
+        return found
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Attribute(self, node: ast.Attribute,
+                        site) -> Optional[List[Finding]]:
+        if (site.path.name != _CLOCK_MODULE
+                and isinstance(node.value, ast.Name)
+                and node.value.id in _WALL_CLOCK_MODULES
+                and node.attr in _WALL_CLOCK_ATTRS):
+            return self._found(
+                "SV004", site, node,
+                f"wall-clock read {node.value.id}.{node.attr}: "
+                "deadlines must flow through the injected Clock")
+        return None
+
+    def visit_Call(self, node: ast.Call, site) -> List[Finding]:
+        found: List[Finding] = []
+        func = node.func
+        ctor = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else "")
         # -- SV001: queue discipline -----------------------------------
-        if isinstance(node, ast.Call):
-            func = node.func
-            ctor = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else "")
-            if ctor in _QUEUE_CTORS:
-                findings.append(_finding(
-                    "SV001", rel,
-                    f"{ctor}() constructed in the serve path: unbounded "
-                    "growth under overload; use BoundedDeque (coded "
-                    "rejection at capacity)",
-                    f"{path}:{node.lineno}",
-                ))
-            elif ctor == "deque":
-                has_maxlen = any(kw.arg == "maxlen" for kw in node.keywords)
-                inside = classes.get(node.lineno, "")
-                if has_maxlen:
-                    findings.append(_finding(
-                        "SV001", rel,
-                        "deque(maxlen=...) in the serve path drops "
-                        "silently from the far end at capacity; use "
-                        "BoundedDeque (coded rejection)",
-                        f"{path}:{node.lineno}",
-                    ))
-                elif inside != "BoundedDeque":
-                    findings.append(_finding(
-                        "SV001", rel,
-                        "bare deque() outside BoundedDeque: every serve "
-                        "queue must enforce a capacity with coded "
-                        "rejection",
-                        f"{path}:{node.lineno}",
-                    ))
+        if ctor in _QUEUE_CTORS:
+            found += self._found(
+                "SV001", site, node,
+                f"{ctor}() constructed in the serve path: unbounded "
+                "growth under overload; use BoundedDeque (coded "
+                "rejection at capacity)")
+        elif ctor == "deque":
+            inside = next((a.name for a in site.ancestors(node)
+                           if isinstance(a, ast.ClassDef)), "")
+            if any(kw.arg == "maxlen" for kw in node.keywords):
+                found += self._found(
+                    "SV001", site, node,
+                    "deque(maxlen=...) in the serve path drops "
+                    "silently from the far end at capacity; use "
+                    "BoundedDeque (coded rejection)")
+            elif inside != "BoundedDeque":
+                found += self._found(
+                    "SV001", site, node,
+                    "bare deque() outside BoundedDeque: every serve "
+                    "queue must enforce a capacity with coded "
+                    "rejection")
+        # -- SV002: blocking without a bound ---------------------------
+        if (isinstance(func, ast.Attribute)
+                and func.attr in _BLOCKING_METHODS
+                and not node.args
+                and not any(kw.arg == "timeout" for kw in node.keywords)):
+            found += self._found(
+                "SV002", site, node,
+                f".{func.attr}() with no timeout: a stalled peer "
+                "freezes the serving thread forever; every wait in "
+                "the serve path must be bounded")
+        return found
 
-            # -- SV002: blocking without a bound -----------------------
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in _BLOCKING_METHODS
-                    and not node.args
-                    and not any(kw.arg == "timeout"
-                                for kw in node.keywords)):
-                findings.append(_finding(
-                    "SV002", rel,
-                    f".{func.attr}() with no timeout: a stalled peer "
-                    "freezes the serving thread forever; every wait in "
-                    "the serve path must be bounded",
-                    f"{path}:{node.lineno}",
-                ))
+    # -- SV005: swallowed exceptions -----------------------------------
+    def visit_ExceptHandler(self, node: ast.ExceptHandler,
+                            site) -> Optional[List[Finding]]:
+        if node.type is None:
+            return self._found(
+                "SV005", site, node,
+                "bare except: catches everything (including "
+                "KeyboardInterrupt) and hides the fault class; "
+                "catch Exception and answer with a coded response")
+        if len(node.body) == 1 and isinstance(node.body[0], ast.Pass):
+            return self._found(
+                "SV005", site, node,
+                "except-pass: the fault vanishes instead of "
+                "becoming a coded response or a counter")
+        return None
 
-        # -- SV005: swallowed exceptions -------------------------------
-        if isinstance(node, ast.ExceptHandler):
-            if node.type is None:
-                findings.append(_finding(
-                    "SV005", rel,
-                    "bare except: catches everything (including "
-                    "KeyboardInterrupt) and hides the fault class; "
-                    "catch Exception and answer with a coded response",
-                    f"{path}:{node.lineno}",
-                ))
-            elif (len(node.body) == 1
-                    and isinstance(node.body[0], ast.Pass)):
-                findings.append(_finding(
-                    "SV005", rel,
-                    "except-pass: the fault vanishes instead of "
-                    "becoming a coded response or a counter",
-                    f"{path}:{node.lineno}",
-                ))
-    return findings
+    # -- SV003: synccheck's lock rules with the serve package as corpus --
+    def done(self, parsed) -> List[Finding]:
+        return [_finding("SV003", sy.layer, f"[{sy.rule}] {sy.message}",
+                         sy.location) for sy in analyze_sync(parsed)]
 
 
 def lint_serve(root: Optional[Path] = None) -> List[Finding]:
     """The full SV001-SV005 static pass over the serve package."""
     root = Path(root) if root is not None else package_roots("serve")[0]
-    findings: List[Finding] = []
-    parsed = list(walk_sources([root], "SV001", findings))
-    for path, tree in parsed:
-        rel = os.path.relpath(str(path), str(root.parent))
-        findings.extend(_lint_module(tree, path, rel))
-    # SV003: synccheck's lock rules with the serve package as corpus.
-    for sy in analyze_sync(parsed):
-        findings.append(_finding(
-            "SV003", sy.layer,
-            f"[{sy.rule}] {sy.message}",
-            sy.location,
-        ))
-    return findings
+    return visit([root], [_ServeRule(root)])
 
 
 # ---------------------------------------------------------------------------

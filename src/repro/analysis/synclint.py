@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.sources import package_roots, walk_sources
+from repro.analysis.sources import Rule, package_roots, visit
 
 #: threading constructors we track, mapped to a primitive kind.
 _PRIMITIVE_CTORS = {
@@ -589,13 +589,20 @@ def _iter_functions(tree: ast.Module, modname: str):
                     yield f"{modname}.{node.name}.{sub.name}", sub
 
 
+class _SyncRule(Rule):
+    """The SY0xx rules, on the corpus :func:`visit` parsed."""
+
+    code = "SY001"
+
+    def done(self, parsed) -> List[Finding]:
+        return analyze_sync(parsed)
+
+
 def lint_sync(roots: Optional[Iterable[Path]] = None) -> List[Finding]:
     """Run the full SY0xx static pass over every module under roots."""
-    findings: List[Finding] = []
     if roots is None:
         roots = package_roots(*LINT_PACKAGES)
-    parsed = list(walk_sources(roots, "SY001", findings))
-    return findings + analyze_sync(parsed)
+    return visit(roots, [_SyncRule()])
 
 
 def analyze_sync(parsed: Sequence[Tuple[Path, ast.Module]]) -> List[Finding]:
@@ -609,14 +616,9 @@ def analyze_sync(parsed: Sequence[Tuple[Path, ast.Module]]) -> List[Finding]:
 
     summaries: Dict[str, FunctionSummary] = {}
     by_method: Dict[str, List[str]] = {}
-    threaded_modules: Set[str] = set()
-    module_globals: Dict[str, Dict[str, int]] = {}
     for modname, path, tree in modules:
-        if _imports_threading(tree):
-            threaded_modules.add(modname)
         mutables = _mutable_globals(tree, modname) \
             if _imports_threading(tree) else {}
-        module_globals[modname] = mutables
         for ref, funcdef in _iter_functions(tree, modname):
             scanner = _FunctionScanner(modname, index, mutables, ref, path)
             summary = scanner.scan(funcdef.body)

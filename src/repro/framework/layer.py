@@ -44,7 +44,7 @@ from repro.framework.shape_inference import (
 )
 
 # ---------------------------------------------------------------------------
-# write-footprint classification (the parallel-safety contract)
+# the layer contract (what repro.analysis checks each class against)
 # ---------------------------------------------------------------------------
 # Classification of a pass's writes with respect to the coalesced iteration
 # space.  The coarse-grain runtime may distribute a pass across threads only
@@ -63,51 +63,6 @@ UNSAFE = "unsafe"
 #: analyzer produces, never valid declarations).
 DECLARABLE_FOOTPRINTS = (SAMPLE_DISJOINT, REDUCTION, SEQUENTIAL)
 
-
-@dataclass(frozen=True)
-class FootprintDecl:
-    """A layer's declared write footprint, checked by ``repro.analysis``.
-
-    Attributes
-    ----------
-    forward / backward:
-        Classification of the pass's writes (one of
-        :data:`DECLARABLE_FOOTPRINTS`).
-    reduction_params:
-        Indices into ``self.blobs`` whose gradients the backward pass
-        *accumulates* into the privatized ``param_grads`` buffers.  Must be
-        non-empty exactly when ``backward == REDUCTION``.
-    scratch:
-        Names of instance attributes (numpy arrays) that chunk methods
-        write, sliced by the chunk bounds — per-sample partials like a
-        loss layer's ``_per_sample``.  Any other attribute write inside a
-        chunk is hidden shared state and is flagged.
-    """
-
-    forward: str = SAMPLE_DISJOINT
-    backward: str = SAMPLE_DISJOINT
-    reduction_params: Tuple[int, ...] = ()
-    scratch: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for label, value in (("forward", self.forward),
-                             ("backward", self.backward)):
-            if value not in DECLARABLE_FOOTPRINTS:
-                raise ValueError(
-                    f"footprint {label}={value!r} is not declarable; "
-                    f"expected one of {DECLARABLE_FOOTPRINTS}"
-                )
-        if (self.backward == REDUCTION) != bool(self.reduction_params):
-            raise ValueError(
-                "reduction_params must be declared exactly when "
-                f"backward == {REDUCTION!r} (got backward={self.backward!r}, "
-                f"reduction_params={self.reduction_params})"
-            )
-
-
-# ---------------------------------------------------------------------------
-# RNG provenance (the determinism contract, checked by repro.analysis.detcheck)
-# ---------------------------------------------------------------------------
 #: Where a layer's RNG draws happen.  ``setup`` — only during
 #: :meth:`Layer.layer_setup` (parameter fillers; one fixed draw sequence
 #: per construction).  ``per_forward`` — once per forward pass, in the
@@ -121,18 +76,43 @@ RNG_PER_FORWARD = "per_forward"
 _RNG_DRAW_SITES = (RNG_SETUP, RNG_PER_FORWARD)
 _RNG_FALLBACKS = ("constant", "stable_digest")
 
+#: Performance allowance categories, each silencing one PE lint rule:
+#: ``float64`` (PE001), ``allocs`` (PE002), ``copies`` (PE003), ``loops``
+#: (PE004).
+PERF_CATEGORIES = ("float64", "allocs", "copies", "loops")
+
 
 @dataclass(frozen=True)
-class RNGDecl:
-    """A layer's declared RNG provenance, checked by the determinism
-    certifier (``repro.analysis.detcheck``).
+class LayerContract:
+    """What a layer class promises the analyzers (``repro.analysis``).
 
-    Attributes
-    ----------
+    A class declares one, ``contract = LayerContract(...)``, and it
+    vouches only for the methods in that class's own ``__dict__``: an
+    inherited contract never covers an override (FP001, DC006, PE005),
+    and a check about an inherited method reads the contract of the class
+    that defines it.
+
+    Write footprint (the parallel-safety contract, FP codes):
+
+    forward / backward:
+        Classification of the pass's writes (one of
+        :data:`DECLARABLE_FOOTPRINTS`).
+    reduction_params:
+        Indices into ``self.blobs`` whose gradients the backward pass
+        *accumulates* into the privatized ``param_grads`` buffers.  Must be
+        non-empty exactly when ``backward == REDUCTION``.
+    scratch:
+        Names of instance attributes (numpy arrays) that chunk methods
+        write, sliced by the chunk bounds — per-sample partials like a
+        loss layer's ``_per_sample``.  Any other attribute write inside a
+        chunk is hidden shared state and is flagged.
+
+    RNG provenance (the determinism contract, DC codes and RS003):
+
     seed_params:
         Spec parameter names the seed is read from (e.g.
-        ``("filler_seed",)``); detcheck verifies the layer source actually
-        reads each one.
+        ``("filler_seed",)``); detcheck verifies the source reads each
+        one.  Empty means the class's own methods construct no RNG.
     fallback:
         How the seed defaults when the spec omits every ``seed_params``
         entry: ``"constant"`` (a literal default) or ``"stable_digest"``
@@ -141,80 +121,38 @@ class RNGDecl:
         which is salted per process under hash randomization).
     draws:
         :data:`RNG_SETUP` or :data:`RNG_PER_FORWARD` (see above).
+
+    Performance allowances (PE codes), each naming the class's own
+    chunk-reachable methods in which an anti-pattern is deliberate; the
+    lint flags it everywhere else, and flags allowances that match no
+    construct (PE005):
+
+    float64:
+        Fixed-order double accumulation backing the bitwise-invariance
+        contract (e.g. Scale's per-channel coefficient gradients).
+    allocs:
+        Array constructions that are batch-sized-but-cheap (boolean
+        masks, ``arange`` index vectors) or have no pooled equivalent
+        (``np.stack`` over a variable bottom list).
+    copies:
+        Contiguity copies (``ascontiguousarray``, strided ``ravel``)
+        feeding BLAS calls that require contiguous operands.
+    loops:
+        A Python loop over an iteration-space-sized range that is the
+        chunking design: one BLAS call per coalesced iteration (or block
+        of them), priced as ``segments`` dispatch by the cost model.
+    note:
+        The one-line *why*, required exactly when an allowance is
+        granted — an allowance without one is just a silenced warning.
     """
 
-    seed_params: Tuple[str, ...]
+    forward: str = SAMPLE_DISJOINT
+    backward: str = SAMPLE_DISJOINT
+    reduction_params: Tuple[int, ...] = ()
+    scratch: Tuple[str, ...] = ()
+    seed_params: Tuple[str, ...] = ()
     fallback: str = "constant"
     draws: str = RNG_SETUP
-
-    def __post_init__(self) -> None:
-        if not self.seed_params:
-            raise ValueError(
-                "an RNGDecl must name at least one seed parameter; a layer "
-                "without seedable RNG should declare no provenance at all"
-            )
-        if self.fallback not in _RNG_FALLBACKS:
-            raise ValueError(
-                f"RNGDecl fallback={self.fallback!r} is not one of "
-                f"{_RNG_FALLBACKS}"
-            )
-        if self.draws not in _RNG_DRAW_SITES:
-            raise ValueError(
-                f"RNGDecl draws={self.draws!r} is not one of "
-                f"{_RNG_DRAW_SITES}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# performance allow-list (the perf contract, checked by repro.analysis.perfcheck)
-# ---------------------------------------------------------------------------
-#: Allowance categories a :class:`PerfDecl` may grant, keyed by the PE lint
-#: rule each one silences.  ``float64`` — deliberate double-precision
-#: accumulation in chunk code (PE001).  ``allocs`` — array-constructing
-#: calls in chunk code that cannot (or need not) route through the scratch
-#: pool (PE002).  ``copies`` — deliberate contiguity copies feeding BLAS
-#: (PE003).  ``loops`` — Python-level loops over iteration-space-sized
-#: ranges that are the architecture, not an accident (PE004): one BLAS call
-#: per coalesced iteration (or per block of them), priced as ``segments``
-#: dispatch by the cost model.
-_PERF_CATEGORIES = ("float64", "allocs", "copies", "loops")
-
-
-@dataclass(frozen=True)
-class PerfDecl:
-    """A layer's declared performance allow-list, checked by the
-    performance certifier (``repro.analysis.perfcheck``).
-
-    Each field names the layer's *own* methods (chunk-reachable code) in
-    which the corresponding anti-pattern is deliberate.  An allowance
-    silences the matching PE lint rule for that method only; the lint
-    still flags the construct anywhere undeclared, and flags stale
-    allowances that no longer match any construct (PE005).  Inherited
-    declarations never vouch for a subclass's own code.
-
-    Attributes
-    ----------
-    float64:
-        Methods that deliberately compute in ``np.float64`` — fixed-order
-        double accumulation backing the bitwise-invariance contract
-        (e.g. Scale's per-channel coefficient gradients).
-    allocs:
-        Methods whose array-constructing calls are deliberate: either the
-        allocation is batch-sized-but-cheap (boolean masks, ``arange``
-        index vectors) or has no pooled equivalent (``np.stack`` over a
-        variable bottom list).
-    copies:
-        Methods whose explicit contiguity copies (``ascontiguousarray``,
-        strided ``ravel``) feed BLAS calls that require contiguous
-        operands.
-    loops:
-        Methods whose Python-level loop over an iteration-space-sized
-        range is the documented chunking design (per-civ BLAS dispatch).
-    note:
-        One-line justification, required — a declaration without a *why*
-        is just a silenced warning.
-    """
-
     float64: Tuple[str, ...] = ()
     allocs: Tuple[str, ...] = ()
     copies: Tuple[str, ...] = ()
@@ -222,26 +160,59 @@ class PerfDecl:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if not self.note.strip():
+        for label in ("forward", "backward"):
+            if getattr(self, label) not in DECLARABLE_FOOTPRINTS:
+                raise ValueError(
+                    f"footprint {label}={getattr(self, label)!r} is not "
+                    f"declarable; expected one of {DECLARABLE_FOOTPRINTS}"
+                )
+        if (self.backward == REDUCTION) != bool(self.reduction_params):
             raise ValueError(
-                "a PerfDecl must carry a non-empty note explaining why "
-                "the declared constructs are deliberate"
+                "reduction_params must be declared exactly when "
+                f"backward == {REDUCTION!r} (got backward={self.backward!r}, "
+                f"reduction_params={self.reduction_params})"
             )
-        if not any(getattr(self, cat) for cat in _PERF_CATEGORIES):
+        for label, value, allowed in (("fallback", self.fallback,
+                                       _RNG_FALLBACKS),
+                                      ("draws", self.draws, _RNG_DRAW_SITES)):
+            if value not in allowed:
+                raise ValueError(
+                    f"contract {label}={value!r} is not one of {allowed}")
+        if not self.seed_params and (self.fallback, self.draws) != (
+                "constant", RNG_SETUP):
             raise ValueError(
-                "a PerfDecl must grant at least one allowance; a layer "
-                "with no deliberate perf anti-patterns should declare "
-                "no PerfDecl at all"
-            )
-        for cat in _PERF_CATEGORIES:
+                "fallback/draws describe a seeded RNG; name its seed_params")
+        for cat in PERF_CATEGORIES:
             methods = getattr(self, cat)
             if not isinstance(methods, tuple) or not all(
                 isinstance(m, str) and m for m in methods
             ):
                 raise ValueError(
-                    f"PerfDecl {cat} must be a tuple of method names, "
+                    f"contract {cat} must be a tuple of method names, "
                     f"got {methods!r}"
                 )
+        granted = any(getattr(self, cat) for cat in PERF_CATEGORIES)
+        if granted and not self.note.strip():
+            raise ValueError(
+                "a perf allowance must carry a non-empty note explaining "
+                "why the declared constructs are deliberate"
+            )
+        if self.note.strip() and not granted:
+            raise ValueError(
+                "a note must come with at least one perf allowance; a "
+                "layer with no deliberate perf anti-patterns grants none"
+            )
+
+    def clipped(self, num_params: int) -> "LayerContract":
+        """This contract for an instance with ``num_params`` parameter
+        blobs: contracts are written against the maximal parameter set,
+        so indices past it (a convolution without a bias term) drop out,
+        and a backward pass with no reduction target left is disjoint."""
+        kept = tuple(i for i in self.reduction_params if i < num_params)
+        if kept == self.reduction_params:
+            return self
+        return replace(self, reduction_params=kept,
+                       backward=self.backward if kept else SAMPLE_DISJOINT)
 
 
 @dataclass
@@ -288,11 +259,10 @@ def registered_layer_class(type_name: str) -> Type["Layer"] | None:
 
 def runs_sequential(type_name: str) -> bool:
     """Whether the class registered under ``type_name`` declares
-    ``FootprintDecl(forward=SEQUENTIAL)``: its pass runs as one chunk
+    ``LayerContract(forward=SEQUENTIAL)``: its pass runs as one chunk
     (the data feeders).  The one place that question is answered."""
-    cls = registered_layer_class(type_name)
-    decl = cls.write_footprint if cls is not None else None
-    return decl is not None and decl.forward == SEQUENTIAL
+    contract = getattr(registered_layer_class(type_name), "contract", None)
+    return contract is not None and contract.forward == SEQUENTIAL
 
 
 def create_layer(spec: LayerSpec) -> "Layer":
@@ -312,33 +282,21 @@ class Layer:
     """Base class of all layers.
 
     Subclasses implement :meth:`forward_chunk` and
-    :meth:`backward_chunk` and register a shape rule
-    (:func:`~repro.framework.shape_inference.register_shape_rule`);
-    shapes, the iteration space and parameter shapes come from that rule
-    through :meth:`reshape`, and everything else (sequential drivers,
-    gradient-space defaults) is derived.
+    :meth:`backward_chunk` (or :meth:`backward_loops`), register a shape
+    rule (:func:`~repro.framework.shape_inference.register_shape_rule`)
+    and declare a :class:`LayerContract`; shapes, the iteration space
+    and parameter shapes come from that rule through :meth:`reshape`,
+    and everything else (sequential drivers, gradient-space defaults) is
+    derived.
     """
 
     type_names: tuple = ()
 
-    #: Declared write footprint (see :class:`FootprintDecl`).  ``None``
-    #: means undeclared; ``repro.analysis`` flags any class that defines
-    #: its own chunk methods without also declaring a footprint.
-    write_footprint: FootprintDecl | None = None
-
-    #: Declared RNG provenance (see :class:`RNGDecl`).  ``None`` means the
-    #: layer draws no random numbers; ``repro.analysis.detcheck`` flags any
-    #: class whose own methods construct an RNG without declaring where its
-    #: seed comes from and when it draws (lint DC006).
-    rng_provenance: RNGDecl | None = None
-
-    #: Declared performance allow-list (see :class:`PerfDecl`).  ``None``
-    #: means the layer's chunk code contains no deliberate perf
-    #: anti-patterns; ``repro.analysis.perfcheck`` flags any undeclared
-    #: float64 upcast, hot-loop allocation, contiguity copy, or
-    #: iteration-space-sized Python loop in chunk-reachable code
-    #: (lints PE001-PE004), and flags stale declarations (PE005).
-    perf_decl: PerfDecl | None = None
+    #: What this class promises the analyzers (see :class:`LayerContract`).
+    #: ``None`` means undeclared; ``repro.analysis`` flags a class whose
+    #: own methods run per chunk without a contract of its own (FP001),
+    #: or construct an RNG without naming its seed (DC006).
+    contract: LayerContract | None = None
 
     def __init__(self, spec: LayerSpec) -> None:
         self.spec = spec
@@ -638,31 +596,11 @@ class Layer:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def footprint(self) -> FootprintDecl | None:
-        """Effective footprint of this instance.
-
-        Declarations are written against the layer's maximal parameter
-        set; instances with fewer parameter blobs (e.g. a convolution
-        without a bias term) get their ``reduction_params`` clipped.
-        """
-        decl = self.write_footprint
-        if decl is None or not decl.reduction_params:
-            return decl
-        clipped = tuple(i for i in decl.reduction_params
-                        if i < len(self.blobs))
-        if clipped == decl.reduction_params:
-            return decl
-        if not clipped:
-            # No surviving reduction target: the pass degenerates to a
-            # disjoint one (nothing left to accumulate).
-            return FootprintDecl(
-                forward=decl.forward, backward=SAMPLE_DISJOINT,
-                scratch=decl.scratch,
-            )
-        return FootprintDecl(
-            forward=decl.forward, backward=decl.backward,
-            reduction_params=clipped, scratch=decl.scratch,
-        )
+    def footprint(self) -> LayerContract | None:
+        """The contract as it applies to this instance's parameter blobs
+        (see :meth:`LayerContract.clipped`)."""
+        contract = self.contract
+        return None if contract is None else contract.clipped(len(self.blobs))
 
     @property
     def type(self) -> str:

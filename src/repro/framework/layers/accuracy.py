@@ -12,12 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    PerfDecl,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.layers.loss import _score_batch
 from repro.framework.shape_inference import (
     BlobInfo,
@@ -38,9 +33,8 @@ class AccuracyLayer(Layer):
     exact_num_bottom = 2
     exact_num_top = 1
 
-    write_footprint = FootprintDecl(scratch=("_hits", "_valid"))
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        scratch=("_hits", "_valid"),
         float64=("forward_chunk",),
         allocs=("forward_chunk",),
         note=(

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import Blob
-from repro.framework.layer import FootprintDecl, Layer, register_layer
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -29,7 +29,7 @@ class ConcatLayer(Layer):
     min_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.outer = self.geometry.forward_space

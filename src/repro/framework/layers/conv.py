@@ -36,12 +36,10 @@ from repro.compiler.scratch import scratch_buffer
 from repro.framework.blob import DTYPE, Blob
 from repro.framework.fillers import FillerSpec, fill, stable_seed
 from repro.framework.layer import (
-    FootprintDecl,
     Layer,
+    LayerContract,
     LoopSpec,
-    PerfDecl,
     REDUCTION,
-    RNGDecl,
     register_layer,
 )
 from repro.framework.shape_inference import (
@@ -104,14 +102,11 @@ class ConvolutionLayer(Layer):
     # reduction over both param blobs; footprint() drops the bias index
     # automatically when bias_term is off.  The backward-data loop writes
     # only its own samples' bottom diff.
-    write_footprint = FootprintDecl(
-        backward=REDUCTION, reduction_params=(0, 1)
-    )
-
-    rng_provenance = RNGDecl(seed_params=("filler_seed",),
-                             fallback="stable_digest")
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        backward=REDUCTION,
+        reduction_params=(0, 1),
+        seed_params=("filler_seed",),
+        fallback="stable_digest",
         loops=("forward_chunk", "_backward_weight_chunk",
                "_backward_data_chunk"),
         note=(

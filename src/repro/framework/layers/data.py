@@ -19,7 +19,7 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
-from repro.framework.layer import FootprintDecl, Layer, SEQUENTIAL, register_layer
+from repro.framework.layer import Layer, LayerContract, SEQUENTIAL, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -89,7 +89,7 @@ class DataLayer(Layer):
     min_num_top = 1
     max_num_top = 2
 
-    write_footprint = FootprintDecl(forward=SEQUENTIAL, backward=SEQUENTIAL)
+    contract = LayerContract(forward=SEQUENTIAL, backward=SEQUENTIAL)
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
@@ -150,7 +150,7 @@ class MemoryDataLayer(Layer):
     min_num_top = 1
     max_num_top = 2
 
-    write_footprint = FootprintDecl(forward=SEQUENTIAL, backward=SEQUENTIAL)
+    contract = LayerContract(forward=SEQUENTIAL, backward=SEQUENTIAL)
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
@@ -214,7 +214,7 @@ class InputLayer(Layer):
     exact_num_bottom = 0
     min_num_top = 1
 
-    write_footprint = FootprintDecl(forward=SEQUENTIAL, backward=SEQUENTIAL)
+    contract = LayerContract(forward=SEQUENTIAL, backward=SEQUENTIAL)
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.shapes = _input_shapes(self.spec, len(top))

@@ -16,12 +16,7 @@ import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
 from repro.framework.layers.neuron import NeuronLayer
-from repro.framework.layer import (
-    FootprintDecl,
-    RNG_PER_FORWARD,
-    RNGDecl,
-    register_layer,
-)
+from repro.framework.layer import LayerContract, RNG_PER_FORWARD, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -44,15 +39,12 @@ class DropoutLayer(NeuronLayer):
     train_mode = True
 
     # The mask is drawn in reshape() (sequential) and only *read* inside
-    # the chunked loops, so no scratch entry is needed.
-    write_footprint = FootprintDecl()
-
-    # One whole-batch mask per forward pass, drawn in the sequential
-    # reshape() prologue from an explicitly seeded generator — the draw
-    # count and order are independent of thread count and chunking, which
-    # is what lets detcheck certify stochastic nets.
-    rng_provenance = RNGDecl(seed_params=("seed",), fallback="constant",
-                             draws=RNG_PER_FORWARD)
+    # the chunked loops, so no scratch entry is needed.  One whole-batch
+    # mask per forward pass, drawn in that prologue from an explicitly
+    # seeded generator — the draw count and order are independent of
+    # thread count and chunking, which is what lets detcheck certify
+    # stochastic nets.
+    contract = LayerContract(seed_params=("seed",), draws=RNG_PER_FORWARD)
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.ratio = float(self.spec.param("dropout_ratio", 0.5))

@@ -7,12 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import Blob
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    PerfDecl,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -33,9 +28,8 @@ class EltwiseLayer(Layer):
     min_num_bottom = 2
     exact_num_top = 1
 
-    write_footprint = FootprintDecl(scratch=("_argmax",))
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        scratch=("_argmax",),
         allocs=("forward_chunk",),
         note=(
             "MAX mode stacks a variable-length bottom list before the "

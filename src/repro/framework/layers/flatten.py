@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import Blob
-from repro.framework.layer import FootprintDecl, Layer, register_layer
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -28,7 +28,7 @@ class FlattenLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
 from repro.framework.layer import (
-    FootprintDecl,
+    LayerContract,
     LoopSpec,
     REDUCTION,
     create_layer,
@@ -121,7 +121,9 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
     ``fused_middle`` (``{"name", "type", "params"}`` or absent).
     """
 
-    write_footprint = FootprintDecl(
+    # Conv's seeds and perf allowances vouch for conv's own methods and
+    # stay there; this contract covers the epilogue methods below.
+    contract = LayerContract(
         backward=REDUCTION, reduction_params=(0, 1), scratch=("_prescale",)
     )
 
@@ -139,19 +141,11 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
             n = top[0].shape[0]
             self._prescale = np.zeros((n, top[0].count // n), dtype=DTYPE)
 
-    def footprint(self) -> FootprintDecl:
-        # The inherited clip is against len(self.blobs), which now also
-        # counts the middle's parameters; only the primary's weight/bias
-        # go through the privatized reduction.
-        decl = self.write_footprint
-        primary = getattr(self, "_num_primary_blobs", len(self.blobs))
-        clipped = tuple(i for i in decl.reduction_params if i < primary)
-        if clipped == decl.reduction_params:
-            return decl
-        return FootprintDecl(
-            forward=decl.forward, backward=decl.backward,
-            reduction_params=clipped, scratch=decl.scratch,
-        )
+    def footprint(self) -> LayerContract:
+        # self.blobs also counts the middle's parameters; only the
+        # primary's weight/bias go through the privatized reduction.
+        return self.contract.clipped(
+            getattr(self, "_num_primary_blobs", len(self.blobs)))
 
     # -- forward -------------------------------------------------------
     def forward_chunk(
@@ -226,7 +220,7 @@ class FusedConvolutionLayer(_MiddleHost, ConvolutionLayer):
 class FusedInnerProductReLU(InnerProductLayer):
     """InnerProduct with the downstream ReLU absorbed into its pass."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -260,7 +254,7 @@ class FusedEltwiseReLU(EltwiseLayer):
     the ReLU overwrote.
     """
 
-    write_footprint = FootprintDecl(scratch=("_argmax",))
+    contract = LayerContract(scratch=("_argmax",))
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -287,7 +281,7 @@ class FusedEltwiseReLU(EltwiseLayer):
 class FusedScaleBias(_MiddleHost, ScaleLayer):
     """Scale with the downstream Bias layer absorbed into its pass."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         super().layer_setup(bottom, top)

@@ -40,13 +40,7 @@ from repro import blaslib
 from repro.compiler.scratch import scratch_buffer
 from repro.framework.blob import Blob
 from repro.framework.fillers import fill, stable_seed
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    PerfDecl,
-    RNGDecl,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.layers.conv import _filler_spec
 from repro.framework.shape_inference import (
     BlobInfo,
@@ -75,9 +69,9 @@ class InnerProductLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl()
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        seed_params=("filler_seed",),
+        fallback="stable_digest",
         loops=("forward_chunk", "_backward_data_chunk",
                "_backward_weight_rows"),
         note=(
@@ -87,9 +81,6 @@ class InnerProductLayer(Layer):
             "output-row blocks in backward-weight"
         ),
     )
-
-    rng_provenance = RNGDecl(seed_params=("filler_seed",),
-                             fallback="stable_digest")
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec

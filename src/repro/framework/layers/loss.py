@@ -17,12 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    PerfDecl,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -66,11 +61,8 @@ class SoftmaxWithLossLayer(LossLayer):
     ``ignore_label``.
     """
 
-    write_footprint = FootprintDecl(
-        scratch=("_per_sample", "_prob", "_valid")
-    )
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        scratch=("_per_sample", "_prob", "_valid"),
         allocs=("forward_chunk", "backward_chunk"),
         note=(
             "label gathers need an np.arange row index and an "
@@ -164,9 +156,8 @@ class SoftmaxWithLossLayer(LossLayer):
 class EuclideanLossLayer(LossLayer):
     """``loss = 1/(2S) * sum ||x0_s - x1_s||^2`` (Caffe EuclideanLoss)."""
 
-    write_footprint = FootprintDecl(scratch=("_per_sample", "_diff"))
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        scratch=("_per_sample", "_diff"),
         float64=("forward_chunk",),
         note=(
             "per-sample squared-error partials accumulate in float64 so "

@@ -27,11 +27,7 @@ import numpy as np
 
 from repro.compiler.scratch import scratch_buffer
 from repro.framework.blob import DTYPE, Blob
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -53,7 +49,7 @@ class LRNLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl(scratch=("_scale", "_scale_pow"))
+    contract = LayerContract(scratch=("_scale", "_scale_pow"))
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec

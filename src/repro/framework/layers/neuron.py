@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import Blob
-from repro.framework.layer import FootprintDecl, Layer, register_layer
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -33,7 +33,7 @@ class NeuronLayer(Layer):
 class ReLULayer(NeuronLayer):
     """Rectified linear unit: ``y = max(x, 0) + negative_slope * min(x, 0)``."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.negative_slope = float(self.spec.param("negative_slope", 0.0))
@@ -74,7 +74,7 @@ class ReLULayer(NeuronLayer):
 class SigmoidLayer(NeuronLayer):
     """Logistic sigmoid: ``y = 1 / (1 + exp(-x))``."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -106,7 +106,7 @@ class SigmoidLayer(NeuronLayer):
 class TanHLayer(NeuronLayer):
     """Hyperbolic tangent."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -134,7 +134,7 @@ class TanHLayer(NeuronLayer):
 class PowerLayer(NeuronLayer):
     """``y = (shift + scale * x) ** power`` (Caffe PowerLayer)."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.power = float(self.spec.param("power", 1.0))
@@ -179,7 +179,7 @@ class PowerLayer(NeuronLayer):
 class AbsValLayer(NeuronLayer):
     """Absolute value: ``y = |x|``."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
@@ -206,7 +206,7 @@ class AbsValLayer(NeuronLayer):
 class ExpLayer(NeuronLayer):
     """``y = gamma^(shift + scale * x)`` (Caffe ExpLayer; default e^x)."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.base = float(self.spec.param("base", -1.0))  # -1 means e
@@ -247,7 +247,7 @@ class ExpLayer(NeuronLayer):
 class LogLayer(NeuronLayer):
     """``y = log_base(shift + scale * x)`` (Caffe LogLayer; default ln)."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         self.base = float(self.spec.param("base", -1.0))
@@ -291,7 +291,7 @@ class BNLLLayer(NeuronLayer):
     """Binomial normal log likelihood: ``y = log(1 + exp(x))``
     (softplus), computed stably for large |x|."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int

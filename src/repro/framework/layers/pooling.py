@@ -60,11 +60,7 @@ import numpy as np
 
 from repro.compiler.scratch import scratch_buffer
 from repro.framework.blob import DTYPE, Blob
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.layers.conv import _pair
 from repro.framework.shape_inference import (
     NOTE_SKIPPED_PIXELS,
@@ -107,7 +103,7 @@ class PoolingLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl(scratch=("_max_idx",))
+    contract = LayerContract(scratch=("_max_idx",))
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec

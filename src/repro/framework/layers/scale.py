@@ -19,14 +19,7 @@ import numpy as np
 
 from repro.framework.blob import DTYPE, Blob
 from repro.framework.fillers import fill, stable_seed
-from repro.framework.layer import (
-    FootprintDecl,
-    Layer,
-    LoopSpec,
-    PerfDecl,
-    RNGDecl,
-    register_layer,
-)
+from repro.framework.layer import Layer, LayerContract, LoopSpec, register_layer
 from repro.framework.layers.conv import _filler_spec
 from repro.framework.shape_inference import (
     BlobInfo,
@@ -61,12 +54,9 @@ class ScaleLayer(_ChannelAffineBase):
 
     # backward_loops() splits into reduction-free loops over sample rows
     # and channels; no privatized reduction is executed.
-    write_footprint = FootprintDecl()
-
-    rng_provenance = RNGDecl(seed_params=("filler_seed",),
-                             fallback="stable_digest")
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        seed_params=("filler_seed",),
+        fallback="stable_digest",
         float64=("_backward_param_channels",),
         copies=("_backward_param_channels",),
         loops=("_backward_param_channels",),
@@ -157,12 +147,9 @@ class ScaleLayer(_ChannelAffineBase):
 class BiasLayer(_ChannelAffineBase):
     """Per-channel additive bias (the Scale layer's additive half)."""
 
-    write_footprint = FootprintDecl()
-
-    rng_provenance = RNGDecl(seed_params=("filler_seed",),
-                             fallback="stable_digest")
-
-    perf_decl = PerfDecl(
+    contract = LayerContract(
+        seed_params=("filler_seed",),
+        fallback="stable_digest",
         float64=("_backward_param_channels",),
         loops=("_backward_param_channels",),
         note=(

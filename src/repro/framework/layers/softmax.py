@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.framework.blob import Blob
-from repro.framework.layer import FootprintDecl, Layer, register_layer
+from repro.framework.layer import Layer, LayerContract, register_layer
 from repro.framework.shape_inference import (
     BlobInfo,
     RuleResult,
@@ -28,7 +28,7 @@ class SoftmaxLayer(Layer):
     exact_num_bottom = 1
     exact_num_top = 1
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def shape_changed(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         axis = canonical_axis(self.spec, bottom[0],

@@ -37,7 +37,7 @@ from repro.core.reduction import (
     DETERMINISTIC_PER_T,
     NONDETERMINISTIC,
 )
-from repro.framework.layer import RNG_PER_FORWARD, RNGDecl
+from repro.framework.layer import RNG_PER_FORWARD, LayerContract
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +53,7 @@ class UnseededRNGLayer:
 class ChunkDrawLayer:
     """DC004: draws inside the chunked forward."""
 
-    rng_provenance = RNGDecl(seed_params=("seed",))
+    contract = LayerContract(seed_params=("seed",))
 
     def layer_setup(self, bottom, top):
         self._rng = np.random.default_rng(int(self.spec.param("seed", 1)))
@@ -63,10 +63,25 @@ class ChunkDrawLayer:
         top[0].flat_data[lo:hi] = bottom[0].flat_data[lo:hi] + noise
 
 
+class HelperDrawLayer:
+    """DC004: the draw hides in a helper of the chunked forward."""
+
+    contract = LayerContract(seed_params=("seed",))
+
+    def layer_setup(self, bottom, top):
+        self._rng = np.random.default_rng(int(self.spec.param("seed", 1)))
+
+    def forward_chunk(self, bottom, top, lo, hi):
+        top[0].flat_data[lo:hi] = bottom[0].flat_data[lo:hi] + self._noise()
+
+    def _noise(self):
+        return self._rng.normal()
+
+
 class StaleDeclLayer:
     """DC007 twice: seed param never read, stable_digest never used."""
 
-    rng_provenance = RNGDecl(seed_params=("filler_seed",),
+    contract = LayerContract(seed_params=("filler_seed",),
                              fallback="stable_digest")
 
     def layer_setup(self, bottom, top):
@@ -76,7 +91,7 @@ class StaleDeclLayer:
 class WrongDrawSiteLayer:
     """DC007: declares draws='setup' but reshape() draws per forward."""
 
-    rng_provenance = RNGDecl(seed_params=("seed",))
+    contract = LayerContract(seed_params=("seed",))
 
     def layer_setup(self, bottom, top):
         self._rng = np.random.default_rng(int(self.spec.param("seed", 1)))
@@ -88,7 +103,7 @@ class WrongDrawSiteLayer:
 class CleanStochasticLayer:
     """Correctly declared: no findings."""
 
-    rng_provenance = RNGDecl(seed_params=("seed",), draws=RNG_PER_FORWARD)
+    contract = LayerContract(seed_params=("seed",), draws=RNG_PER_FORWARD)
 
     def layer_setup(self, bottom, top):
         self._rng = np.random.default_rng(int(self.spec.param("seed", 1)))
@@ -109,6 +124,11 @@ class TestLayerRNGAnalysis:
         found = analyze_layer_rng(ChunkDrawLayer)
         assert "DC004" in rules(found)
         assert all(f.severity == ERROR for f in found)
+
+    def test_helper_draw_is_dc004(self):
+        found = analyze_layer_rng(HelperDrawLayer)
+        assert rules(found) == ["DC004"]
+        assert "_noise" in found[0].message
 
     def test_stale_declaration_is_dc007(self):
         found = analyze_layer_rng(StaleDeclLayer)

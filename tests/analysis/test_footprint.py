@@ -10,8 +10,8 @@ from repro.analysis import (
     run_static,
 )
 from repro.framework.layer import (
-    FootprintDecl,
     Layer,
+    LayerContract,
     REDUCTION,
     SAMPLE_DISJOINT,
     SEQUENTIAL,
@@ -23,7 +23,7 @@ from repro.framework.layer import (
 # fixture layer classes (must live in a real file for inspect.getsource)
 # ----------------------------------------------------------------------
 class CleanElementwise(Layer):
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -41,7 +41,7 @@ class UndeclaredOverride(CleanElementwise):
 
 
 class WholeBufferWriter(Layer):
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -53,8 +53,20 @@ class WholeBufferWriter(Layer):
         bottom[0].flat_diff[lo:hi] = top[0].flat_diff[lo:hi]
 
 
+class HelperWholeBufferWriter(WholeBufferWriter):
+    """The whole-buffer write hides one self-call below forward_chunk."""
+
+    contract = LayerContract()
+
+    def forward_chunk(self, bottom, top, lo, hi):
+        self._fill(top)
+
+    def _fill(self, top):
+        top[0].data[:] = 0.0
+
+
 class DeclaredSequentialWriter(WholeBufferWriter):
-    write_footprint = FootprintDecl(forward=SEQUENTIAL)
+    contract = LayerContract(forward=SEQUENTIAL)
 
     def forward_space(self, bottom, top):
         return 1
@@ -64,7 +76,7 @@ class DeclaredSequentialWriter(WholeBufferWriter):
 
 
 class HiddenStateWriter(Layer):
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -78,7 +90,7 @@ class HiddenStateWriter(Layer):
 
 
 class DeclaredScratchWriter(Layer):
-    write_footprint = FootprintDecl(scratch=("_per_sample",))
+    contract = LayerContract(scratch=("_per_sample",))
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -94,7 +106,7 @@ class DeclaredScratchWriter(Layer):
 class ReductionBypasser(Layer):
     """Accumulates into the shared parameter diff instead of param_grads."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -110,7 +122,7 @@ class ReductionBypasser(Layer):
 class UndeclaredReduction(Layer):
     """Uses param_grads correctly but declares sample_disjoint."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -124,7 +136,7 @@ class UndeclaredReduction(Layer):
 
 
 class ProperReduction(UndeclaredReduction):
-    write_footprint = FootprintDecl(backward=REDUCTION, reduction_params=(0,))
+    contract = LayerContract(backward=REDUCTION, reduction_params=(0,))
 
     def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
         param_grads[0] += top[0].flat_diff[lo:hi].sum()
@@ -151,6 +163,13 @@ class TestClassification:
     def test_whole_buffer_write_fp005(self):
         report = analyze_layer_class(WholeBufferWriter)
         assert not report.ok
+        assert report.inferred_forward == UNSAFE
+        assert "FP005" in rules(report)
+
+    def test_whole_buffer_write_in_helper_fp005(self):
+        # The helper's parameter is bound to forward_chunk's top at the
+        # call site, whatever the helper calls it.
+        report = analyze_layer_class(HelperWholeBufferWriter)
         assert report.inferred_forward == UNSAFE
         assert "FP005" in rules(report)
 

@@ -233,7 +233,7 @@ def test_sequential_is_declared_on_the_layer_class_only():
 
     declared = {
         t for t in registered_layer_types()
-        if getattr(registered_layer_class(t).write_footprint, "forward",
+        if getattr(registered_layer_class(t).contract, "forward",
                    None) == SEQUENTIAL
     }
     assert {"data", "memorydata", "input"} <= declared

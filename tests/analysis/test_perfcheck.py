@@ -12,10 +12,8 @@ from repro.analysis.perfcheck import (
     run_perfcheck,
 )
 from repro.analysis.perflint import (
-    _own_method_trees,
     analyze_layer_classes_perf,
     analyze_layer_perf,
-    chunk_reachable_methods,
     lint_sources_perf,
 )
 from repro.analysis.report import WARNING
@@ -28,7 +26,8 @@ from repro.bench.schema import (
     load_bench,
     validate_bench,
 )
-from repro.framework.layer import PerfDecl
+from repro.analysis.sources import chunk_reachable
+from repro.framework.layer import LayerContract, LoopSpec
 from repro.simulator import CPUModel
 from repro.simulator.cost_model import LayerCost
 
@@ -78,8 +77,26 @@ class HelperLayer:
         return np.float64(x)
 
 
+class LoopBodyAllocLayer:
+    """The hazard hides in a backward_loops body no name marks as chunk
+    code."""
+
+    def forward_chunk(self, bottom, top, lo, hi):
+        top[0].data[lo:hi] = bottom[0].data[lo:hi]
+
+    def _mask_rows(self, top, lo, hi):
+        mask = np.zeros(hi - lo, dtype=bool)
+        top[0].diff[lo:hi] *= mask
+
+    def backward_loops(self, top, propagate_down, bottom):
+        return [LoopSpec(
+            space=top[0].count,
+            body=lambda lo, hi, grads: self._mask_rows(top, lo, hi),
+        )]
+
+
 class DeclaredLayer:
-    perf_decl = PerfDecl(
+    contract = LayerContract(
         float64=("forward_chunk",),
         note="accumulates in float64 for a bitwise-stable reduction",
     )
@@ -89,14 +106,14 @@ class DeclaredLayer:
 
 
 class UnknownMethodDeclLayer:
-    perf_decl = PerfDecl(allocs=("no_such_method",), note="stale")
+    contract = LayerContract(allocs=("no_such_method",), note="stale")
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].data[lo:hi] = bottom[0].data[lo:hi]
 
 
 class UnreachableDeclLayer:
-    perf_decl = PerfDecl(float64=("helper",), note="dead allowance")
+    contract = LayerContract(float64=("helper",), note="dead allowance")
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].data[lo:hi] = bottom[0].data[lo:hi]
@@ -106,7 +123,7 @@ class UnreachableDeclLayer:
 
 
 class StaleDeclLayer:
-    perf_decl = PerfDecl(float64=("forward_chunk",), note="gone now")
+    contract = LayerContract(float64=("forward_chunk",), note="gone now")
 
     def forward_chunk(self, bottom, top, lo, hi):
         top[0].data[lo:hi] = bottom[0].data[lo:hi]
@@ -119,15 +136,15 @@ def rules(findings):
 class TestPerfDecl:
     def test_requires_note(self):
         with pytest.raises(ValueError, match="note"):
-            PerfDecl(float64=("forward_chunk",), note="")
+            LayerContract(float64=("forward_chunk",), note="")
 
     def test_requires_an_allowance(self):
         with pytest.raises(ValueError, match="allowance"):
-            PerfDecl(note="vouches for nothing")
+            LayerContract(note="vouches for nothing")
 
     def test_rejects_non_tuple(self):
         with pytest.raises(ValueError, match="tuple"):
-            PerfDecl(float64="forward_chunk", note="string, not tuple")
+            LayerContract(float64="forward_chunk", note="string, not tuple")
 
 
 class TestPerflint:
@@ -157,9 +174,13 @@ class TestPerflint:
         # unreached_helper's float64 never fires
         assert all("unreached_helper" not in f.message for f in findings)
 
+    def test_hazard_found_in_loop_body(self):
+        findings = analyze_layer_perf(LoopBodyAllocLayer)
+        assert rules(findings) == ["PE002"]
+        assert "_mask_rows" in findings[0].message
+
     def test_chunk_reachability_closure(self):
-        trees = _own_method_trees(HelperLayer)
-        reachable = chunk_reachable_methods(trees)
+        reachable = chunk_reachable(HelperLayer)
         assert "forward_chunk" in reachable
         assert "_accumulate" in reachable
         assert "unreached_helper" not in reachable

@@ -25,7 +25,7 @@ from repro.analysis.rescheck import (
     lint_state_writes,
     run_rescheck,
 )
-from repro.framework.layer import Layer, RNGDecl
+from repro.framework.layer import Layer, LayerContract
 from repro.zoo import UnknownNet
 
 
@@ -66,7 +66,7 @@ class TestStaticLint:
 
     def test_uncapturable_per_forward_rng_flagged(self):
         class LeakyDropout(Layer):
-            rng_provenance = RNGDecl(
+            contract = LayerContract(
                 seed_params=("seed",), fallback="constant",
                 draws="per_forward",
             )

@@ -188,8 +188,8 @@ def work_array_ids(net):
     (``_max_idx``, ``_scale``, ``_prob``, ``_per_sample``, ...)."""
     return {
         (layer.name, attr): id(getattr(layer, attr))
-        for layer in net.layers if layer.write_footprint is not None
-        for attr in layer.write_footprint.scratch if hasattr(layer, attr)
+        for layer in net.layers if layer.contract is not None
+        for attr in layer.contract.scratch if hasattr(layer, attr)
     }
 
 

@@ -127,7 +127,7 @@ def dirty_work_arrays(net, byte):
     returns how many there were."""
     dirtied = 0
     for layer in net.layers:
-        decl = layer.write_footprint
+        decl = layer.contract
         for attr in decl.scratch if decl is not None else ():
             array = getattr(layer, attr, None)
             if array is not None:

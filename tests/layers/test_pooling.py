@@ -155,7 +155,7 @@ class TestBackward:
 
 class TestScratchRouting:
     """The padded planes run through the pooled scratch buffers
-    (PerfDecl: no per-chunk allocation), so results must stay bitwise
+    (no per-chunk allocation), so results must stay bitwise
     stable across pool reuse and any chunking."""
 
     @pytest.mark.parametrize("method", ["MAX", "AVE"])

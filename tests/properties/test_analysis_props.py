@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import analyze_layer_class, run_dynamic
 from repro.framework.blob import Blob
-from repro.framework.layer import _REGISTRY, FootprintDecl, Layer
+from repro.framework.layer import _REGISTRY, Layer, LayerContract
 from repro.framework.net import Net
 from repro.framework.net_spec import LayerSpec, NetSpec
 
@@ -24,7 +24,7 @@ from repro.framework.net_spec import LayerSpec, NetSpec
 class RacyForwardLayer(Layer):
     """Writes the WHOLE top buffer from every chunk."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -39,7 +39,7 @@ class RacyForwardLayer(Layer):
 class RacyHiddenStateLayer(Layer):
     """Rebinds undeclared layer state from inside the coalesced loop."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])
@@ -55,7 +55,7 @@ class RacyHiddenStateLayer(Layer):
 class RacyReductionLayer(Layer):
     """Accumulates into the shared param diff, bypassing param_grads."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def layer_setup(self, bottom, top):
         weight = Blob((3,), name=f"{self.name}.w")
@@ -76,7 +76,7 @@ class RacyReductionLayer(Layer):
 class CleanScaledLayer(Layer):
     """A correct sample-disjoint layer, the control group."""
 
-    write_footprint = FootprintDecl()
+    contract = LayerContract()
 
     def reshape(self, bottom, top):
         top[0].reshape_like(bottom[0])

@@ -113,7 +113,7 @@ class TestOffZooParity:
     def swish_type(self):
         """A throw-away NeuronLayer subclass + shape rule (the shape of
         ``examples/custom_layer.py``'s Swish), unregistered afterwards."""
-        from repro.framework.layer import _REGISTRY, FootprintDecl, register_layer
+        from repro.framework.layer import _REGISTRY, LayerContract, register_layer
         from repro.framework.layers.neuron import NeuronLayer, _neuron_shape_rule
         from repro.framework.shape_inference import (
             _SHAPE_RULES,
@@ -122,7 +122,7 @@ class TestOffZooParity:
 
         @register_layer("ThrowawaySwish")
         class ThrowawaySwish(NeuronLayer):
-            write_footprint = FootprintDecl()
+            contract = LayerContract()
 
             def forward_chunk(self, bottom, top, lo, hi):
                 x = bottom[0].flat_data[lo:hi]
