@@ -44,12 +44,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-#: code -> (pass, default severity, one-line description).
+#: code -> (pass, severity, one-line description).  The severity is the
+#: code's only one: :attr:`repro.analysis.report.Finding.severity` reads
+#: it from here.
 CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
     # ---- parallel-safety analyzer: static footprint pass ----
     "FP001": ("footprint", "error",
               "layer defines its own chunk method(s) without declaring "
-              "write_footprint"),
+              "a LayerContract of its own"),
     "FP002": ("footprint", "error",
               "inferred write classification contradicts the declared "
               "footprint"),
@@ -106,11 +108,12 @@ CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
               "legacy global numpy RNG stream (np.random.rand/seed/...): "
               "draw order couples unrelated call sites"),
     "DC006": ("detcheck", "error",
-              "layer constructs an RNG but declares no rng_provenance"),
+              "layer constructs an RNG but its LayerContract names no "
+              "seed_params"),
     "DC007": ("detcheck", "error",
-              "rng_provenance declaration inconsistent with the layer "
-              "source (seed params never read, wrong draw site, or "
-              "missing stable_seed fallback)"),
+              "LayerContract seed_params/fallback/draws inconsistent with "
+              "the layer source (seed params never read, wrong draw site, "
+              "or missing stable_seed fallback)"),
     # ---- determinism certifier: configuration tier rules ----
     "DC101": ("detcheck", "error",
               "configuration claims an invariance tier its reduction "
@@ -282,8 +285,9 @@ CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
     # ---- performance certifier: static performance-bug lint ----
     "PE001": ("perfcheck", "error",
               "undeclared float64 upcast in chunk-reachable code "
-              "(astype/dtype=/np.float64 outside the layer's PerfDecl "
-              "allow-list): silently doubles bandwidth per element"),
+              "(astype/dtype=/np.float64 outside the methods the "
+              "LayerContract float64 allowance names): silently doubles "
+              "bandwidth per element"),
     "PE002": ("perfcheck", "error",
               "undeclared array allocation in chunk-reachable code "
               "(np.zeros/empty/... per chunk instead of the scratch "
@@ -297,9 +301,10 @@ CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
               "sized range in chunk-reachable code (interpreter "
               "dispatch per element instead of a vectorized op)"),
     "PE005": ("perfcheck", "error",
-              "PerfDecl drift: an allowance names an unknown or "
-              "non-chunk-reachable method, or vouches for a hazard the "
-              "method no longer contains (stale declaration)"),
+              "LayerContract allowance drift: a float64/allocs/copies/"
+              "loops entry names an unknown or non-chunk-reachable "
+              "method, or vouches for a hazard the method no longer "
+              "contains (stale declaration)"),
     # ---- performance certifier: roofline classifier ----
     "PE101": ("perfcheck", "info",
               "planned thread width exceeds the modelled DRAM "

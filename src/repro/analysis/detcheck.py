@@ -29,18 +29,29 @@ divergence found) or DC202 (replay at fixed T diverged).  Divergence
 *within* the declared tier is reported as DC203 (info) with the first
 diverging iteration, site, and owning layer — the certifier's answer to
 "where does atomic first leave the sequential trajectory?".
+
+Every replay certifier runs on this module's one capture path and one
+judgement.  A :class:`Replay` is a configuration (net, threads, mode,
+plan, compiler hooks, resume point); :meth:`Replay.capture` is the only
+code that builds, steps and snapshots a solver; :func:`judge` captures a
+candidate against a reference trajectory under a promised tier and
+returns a :class:`Verdict`.  detcheck (DC201-DC203), rescheck (RS101,
+RS102, RS202), plancheck (PL201/PL202) and fusecheck (FU201/FU202)
+differ only in the configurations they judge and in a table from the
+verdict's outcome to their own codes (:meth:`Verdict.findings`).
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import tempfile
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.codes import CODE_CATALOGUE
-from repro.analysis.report import ERROR, INFO, WARNING, Finding
+from repro.analysis.report import ERROR, WARNING, Finding, Gated, tally
 from repro.analysis.rng_lint import lint_rng, rng_owners
 from repro.analysis.sources import own_contract
 from repro.core.reduction import (
@@ -107,6 +118,9 @@ class Trajectory:
     param_names: Tuple[str, ...]
     param_owners: Tuple[str, ...]
     snapshots: Tuple[IterationSnapshot, ...]
+    #: save -> load -> save was bitwise stable where the run resumed from
+    #: its checkpoint (RS102); a run that never resumed lost nothing.
+    roundtrip_stable: bool = True
 
 
 def snapshot_steps(solver, iters: int) -> List[IterationSnapshot]:
@@ -123,13 +137,83 @@ def snapshot_steps(solver, iters: int) -> List[IterationSnapshot]:
     return snapshots
 
 
-def trajectory_of(net, snapshots: Sequence[IterationSnapshot]) -> Trajectory:
-    """Label ``snapshots`` with ``net``'s parameter names and owners."""
-    return Trajectory(
-        param_names=tuple(b.name for b in net.learnable_params),
-        param_owners=tuple(net.param_owners),
-        snapshots=tuple(snapshots),
-    )
+def _state_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
+    return a.keys() == b.keys() and all(
+        a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
+
+
+@dataclass(frozen=True)
+class Replay:
+    """One training run a certifier replays; :meth:`capture` is the one
+    code that builds a solver, steps it and snapshots it.
+
+    ``threads == 0`` is the plain sequential baseline (no executor
+    machinery at all); otherwise a :class:`ParallelExecutor` with
+    ``threads`` threads and reduction ``mode`` drives the net, under the
+    per-layer :class:`~repro.core.plan.ExecutionPlan` ``plan`` when one
+    is given (plancheck).  ``spec_transform`` rewrites the zoo spec
+    before the net is built and ``post_build`` mutates the built net
+    (fusecheck replays fused+arena nets through them).  ``resume_at > 0``
+    models a crash/restart (rescheck): the run checkpoints after that
+    many steps, ``crash`` (when given) is fired on that solver, and a
+    brand-new solver — fresh net, RNGs, data source and executor;
+    nothing survives but the file — restores the checkpoint and finishes
+    the run.
+    """
+
+    net: str
+    iters: int
+    batch: Optional[int] = None
+    threads: int = 0
+    mode: str = "blockwise"
+    plan: object = None
+    spec_transform: Optional[Callable] = None
+    post_build: Optional[Callable] = None
+    resume_at: int = 0
+    crash: Optional[Callable] = None
+
+    def capture(self) -> Trajectory:
+        """Train for ``iters`` steps and snapshot every step bitwise."""
+        if not self.resume_at:
+            return self._leg(self.iters)
+        with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
+            path = os.path.join(tmp, "resume.rckp")
+            head = self._leg(self.resume_at, save=path)
+            tail = self._leg(self.iters - self.resume_at, load=path)
+        return replace(tail, snapshots=head.snapshots + tail.snapshots)
+
+    def _leg(self, steps: int, save: str = "", load: str = "") -> Trajectory:
+        """One solver's part of the run, on an executor of its own."""
+        from repro.core import ParallelExecutor
+        from repro.resilience.checkpoint import capture_state, checked_load
+
+        executor = None if self.threads == 0 else ParallelExecutor(
+            num_threads=self.threads, reduction=self.mode, plan=self.plan)
+        try:
+            solver = build_solver(
+                self.net, self.iters, executor=executor, batch=self.batch,
+                spec_transform=self.spec_transform,
+                post_build=self.post_build)
+            stable = True
+            if load:
+                solver.load_state(load)
+                stable = _state_equal(checked_load(load),
+                                      capture_state(solver))
+            snapshots = snapshot_steps(solver, steps)
+            if save:
+                solver.save_state(save)
+                if self.crash is not None:
+                    self.crash(solver)
+            net = solver.net
+            return Trajectory(
+                param_names=tuple(b.name for b in net.learnable_params),
+                param_owners=tuple(net.param_owners),
+                snapshots=tuple(snapshots),
+                roundtrip_stable=stable,
+            )
+        finally:
+            if executor is not None:
+                executor.close()
 
 
 def capture_trajectory(
@@ -142,32 +226,20 @@ def capture_trajectory(
     spec_transform=None,
     post_build=None,
 ) -> Trajectory:
-    """Train ``name`` for ``iters`` steps and snapshot every step bitwise.
+    """Train ``name`` for ``iters`` steps and snapshot every step bitwise
+    (the :class:`Replay` of these arguments)."""
+    return Replay(name, iters, batch, threads, mode, plan, spec_transform,
+                  post_build).capture()
 
-    ``threads == 0`` is the plain sequential baseline (no executor
-    machinery at all); otherwise a :class:`ParallelExecutor` with
-    ``threads`` threads and reduction ``mode`` drives the net.  ``plan``
-    optionally supplies a per-layer
-    :class:`~repro.core.plan.ExecutionPlan` (plancheck's tier
-    certification replays planned configurations through this path).
-    ``spec_transform`` rewrites the zoo spec before the net is built and
-    ``post_build`` mutates the built net (fusecheck certifies the graph
-    compiler by replaying fused+arena nets through these hooks).
-    """
-    from repro.core import ParallelExecutor
 
-    def run(executor) -> Trajectory:
-        solver = build_solver(name, iters, executor=executor, batch=batch,
-                              spec_transform=spec_transform,
-                              post_build=post_build)
-        return trajectory_of(solver.net, snapshot_steps(solver, iters))
+class Baselines(dict):
+    """Sequential trajectories by ``(net, iters, batch)``, each captured
+    on first use: a certification run holding one captures every net's
+    baseline once, whatever its thread counts."""
 
-    if threads == 0:
-        return run(None)
-    with ParallelExecutor(
-        num_threads=threads, reduction=mode, plan=plan
-    ) as executor:
-        return run(executor)
+    def __missing__(self, key: Tuple[str, int, Optional[int]]) -> Trajectory:
+        trajectory = self[key] = Replay(*key).capture()
+        return trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +250,16 @@ class Divergence:
     """First chronological point where two trajectories differ."""
 
     iteration: int
-    site: str        # "loss", "update:<blob>", or "param:<blob>"
+    site: str        # "loss", "update:<blob>", "param:<blob>", or what
+                     # keeps the runs from lining up (count 0)
     layer: str       # owning layer instance name ("" for the loss)
-    max_ulps: int
-    max_abs: float
-    count: int       # differing scalar positions at the site
+    max_ulps: int = 0
+    max_abs: float = 0.0
+    count: int = 0   # differing scalar positions at the site
 
     def describe(self) -> str:
+        if not self.count:  # the runs do not line up: nothing compared
+            return f"iteration {self.iteration}: {self.site}"
         where = f"layer {self.layer!r}, " if self.layer else ""
         return (
             f"iteration {self.iteration}, {where}site {self.site}: "
@@ -227,9 +302,14 @@ def first_divergence(a: Trajectory, b: Trajectory) -> Optional[Divergence]:
     backward pass computes update values in *reverse* layer order, then
     ``apply_update`` writes the parameters — the scan follows that order
     so the reported site is the earliest computation that differed,
-    i.e. the layer where the numerics first fork.
+    i.e. the layer where the numerics first fork.  Runs over different
+    parameters diverge at iteration 0; a run that stops early diverges
+    at the first iteration it lacks.
     """
     names, owners = a.param_names, a.param_owners
+    if names != b.param_names:
+        return Divergence(0, f"the runs train different parameters: "
+                             f"{list(names)} vs {list(b.param_names)}", "")
     for i, (sa, sb) in enumerate(zip(a.snapshots, b.snapshots)):
         if struct.pack("<d", sa.loss) != struct.pack("<d", sb.loss):
             return Divergence(
@@ -237,25 +317,78 @@ def first_divergence(a: Trajectory, b: Trajectory) -> Optional[Divergence]:
                 max_ulps=ulp_distance_scalar(sa.loss, sb.loss),
                 max_abs=abs(sa.loss - sb.loss), count=1,
             )
-        for idx in reversed(range(len(names))):
-            diff = _array_divergence(sa.updates[idx], sb.updates[idx])
+        backward = [("update", idx, sa.updates[idx], sb.updates[idx])
+                    for idx in reversed(range(len(names)))]
+        applied = [("param", idx, sa.params[idx], sb.params[idx])
+                   for idx in range(len(names))]
+        for kind, idx, x, y in backward + applied:
+            diff = _array_divergence(x, y)
             if diff is not None:
-                ulps, max_abs, count = diff
-                return Divergence(
-                    iteration=i, site=f"update:{names[idx]}",
-                    layer=owners[idx], max_ulps=ulps, max_abs=max_abs,
-                    count=count,
-                )
-        for idx in range(len(names)):
-            diff = _array_divergence(sa.params[idx], sb.params[idx])
-            if diff is not None:
-                ulps, max_abs, count = diff
-                return Divergence(
-                    iteration=i, site=f"param:{names[idx]}",
-                    layer=owners[idx], max_ulps=ulps, max_abs=max_abs,
-                    count=count,
-                )
+                return Divergence(i, f"{kind}:{names[idx]}", owners[idx],
+                                  *diff)
+    lengths = len(a.snapshots), len(b.snapshots)
+    if lengths[0] != lengths[1]:
+        return Divergence(min(lengths), f"one run stops here ({lengths[0]} "
+                                        f"vs {lengths[1]} iterations "
+                                        "recorded)", "")
     return None
+
+
+# ---------------------------------------------------------------------------
+# the tier judgement
+# ---------------------------------------------------------------------------
+#: What a judgement under a tier found, in the order it is decided.
+BROKE_BITWISE = "broke_bitwise"    # bitwise promised, the run diverged
+BROKE_REPLAY = "broke_replay"      # replay promised, two runs disagree
+WITHIN_TIER = "within_tier"        # diverged, as the tier allows
+CERTIFIED = "certified"            # nothing diverged
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What a judgement observed of one candidate configuration."""
+
+    #: first point the candidate leaves the reference trajectory
+    divergence: Optional[Divergence]
+    #: first point two runs of the candidate disagree (only captured
+    #: twice when judged as deterministic_per_t)
+    replay: Optional[Divergence] = None
+    roundtrip_stable: bool = True
+
+    def judged(self, tier: str) -> Tuple[str, Optional[Divergence]]:
+        """The outcome under ``tier`` and the divergence deciding it."""
+        if self.divergence is not None and tier == BITWISE_INVARIANT:
+            return BROKE_BITWISE, self.divergence
+        if self.replay is not None and tier == DETERMINISTIC_PER_T:
+            return BROKE_REPLAY, self.replay
+        if self.divergence is not None:
+            return WITHIN_TIER, self.divergence
+        return CERTIFIED, None
+
+    def findings(self, tier: str, codes: Dict[str, tuple],
+                 layer: Optional[str] = None) -> List[Finding]:
+        """The finding a family's ``codes`` table (outcome -> ``(code,
+        message(divergence))``) gives the outcome under ``tier``, at
+        ``layer`` or else the deciding divergence's layer."""
+        outcome, div = self.judged(tier)
+        if outcome not in codes:
+            return []
+        code, message = codes[outcome]
+        if layer is None:
+            layer = div.layer if div is not None else ""
+        return [Finding(code, layer, message(div))]
+
+
+def judge(reference: Trajectory, candidate: Replay, tier: str) -> Verdict:
+    """Capture ``candidate`` — twice when ``tier`` is deterministic_per_t,
+    whose promise is replay determinism — and compare it bitwise with
+    ``reference``."""
+    run = candidate.capture()
+    replay = None
+    if tier == DETERMINISTIC_PER_T:
+        replay = first_divergence(run, candidate.capture())
+    return Verdict(first_divergence(reference, run), replay,
+                   run.roundtrip_stable)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +408,14 @@ def classify_config(
     findings: List[Finding] = []
     if mode not in REDUCTION_MODES:
         return [Finding(
-            rule="DC101", severity=ERROR, layer=where,
+            rule="DC101", layer=where,
             message=f"unknown reduction mode {mode!r}; "
                     f"have {REDUCTION_MODES}",
         )]
     tier = invariance_tier(mode, schedule_static)
     if not schedule_static and mode in ("ordered", "tree"):
         findings.append(Finding(
-            rule="DC102", severity=ERROR, layer=where,
+            rule="DC102", layer=where,
             message=(
                 f"{mode} reduction under a dynamic/guided schedule "
                 "degrades to nondeterministic: chunk ownership varies "
@@ -293,7 +426,7 @@ def classify_config(
     if claim is not None:
         if claim not in TIER_ORDER:
             findings.append(Finding(
-                rule="DC101", severity=ERROR, layer=where,
+                rule="DC101", layer=where,
                 message=f"unknown invariance tier {claim!r}; "
                         f"have {sorted(TIER_ORDER)}",
             ))
@@ -302,7 +435,7 @@ def classify_config(
             # At T=1 every mode short-circuits to the sequential loop,
             # so any claim is trivially met.
             findings.append(Finding(
-                rule="DC101", severity=ERROR, layer=where,
+                rule="DC101", layer=where,
                 message=(
                     f"configuration claims tier {claim!r} but the "
                     f"{mode} reduction guarantees at most {tier!r} at "
@@ -314,7 +447,7 @@ def classify_config(
     if solver_type is not None and (
             solver_type.lower() not in _CERTIFIED_SOLVERS):
         findings.append(Finding(
-            rule="DC104", severity=WARNING, layer=where,
+            rule="DC104", layer=where,
             message=(
                 f"solver type {solver_type!r} is outside the "
                 "deterministic-certified set "
@@ -345,8 +478,7 @@ def _check_spec_rng(net: str, spec) -> List[Finding]:
                        if not own_contract(owner).seed_params]
         if undescribed:
             findings.append(Finding(
-                rule="DC103", severity=ERROR,
-                layer=f"{net}/{layer_spec.name}",
+                rule="DC103", layer=f"{net}/{layer_spec.name}",
                 message=(
                     f"stochastic layer {layer_spec.name!r} "
                     f"({layer_spec.type}) constructs an RNG in "
@@ -361,7 +493,7 @@ def _check_spec_rng(net: str, spec) -> List[Finding]:
 # dynamic replay certification (DC201-DC203)
 # ---------------------------------------------------------------------------
 @dataclass
-class ModeCertificate:
+class ModeCertificate(Gated):
     """Replay evidence for one (net, reduction mode) pair."""
 
     net: str
@@ -375,10 +507,6 @@ class ModeCertificate:
     first_divergence: Dict[int, Optional[Divergence]] = field(
         default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -418,44 +546,28 @@ def certify_mode(
         sequential = capture_trajectory(net, iters, batch)
 
     for t in cert.threads:
-        run1 = capture_trajectory(net, iters, batch, threads=t, mode=mode)
-        div = first_divergence(sequential, run1)
-        cert.bitwise_vs_sequential[t] = div is None
-        cert.first_divergence[t] = div
+        # detcheck reports the tier it observes, not only the promised
+        # one, so every T > 1 run is replayed; at T=1 every mode runs the
+        # sequential loop and promises bitwise equality.
+        tier = promised if t > 1 else BITWISE_INVARIANT
+        verdict = judge(sequential, Replay(net, iters, batch, t, mode),
+                        DETERMINISTIC_PER_T if t > 1 else tier)
+        cert.bitwise_vs_sequential[t] = verdict.divergence is None
+        cert.first_divergence[t] = verdict.divergence
         if t > 1:
-            run2 = capture_trajectory(net, iters, batch, threads=t,
-                                      mode=mode)
-            cert.replay_deterministic[t] = (
-                first_divergence(run1, run2) is None)
-
-        where = f"{net}/{mode}@T={t}"
-        must_be_bitwise = t == 1 or promised == BITWISE_INVARIANT
-        if must_be_bitwise and div is not None:
-            cert.findings.append(Finding(
-                rule="DC201", severity=ERROR, layer=where,
-                message=(
-                    f"tier {promised!r} promises a bitwise-identical "
-                    f"trajectory but the parallel run diverged: "
-                    f"{div.describe()}"
-                ),
-            ))
-        elif (t > 1 and promised == DETERMINISTIC_PER_T
-              and not cert.replay_deterministic[t]):
-            cert.findings.append(Finding(
-                rule="DC202", severity=ERROR, layer=where,
-                message=(
-                    f"tier {promised!r} promises replay determinism at "
-                    f"fixed T but two runs at T={t} diverged"
-                ),
-            ))
-        elif div is not None:
-            cert.findings.append(Finding(
-                rule="DC203", severity=INFO, layer=where,
-                message=(
-                    "diverges from the sequential trajectory within its "
-                    f"tier ({promised!r}): {div.describe()}"
-                ),
-            ))
+            cert.replay_deterministic[t] = verdict.replay is None
+        cert.findings += verdict.findings(tier, {
+            BROKE_BITWISE: ("DC201", lambda d: (
+                f"tier {promised!r} promises a bitwise-identical "
+                f"trajectory but the parallel run diverged: "
+                f"{d.describe()}")),
+            BROKE_REPLAY: ("DC202", lambda d: (
+                f"tier {promised!r} promises replay determinism at "
+                f"fixed T but two runs at T={t} diverged")),
+            WITHIN_TIER: ("DC203", lambda d: (
+                "diverges from the sequential trajectory within its "
+                f"tier ({promised!r}): {d.describe()}")),
+        }, layer=f"{net}/{mode}@T={t}")
 
     if all(cert.bitwise_vs_sequential.values()):
         cert.observed_tier = BITWISE_INVARIANT
@@ -470,7 +582,7 @@ def certify_mode(
 # top-level report
 # ---------------------------------------------------------------------------
 @dataclass
-class DetcheckReport:
+class DetcheckReport(Gated):
     """Static lint + configuration rules + replay certificates."""
 
     static_findings: List[Finding] = field(default_factory=list)
@@ -484,10 +596,6 @@ class DetcheckReport:
             out.extend(cert.findings)
         return out
 
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
-
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
@@ -497,24 +605,18 @@ class DetcheckReport:
         }
 
     def summary_lines(self) -> List[str]:
-        def count(findings, severity):
-            return sum(1 for f in findings if f.severity == severity)
-
         lines = [
-            f"detcheck static: {count(self.static_findings, ERROR)} "
-            f"error(s), {count(self.static_findings, WARNING)} warning(s) "
+            f"detcheck static: {tally(self.static_findings, ERROR)} "
+            f"error(s), {tally(self.static_findings, WARNING)} warning(s) "
             "from the RNG/nondeterminism lint"
         ]
-        for f in self.static_findings:
-            lines.append(f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+        lines += ["  " + f.line() for f in self.static_findings]
         if self.config_findings:
             lines.append(
-                f"detcheck config: {count(self.config_findings, ERROR)} "
-                f"error(s), {count(self.config_findings, WARNING)} "
+                f"detcheck config: {tally(self.config_findings, ERROR)} "
+                f"error(s), {tally(self.config_findings, WARNING)} "
                 "warning(s)")
-            for f in self.config_findings:
-                lines.append(
-                    f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+            lines += ["  " + f.line() for f in self.config_findings]
         for cert in self.certificates:
             bits = ",".join(
                 f"T={t}:{'=' if ok else '!='}"
@@ -524,9 +626,7 @@ class DetcheckReport:
                 f"promised={cert.promised_tier} observed="
                 f"{cert.observed_tier} vs-sequential[{bits}] -> "
                 f"{'OK' if cert.ok else 'VIOLATION'}")
-            for f in cert.findings:
-                lines.append(
-                    f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+            lines += ["  " + f.line() for f in cert.findings]
         lines.append(
             "verdict: " + ("CERTIFIED" if self.ok else "VIOLATIONS FOUND"))
         return lines
@@ -547,8 +647,6 @@ def run_detcheck(
     rules); the dynamic half trains every requested zoo net under every
     reduction mode at every thread count unless ``static_only``.
     """
-    assert all(code in CODE_CATALOGUE
-               for code in ("DC001", "DC101", "DC201"))
     report = DetcheckReport(static_findings=lint_rng())
 
     nets = list(nets)
@@ -562,14 +660,7 @@ def run_detcheck(
                 claim=claim,
             ))
     # One spec-level DC103 sweep per net is enough; drop per-mode repeats.
-    seen = set()
-    deduped = []
-    for f in report.config_findings:
-        key = (f.rule, f.layer, f.message)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(f)
-    report.config_findings = deduped
+    report.config_findings = list(dict.fromkeys(report.config_findings))
 
     if not static_only:
         for name in nets:

@@ -47,7 +47,7 @@ from repro.framework.layer import (
     UNKNOWN,
     UNSAFE,
 )
-from repro.analysis.report import ERROR, WARNING, Finding, LayerReport
+from repro.analysis.report import Finding, LayerReport
 from repro.analysis.sources import (
     chunk_reachable,
     method_tree,
@@ -496,11 +496,9 @@ def analyze_layer_class(cls) -> LayerReport:
     contract = declared or LayerContract()
     findings: List[Finding] = []
 
-    def found(rule: str, message: str, severity: str = ERROR,
-              location: str = "") -> None:
-        findings.append(Finding(rule=rule, severity=severity,
-                                layer=cls.__name__, message=message,
-                                location=location))
+    def found(rule: str, message: str, location: str = "") -> None:
+        findings.append(Finding(rule=rule, layer=cls.__name__,
+                                message=message, location=location))
 
     reachable = chunk_reachable(cls)
     own_chunk_code = [m for m in cls.__dict__
@@ -534,8 +532,7 @@ def analyze_layer_class(cls) -> LayerReport:
                   "writes require forward=SEQUENTIAL")
         elif inferred_forward == UNKNOWN:
             found("FP006", "forward pass contains a write the analyzer "
-                           "cannot resolve; verify the footprint manually",
-                  severity=WARNING)
+                           "cannot resolve; verify the footprint manually")
 
     # FP002/FP003: backward classification against the declaration.  An
     # unbounded direct write to a parameter blob diff is a racy reduction
@@ -568,8 +565,7 @@ def analyze_layer_class(cls) -> LayerReport:
               "but missing from the declared reduction_params")
     elif inferred_backward == UNKNOWN:
         found("FP006", "backward pass contains a write the analyzer cannot "
-                       "resolve; verify the footprint manually",
-              severity=WARNING)
+                       "resolve; verify the footprint manually")
 
     # FP004: hidden layer state written in the coalesced loop
     if (contract.forward, contract.backward) != (SEQUENTIAL, SEQUENTIAL):

@@ -28,17 +28,25 @@ The ``--gate`` contract matches the other passes: any ERROR fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.detcheck import (
+    BROKE_BITWISE,
+    CERTIFIED,
+    Baselines,
+    Replay,
+    judge,
+)
 from repro.analysis.plancheck import PlancheckReport, plan_spec
-from repro.analysis.report import ERROR, INFO, Finding
+from repro.analysis.report import ERROR, Finding, Gated
+from repro.core.reduction import BITWISE_INVARIANT
 from repro.framework.net_spec import NetSpec, with_batch
 
 
 @dataclass
-class NetFuseReport:
+class NetFuseReport(Gated):
     """Fusion + arena certification for one net at one team size."""
 
     net: str
@@ -50,10 +58,6 @@ class NetFuseReport:
     arena: Optional[dict] = None         # ArenaReport.to_json()
     predicted_us: float = 0.0
     uniform_us: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     @property
     def gate_ok(self) -> bool:
@@ -100,11 +104,7 @@ class NetFuseReport:
                     f"  in-place: {r['layer']} now writes {r['new_top']} "
                     f"(was {r['old_top']})"
                 )
-        for finding in self.findings:
-            lines.append(
-                f"  [{finding.rule}/{finding.severity}] "
-                f"{finding.layer or '<net>'}: {finding.message}"
-            )
+        lines += ["  " + finding.line() for finding in self.findings]
         return lines
 
 
@@ -153,12 +153,12 @@ def check_fuse(
         fused_spec, fusion = fuse_spec(spec)
     except (FusionError, ValueError, KeyError) as exc:
         report.findings.append(Finding(
-            "FU001", ERROR, "", f"fusion pass failed for {label!r}: {exc}"))
+            "FU001", "", f"fusion pass failed for {label!r}: {exc}"))
         return report
     report.fusion = fusion.to_json()
     if not fusion.fused and not fusion.rewrites:
         report.findings.append(Finding(
-            "FU005", INFO, "",
+            "FU005", "",
             f"no fusable chains or in-place opportunities in {label!r}"))
 
     # 2. netcheck + shape parity on the surviving blobs
@@ -169,22 +169,21 @@ def check_fuse(
         for f in fused_check.findings:
             if f.severity == ERROR:
                 report.findings.append(Finding(
-                    "FU002", ERROR, f.layer,
+                    "FU002", f.layer,
                     f"fused spec fails netcheck [{f.rule}]: {f.message}"))
     for name, shape in fused_check.shapes.items():
         base_shape = base_check.shapes.get(name)
         if base_shape is not None and tuple(base_shape) != tuple(shape):
             report.findings.append(Finding(
-                "FU002", ERROR, name,
+                "FU002", name,
                 f"shape parity violated at blob {name!r}: unfused "
                 f"{tuple(base_shape)} vs fused {tuple(shape)}"))
 
     # 3. footprint lint of the fused layer classes
     for cls_name, layer_report in analyze_classes(
             _fused_layer_classes()).items():
-        for f in layer_report.findings:
-            report.findings.append(Finding(
-                f.rule, f.severity, cls_name, f.message, f.location))
+        report.findings += [replace(f, layer=cls_name)
+                            for f in layer_report.findings]
 
     # 4 + 5 need a live net; a spec that cannot build is a compiler
     # failure for zoo nets and a hard stop either way.
@@ -195,7 +194,7 @@ def check_fuse(
             net.forward()
         except Exception as exc:
             report.findings.append(Finding(
-                "FU001", ERROR, "",
+                "FU001", "",
                 f"fused net for {label!r} cannot be built/run: {exc}"))
             net = None
     if net is not None:
@@ -205,7 +204,7 @@ def check_fuse(
         report.arena = arena.to_json()
         for a, b in arena.overlap_violations():
             report.findings.append(Finding(
-                "FU003", ERROR, a,
+                "FU003", a,
                 f"arena aliasing: blobs {a!r} and {b!r} share storage "
                 f"while simultaneously live"))
 
@@ -213,7 +212,7 @@ def check_fuse(
                 net_costs(net), costs_of(fused_check.sym.layers)):
             if lc != sc:
                 report.findings.append(Finding(
-                    "FU004", ERROR, (lc or sc).name,
+                    "FU004", (lc or sc).name,
                     f"fused cost parity broken at {(lc or sc).key}: "
                     f"net={lc} vs spec={sc}"))
                 break
@@ -237,48 +236,37 @@ def certify_fuse(
 ) -> Tuple[List[Finding], Optional[object]]:
     """Stage 7: bitwise replay of the fused+arena net vs the unfused
     sequential baseline.  Returns ``(findings, plan)``."""
-    from repro.analysis.detcheck import capture_trajectory, first_divergence
+    return _certify_fuse(net_name, threads, iters, batch, Baselines())
+
+
+def _certify_fuse(net_name, threads, iters, batch, baselines: Baselines):
     from repro.compiler.arena import apply_arena
     from repro.compiler.fuse import fuse_spec
     from repro.zoo.build import zoo_spec
 
-    findings: List[Finding] = []
     fused_spec, _ = fuse_spec(zoo_spec(net_name))
     plan_report = plan_spec(
         fused_spec, net_name=net_name, threads=threads, batch=batch)
-    findings.extend(
-        f for f in plan_report.findings if f.severity == ERROR)
+    findings = [f for f in plan_report.findings if f.severity == ERROR]
     if findings or plan_report.plan is None:
         return findings, plan_report.plan
-    plan = plan_report.plan
 
-    baseline = capture_trajectory(net_name, iters, batch=batch)
-    fused = capture_trajectory(
-        net_name, iters, batch=batch, threads=threads, mode="blockwise",
-        plan=plan,
-        spec_transform=lambda s: fuse_spec(s)[0],
-        post_build=apply_arena,
-    )
-    if baseline.param_names != fused.param_names:
-        findings.append(Finding(
-            "FU201", ERROR, "",
-            f"fused net's learnable parameters differ from the "
-            f"baseline's: {list(fused.param_names)} vs "
-            f"{list(baseline.param_names)}"))
-        return findings, plan
-    divergence = first_divergence(baseline, fused)
-    if divergence is not None:
-        findings.append(Finding(
-            "FU201", ERROR, divergence.layer,
-            f"fused+arena replay diverges from the unfused sequential "
-            f"baseline: {divergence.describe()}"))
-    else:
-        findings.append(Finding(
-            "FU202", INFO, "",
-            f"fused+arena replay bitwise-identical to the unfused "
+    fused = Replay(net_name, iters, batch, threads, "blockwise",
+                   plan_report.plan,
+                   spec_transform=lambda s: fuse_spec(s)[0],
+                   post_build=apply_arena)
+    verdict = judge(baselines[net_name, iters, batch], fused,
+                    BITWISE_INVARIANT)
+    findings += verdict.findings(BITWISE_INVARIANT, {
+        BROKE_BITWISE: ("FU201", lambda d: (
+            "fused+arena replay diverges from the unfused sequential "
+            f"baseline: {d.describe()}")),
+        CERTIFIED: ("FU202", lambda d: (
+            "fused+arena replay bitwise-identical to the unfused "
             f"sequential baseline ({iters} iters, batch {batch}, "
-            f"{threads} thread(s))"))
-    return findings, plan
+            f"{threads} thread(s))")),
+    })
+    return findings, plan_report.plan
 
 
 def run_fusecheck(
@@ -298,6 +286,7 @@ def run_fusecheck(
     from repro.zoo.build import zoo_spec
 
     report = FusecheckReport()
+    baselines = Baselines()
     for net in nets:
         in_zoo = isinstance(net, str)
         name, spec = (net, zoo_spec(net)) if in_zoo else net
@@ -305,10 +294,8 @@ def run_fusecheck(
             net_report = check_fuse(
                 spec, net_name=name, threads=team, batch=batch)
             if certify and in_zoo:
-                certify_findings, _ = certify_fuse(
-                    name, threads=team,
-                    iters=certify_iters, batch=certify_batch,
-                )
+                certify_findings, _ = _certify_fuse(
+                    name, team, certify_iters, certify_batch, baselines)
                 net_report.findings.extend(certify_findings)
             report.reports.append(net_report)
     return report

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding
 from repro.analysis.sources import Rule, _terminal_name, visit
 
 _GUARD_ATTRS = {"ordered", "critical"}

@@ -12,22 +12,9 @@ build (or a crashed training run) to answer:
    :class:`~repro.framework.net.Net` builds, so names and shapes match
    ``Net.blob_map`` exactly.
 
-2. **Lint** — is the graph well formed?  Findings carry stable codes:
-
-   ========  ========  ====================================================
-   code      severity  meaning
-   ========  ========  ====================================================
-   NG001     error     bottom shapes incompatible with the layer's params
-   NG002     error     in-place top violates the chunk-write protocol
-   NG003     warning   dead blob: produced but never consumed
-   NG004     error     duplicate producers: a later layer silently
-                       shadows an earlier layer's top of the same name
-   NG005     warning   conv/pool pad-stride geometry drops or skips pixels
-   NG006     error     net input declared without an input shape
-   NG007     error     unknown layer type (no registered inference rule)
-   NG008     error     dangling bottom: consumed but never produced
-   NG009     error     duplicate layer name within one phase
-   ========  ========  ====================================================
+2. **Lint** — is the graph well formed?  Findings carry the stable
+   NG001-NG009 codes; ``python -m repro.analysis --list-codes`` prints
+   each one's severity and meaning.
 
 3. **Plan** — how would the coarse-grain runtime run it?  Per-layer
    coalesced iteration-space sizes, the per-thread chunk split and
@@ -45,28 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import ERROR, WARNING, Finding
+from repro.analysis.report import ERROR, WARNING, Finding, Gated, tally
 from repro.core.scheduling import StaticSchedule
 from repro.framework.layer import runs_sequential
 from repro.framework.net_spec import LayerSpec, NetSpec
-from repro.framework.shape_inference import (
-    NOTE_DROPPED_PIXELS,
-    NOTE_SKIPPED_PIXELS,
-    shape_rule_for,
-)
+from repro.framework.shape_inference import shape_rule_for
 from repro.framework.symbolic import SymbolicNet, infer_net
 from repro.simulator.cost_model import BYTES, LayerCost, costs_of
-
-#: Lint codes (see module docstring for the full table).
-NG_SHAPE_MISMATCH = "NG001"
-NG_ILLEGAL_INPLACE = "NG002"
-NG_DEAD_BLOB = "NG003"
-NG_DUPLICATE_PRODUCER = "NG004"
-NG_LOSSY_GEOMETRY = "NG005"
-NG_INPUT_WITHOUT_SHAPE = "NG006"
-NG_UNKNOWN_TYPE = "NG007"
-NG_DANGLING_BOTTOM = "NG008"
-NG_DUPLICATE_NAME = "NG009"
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +133,7 @@ class MemoryPlan:
 
 
 @dataclass
-class NetcheckReport:
+class NetcheckReport(Gated):
     """Full netcheck result for one (net, phase)."""
 
     net: str
@@ -177,10 +149,6 @@ class NetcheckReport:
     #: The inference the report was built from, for callers that go on to
     #: cost or plan the same spec (None when the graph could not be walked).
     sym: Optional[SymbolicNet] = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     @property
     def total_flops_forward(self) -> float:
@@ -207,18 +175,14 @@ class NetcheckReport:
 
     def summary_lines(self) -> List[str]:
         lines: List[str] = []
-        errors = sum(1 for f in self.findings if f.severity == ERROR)
-        warnings = sum(1 for f in self.findings if f.severity == WARNING)
         lines.append(
             f"netcheck: net={self.net or '<unnamed>'} phase={self.phase}"
             + (f" batch={self.batch}" if self.batch is not None else "")
-            + f" -> {errors} error(s), {warnings} warning(s)"
+            + f" -> {tally(self.findings, ERROR)} error(s), "
+            f"{tally(self.findings, WARNING)} warning(s)"
         )
         for finding in self.findings:
-            lines.append(
-                f"  [{finding.rule}/{finding.severity}] {finding.layer}: "
-                f"{finding.message}"
-            )
+            lines.append("  " + finding.line())
         if self.layers:
             lines.append(
                 f"  {len(self.layers)} layers, "
@@ -250,7 +214,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
     # NG006: inputs beyond the declared shapes.
     for input_name in spec.inputs[len(spec.input_shapes):]:
         findings.append(Finding(
-            rule=NG_INPUT_WITHOUT_SHAPE, severity=ERROR, layer="<net>",
+            rule="NG006", layer="<net>",
             message=(
                 f"input {input_name!r} is declared without an input_shape; "
                 "its consumers cannot be shaped"
@@ -262,8 +226,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
     for layer_spec in phase_specs:
         if layer_spec.name in seen_names:
             findings.append(Finding(
-                rule=NG_DUPLICATE_NAME, severity=ERROR,
-                layer=layer_spec.name,
+                rule="NG009", layer=layer_spec.name,
                 message=f"duplicate layer name in phase {phase}",
             ))
         seen_names[layer_spec.name] = layer_spec.type
@@ -272,7 +235,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
     for layer_spec in phase_specs:
         if shape_rule_for(layer_spec.type) is None:
             findings.append(Finding(
-                rule=NG_UNKNOWN_TYPE, severity=ERROR, layer=layer_spec.name,
+                rule="NG007", layer=layer_spec.name,
                 message=(
                     f"unknown layer type {layer_spec.type!r}: no registered "
                     "inference rule"
@@ -288,8 +251,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
         for bottom in layer_spec.bottoms:
             if bottom not in available:
                 findings.append(Finding(
-                    rule=NG_DANGLING_BOTTOM, severity=ERROR,
-                    layer=layer_spec.name,
+                    rule="NG008", layer=layer_spec.name,
                     message=(
                         f"consumes blob {bottom!r} which no earlier layer "
                         "produces"
@@ -299,8 +261,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
         rule = shape_rule_for(layer_spec.type)
         if inplace and rule is not None and not rule.inplace_ok:
             findings.append(Finding(
-                rule=NG_ILLEGAL_INPLACE, severity=ERROR,
-                layer=layer_spec.name,
+                rule="NG002", layer=layer_spec.name,
                 message=(
                     f"writes top {inplace[0]!r} in place over its own "
                     f"bottom, but {layer_spec.type} does not satisfy the "
@@ -312,8 +273,7 @@ def _lint_structure(spec: NetSpec, phase: str) -> List[Finding]:
         for top in layer_spec.tops:
             if top in producer and top not in layer_spec.bottoms:
                 findings.append(Finding(
-                    rule=NG_DUPLICATE_PRODUCER, severity=ERROR,
-                    layer=layer_spec.name,
+                    rule="NG004", layer=layer_spec.name,
                     message=(
                         f"re-produces blob {top!r} (first produced by "
                         f"{producer[top]!r}) without consuming it; the "
@@ -342,8 +302,7 @@ def _lint_dead_blobs(
             )
             if not consumed:
                 findings.append(Finding(
-                    rule=NG_DEAD_BLOB, severity=WARNING,
-                    layer=layer_spec.name,
+                    rule="NG003", layer=layer_spec.name,
                     message=(
                         f"top {top!r} is never consumed by a downstream "
                         "layer (dead blob; only loss/accuracy outputs are "
@@ -356,23 +315,18 @@ def _lint_dead_blobs(
 def _lint_inference(sym: SymbolicNet) -> List[Finding]:
     """Findings from the symbolic walk: shape errors + geometry notes."""
     findings: List[Finding] = []
-    note_codes = {
-        NOTE_DROPPED_PIXELS: NG_LOSSY_GEOMETRY,
-        NOTE_SKIPPED_PIXELS: NG_LOSSY_GEOMETRY,
-    }
     for inf in sym.layers:
         if inf.error is not None and not inf.skipped:
             # Unknown types already got NG007 from the structure lint.
             if shape_rule_for(inf.spec.type) is not None:
                 findings.append(Finding(
-                    rule=NG_SHAPE_MISMATCH, severity=ERROR,
-                    layer=inf.spec.name, message=inf.error,
+                    rule="NG001", layer=inf.spec.name, message=inf.error,
                 ))
         if inf.result is not None:
-            for kind, message in inf.result.notes:
+            # Every geometry note is a dropped or skipped pixel (NG005).
+            for _, message in inf.result.notes:
                 findings.append(Finding(
-                    rule=note_codes.get(kind, NG_LOSSY_GEOMETRY),
-                    severity=WARNING, layer=inf.spec.name, message=message,
+                    rule="NG005", layer=inf.spec.name, message=message,
                 ))
     return findings
 
@@ -493,7 +447,7 @@ def check_spec(
     except ValueError as exc:
         # _insert_splits rejects in-place conflicts outright.
         report.findings.append(Finding(
-            rule=NG_ILLEGAL_INPLACE, severity=ERROR, layer="<net>",
+            rule="NG002", layer="<net>",
             message=str(exc),
         ))
         return report

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.perflint import lint_perf
-from repro.analysis.report import ERROR, INFO, Finding
+from repro.analysis.report import Finding, Gated
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
@@ -156,7 +156,7 @@ def roofline_net(
                     and verdict.get("path") == "dram"
                     and verdict["width"] > sat):
                 findings.append(Finding(
-                    rule="PE101", severity=INFO, layer=f"{name}:{cost.key}",
+                    rule="PE101", layer=f"{name}:{cost.key}",
                     message=(
                         f"planned width {verdict['width']} at T={team} "
                         f"exceeds the DRAM saturation width {sat} while "
@@ -173,8 +173,7 @@ def roofline_net(
                             / verdict["width"])
                 if total > 0 and dispatch / total > DISPATCH_SHARE:
                     findings.append(Finding(
-                        rule="PE102", severity=INFO,
-                        layer=f"{name}:{cost.key}",
+                        rule="PE102", layer=f"{name}:{cost.key}",
                         message=(
                             f"per-segment dispatch is "
                             f"{dispatch / total:.0%} of the modelled "
@@ -189,7 +188,7 @@ def roofline_net(
 # the combined report
 # ---------------------------------------------------------------------------
 @dataclass
-class PerfReport:
+class PerfReport(Gated):
     """Static lint + roofline for a set of zoo nets."""
 
     nets: Tuple[str, ...]
@@ -202,10 +201,6 @@ class PerfReport:
     @property
     def findings(self) -> List[Finding]:
         return list(self.static_findings) + list(self.roofline_findings)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -230,8 +225,7 @@ class PerfReport:
             f"  static lint: {len(self.static_findings)} finding(s)"
         )
         for f in self.static_findings:
-            lines.append(f"    {f.rule} [{f.severity}] {f.layer}: "
-                         f"{f.message}")
+            lines.append("    " + f.line())
         lines.append(
             f"  roofline: DRAM saturation width {self.saturation_width}"
         )
@@ -246,7 +240,7 @@ class PerfReport:
                 f"bandwidth-bound at T={max(self.threads)}"
             )
         for f in self.roofline_findings:
-            lines.append(f"  {f.rule} [{f.severity}] {f.layer}: {f.message}")
+            lines.append("  " + f.line())
         verdict = "OK" if self.ok else "FAILED"
         lines.append(f"  perfcheck verdict: {verdict}")
         return lines

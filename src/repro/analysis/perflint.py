@@ -51,7 +51,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.report import ERROR, WARNING, Finding
+from repro.analysis.report import Finding
 from repro.analysis.sources import (
     Rule,
     _dotted,
@@ -73,12 +73,12 @@ _ALLOC_CONSTRUCTORS = {
     "column_stack", "tile", "meshgrid",
 }
 
-#: Allowance category -> (rule, severity) of the finding it silences.
+#: Allowance category -> the code of the finding it silences.
 _CATEGORY_RULES = {
-    "float64": ("PE001", ERROR),
-    "allocs": ("PE002", ERROR),
-    "copies": ("PE003", WARNING),
-    "loops": ("PE004", WARNING),
+    "float64": "PE001",
+    "allocs": "PE002",
+    "copies": "PE003",
+    "loops": "PE004",
 }
 
 _HAZARD_HINTS = {
@@ -219,12 +219,11 @@ def analyze_layer_perf(cls) -> List[Finding]:
             key=lambda item: (item[0][0], PERF_CATEGORIES.index(item[0][1]))):
         if method in getattr(contract, cat):
             continue
-        rule, severity = _CATEGORY_RULES[cat]
         lineno, what = sites[0]
         extra = (f" (+{len(sites) - 1} more site(s))"
                  if len(sites) > 1 else "")
         findings.append(Finding(
-            rule=rule, severity=severity, layer=cls_name,
+            rule=_CATEGORY_RULES[cat], layer=cls_name,
             message=(
                 f"{what} in chunk-reachable method {method} (line "
                 f"{lineno}){extra}: {_HAZARD_HINTS[cat]}"
@@ -247,7 +246,7 @@ def analyze_layer_perf(cls) -> List[Finding]:
             else:
                 continue
             findings.append(Finding(
-                rule="PE005", severity=ERROR, layer=cls_name,
+                rule="PE005", layer=cls_name,
                 message=f"contract {cat} names {method!r}, {drift}",
             ))
     return findings

@@ -45,7 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.report import ERROR, INFO, WARNING, Finding
+from repro.analysis.detcheck import (
+    BROKE_BITWISE,
+    BROKE_REPLAY,
+    WITHIN_TIER,
+    Baselines,
+    Replay,
+    judge,
+)
+from repro.analysis.report import ERROR, Finding, Gated
 from repro.core.plan import ExecutionPlan, LayerPlan, plan_drift
 from repro.core.reduction import (
     BITWISE_INVARIANT,
@@ -454,14 +462,14 @@ def lint_plan(
         for name in plan.layers:
             if name not in known and "_split" not in name:
                 findings.append(Finding(
-                    "PL001", ERROR, name,
+                    "PL001", name,
                     f"plan references layer {name!r} which does not exist "
                     f"in net {plan.net!r} (phase {phase})",
                 ))
     claim_rank = TIER_ORDER.get(plan.tier)
     if claim_rank is None:
         findings.append(Finding(
-            "PL004", ERROR, "",
+            "PL004", "",
             f"plan claims unknown invariance tier {plan.tier!r}",
         ))
         claim_rank = 0
@@ -470,21 +478,21 @@ def lint_plan(
         if lp.dims:
             if lp.coalesced < 1 or lp.coalesced > len(extents):
                 findings.append(Finding(
-                    "PL002", ERROR, name,
+                    "PL002", name,
                     f"coalesced depth {lp.coalesced} outside the layer's "
                     f"{len(extents)} declared dim(s)",
                 ))
                 continue
             if _product(extents) != lp.space:
                 findings.append(Finding(
-                    "PL002", ERROR, name,
+                    "PL002", name,
                     f"declared dims {lp.dims} multiply to "
                     f"{_product(extents)} but the recorded iteration "
                     f"space is {lp.space}",
                 ))
             if _product(extents[lp.coalesced:]) != lp.granularity:
                 findings.append(Finding(
-                    "PL002", ERROR, name,
+                    "PL002", name,
                     f"granularity {lp.granularity} does not match the "
                     f"non-coalesced dims product "
                     f"{_product(extents[lp.coalesced:])}",
@@ -492,7 +500,7 @@ def lint_plan(
         units = -(-lp.space // lp.granularity) if lp.space else 0
         if lp.space and lp.threads > max(units, 1):
             findings.append(Finding(
-                "PL003", ERROR, name,
+                "PL003", name,
                 f"{lp.threads} threads exceed the chunkable extent "
                 f"({units} unit(s) of granularity {lp.granularity} over "
                 f"space {lp.space})",
@@ -501,7 +509,7 @@ def lint_plan(
         layer_rank = TIER_ORDER[lp.tier(base_mode, True)]
         if layer_rank < claim_rank:
             findings.append(Finding(
-                "PL004", ERROR, name,
+                "PL004", name,
                 f"reduction mode {lp.reduction!r} under schedule "
                 f"{lp.schedule!r} delivers a weaker tier than the plan's "
                 f"claimed {plan.tier!r}",
@@ -512,7 +520,7 @@ def lint_plan(
             imbalance = busiest / ideal - 1.0
             if imbalance > IMBALANCE_THRESHOLD:
                 findings.append(Finding(
-                    "PL006", INFO, name,
+                    "PL006", name,
                     f"predicted static imbalance {imbalance:.0%} exceeds "
                     f"{IMBALANCE_THRESHOLD:.0%} ({units} unit(s) over "
                     f"{lp.threads} threads: busiest {busiest} vs ideal "
@@ -520,31 +528,26 @@ def lint_plan(
                 ))
     if plan.uniform_us and plan.predicted_us > plan.uniform_us:
         findings.append(Finding(
-            "PL005", WARNING, "",
+            "PL005", "",
             f"plan predicted {plan.predicted_us:.1f}us, slower than the "
             f"uniform baseline {plan.uniform_us:.1f}us",
         ))
     return findings
 
 
-_DRIFT_SEVERITY = {
-    "PL101": ERROR, "PL102": ERROR, "PL103": ERROR, "PL104": WARNING,
-}
-
-
 def drift_findings(plan: ExecutionPlan, net, num_threads: int) -> List[Finding]:
-    """Wrap :func:`repro.core.plan.plan_drift` tuples into Findings."""
-    return [
-        Finding(code, _DRIFT_SEVERITY.get(code, ERROR), layer, message)
-        for code, layer, message in plan_drift(plan, net, num_threads)
-    ]
+    """Wrap :func:`repro.core.plan.plan_drift` tuples into Findings:
+    PL101 (plan/net mismatch), PL102 (space drift), PL103 (more threads
+    than the team) and PL104 (no plan entry)."""
+    return [Finding(code, layer, message)
+            for code, layer, message in plan_drift(plan, net, num_threads)]
 
 
 # ---------------------------------------------------------------------------
 # report model
 # ---------------------------------------------------------------------------
 @dataclass
-class NetPlanReport:
+class NetPlanReport(Gated):
     """Planning result for one net at one team size."""
 
     net: str
@@ -558,10 +561,6 @@ class NetPlanReport:
     uniform_us: float = 0.0
     candidates_considered: int = 0
     candidates_pruned: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     @property
     def gate_ok(self) -> bool:
@@ -610,11 +609,7 @@ class NetPlanReport:
                     f"  {name:<14} t={lp.threads:<2} g={lp.granularity:<6} "
                     f"{lp.schedule:<8} {mode:<9} space={lp.space}"
                 )
-        for finding in self.findings:
-            lines.append(
-                f"  [{finding.rule}/{finding.severity}] "
-                f"{finding.layer or '<plan>'}: {finding.message}"
-            )
+        lines += ["  " + finding.line() for finding in self.findings]
         return lines
 
 
@@ -683,14 +678,14 @@ def plan_spec(
     except (KeyError, ValueError) as exc:
         # ShapeError, or the split inserter refusing an in-place conflict
         report.findings.append(Finding(
-            "PL001", ERROR, "",
+            "PL001", "",
             f"cannot plan {label!r}: {exc} (run netcheck for a full "
             "shape report)",
         ))
         return report
     if not nodes:
         report.findings.append(Finding(
-            "PL001", ERROR, "",
+            "PL001", "",
             f"net {label!r} has no layers in phase {phase}",
         ))
         return report
@@ -773,64 +768,42 @@ def certify_plan(
     """Dynamically certify that a planned run delivers its claimed tier.
 
     Re-plans ``net_name`` at the certification batch size (so the plan's
-    recorded spaces match the replayed net), then replays the planned
-    configuration through the detcheck trajectory machinery:
-
-    * claim ``bitwise_invariant`` — the planned trajectory must be
-      bitwise equal to the **sequential** one (PL201 on violation);
-    * claim ``deterministic_per_t`` — two planned runs must agree
-      bitwise (PL201); divergence from the sequential run is reported
-      as PL202 (info, within tier);
-    * claim ``nondeterministic`` — nothing to certify.
+    recorded spaces match the replayed net), then judges the planned
+    configuration against the sequential trajectory under the claim
+    (:func:`repro.analysis.detcheck.judge`): a broken bitwise or replay
+    promise is PL201, a divergence the claim allows is PL202 (info).  A
+    ``nondeterministic`` claim promises nothing to certify.
     """
-    from repro.analysis.detcheck import capture_trajectory, first_divergence
+    return _certify_plan(net_name, threads, claim, iters, batch, model,
+                         Baselines())
+
+
+def _certify_plan(net_name, threads, claim, iters, batch, model,
+                  baselines: Baselines):
     from repro.zoo.build import zoo_spec
 
     report = plan_spec(
         zoo_spec(net_name), net_name=net_name, threads=threads, batch=batch,
         claim=claim, model=model,
     )
-    findings = [
-        f for f in report.findings if f.severity == ERROR
-    ]
-    if findings or report.plan is None:
+    findings = [f for f in report.findings if f.severity == ERROR]
+    if findings or report.plan is None or claim == NONDETERMINISTIC:
         return findings, report.plan
-    plan = report.plan
-    base_mode = _TIER_BASE_MODE[claim]
-    planned = capture_trajectory(
-        net_name, iters, batch=batch, threads=threads, mode=base_mode,
-        plan=plan,
-    )
-    if claim == BITWISE_INVARIANT:
-        sequential = capture_trajectory(net_name, iters, batch=batch)
-        divergence = first_divergence(sequential, planned)
-        if divergence is not None:
-            findings.append(Finding(
-                "PL201", ERROR, divergence.layer,
-                f"planned run violates claimed tier {claim!r} vs the "
-                f"sequential trajectory: {divergence.describe()}",
-            ))
-    elif claim == DETERMINISTIC_PER_T:
-        replay = capture_trajectory(
-            net_name, iters, batch=batch, threads=threads, mode=base_mode,
-            plan=plan,
-        )
-        divergence = first_divergence(planned, replay)
-        if divergence is not None:
-            findings.append(Finding(
-                "PL201", ERROR, divergence.layer,
-                f"planned run violates claimed tier {claim!r}: two "
-                f"replays diverge: {divergence.describe()}",
-            ))
-        sequential = capture_trajectory(net_name, iters, batch=batch)
-        within = first_divergence(sequential, planned)
-        if within is not None:
-            findings.append(Finding(
-                "PL202", INFO, within.layer,
-                f"divergence from the sequential trajectory, within the "
-                f"claimed tier: {within.describe()}",
-            ))
-    return findings, plan
+    planned = Replay(net_name, iters, batch, threads,
+                     _TIER_BASE_MODE[claim], report.plan)
+    verdict = judge(baselines[net_name, iters, batch], planned, claim)
+    findings += verdict.findings(claim, {
+        BROKE_BITWISE: ("PL201", lambda d: (
+            f"planned run violates claimed tier {claim!r} vs the "
+            f"sequential trajectory: {d.describe()}")),
+        BROKE_REPLAY: ("PL201", lambda d: (
+            f"planned run violates claimed tier {claim!r}: two replays "
+            f"diverge: {d.describe()}")),
+        WITHIN_TIER: ("PL202", lambda d: (
+            "divergence from the sequential trajectory, within the "
+            f"claimed tier: {d.describe()}")),
+    })
+    return findings, report.plan
 
 
 def run_plancheck(
@@ -851,6 +824,7 @@ def run_plancheck(
     from repro.zoo.build import zoo_spec
 
     report = PlancheckReport()
+    baselines = Baselines()
     for net in nets:
         in_zoo = isinstance(net, str)
         name, spec = (net, zoo_spec(net)) if in_zoo else net
@@ -859,10 +833,9 @@ def run_plancheck(
                 spec, net_name=name, threads=team, batch=batch, claim=claim,
             )
             if certify and in_zoo and team > 1:
-                certify_findings, _ = certify_plan(
-                    name, threads=team, claim=claim,
-                    iters=certify_iters, batch=certify_batch,
-                )
+                certify_findings, _ = _certify_plan(
+                    name, team, claim, certify_iters, certify_batch, None,
+                    baselines)
                 net_report.findings.extend(certify_findings)
             report.reports.append(net_report)
     return report

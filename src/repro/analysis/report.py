@@ -1,9 +1,13 @@
-"""Report model for the parallel-safety analyzer.
+"""Report model for the parallel-safety analyzer, and the finding every
+family reports.
 
 Both passes (static footprint classification and dynamic shadow-memory
 race detection) emit their results through the dataclasses here, so the
 CLI can render one machine-readable JSON document and a human summary
-from the same objects.
+from the same objects.  Every analyzer family reports a
+:class:`Finding` — whose severity is its code's, read from the catalogue
+— prints it with :meth:`Finding.line`, and derives its ``--gate``
+verdict from :class:`Gated` unless it documents another.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.codes import CODE_CATALOGUE
 from repro.framework.layer import LayerContract
 
 #: Finding severities.  Only ``ERROR`` findings fail the ``--gate``.
@@ -21,13 +26,23 @@ INFO = "info"
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic from the static pass (lint rule or classifier)."""
+    """One coded diagnostic of any analyzer family."""
 
     rule: str        # e.g. "FP001"
-    severity: str    # ERROR or WARNING
     layer: str       # layer class name (or "<runtime>" for RT rules)
     message: str
     location: str = ""   # "path:line" when known
+
+    @property
+    def severity(self) -> str:
+        """The code's one severity, declared in the catalogue."""
+        return CODE_CATALOGUE[self.rule][1]
+
+    def line(self) -> str:
+        """The line a summary prints for this finding."""
+        where = f" [{self.location}]" if self.location else ""
+        return (f"[{self.rule}/{self.severity}] {self.layer or '<net>'}: "
+                f"{self.message}{where}")
 
     def to_json(self) -> dict:
         return {
@@ -39,8 +54,24 @@ class Finding:
         }
 
 
+def tally(findings: List[Finding], severity: str) -> int:
+    """How many of ``findings`` carry ``severity``."""
+    return sum(1 for f in findings if f.severity == severity)
+
+
+class Gated:
+    """A report whose ``ok`` — the ``--gate`` verdict — is "no ERROR
+    finding" among its ``findings``."""
+
+    findings: List[Finding]
+
+    @property
+    def ok(self) -> bool:
+        return not any(f.severity == ERROR for f in self.findings)
+
+
 @dataclass
-class LayerReport:
+class LayerReport(Gated):
     """Static classification of one layer class."""
 
     cls_name: str
@@ -49,10 +80,6 @@ class LayerReport:
     inferred_backward: str
     inferred_reduction_params: Tuple[int, ...] = ()
     findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -74,7 +101,7 @@ class LayerReport:
 
 
 @dataclass
-class StaticReport:
+class StaticReport(Gated):
     """All layer classifications plus runtime-invariant lint findings."""
 
     layers: Dict[str, LayerReport] = field(default_factory=dict)
@@ -86,10 +113,6 @@ class StaticReport:
         for rep in self.layers.values():
             out.extend(rep.findings)
         return out
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -166,16 +189,11 @@ class AnalysisReport:
         lines: List[str] = []
         lines.append(
             f"static: {len(self.static.layers)} layer classes analyzed, "
-            f"{sum(1 for f in self.static.findings if f.severity == ERROR)} "
-            f"error(s), "
-            f"{sum(1 for f in self.static.findings if f.severity == WARNING)} "
-            f"warning(s)"
+            f"{tally(self.static.findings, ERROR)} error(s), "
+            f"{tally(self.static.findings, WARNING)} warning(s)"
         )
         for finding in self.static.findings:
-            lines.append(
-                f"  [{finding.rule}/{finding.severity}] {finding.layer}: "
-                f"{finding.message}"
-            )
+            lines.append("  " + finding.line())
         for dyn in self.dynamic:
             status = "clean" if dyn.ok else f"{len(dyn.races)} race(s)"
             lines.append(

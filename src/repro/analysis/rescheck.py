@@ -41,21 +41,14 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.codes import CODE_CATALOGUE
-from repro.analysis.detcheck import (
-    Trajectory,
-    capture_trajectory,
-    first_divergence,
-    snapshot_steps,
-    trajectory_of,
-)
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.detcheck import BROKE_BITWISE, Replay, judge
+from repro.analysis.report import ERROR, Finding, Gated, tally
 from repro.analysis.rng_lint import rng_owners, rng_sites
 from repro.analysis.sources import (
     Rule,
@@ -65,6 +58,7 @@ from repro.analysis.sources import (
     package_roots,
     visit,
 )
+from repro.core.reduction import BITWISE_INVARIANT
 from repro.zoo.build import build_solver
 
 #: Modes certified by default; atomic's tier promises nothing bitwise a
@@ -149,7 +143,7 @@ def lint_rng_capture(
         if per_forward and not any(rng_sites(c).stores_self_rng
                                    for c in cls.__mro__ if c is not object):
             findings.append(Finding(
-                rule="RS003", severity=ERROR, layer=cls.__name__,
+                rule="RS003", layer=cls.__name__,
                 message=(
                     "draws per-forward random numbers but never stores "
                     "its generator in self._rng, so rng_state() cannot "
@@ -182,7 +176,7 @@ def lint_batch_sources(
                    if not callable(getattr(cls, name, None))]
         if missing:
             findings.append(Finding(
-                rule="RS004", severity=ERROR, layer=cls.__name__,
+                rule="RS004", layer=cls.__name__,
                 message=(
                     f"batch source lacks {'/'.join(missing)}: the stream "
                     "cursor is trajectory state; without it a resumed "
@@ -200,67 +194,8 @@ def lint_resilience() -> List[Finding]:
 # ---------------------------------------------------------------------------
 # resume certification (RS101 / RS102)
 # ---------------------------------------------------------------------------
-def _state_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(
-        a[k].dtype == b[k].dtype
-        and a[k].shape == b[k].shape
-        and np.array_equal(a[k], b[k])
-        for k in a
-    )
-
-
-def capture_resumed_trajectory(
-    name: str,
-    iters: int,
-    resume_at: int,
-    path: str,
-    batch: Optional[int] = None,
-    threads: int = 0,
-    mode: str = "blockwise",
-) -> Tuple[Trajectory, bool]:
-    """Train with a save at ``resume_at`` and a fresh-solver resume.
-
-    Models the crash/restart cycle exactly: the first solver trains to
-    the midpoint and checkpoints; a *brand new* solver (fresh net, fresh
-    RNGs, fresh data source — nothing survives but the file) restores it
-    and finishes the run.  Returns the stitched trajectory plus whether
-    save -> load -> save was bitwise stable (the RS102 roundtrip).
-    """
-    from repro.core import ParallelExecutor
-    from repro.resilience.checkpoint import capture_state, checked_load
-
-    def make_executor():
-        if threads == 0:
-            return None
-        return ParallelExecutor(num_threads=threads, reduction=mode)
-
-    executor = make_executor()
-    try:
-        first = build_solver(name, iters, batch=batch, executor=executor)
-        snapshots = snapshot_steps(first, resume_at)
-        first.save_state(path)
-    finally:
-        if executor is not None:
-            executor.close()
-
-    executor = make_executor()
-    try:
-        second = build_solver(name, iters, batch=batch, executor=executor)
-        second.load_state(path)
-        roundtrip_ok = _state_equal(checked_load(path),
-                                    capture_state(second))
-        snapshots.extend(snapshot_steps(second, iters - resume_at))
-        trajectory = trajectory_of(second.net, snapshots)
-    finally:
-        if executor is not None:
-            executor.close()
-    return trajectory, roundtrip_ok
-
-
 @dataclass
-class ResumeCertificate:
+class ResumeCertificate(Gated):
     """Checkpoint/resume evidence for one (net, reduction mode) pair."""
 
     net: str
@@ -271,10 +206,6 @@ class ResumeCertificate:
     resume_bitwise: Dict[int, bool] = field(default_factory=dict)
     roundtrip_stable: Dict[int, bool] = field(default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -311,40 +242,28 @@ def certify_resume(
         net=net, mode=mode, threads=sorted(set(threads)), iters=iters,
         resume_at=resume_at,
     )
-    tmpdir = tempfile.mkdtemp(prefix="rescheck-")
-    try:
-        for t in cert.threads:
-            reference = capture_trajectory(
-                net, iters, batch, threads=t, mode=mode)
-            path = os.path.join(tmpdir, f"{net}-{mode}-{t}.rckp")
-            resumed, roundtrip_ok = capture_resumed_trajectory(
-                net, iters, resume_at, path, batch=batch, threads=t,
-                mode=mode,
-            )
-            div = first_divergence(reference, resumed)
-            cert.resume_bitwise[t] = div is None
-            cert.roundtrip_stable[t] = roundtrip_ok
-            where = f"{net}/{mode}@T={t}"
-            if div is not None:
-                cert.findings.append(Finding(
-                    rule="RS101", severity=ERROR, layer=where,
-                    message=(
-                        f"resume at iteration {resume_at} diverges from "
-                        f"the uninterrupted run: {div.describe()}; the "
-                        "checkpoint lost trajectory state"
-                    ),
-                ))
-            if not roundtrip_ok:
-                cert.findings.append(Finding(
-                    rule="RS102", severity=ERROR, layer=where,
-                    message=(
-                        "save -> load -> save is not bitwise stable: "
-                        "some captured state is lost or mutated on "
-                        "restore"
-                    ),
-                ))
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    for t in cert.threads:
+        uninterrupted = Replay(net, iters, batch, t, mode)
+        verdict = judge(uninterrupted.capture(),
+                        replace(uninterrupted, resume_at=resume_at),
+                        BITWISE_INVARIANT)
+        cert.resume_bitwise[t] = verdict.divergence is None
+        cert.roundtrip_stable[t] = verdict.roundtrip_stable
+        where = f"{net}/{mode}@T={t}"
+        cert.findings += verdict.findings(BITWISE_INVARIANT, {
+            BROKE_BITWISE: ("RS101", lambda d: (
+                f"resume at iteration {resume_at} diverges from the "
+                f"uninterrupted run: {d.describe()}; the checkpoint lost "
+                "trajectory state")),
+        }, layer=where)
+        if not verdict.roundtrip_stable:
+            cert.findings.append(Finding(
+                rule="RS102", layer=where,
+                message=(
+                    "save -> load -> save is not bitwise stable: some "
+                    "captured state is lost or mutated on restore"
+                ),
+            ))
     return cert
 
 
@@ -432,9 +351,7 @@ def certify_faults(
     where = f"{net}@T={threads}"
 
     def fail(rule: str, message: str) -> None:
-        findings.append(Finding(
-            rule=rule, severity=ERROR, layer=where, message=message,
-        ))
+        findings.append(Finding(rule=rule, layer=where, message=message))
 
     def is_injected(exc: BaseException) -> bool:
         if isinstance(exc, InjectedFault):
@@ -497,44 +414,28 @@ def certify_faults(
         solver.guard = None
 
         # -- post-crash resume onto the reference trajectory (RS202) ---
-        reference = capture_trajectory(net, iters, batch,
-                                       threads=threads, mode=mode)
-        crash_path = os.path.join(tmpdir, "crash.rckp")
-        crash_executor = ParallelExecutor(num_threads=threads,
-                                          reduction=mode)
-        try:
-            crasher = build_solver(net, iters, batch=batch,
-                                   executor=crash_executor)
-            resume_at = max(1, iters // 2)
-            snapshots = snapshot_steps(crasher, resume_at)
-            crasher.save_state(crash_path)
+        def crash(crasher) -> None:
             plan = FaultPlan(LayerRaise(layer=layer_name,
                                         iteration=crasher.iteration,
                                         phase="forward"))
             with inject(crasher, plan):
                 status, value = _run_bounded(lambda: crasher.step(1))
-            if status == "ok" or (status == "error"
-                                  and not is_injected(value)):
+            if status == "hang":
+                fail("RS201", "crash simulation hung the runtime")
+            elif status == "ok" or not is_injected(value):
                 fail("RS201", "crash simulation did not raise the "
                               "injected fault")
-        finally:
-            crash_executor.close()
-        resumed_executor = ParallelExecutor(num_threads=threads,
-                                            reduction=mode)
-        try:
-            survivor = build_solver(net, iters, batch=batch,
-                                    executor=resumed_executor)
-            survivor.load_state(crash_path)
-            snapshots.extend(
-                snapshot_steps(survivor, iters - resume_at))
-            resumed = trajectory_of(survivor.net, snapshots)
-        finally:
-            resumed_executor.close()
-        div = first_divergence(reference, resumed)
-        if div is not None:
-            fail("RS202", f"trajectory resumed from the pre-crash "
-                          f"checkpoint diverges from the reference: "
-                          f"{div.describe()}")
+
+        reference = Replay(net, iters, batch, threads, mode)
+        verdict = judge(reference.capture(),
+                        replace(reference, resume_at=max(1, iters // 2),
+                                crash=crash),
+                        BITWISE_INVARIANT)
+        findings += verdict.findings(BITWISE_INVARIANT, {
+            BROKE_BITWISE: ("RS202", lambda d: (
+                "trajectory resumed from the pre-crash checkpoint "
+                f"diverges from the reference: {d.describe()}")),
+        }, layer=where)
 
         # -- NaN injection vs every guard policy (RS203) ----------------
         for policy in ("halt", "skip-batch", "rollback"):
@@ -632,7 +533,7 @@ def certify_faults(
 # top-level report
 # ---------------------------------------------------------------------------
 @dataclass
-class RescheckReport:
+class RescheckReport(Gated):
     """Static lint + resume certificates + fault certification."""
 
     static_findings: List[Finding] = field(default_factory=list)
@@ -647,10 +548,6 @@ class RescheckReport:
         out.extend(self.fault_findings)
         return out
 
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
-
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
@@ -660,15 +557,11 @@ class RescheckReport:
         }
 
     def summary_lines(self) -> List[str]:
-        def count(findings, severity):
-            return sum(1 for f in findings if f.severity == severity)
-
         lines = [
-            f"rescheck static: {count(self.static_findings, ERROR)} "
+            f"rescheck static: {tally(self.static_findings, ERROR)} "
             "error(s) from the state-write / RNG-capture / cursor lint"
         ]
-        for f in self.static_findings:
-            lines.append(f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+        lines += ["  " + f.line() for f in self.static_findings]
         for cert in self.certificates:
             bits = ",".join(
                 f"T={t}:{'=' if ok else '!='}"
@@ -678,17 +571,13 @@ class RescheckReport:
                 f"save@{cert.resume_at}/{cert.iters} "
                 f"vs-uninterrupted[{bits}] -> "
                 f"{'OK' if cert.ok else 'VIOLATION'}")
-            for f in cert.findings:
-                lines.append(
-                    f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+            lines += ["  " + f.line() for f in cert.findings]
         if self.fault_findings or self.certificates:
             lines.append(
-                f"fault certification: {count(self.fault_findings, ERROR)} "
+                f"fault certification: {tally(self.fault_findings, ERROR)} "
                 "error(s) across chunk-abort / layer-raise / NaN / "
                 "damaged-checkpoint injections")
-            for f in self.fault_findings:
-                lines.append(
-                    f"  [{f.rule}/{f.severity}] {f.layer}: {f.message}")
+            lines += ["  " + f.line() for f in self.fault_findings]
         lines.append(
             "verdict: " + ("RESILIENT" if self.ok else "VIOLATIONS FOUND"))
         return lines
@@ -704,8 +593,6 @@ def run_rescheck(
     skip_faults: bool = False,
 ) -> RescheckReport:
     """The full resilience-certification pass."""
-    assert all(code in CODE_CATALOGUE
-               for code in ("RS001", "RS101", "RS201"))
     report = RescheckReport(static_findings=lint_resilience())
     if static_only:
         return report

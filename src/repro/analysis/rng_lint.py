@@ -36,7 +36,7 @@ import functools
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding
 from repro.analysis.sources import (
     Rule,
     _dotted,
@@ -265,8 +265,8 @@ def analyze_layer_rng(cls) -> List[Finding]:
     contract = own_contract(cls)
 
     def error(rule: str, message: str) -> None:
-        findings.append(Finding(rule=rule, severity=ERROR,
-                                layer=cls.__name__, message=message))
+        findings.append(Finding(rule=rule, layer=cls.__name__,
+                                message=message))
 
     # DC004: draws (or constructions) inside chunk-parallel code.
     first_draw: Dict[str, int] = {}

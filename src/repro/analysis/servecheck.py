@@ -53,8 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.codes import CODE_CATALOGUE
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding, Gated
 from repro.analysis.sources import Rule, package_roots, visit
 from repro.analysis.synclint import analyze_sync
 
@@ -78,13 +77,6 @@ _QUEUE_CTORS = {"Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"}
 _BLOCKING_METHODS = {"wait", "join"}
 
 
-def _finding(code: str, layer: str, message: str,
-             location: str = "") -> Finding:
-    pass_name, severity, _ = CODE_CATALOGUE[code]
-    return Finding(rule=code, severity=severity, layer=layer,
-                   message=message, location=location)
-
-
 # ---------------------------------------------------------------------------
 # static lint (SV001-SV005)
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ class _ServeRule(Rule):
     def _found(self, code: str, site, node: ast.AST,
                message: str) -> List[Finding]:
         return [site.finding(
-            code, node, message, severity=CODE_CATALOGUE[code][1],
+            code, node, message,
             layer=os.path.relpath(str(site.path), str(self.root.parent)))]
 
     # -- SV004: wall-clock reads ---------------------------------------
@@ -187,7 +179,7 @@ class _ServeRule(Rule):
 
     # -- SV003: synccheck's lock rules with the serve package as corpus --
     def done(self, parsed) -> List[Finding]:
-        return [_finding("SV003", sy.layer, f"[{sy.rule}] {sy.message}",
+        return [Finding("SV003", sy.layer, f"[{sy.rule}] {sy.message}",
                          sy.location) for sy in analyze_sync(parsed)]
 
 
@@ -255,7 +247,7 @@ def _audit_replay(
     lost = [rid for rid in outcome.submitted
             if rid not in outcome.deliveries]
     if lost:
-        findings.append(_finding(
+        findings.append(Finding(
             "SV101", where,
             f"{len(lost)} of {len(outcome.submitted)} requests got no "
             f"response (first: {lost[:3]})",
@@ -263,7 +255,7 @@ def _audit_replay(
     dup = {rid: len(rs) for rid, rs in outcome.deliveries.items()
            if len(rs) > 1}
     if dup:
-        findings.append(_finding(
+        findings.append(Finding(
             "SV102", where,
             f"{len(dup)} request(s) answered more than once: "
             f"{sorted(dup.items())[:3]}",
@@ -281,7 +273,7 @@ def _audit_replay(
                                  + outcome.budget)
     ]
     if late_ok:
-        findings.append(_finding(
+        findings.append(Finding(
             "SV104", where,
             f"{len(late_ok)} 'ok' response(s) delivered after their "
             "deadline instead of being demoted to coded timeouts",
@@ -291,7 +283,7 @@ def _audit_replay(
                   for status, count in outcome.status_counts.items()
                   if status != "ok"}
         if non_ok:
-            findings.append(_finding(
+            findings.append(Finding(
                 "SV104", where,
                 "healthy replay must serve every request within its "
                 f"budget, got {non_ok}",
@@ -319,7 +311,7 @@ def _audit_replay(
                 if first is None:
                     first = (record.batch_index, row, rid)
     if mismatches:
-        findings.append(_finding(
+        findings.append(Finding(
             "SV103", where,
             f"{mismatches} served output(s) differ bitwise from "
             f"sequential Net.forward (first: batch {first[0]} row "
@@ -437,19 +429,19 @@ def certify_config(
                             poisoned[0].status != "quarantined-input":
                         got = (poisoned[0].status if poisoned
                                else "nothing")
-                        findings.append(_finding(
+                        findings.append(Finding(
                             "SV104", where,
                             f"poisoned request {poisoned_id!r} was not "
                             f"quarantined with a coded response "
                             f"(got {got})",
                         ))
                 if plan is None and outcome.restarts < 1:
-                    findings.append(_finding(
+                    findings.append(Finding(
                         "SV104", where,
                         "injected worker crash never exercised a team "
                         "restart (the recovery path went untested)",
                     ))
-                findings.append(_finding(
+                findings.append(Finding(
                     "SV105", where,
                     f"chaos replay: {len(outcome.submitted)} requests, "
                     f"statuses {dict(sorted(outcome.status_counts.items()))}, "
@@ -476,13 +468,9 @@ def _first_parallel_layer(net) -> str:
 # report + driver
 # ---------------------------------------------------------------------------
 @dataclass
-class ServecheckReport:
+class ServecheckReport(Gated):
     findings: List[Finding] = field(default_factory=list)
     replays: List[ReplayOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -492,12 +480,7 @@ class ServecheckReport:
         }
 
     def summary_lines(self) -> List[str]:
-        lines = []
-        for f in self.findings:
-            loc = f" [{f.location}]" if f.location else ""
-            lines.append(
-                f"{f.rule} {f.severity:<7} {f.layer}: {f.message}{loc}"
-            )
+        lines = [f.line() for f in self.findings]
         for r in self.replays:
             lines.append(
                 f"-- {r.net} t={r.threads} {r.regime}: "

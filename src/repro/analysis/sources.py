@@ -25,7 +25,7 @@ from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding
 from repro.framework.layer import LayerContract
 
 #: What a class without a contract of its own is vouched for by.
@@ -68,7 +68,7 @@ def walk_sources(
                 tree = ast.parse(path.read_text())
             except (OSError, SyntaxError, ValueError) as exc:
                 findings.append(Finding(
-                    rule=rule, severity=ERROR, layer=f"<{path.stem}>",
+                    rule=rule, layer=f"<{path.stem}>",
                     message=f"cannot parse {path}: {exc}",
                     location=str(path),
                 ))
@@ -208,10 +208,10 @@ class Site:
             node = self._parents.get(node)
 
     def finding(self, rule: str, node: ast.AST, message: str,
-                layer: str = "", severity: str = ERROR) -> Finding:
+                layer: str = "") -> Finding:
         """A finding at ``node`` of this file (layer ``<stem>``)."""
-        return Finding(rule=rule, severity=severity,
-                       layer=layer or f"<{self.path.stem}>", message=message,
+        return Finding(rule=rule, layer=layer or f"<{self.path.stem}>",
+                       message=message,
                        location=f"{self.path}:{node.lineno}")
 
 
@@ -244,13 +244,14 @@ def visit(roots: Iterable[Union[Path, str, type]],
     file and rule first, then the callbacks' findings in traversal
     order, then each rule's :meth:`Rule.done`.
     """
+    codes = [rule.code for rule in rules]
     unread: List[Finding] = []
     parsed: List[Tuple[Path, ast.Module]] = []
     found = []
     handlers = [{name[len("visit_"):]: getattr(rule, name)
                  for name in dir(rule) if name.startswith("visit_")}
                 for rule in rules]
-    for site in _sites(roots, unread, parsed):
+    for site in _sites(roots, codes, unread, parsed):
         for node in ast.walk(site.tree):
             for table in handlers:
                 callback = table.get(type(node).__name__)
@@ -258,21 +259,25 @@ def visit(roots: Iterable[Union[Path, str, type]],
                     found.extend(callback(node, site) or ())
     for rule in rules:
         found.extend(rule.done(parsed))
-    return [replace(f, rule=rule.code) for f in unread for rule in rules] \
-        + found
+    return unread + found
 
 
-def _sites(roots, unread: List[Finding],
+def _sites(roots, codes: List[str], unread: List[Finding],
            parsed: List[Tuple[Path, ast.Module]]) -> Iterator[Site]:
     for root in roots:
         if isinstance(root, type):
             reachable = chunk_reachable(root)
             for name, tree in own_methods(root).items():
                 yield Site(tree, method=name, chunk=name in reachable)
-        else:
-            for path, tree in walk_sources([root], "", unread):
+        elif codes:
+            # An unreadable file is one finding per rule, each under its
+            # own code.
+            failed: List[Finding] = []
+            for path, tree in walk_sources([root], codes[0], failed):
                 parsed.append((path, tree))
                 yield Site(tree, path=path)
+            unread += [replace(f, rule=code)
+                       for f in failed for code in codes]
 
 
 # ---------------------------------------------------------------------------

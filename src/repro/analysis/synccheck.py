@@ -47,7 +47,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.interleave import (
     TRACE_VERSION,
     CheckerSync,
@@ -57,7 +56,7 @@ from repro.analysis.interleave import (
     RunRecord,
     schedule_from_json,
 )
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding, Gated
 from repro.analysis.synclint import lint_sync
 from repro.zoo.build import build_solver
 
@@ -72,13 +71,6 @@ DEFAULT_MODE = "ordered"
 #: configurations truncate (reported as SY104, a warning not a gate
 #: failure — the exhaustiveness claim is made at <= 2 threads).
 DEFAULT_MAX_RUNS = 64
-
-
-def _finding(code: str, layer: str, message: str,
-             location: str = "") -> Finding:
-    pass_name, severity, _ = CODE_CATALOGUE[code]
-    return Finding(rule=code, severity=severity, layer=layer,
-                   message=message, location=location)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +236,13 @@ class ConfigResult:
 
 
 @dataclass
-class SynccheckReport:
+class SynccheckReport(Gated):
     findings: List[Finding] = field(default_factory=list)
     configs: List[ConfigResult] = field(default_factory=list)
     certifications: List[dict] = field(default_factory=list)
     #: Replayable schedule traces for every dynamic verdict, in finding
     #: order; ``--trace`` serializes these.
     traces: List[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(f.severity == ERROR for f in self.findings)
 
     def to_json(self) -> dict:
         return {
@@ -266,12 +254,7 @@ class SynccheckReport:
         }
 
     def summary_lines(self) -> List[str]:
-        lines = []
-        for f in self.findings:
-            loc = f" [{f.location}]" if f.location else ""
-            lines.append(
-                f"{f.rule} {f.severity:<7} {f.layer}: {f.message}{loc}"
-            )
+        lines = [f.line() for f in self.findings]
         for c in self.configs:
             extra = " TRUNCATED" if c.truncated else ""
             lines.append(
@@ -331,7 +314,7 @@ def check_config(
     traces: List[dict] = []
 
     for record in result.deadlocks[:1]:
-        findings.append(_finding(
+        findings.append(Finding(
             "SY101", where,
             f"deadlock under interleaving after {len(record.schedule)} "
             f"sync points ({record.preemptions} preemptions); pending: "
@@ -340,7 +323,7 @@ def check_config(
         ))
         traces.append(record.trace_json(config))
     for record in result.errors[:1]:
-        findings.append(_finding(
+        findings.append(Finding(
             "SY102", where,
             f"{record.error_type} raised under interleaving "
             f"({record.preemptions} preemptions): "
@@ -351,7 +334,7 @@ def check_config(
     digests = result.digests
     if len(digests) > 1 and tier in ("bitwise_invariant",
                                      "deterministic_per_t"):
-        findings.append(_finding(
+        findings.append(Finding(
             "SY103", where,
             f"{len(digests)} distinct output digests across "
             f"{result.explored} schedules but tier {tier!r} promises "
@@ -361,7 +344,7 @@ def check_config(
             if record.status == "complete":
                 traces.append(record.trace_json(config))
     if result.truncated:
-        findings.append(_finding(
+        findings.append(Finding(
             "SY104", where,
             f"exploration truncated at {max_runs} schedules before "
             f"exhausting the {preemptions}-preemption space",
@@ -416,7 +399,7 @@ def certify_seeded(
                   "preemptions": preemptions}
         if found and replayed:
             record = deadlocks[0]
-            findings.append(_finding(
+            findings.append(Finding(
                 "SY202", defect,
                 f"seeded defect rediscovered as a deadlock in "
                 f"{result.explored} schedule(s) and replayed "
@@ -427,7 +410,7 @@ def certify_seeded(
         else:
             reason = ("no deadlocking schedule found" if not found
                       else "recorded schedule did not replay faithfully")
-            findings.append(_finding(
+            findings.append(Finding(
                 "SY201", defect,
                 f"seeded defect NOT certified: {reason} "
                 f"({result.explored} schedules explored)",

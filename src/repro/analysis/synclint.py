@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.report import ERROR, Finding
+from repro.analysis.report import Finding
 from repro.analysis.sources import Rule, package_roots, visit
 
 #: threading constructors we track, mapped to a primitive kind.
@@ -633,7 +633,7 @@ def analyze_sync(parsed: Sequence[Tuple[Path, ast.Module]]) -> List[Finding]:
     def emit(rule: str, where: str, message: str, path: str,
              lineno: int) -> None:
         findings.append(Finding(
-            rule=rule, severity=ERROR, layer=where, message=message,
+            rule=rule, layer=where, message=message,
             location=f"{path}:{lineno}",
         ))
 

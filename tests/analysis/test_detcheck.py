@@ -326,6 +326,25 @@ class TestFirstDivergence:
         assert div.iteration == 1 and div.site == "loss"
         assert div.max_ulps >= 1
 
+    def test_short_trajectory_diverges_where_it_stops(self):
+        full = _traj(**self.BASE)
+        short = Trajectory(param_names=full.param_names,
+                           param_owners=full.param_owners,
+                           snapshots=full.snapshots[:1])
+        for a, b in ((full, short), (short, full)):
+            div = first_divergence(a, b)
+            assert div is not None and div.iteration == 1
+            assert "stops" in div.describe()
+
+    def test_different_parameters_diverge_at_iteration_zero(self):
+        base = _traj(**self.BASE)
+        renamed = Trajectory(param_names=("q0", "q1"),
+                             param_owners=base.param_owners,
+                             snapshots=base.snapshots)
+        div = first_divergence(base, renamed)
+        assert div is not None and div.iteration == 0
+        assert "'p0'" in div.describe() and "'q0'" in div.describe()
+
 
 class TestReplayCertification:
     def test_blockwise_certifies_bitwise_on_mlp(self):

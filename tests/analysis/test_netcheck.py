@@ -15,18 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.netcheck import (
-    NG_DANGLING_BOTTOM,
-    NG_DEAD_BLOB,
-    NG_DUPLICATE_NAME,
-    NG_DUPLICATE_PRODUCER,
-    NG_ILLEGAL_INPLACE,
-    NG_INPUT_WITHOUT_SHAPE,
-    NG_LOSSY_GEOMETRY,
-    NG_SHAPE_MISMATCH,
-    NG_UNKNOWN_TYPE,
-    check_spec,
-)
+from repro.analysis.netcheck import check_spec
 from repro.analysis.report import ERROR, WARNING
 from repro.core.parallel_net import iteration_owners
 from repro.data import register_default_sources
@@ -36,6 +25,17 @@ from repro.framework.prototxt import parse_prototxt
 from repro.framework.symbolic import infer_net
 from repro.simulator.cost_model import net_costs, spec_costs
 from repro.zoo.build import _SPECS
+
+# The NG codes (``--list-codes``), named by what each one flags.
+NG_SHAPE_MISMATCH = "NG001"
+NG_ILLEGAL_INPLACE = "NG002"
+NG_DEAD_BLOB = "NG003"
+NG_DUPLICATE_PRODUCER = "NG004"
+NG_LOSSY_GEOMETRY = "NG005"
+NG_INPUT_WITHOUT_SHAPE = "NG006"
+NG_UNKNOWN_TYPE = "NG007"
+NG_DANGLING_BOTTOM = "NG008"
+NG_DUPLICATE_NAME = "NG009"
 
 ZOO_NETS = sorted(_SPECS)
 PHASES = ["TRAIN", "TEST"]

@@ -11,7 +11,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis import ERROR
 from repro.analysis.__main__ import main
 from repro.analysis.rescheck import (
     DEFAULT_MODES,
@@ -126,6 +125,24 @@ class TestFaultCertification:
         findings = certify_faults("mlp", threads=2, iters=2, batch=4)
         assert findings == [], [f.message for f in findings]
 
+    def test_hung_crash_simulation_is_rs201(self, monkeypatch):
+        """The crash run is the fourth bounded run (after the chunk
+        abort, its recovery step and the layer raise); a hang there is a
+        containment failure like any other."""
+        from repro.analysis import rescheck
+
+        calls = []
+        real = rescheck._run_bounded
+
+        def hang_fourth(fn, timeout=rescheck.FAULT_TIMEOUT_S):
+            calls.append(fn)
+            return ("hang", None) if len(calls) == 4 else real(fn, timeout)
+
+        monkeypatch.setattr(rescheck, "_run_bounded", hang_fourth)
+        findings = certify_faults("mlp", threads=2, iters=2, batch=4)
+        assert [f.rule for f in findings] == ["RS201"]
+        assert "crash simulation" in findings[0].message
+
 
 class TestReport:
     def test_static_only_report(self):
@@ -141,7 +158,7 @@ class TestReport:
 
         report = RescheckReport()
         report.static_findings.append(
-            Finding(rule="RS001", severity=ERROR, layer="<x>",
+            Finding(rule="RS001", layer="<x>",
                     message="raw write"))
         assert not report.ok
         assert any("VIOLATIONS" in line

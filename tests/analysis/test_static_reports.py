@@ -1,11 +1,15 @@
-"""The static analyzer documents, pinned byte for byte against a snapshot.
+"""The analyzer documents, pinned byte for byte against a snapshot.
 
 ``static_reports.json`` holds the stdout of every static entry point of
-the CLI on the mlp net: the code catalogue, the parallel-safety static
+the CLI on the mlp net — the code catalogue, the parallel-safety static
 pass, the static halves of detcheck, rescheck, synccheck and servecheck,
-and perfcheck (lint + roofline, no clock).  A refactor of the lints
-underneath must reproduce each document exactly; a deliberate change to
-a report regenerates the snapshot with ``PYTHONPATH=src python
+and perfcheck (lint + roofline, no clock) — and of the four trajectory
+replays on mlp: detcheck's mode certificates, rescheck's resume and
+fault certification, and plancheck's and fusecheck's ``--certify``.
+Every mode replays bitwise on mlp, so these documents hold no ULP
+figures.  A refactor of the lints or certifiers underneath must
+reproduce each document exactly; a deliberate change to a report
+regenerates the snapshot with ``PYTHONPATH=src python
 tests/analysis/test_static_reports.py``.
 """
 
@@ -30,6 +34,14 @@ COMMANDS = {
     "synccheck": ["synccheck", *STATIC],
     "servecheck": ["servecheck", *STATIC],
     "perfcheck": ["perfcheck", "--net", "mlp", "--json"],
+    "detcheck-replay": ["detcheck", "--net", "mlp", "--threads", "2",
+                        "--iters", "1", "--json"],
+    "rescheck-replay": ["rescheck", "--net", "mlp", "--threads", "2",
+                        "--json"],
+    "plancheck-certify": ["plancheck", "--net", "mlp", "--threads", "2",
+                          "--certify", "--json"],
+    "fusecheck-certify": ["fusecheck", "--net", "mlp", "--threads", "2",
+                          "--certify", "--json"],
 }
 
 
