@@ -10,14 +10,17 @@ exactly the privatization the real runtime performs — so a layer is
 flagged only when it bypasses the protocol (e.g. accumulating into the
 shared parameter diff directly).
 
-The check is schedule-faithful: iteration ownership comes from
-:func:`repro.core.parallel_net.iteration_owners`, the same plan the
-executor uses.
+The detector is a chunk runner (:class:`_ShadowReplay`) of the walk and
+layer pass bodies every executor runs, so it checks exactly the loops
+the runtime executes.  It is schedule-faithful: a layer's schedule
+resolves through the executor's own
+:func:`repro.core.plan.layer_schedule`, and iteration ownership comes
+from :func:`repro.core.parallel_net.iteration_owners`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,11 +34,13 @@ from repro.analysis.report import (
 )
 from repro.analysis.sources import builtin_layer_classes
 from repro.analysis.shadow import (
-    ShadowTracker,
     collect_tracked_arrays,
     owner_runs,
     thread_write_sets,
 )
+from repro.core.parallel_net import iteration_owners
+from repro.core.plan import layer_schedule
+from repro.framework.solvers.base import LayerwiseExecutor
 
 
 def run_static() -> StaticReport:
@@ -101,6 +106,62 @@ def _find_rebind_races(
                 ))
 
 
+class _ShadowReplay(LayerwiseExecutor):
+    """The race detector as a chunk runner of the one walk.
+
+    Every parallel loop a layer body hands over is dealt to
+    ``num_threads`` simulated threads; each thread's chunks are replayed
+    against one memory image (:func:`thread_write_sets`), the write sets
+    intersected, and then the canonical ``work(0, space, targets)``
+    advances the net exactly as the sequential pass would.
+    """
+
+    def __init__(self, net_name: str, num_threads: int, schedule,
+                 plan) -> None:
+        self.report = DynamicReport(net=net_name, num_threads=num_threads)
+        self.num_threads = num_threads
+        self.schedule, self.plan = schedule, plan
+        self._where = None  # (net, layer index) whose pass is running
+
+    def forward_layer(self, net, i: int) -> float:
+        self._where = net, i
+        return super().forward_layer(net, i)
+
+    def backward_layer(self, net, i: int) -> None:
+        self._where = net, i
+        super().backward_layer(net, i)
+        self.report.layers_checked.append(f"{net.layers[i].name}/backward")
+
+    def _dispatch(self, layer_name, phase, space, work, targets=None,
+                  reduction=False, block=1) -> None:
+        if space <= 0:
+            return
+        net, i = self._where
+        layer = net.layers[i]
+        _, schedule = layer_schedule(self.plan, layer_name, space,
+                                     self.schedule)
+        runs = owner_runs(iteration_owners(space, self.num_threads, schedule))
+        tracked = collect_tracked_arrays(net, layer, net.bottoms[i],
+                                         net.tops[i])
+
+        def run_chunks(tid: int) -> None:
+            # reduction loops get the privatization the runtime performs
+            into = ([np.zeros_like(t) for t in targets] if reduction
+                    else targets)
+            for lo, hi, owner in runs:
+                if owner == tid:
+                    work(lo, hi, into)
+
+        masks, rebinds = thread_write_sets(
+            tracked, self.num_threads, run_chunks, layer=layer
+        )
+        _find_races(self.report.races, layer_name, phase, tracked, masks)
+        _find_rebind_races(self.report.races, layer_name, phase, rebinds)
+        work(0, space, targets)
+        if phase == "forward":
+            self.report.layers_checked.append(f"{layer_name}/forward")
+
+
 def run_dynamic(
     net,
     net_name: str,
@@ -116,83 +177,10 @@ def run_dynamic(
     and schedule instead of the uniform ``schedule`` (how plancheck's
     acceptance tests run the FP race gate over planned configurations).
     """
-    from repro.core.parallel_net import iteration_owners
-    from repro.core.plan import plan_schedule_for
-
-    def layer_schedule(layer_name: str, space: int):
-        if plan is not None:
-            layer_plan = plan.for_layer(layer_name)
-            if layer_plan is not None:
-                return plan_schedule_for(layer_plan, space)
-        return schedule
-
-    report = DynamicReport(net=net_name, num_threads=num_threads)
-    tracker = ShadowTracker()
-
-    # ---- forward, layer by layer, advancing canonical state ----
-    for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
-        layer.reshape(bottom, top)
-        space = layer.forward_space(bottom, top)
-        if space <= 0:
-            continue
-        owners = iteration_owners(
-            space, num_threads, layer_schedule(layer.name, space)
-        )
-        runs = owner_runs(owners)
-        tracked = collect_tracked_arrays(net, layer, bottom, top)
-
-        def run_chunks(tid: int, layer=layer, bottom=bottom, top=top,
-                       runs=runs) -> None:
-            for lo, hi, owner in runs:
-                if owner == tid:
-                    layer.forward_chunk(bottom, top, lo, hi)
-
-        masks, rebinds = thread_write_sets(
-            tracked, num_threads, run_chunks, tracker, layer=layer
-        )
-        _find_races(report.races, layer.name, "forward", tracked, masks)
-        _find_rebind_races(report.races, layer.name, "forward", rebinds)
-        layer.forward_chunk(bottom, top, 0, space)
-        layer.forward_finalize(bottom, top)
-        report.layers_checked.append(f"{layer.name}/forward")
-
-    # ---- backward, reverse order, loop by loop ----
-    net._seed_loss_diffs()
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if not any(net.bottom_need_backward[i]) and not layer.blobs:
-            continue
-        top = net.tops[i]
-        bottom = net.bottoms[i]
-        propagate_down = net.bottom_need_backward[i]
-        for loop in layer.backward_loops(top, propagate_down, bottom):
-            if loop.space <= 0:
-                continue
-            owners = iteration_owners(
-                loop.space, num_threads,
-                layer_schedule(layer.name, loop.space),
-            )
-            runs = owner_runs(owners)
-            tracked = collect_tracked_arrays(net, layer, bottom, top)
-
-            def run_chunks(tid: int, loop=loop, runs=runs) -> None:
-                if loop.reduction:
-                    # the privatization the real runtime performs
-                    grads = [np.zeros_like(t) for t in loop.grad_targets]
-                else:
-                    grads = list(loop.grad_targets)
-                for lo, hi, owner in runs:
-                    if owner == tid:
-                        loop.body(lo, hi, grads)
-
-            masks, rebinds = thread_write_sets(
-                tracked, num_threads, run_chunks, tracker, layer=layer
-            )
-            _find_races(report.races, layer.name, "backward", tracked, masks)
-            _find_rebind_races(report.races, layer.name, "backward", rebinds)
-            loop.body(0, loop.space, loop.grad_targets)
-        report.layers_checked.append(f"{layer.name}/backward")
-    return report
+    replay = _ShadowReplay(net_name, num_threads, schedule, plan)
+    replay.forward(net)
+    replay.backward(net)
+    return replay.report
 
 
 def run_analysis(

@@ -7,12 +7,11 @@ the pristine baseline and one from a perturbed baseline — make the
 write set robust against writes that happen to store the value already
 present (``y[:] = 0`` over zeros would otherwise be invisible).
 
-:class:`ShadowTracker` plugs into the blob write hooks
-(:func:`repro.framework.blob.set_write_tracker`) and records which
-blobs each simulated thread touched through the Blob accessors; races
-found by the snapshot diff carry that attribution.  The hooks cost
-nothing when no tracker is installed (a single ``is None`` test), so
-instrumentation is strictly opt-in.
+Write sets come from the snapshot diff alone (plus :class:`RebindWatch`
+for attribute rebinds): a race names the tracked array (``blob:``,
+``param:`` or ``attr:``) and the first offsets two threads both wrote.
+Nothing is hooked into the Blob accessors, so the runtime carries no
+instrumentation.
 """
 
 from __future__ import annotations
@@ -22,49 +21,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.framework.blob import Blob, set_write_tracker
+from repro.framework.blob import Blob
 
 #: Additive perturbation applied to float arrays for the second replay.
 #: Small enough to keep label-like floats intact under ``astype(int)``.
 PERTURB_EPS = 1e-4
-
-
-class ShadowTracker:
-    """Records blob accesses per simulated thread via the Blob hooks."""
-
-    def __init__(self) -> None:
-        self.thread_id: Optional[int] = None
-        # thread_id -> set of (id(blob), "data"|"diff")
-        self.accesses: Dict[int, Set[Tuple[int, str]]] = {}
-
-    def begin(self, thread_id: int) -> None:
-        self.thread_id = thread_id
-        self.accesses.setdefault(thread_id, set())
-
-    def end(self) -> None:
-        self.thread_id = None
-
-    def on_host_access(self, blob: Blob, kind: str) -> None:
-        if self.thread_id is not None:
-            self.accesses[self.thread_id].add((id(blob), kind))
-
-    def touched(self, thread_id: int, blob_id: int, kind: str) -> bool:
-        return (blob_id, kind) in self.accesses.get(thread_id, set())
-
-
-class _InstalledTracker:
-    """Context manager installing a ShadowTracker in the Blob hooks."""
-
-    def __init__(self, tracker: ShadowTracker) -> None:
-        self.tracker = tracker
-        self._prev = None
-
-    def __enter__(self) -> ShadowTracker:
-        self._prev = set_write_tracker(self.tracker)
-        return self.tracker
-
-    def __exit__(self, *exc) -> None:
-        set_write_tracker(self._prev)
 
 
 @dataclass
@@ -73,8 +34,6 @@ class TrackedArray:
 
     name: str            # e.g. "blob:conv1.data", "attr:loss._prob"
     array: np.ndarray
-    blob_id: Optional[int] = None   # owning Blob, for hook attribution
-    kind: str = ""                  # "data"/"diff" when blob-owned
     baseline: np.ndarray = field(init=False)
     perturbed: np.ndarray = field(init=False)
 
@@ -120,30 +79,27 @@ def collect_tracked_arrays(
     for name, blob in getattr(net, "blob_map", {}).items():
         blob_names[id(blob)] = name
 
-    def add(name: str, arr: Optional[np.ndarray],
-            blob_id: Optional[int] = None, kind: str = "") -> None:
+    def add(name: str, arr: Optional[np.ndarray]) -> None:
         if arr is None or not isinstance(arr, np.ndarray) or arr.size == 0:
             return
         base = arr if arr.base is None else arr.base
         if id(base) in seen:
             return
         seen.add(id(base))
-        tracked.append(TrackedArray(name, arr, blob_id, kind))
+        tracked.append(TrackedArray(name, arr))
 
     def add_blob(label: str, blob: Blob) -> None:
         name = blob_names.get(id(blob), label)
-        add(f"blob:{name}.data", getattr(blob, "_flat_data", None),
-            id(blob), "data")
-        add(f"blob:{name}.diff", getattr(blob, "_flat_diff", None),
-            id(blob), "diff")
+        add(f"blob:{name}.data", getattr(blob, "_flat_data", None))
+        add(f"blob:{name}.diff", getattr(blob, "_flat_diff", None))
 
     for blob in list(bottom) + list(top):
         add_blob("io", blob)
     for i, blob in enumerate(getattr(layer, "blobs", ())):
         add(f"param:{layer.name}.blobs[{i}].data",
-            getattr(blob, "_flat_data", None), id(blob), "data")
+            getattr(blob, "_flat_data", None))
         add(f"param:{layer.name}.blobs[{i}].diff",
-            getattr(blob, "_flat_diff", None), id(blob), "diff")
+            getattr(blob, "_flat_diff", None))
     # remaining net blobs: a correct layer never touches them, which is
     # exactly why they are watched
     for name, blob in getattr(net, "blob_map", {}).items():
@@ -216,7 +172,6 @@ def thread_write_sets(
     tracked: Sequence[TrackedArray],
     num_threads: int,
     run_chunks,          # callable(thread_id) -> None
-    tracker: Optional[ShadowTracker] = None,
     layer=None,
 ) -> Tuple[List[List[np.ndarray]], List[Set[str]]]:
     """Replay each simulated thread's chunks twice and union the diffs.
@@ -235,15 +190,7 @@ def thread_write_sets(
         thread_rebinds: Set[str] = set()
         for perturbed in (False, True):
             restore_all(tracked, perturbed)
-            if tracker is not None:
-                tracker.begin(tid)
-                try:
-                    with _InstalledTracker(tracker):
-                        run_chunks(tid)
-                finally:
-                    tracker.end()
-            else:
-                run_chunks(tid)
+            run_chunks(tid)
             step = write_masks(tracked, perturbed)
             if union is None:
                 union = step

@@ -1,11 +1,12 @@
 """ParallelExecutor: coarse-grain parallel forward/backward for any Net.
 
-This is the paper's transformation applied end to end.  The executor
-walks the net layer by layer (the passes themselves are inherently
-sequential — Algorithm 1); *within* each layer it distributes the
-coalesced iteration space over the thread team (Algorithm 4 for forward,
-Algorithm 5 for backward).  It is **network-agnostic**: it only touches
-the generic chunk protocol every layer inherits, never the layer's
+This is the paper's transformation applied end to end.  The net is
+walked layer by layer exactly as the sequential executor walks it (the
+passes themselves are inherently sequential — Algorithm 1), through the
+same per-layer pass bodies; *within* each layer's loops the executor's
+chunk runner distributes the coalesced iteration space over the thread
+team (Algorithm 4 for forward, Algorithm 5 for backward).  It is
+**network-agnostic**: it touches only the outer loops, never the layer's
 computation.
 
 Gradient reductions honour the configured mode:
@@ -34,15 +35,11 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.plan import (
-    ExecutionPlan,
-    PlannedSchedule,
-    plan_schedule_for,
-)
+from repro.core.plan import ExecutionPlan, PlannedSchedule, layer_schedule
 from repro.core.privatization import PrivatePool
 from repro.core.reduction import (
     REDUCTION_MODES,
@@ -51,15 +48,9 @@ from repro.core.reduction import (
     invariance_tier,
     tree_combine,
 )
-from repro.core.scheduling import (
-    Chunk,
-    Schedule,
-    StaticSchedule,
-    make_schedule,
-)
+from repro.core.scheduling import Schedule, StaticSchedule, make_schedule
 from repro.core.team import RegionContext, ThreadTeam, WorkerError
-from repro.framework.layer import LoopSpec
-from repro.framework.net import Net
+from repro.framework.layer import ChunkWork, LoopSpec
 from repro.framework.solvers.base import LayerwiseExecutor
 
 
@@ -97,27 +88,16 @@ def iteration_owners(
 #: extra memory to ``BLOCK_WINDOW x (largest layer's coefficient bytes)``.
 BLOCK_WINDOW = 8
 
-#: Work of one chunk: ``work(lo, hi, into)`` processes coalesced iterations
-#: ``[lo, hi)``; ``into`` is where a backward chunk accumulates coefficient
-#: gradients (the shared targets or a private buffer), ``None`` on forward.
-ChunkWork = Callable[[int, int, Optional[Sequence[np.ndarray]]], None]
-
-
-def _chunks_of(
-    schedule: Schedule, space: int, num_threads: int
-) -> Callable[[int], Iterable[Chunk]]:
-    """``tid -> chunks that thread walks``: its share of the static plan,
-    or whatever it pulls off the shared dynamic/guided chunk server."""
-    if schedule.is_static:
-        plan = schedule.plan(space, num_threads)
-        return plan.__getitem__
-    server = schedule.chunk_server(space, num_threads)
-    return lambda tid: iter(server.next_chunk, None)
-
 
 class ParallelExecutor(LayerwiseExecutor):
     """Drives a framework :class:`~repro.framework.net.Net` with
     batch-level parallelism.
+
+    The walk and every layer's pass body are the ones the sequential
+    executor runs (:class:`~repro.framework.solvers.base.LayerwiseExecutor`,
+    :meth:`~repro.framework.layer.Layer.forward`); this executor is only
+    their chunk runner, :meth:`_dispatch`, which cuts each loop's
+    ``[0, space)`` over the thread team and merges private gradients.
 
     Parameters
     ----------
@@ -197,38 +177,15 @@ class ParallelExecutor(LayerwiseExecutor):
         return by_rank[rank]
 
     # ------------------------------------------------------------------
-    # per-layer passes (Algorithm 4 forward, Algorithm 5 backward)
+    # dispatch: the chunk runner every layer body calls (Algorithms 4, 5)
     # ------------------------------------------------------------------
-    def forward_layer(self, net: Net, i: int) -> float:
-        layer, bottom, top = net.layers[i], net.bottoms[i], net.tops[i]
-        layer.reshape(bottom, top)  # sequential, as in Caffe
-        self._dispatch(
-            layer.name, "forward", layer.forward_space(bottom, top),
-            lambda lo, hi, _into: layer.forward_chunk(bottom, top, lo, hi),
-        )
-        layer.forward_finalize(bottom, top)
-        loss = 0.0
-        for top_blob, weight in zip(top, layer.loss_weights):
-            if weight:
-                loss += weight * float(top_blob.flat_data[0])
-        return loss
-
-    def backward_layer(self, net: Net, i: int) -> None:
-        layer = net.layers[i]
-        for loop in layer.backward_loops(
-            net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
-        ):
-            self._run_backward_loop(loop, layer.name)
-
     def _run_backward_loop(self, loop: LoopSpec, layer_name: str) -> None:
+        """One backward loop through :meth:`_dispatch`, outside a pass."""
         self._dispatch(
             layer_name, "backward", loop.space, loop.body,
             loop.grad_targets, loop.reduction, loop.block,
         )
 
-    # ------------------------------------------------------------------
-    # dispatch: the one path from an iteration space to its chunks
-    # ------------------------------------------------------------------
     def _dispatch(
         self,
         layer_name: str,
@@ -262,7 +219,8 @@ class ParallelExecutor(LayerwiseExecutor):
             def chunk(lo: int, hi: int, tid: int, into) -> None:
                 work(lo, hi, into)
 
-        layer_plan = None if self.plan is None else self.plan.for_layer(layer_name)
+        layer_plan, schedule = layer_schedule(
+            self.plan, layer_name, space, self.schedule)
         mode = None
         if reduction:
             mode = self.reduction
@@ -278,10 +236,6 @@ class ParallelExecutor(LayerwiseExecutor):
         ):
             chunk(0, space, 0, targets)
             return
-        schedule = (
-            self.schedule if layer_plan is None
-            else plan_schedule_for(layer_plan, space)
-        )
         try:
             if mode is None:
                 team.parallel_for(
@@ -315,7 +269,7 @@ class ParallelExecutor(LayerwiseExecutor):
         (``tree``)."""
         team = self.team
         sizes = [t.size for t in targets]
-        chunks_of = _chunks_of(schedule, space, team.num_threads)
+        chunks_of = schedule.chunks_of(space, team.num_threads)
         private: List[List[np.ndarray]] = [None] * team.num_threads  # type: ignore
 
         def region(ctx: RegionContext) -> None:

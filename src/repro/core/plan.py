@@ -84,6 +84,10 @@ class LayerPlan:
                 f"layer {self.layer!r}: unknown reduction "
                 f"{self.reduction!r}; expected one of {REDUCTION_MODES}"
             )
+        try:
+            make_schedule(self.schedule)
+        except ValueError as exc:
+            raise ValueError(f"layer {self.layer!r}: {exc}") from None
 
     def tier(self, base_mode: str, base_static: bool) -> str:
         """Invariance tier this layer's strategy delivers.
@@ -290,6 +294,20 @@ def plan_schedule_for(layer_plan: LayerPlan, space: int) -> PlannedSchedule:
     return PlannedSchedule(
         make_schedule(layer_plan.schedule), layer_plan.threads, granularity
     )
+
+
+def layer_schedule(
+    plan: Optional[ExecutionPlan], layer_name: str, space: int,
+    default: Optional[Schedule],
+) -> Tuple[Optional[LayerPlan], Optional[Schedule]]:
+    """A layer's plan entry (``None`` without a plan or an entry) and
+    the schedule its ``space``-iteration loop is dealt by:
+    :func:`plan_schedule_for` of the entry, else ``default``.  The
+    executor's dispatch and the race replay both resolve through here."""
+    layer_plan = None if plan is None else plan.for_layer(layer_name)
+    if layer_plan is None:
+        return None, default
+    return layer_plan, plan_schedule_for(layer_plan, space)
 
 
 def plan_drift(

@@ -13,7 +13,7 @@ is the full range with no overlap (property-tested).
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 Chunk = Tuple[int, int]  # [lo, hi)
 
@@ -32,6 +32,17 @@ class Schedule:
     def chunk_server(self, space: int, num_threads: int) -> "ChunkServer":
         """Shared chunk dispenser (used when :attr:`is_static` is False)."""
         raise NotImplementedError
+
+    def chunks_of(
+        self, space: int, num_threads: int
+    ) -> Callable[[int], Iterable[Chunk]]:
+        """``tid -> the chunks that thread runs`` for one execution of a
+        ``space``-iteration loop: its share of the static plan, or
+        whatever it pulls off one shared chunk server."""
+        if self.is_static:
+            return self.plan(space, num_threads).__getitem__
+        server = self.chunk_server(space, num_threads)
+        return lambda tid: iter(server.next_chunk, None)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -144,16 +155,29 @@ class GuidedSchedule(Schedule):
         return f"guided,{self.chunk}"
 
 
+_KINDS = {"static": StaticSchedule, "dynamic": DynamicSchedule,
+          "guided": GuidedSchedule}
+
+
 def make_schedule(name: str) -> Schedule:
     """Parse an OpenMP-style schedule string, e.g. ``"static"``,
-    ``"static,4"``, ``"dynamic,2"``, ``"guided"``."""
-    parts = [p.strip() for p in name.split(",")]
-    kind = parts[0].lower()
-    chunk = int(parts[1]) if len(parts) > 1 else None
-    if kind == "static":
-        return StaticSchedule(chunk)
-    if kind == "dynamic":
-        return DynamicSchedule(chunk or 1)
-    if kind == "guided":
-        return GuidedSchedule(chunk or 1)
-    raise ValueError(f"unknown schedule {name!r}")
+    ``"static,4"``, ``"dynamic,2"``, ``"guided"``.
+
+    The one parser of schedule strings: anything but ``KIND[,CHUNK]``
+    with a known kind and a positive integer chunk raises ValueError
+    naming the string."""
+    parts = [p.strip() for p in str(name).split(",")]
+    cls = _KINDS.get(parts[0].lower())
+    if cls is None or len(parts) > 2:
+        raise ValueError(f"unknown schedule {name!r}; expected "
+                         "static|dynamic|guided[,CHUNK]")
+    if len(parts) == 1:
+        return cls()
+    try:
+        chunk = int(parts[1])
+    except ValueError:
+        chunk = 0
+    if chunk < 1:
+        raise ValueError(f"schedule {name!r}: chunk must be a positive "
+                         f"integer, got {parts[1]!r}")
+    return cls(chunk)

@@ -420,30 +420,15 @@ class ThreadTeam:
         if space <= 0:
             return
         if self.num_threads == 1 or space == 1:
-            if schedule.is_static:
-                for lo, hi in [
-                    c for per in schedule.plan(space, 1) for c in per
-                ]:
-                    body(lo, hi, 0)
-            else:
-                server = schedule.chunk_server(space, 1)
-                while (chunk := server.next_chunk()) is not None:
-                    body(chunk[0], chunk[1], 0)
+            for lo, hi in schedule.chunks_of(space, 1)(0):
+                body(lo, hi, 0)
             return
 
-        if schedule.is_static:
-            plan = schedule.plan(space, self.num_threads)
+        chunks_of = schedule.chunks_of(space, self.num_threads)
 
-            def region(ctx: RegionContext) -> None:
-                for lo, hi in plan[ctx.thread_id]:
-                    body(lo, hi, ctx.thread_id)
-
-        else:
-            server = schedule.chunk_server(space, self.num_threads)
-
-            def region(ctx: RegionContext) -> None:
-                while (chunk := server.next_chunk()) is not None:
-                    body(chunk[0], chunk[1], ctx.thread_id)
+        def region(ctx: RegionContext) -> None:
+            for lo, hi in chunks_of(ctx.thread_id):
+                body(lo, hi, ctx.thread_id)
 
         self.parallel(region)
 

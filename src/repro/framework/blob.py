@@ -15,37 +15,11 @@ fine-grain GPU path exists only as a cost model in :mod:`repro.simulator`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 DTYPE = np.float32
-
-# ---------------------------------------------------------------------------
-# write-hook points (used by repro.analysis's shadow-memory race detector)
-# ---------------------------------------------------------------------------
-#: When set, every buffer access (``data`` / ``diff`` / ``flat_data`` /
-#: ``flat_diff`` — every read and write goes through one of these)
-#: notifies the tracker via ``tracker.on_host_access(blob, which)`` with
-#: ``which`` in ``("data", "diff")``.  ``None`` (the default) keeps the
-#: hot path to a single global ``is not None`` test.
-_write_tracker = None
-
-
-def set_write_tracker(tracker) -> Optional[object]:
-    """Install (or clear, with ``None``) the global blob access tracker.
-
-    Returns the previously installed tracker so callers can restore it.
-    """
-    global _write_tracker
-    previous = _write_tracker
-    _write_tracker = tracker
-    return previous
-
-
-def write_tracker():
-    """The currently installed tracker, or ``None``."""
-    return _write_tracker
 
 
 def _count_of(shape: Tuple[int, ...]) -> int:
@@ -193,28 +167,20 @@ class Blob:
     @property
     def data(self) -> np.ndarray:
         """View of the value buffer, shaped like :attr:`shape`."""
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "data")
         return self._flat_data[:self._count].reshape(self._shape)
 
     @property
     def diff(self) -> np.ndarray:
         """View of the gradient buffer, shaped like :attr:`shape`."""
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "diff")
         return self._flat_diff[:self._count].reshape(self._shape)
 
     @property
     def flat_data(self) -> np.ndarray:
         """View of the raw 1-D value storage (length :attr:`count`)."""
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "data")
         return self._flat_data[:self._count]
 
     @property
     def flat_diff(self) -> np.ndarray:
-        if _write_tracker is not None:
-            _write_tracker.on_host_access(self, "diff")
         return self._flat_diff[:self._count]
 
     # ------------------------------------------------------------------

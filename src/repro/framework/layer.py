@@ -22,15 +22,20 @@ its computation — the base class defines the **chunk protocol**:
   lines 22-24).  Bottom-diff regions of distinct chunks are disjoint, so
   they are written directly.
 
-The sequential path is *defined as* the chunk path over the full range —
-``forward_cpu == forward_chunk(0, forward_space)`` — which is what makes
-the parallel execution bitwise-comparable to the sequential one.
+A layer's pass has one body, :meth:`Layer.forward` / :meth:`Layer.backward`,
+under every driver.  The body hands each of its parallel loops to a
+*chunk runner* (:data:`ChunkRunner`), and the runner is all a driver
+chooses: the sequential one (:func:`run_sequential`) is the single call
+``work(0, space, targets)``, the coarse-grain executor cuts ``[0, space)``
+over its thread team, the race detector replays each simulated thread's
+chunks.  That the sequential pass is the chunk path over the full range is
+what makes the parallel execution bitwise-comparable to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -232,6 +237,35 @@ class LoopSpec:
     grad_targets: Tuple[np.ndarray, ...] = field(default_factory=tuple)
     block: int = 1
 
+
+#: Work of one chunk: ``work(lo, hi, into)`` processes coalesced iterations
+#: ``[lo, hi)``; ``into`` is where a backward chunk accumulates coefficient
+#: gradients (the shared targets or a private buffer), ``None`` on forward.
+ChunkWork = Callable[[int, int, Optional[Sequence[np.ndarray]]], None]
+
+#: How a driver runs one parallel loop of a layer's pass:
+#: ``run(layer_name, phase, space, work, targets=None, reduction=False,
+#: block=1)`` covers ``[0, space)`` with ``work`` chunks.  Without
+#: ``reduction`` every chunk gets ``targets`` itself; with it, chunks may
+#: accumulate into private buffers the runner merges into ``targets``
+#: (``block`` is the loop's accumulation block, see ``Layer.grad_block``).
+ChunkRunner = Callable[..., None]
+
+
+def run_sequential(
+    layer_name: str,
+    phase: str,
+    space: int,
+    work: ChunkWork,
+    targets: Optional[Sequence[np.ndarray]] = None,
+    reduction: bool = False,
+    block: int = 1,
+) -> None:
+    """The sequential chunk runner: the whole space as one chunk,
+    straight into the targets."""
+    work(0, space, targets)
+
+
 LayerParams = Dict[str, object]
 
 _REGISTRY: Dict[str, Type["Layer"]] = {}
@@ -286,8 +320,9 @@ class Layer:
     rule (:func:`~repro.framework.shape_inference.register_shape_rule`)
     and declare a :class:`LayerContract`; shapes, the iteration space
     and parameter shapes come from that rule through :meth:`reshape`,
-    and everything else (sequential drivers, gradient-space defaults) is
-    derived.
+    and everything else (the pass bodies, gradient-space defaults) is
+    derived.  :meth:`forward` and :meth:`backward` are the one pass body
+    every driver runs; a driver passes its chunk runner.
     """
 
     type_names: tuple = ()
@@ -563,13 +598,23 @@ class Layer:
         ]
 
     # ------------------------------------------------------------------
-    # sequential drivers (defined via the chunk path)
+    # the pass bodies (Algorithm 4 forward, Algorithm 5 backward)
     # ------------------------------------------------------------------
-    def forward(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> float:
-        """Sequential forward pass; returns this layer's loss contribution."""
+    def forward(
+        self,
+        bottom: Sequence[Blob],
+        top: Sequence[Blob],
+        run: ChunkRunner = run_sequential,
+    ) -> float:
+        """Forward pass; returns this layer's loss contribution.
+
+        Reshape (sequential, as in Caffe), the forward space as one loop
+        of :meth:`forward_chunk` handed to ``run``, the sequential
+        :meth:`forward_finalize` epilogue, the loss share.
+        """
         self.reshape(bottom, top)
-        space = self.forward_space(bottom, top)
-        self.forward_chunk(bottom, top, 0, space)
+        run(self.name, "forward", self.forward_space(bottom, top),
+            lambda lo, hi, _into: self.forward_chunk(bottom, top, lo, hi))
         self.forward_finalize(bottom, top)
         loss = 0.0
         for top_blob, weight in zip(top, self.loss_weights):
@@ -582,16 +627,14 @@ class Layer:
         top: Sequence[Blob],
         propagate_down: Sequence[bool],
         bottom: Sequence[Blob],
+        run: ChunkRunner = run_sequential,
     ) -> None:
-        """Sequential backward pass, accumulating into ``self.blobs`` diffs.
-
-        Defined as each backward loop run over its full range with the
-        real diffs as accumulation targets — the same code path the
-        parallel runtime chunks, which is what makes the two executions
-        comparable value-for-value.
-        """
+        """Backward pass, accumulating into ``self.blobs`` diffs: each of
+        :meth:`backward_loops` handed to ``run`` with the real diffs as
+        its accumulation targets."""
         for loop in self.backward_loops(top, propagate_down, bottom):
-            loop.body(0, loop.space, loop.grad_targets)
+            run(self.name, "backward", loop.space, loop.body,
+                loop.grad_targets, loop.reduction, loop.block)
 
     # ------------------------------------------------------------------
     # misc

@@ -32,6 +32,7 @@ from repro.framework.net_spec import (
     NetSpec,
     _copy_layer_spec,
 )
+from repro.framework.solvers.base import SequentialExecutor
 
 
 def _insert_splits(specs: List[LayerSpec]) -> List[LayerSpec]:
@@ -223,21 +224,16 @@ class Net:
     # execution
     # ------------------------------------------------------------------
     def forward(self) -> float:
-        """Run the full forward pass; returns the weighted total loss."""
-        total = 0.0
-        for layer, bottom, top in zip(self.layers, self.bottoms, self.tops):
-            total += layer.forward(bottom, top)
-        return total
+        """Run the full forward pass sequentially; returns the weighted
+        total loss.  This is :class:`SequentialExecutor`'s walk — the
+        walk and layer bodies every executor runs, with the sequential
+        chunk runner."""
+        return SequentialExecutor().forward(self)
 
     def backward(self) -> None:
-        """Run the full backward pass, accumulating parameter diffs."""
-        self._seed_loss_diffs()
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            if not any(self.bottom_need_backward[i]) and not layer.blobs:
-                continue
-            layer.backward(self.tops[i], self.bottom_need_backward[i],
-                           self.bottoms[i])
+        """Run the full backward pass sequentially, accumulating
+        parameter diffs (:class:`SequentialExecutor`'s walk)."""
+        SequentialExecutor().backward(self)
 
     def _seed_loss_diffs(self) -> None:
         """Set d(total)/d(loss output) = 1 on every loss top."""

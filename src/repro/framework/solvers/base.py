@@ -15,13 +15,16 @@ change the trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.framework.blob import DTYPE
-from repro.framework.net import Net
+from repro.framework.layer import run_sequential
 from repro.framework.solvers.lr_policy import learning_rate
+
+if TYPE_CHECKING:  # net.py walks through the executors below
+    from repro.framework.net import Net
 
 
 @dataclass
@@ -48,26 +51,35 @@ class SolverParams:
 
 
 class LayerwiseExecutor:
-    """An executor is two per-layer hooks; its passes are loops over them.
+    """An executor is a chunk runner; its passes are the one walk.
 
-    The passes themselves are inherently sequential (Algorithm 1) — what
-    an executor chooses is how one layer's pass runs.  Subclasses
-    implement :meth:`forward_layer` and :meth:`backward_layer`;
-    wrapping those two calls (see :class:`repro.core.trace.TracingExecutor`)
-    observes an executor without re-implementing it.
+    The passes are inherently sequential (Algorithm 1), and each layer's
+    pass body is the layer's own (:meth:`~repro.framework.layer.Layer.forward`
+    / :meth:`~repro.framework.layer.Layer.backward`).  What an executor
+    chooses is only how one parallel loop's ``[0, space)`` runs: its
+    :meth:`_dispatch`, the :data:`~repro.framework.layer.ChunkRunner`
+    every layer body is called with.  The base runner is the sequential
+    one.  :meth:`forward_layer` / :meth:`backward_layer` are the
+    per-layer steps of the walk; wrapping them (see
+    :class:`repro.core.trace.TracingExecutor`) observes an executor
+    without re-implementing it.
     """
 
     #: Team size the layer hooks run with.
     num_threads = 1
 
+    _dispatch = staticmethod(run_sequential)
+
     def forward_layer(self, net: Net, i: int) -> float:
         """Run layer ``i`` forward; returns its weighted loss share."""
-        raise NotImplementedError
+        return net.layers[i].forward(net.bottoms[i], net.tops[i],
+                                     self._dispatch)
 
     def backward_layer(self, net: Net, i: int) -> None:
         """Run layer ``i`` backward (only called on layers that take
         part in the backward pass)."""
-        raise NotImplementedError
+        net.layers[i].backward(net.tops[i], net.bottom_need_backward[i],
+                               net.bottoms[i], self._dispatch)
 
     def forward(self, net: Net) -> float:
         total = 0.0
@@ -83,15 +95,9 @@ class LayerwiseExecutor:
 
 
 class SequentialExecutor(LayerwiseExecutor):
-    """Default executor: plain sequential forward/backward."""
-
-    def forward_layer(self, net: Net, i: int) -> float:
-        return net.layers[i].forward(net.bottoms[i], net.tops[i])
-
-    def backward_layer(self, net: Net, i: int) -> None:
-        net.layers[i].backward(
-            net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
-        )
+    """Default executor: the walk with the sequential runner — what
+    :meth:`Net.forward <repro.framework.net.Net.forward>` and
+    :meth:`Net.backward <repro.framework.net.Net.backward>` run."""
 
 
 class Solver:

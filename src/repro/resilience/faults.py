@@ -53,7 +53,7 @@ import contextlib
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 
 class InjectedFault(RuntimeError):
@@ -221,15 +221,53 @@ class _ExecutorProxy:
         return getattr(self._inner, name)
 
 
+class LayerPatches:
+    """Patches on layer instances, removed together.
+
+    A patch shadows the class method in the instance's ``__dict__``, so
+    :meth:`remove` restores the class behaviour by popping the name
+    (patches stacked on one method go with it).  The training injector
+    and the serve chaos harness both arm their faults through here.
+    """
+
+    def __init__(self) -> None:
+        self._patched: List[Tuple[object, str]] = []
+
+    def wrap(self, layer, method: str, wrapper: Callable) -> None:
+        """Shadow ``layer.<method>`` with ``wrapper(original)``."""
+        setattr(layer, method, wrapper(getattr(layer, method)))
+        self._patched.append((layer, method))
+
+    def first_chunk(self, layer, armed: Callable[[], bool],
+                    fire: Callable[[int, int], None]) -> None:
+        """Make the first forward chunk of ``layer`` that starts while
+        ``armed()`` holds, on whichever thread, call ``fire(lo, hi)``
+        before its work — exactly once."""
+        # Taken by the one chunk that fires and never released.
+        once = threading.Lock()
+
+        def wrapper(original):
+            def patched(bottom, top, lo, hi):
+                if armed() and once.acquire(blocking=False):
+                    fire(lo, hi)
+                return original(bottom, top, lo, hi)
+            return patched
+
+        self.wrap(layer, "forward_chunk", wrapper)
+
+    def remove(self) -> None:
+        for layer, method in self._patched:
+            layer.__dict__.pop(method, None)
+        self._patched.clear()
+
+
 class _Injector:
     """Installs/uninstalls a FaultPlan on one solver."""
 
     def __init__(self, solver, plan: FaultPlan) -> None:
         self.solver = solver
         self.plan = plan
-        self._patched: List[Tuple[object, str]] = []
-        self._abort_lock = threading.Lock()
-        self._abort_fired = set()  # faults that already fired
+        self.patches = LayerPatches()
 
     # -- install ---------------------------------------------------------
     def install(self) -> None:
@@ -242,67 +280,50 @@ class _Injector:
         solo = team is not None and team.num_threads <= 1
         for fault in self.plan:
             if isinstance(fault, LayerRaise):
+                # Every driver runs a layer's pass through its one body,
+                # Layer.forward / Layer.backward — the phase's name.
                 layer = self.solver.net.layer(fault.layer)
-                if fault.phase == "forward":
-                    self._patch_raise(layer, "forward", fault)
-                    self._patch_raise(layer, "forward_chunk", fault)
-                else:
-                    self._patch_raise(layer, "backward", fault)
-                    self._patch_raise(layer, "backward_loops", fault)
+                self.patches.wrap(layer, fault.phase, self._raiser(fault))
             elif isinstance(fault, ChunkAbort):
                 layer = self.solver.net.layer(fault.layer)
-                self._patch_chunk_abort(layer, fault, solo)
+                self._arm_chunk_abort(layer, fault, solo)
 
-    def _patch_raise(self, layer, method: str, fault: LayerRaise) -> None:
-        original = getattr(layer, method)
-        injector = self
+    def _raiser(self, fault: LayerRaise) -> Callable:
+        solver = self.solver
 
-        def patched(*args, **kwargs):
-            if injector.solver.iteration == fault.iteration:
-                raise InjectedFault(
-                    f"injected {fault.phase} failure in layer "
-                    f"{fault.layer!r} at iteration {fault.iteration}"
-                )
-            return original(*args, **kwargs)
+        def wrapper(original):
+            def patched(*args, **kwargs):
+                if solver.iteration == fault.iteration:
+                    raise InjectedFault(
+                        f"injected {fault.phase} failure in layer "
+                        f"{fault.layer!r} at iteration {fault.iteration}"
+                    )
+                return original(*args, **kwargs)
+            return patched
 
-        setattr(layer, method, patched)
-        self._patched.append((layer, method))
+        return wrapper
 
-    def _patch_chunk_abort(self, layer, fault: ChunkAbort,
-                           solo: bool) -> None:
-        original = layer.forward_chunk
-        injector = self
+    def _arm_chunk_abort(self, layer, fault: ChunkAbort, solo: bool) -> None:
+        solver = self.solver
 
-        def patched(bottom, top, lo, hi):
-            if injector.solver.iteration == fault.iteration:
-                on_worker = threading.current_thread().name.startswith(
-                    "team-worker-"
-                )
-                if on_worker or solo:
-                    with injector._abort_lock:
-                        first = fault not in injector._abort_fired
-                        if first:
-                            injector._abort_fired.add(fault)
-                    if first:
-                        raise InjectedFault(
-                            f"injected chunk abort in layer "
-                            f"{fault.layer!r} [{lo}:{hi}] on "
-                            f"{threading.current_thread().name} at "
-                            f"iteration {fault.iteration}"
-                        )
-            return original(bottom, top, lo, hi)
+        def armed() -> bool:
+            return solver.iteration == fault.iteration and (
+                solo or threading.current_thread().name.startswith(
+                    "team-worker-"))
 
-        layer.forward_chunk = patched
-        self._patched.append((layer, "forward_chunk"))
+        def fire(lo: int, hi: int) -> None:
+            raise InjectedFault(
+                f"injected chunk abort in layer {fault.layer!r} [{lo}:{hi}] "
+                f"on {threading.current_thread().name} at iteration "
+                f"{fault.iteration}"
+            )
+
+        self.patches.first_chunk(layer, armed, fire)
 
     # -- uninstall -------------------------------------------------------
     def uninstall(self) -> None:
         self.solver.executor = self._orig_executor
-        for layer, method in self._patched:
-            # The patch lives in the instance dict, shadowing the class
-            # method; deleting it restores the original behaviour.
-            layer.__dict__.pop(method, None)
-        self._patched.clear()
+        self.patches.remove()
 
 
 @contextlib.contextmanager

@@ -19,15 +19,14 @@ injector ignores:
   reaches ``at_request``, ``count`` extra back-to-back requests are
   submitted (overload burst; admission must shed with codes).
 
-Patches live in layer instance dicts (shadowing the class methods) and
-are removed on exit, exactly like the training injector.
+Patches are armed through the training injector's
+:class:`~repro.resilience.faults.LayerPatches` and removed on exit.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from repro.resilience.faults import (
     ChunkAbort,
     FaultPlan,
     InjectedFault,
+    LayerPatches,
     PoisonSample,
     RequestStorm,
     SlowChunk,
@@ -50,9 +50,7 @@ class ChaosHarness:
         self.plan = plan
         self.storms: Dict[int, int] = {}
         self.poisoned: Set[int] = set()
-        self._patched: List[Tuple[object, str]] = []
-        self._fired: Set[object] = set()
-        self._fire_lock = threading.Lock()
+        self.patches = LayerPatches()
         for fault in plan:
             if isinstance(fault, RequestStorm):
                 self.storms[fault.at_request] = (
@@ -71,56 +69,30 @@ class ChaosHarness:
         return self.storms.get(index, 0)
 
     # -- engine-side patches ------------------------------------------
-    def _fires_now(self, fault, batch: int) -> bool:
-        """True exactly once, on the first chunk of the target batch."""
-        if self.engine.batches_executed != batch:
-            return False
-        with self._fire_lock:
-            if fault in self._fired:
-                return False
-            self._fired.add(fault)
-            return True
-
-    def _patch_abort(self, fault: ChunkAbort) -> None:
-        layer = self.engine.net.layer(fault.layer)
-        original = layer.forward_chunk
-        harness = self
-
-        def patched(bottom, top, lo, hi):
-            if harness._fires_now(fault, fault.iteration):
-                raise InjectedFault(
-                    f"chaos: worker crash in layer {fault.layer!r} "
-                    f"[{lo}:{hi}] during served batch {fault.iteration}"
-                )
-            return original(bottom, top, lo, hi)
-
-        layer.forward_chunk = patched
-        self._patched.append((layer, "forward_chunk"))
-
-    def _patch_slow(self, fault: SlowChunk) -> None:
-        layer = self.engine.net.layer(fault.layer)
-        original = layer.forward_chunk
-        harness = self
-
-        def patched(bottom, top, lo, hi):
-            if harness._fires_now(fault, fault.batch):
-                harness.engine.clock.sleep(fault.delay_s)
-            return original(bottom, top, lo, hi)
-
-        layer.forward_chunk = patched
-        self._patched.append((layer, "forward_chunk"))
+    def _arm(self, layer_name: str, batch: int, fire) -> None:
+        """``fire(lo, hi)`` once, on the first chunk of ``layer_name``
+        in served batch ``batch``."""
+        engine = self.engine
+        self.patches.first_chunk(
+            engine.net.layer(layer_name),
+            lambda: engine.batches_executed == batch, fire)
 
     def install(self) -> None:
         for fault in self.plan:
             if isinstance(fault, ChunkAbort):
-                self._patch_abort(fault)
+                def crash(lo, hi, fault=fault):
+                    raise InjectedFault(
+                        f"chaos: worker crash in layer {fault.layer!r} "
+                        f"[{lo}:{hi}] during served batch {fault.iteration}"
+                    )
+                self._arm(fault.layer, fault.iteration, crash)
             elif isinstance(fault, SlowChunk):
-                self._patch_slow(fault)
+                self._arm(fault.layer, fault.batch,
+                          lambda lo, hi, delay=fault.delay_s:
+                          self.engine.clock.sleep(delay))
 
     def uninstall(self) -> None:
-        for layer, method in self._patched:
-            layer.__dict__.pop(method, None)
-        self._patched.clear()
+        self.patches.remove()
 
 
 @contextlib.contextmanager

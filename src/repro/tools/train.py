@@ -53,6 +53,15 @@ from repro.resilience import (
 from repro.zoo import build_solver
 
 
+def _schedule_arg(text: str) -> str:
+    """``--schedule`` as given, once :func:`make_schedule` accepts it."""
+    try:
+        make_schedule(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.train",
@@ -69,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reduction", choices=REDUCTION_MODES,
                         default="ordered",
                         help="gradient merge mode (default ordered)")
-    parser.add_argument("--schedule", default="static",
+    parser.add_argument("--schedule", default="static", type=_schedule_arg,
                         help="loop schedule, e.g. static, static,4, "
                              "dynamic,2 (default static)")
     parser.add_argument("--plan", default=None, metavar="PATH",

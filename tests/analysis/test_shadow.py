@@ -6,14 +6,12 @@ import pytest
 from repro.analysis.shadow import (
     PERTURB_EPS,
     RebindWatch,
-    ShadowTracker,
     TrackedArray,
     owner_runs,
     thread_write_sets,
 )
 from repro.core import ParallelExecutor
 from repro.core.parallel_net import iteration_owners
-from repro.framework.blob import Blob, set_write_tracker
 
 
 class TestOwnerRuns:
@@ -117,36 +115,6 @@ class TestRebindWatch:
         watch = RebindWatch(layer)
         layer.scratch[1] = 7.0
         assert watch.rebound() == set()
-
-
-class TestShadowTracker:
-    def test_records_blob_accesses_per_thread(self):
-        blob = Blob((4,))
-        blob.flat_data  # allocate
-        tracker = ShadowTracker()
-        prev = set_write_tracker(tracker)
-        try:
-            tracker.begin(0)
-            blob.flat_data
-            tracker.end()
-            tracker.begin(1)
-            blob.flat_diff
-            tracker.end()
-        finally:
-            set_write_tracker(prev)
-        assert tracker.touched(0, id(blob), "data")
-        assert not tracker.touched(0, id(blob), "diff")
-        assert tracker.touched(1, id(blob), "diff")
-
-    def test_no_recording_outside_begin_end(self):
-        blob = Blob((4,))
-        tracker = ShadowTracker()
-        prev = set_write_tracker(tracker)
-        try:
-            blob.flat_data
-        finally:
-            set_write_tracker(prev)
-        assert tracker.accesses == {}
 
 
 class TestExecutorValidation:

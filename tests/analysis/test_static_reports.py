@@ -3,11 +3,13 @@
 ``static_reports.json`` holds the stdout of every static entry point of
 the CLI on the mlp net — the code catalogue, the parallel-safety static
 pass, the static halves of detcheck, rescheck, synccheck and servecheck,
-and perfcheck (lint + roofline, no clock) — and of the four trajectory
+and perfcheck (lint + roofline, no clock) — of the four trajectory
 replays on mlp: detcheck's mode certificates, rescheck's resume and
-fault certification, and plancheck's and fusecheck's ``--certify``.
-Every mode replays bitwise on mlp, so these documents hold no ULP
-figures.  A refactor of the lints or certifiers underneath must
+fault certification, and plancheck's and fusecheck's ``--certify`` —
+and of the two dynamic explorations: the parallel-safety shadow replay
+on mlp and synccheck's schedule exploration on lenet.  Every mode
+replays bitwise on mlp, so these documents hold no ULP figures.  A
+refactor of the lints or certifiers underneath must
 reproduce each document exactly; a deliberate change to a report
 regenerates the snapshot with ``PYTHONPATH=src python
 tests/analysis/test_static_reports.py``.
@@ -42,6 +44,9 @@ COMMANDS = {
                           "--certify", "--json"],
     "fusecheck-certify": ["fusecheck", "--net", "mlp", "--threads", "2",
                           "--certify", "--json"],
+    "parallel-safety-replay": ["--net", "mlp", "--threads", "1,2", "--json"],
+    "synccheck-explore": ["synccheck", "--net", "lenet", "--threads", "2",
+                          "--json"],
 }
 
 

@@ -9,6 +9,7 @@ sequential pass when every layer sits at the bitwise tier.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestLayerPlan:
         with pytest.raises(ValueError, match="reduction"):
             LayerPlan(layer="x", threads=1, reduction="majority-vote")
 
+    @pytest.mark.parametrize("schedule", [
+        "bogus", "static,x", "static,-3", "dynamic,0", "guided,0",
+    ])
+    def test_rejects_malformed_schedule_naming_the_layer(self, schedule):
+        with pytest.raises(ValueError, match=r"layer 'conv1': .*schedule"):
+            LayerPlan(layer="conv1", threads=2, schedule=schedule)
+
     def test_single_thread_is_bitwise(self):
         lp = LayerPlan(layer="x", threads=1, reduction="atomic")
         assert lp.tier("atomic", False) == BITWISE_INVARIANT
@@ -87,6 +95,14 @@ class TestPlanRoundTrip:
         path = str(tmp_path / "plan.json")
         plan.save(path)
         assert ExecutionPlan.load(path) == plan
+
+    def test_load_rejects_malformed_layer_schedule(self, tmp_path):
+        data = self._plan().to_json()
+        data["layers"][0]["schedule"] = "dynamic,0"
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="layer 'conv1'.*'dynamic,0'"):
+            ExecutionPlan.load(str(path))
 
     def test_rejects_foreign_format(self):
         with pytest.raises(ValueError, match="format"):

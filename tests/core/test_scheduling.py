@@ -111,3 +111,12 @@ class TestMakeSchedule:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown schedule"):
             make_schedule("auto")
+
+    @pytest.mark.parametrize("name", [
+        "static,x", "static,-3", "static,0", "dynamic,0", "guided,0",
+        "dynamic,1.5", "guided,", "static,2,3",
+    ])
+    def test_rejects_malformed_chunk_naming_the_string(self, name):
+        with pytest.raises(ValueError) as info:
+            make_schedule(name)
+        assert repr(name) in str(info.value)

@@ -1,10 +1,15 @@
 """Tests for the command-line tools."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.tools.train import build_parser, main as train_main
 from repro.tools.profile import main as profile_main
+
+MALFORMED_SCHEDULES = ["bogus", "static,x", "static,-3", "dynamic,0",
+                       "guided,0"]
 
 
 class TestTrainCli:
@@ -53,6 +58,33 @@ class TestTrainCli:
     def test_requires_net_or_prototxt(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("schedule", MALFORMED_SCHEDULES)
+    def test_malformed_schedule_flag_is_a_usage_error(self, capsys,
+                                                      schedule):
+        with pytest.raises(SystemExit) as info:
+            train_main(["--net", "lenet", "--iters", "1", "--threads", "2",
+                        "--schedule", schedule])
+        assert info.value.code == 2
+        assert "argument --schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", MALFORMED_SCHEDULES)
+    def test_plan_with_malformed_schedule_is_refused_at_load(self, tmp_path,
+                                                             schedule):
+        path = tmp_path / "bad.plan.json"
+        path.write_text(json.dumps({
+            "format": "repro-plan/1", "net": "", "batch": 0,
+            "team_threads": 2, "tier": "bitwise_invariant",
+            "layers": [{"layer": "conv1", "threads": 2,
+                        "schedule": schedule}],
+        }))
+        with pytest.raises(SystemExit) as info:
+            train_main(["--net", "lenet", "--iters", "1", "--threads", "2",
+                        "--plan", str(path)])
+        message = str(info.value.code)
+        assert message.startswith("cannot load plan")
+        assert "layer 'conv1'" in message and repr(schedule) in message
+        assert "\n" not in message
 
     def test_test_flag_reports_accuracy(self, capsys):
         code = train_main(["--net", "lenet", "--iters", "2", "--test"])

@@ -85,6 +85,23 @@ class TestLayerRaise:
         solver.step(1)  # same solver, clean run: patches are gone
         assert solver.iteration == 1
 
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_raises_under_parallel_executor(self, phase):
+        # The parallel executor runs each layer through the same pass
+        # body as the sequential one, so patching that body is enough.
+        with ParallelExecutor(num_threads=2, reduction="blockwise") as ex:
+            solver = build_solver("mlp", 4, batch=4, executor=ex)
+            layer = solver.net.layer("fc1")
+            plan = FaultPlan(
+                LayerRaise(layer="fc1", iteration=0, phase=phase))
+            with inject(solver, plan):
+                with pytest.raises(InjectedFault, match=phase):
+                    solver.step(1)
+            assert phase not in vars(layer)
+            solver.net.clear_param_diffs()
+            solver.step(1)  # same solver and team, patches gone
+            assert solver.iteration == 1
+
     def test_guard_contains_and_state_survives(self):
         solver = build_solver("mlp", 4, batch=4)
         solver.guard = HealthGuard(policy="halt")
