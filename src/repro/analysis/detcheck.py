@@ -46,8 +46,18 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -144,21 +154,23 @@ def _state_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
 
 @dataclass(frozen=True)
 class Replay:
-    """One training run a certifier replays; :meth:`capture` is the one
-    code that builds a solver, steps it and snapshots it.
+    """One training run a certifier replays: :meth:`solver` is the one
+    code in :mod:`repro.analysis` that turns a run description into a
+    running solver, :meth:`capture` steps it and snapshots it.
 
     ``threads == 0`` is the plain sequential baseline (no executor
     machinery at all); otherwise a :class:`ParallelExecutor` with
     ``threads`` threads and reduction ``mode`` drives the net, under the
     per-layer :class:`~repro.core.plan.ExecutionPlan` ``plan`` when one
-    is given (plancheck).  ``spec_transform`` rewrites the zoo spec
-    before the net is built and ``post_build`` mutates the built net
-    (fusecheck replays fused+arena nets through them).  ``resume_at > 0``
-    models a crash/restart (rescheck): the run checkpoints after that
-    many steps, ``crash`` (when given) is fired on that solver, and a
-    brand-new solver — fresh net, RNGs, data source and executor;
-    nothing survives but the file — restores the checkpoint and finishes
-    the run.
+    is given (plancheck), on a :class:`~repro.core.team.ThreadTeam` built
+    on the synchronization backend ``sync`` when one is given (synccheck's
+    model checker).  ``spec_transform`` rewrites the zoo spec before the
+    net is built and ``post_build`` mutates the built net (fusecheck
+    replays fused+arena nets through them).  ``resume_at > 0`` models a
+    crash/restart (rescheck): the run checkpoints after that many steps,
+    ``crash`` (when given) is fired on that solver, and a brand-new
+    solver — fresh net, RNGs, data source and executor; nothing survives
+    but the file — restores the checkpoint and finishes the run.
     """
 
     net: str
@@ -171,6 +183,32 @@ class Replay:
     post_build: Optional[Callable] = None
     resume_at: int = 0
     crash: Optional[Callable] = None
+    sync: object = None
+
+    @contextmanager
+    def solver(self) -> Iterator:
+        """A fresh solver of this run on an executor (and team) of its
+        own, both torn down on exit."""
+        from repro.core import ParallelExecutor
+        from repro.core.team import ThreadTeam
+
+        team = None if self.sync is None else ThreadTeam(self.threads,
+                                                         sync=self.sync)
+        try:
+            executor = None if self.threads == 0 else ParallelExecutor(
+                num_threads=self.threads, reduction=self.mode,
+                team=team, plan=self.plan)
+            try:
+                yield build_solver(
+                    self.net, self.iters, executor=executor,
+                    batch=self.batch, spec_transform=self.spec_transform,
+                    post_build=self.post_build)
+            finally:
+                if executor is not None:
+                    executor.close()
+        finally:
+            if team is not None:
+                team.shutdown()
 
     def capture(self) -> Trajectory:
         """Train for ``iters`` steps and snapshot every step bitwise."""
@@ -184,16 +222,9 @@ class Replay:
 
     def _leg(self, steps: int, save: str = "", load: str = "") -> Trajectory:
         """One solver's part of the run, on an executor of its own."""
-        from repro.core import ParallelExecutor
         from repro.resilience.checkpoint import capture_state, checked_load
 
-        executor = None if self.threads == 0 else ParallelExecutor(
-            num_threads=self.threads, reduction=self.mode, plan=self.plan)
-        try:
-            solver = build_solver(
-                self.net, self.iters, executor=executor, batch=self.batch,
-                spec_transform=self.spec_transform,
-                post_build=self.post_build)
+        with self.solver() as solver:
             stable = True
             if load:
                 solver.load_state(load)
@@ -211,9 +242,6 @@ class Replay:
                 snapshots=tuple(snapshots),
                 roundtrip_stable=stable,
             )
-        finally:
-            if executor is not None:
-                executor.close()
 
 
 def capture_trajectory(
@@ -222,14 +250,10 @@ def capture_trajectory(
     batch: Optional[int] = None,
     threads: int = 0,
     mode: str = "blockwise",
-    plan=None,
-    spec_transform=None,
-    post_build=None,
 ) -> Trajectory:
     """Train ``name`` for ``iters`` steps and snapshot every step bitwise
     (the :class:`Replay` of these arguments)."""
-    return Replay(name, iters, batch, threads, mode, plan, spec_transform,
-                  post_build).capture()
+    return Replay(name, iters, batch, threads, mode).capture()
 
 
 class Baselines(dict):

@@ -133,11 +133,11 @@ def check_fuse(
     spec: NetSpec,
     *,
     net_name: str = "",
-    phase: str = "TRAIN",
     threads: int = 8,
     batch: Optional[int] = None,
 ) -> NetFuseReport:
-    """Run the static stages (1-6 above) for one net at one team size."""
+    """Run the static stages (1-6 above) for one net's training phase at
+    one team size."""
     from repro.analysis.footprint import analyze_classes
     from repro.analysis.netcheck import check_spec
     from repro.compiler.fuse import FusionError, fuse_spec
@@ -145,6 +145,7 @@ def check_fuse(
     from repro.simulator.cost_model import costs_of, net_costs
 
     label = net_name or spec.name or "<anonymous>"
+    phase = "TRAIN"
     report = NetFuseReport(
         net=label, phase=phase, batch=batch, threads=threads)
 

@@ -249,14 +249,12 @@ class PerfReport(Gated):
 def run_perfcheck(
     nets: Sequence[str] = DEFAULT_NETS,
     threads: Sequence[int] = DEFAULT_THREADS,
-    model=None,
     log=lambda msg: None,
 ) -> PerfReport:
     """The full perfcheck pass over the given zoo nets."""
-    if model is None:
-        from repro.simulator import CPUModel
+    from repro.simulator import CPUModel
 
-        model = CPUModel()
+    model = CPUModel()
 
     report = PerfReport(nets=tuple(nets), threads=tuple(threads))
     log("perfcheck: static PE lint ...")

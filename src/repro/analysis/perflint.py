@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.report import Finding
 from repro.analysis.sources import (
@@ -252,13 +252,9 @@ def analyze_layer_perf(cls) -> List[Finding]:
     return findings
 
 
-def analyze_layer_classes_perf(
-    classes: Optional[Sequence[type]] = None,
-) -> List[Finding]:
-    """PE001-PE005 over every registered (or given) layer class."""
-    if classes is None:
-        classes = list(builtin_layer_classes().values())
-    return [f for cls in dict.fromkeys(classes)
+def analyze_layer_classes_perf() -> List[Finding]:
+    """PE001-PE005 over every built-in layer class."""
+    return [f for cls in dict.fromkeys(builtin_layer_classes().values())
             for f in analyze_layer_perf(cls)]
 
 

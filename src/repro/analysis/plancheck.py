@@ -738,11 +738,8 @@ def _batch_of(nodes: List[_Node], batch: Optional[int]) -> int:
 def uniform_chain_time(
     spec: NetSpec,
     *,
-    phase: str = "TRAIN",
     threads: int = 8,
-    batch: Optional[int] = None,
     mode: str = "ordered",
-    model: Optional[CPUModel] = None,
 ) -> float:
     """Price the uniform strategy through the planner's own chain walk.
 
@@ -750,9 +747,8 @@ def uniform_chain_time(
     ``CPUModel.iteration_time(net_costs(net), threads)`` exactly — the
     cost-model parity regression asserts it for every zoo net.
     """
-    model = model or CPUModel()
-    nodes = _build_nodes(infer_net(spec, phase=phase, batch=batch))
-    oracle = _Oracle(model, threads)
+    nodes = _build_nodes(infer_net(spec))
+    oracle = _Oracle(CPUModel(), threads)
     return _chain_time(nodes, uniform_candidates(nodes, threads, mode), oracle)
 
 
@@ -763,7 +759,6 @@ def certify_plan(
     claim: str = BITWISE_INVARIANT,
     iters: int = 2,
     batch: int = 4,
-    model: Optional[CPUModel] = None,
 ) -> Tuple[List[Finding], Optional[ExecutionPlan]]:
     """Dynamically certify that a planned run delivers its claimed tier.
 
@@ -774,17 +769,16 @@ def certify_plan(
     promise is PL201, a divergence the claim allows is PL202 (info).  A
     ``nondeterministic`` claim promises nothing to certify.
     """
-    return _certify_plan(net_name, threads, claim, iters, batch, model,
-                         Baselines())
+    return _certify_plan(net_name, threads, claim, iters, batch, Baselines())
 
 
-def _certify_plan(net_name, threads, claim, iters, batch, model,
+def _certify_plan(net_name, threads, claim, iters, batch,
                   baselines: Baselines):
     from repro.zoo.build import zoo_spec
 
     report = plan_spec(
         zoo_spec(net_name), net_name=net_name, threads=threads, batch=batch,
-        claim=claim, model=model,
+        claim=claim,
     )
     findings = [f for f in report.findings if f.severity == ERROR]
     if findings or report.plan is None or claim == NONDETERMINISTIC:
@@ -834,7 +828,7 @@ def run_plancheck(
             )
             if certify and in_zoo and team > 1:
                 certify_findings, _ = _certify_plan(
-                    name, team, claim, certify_iters, certify_batch, None,
+                    name, team, claim, certify_iters, certify_batch,
                     baselines)
                 net_report.findings.extend(certify_findings)
             report.reports.append(net_report)

@@ -112,15 +112,14 @@ class _ShadowReplay(LayerwiseExecutor):
     Every parallel loop a layer body hands over is dealt to
     ``num_threads`` simulated threads; each thread's chunks are replayed
     against one memory image (:func:`thread_write_sets`), the write sets
-    intersected, and then the canonical ``work(0, space, targets)``
+    intersected, and then the canonical ``loop.body(0, space, targets)``
     advances the net exactly as the sequential pass would.
     """
 
-    def __init__(self, net_name: str, num_threads: int, schedule,
-                 plan) -> None:
+    def __init__(self, net_name: str, num_threads: int, plan) -> None:
         self.report = DynamicReport(net=net_name, num_threads=num_threads)
         self.num_threads = num_threads
-        self.schedule, self.plan = schedule, plan
+        self.plan = plan
         self._where = None  # (net, layer index) whose pass is running
 
     def forward_layer(self, net, i: int) -> float:
@@ -132,21 +131,21 @@ class _ShadowReplay(LayerwiseExecutor):
         super().backward_layer(net, i)
         self.report.layers_checked.append(f"{net.layers[i].name}/backward")
 
-    def _dispatch(self, layer_name, phase, space, work, targets=None,
-                  reduction=False, block=1) -> None:
+    def _dispatch(self, layer_name, phase, loop) -> None:
+        space, work, targets = loop.space, loop.body, loop.grad_targets
         if space <= 0:
             return
         net, i = self._where
         layer = net.layers[i]
-        _, schedule = layer_schedule(self.plan, layer_name, space,
-                                     self.schedule)
+        # unplanned layers run the static schedule (``None``)
+        _, schedule = layer_schedule(self.plan, layer_name, space, None)
         runs = owner_runs(iteration_owners(space, self.num_threads, schedule))
         tracked = collect_tracked_arrays(net, layer, net.bottoms[i],
                                          net.tops[i])
 
         def run_chunks(tid: int) -> None:
             # reduction loops get the privatization the runtime performs
-            into = ([np.zeros_like(t) for t in targets] if reduction
+            into = ([np.zeros_like(t) for t in targets] if loop.reduction
                     else targets)
             for lo, hi, owner in runs:
                 if owner == tid:
@@ -166,18 +165,18 @@ def run_dynamic(
     net,
     net_name: str,
     num_threads: int,
-    schedule=None,
     plan=None,
 ) -> DynamicReport:
-    """Shadow-memory race detection over one net at one thread count.
+    """Shadow-memory race detection over one net at one thread count,
+    under the static schedule.
 
     ``plan`` optionally supplies a per-layer
     :class:`~repro.core.plan.ExecutionPlan`; each planned layer's chunk
     ownership is then replayed under its own thread count, granularity
-    and schedule instead of the uniform ``schedule`` (how plancheck's
-    acceptance tests run the FP race gate over planned configurations).
+    and schedule (how plancheck's acceptance tests run the FP race gate
+    over planned configurations).
     """
-    replay = _ShadowReplay(net_name, num_threads, schedule, plan)
+    replay = _ShadowReplay(net_name, num_threads, plan)
     replay.forward(net)
     replay.backward(net)
     return replay.report
@@ -186,7 +185,6 @@ def run_dynamic(
 def run_analysis(
     nets: Sequence[Tuple[str, Callable[[], object]]] = (),
     threads: Sequence[int] = (2,),
-    static: bool = True,
 ) -> AnalysisReport:
     """Full analysis: one static pass, one dynamic run per (net, T).
 
@@ -194,7 +192,7 @@ def run_analysis(
     builds a fresh net so successive thread counts replay the same
     initial state.
     """
-    static_report = run_static() if static else StaticReport()
+    static_report = run_static()
     dynamic: List[DynamicReport] = []
     for name, factory in nets:
         for num_threads in threads:

@@ -59,7 +59,7 @@ from repro.analysis.sources import (
     visit,
 )
 from repro.core.reduction import BITWISE_INVARIANT
-from repro.zoo.build import build_solver
+from repro.resilience.faults import fault_target_layer
 
 #: Modes certified by default; atomic's tier promises nothing bitwise a
 #: resume could be checked against, so it is opt-in (mirrors detcheck).
@@ -300,17 +300,9 @@ def _params_equal(solver, saved: List[np.ndarray]) -> bool:
     )
 
 
-def _fault_layer(net) -> str:
-    """A layer whose forward runs chunk-parallel: the first with params."""
-    for layer in net.layers:
-        if layer.blobs:
-            return layer.name
-    return net.layers[-1].name
-
-
 def _fault_blob(net) -> str:
     """An activation produced mid-net (the fault layer's first top)."""
-    target = _fault_layer(net)
+    target = fault_target_layer(net)
     for layer, tops in zip(net.layers, net.tops):
         if layer.name == target and tops:
             return tops[0].name
@@ -322,14 +314,13 @@ def certify_faults(
     threads: int,
     iters: int = 2,
     batch: Optional[int] = 4,
-    mode: str = "blockwise",
 ) -> List[Finding]:
     """RS201-RS204: fire every fault class against one net.
 
     Runs at a single (the highest requested) thread count under the
-    bitwise-invariant mode, where every recovery promise is strongest.
+    bitwise-invariant blockwise mode, where every recovery promise is
+    strongest.
     """
-    from repro.core import ParallelExecutor
     from repro.core.team import WorkerError
     from repro.resilience import (
         ChunkAbort,
@@ -359,11 +350,11 @@ def certify_faults(
         return (isinstance(exc, WorkerError)
                 and isinstance(exc.original, InjectedFault))
 
-    tmpdir = tempfile.mkdtemp(prefix="rescheck-faults-")
-    executor = ParallelExecutor(num_threads=threads, reduction=mode)
-    try:
-        solver = build_solver(net, iters, batch=batch, executor=executor)
-        layer_name = _fault_layer(solver.net)
+    reference = Replay(net, iters, batch, threads, "blockwise")
+    with tempfile.TemporaryDirectory(prefix="rescheck-faults-",
+                                     ignore_cleanup_errors=True) as tmpdir, \
+            reference.solver() as solver:
+        layer_name = fault_target_layer(solver.net)
         blob_name = _fault_blob(solver.net)
 
         # -- chunk abort: root cause surfaces, team stays usable -------
@@ -426,7 +417,6 @@ def certify_faults(
                 fail("RS201", "crash simulation did not raise the "
                               "injected fault")
 
-        reference = Replay(net, iters, batch, threads, mode)
         verdict = judge(reference.capture(),
                         replace(reference, resume_at=max(1, iters // 2),
                                 crash=crash),
@@ -439,11 +429,7 @@ def certify_faults(
 
         # -- NaN injection vs every guard policy (RS203) ----------------
         for policy in ("halt", "skip-batch", "rollback"):
-            policy_executor = ParallelExecutor(num_threads=threads,
-                                               reduction=mode)
-            try:
-                victim = build_solver(net, iters, batch=batch,
-                                      executor=policy_executor)
+            with reference.solver() as victim:
                 victim.guard = HealthGuard(policy=policy)
                 before = _params_snapshot(victim)
                 plan = FaultPlan(NaNBlob(blob=blob_name, iteration=0))
@@ -483,17 +469,15 @@ def certify_faults(
                             for b in victim.net.learnable_params):
                         fail("RS203", f"{policy} policy let NaN reach "
                                       "the parameters")
-            finally:
-                policy_executor.close()
 
         # -- damaged / old-format checkpoints must be rejected (RS204) --
         good_path = os.path.join(tmpdir, "good.rckp")
         solver.save_state(good_path)
 
         def expect_rejection(label: str, path: str, expected) -> None:
-            fresh = build_solver(net, iters, batch=batch)
             try:
-                fresh.load_state(path)
+                with Replay(net, iters, batch).solver() as fresh:
+                    fresh.load_state(path)
             except expected:
                 return
             except CheckpointError as exc:
@@ -523,9 +507,6 @@ def certify_faults(
             np.savez(handle, __iteration__=np.array(1))
         expect_rejection("old-format (unversioned .npz)", legacy_path,
                          CheckpointFormatError)
-    finally:
-        executor.close()
-        shutil.rmtree(tmpdir, ignore_errors=True)
     return findings
 
 

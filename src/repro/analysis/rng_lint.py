@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 import functools
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.report import Finding
 from repro.analysis.sources import (
@@ -313,13 +313,10 @@ def analyze_layer_rng(cls) -> List[Finding]:
     return findings
 
 
-def analyze_layer_classes_rng(
-    classes: Optional[Sequence[type]] = None,
-) -> List[Finding]:
-    """DC004/DC006/DC007 over every registered (or given) layer class."""
-    if classes is None:
-        classes = list(builtin_layer_classes().values())
-    return [f for cls in classes for f in analyze_layer_rng(cls)]
+def analyze_layer_classes_rng() -> List[Finding]:
+    """DC004/DC006/DC007 over every built-in layer class."""
+    return [f for cls in builtin_layer_classes().values()
+            for f in analyze_layer_rng(cls)]
 
 
 def lint_rng() -> List[Finding]:

@@ -62,6 +62,12 @@ DEFAULT_THREADS = (1, 2, 8)
 #: Requests per certification replay (the real-clock chaos run of the
 #: same shape is tests/serve/test_server.py::TestBackgroundDispatcher).
 DEFAULT_REQUESTS = 60
+#: The replayed service: batcher limits, queue capacity, and the one
+#: latency budget every trace request carries.
+MAX_BATCH = 4
+MAX_DELAY_S = 0.004
+CAPACITY = 16
+BUDGET_S = 0.5
 
 #: The one module allowed to touch the real clock.
 _CLOCK_MODULE = "clock.py"
@@ -199,7 +205,6 @@ class ReplayOutcome:
     net: str
     threads: int
     regime: str                     # "healthy" | "chaos"
-    budget: float = 0.5             # uniform trace latency budget
     submitted: List[str] = field(default_factory=list)
     deliveries: Dict[str, List] = field(default_factory=dict)
     status_counts: Dict[str, int] = field(default_factory=dict)
@@ -270,7 +275,7 @@ def _audit_replay(
         for resp in responses[:1]
         if resp.status == "ok"
         and resp.completed_at > (resp.completed_at - resp.latency
-                                 + outcome.budget)
+                                 + BUDGET_S)
     ]
     if late_ok:
         findings.append(Finding(
@@ -325,11 +330,6 @@ def certify_config(
     threads: int,
     requests: int = DEFAULT_REQUESTS,
     seed: int = 0,
-    plan=None,
-    max_batch: int = 4,
-    max_delay: float = 0.004,
-    capacity: int = 16,
-    budget: float = 0.5,
     trace_out: Optional[str] = None,
 ) -> Tuple[List[Finding], List[ReplayOutcome]]:
     """Healthy + chaos replays for one (net, team width)."""
@@ -341,6 +341,7 @@ def certify_config(
         PoisonSample,
         RequestStorm,
         SlowChunk,
+        fault_target_layer,
     )
     from repro.serve.chaos import chaos
     from repro.serve.clock import ManualClock
@@ -356,21 +357,21 @@ def certify_config(
         clock = ManualClock()
         engine = InferenceEngine(
             lambda: build_net(net_name, phase="TEST"),
-            num_threads=threads, max_batch=max_batch, clock=clock,
+            num_threads=threads, max_batch=MAX_BATCH, clock=clock,
             backoff_s=0.001,
         )
         outcome = ReplayOutcome(net=net_name, threads=threads,
-                                regime=regime, budget=budget)
+                                regime=regime)
 
         def record(resp) -> None:
             outcome.deliveries.setdefault(resp.request_id, []).append(resp)
 
         server = InferenceServer(
-            engine, capacity=capacity, max_delay=max_delay,
+            engine, capacity=CAPACITY, max_delay=MAX_DELAY_S,
             on_deliver=record,
         )
         trace = RequestTrace.generate(
-            requests, engine.sample_shape, seed=seed, budget=budget,
+            requests, engine.sample_shape, seed=seed, budget=BUDGET_S,
         )
         if trace_out and regime == "healthy":
             trace.save(trace_out)
@@ -381,14 +382,14 @@ def certify_config(
                 # The chaos script: crash batch 1, straggle batch 3,
                 # poison one mid-trace request, storm past capacity at
                 # two-thirds, and hot-reload same-weights mid-trace.
-                target_layer = _first_parallel_layer(engine.net)
-                plan_ = plan if plan is not None else FaultPlan(
+                target_layer = fault_target_layer(engine.net)
+                plan = FaultPlan(
                     ChunkAbort(layer=target_layer, iteration=1),
                     SlowChunk(layer=target_layer, batch=3,
-                              delay_s=min(0.05, budget / 4)),
+                              delay_s=min(0.05, BUDGET_S / 4)),
                     PoisonSample(request=requests // 3),
                     RequestStorm(at_request=(2 * requests) // 3,
-                                 count=capacity + max_batch),
+                                 count=CAPACITY + MAX_BATCH),
                 )
                 with tempfile.TemporaryDirectory() as tmp:
                     snapshot = os.path.join(tmp, "weights.npz")
@@ -396,7 +397,7 @@ def certify_config(
                     hooks = {
                         requests // 2: lambda: server.reload(snapshot),
                     }
-                    with chaos(engine, plan_) as harness:
+                    with chaos(engine, plan) as harness:
                         outcome.submitted = replay_trace(
                             server, trace, chaos=harness, hooks=hooks,
                         )
@@ -422,20 +423,17 @@ def certify_config(
             ))
             if regime == "chaos":
                 where = f"{net_name}/t={threads}/chaos"
-                if plan is None:
-                    poisoned_id = f"t{seed}-{requests // 3}"
-                    poisoned = outcome.deliveries.get(poisoned_id, [])
-                    if not poisoned or \
-                            poisoned[0].status != "quarantined-input":
-                        got = (poisoned[0].status if poisoned
-                               else "nothing")
-                        findings.append(Finding(
-                            "SV104", where,
-                            f"poisoned request {poisoned_id!r} was not "
-                            f"quarantined with a coded response "
-                            f"(got {got})",
-                        ))
-                if plan is None and outcome.restarts < 1:
+                poisoned_id = f"t{seed}-{requests // 3}"
+                poisoned = outcome.deliveries.get(poisoned_id, [])
+                if not poisoned or \
+                        poisoned[0].status != "quarantined-input":
+                    got = poisoned[0].status if poisoned else "nothing"
+                    findings.append(Finding(
+                        "SV104", where,
+                        f"poisoned request {poisoned_id!r} was not "
+                        f"quarantined with a coded response (got {got})",
+                    ))
+                if outcome.restarts < 1:
                     findings.append(Finding(
                         "SV104", where,
                         "injected worker crash never exercised a team "
@@ -453,15 +451,6 @@ def certify_config(
         finally:
             engine.close()
     return findings, outcomes
-
-
-def _first_parallel_layer(net) -> str:
-    """The chaos target: the first layer with learnable parameters
-    (conv/fc — guaranteed chunked across worker threads)."""
-    for layer in net.layers:
-        if layer.blobs:
-            return layer.name
-    return net.layer_names[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.detcheck import Replay, Trajectory
 from repro.analysis.interleave import (
     TRACE_VERSION,
     CheckerSync,
-    ExplorationResult,
     ModelChecker,
     Op,
     RunRecord,
@@ -58,7 +58,7 @@ from repro.analysis.interleave import (
 )
 from repro.analysis.report import Finding, Gated
 from repro.analysis.synclint import lint_sync
-from repro.zoo.build import build_solver
+from repro.resilience.faults import BarrierSkip, FaultPlan, LockOrderInversion
 
 DEFAULT_NETS = ("lenet", "cifar10", "mlp")
 DEFAULT_THREADS = (1, 2, 8)
@@ -76,48 +76,6 @@ DEFAULT_MAX_RUNS = 64
 # ---------------------------------------------------------------------------
 # programs under test
 # ---------------------------------------------------------------------------
-def _solver_digest(solver) -> int:
-    """CRC-32 over the loss and every learnable parameter's bytes —
-    bit-level fingerprint of one training step's observable output."""
-    digest = zlib.crc32(struct.pack("<d", solver.loss_history[-1]))
-    for blob in solver.net.learnable_params:
-        digest = zlib.crc32(blob.flat_data.tobytes(), digest)
-    return digest
-
-
-def zoo_program(name: str, threads: int, mode: str,
-                batch: Optional[int] = 4,
-                iters: int = 1) -> Callable[[CheckerSync], int]:
-    """Build a model-checkable program: train ``name`` for ``iters``
-    steps on a ``threads``-thread team with reduction ``mode``.
-
-    The returned callable is self-contained: each schedule gets a fresh
-    team, executor, net, and solver, so the schedule is the only thing
-    that varies between runs.
-    """
-
-    def program(sync: CheckerSync) -> int:
-        from repro.core import ParallelExecutor
-        from repro.core.team import ThreadTeam
-
-        team = ThreadTeam(threads, sync=sync)
-        try:
-            executor = ParallelExecutor(
-                num_threads=threads, reduction=mode, team=team
-            )
-            try:
-                solver = build_solver(name, iters, executor=executor,
-                                      batch=batch)
-                solver.step(iters)
-                return _solver_digest(solver)
-            finally:
-                executor.close()
-        finally:
-            team.shutdown()
-
-    return program
-
-
 def chunk_independence(name: str,
                        batch: Optional[int] = 4) -> Callable[[Op, Op], bool]:
     """Build the chunk-commutativity oracle for ``name`` from its
@@ -134,8 +92,9 @@ def chunk_independence(name: str,
     """
     from repro.framework.layer import REDUCTION, SAMPLE_DISJOINT
 
-    solver = build_solver(name, 1, batch=batch)
-    decls = {layer.name: layer.footprint() for layer in solver.net.layers}
+    with Replay(name, 1, batch).solver() as solver:
+        decls = {layer.name: layer.footprint()
+                 for layer in solver.net.layers}
 
     def independent(a: Op, b: Op) -> bool:
         layer_a, phase_a, lo_a, hi_a = a.payload
@@ -154,59 +113,92 @@ def chunk_independence(name: str,
     return independent
 
 
+def _final_digest(trajectory: Trajectory) -> int:
+    """CRC-32 over the last step's loss and every learnable parameter's
+    bytes — bit-level fingerprint of a run's observable output."""
+    last = trajectory.snapshots[-1]
+    digest = zlib.crc32(struct.pack("<d", last.loss))
+    for param in last.params:
+        digest = zlib.crc32(param.tobytes(), digest)
+    return digest
+
+
+def _lock_order_inversion(fault: LockOrderInversion, ctx) -> None:
+    """ABBA: even threads take the ordered turn then the critical lock;
+    odd threads nest the other way."""
+    def noop() -> None:
+        pass
+
+    if ctx.thread_id % 2 == 0:
+        ctx.ordered(lambda: ctx.critical(noop))
+    else:
+        ctx.critical(lambda: ctx.ordered(noop))
+
+
+def _barrier_skip(fault: BarrierSkip, ctx) -> None:
+    """Thread ``skip_tid`` skips the first of two region barriers."""
+    if ctx.thread_id != fault.skip_tid:
+        ctx.barrier()
+    ctx.barrier()
+
+
+#: The seeded defects: each descriptor class and the region body
+#: ``body(fault, ctx)`` it expands into.
+SEEDED_DEFECTS = {
+    LockOrderInversion: _lock_order_inversion,
+    BarrierSkip: _barrier_skip,
+}
+
+
 def seeded_program(fault) -> Callable[[CheckerSync], int]:
-    """Expand a seeded-defect descriptor into its team program."""
-    from repro.resilience.faults import BarrierSkip, LockOrderInversion
+    """Expand a seeded-defect descriptor into its team program: its
+    region body run once by a ``fault.threads``-thread team on the
+    checker's backend."""
+    from repro.core.team import ThreadTeam
 
-    if isinstance(fault, LockOrderInversion):
+    body = SEEDED_DEFECTS.get(type(fault))
+    if body is None:
+        raise TypeError(
+            f"no seeded program for fault {type(fault).__name__}"
+        )
+
+    def program(sync: CheckerSync) -> int:
+        team = ThreadTeam(fault.threads, sync=sync)
+        try:
+            team.parallel(lambda ctx: body(fault, ctx))
+        finally:
+            team.shutdown()
+        return 0
+
+    return program
+
+
+def model_checker(config: dict,
+                  max_runs: int = DEFAULT_MAX_RUNS) -> ModelChecker:
+    """The :class:`ModelChecker` of a serialized trace ``config``: a zoo
+    configuration (a :class:`Replay` on the checker's backend, judged by
+    the digest of its trajectory) or a seeded defect."""
+    kind = config.get("kind")
+    if kind == "zoo":
+        run = Replay(config["net"], config.get("iters", 1),
+                     config.get("batch"), config["threads"], config["mode"])
 
         def program(sync: CheckerSync) -> int:
-            from repro.core.team import ThreadTeam
+            return _final_digest(replace(run, sync=sync).capture())
 
-            team = ThreadTeam(fault.threads, sync=sync)
-            try:
-
-                def body(ctx):
-                    def noop() -> None:
-                        pass
-
-                    # ABBA: even threads take the ordered turn then the
-                    # critical lock; odd threads nest the other way.
-                    if ctx.thread_id % 2 == 0:
-                        ctx.ordered(lambda: ctx.critical(noop))
-                    else:
-                        ctx.critical(lambda: ctx.ordered(noop))
-
-                team.parallel(body)
-            finally:
-                team.shutdown()
-            return 0
-
-        return program
-
-    if isinstance(fault, BarrierSkip):
-
-        def program(sync: CheckerSync) -> int:
-            from repro.core.team import ThreadTeam
-
-            team = ThreadTeam(fault.threads, sync=sync)
-            try:
-
-                def body(ctx):
-                    if ctx.thread_id != fault.skip_tid:
-                        ctx.barrier()
-                    ctx.barrier()
-
-                team.parallel(body)
-            finally:
-                team.shutdown()
-            return 0
-
-        return program
-
-    raise TypeError(
-        f"no seeded program for fault {type(fault).__name__}"
-    )
+        independent = chunk_independence(run.net, run.batch)
+    elif kind == "seeded":
+        by_name = {cls.__name__: cls for cls in SEEDED_DEFECTS}
+        cls = by_name.get(config.get("defect"))
+        if cls is None:
+            raise ValueError(
+                f"trace names no seeded defect of {sorted(by_name)}: "
+                f"{config.get('defect')!r}")
+        program, independent = seeded_program(cls()), None
+    else:
+        raise ValueError(f"trace config kind {kind!r} not replayable")
+    return ModelChecker(program, preemptions=int(config.get("preemptions", 2)),
+                        max_runs=max_runs, independent=independent)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +269,14 @@ class SynccheckReport(Gated):
 # ---------------------------------------------------------------------------
 # model-checking drivers
 # ---------------------------------------------------------------------------
-def _schedule_preview(record: RunRecord, limit: int = 6) -> str:
+#: Trailing steps a finding's schedule preview shows.
+_PREVIEW_STEPS = 6
+
+
+def _schedule_preview(record: RunRecord) -> str:
     steps = [f"t{s.tid}:{s.kind}({s.resource})"
-             for s in record.schedule[-limit:]]
-    prefix = ["..."] if len(record.schedule) > limit else []
+             for s in record.schedule[-_PREVIEW_STEPS:]]
+    prefix = ["..."] if len(record.schedule) > _PREVIEW_STEPS else []
     return " -> ".join(prefix + steps)
 
 
@@ -302,12 +298,7 @@ def check_config(
         "kind": "zoo", "net": name, "threads": threads, "mode": mode,
         "batch": batch, "iters": iters, "preemptions": preemptions,
     }
-    checker = ModelChecker(
-        zoo_program(name, threads, mode, batch, iters),
-        preemptions=preemptions, max_runs=max_runs,
-        independent=chunk_independence(name, batch),
-    )
-    result = checker.explore()
+    result = model_checker(config, max_runs).explore()
 
     where = f"{name} t={threads} {mode}"
     findings: List[Finding] = []
@@ -368,45 +359,36 @@ def certify_seeded(
 ) -> Tuple[List[dict], List[Finding], List[dict]]:
     """Seeded-defect certification: the model checker must rediscover a
     planted lock-order inversion and a planted barrier skip, and the
-    recorded schedule must replay step for step."""
-    from repro.resilience.faults import (
-        BarrierSkip,
-        FaultPlan,
-        LockOrderInversion,
-    )
-
+    recorded schedule must replay faithfully."""
     plan = FaultPlan(LockOrderInversion(), BarrierSkip())
     certs: List[dict] = []
     findings: List[Finding] = []
     traces: List[dict] = []
     for fault in plan:
         defect = type(fault).__name__
-        checker = ModelChecker(
-            seeded_program(fault),
-            preemptions=preemptions, max_runs=max_runs,
-        )
+        config = {"kind": "seeded", "defect": defect,
+                  "preemptions": preemptions}
+        checker = model_checker(config, max_runs)
         result = checker.explore()
         deadlocks = result.deadlocks
         found = bool(deadlocks)
         replayed = False
         if found:
-            replayed, _record = checker.replay(deadlocks[0].schedule)
+            trace = deadlocks[0].trace_json(config)
+            replayed, _record = replay_trace(trace)
         certs.append({
             "defect": defect, "explored": result.explored,
             "found": found, "replayed": replayed,
         })
-        config = {"kind": "seeded", "defect": defect,
-                  "preemptions": preemptions}
         if found and replayed:
-            record = deadlocks[0]
             findings.append(Finding(
                 "SY202", defect,
                 f"seeded defect rediscovered as a deadlock in "
                 f"{result.explored} schedule(s) and replayed "
                 "faithfully",
-                _schedule_preview(record),
+                _schedule_preview(deadlocks[0]),
             ))
-            traces.append(record.trace_json(config))
+            traces.append(trace)
         else:
             reason = ("no deadlocking schedule found" if not found
                       else "recorded schedule did not replay faithfully")
@@ -465,34 +447,16 @@ def replay_trace(trace: dict) -> Tuple[bool, RunRecord]:
 
     Rebuilds the program from the trace's embedded config (zoo
     configuration or seeded defect) and forces the recorded schedule;
-    returns (faithful, record).
+    returns (faithful, record): faithful when the run grants exactly the
+    recorded steps and ends in the recorded status.
     """
     if trace.get("version") != TRACE_VERSION:
         raise ValueError(
             f"unsupported trace version {trace.get('version')!r} "
             f"(expected {TRACE_VERSION!r})"
         )
-    config = trace.get("config") or {}
-    kind = config.get("kind")
-    if kind == "zoo":
-        program = zoo_program(
-            config["net"], config["threads"], config["mode"],
-            config.get("batch"), config.get("iters", 1),
-        )
-        independent = chunk_independence(
-            config["net"], config.get("batch")
-        )
-    elif kind == "seeded":
-        from repro.resilience import faults as fault_mod
-
-        fault = getattr(fault_mod, config["defect"])()
-        program = seeded_program(fault)
-        independent = None
-    else:
-        raise ValueError(f"trace config kind {kind!r} not replayable")
-    checker = ModelChecker(
-        program, preemptions=int(config.get("preemptions", 2)),
-        independent=independent,
-    )
-    schedule = schedule_from_json(trace["schedule"])
-    return checker.replay(schedule)
+    if "status" not in trace:
+        raise ValueError("trace records no status to replay into")
+    checker = model_checker(trace.get("config") or {})
+    faithful, record = checker.replay(schedule_from_json(trace["schedule"]))
+    return faithful and record.status == trace["status"], record

@@ -35,7 +35,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.core.reduction import (
 )
 from repro.core.scheduling import Schedule, StaticSchedule, make_schedule
 from repro.core.team import RegionContext, ThreadTeam, WorkerError
-from repro.framework.layer import ChunkWork, LoopSpec
+from repro.framework.layer import LoopSpec
 from repro.framework.solvers.base import LayerwiseExecutor
 
 
@@ -179,30 +179,16 @@ class ParallelExecutor(LayerwiseExecutor):
     # ------------------------------------------------------------------
     # dispatch: the chunk runner every layer body calls (Algorithms 4, 5)
     # ------------------------------------------------------------------
-    def _run_backward_loop(self, loop: LoopSpec, layer_name: str) -> None:
-        """One backward loop through :meth:`_dispatch`, outside a pass."""
-        self._dispatch(
-            layer_name, "backward", loop.space, loop.body,
-            loop.grad_targets, loop.reduction, loop.block,
-        )
+    def _dispatch(self, layer_name: str, phase: str, loop: LoopSpec) -> None:
+        """Run ``loop`` over ``[0, loop.space)`` as the layer's plan (or
+        the executor-wide settings) prescribes.
 
-    def _dispatch(
-        self,
-        layer_name: str,
-        phase: str,
-        space: int,
-        work: ChunkWork,
-        targets: Optional[Sequence[np.ndarray]] = None,
-        reduction: bool = False,
-        block: int = 1,
-    ) -> None:
-        """Run ``work`` over ``[0, space)`` as the layer's plan (or the
-        executor-wide settings) prescribes.
-
-        Without ``reduction`` every chunk gets ``targets`` itself (chunks
-        write disjoint regions).  With it, chunks accumulate into private
-        buffers that the layer's reduction mode merges into ``targets``.
+        Without ``loop.reduction`` every chunk gets ``loop.grad_targets``
+        itself (chunks write disjoint regions).  With it, chunks
+        accumulate into private buffers that the layer's reduction mode
+        merges into the targets.
         """
+        space, work, targets = loop.space, loop.body, loop.grad_targets
         if space <= 0:
             raise ValueError(
                 f"layer {layer_name!r} has an empty coalesced {phase} space "
@@ -222,7 +208,7 @@ class ParallelExecutor(LayerwiseExecutor):
         layer_plan, schedule = layer_schedule(
             self.plan, layer_name, space, self.schedule)
         mode = None
-        if reduction:
+        if loop.reduction:
             mode = self.reduction
             if layer_plan is not None and layer_plan.reduction is not None:
                 mode = layer_plan.reduction
@@ -251,7 +237,8 @@ class ParallelExecutor(LayerwiseExecutor):
                     schedule = PlannedSchedule(
                         make_schedule(layer_plan.schedule), layer_plan.threads
                     )
-                self._blockwise(space, max(block, 1), chunk, targets, schedule)
+                self._blockwise(space, max(loop.block, 1), chunk, targets,
+                                schedule)
             else:
                 self._per_thread(space, chunk, targets, schedule, mode)
         except WorkerError as exc:

@@ -23,19 +23,21 @@ its computation — the base class defines the **chunk protocol**:
   they are written directly.
 
 A layer's pass has one body, :meth:`Layer.forward` / :meth:`Layer.backward`,
-under every driver.  The body hands each of its parallel loops to a
-*chunk runner* (:data:`ChunkRunner`), and the runner is all a driver
-chooses: the sequential one (:func:`run_sequential`) is the single call
-``work(0, space, targets)``, the coarse-grain executor cuts ``[0, space)``
-over its thread team, the race detector replays each simulated thread's
-chunks.  That the sequential pass is the chunk path over the full range is
-what makes the parallel execution bitwise-comparable to it.
+under every executor.  The body describes each of its parallel loops as
+a :class:`LoopSpec` and hands it to a *chunk runner*
+``run(layer_name, phase, loop)``; the runner is all an executor chooses.  The
+sequential one (:func:`run_sequential`) is the single call
+``loop.body(0, loop.space, loop.grad_targets)``, the coarse-grain executor
+cuts ``[0, space)`` over its thread team, the race detector replays each
+simulated thread's chunks.  That the sequential pass is the chunk path
+over the full range is what makes the parallel execution
+bitwise-comparable to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -220,50 +222,32 @@ class LayerContract:
                        backward=self.backward if kept else SAMPLE_DISJOINT)
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopSpec:
-    """One parallel loop of a layer's backward pass.
+    """One parallel loop of a layer's pass: what a chunk runner runs.
 
     ``body(lo, hi, grads)`` processes coalesced iterations ``[lo, hi)``.
     When :attr:`reduction` is set, ``grads`` holds private accumulation
     buffers (flat, one per entry of :attr:`grad_targets`) that the runtime
     merges into the targets afterwards; otherwise ``grads`` is the target
-    list itself (the body writes disjoint regions directly).
+    list itself (the body writes disjoint regions directly; a forward
+    loop has none).  :attr:`block` is the loop's accumulation block (see
+    :meth:`Layer.grad_block`).
     """
 
     space: int
     body: Callable[[int, int, Sequence[np.ndarray]], None]
     reduction: bool = False
-    grad_targets: Tuple[np.ndarray, ...] = field(default_factory=tuple)
+    grad_targets: Tuple[np.ndarray, ...] = ()
     block: int = 1
 
 
-#: Work of one chunk: ``work(lo, hi, into)`` processes coalesced iterations
-#: ``[lo, hi)``; ``into`` is where a backward chunk accumulates coefficient
-#: gradients (the shared targets or a private buffer), ``None`` on forward.
-ChunkWork = Callable[[int, int, Optional[Sequence[np.ndarray]]], None]
-
-#: How a driver runs one parallel loop of a layer's pass:
-#: ``run(layer_name, phase, space, work, targets=None, reduction=False,
-#: block=1)`` covers ``[0, space)`` with ``work`` chunks.  Without
-#: ``reduction`` every chunk gets ``targets`` itself; with it, chunks may
-#: accumulate into private buffers the runner merges into ``targets``
-#: (``block`` is the loop's accumulation block, see ``Layer.grad_block``).
-ChunkRunner = Callable[..., None]
-
-
-def run_sequential(
-    layer_name: str,
-    phase: str,
-    space: int,
-    work: ChunkWork,
-    targets: Optional[Sequence[np.ndarray]] = None,
-    reduction: bool = False,
-    block: int = 1,
-) -> None:
+def run_sequential(layer_name: str, phase: str, loop: LoopSpec) -> None:
     """The sequential chunk runner: the whole space as one chunk,
-    straight into the targets."""
-    work(0, space, targets)
+    straight into the targets.  Every runner has this signature: the
+    layer's name, the phase (``"forward"`` / ``"backward"``) and the
+    loop."""
+    loop.body(0, loop.space, loop.grad_targets)
 
 
 LayerParams = Dict[str, object]
@@ -604,17 +588,18 @@ class Layer:
         self,
         bottom: Sequence[Blob],
         top: Sequence[Blob],
-        run: ChunkRunner = run_sequential,
+        run: Callable[[str, str, LoopSpec], None] = run_sequential,
     ) -> float:
         """Forward pass; returns this layer's loss contribution.
 
-        Reshape (sequential, as in Caffe), the forward space as one loop
-        of :meth:`forward_chunk` handed to ``run``, the sequential
-        :meth:`forward_finalize` epilogue, the loss share.
+        Reshape (sequential, as in Caffe), the forward space as one
+        :class:`LoopSpec` of :meth:`forward_chunk` handed to ``run``, the
+        sequential :meth:`forward_finalize` epilogue, the loss share.
         """
         self.reshape(bottom, top)
-        run(self.name, "forward", self.forward_space(bottom, top),
-            lambda lo, hi, _into: self.forward_chunk(bottom, top, lo, hi))
+        run(self.name, "forward", LoopSpec(
+            self.forward_space(bottom, top),
+            lambda lo, hi, _grads: self.forward_chunk(bottom, top, lo, hi)))
         self.forward_finalize(bottom, top)
         loss = 0.0
         for top_blob, weight in zip(top, self.loss_weights):
@@ -627,14 +612,12 @@ class Layer:
         top: Sequence[Blob],
         propagate_down: Sequence[bool],
         bottom: Sequence[Blob],
-        run: ChunkRunner = run_sequential,
+        run: Callable[[str, str, LoopSpec], None] = run_sequential,
     ) -> None:
         """Backward pass, accumulating into ``self.blobs`` diffs: each of
-        :meth:`backward_loops` handed to ``run`` with the real diffs as
-        its accumulation targets."""
+        :meth:`backward_loops` handed to ``run``."""
         for loop in self.backward_loops(top, propagate_down, bottom):
-            run(self.name, "backward", loop.space, loop.body,
-                loop.grad_targets, loop.reduction, loop.block)
+            run(self.name, "backward", loop)
 
     # ------------------------------------------------------------------
     # misc

@@ -57,9 +57,10 @@ class LayerwiseExecutor:
     pass body is the layer's own (:meth:`~repro.framework.layer.Layer.forward`
     / :meth:`~repro.framework.layer.Layer.backward`).  What an executor
     chooses is only how one parallel loop's ``[0, space)`` runs: its
-    :meth:`_dispatch`, the :data:`~repro.framework.layer.ChunkRunner`
-    every layer body is called with.  The base runner is the sequential
-    one.  :meth:`forward_layer` / :meth:`backward_layer` are the
+    chunk runner :meth:`_dispatch` ``(layer_name, phase, loop)``, which
+    every layer body is called with and which reads the one
+    :class:`~repro.framework.layer.LoopSpec`.  The base runner is the
+    sequential one.  :meth:`forward_layer` / :meth:`backward_layer` are the
     per-layer steps of the walk; wrapping them (see
     :class:`repro.core.trace.TracingExecutor`) observes an executor
     without re-implementing it.

@@ -191,6 +191,16 @@ class FaultPlan:
         return f"FaultPlan({inner}, seed={self.seed})"
 
 
+def fault_target_layer(net) -> str:
+    """The layer a chunk fault targets: the first with learnable
+    parameters (conv/fc, whose forward is chunked across the worker
+    threads), else the last layer."""
+    for layer in net.layers:
+        if layer.blobs:
+            return layer.name
+    return net.layers[-1].name
+
+
 # ---------------------------------------------------------------------------
 # the injector
 # ---------------------------------------------------------------------------

@@ -151,4 +151,4 @@ class TestExecutorValidation:
         with ParallelExecutor(num_threads=2) as executor:
             loop = LoopSpec(space=0, body=lambda lo, hi, grads: None)
             with pytest.raises(ValueError, match="empty iteration space"):
-                executor._run_backward_loop(loop, "probe")
+                executor._dispatch("probe", "backward", loop)

@@ -47,6 +47,8 @@ COMMANDS = {
     "parallel-safety-replay": ["--net", "mlp", "--threads", "1,2", "--json"],
     "synccheck-explore": ["synccheck", "--net", "lenet", "--threads", "2",
                           "--json"],
+    "servecheck-replay": ["servecheck", "--net", "mlp", "--threads", "2",
+                          "--requests", "24", "--json"],
 }
 
 

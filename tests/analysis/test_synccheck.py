@@ -204,6 +204,16 @@ class TestModelChecker:
         assert replayed.status == "deadlock"
         assert replayed.deadlock == record.deadlock
 
+    def test_replay_of_a_prefix_or_another_status_is_not_faithful(self):
+        checker = ModelChecker(seeded_program(LockOrderInversion()),
+                               preemptions=2, max_runs=128)
+        record = checker.explore().deadlocks[0]
+        assert not checker.replay(record.schedule[:-1])[0]
+        trace = record.trace_json({"kind": "seeded",
+                                   "defect": "LockOrderInversion"})
+        assert replay_trace(trace)[0]
+        assert not replay_trace({**trace, "status": "complete"})[0]
+
     def test_schedule_json_roundtrip(self):
         checker = ModelChecker(seeded_program(BarrierSkip()),
                                preemptions=2, max_runs=64)
@@ -347,3 +357,37 @@ class TestCodesAndCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "faithful" in out
+
+    def test_cli_replay_of_a_verdict_that_does_not_reproduce_is_broken(
+            self, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+
+        trace_file = tmp_path / "trace.json"
+        trace_file.write_text(json.dumps({
+            "version": "synccheck-trace/1",
+            "config": {"kind": "zoo", "net": "mlp", "threads": 1,
+                       "mode": "ordered", "batch": 4, "iters": 1,
+                       "preemptions": 2},
+            "status": "deadlock", "schedule": [],
+        }))
+        rc = main(["synccheck", "--replay", str(trace_file), "--gate"])
+        assert rc == 1
+        assert "replay BROKEN" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trace", [
+        {"config": {"kind": "seeded", "defect": "BarrierSkip"},
+         "schedule": []},
+        {"config": {"kind": "seeded", "defect": "FaultPlan"},
+         "status": "deadlock", "schedule": []},
+    ], ids=["no-status", "not-a-seeded-defect"])
+    def test_cli_replay_of_an_unreplayable_trace_is_an_input_error(
+            self, trace, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+
+        trace_file = tmp_path / "trace.json"
+        trace_file.write_text(json.dumps(
+            {"version": "synccheck-trace/1", **trace}))
+        with pytest.raises(SystemExit) as info:
+            main(["synccheck", "--replay", str(trace_file), "--gate"])
+        assert info.value.code == 2
+        assert "not a replayable trace file" in capsys.readouterr().err

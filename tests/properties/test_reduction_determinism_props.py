@@ -45,7 +45,7 @@ def _reduce_sum(space, width, seed, threads, mode, repeats=1):
         loop = LoopSpec(space=space, body=body, reduction=True,
                         grad_targets=(target,), block=1)
         with ParallelExecutor(num_threads=threads, reduction=mode) as ex:
-            ex._run_backward_loop(loop, "synthetic")
+            ex._dispatch("synthetic", "backward", loop)
         results.append(target.tobytes())
     return results
 
