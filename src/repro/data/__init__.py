@@ -12,7 +12,8 @@ structure:
 
 Both are exposed through :class:`~repro.data.batch_source.ArrayBatchSource`
 (the LMDB-reader substitute that the framework's Data layer consumes) and
-registered under the names the zoo prototxts reference.
+registered under the names the zoo prototxts reference; a registered
+source renders its dataset on its first batch draw, not at net build.
 """
 
 from repro.data.batch_source import ArrayBatchSource, BatchSource

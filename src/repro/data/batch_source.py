@@ -8,7 +8,7 @@ convergence-invariance experiments rely on.
 
 from __future__ import annotations
 
-from typing import Protocol, Tuple
+from typing import Callable, Protocol, Tuple
 
 import numpy as np
 
@@ -50,22 +50,19 @@ class ArrayBatchSource:
         shuffle: bool = False,
         seed: int = 0,
     ) -> None:
-        images = np.asarray(images, dtype=np.float32)
-        labels = np.asarray(labels)
-        if images.ndim != 4:
-            raise ValueError(f"images must be (n, C, H, W), got {images.shape}")
-        if labels.shape != (images.shape[0],):
-            raise ValueError(
-                f"labels shape {labels.shape} does not match "
-                f"{images.shape[0]} images"
-            )
-        if images.shape[0] == 0:
-            raise ValueError("batch source needs at least one sample")
-        self._images = images
-        self._labels = labels
+        self._images, self._labels = _checked_arrays(images, labels)
+        self._start_stream(
+            tuple(self._images.shape[1:]), len(self._labels), shuffle, seed
+        )
+
+    def _start_stream(self, shape: Tuple[int, ...], size: int,
+                      shuffle: bool, seed: int) -> None:
+        """The stream's first position; needs only the dataset geometry."""
+        self._shape = shape
+        self._size = size
         self._shuffle = shuffle
         self._rng = np.random.default_rng(seed)
-        self._order = np.arange(images.shape[0])
+        self._order = np.arange(size)
         if shuffle:
             self._rng.shuffle(self._order)
         self._cursor = 0
@@ -73,11 +70,11 @@ class ArrayBatchSource:
 
     @property
     def shape(self) -> Tuple[int, int, int]:
-        return tuple(self._images.shape[1:])  # type: ignore[return-value]
+        return self._shape  # type: ignore[return-value]
 
     @property
     def size(self) -> int:
-        return self._images.shape[0]
+        return self._size
 
     def next_batch(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
         if batch_size <= 0:
@@ -118,13 +115,26 @@ class ArrayBatchSource:
             "shuffle": bool(self._shuffle),
         }
 
-    def set_state(self, state: dict) -> None:
-        """Restore a :meth:`get_state` capture."""
-        order = np.asarray(state["order"], dtype=self._order.dtype)
+    def check_state(self, state: dict) -> None:
+        """Raise ValueError unless ``state`` is a position this source can
+        resume from: ``cursor`` in ``[0, size)``, ``order`` a permutation
+        of ``range(size)`` and the same ``shuffle`` mode.  Mutates
+        nothing, so a restore can check every source before it commits."""
+        order = np.asarray(state["order"])
         if order.shape != self._order.shape:
             raise ValueError(
                 f"source state has {order.size} samples, this source has "
                 f"{self.size}"
+            )
+        if not np.array_equal(np.sort(order), np.arange(self.size)):
+            raise ValueError(
+                f"source state order is not a permutation of "
+                f"range({self.size})"
+            )
+        cursor = int(state["cursor"])
+        if not 0 <= cursor < self.size:
+            raise ValueError(
+                f"source state cursor {cursor} is outside [0, {self.size})"
             )
         if bool(state["shuffle"]) != self._shuffle:
             raise ValueError(
@@ -132,7 +142,61 @@ class ArrayBatchSource:
                 f"{state['shuffle']}, this source has shuffle="
                 f"{self._shuffle}"
             )
-        self._order = order
+
+    def set_state(self, state: dict) -> None:
+        """Restore a :meth:`get_state` capture (checked first)."""
+        self.check_state(state)
+        self._order = np.asarray(state["order"], dtype=self._order.dtype)
         self._cursor = int(state["cursor"])
         self.epochs_completed = int(state["epochs_completed"])
         self._rng.bit_generator.state = state["rng"]
+
+
+class RenderedArraySource(ArrayBatchSource):
+    """An unshuffled :class:`ArrayBatchSource` whose arrays are rendered
+    on its first :meth:`next_batch`.
+
+    ``shape`` and ``size`` are declared up front, so building a net,
+    inferring its shapes, swapping the source out for serving and the
+    cursor protocol never render.  ``render`` returns ``(images,
+    labels)`` of exactly the declared geometry.
+    """
+
+    def __init__(
+        self,
+        render: Callable[[], Tuple[np.ndarray, np.ndarray]],
+        shape: Tuple[int, int, int],
+        size: int,
+    ) -> None:
+        self._render = render
+        self._images = self._labels = None
+        self._start_stream(tuple(shape), int(size), shuffle=False, seed=0)
+
+    def next_batch(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        if self._images is None:
+            images, labels = _checked_arrays(*self._render())
+            if images.shape != (self.size,) + self.shape:
+                raise ValueError(
+                    f"rendered images {images.shape} do not match the "
+                    f"declared {(self.size,) + self.shape}"
+                )
+            self._images, self._labels = images, labels
+        return super().next_batch(batch_size)
+
+
+def _checked_arrays(images: np.ndarray,
+                    labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``images`` as float32 ``(n, C, H, W)``, n >= 1, with one label per
+    image; ValueError otherwise."""
+    images = np.asarray(images, dtype=np.float32)
+    labels = np.asarray(labels)
+    if images.ndim != 4:
+        raise ValueError(f"images must be (n, C, H, W), got {images.shape}")
+    if labels.shape != (images.shape[0],):
+        raise ValueError(
+            f"labels shape {labels.shape} does not match "
+            f"{images.shape[0]} images"
+        )
+    if images.shape[0] == 0:
+        raise ValueError("batch source needs at least one sample")
+    return images, labels

@@ -3,15 +3,17 @@
 The zoo network definitions reference sources by name (e.g.
 ``source: "synth_mnist_train"``), just as Caffe's reference prototxts
 point at LMDB paths.  Calling :func:`register_default_sources` installs
-factories for all of them.  Dataset construction is cached so repeated
-net builds do not re-render the synthetic images.
+factories for all of them.  A source renders its dataset on its first
+``next_batch``, not when the net is built, so shape inference, serving
+(which swaps the source out) and static analysis never render; the
+rendered dataset is cached so repeated net builds do not re-render it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.data.batch_source import ArrayBatchSource
+from repro.data.batch_source import RenderedArraySource
 from repro.data.synth_cifar import SyntheticCIFAR10
 from repro.data.synth_mnist import SyntheticMNIST
 from repro.framework.layers.data import register_source
@@ -41,37 +43,26 @@ def _cifar(split: str) -> SyntheticCIFAR10:
     return SyntheticCIFAR10(n_samples=TEST_SAMPLES, seed=4)
 
 
+def _factory(dataset, split: str, shape):
+    """Builds a fresh, unrendered source over ``dataset(split)``."""
+    def render():
+        rendered = dataset(split)
+        return rendered.images, rendered.labels
+
+    size = TRAIN_SAMPLES if split == "train" else TEST_SAMPLES
+    return lambda: RenderedArraySource(render, shape, size)
+
+
 def register_default_sources() -> None:
     """Register the four named sources the zoo prototxts use.
 
     Sources are created fresh per call (so each net gets an independent
     cursor), but the underlying datasets are cached.
     """
-    register_source(
-        "synth_mnist_train",
-        lambda: ArrayBatchSource(
-            _mnist("train").images, _mnist("train").labels, shuffle=False
-        ),
-        shape=MNIST_SAMPLE_SHAPE,
-    )
-    register_source(
-        "synth_mnist_test",
-        lambda: ArrayBatchSource(
-            _mnist("test").images, _mnist("test").labels, shuffle=False
-        ),
-        shape=MNIST_SAMPLE_SHAPE,
-    )
-    register_source(
-        "synth_cifar_train",
-        lambda: ArrayBatchSource(
-            _cifar("train").images, _cifar("train").labels, shuffle=False
-        ),
-        shape=CIFAR_SAMPLE_SHAPE,
-    )
-    register_source(
-        "synth_cifar_test",
-        lambda: ArrayBatchSource(
-            _cifar("test").images, _cifar("test").labels, shuffle=False
-        ),
-        shape=CIFAR_SAMPLE_SHAPE,
-    )
+    for prefix, dataset, shape in (
+        ("synth_mnist", _mnist, MNIST_SAMPLE_SHAPE),
+        ("synth_cifar", _cifar, CIFAR_SAMPLE_SHAPE),
+    ):
+        for split in ("train", "test"):
+            register_source(f"{prefix}_{split}",
+                            _factory(dataset, split, shape), shape=shape)

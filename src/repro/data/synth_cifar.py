@@ -31,9 +31,12 @@ _CLASS_SIGNATURES = [
     ((0.9, 0.4, 0.6), 2.7, 4.0, 1),
 ]
 
+#: Pixel row / column coordinates of the canvas, shared by every sample.
+_YS, _XS = np.mgrid[0:SIZE, 0:SIZE].astype(np.float64)
+
 
 def _shape_mask(shape_id: int, cx: float, cy: float) -> np.ndarray:
-    ys, xs = np.mgrid[0:SIZE, 0:SIZE].astype(np.float64)
+    ys, xs = _YS, _XS
     if shape_id == 0:  # disc
         return ((xs - cx) ** 2 + (ys - cy) ** 2 < (SIZE * 0.3) ** 2).astype(float)
     if shape_id == 1:  # horizontal bar
@@ -61,7 +64,7 @@ class SyntheticCIFAR10:
         rng = np.random.default_rng(seed)
         images = np.zeros((n_samples, 3, SIZE, SIZE), dtype=np.float32)
         labels = rng.integers(0, 10, n_samples)
-        ys, xs = np.mgrid[0:SIZE, 0:SIZE].astype(np.float64)
+        ys, xs = _YS, _XS
         for i in range(n_samples):
             hue, angle, freq, shape_id = _CLASS_SIGNATURES[int(labels[i])]
             angle = angle + rng.normal(0.0, 0.08)

@@ -40,14 +40,26 @@ _DIGIT_STROKES: Dict[int, List[Sequence[Tuple[float, float]]]] = {
 }
 
 
+#: Pixel coordinates along one canvas axis.
+_AXIS = np.arange(SIZE, dtype=np.float64)
+
+
 def _rasterize(
     strokes: Sequence[Sequence[Tuple[float, float]]],
     jitter: np.ndarray,
     brush_sigma: float,
 ) -> np.ndarray:
-    """Draw jittered polylines with a Gaussian brush on a SIZE x SIZE canvas."""
-    canvas = np.zeros((SIZE, SIZE), dtype=np.float64)
-    ys, xs = np.mgrid[0:SIZE, 0:SIZE]
+    """Draw jittered polylines with a Gaussian brush on a SIZE x SIZE canvas.
+
+    All K brush points are stamped in one ``(K, SIZE, SIZE)`` pass whose
+    every step rounds exactly as a per-point ``canvas +=`` loop would
+    (DESIGN.md, "Data render note"): dist² is the x-term plus the y-term
+    in that operand order, ``d2 / -(2σ²)`` equals ``-d2 / (2σ²)``
+    because round-to-nearest is sign-symmetric, and ``sum(axis=0)`` over
+    the C-contiguous stack adds the K planes to each pixel one after
+    another, in point order.
+    """
+    centres_x, centres_y = [], []
     point_index = 0
     for stroke in strokes:
         pts = np.asarray(stroke, dtype=np.float64)
@@ -57,11 +69,14 @@ def _rasterize(
             length = max(abs(x1 - x0), abs(y1 - y0))
             steps = max(int(length * SIZE * 2), 2)
             ts = np.linspace(0.0, 1.0, steps)
-            px = (x0 + ts * (x1 - x0)) * (SIZE - 1)
-            py = (y0 + ts * (y1 - y0)) * (SIZE - 1)
-            for cx, cy in zip(px, py):
-                dist2 = (xs - cx) ** 2 + (ys - cy) ** 2
-                canvas += np.exp(-dist2 / (2.0 * brush_sigma**2))
+            centres_x.append((x0 + ts * (x1 - x0)) * (SIZE - 1))
+            centres_y.append((y0 + ts * (y1 - y0)) * (SIZE - 1))
+    cx = np.concatenate(centres_x)[:, None, None]
+    cy = np.concatenate(centres_y)[:, None, None]
+    dist2 = (_AXIS[None, None, :] - cx) ** 2 + (_AXIS[None, :, None] - cy) ** 2
+    np.divide(dist2, -(2.0 * brush_sigma**2), out=dist2)
+    np.exp(dist2, out=dist2)
+    canvas = dist2.sum(axis=0)
     peak = canvas.max()
     if peak > 0:
         canvas = np.minimum(canvas / (0.6 * peak), 1.0)

@@ -26,8 +26,9 @@ The fixes:
   declared capturable via :meth:`repro.framework.layer.Layer.rng_state`,
   and every batch source's cursor (``get_state``/``set_state``).
   :func:`load_checkpoint` refuses to restore when any of those would be
-  lost (:class:`CheckpointMismatch`) — a resume either reproduces the
-  trajectory bitwise or fails loudly.
+  lost or does not fit the target — a source's ``check_state`` vets its
+  cursor before anything is mutated (:class:`CheckpointMismatch`) — so a
+  resume either reproduces the trajectory bitwise or fails loudly.
 
 Weights-only ``.npz`` files (``Net.save``) stay plain NumPy archives for
 interchange, but are written atomically with an embedded ``__crc32__``
@@ -427,6 +428,18 @@ def restore_state(solver, arrays: Dict[str, np.ndarray], path: str) -> None:
             f"match the net's sources {sorted(sources)}; the resumed run "
             "would replay or skip batches"
         )
+    for name, state in source_states.items():
+        check = getattr(sources[name], "check_state", None)
+        if check is None:
+            continue
+        try:
+            check(state)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointMismatch(
+                f"{path!r} data-source cursor of layer {name!r} does not "
+                f"fit its source ({exc}); the resumed run would replay, "
+                "skip or fail to serve batches"
+            ) from exc
 
     # All checks passed — mutate the solver.
     solver.iteration = int(meta["iteration"])

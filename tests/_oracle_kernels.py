@@ -5,9 +5,10 @@ has the call signature of the production routine it froze, so a test can
 ``monkeypatch.setattr`` it in and replay a whole training trajectory on
 the old kernels.  Two generations live here, held to two standards:
 
-* **Bitwise** (PR 15): MAX pooling, ``im2col`` and ``col2im`` were
-  rewritten for speed under the promise that their outputs stay
-  byte-for-byte what these produce; the parity tests hold them to it.
+* **Bitwise**: MAX pooling, ``im2col``, ``col2im`` and the synthetic
+  MNIST brush (one ``canvas +=`` per brush point) were rewritten for
+  speed under the promise that their outputs stay byte-for-byte what
+  these produce; the parity tests hold them to it.
 * **Tolerance-bounded** (the deliberate numeric re-baselines):
   InnerProduct's per-sample / per-output-row ``gemv`` loops, AVE
   pooling's ``windows.sum`` forward and LRN's float64 prefix-sum window
@@ -20,7 +21,8 @@ the old kernels.  Two generations live here, held to two standards:
 
 Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
 the double copy in ``im2col``, the Python loop around ``gemv``, the
-float64 upcast and the ``col2im`` scatter are the point.
+float64 upcast, the ``col2im`` scatter and the per-point brush loop are
+the point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,36 @@ import numpy as np
 
 from repro import blaslib
 from repro.blaslib.im2col import conv_out_size
+from repro.data.synth_mnist import SIZE as MNIST_SIZE
 from repro.framework.blob import DTYPE
+
+
+# ----------------------------------------------------------------------
+# Synthetic MNIST brush (synth_mnist._rasterize): one exp plane per point
+# ----------------------------------------------------------------------
+def mnist_rasterize(strokes, jitter: np.ndarray,
+                    brush_sigma: float) -> np.ndarray:
+    """Add one Gaussian plane to the canvas per brush point."""
+    canvas = np.zeros((MNIST_SIZE, MNIST_SIZE), dtype=np.float64)
+    ys, xs = np.mgrid[0:MNIST_SIZE, 0:MNIST_SIZE]
+    point_index = 0
+    for stroke in strokes:
+        pts = np.asarray(stroke, dtype=np.float64)
+        pts = pts + jitter[point_index : point_index + len(pts)]
+        point_index += len(pts)
+        for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
+            length = max(abs(x1 - x0), abs(y1 - y0))
+            steps = max(int(length * MNIST_SIZE * 2), 2)
+            ts = np.linspace(0.0, 1.0, steps)
+            px = (x0 + ts * (x1 - x0)) * (MNIST_SIZE - 1)
+            py = (y0 + ts * (y1 - y0)) * (MNIST_SIZE - 1)
+            for cx, cy in zip(px, py):
+                dist2 = (xs - cx) ** 2 + (ys - cy) ** 2
+                canvas += np.exp(-dist2 / (2.0 * brush_sigma**2))
+    peak = canvas.max()
+    if peak > 0:
+        canvas = np.minimum(canvas / (0.6 * peak), 1.0)
+    return canvas
 
 
 # ----------------------------------------------------------------------

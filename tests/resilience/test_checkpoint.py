@@ -223,6 +223,39 @@ class TestTrajectoryResume:
             fresh.load_state(path)
 
 
+class TestSourceCursorValidation:
+    """A CRC-valid checkpoint whose data-source cursor does not fit the
+    source is refused at load, before params or iteration move."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("cursor", 2048),
+        ("cursor", -3),
+        ("order", [0] * 2048),
+    ])
+    def test_bad_cursor_rejected_before_mutation(self, tmp_path, field,
+                                                 value):
+        import json
+
+        path = str(tmp_path / "ck.rckp")
+        solver = build_solver("mlp", 4, batch=4)
+        solver.step(1)
+        arrays = capture_state(solver)
+        (key,) = [k for k in arrays if k.startswith("source::")]
+        state = json.loads(bytes(arrays[key]).decode())
+        state[field] = value
+        arrays[key] = np.frombuffer(json.dumps(state).encode(), np.uint8)
+        atomic_savez(path, arrays)
+
+        fresh = build_solver("mlp", 4, batch=4)
+        before = [p.data.copy() for p in fresh.net.learnable_params]
+        layer = key.split("::")[1]
+        with pytest.raises(CheckpointMismatch, match=f"layer '{layer}'"):
+            fresh.load_state(path)
+        assert fresh.iteration == 0
+        for got, want in zip(fresh.net.learnable_params, before):
+            np.testing.assert_array_equal(got.data, want)
+
+
 class TestNetSave:
     def test_net_save_verified_roundtrip(self, tmp_path):
         path = str(tmp_path / "weights.npz")
