@@ -122,9 +122,9 @@ class _ShadowReplay(LayerwiseExecutor):
         self.plan = plan
         self._where = None  # (net, layer index) whose pass is running
 
-    def forward_layer(self, net, i: int) -> float:
+    def forward_layer(self, net, i: int, rows=None) -> float:
         self._where = net, i
-        return super().forward_layer(net, i)
+        return super().forward_layer(net, i, rows)
 
     def backward_layer(self, net, i: int) -> None:
         self._where = net, i

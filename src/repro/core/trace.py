@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.framework.net import Net
 from repro.framework.solvers.base import LayerwiseExecutor
@@ -95,9 +95,10 @@ class TracingExecutor(LayerwiseExecutor):
     def num_threads(self) -> int:
         return self.inner.num_threads
 
-    def forward_layer(self, net: Net, i: int) -> float:
+    def forward_layer(self, net: Net, i: int,
+                      rows: Optional[int] = None) -> float:
         start = time.perf_counter()
-        loss = self.inner.forward_layer(net, i)
+        loss = self.inner.forward_layer(net, i, rows)
         self.trace.record(net.layers[i].name, "forward",
                           time.perf_counter() - start, self.num_threads)
         return loss

@@ -14,13 +14,18 @@ change the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.framework.blob import DTYPE
-from repro.framework.layer import run_sequential
+from repro.framework.blob import DTYPE, Blob
+from repro.framework.layer import (
+    Layer,
+    LoopSpec,
+    run_sequential,
+    runs_sequential,
+)
 from repro.framework.solvers.lr_policy import learning_rate
 
 if TYPE_CHECKING:  # net.py walks through the executors below
@@ -50,6 +55,34 @@ class SolverParams:
     clip_gradients: float = -1.0
 
 
+def live_loop(layer: Layer, bottom: Sequence[Blob], loop: LoopSpec,
+              rows: int) -> LoopSpec:
+    """``loop`` cut to the iterations that produce the first ``rows``
+    samples of the layer's batch ``N`` (the sample axis of its bottom).
+
+    The coalesced space keeps the sample loop outermost (Algorithm 4's
+    ``S x D1 x ... x Dk``), so when ``space % N == 0`` the first ``rows``
+    samples are the iterations ``[0, space // N * rows)``; InnerProduct
+    needs no rounding, since its chunks compute every aligned block they
+    touch whole whatever the cut.  A feeder (``SEQUENTIAL`` forward), a
+    layer with a :meth:`~repro.framework.layer.Layer.forward_finalize`
+    epilogue (a fold over the whole batch) and a space the batch does
+    not divide run whole.
+    """
+    if (runs_sequential(layer.type) or not bottom or not bottom[0].num_axes
+            or type(layer).forward_finalize is not Layer.forward_finalize):
+        return loop
+    batch = bottom[0].shape[0]
+    if rows > batch:
+        raise ValueError(
+            f"layer {layer.name!r}: {rows} live row(s) asked of a batch "
+            f"of {batch}"
+        )
+    if loop.space % batch:
+        return loop
+    return replace(loop, space=loop.space // batch * rows)
+
+
 class LayerwiseExecutor:
     """An executor is a chunk runner; its passes are the one walk.
 
@@ -71,10 +104,18 @@ class LayerwiseExecutor:
 
     _dispatch = staticmethod(run_sequential)
 
-    def forward_layer(self, net: Net, i: int) -> float:
-        """Run layer ``i`` forward; returns its weighted loss share."""
-        return net.layers[i].forward(net.bottoms[i], net.tops[i],
-                                     self._dispatch)
+    def forward_layer(self, net: Net, i: int,
+                      rows: Optional[int] = None) -> float:
+        """Run layer ``i`` forward; returns its weighted loss share.
+        With ``rows``, each loop is cut by :func:`live_loop` before it
+        reaches :meth:`_dispatch`."""
+        layer, bottom = net.layers[i], net.bottoms[i]
+        run = self._dispatch
+        if rows is not None:
+            def run(layer_name: str, phase: str, loop: LoopSpec) -> None:
+                self._dispatch(layer_name, phase,
+                               live_loop(layer, bottom, loop, rows))
+        return layer.forward(bottom, net.tops[i], run)
 
     def backward_layer(self, net: Net, i: int) -> None:
         """Run layer ``i`` backward (only called on layers that take
@@ -82,10 +123,26 @@ class LayerwiseExecutor:
         net.layers[i].backward(net.tops[i], net.bottom_need_backward[i],
                                net.bottoms[i], self._dispatch)
 
-    def forward(self, net: Net) -> float:
+    def forward(self, net: Net, rows: Optional[int] = None,
+                upto: Optional[int] = None) -> float:
+        """The forward walk; returns the weighted loss of the layers run.
+
+        ``rows`` computes only the first ``rows`` samples of every layer
+        :func:`live_loop` can cut (blobs keep their shapes; other rows
+        hold whatever they held).  ``upto`` stops the walk after layer
+        ``upto``.  Both ``None`` is the full pass.
+        """
+        last = len(net.layers) - 1 if upto is None else upto
+        if not 0 <= last < len(net.layers):
+            raise ValueError(
+                f"upto={upto} outside the net's layers [0, "
+                f"{len(net.layers) - 1}]"
+            )
+        if rows is not None and rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
         total = 0.0
-        for i in range(len(net.layers)):
-            total += self.forward_layer(net, i)
+        for i in range(last + 1):
+            total += self.forward_layer(net, i, rows)
         return total
 
     def backward(self, net: Net) -> None:

@@ -19,6 +19,10 @@ injector ignores:
   reaches ``at_request``, ``count`` extra back-to-back requests are
   submitted (overload burst; admission must shed with codes).
 
+Both chunk faults must name a layer the served forward runs (it stops
+at the logits); :meth:`ChaosHarness.install` refuses any other layer
+with a ``ValueError`` rather than arm a fault that can never fire.
+
 Patches are armed through the training injector's
 :class:`~repro.resilience.faults.LayerPatches` and removed on exit.
 """
@@ -78,6 +82,19 @@ class ChaosHarness:
             lambda: engine.batches_executed == batch, fire)
 
     def install(self) -> None:
+        """Arm every chunk fault; refuses, before arming any, a fault on
+        a layer the served forward never runs (it stops at the logits),
+        where the fault could never fire."""
+        served = self.engine.net.layer_names[: self.engine.upto + 1]
+        for fault in self.plan:
+            if (isinstance(fault, (ChunkAbort, SlowChunk))
+                    and fault.layer not in served):
+                raise ValueError(
+                    f"chaos: {type(fault).__name__} targets layer "
+                    f"{fault.layer!r}, outside the served range "
+                    f"{served[0]!r}..{served[-1]!r}; the engine's forward "
+                    "stops at the logits, so it would never fire"
+                )
         for fault in self.plan:
             if isinstance(fault, ChunkAbort):
                 def crash(lo, hi, fault=fault):

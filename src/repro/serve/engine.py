@@ -9,14 +9,19 @@ of raw samples; the engine:
    demoted to a coded per-request error and its batch row zeroed, so
    one malformed payload cannot poison its batch-mates (the HealthGuard
    sentinel idea applied per-sample instead of per-iteration);
-2. **stages** the (zero-padded) batch into the net's data layers via
-   :class:`StagedSource` — staging is idempotent, so a retry replays
-   the *identical* bytes;
-3. **executes** the forward pass, and on a worker fault restarts the
-   crashed thread team (:meth:`~repro.core.team.ThreadTeam.restart`)
-   and retries with exponential backoff through the injected clock —
-   the batch is replayed, and the pending-table's idempotent delivery
-   upstream makes the replay exactly-once from the client's view;
+2. **stages** the batch, zero-padded to ``max_batch``, into the net's
+   data layers via :class:`StagedSource` — staging is idempotent, so a
+   retry replays the *identical* bytes;
+3. **executes** the forward pass over the live rows only, up to the
+   logits (``executor.forward(net, rows=k, upto=...)``: blobs stay at
+   ``max_batch``, each sample-disjoint loop covers the first ``k``
+   samples, and the loss/accuracy layers past the logits never run —
+   every served row is bitwise the padded pass's row), and on a worker
+   fault restarts the crashed thread team
+   (:meth:`~repro.core.team.ThreadTeam.restart`) and retries with
+   exponential backoff through the injected clock — the batch is
+   replayed, and the pending-table's idempotent delivery upstream makes
+   the replay exactly-once from the client's view;
 4. **quarantines poisoned outputs** — a non-finite logits row becomes a
    coded error rather than a served lie;
 5. **logs** the exact batch composition (request ids + staged images)
@@ -193,6 +198,10 @@ class InferenceEngine:
             num_threads=num_threads, reduction=reduction, plan=plan,
         )
         self._output = _resolve_output_blob(self.net, output_blob)
+        #: Index of the last layer the served forward runs: the last
+        #: writer of the output blob.
+        self.upto = max(i for i, tops in enumerate(self.net.tops)
+                        if any(top is self._output for top in tops))
         self._engine_lock = threading.Lock()
         self.batches_executed = 0
         self.restarts = 0
@@ -218,6 +227,11 @@ class InferenceEngine:
             )
         if request_ids is None:
             request_ids = [None] * k
+        elif len(request_ids) != k:
+            raise ValueError(
+                f"request_ids holds {len(request_ids)} id(s) for {k} "
+                "sample(s); each sample needs exactly one"
+            )
         images = np.zeros((self.max_batch,) + self.sample_shape, dtype=DTYPE)
         quarantined_input: List[int] = []
         for i, sample in enumerate(samples):
@@ -232,7 +246,7 @@ class InferenceEngine:
             else:
                 quarantined_input.append(i)  # row stays zero: batch-safe
         with self._engine_lock:
-            attempts = self._forward_with_recovery(images)
+            attempts = self._forward_with_recovery(images, k)
             batch_index = self.batches_executed
             self.batches_executed += 1
             completed_at = self.clock.now()
@@ -268,15 +282,16 @@ class InferenceEngine:
             completed_at=completed_at,
         )
 
-    def _forward_with_recovery(self, images: np.ndarray) -> int:
-        """Stage + forward, restarting the team on transient faults."""
+    def _forward_with_recovery(self, images: np.ndarray, rows: int) -> int:
+        """Stage + forward the first ``rows`` samples up to the logits,
+        restarting the team on transient faults."""
         attempts = 0
         while True:
             attempts += 1
             for source in self._staged:
                 source.stage(images)
             try:
-                self.executor.forward(self.net)
+                self.executor.forward(self.net, rows=rows, upto=self.upto)
                 return attempts
             except (WorkerError, InjectedFault) as exc:
                 if attempts > self.max_retries:

@@ -68,6 +68,15 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="outside"):
             engine.run_batch(_samples(engine, 5))
 
+    @pytest.mark.parametrize("ids", [["a", "b", "c"], ["a"]])
+    def test_request_ids_must_match_samples(self, engine, ids):
+        # Refused before staging: no batch runs, no record claims a
+        # padding row (or a missing one) for an id.
+        with pytest.raises(ValueError, match="request_ids holds"):
+            engine.run_batch(_samples(engine, 2), ids)
+        assert engine.batches_executed == 0
+        assert engine.batch_log == []
+
     def test_poisoned_input_quarantined_not_batch_killing(self, engine):
         samples = _samples(engine, 3)
         samples[1] = np.full(engine.sample_shape, np.nan, dtype=np.float32)

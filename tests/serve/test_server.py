@@ -149,6 +149,28 @@ class TestPumpedMode:
 
 
 class TestChaosReplay:
+    @pytest.mark.parametrize("fault", [
+        ChunkAbort(layer="loss", iteration=0),
+        SlowChunk(layer="accuracy", batch=0, delay_s=0.01),
+        ChunkAbort(layer="no_such_layer", iteration=0),
+    ])
+    def test_fault_outside_the_served_range_refused(self, fault):
+        """The served forward stops at the logits: a chunk fault past
+        them (or on no layer at all) could never fire, so arming it is
+        refused, naming the layer and the served range."""
+        engine, _ = _make()
+        try:
+            served = engine.net.layer_names[: engine.upto + 1]
+            with pytest.raises(ValueError, match=(
+                    f"{fault.layer}.*{served[0]}'..'{served[-1]}")):
+                with chaos(engine, FaultPlan(fault)):
+                    pass
+            # Nothing stays armed after the refusal.
+            assert all("forward_chunk" not in vars(layer)
+                       for layer in engine.net.layers)
+        finally:
+            engine.close()
+
     def test_zero_lost_zero_dup_under_full_chaos(self):
         engine, server = _make(threads=2, max_batch=4, capacity=8)
         deliveries = {}
