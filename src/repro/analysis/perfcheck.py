@@ -14,7 +14,8 @@ clock:
   against the perf allowances of each layer's
   :class:`~repro.framework.layer.LayerContract`.
 * **Roofline classifier (PE101/PE102)** — from
-  :func:`~repro.simulator.cost_model.costs_of` and the CPU model:
+  :func:`~repro.simulator.cost_model.costs_of` and the CPU model's
+  per-pass breakdown (:meth:`~repro.simulator.cpu_model.CPUModel.pass_time`):
   per-layer arithmetic intensity and compute- vs bandwidth-bound
   classification at each thread count.  PE101 (INFO) surfaces layers
   whose *planned* thread width exceeds the DRAM bandwidth saturation
@@ -94,27 +95,12 @@ def dram_saturation_width(model, max_threads: Optional[int] = None) -> int:
 
 def _classify(model, cost, width: int) -> Dict[str, object]:
     """Compute- vs bandwidth-bound verdict of one pass at ``width``."""
-    p = model.params
-    serial_compute = cost.flops / model.op_rate(cost.type)
-    if cost.serial or width <= 1:
-        mem = (cost.bytes / p.serial_bw_bytes_per_us if cost.serial
-               else model.memory_time(cost.bytes, 1))
-        bound = "bandwidth" if mem > serial_compute else "compute"
-        return {"width": 1, "bound": bound, "path": "serial",
-                "compute_us": round(serial_compute, 1),
-                "memory_us": round(mem, 1)}
-    used = min(width, max(cost.space, 1))
-    imbalance = model._imbalance(cost.space, used)
-    cores = min(model.effective_cores(used), used)
-    compute = serial_compute / cores * imbalance
-    mem = model.memory_time(cost.bytes, used)
-    per_thread = cost.bytes / used
-    path = ("cache" if per_thread <= p.cache_resident_bytes else "dram")
-    return {"width": used,
-            "bound": "bandwidth" if mem > compute else "compute",
-            "path": path,
-            "compute_us": round(compute, 1),
-            "memory_us": round(mem, 1)}
+    time = model.pass_time(cost, width)
+    return {"width": time.width,
+            "bound": "bandwidth" if time.memory > time.compute else "compute",
+            "path": time.path,
+            "compute_us": round(time.compute, 1),
+            "memory_us": round(time.memory, 1)}
 
 
 def roofline_net(
@@ -167,20 +153,17 @@ def roofline_net(
                         "term already prices"
                     ),
                 ))
-            if verdict["width"] > 1:
-                total = model.layer_time(cost, width)
-                dispatch = (cost.segments * model.params.dispatch_us
-                            / verdict["width"])
-                if total > 0 and dispatch / total > DISPATCH_SHARE:
-                    findings.append(Finding(
-                        rule="PE102", layer=f"{name}:{cost.key}",
-                        message=(
-                            f"per-segment dispatch is "
-                            f"{dispatch / total:.0%} of the modelled "
-                            f"{total:.1f}us at T={team}: the pass is "
-                            "granularity-limited, not compute-limited"
-                        ),
-                    ))
+            time = model.pass_time(cost, width)
+            share = time.dispatch / time.total if time.total > 0 else 0.0
+            if time.width > 1 and share > DISPATCH_SHARE:
+                findings.append(Finding(
+                    rule="PE102", layer=f"{name}:{cost.key}",
+                    message=(
+                        f"per-segment dispatch is {share:.0%} of the "
+                        f"modelled {time.total:.1f}us at T={team}: the "
+                        "pass is granularity-limited, not compute-limited"
+                    ),
+                ))
     return list(rows.values()), findings
 
 

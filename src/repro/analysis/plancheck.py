@@ -16,18 +16,21 @@ strategy for a given team size:
 Candidates are priced by the simulator's cost oracle
 (:func:`repro.simulator.cost_model.costs_of` for the geometry — the
 ladder ``net_costs`` prices a live net through — and
-:meth:`repro.simulator.cpu_model.CPUModel.plan_layer_time` for the
-time).  Because a producer/consumer thread-width mismatch costs input
-re-fetches, per-layer choices couple along the net DAG; the search is a
-Viterbi-style dynamic program over the layer chain whose state is the
-layer's thread width, with two branch-and-bound prunes:
+:meth:`repro.simulator.cpu_model.CPUModel.pass_time` for the time).
+Because a producer/consumer thread-width mismatch costs input
+re-fetches, per-layer choices couple along the chain walk
+(:func:`repro.simulator.cost_model.chain`: forward from the previous
+layer, backward from the next layer that has a backward pass).  The
+search is a Viterbi-style dynamic program that prices every pass of
+that walk exactly once, so the total it minimizes is the
+``predicted_us`` it reports; two branch-and-bound prunes keep it small:
 
 * **dominance** — among candidates of one layer with the same thread
   width, only the cheapest (coalesce depth x reduction mode) survives;
-  exact, because the DAG coupling depends on widths only;
-* **bound** — a width is dropped when its standalone lower bound
-  exceeds the cheapest width's standalone time plus an upper bound on
-  the locality it could ever save (2x the serial-producer penalty).
+  exact, because the chain coupling depends on widths only;
+* **bound** — a width is dropped when its standalone time exceeds the
+  cheapest width's standalone time plus an upper bound on the locality
+  it could ever save (2x the locality term under a serial producer).
 
 The uniform strategy (every layer at the full team width) is always a
 search point, so the planned prediction is never worse than uniform by
@@ -42,8 +45,9 @@ delivers the plan's claimed invariance tier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.detcheck import (
     BROKE_BITWISE,
@@ -66,8 +70,8 @@ from repro.core.reduction import (
 from repro.framework.net_spec import NetSpec
 from repro.framework.shape_inference import ShapeError
 from repro.framework.symbolic import SymbolicNet, infer_net
-from repro.simulator.cost_model import LayerCost, costs_of
-from repro.simulator.cpu_model import CPUModel
+from repro.simulator.cost_model import LayerCost, chain, costs_of
+from repro.simulator.cpu_model import CPUModel, PassTime
 
 #: PL006 fires when a layer's predicted static imbalance exceeds this.
 IMBALANCE_THRESHOLD = 0.20
@@ -104,7 +108,6 @@ class _Node:
     """One layer of the search chain."""
 
     name: str
-    type: str
     space: int
     dims: Tuple[Tuple[str, int], ...]
     fwd: LayerCost
@@ -113,12 +116,9 @@ class _Node:
     considered: int = 0
     pruned: int = 0
 
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+    @property
+    def passes(self) -> Tuple[LayerCost, ...]:
+        return (self.fwd,) if self.bwd is None else (self.fwd, self.bwd)
 
 
 def derive_dims(
@@ -158,7 +158,7 @@ def derive_dims(
         dims = (("sample", bottom_shape[0]), ("channel", bottom_shape[1]))
     else:
         dims = (("iteration", space),)
-    if _product(extent for _, extent in dims) != space:
+    if math.prod(extent for _, extent in dims) != space:
         dims = (("iteration", space),)
     return dims
 
@@ -187,14 +187,14 @@ def _enumerate_candidates(node: _Node, team: int, claim: str) -> List[Candidate]
     extents = [extent for _, extent in node.dims]
     has_reduction = node.bwd is not None and node.bwd.reduction_bytes > 0
     modes = _allowed_modes(claim) if has_reduction else [None]
-    out = [Candidate(1, 1, _product(extents[1:]), extents[0], None)]
+    out = [Candidate(1, 1, math.prod(extents[1:]), extents[0], None)]
     max_depth = min(len(extents), MAX_COALESCE_DEPTH)
     for width in thread_widths(team):
         if width <= 1:
             continue
         for depth in range(1, max_depth + 1):
-            units = _product(extents[:depth])
-            granularity = _product(extents[depth:])
+            units = math.prod(extents[:depth])
+            granularity = math.prod(extents[depth:])
             if width > units:
                 continue  # more threads than schedulable units
             for mode in modes:
@@ -205,76 +205,74 @@ def _enumerate_candidates(node: _Node, team: int, claim: str) -> List[Candidate]
 # ---------------------------------------------------------------------------
 # pricing (the cost oracle)
 # ---------------------------------------------------------------------------
+class _Link(NamedTuple):
+    """One pass of the chain walk, located on the search chain."""
+
+    cost: LayerCost
+    own: int                # index of the pass's layer
+    producer: Optional[str]  # dist of the pass feeding it (chain rule)
+    src: int                # the producer's layer index (own if none)
+
+
+def _links(nodes: List[_Node]) -> List[_Link]:
+    """:func:`repro.simulator.cost_model.chain` over the nodes' passes."""
+    index = {node.name: j for j, node in enumerate(nodes)}
+    return [
+        _Link(cost, index[cost.name], producer and producer.dist,
+              index[(producer or cost).name])
+        for cost, producer in chain(
+            [cost for node in nodes for cost in node.passes])
+    ]
+
+
 class _Oracle:
-    """Prices candidates with :meth:`CPUModel.plan_layer_time`."""
+    """Prices one pass of one candidate.
+
+    :meth:`price` is the planner's only cost input, so it is the one
+    seam a measured per-(layer, pass, width) cost table replaces; the
+    chain walk and the DP stay as they are.
+    """
 
     def __init__(self, model: CPUModel, team: int) -> None:
         self.model = model
         self.team = team
 
-    def _space_override(
-        self, cost: LayerCost, cand: Candidate, node: _Node
-    ) -> Optional[int]:
+    def price(
+        self,
+        node: _Node,
+        cost: LayerCost,
+        cand: Candidate,
+        producer: Optional[str] = None,
+        producer_threads: Optional[int] = None,
+    ) -> PassTime:
         # The granularity was derived against the forward space; only
         # apply it to passes that coalesce the same space.
-        if cost.space == node.space and cand.granularity > 1:
-            return cand.units
-        return None
-
-    def fwd_time(
-        self,
-        node: _Node,
-        cand: Candidate,
-        producer: Optional[str] = None,
-        producer_threads: Optional[int] = None,
-    ) -> float:
-        return self.model.plan_layer_time(
-            node.fwd, cand.threads,
+        coarse = cost.space == node.space and cand.granularity > 1
+        return self.model.pass_time(
+            cost, cand.threads,
             team_threads=self.team,
-            space=self._space_override(node.fwd, cand, node),
-            producer=producer, producer_threads=producer_threads,
-        )
-
-    def bwd_time(
-        self,
-        node: _Node,
-        cand: Candidate,
-        producer: Optional[str] = None,
-        producer_threads: Optional[int] = None,
-    ) -> float:
-        if node.bwd is None:
-            return 0.0
-        return self.model.plan_layer_time(
-            node.bwd, cand.threads,
-            team_threads=self.team,
-            space=self._space_override(node.bwd, cand, node),
+            space=cand.units if coarse else None,
             reduction_mode=cand.reduction,
-            block_count=node.bwd.space,
+            block_count=cost.space,
             producer=producer, producer_threads=producer_threads,
         )
 
-    def standalone(self, node: _Node, cand: Candidate) -> float:
-        return self.fwd_time(node, cand) + self.bwd_time(node, cand)
+    def link_time(self, nodes: List[_Node], link: _Link,
+                  picks: Sequence[Candidate]) -> float:
+        """Time of one chain pass under ``picks`` (indexed like nodes)."""
+        return self.price(
+            nodes[link.own], link.cost, picks[link.own],
+            producer=link.producer,
+            producer_threads=(
+                None if link.producer is None else picks[link.src].threads),
+        ).total
 
-    def locality_bound(self, node: _Node, cand: Candidate) -> float:
-        """Upper bound on locality either pass could ever pay.
-
-        The serial-producer penalty moves ``miss * (1 - 1/t)`` of the
-        input; the worst width mismatch moves at most ``miss`` — less
-        than twice that for any t >= 2 — so 2x the serial-producer
-        delta bounds it.
-        """
-        if cand.threads <= 1:
-            return 0.0
-        extra = (
-            self.fwd_time(node, cand, producer="serial")
-            - self.fwd_time(node, cand)
-        )
-        extra += (
-            self.bwd_time(node, cand, producer="serial")
-            - self.bwd_time(node, cand)
-        )
-        return 2.0 * extra
+    def total(self, nodes: List[_Node], picks: Sequence[Candidate]) -> float:
+        """Chain time of one assignment, summed in cost order (fwd then
+        bwd per layer) so it is bitwise comparable to
+        :meth:`CPUModel.iteration_time` under the uniform assignment."""
+        return sum(self.link_time(nodes, link, picks)
+                   for link in _links(nodes))
 
 
 def _prune(node: _Node, oracle: _Oracle, team: int) -> None:
@@ -282,12 +280,17 @@ def _prune(node: _Node, oracle: _Oracle, team: int) -> None:
     node.considered = len(node.candidates)
     by_width: Dict[int, Tuple[float, Candidate]] = {}
     for cand in node.candidates:
-        time = oracle.standalone(node, cand)
+        time = sum(oracle.price(node, cost, cand).total
+                   for cost in node.passes)
         best = by_width.get(cand.threads)
         if best is None or time < best[0]:
             by_width[cand.threads] = (time, cand)
+    # A serial producer re-fetches ``miss * (1 - 1/t)`` of the input; no
+    # width mismatch re-fetches more than twice that.
     bound = min(
-        time + oracle.locality_bound(node, cand)
+        time + 2.0 * sum(
+            oracle.price(node, cost, cand, producer="serial").locality
+            for cost in node.passes)
         for time, cand in by_width.values()
     )
     kept = [
@@ -305,12 +308,8 @@ def _build_nodes(sym: SymbolicNet) -> List[_Node]:
     if not sym.ok:
         raise ShapeError(sym.errors()[0])
     by_name: Dict[str, Dict[str, LayerCost]] = {}
-    order: List[str] = []
     for cost in costs_of(sym.layers):
-        if cost.name not in by_name:
-            by_name[cost.name] = {}
-            order.append(cost.name)
-        by_name[cost.name][cost.pass_] = cost
+        by_name.setdefault(cost.name, {})[cost.pass_] = cost
     shapes: Dict[str, Sequence[int]] = {}
     types: Dict[str, str] = {}
     for inf in sym.layers:
@@ -318,115 +317,50 @@ def _build_nodes(sym: SymbolicNet) -> List[_Node]:
         if inf.bottoms:
             shapes.setdefault(inf.spec.name, inf.bottoms[0].shape)
     nodes = []
-    for name in order:
-        fwd = by_name[name]["forward"]
-        bwd = by_name[name].get("backward")
+    for name, passes in by_name.items():
+        fwd = passes["forward"]
         dims = derive_dims(types.get(name, fwd.type), shapes.get(name, ()), fwd)
-        nodes.append(_Node(
-            name=name, type=fwd.type, space=fwd.space, dims=dims,
-            fwd=fwd, bwd=bwd,
-        ))
+        nodes.append(_Node(name=name, space=fwd.space, dims=dims, fwd=fwd,
+                           bwd=passes.get("backward")))
     return nodes
 
 
 def _search(
     nodes: List[_Node], oracle: _Oracle
 ) -> Tuple[List[Candidate], float]:
-    """Viterbi DP over the layer chain; returns picks and total time."""
-    INF = float("inf")
-    # score[ci] = best total up to node j using candidate ci; back[j][ci]
-    score = []
-    back: List[List[int]] = []
+    """Viterbi DP over the layer chain; returns picks and total time.
+
+    The objective is :meth:`_Oracle.total`: each chain pass is priced
+    once, as soon as both its layer and its producer are picked.  A
+    state is a partial assignment keyed by the picks a pass still to be
+    priced reads — the current layer's (the next forward's producer)
+    and that of the last layer with a backward pass, whose gradient
+    producer may lie beyond a feeder.
+    """
+    links = _links(nodes)
+    # A step sums its forward passes before its backward ones: another
+    # order moves the float sums by an ulp and can flip a pick between
+    # candidates tied to the ulp.
+    due: List[List[_Link]] = [[] for _ in nodes]
+    for link in sorted(links, key=lambda link: link.cost.pass_ != "forward"):
+        due[max(link.own, link.src)].append(link)
+    states = {(): (0.0, ())}
     for j, node in enumerate(nodes):
-        new_score = []
-        new_back = []
+        live = sorted({
+            min(link.own, link.src) for link in links
+            if min(link.own, link.src) <= j < max(link.own, link.src)})
+        new_states: Dict[tuple, Tuple[float, tuple]] = {}
         for cand in node.candidates:
-            if j == 0:
-                new_score.append(oracle.fwd_time(node, cand))
-                new_back.append(-1)
-                continue
-            prev_node = nodes[j - 1]
-            best, best_prev = INF, -1
-            for pi, prev in enumerate(prev_node.candidates):
-                total = (
-                    score[pi]
-                    + oracle.fwd_time(
-                        node, cand,
-                        producer=prev_node.fwd.dist,
-                        producer_threads=prev.threads,
-                    )
-                    + oracle.bwd_time(
-                        prev_node, prev,
-                        producer=node.bwd.dist if node.bwd else None,
-                        producer_threads=cand.threads,
-                    )
-                )
-                if total < best:
-                    best, best_prev = total, pi
-            new_score.append(best)
-            new_back.append(best_prev)
-        score = new_score
-        back.append(new_back)
-    # close the chain: the last layer's backward has no upstream producer
-    last = nodes[-1]
-    best_ci, best_total = -1, INF
-    for ci, cand in enumerate(last.candidates):
-        total = score[ci] + oracle.bwd_time(last, cand)
-        if total < best_total:
-            best_total, best_ci = total, ci
-    picks: List[Candidate] = []
-    ci = best_ci
-    for j in range(len(nodes) - 1, -1, -1):
-        picks.append(nodes[j].candidates[ci])
-        ci = back[j][ci]
-    picks.reverse()
-    return picks, best_total
-
-
-def assignment_times(
-    nodes: List[_Node], picks: List[Candidate], oracle: _Oracle
-) -> Dict[str, float]:
-    """Per-pass times of one fixed assignment, keyed like
-    :meth:`CPUModel.layer_times` (``"<layer>.fwd"`` / ``".bwd"``)."""
-    out: Dict[str, float] = {}
-    for j, (node, cand) in enumerate(zip(nodes, picks)):
-        if j == 0:
-            out[node.fwd.key] = oracle.fwd_time(node, cand)
-        else:
-            prev_node, prev = nodes[j - 1], picks[j - 1]
-            out[node.fwd.key] = oracle.fwd_time(
-                node, cand,
-                producer=prev_node.fwd.dist, producer_threads=prev.threads,
-            )
-        if node.bwd is not None:
-            # Gradients flow from the next layer *with a backward pass*
-            # (mirrors cost_model.producer_dist).
-            k = j + 1
-            while k < len(nodes) and nodes[k].bwd is None:
-                k += 1
-            nxt_node = nodes[k] if k < len(nodes) else None
-            nxt = picks[k] if k < len(nodes) else None
-            out[node.bwd.key] = oracle.bwd_time(
-                node, cand,
-                producer=nxt_node.bwd.dist if nxt_node is not None else None,
-                producer_threads=nxt.threads if nxt is not None else None,
-            )
-    return out
-
-
-def _chain_time(
-    nodes: List[_Node], picks: List[Candidate], oracle: _Oracle
-) -> float:
-    """Total time of one fixed assignment, summed in cost order (fwd
-    then bwd per layer) so it is bitwise comparable to
-    :meth:`CPUModel.iteration_time` under the uniform assignment."""
-    times = assignment_times(nodes, picks, oracle)
-    total = 0.0
-    for node in nodes:
-        total += times[node.fwd.key]
-        if node.bwd is not None:
-            total += times[node.bwd.key]
-    return total
+            for score, picks in states.values():
+                picks = picks + (cand,)
+                for link in due[j]:
+                    score += oracle.link_time(nodes, link, picks)
+                key = tuple(picks[k] for k in live)
+                if key not in new_states or score < new_states[key][0]:
+                    new_states[key] = (score, picks)
+        states = new_states
+    ((total, picks),) = states.values()
+    return list(picks), total
 
 
 def uniform_candidates(
@@ -483,19 +417,19 @@ def lint_plan(
                     f"{len(extents)} declared dim(s)",
                 ))
                 continue
-            if _product(extents) != lp.space:
+            if math.prod(extents) != lp.space:
                 findings.append(Finding(
                     "PL002", name,
                     f"declared dims {lp.dims} multiply to "
-                    f"{_product(extents)} but the recorded iteration "
+                    f"{math.prod(extents)} but the recorded iteration "
                     f"space is {lp.space}",
                 ))
-            if _product(extents[lp.coalesced:]) != lp.granularity:
+            if math.prod(extents[lp.coalesced:]) != lp.granularity:
                 findings.append(Finding(
                     "PL002", name,
                     f"granularity {lp.granularity} does not match the "
                     f"non-coalesced dims product "
-                    f"{_product(extents[lp.coalesced:])}",
+                    f"{math.prod(extents[lp.coalesced:])}",
                 ))
         units = -(-lp.space // lp.granularity) if lp.space else 0
         if lp.space and lp.threads > max(units, 1):
@@ -701,10 +635,9 @@ def plan_spec(
     # Re-sum the winning assignment in cost order so predicted/uniform
     # totals are bitwise comparable to each other (and, under the
     # uniform assignment, to CPUModel.iteration_time).
-    predicted = _chain_time(nodes, picks, oracle)
-    base_mode = _TIER_BASE_MODE[claim]
-    uniform = uniform_candidates(nodes, threads, base_mode)
-    uniform_us = _chain_time(nodes, uniform, oracle)
+    predicted = oracle.total(nodes, picks)
+    uniform = uniform_candidates(nodes, threads, _TIER_BASE_MODE[claim])
+    uniform_us = oracle.total(nodes, uniform)
 
     plan = ExecutionPlan(
         net=spec.name or label, batch=_batch_of(nodes, batch),
@@ -748,8 +681,8 @@ def uniform_chain_time(
     cost-model parity regression asserts it for every zoo net.
     """
     nodes = _build_nodes(infer_net(spec))
-    oracle = _Oracle(CPUModel(), threads)
-    return _chain_time(nodes, uniform_candidates(nodes, threads, mode), oracle)
+    return _Oracle(CPUModel(), threads).total(
+        nodes, uniform_candidates(nodes, threads, mode))
 
 
 def certify_plan(

@@ -43,6 +43,26 @@ from repro.core.scheduling import Chunk, ChunkServer, Schedule, make_schedule
 
 PLAN_FORMAT = "repro-plan/1"
 
+_REQUIRED = object()
+
+
+def _field(data, key: str, kinds, where: str, default=_REQUIRED):
+    """``data[key]`` (``default`` when absent) if it is one of ``kinds``;
+    a ``ValueError`` naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{where} must be a JSON object, got {type(data).__name__}")
+    if key not in data and default is not _REQUIRED:
+        return default
+    value = data.get(key, _REQUIRED)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    raise ValueError(
+        f"{where}: field {key!r} must be "
+        f"{' or '.join(kind.__name__ for kind in kinds)}, got "
+        f"{'nothing' if value is _REQUIRED else repr(value)}")
+
 
 @dataclass(frozen=True)
 class LayerPlan:
@@ -115,18 +135,23 @@ class LayerPlan:
 
     @classmethod
     def from_json(cls, data: Dict) -> "LayerPlan":
+        where = f"layer {_field(data, 'layer', str, 'plan layer entry')!r}"
+        dims = _field(data, "dims", list, where, [])
+        if not all(isinstance(pair, list) and len(pair) == 2
+                   and isinstance(pair[0], str) and type(pair[1]) is int
+                   for pair in dims):
+            raise ValueError(f"{where}: field 'dims' must be [name, extent] "
+                             f"pairs, got {dims!r}")
         return cls(
             layer=data["layer"],
-            threads=int(data["threads"]),
-            granularity=int(data.get("granularity", 1)),
-            schedule=data.get("schedule", "static"),
-            reduction=data.get("reduction"),
-            space=int(data.get("space", 0)),
-            dims=tuple(
-                (str(name), int(extent))
-                for name, extent in data.get("dims", [])
-            ),
-            coalesced=int(data.get("coalesced", 0)),
+            threads=_field(data, "threads", int, where),
+            granularity=_field(data, "granularity", int, where, 1),
+            schedule=_field(data, "schedule", str, where, "static"),
+            reduction=_field(data, "reduction", (str, type(None)), where,
+                             None),
+            space=_field(data, "space", int, where, 0),
+            dims=tuple((name, extent) for name, extent in dims),
+            coalesced=_field(data, "coalesced", int, where, 0),
         )
 
 
@@ -176,22 +201,25 @@ class ExecutionPlan:
 
     @classmethod
     def from_json(cls, data: Dict) -> "ExecutionPlan":
-        fmt = data.get("format")
+        fmt = _field(data, "format", str, "an execution plan", None)
         if fmt != PLAN_FORMAT:
             raise ValueError(
                 f"not an execution plan (format {fmt!r}, "
                 f"expected {PLAN_FORMAT!r})"
             )
+        where = "plan"
         plan = cls(
-            net=data["net"],
-            batch=int(data["batch"]),
-            phase=data.get("phase", "TRAIN"),
-            team_threads=int(data["team_threads"]),
-            tier=data["tier"],
-            predicted_us=float(data.get("predicted_us", 0.0)),
-            uniform_us=float(data.get("uniform_us", 0.0)),
+            net=_field(data, "net", str, where),
+            batch=_field(data, "batch", int, where),
+            phase=_field(data, "phase", str, where, "TRAIN"),
+            team_threads=_field(data, "team_threads", int, where),
+            tier=_field(data, "tier", str, where),
+            predicted_us=float(
+                _field(data, "predicted_us", (int, float), where, 0.0)),
+            uniform_us=float(
+                _field(data, "uniform_us", (int, float), where, 0.0)),
         )
-        for entry in data.get("layers", []):
+        for entry in _field(data, "layers", list, where, []):
             plan.add(LayerPlan.from_json(entry))
         return plan
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.framework.layer import Layer, registered_layer_class, runs_sequential
 from repro.framework.layers.accuracy import AccuracyLayer
@@ -455,22 +455,31 @@ def spec_costs(
     return costs_of(sym.layers, include_accuracy)
 
 
-def producer_dist(costs: List[LayerCost], index: int) -> Optional[str]:
-    """Distribution signature of the layer feeding ``costs[index]``.
+def chain(
+    costs: Sequence[LayerCost],
+) -> List[Tuple[LayerCost, Optional[LayerCost]]]:
+    """Every pass, in ``costs`` order, with the pass that feeds it (None
+    for the first forward and the last backward): the one producer rule.
 
-    For a forward entry that is the previous layer's forward signature;
-    for a backward entry, the *downstream* layer's backward signature
-    (gradients flow backwards).  Returns None at the boundary.
+    Forward reads the previous layer's forward; backward reads the
+    gradient of the next layer that *has* a backward pass (a feeder has
+    none).
     """
-    cost = costs[index]
-    if cost.pass_ == "forward":
-        for j in range(index - 1, -1, -1):
-            if costs[j].pass_ == "forward" and costs[j].name != cost.name:
-                return costs[j].dist
-        return None
-    # Backward data flows from the *downstream* layer, which appears later
-    # in this (net-ordered) list.
-    for j in range(index + 1, len(costs)):
-        if costs[j].pass_ == "backward" and costs[j].name != cost.name:
-            return costs[j].dist
-    return None
+    out = []
+    for index, cost in enumerate(costs):
+        order = (range(index - 1, -1, -1) if cost.pass_ == "forward"
+                 else range(index + 1, len(costs)))
+        producer = next(
+            (costs[j] for j in order
+             if costs[j].pass_ == cost.pass_ and costs[j].name != cost.name),
+            None,
+        )
+        out.append((cost, producer))
+    return out
+
+
+def producer_dist(costs: List[LayerCost], index: int) -> Optional[str]:
+    """Distribution signature of the pass feeding ``costs[index]`` (see
+    :func:`chain`), or None at the boundary."""
+    producer = chain(costs)[index][1]
+    return None if producer is None else producer.dist

@@ -22,15 +22,18 @@ For each layer pass and thread count ``T`` the model composes:
   gradients (backward of layers with a true reduction).
 * **fork/join** — fixed parallel-region overhead.
 
-``layer_time(cost, 1)`` is the serial baseline (no parallel overheads).
+:meth:`CPUModel.pass_time` returns these terms (a :class:`PassTime`);
+every time the model reports is its total.  ``layer_time(cost, 1)`` is
+the serial baseline (no parallel overheads).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.simulator.cost_model import LayerCost, producer_dist
+from repro.simulator.cost_model import LayerCost, chain
 from repro.simulator.params import CPUParams, XEON_E5_2667V2
 
 
@@ -44,6 +47,25 @@ def _dist_mismatch(producer: str, consumer: str) -> bool:
     the paper's data->conv1 effect.
     """
     return producer == "serial" and consumer != "serial"
+
+
+@dataclass(frozen=True)
+class PassTime:
+    """One pass's modelled time, term by term (us)."""
+
+    compute: float
+    memory: float
+    path: str               # "serial" (inline), "cache" or "dram"
+    dispatch: float
+    width: int              # threads the pass actually uses
+    locality: float = 0.0
+    reduction: float = 0.0
+    fork_join: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return (max(self.compute, self.memory) + self.dispatch
+                + self.locality + self.reduction + self.fork_join)
 
 
 class CPUModel:
@@ -82,14 +104,19 @@ class CPUModel:
         remote_bw = p.qpi_bw_bytes_per_us * min(remote / 4.0, 1.0)
         return local_bw + remote_bw
 
+    def _memory_path(self, nbytes: float, threads: int) -> str:
+        """Roofline level ``nbytes`` streams from: per-thread working
+        sets that fit in cache stay there."""
+        if nbytes / threads <= self.params.cache_resident_bytes:
+            return "cache"
+        return "dram"
+
     def memory_time(self, nbytes: float, threads: int) -> float:
         """Two-level memory roofline for ``nbytes`` of traffic."""
-        p = self.params
         if nbytes <= 0:
             return 0.0
-        per_thread = nbytes / threads
-        if per_thread <= p.cache_resident_bytes:
-            return nbytes / (p.cache_bw_bytes_per_us * threads)
+        if self._memory_path(nbytes, threads) == "cache":
+            return nbytes / (self.params.cache_bw_bytes_per_us * threads)
         return nbytes / self.dram_bandwidth(threads)
 
     def _imbalance(self, space: int, threads: int) -> float:
@@ -111,8 +138,8 @@ class CPUModel:
         producer: Optional[str] = None,
     ) -> float:
         """Modelled time (us) of one layer pass at ``threads`` threads:
-        :meth:`plan_layer_time` with no plan knob turned."""
-        return self.plan_layer_time(cost, threads, producer=producer)
+        :meth:`pass_time` with no plan knob turned."""
+        return self.pass_time(cost, threads, producer=producer).total
 
     # ------------------------------------------------------------------
     # per-candidate pricing (the plancheck planner's cost oracle)
@@ -148,7 +175,13 @@ class CPUModel:
             merges = threads
         return merges * nbytes / p.merge_bw_bytes_per_us
 
-    def plan_layer_time(
+    def plan_layer_time(self, cost: LayerCost, threads: int,
+                        **knobs) -> float:
+        """Modelled time (us) of one layer pass under a *plan candidate*:
+        the total of :meth:`pass_time` under the same keywords."""
+        return self.pass_time(cost, threads, **knobs).total
+
+    def pass_time(
         self,
         cost: LayerCost,
         threads: int,
@@ -159,13 +192,13 @@ class CPUModel:
         block_count: Optional[int] = None,
         producer: Optional[str] = None,
         producer_threads: Optional[int] = None,
-    ) -> float:
-        """Modelled time (us) of one layer pass under a *plan candidate*.
+    ) -> PassTime:
+        """Term-by-term time of one layer pass under a *plan candidate*.
 
-        The one timing formula.  :meth:`layer_time` is its default call:
-        with no knob turned (same threads as the team, ``ordered``
-        reduction, no space override, producer at the same width) the
-        layer runs uniformly at ``threads``.
+        The one timing formula: every time the model reports is this
+        breakdown's total.  With no knob turned (same threads as the
+        team, ``ordered`` reduction, no space override, producer at the
+        same width) the layer runs uniformly at ``threads``.
 
         ``threads``
             Threads this layer actually uses.  ``1`` means the layer
@@ -179,6 +212,10 @@ class CPUModel:
             changes imbalance and the usable thread count).
         ``reduction_mode`` / ``block_count``
             Priced via :meth:`reduction_time`.
+        ``producer``
+            Distribution signature of the producing pass (see
+            :func:`~repro.simulator.cost_model.chain`); a serial
+            producer leaves the input on one core.
         ``producer_threads``
             Thread width of the producing layer.  A width mismatch
             re-fetches the fraction of the input that lands on a
@@ -196,15 +233,13 @@ class CPUModel:
                 cost.bytes / p.serial_bw_bytes_per_us if cost.serial
                 else self.memory_time(cost.bytes, 1)
             )
-            return max(serial_compute, serial_mem) + serial_dispatch
+            return PassTime(serial_compute, serial_mem, "serial",
+                            serial_dispatch, 1)
 
         dist_space = cost.space if space is None else space
         used = min(threads, max(dist_space, 1))
         imbalance = self._imbalance(dist_space, threads)
         cores = min(self.effective_cores(threads), used)
-        compute = serial_compute / cores * imbalance
-        mem = self.memory_time(cost.bytes, used)
-        dispatch = serial_dispatch / used * imbalance
 
         miss_frac = 0.0
         if producer is not None and _dist_mismatch(producer, cost.dist):
@@ -235,8 +270,16 @@ class CPUModel:
         # spans the whole team even when the plan caps this layer's
         # worker count below it.
         region = max(team_threads or threads, threads)
-        fork_join = p.fork_join_us * (1.0 + math.log2(region))
-        return max(compute, mem) + dispatch + locality + reduction + fork_join
+        return PassTime(
+            compute=serial_compute / cores * imbalance,
+            memory=self.memory_time(cost.bytes, used),
+            path=self._memory_path(cost.bytes, used),
+            dispatch=serial_dispatch / used * imbalance,
+            width=used,
+            locality=locality,
+            reduction=reduction,
+            fork_join=p.fork_join_us * (1.0 + math.log2(region)),
+        )
 
     # ------------------------------------------------------------------
     # whole-network evaluation
@@ -244,14 +287,13 @@ class CPUModel:
     def layer_times(
         self, costs: Sequence[LayerCost], threads: int
     ) -> Dict[str, float]:
-        """Time of every layer pass, keyed ``"<layer>.fwd"`` / ``".bwd"``."""
-        costs = list(costs)
-        out: Dict[str, float] = {}
-        for index, cost in enumerate(costs):
-            out[cost.key] = self.layer_time(
-                cost, threads, producer_dist(costs, index)
-            )
-        return out
+        """Time of every layer pass, keyed ``"<layer>.fwd"`` / ``".bwd"``,
+        each priced against its producer along the chain walk."""
+        return {
+            cost.key: self.layer_time(
+                cost, threads, None if producer is None else producer.dist)
+            for cost, producer in chain(list(costs))
+        }
 
     def iteration_time(self, costs: Sequence[LayerCost], threads: int) -> float:
         """Total time of one training iteration (all passes summed —

@@ -5,13 +5,17 @@ thread widths, never predicted slower than uniform), the PL001-PL006
 plan lint on handcrafted fixtures, and the PL101-PL104 drift wrappers.
 Cost half: the parity regression — pricing the uniform strategy through
 the planner's chain walk must equal ``CPUModel.iteration_time`` bitwise
-for every zoo net.  Dynamic half: a planned configuration passes the FP
-race gate and the detcheck replay certifies the claimed tier; the CLI
-gate exits 0 over the zoo.
+for every zoo net — and the objective: the DP's own total is the
+``predicted_us`` it reports, and no pruned assignment prices lower.
+Dynamic half: a planned configuration passes the FP race gate and the
+detcheck replay certifies the claimed tier; the CLI gate exits 0 over
+the zoo.
 """
 
 import dataclasses
+import itertools
 import json
+import math
 
 import pytest
 
@@ -20,6 +24,11 @@ from repro.analysis.__main__ import main
 from repro.analysis.codes import CODE_CATALOGUE
 from repro.analysis.plancheck import (
     IMBALANCE_THRESHOLD,
+    _build_nodes,
+    _enumerate_candidates,
+    _Oracle,
+    _prune,
+    _search,
     certify_plan,
     derive_dims,
     lint_plan,
@@ -33,9 +42,12 @@ from repro.analysis.race import run_dynamic
 from repro.core.plan import ExecutionPlan, LayerPlan
 from repro.core.reduction import BITWISE_INVARIANT, DETERMINISTIC_PER_T
 from repro.data import register_default_sources
+from repro.framework.net_spec import LayerSpec
+from repro.framework.symbolic import infer_net
 from repro.simulator import CPUModel, net_costs
 from repro.zoo import build_net
 from repro.zoo.build import _SPECS, UnknownNet
+from repro.zoo.build import zoo_spec as zoo_spec_at
 
 ZOO = ("lenet", "cifar10", "mlp")
 
@@ -126,6 +138,54 @@ class TestCostParity:
             net_costs(build_net(net)), threads
         )
         assert chain == reference
+
+
+# ----------------------------------------------------------------------
+# the objective: the DP minimizes exactly the total it reports
+# ----------------------------------------------------------------------
+def objective_spec(net, feeder):
+    """``net`` at batch 4; the feeder variant inserts an ``Input`` layer,
+    which has no backward pass, at index 3 (right after conv1 on lenet
+    and cifar10), so a backward producer lies two layers downstream."""
+    spec = zoo_spec_at(net, 4)
+    if feeder:
+        spec.layers.insert(3, LayerSpec(
+            name="feeder", type="Input", tops=["feeder"],
+            params={"shape": {"dim": [4, 16]}}))
+    return spec
+
+
+def searched(spec, threads):
+    """The pruned search chain and its oracle, built as plan_spec does."""
+    nodes = _build_nodes(infer_net(spec, batch=4))
+    oracle = _Oracle(CPUModel(), threads)
+    for node in nodes:
+        node.candidates = _enumerate_candidates(
+            node, threads, BITWISE_INVARIANT)
+        _prune(node, oracle, threads)
+    return nodes, oracle
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+@pytest.mark.parametrize("feeder", [False, True], ids=["plain", "feeder"])
+@pytest.mark.parametrize("net", ZOO)
+class TestObjective:
+    def test_search_total_is_predicted_us(self, net, feeder, threads):
+        spec = objective_spec(net, feeder)
+        report = plan_spec(spec, net_name=net, threads=threads, batch=4)
+        _, total = _search(*searched(spec, threads))
+        assert math.isclose(total, report.predicted_us, rel_tol=1e-12)
+
+    def test_predicted_us_is_brute_force_minimum(self, net, feeder,
+                                                 threads):
+        spec = objective_spec(net, feeder)
+        report = plan_spec(spec, net_name=net, threads=threads, batch=4)
+        nodes, oracle = searched(spec, threads)
+        best = min(
+            oracle.total(nodes, picks)
+            for picks in itertools.product(*(n.candidates for n in nodes))
+        )
+        assert math.isclose(report.predicted_us, best, rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,30 @@ class TestTrainCli:
         assert "layer 'conv1'" in message and repr(schedule) in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda plan: [plan], "JSON object"),
+        (lambda plan: dict(plan, batch=None), "'batch'"),
+        (lambda plan: dict(plan, layers=[{"layer": "conv1",
+                                          "threads": None}]), "'threads'"),
+        (lambda plan: dict(plan, layers=["conv1"]), "JSON object"),
+    ], ids=["top-level-list", "null-batch", "null-layer-threads",
+            "string-layer-entry"])
+    def test_plan_with_mistyped_field_is_refused_at_load(self, tmp_path,
+                                                         mangle, field):
+        path = tmp_path / "bad.plan.json"
+        path.write_text(json.dumps(mangle({
+            "format": "repro-plan/1", "net": "", "batch": 0,
+            "team_threads": 2, "tier": "bitwise_invariant",
+            "layers": [{"layer": "conv1", "threads": 2}],
+        })))
+        with pytest.raises(SystemExit) as info:
+            train_main(["--net", "lenet", "--iters", "1", "--threads", "2",
+                        "--plan", str(path)])
+        message = str(info.value.code)
+        assert message.startswith("cannot load plan")
+        assert field in message
+        assert "\n" not in message
+
     def test_test_flag_reports_accuracy(self, capsys):
         code = train_main(["--net", "lenet", "--iters", "2", "--test"])
         assert code == 0

@@ -6,9 +6,17 @@ to the current model value.  Used while tuning
 constants is reproducible.
 """
 
-import repro.framework.layers  # noqa: F401  (layer registration)
-from repro.zoo import build_net
-from repro.simulator import (
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+)
+
+import repro.framework.layers  # noqa: E402,F401  (layer registration)
+from repro.zoo import build_net  # noqa: E402
+from repro.simulator import (  # noqa: E402
     CPUModel, GPUModel, K40_CUDNN, K40_PLAIN, net_costs,
 )
 
