@@ -2,14 +2,15 @@
 
 The ROADMAP's "millions of users" axis made concrete: concurrent
 single-sample requests are admitted through a bounded queue, coalesced
-into dynamically sized batches (size- and deadline-triggered), executed
+into batches of up to ``max_batch`` whenever the engine is free
+(partial at low load, full under saturation), executed
 on the TEST-phase net by the existing ThreadTeam/ParallelExecutor, and
 demultiplexed back through a pending-request table with per-request
 deadlines and idempotent delivery.
 
 Degradation ladder (every rung a coded response, never silence):
 
-    shed  →  partial-batch  →  quarantine  →  restart/replay
+    shed  →  quarantine  →  restart/replay
 
 Certified by the ``servecheck`` analyzer family (SV codes): a static
 lint of this package (bounded queues only, no wall-clock reads, no

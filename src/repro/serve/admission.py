@@ -70,10 +70,6 @@ class BoundedDeque(Generic[T]):
         with self._lock:
             return len(self._items)
 
-    def peek_oldest(self) -> Optional[T]:
-        with self._lock:
-            return self._items[0] if self._items else None
-
 
 class AdmissionController:
     """Front door: admit into the bounded queue or shed with a code.

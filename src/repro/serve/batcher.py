@@ -1,26 +1,18 @@
-"""Dynamic batch formation: size- and deadline-triggered flushes.
+"""Dynamic batch formation: work-conserving and size-capped.
 
-The flush decision is a pure function of (queue state, now) with no
-hidden wall-clock reads, so the deadline-vs-size race is unit-testable
-at exact virtual instants:
+Whenever the dispatcher is free and live requests are queued, the
+oldest of them — up to ``max_batch`` — become the next batch at once.
+Nothing waits for batch-mates while the engine sits idle: at low load
+a batch is partial (often a single request), and under load requests
+still batch together because they queue while a batch executes.
 
-* **size trigger** — the queue holds at least ``max_batch`` live
-  entries: flush a full batch immediately (latency is already paid for;
-  waiting longer can only time requests out).
-* **deadline trigger** — the *oldest* queued entry has waited
-  ``max_delay``, or its absolute deadline is within ``margin`` of now:
-  flush whatever is queued as a partial batch (the degradation ladder's
-  "partial-batch" rung — a padded batch costs compute, a timeout costs
-  a client).
-
-When both triggers hold at the same instant the size trigger wins and
-the batch is the full FIFO prefix — same outcome either way, asserted
-by the flush-race test.
+The decision reads only the queue, never a clock, so it is
+unit-testable at exact virtual instants.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.serve.admission import AdmissionController
 from repro.serve.pit import _Entry
@@ -29,52 +21,22 @@ from repro.serve.pit import _Entry
 class DynamicBatcher:
     """Decides when the queue becomes a batch, and takes it."""
 
-    def __init__(self, max_batch: int, max_delay: float,
-                 margin: float = 0.0) -> None:
+    def __init__(self, max_batch: int) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_delay < 0 or margin < 0:
-            raise ValueError("max_delay and margin must be non-negative")
         self.max_batch = max_batch
-        self.max_delay = max_delay
-        self.margin = margin
 
-    # -- flush predicate ----------------------------------------------
-    def should_flush(self, admission: AdmissionController,
-                     now: float) -> bool:
-        depth = admission.depth()
-        if depth == 0:
-            return False
-        if depth >= self.max_batch:
-            return True
-        oldest = admission.queue.peek_oldest()
-        if oldest is None:
-            return False
-        waited = now - oldest.request.submitted_at
-        if waited >= self.max_delay:
-            return True
-        return oldest.request.deadline - self.margin <= now
-
-    def next_flush_at(self, admission: AdmissionController,
-                      now: float) -> Optional[float]:
-        """The earliest future instant a deadline trigger could fire
-        (the dispatcher's wake-up hint); None when the queue is empty."""
-        oldest = admission.queue.peek_oldest()
-        if oldest is None:
-            return None
-        by_delay = oldest.request.submitted_at + self.max_delay
-        by_deadline = oldest.request.deadline - self.margin
-        return max(now, min(by_delay, by_deadline))
-
-    # -- batch formation ----------------------------------------------
-    def take_batch(self, admission: AdmissionController,
-                   now: float) -> List[_Entry]:
-        """Form the next batch if a trigger fired; [] otherwise.
+    def should_flush(self, admission: AdmissionController) -> bool:
+        """True when a live request is queued.
 
         Entries the PIT already answered (deadline-evicted while
         queued) are purged first so they never occupy a batch slot.
         """
         admission.queue.prune(lambda entry: not entry.delivered)
-        if not self.should_flush(admission, now):
+        return admission.depth() > 0
+
+    def take_batch(self, admission: AdmissionController) -> List[_Entry]:
+        """The oldest live entries, at most ``max_batch``; [] if none."""
+        if not self.should_flush(admission):
             return []
         return admission.queue.pop_upto(self.max_batch)

@@ -1,7 +1,7 @@
 """Injected monotonic clocks for the serve runtime.
 
-Every deadline decision in :mod:`repro.serve` — admission, flush
-triggers, pending-table eviction, retry backoff — reads time through a
+Every deadline decision in :mod:`repro.serve` — admission,
+pending-table eviction, retry backoff — reads time through a
 :class:`Clock` instance handed in at construction.  No other serve
 module may import :mod:`time`; the servecheck static lint (SV004)
 enforces this, the same way detcheck's DC lint bans wall-clock reads

@@ -7,8 +7,12 @@ Two driving modes share one dispatch cycle (:meth:`InferenceServer.pump`):
   at chosen instants; the whole serving pipeline, deadlines included,
   replays deterministically in virtual time.
 * **background** — :meth:`start` runs a dispatcher thread that pumps on
-  submissions and flush-deadline hints (the ledger's serve workloads
-  use this with the real monotonic clock).
+  every submission (the ledger's serve workloads use this with the real
+  monotonic clock).
+
+Dispatch is work-conserving: a pump takes the oldest live requests at
+once, up to ``max_batch``, and keeps taking until the queue is empty —
+no partial batch is held back for batch-mates while the engine is free.
 
 The dispatcher is supervised: a pump that raises is counted, the batch
 it was executing is answered with coded errors (inside
@@ -42,31 +46,34 @@ from repro.serve.request import (
     InferenceResponse,
 )
 
-#: Dispatcher idle poll (real seconds) when no flush hint is pending.
-_IDLE_POLL_S = 0.002
-#: Longest the dispatcher sleeps even with a distant flush hint.
-_MAX_POLL_S = 0.05
 #: Backoff after a supervised pump failure (through the clock).
 _FAILURE_BACKOFF_S = 0.01
 
 
 class InferenceServer:
-    """Multi-tenant single-model request runtime over one engine."""
+    """Multi-tenant single-model request runtime over one engine.
+
+    ``max_delay`` is the longest a queued request can go unseen by an
+    idle background dispatcher (its one wait timeout); a submission
+    wakes the dispatcher at once, so it bounds only missed wake-ups.
+    """
 
     def __init__(
         self,
         engine: InferenceEngine,
         capacity: int = 64,
         max_delay: float = 0.005,
-        margin: float = 0.0,
         default_budget: float = 1.0,
         on_deliver=None,
     ) -> None:
+        if max_delay <= 0:
+            raise ValueError(f"max_delay must be positive, got {max_delay}")
         self.engine = engine
         self.clock = engine.clock
         self.pit = PendingRequestTable(on_deliver=on_deliver)
         self.admission = AdmissionController(capacity)
-        self.batcher = DynamicBatcher(engine.max_batch, max_delay, margin)
+        self.batcher = DynamicBatcher(engine.max_batch)
+        self.max_delay = max_delay
         self.default_budget = default_budget
         self._pump_lock = threading.Lock()
         self._auto_ids = itertools.count()
@@ -90,7 +97,10 @@ class InferenceServer:
         (default :attr:`default_budget`); ``deadline`` overrides it with
         an absolute instant on the serve clock's axis.  Overload never
         blocks the caller: at capacity the request is *answered*
-        immediately with a coded shed response through its handle.
+        immediately with a coded shed response through its handle.  A
+        sample that is not a real-valued array of the engine's sample
+        shape is answered at once with a coded error and never joins a
+        batch, so it cannot fail its batch-mates.
         """
         now = self.clock.now()
         if deadline is None:
@@ -105,11 +115,14 @@ class InferenceServer:
             submitted_at=now,
         )
         handle = self.pit.add(request)
-        reason = self.admission.try_admit(handle._entry, now)
+        status, reason = STATUS_ERROR, self._malformed(request.sample)
+        if reason is None:
+            status = STATUS_SHED
+            reason = self.admission.try_admit(handle._entry, now)
         if reason is not None:
             self.pit.deliver(InferenceResponse(
                 request_id=rid,
-                status=STATUS_SHED,
+                status=status,
                 detail=reason,
                 completed_at=now,
                 latency=0.0,
@@ -117,26 +130,30 @@ class InferenceServer:
         self._wake.set()
         return handle
 
+    def _malformed(self, sample: np.ndarray) -> Optional[str]:
+        """Why ``sample`` cannot be served, or None when it can."""
+        expected = self.engine.sample_shape
+        if sample.shape == expected and sample.dtype.kind in "iuf":
+            return None
+        return (f"malformed sample: shape {sample.shape} of "
+                f"{sample.dtype}, expected shape {expected} of real "
+                "numbers")
+
     # -- the dispatch cycle --------------------------------------------
     def pump(self) -> int:
-        """One dispatch cycle: evict expired, flush every due batch.
+        """One dispatch cycle: evict expired, then serve the queue in
+        FIFO batches of at most ``max_batch`` until it is empty.
 
         Serialized with concurrent pumps/reloads; returns the number of
         responses delivered during this cycle.
         """
-        delivered = 0
         with self._pump_lock:
-            now = self.clock.now()
-            delivered += len(self.pit.evict_expired(now))
-            while True:
-                batch = self.batcher.take_batch(self.admission, now)
-                if not batch:
-                    break
+            delivered = len(self.pit.evict_expired(self.clock.now()))
+            while batch := self.batcher.take_batch(self.admission):
                 delivered += self._execute_batch(batch)
                 # SlowChunk/backoff may have advanced virtual time:
-                # re-read before deciding whether another flush is due.
-                now = self.clock.now()
-                delivered += len(self.pit.evict_expired(now))
+                # evict what expired meanwhile.
+                delivered += len(self.pit.evict_expired(self.clock.now()))
         return delivered
 
     def _execute_batch(self, entries: List[_Entry]) -> int:
@@ -238,13 +255,7 @@ class InferenceServer:
                 # _execute_batch; count the failure, back off, go on.
                 self.pump_failures += 1
                 self.clock.sleep(_FAILURE_BACKOFF_S)
-            now = self.clock.now()
-            hint = self.batcher.next_flush_at(self.admission, now)
-            if hint is None:
-                poll = _IDLE_POLL_S
-            else:
-                poll = min(max(hint - now, 1e-4), _MAX_POLL_S)
-            self._wake.wait(timeout=poll)
+            self._wake.wait(timeout=self.max_delay)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the dispatcher thread (requests still queued stay

@@ -1,7 +1,7 @@
-"""Bounded queueing, admission shedding, and the flush-trigger math.
+"""Bounded queueing, admission shedding, and batch formation.
 
 Every assertion here runs at exact virtual instants — no wall-clock
-reads anywhere in the tested paths (the deadline-math satellite)."""
+reads anywhere in the tested paths."""
 
 import numpy as np
 import pytest
@@ -83,49 +83,38 @@ class TestAdmission:
 
 
 class TestFlushTriggers:
-    def _setup(self, max_batch=4, max_delay=0.01, margin=0.0):
+    def _setup(self, max_batch=4):
         return (PendingRequestTable(), AdmissionController(capacity=16),
-                DynamicBatcher(max_batch, max_delay, margin))
+                DynamicBatcher(max_batch))
 
     def test_empty_queue_never_flushes(self):
         _, ctl, batcher = self._setup()
-        assert not batcher.should_flush(ctl, now=100.0)
-        assert batcher.take_batch(ctl, now=100.0) == []
+        assert not batcher.should_flush(ctl)
+        assert batcher.take_batch(ctl) == []
 
     def test_size_trigger_fires_immediately(self):
         pit, ctl, batcher = self._setup(max_batch=2)
         ctl.try_admit(_entry(pit, "a", 5.0, submitted_at=0.0), now=0.0)
-        assert not batcher.should_flush(ctl, now=0.0)
+        assert batcher.should_flush(ctl)   # work-conserving: no hold
         ctl.try_admit(_entry(pit, "b", 5.0, submitted_at=0.0), now=0.0)
         # Full batch at the very instant of the second arrival.
-        assert batcher.should_flush(ctl, now=0.0)
+        assert batcher.should_flush(ctl)
 
     def test_delay_trigger_fires_partial_batch(self):
-        pit, ctl, batcher = self._setup(max_batch=4, max_delay=0.01)
+        pit, ctl, batcher = self._setup(max_batch=4)
         ctl.try_admit(_entry(pit, "a", 5.0, submitted_at=0.0), now=0.0)
-        assert not batcher.should_flush(ctl, now=0.0099)
-        assert batcher.should_flush(ctl, now=0.01)   # waited == max_delay
-        batch = batcher.take_batch(ctl, now=0.01)
+        assert batcher.should_flush(ctl)   # no wait for batch-mates
+        batch = batcher.take_batch(ctl)
         assert [e.request.request_id for e in batch] == ["a"]
 
-    def test_deadline_margin_trigger(self):
-        pit, ctl, batcher = self._setup(max_batch=4, max_delay=10.0,
-                                        margin=0.1)
-        ctl.try_admit(_entry(pit, "a", deadline=1.0, submitted_at=0.0),
-                      now=0.0)
-        assert not batcher.should_flush(ctl, now=0.89)
-        assert batcher.should_flush(ctl, now=0.9)    # deadline - margin
-
     def test_deadline_vs_size_race_size_wins(self):
-        """Both triggers at the same instant: the batch is the full FIFO
-        prefix, identical to what the size trigger alone would take."""
-        pit, ctl, batcher = self._setup(max_batch=2, max_delay=0.01)
-        # Oldest entry hits max_delay at t=0.01; the queue also reaches
-        # max_batch at that exact instant.
+        """A queue at exactly ``max_batch``: the batch is the full FIFO
+        prefix, whatever the arrival instants."""
+        pit, ctl, batcher = self._setup(max_batch=2)
         ctl.try_admit(_entry(pit, "a", 5.0, submitted_at=0.0), now=0.0)
         ctl.try_admit(_entry(pit, "b", 5.0, submitted_at=0.01), now=0.01)
-        assert batcher.should_flush(ctl, now=0.01)
-        batch = batcher.take_batch(ctl, now=0.01)
+        assert batcher.should_flush(ctl)
+        batch = batcher.take_batch(ctl)
         assert [e.request.request_id for e in batch] == ["a", "b"]
         assert ctl.depth() == 0
 
@@ -133,28 +122,25 @@ class TestFlushTriggers:
         pit, ctl, batcher = self._setup(max_batch=2)
         for rid in ("a", "b", "c"):
             ctl.try_admit(_entry(pit, rid, 5.0, submitted_at=0.0), now=0.0)
-        batch = batcher.take_batch(ctl, now=0.0)
+        batch = batcher.take_batch(ctl)
         assert [e.request.request_id for e in batch] == ["a", "b"]
         assert ctl.depth() == 1
 
     def test_evicted_entries_never_occupy_batch_slots(self):
-        pit, ctl, batcher = self._setup(max_batch=2, max_delay=0.01)
+        pit, ctl, batcher = self._setup(max_batch=2)
         ctl.try_admit(_entry(pit, "a", deadline=1.0, submitted_at=0.0),
                       now=0.0)
         ctl.try_admit(_entry(pit, "b", deadline=9.0, submitted_at=0.0),
                       now=0.0)
         # "a" times out while queued; the PIT answers it.
         pit.evict_expired(now=2.0)
-        batch = batcher.take_batch(ctl, now=2.0)
+        batch = batcher.take_batch(ctl)
         assert [e.request.request_id for e in batch] == ["b"]
 
-    def test_next_flush_at_hint(self):
-        pit, ctl, batcher = self._setup(max_batch=4, max_delay=0.01,
-                                        margin=0.1)
-        assert batcher.next_flush_at(ctl, now=0.0) is None
-        ctl.try_admit(_entry(pit, "a", deadline=5.0, submitted_at=0.0),
+    def test_only_answered_entries_queued_is_no_flush(self):
+        pit, ctl, batcher = self._setup(max_batch=2)
+        ctl.try_admit(_entry(pit, "a", deadline=1.0, submitted_at=0.0),
                       now=0.0)
-        # Delay trigger (0.01) precedes the deadline margin (4.9).
-        assert batcher.next_flush_at(ctl, now=0.0) == pytest.approx(0.01)
-        # Hints never point into the past.
-        assert batcher.next_flush_at(ctl, now=0.02) == pytest.approx(0.02)
+        pit.evict_expired(now=2.0)
+        assert not batcher.should_flush(ctl)
+        assert ctl.depth() == 0

@@ -8,11 +8,13 @@ import pytest
 from repro.resilience.faults import (
     ChunkAbort,
     FaultPlan,
+    LayerPatches,
     PoisonSample,
     RequestStorm,
     SlowChunk,
 )
 from repro.serve import (
+    STATUS_ERROR,
     STATUS_OK,
     STATUS_QUARANTINED_INPUT,
     STATUS_SHED,
@@ -62,13 +64,95 @@ class TestPumpedMode:
             engine.close()
 
     def test_deadline_triggered_partial_flush(self):
+        """A lone request is served by the first pump: no clock advance,
+        no wait for batch-mates."""
         engine, server = _make(max_batch=4, max_delay=0.005)
         try:
             handle = server.submit(_sample(engine), request_id="solo")
-            assert server.pump() == 0         # neither trigger fired
-            engine.clock.advance(0.005)
-            assert server.pump() == 1         # max_delay partial flush
+            assert server.pump() == 1
             assert handle.response().status == STATUS_OK
+            assert engine.clock.now() == 0.0
+        finally:
+            engine.close()
+
+    def test_one_pump_serves_the_queue_in_fifo_batches(self):
+        engine, server = _make(max_batch=4, capacity=16)
+        try:
+            handles = [server.submit(_sample(engine, i), request_id=f"r{i}")
+                       for i in range(10)]
+            assert server.pump() == 10
+            batches = {}
+            for handle in handles:
+                response = handle.response()
+                assert response.status == STATUS_OK
+                batches.setdefault(response.batch_index, []).append(
+                    response.request_id)
+            assert list(batches.values()) == [
+                ["r0", "r1", "r2", "r3"],
+                ["r4", "r5", "r6", "r7"],
+                ["r8", "r9"],
+            ]
+        finally:
+            engine.close()
+
+    def test_arrivals_during_a_batch_join_the_next_one(self):
+        """Requests that queue while a batch executes are served
+        together by the same pump, as the following batch."""
+        engine, server = _make(max_batch=4)
+        late = []
+
+        def arrive_mid_batch(lo, hi):
+            for i in range(2):
+                late.append(server.submit(_sample(engine, i),
+                                          request_id=f"late{i}"))
+
+        patches = LayerPatches()
+        layer = next(l for l in engine.net.layers if l.blobs)
+        patches.first_chunk(layer, armed=lambda: True, fire=arrive_mid_batch)
+        try:
+            first = server.submit(_sample(engine), request_id="first")
+            assert server.pump() == 3
+            assert [h.response().status for h in late] == [STATUS_OK] * 2
+            assert first.response().batch_index == 0
+            assert {h.response().batch_index for h in late} == {1}
+        finally:
+            patches.remove()
+            engine.close()
+
+    @pytest.mark.parametrize("bad, shape", [
+        (np.zeros((3, 3), dtype=np.float32), "(3, 3)"),
+        (None, "()"),
+        (np.zeros((1, 28, 28), dtype=np.complex64), "(1, 28, 28)"),
+        (np.full((1, 28, 28), "x"), "(1, 28, 28)"),
+    ])
+    def test_malformed_sample_answered_alone(self, bad, shape):
+        """A sample of the wrong shape or a non-real dtype is answered
+        at submit with a coded error naming both shapes; its batch-mates
+        are served as if it had never been sent."""
+        engine, server = _make(max_batch=4)
+        try:
+            assert engine.sample_shape == (1, 28, 28)
+            h_a = server.submit(_sample(engine, 1), request_id="a")
+            h_bad = server.submit(bad, request_id="bad")
+            h_c = server.submit(_sample(engine, 2), request_id="c")
+            response = h_bad.response()
+            assert response is not None and response.status == STATUS_ERROR
+            assert f"shape {shape}" in response.detail
+            assert "expected shape (1, 28, 28)" in response.detail
+            assert server.admission.depth() == 2
+            assert server.pump() == 2
+            assert h_a.response().status == STATUS_OK
+            assert h_c.response().status == STATUS_OK
+            assert h_a.response().batch_index == h_c.response().batch_index
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("max_delay", [0.0, -0.005])
+    def test_non_positive_max_delay_refused(self, max_delay):
+        engine, _ = _make()
+        try:
+            with pytest.raises(ValueError, match="max_delay"):
+                InferenceServer(engine, max_delay=max_delay)
         finally:
             engine.close()
 
@@ -278,6 +362,26 @@ class TestBackgroundDispatcher:
                        for i in range(6)]
             responses = [h.result(timeout=10.0) for h in handles]
             assert all(r.status == STATUS_OK for r in responses)
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_idle_dispatcher_answers_a_lone_request_at_once(self):
+        """The submit wakes the dispatcher: a lone request is not held
+        for ``max_delay`` (1 s here) waiting for batch-mates."""
+        engine = InferenceEngine(
+            lambda: build_net("mlp", phase="TEST"),
+            num_threads=1, max_batch=4,
+        )
+        server = InferenceServer(engine, max_delay=1.0)
+        try:
+            server.start()
+            start = time.monotonic()
+            handle = server.submit(_sample(engine), budget=5.0,
+                                   request_id="lone")
+            response = handle.result(timeout=10.0)
+            assert response.status == STATUS_OK
+            assert time.monotonic() - start < 0.5
         finally:
             server.stop()
             engine.close()
