@@ -11,10 +11,14 @@ This package provides that surface:
   :func:`asum`, :func:`nrm2`, :func:`copy`, :func:`set_scalar`.
 * Level 2: :func:`gemv`, :func:`ger`.
 * Level 3: :func:`gemm`.
-* Convolution lowering: :func:`im2col`, :func:`col2im`.  No layer calls
-  ``col2im`` (convolution's backward-data is an ``im2col`` + ``gemm``
-  correlation); it is kept as the tested adjoint of ``im2col`` and the
-  reference that correlation is checked against.
+* Convolution lowering: :func:`im2col`, :func:`im2col_runs`,
+  :func:`col2im`.  Convolution's forward and backward-data GEMMs read
+  ``im2col_runs`` columns (long contiguous runs of the padded plane, a
+  few discarded columns per output row); its weight gradient sums over
+  every column and so reads exact ``im2col`` columns.  No layer calls
+  ``col2im`` (convolution's backward-data is a correlation); it is kept
+  as the tested adjoint of ``im2col`` and the reference that
+  correlation is checked against.
 
 Two backends are registered:
 
@@ -45,7 +49,7 @@ from repro.blaslib.level1 import (
 )
 from repro.blaslib.gemv import gemv, ger
 from repro.blaslib.gemm import gemm
-from repro.blaslib.im2col import col2im, im2col
+from repro.blaslib.im2col import col2im, im2col, im2col_runs, runs_layout
 
 __all__ = [
     "OpCounter",
@@ -61,8 +65,10 @@ __all__ = [
     "ger",
     "get_backend",
     "im2col",
+    "im2col_runs",
     "nrm2",
     "op_counter",
+    "runs_layout",
     "scal",
     "set_scalar",
     "use_backend",

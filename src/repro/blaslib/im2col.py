@@ -24,9 +24,29 @@ from its per-thread scratch pool; this package does not know the pool).
 Its contents on entry are ignored: it is cleared on every call.  Without
 ``work`` the call allocates the plane, which is fine for one-off use;
 ``im2col`` of an unpadded image reads the image itself and needs none.
+
+``im2col_runs`` is the row-run lowering beside it.  numpy copies
+``im2col``'s window view in runs of only ``out_w`` floats, so for a
+small image the copy costs about as much as the GEMM that reads it.
+``im2col_runs`` instead lays the zero-padded plane out in one flat
+``work`` array — de-interleaved by the stride, ``padded[c, r, q]`` at
+``[c, r % stride_h, q % stride_w, r // stride_h, q // stride_w]`` of a
+``(C, stride_h, stride_w, run_h, run_w)`` layout, plus a few floats of
+slack at the end — and copies each column-matrix row ``(c, i, j)`` as
+one contiguous run of ``out_h * run_w`` floats (``run_w`` is the padded
+width, divided by the stride and rounded up).  Column
+``oh * run_w + ow`` for ``ow < out_w`` is ``im2col``'s column
+``oh * out_w + ow``, bit for bit; the others straddle a row edge, hold
+other cells of the plane, and a caller must never read what they
+produce.  A ``gemm`` on the runs therefore computes every kept output as
+the same ``K``-long dot product ``im2col`` would, plus
+``run_w - out_w`` discarded columns per output row.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +147,121 @@ def im2col(
         writeable=False,
     )
     np.copyto(out.reshape(view.shape), view)
+    return out
+
+
+class RunLayout(NamedTuple):
+    """Geometry of one :func:`im2col_runs` call (module docstring)."""
+
+    out_h: int
+    out_w: int
+    #: padded height and width divided by the stride, rounded up
+    run_h: int
+    run_w: int
+    #: ``out``: ``(C * kernel_h * kernel_w, out_h * run_w)``
+    cols: tuple
+    #: ``work``: the flat padded plane plus its slack
+    work: tuple
+
+
+@lru_cache(maxsize=256)  # a tenth of an im2col_runs call, uncached
+def runs_layout(channels: int, height: int, width: int, kernel_h: int,
+                kernel_w: int, pad_h: int, pad_w: int, stride_h: int,
+                stride_w: int) -> RunLayout:
+    """The shapes :func:`im2col_runs` takes and returns for a
+    ``(channels, height, width)`` image."""
+    out_h = conv_out_size(height, kernel_h, pad_h, stride_h)
+    out_w = conv_out_size(width, kernel_w, pad_w, stride_w)
+    run_h = -(-(height + 2 * pad_h) // stride_h)
+    run_w = -(-(width + 2 * pad_w) // stride_w)
+    # A run starting at window column j reads j // stride_w floats past
+    # the end of its residue plane; the last plane needs that slack.
+    slack = (kernel_w - 1) // stride_w
+    return RunLayout(
+        out_h, out_w, run_h, run_w,
+        (channels * kernel_h * kernel_w, out_h * run_w),
+        (channels * stride_h * stride_w * run_h * run_w + slack,),
+    )
+
+
+def im2col_runs(
+    image: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    pad_h: int,
+    pad_w: int,
+    stride_h: int,
+    stride_w: int,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Unfold one image ``(C, H, W)`` into a column matrix of row runs.
+
+    Returns an array of shape ``runs_layout(...).cols`` whose columns
+    ``oh * run_w + ow`` with ``ow < out_w`` equal :func:`im2col`'s
+    columns ``oh * out_w + ow`` bit for bit (the others are never to be
+    read; module docstring).  ``out`` may supply a preallocated
+    C-contiguous destination of that shape and the image's dtype,
+    ``work`` the flat plane: a C-contiguous ``runs_layout(...).work``
+    array of the image's dtype, cleared on every call.
+    """
+    if image.ndim != 3:
+        raise ValueError(
+            f"im2col_runs expects (C, H, W), got shape {image.shape}")
+    c, h, w = image.shape
+    layout = runs_layout(c, h, w, kernel_h, kernel_w,
+                         pad_h, pad_w, stride_h, stride_w)
+    if out is None:
+        out = np.empty(layout.cols, dtype=image.dtype)
+    else:
+        _check_buffer("im2col_runs", "out", out, layout.cols, image.dtype)
+        if not out.flags["C_CONTIGUOUS"]:
+            raise ValueError("im2col_runs out must be C-contiguous")
+    if work is None:
+        work = np.empty(layout.work, dtype=image.dtype)
+    else:
+        _check_buffer("im2col_runs", "work", work, layout.work, image.dtype)
+        if not work.flags["C_CONTIGUOUS"]:
+            raise ValueError("im2col_runs work must be C-contiguous")
+
+    record_op("im2col", 0, image.nbytes + out.nbytes)
+    out_h, out_w, run_h, run_w = layout[:4]
+    if backend_name() == "reference":
+        kept = np.empty((layout.cols[0], out_h * out_w), dtype=image.dtype)
+        _im2col_reference(image, kernel_h, kernel_w, pad_h, pad_w,
+                          stride_h, stride_w, kept)
+        out.fill(0.0)
+        out.reshape(-1, out_h, run_w)[:, :, :out_w] = (
+            kept.reshape(-1, out_h, out_w))
+        return out
+
+    work.fill(0.0)
+    plane = work[: work.size - (kernel_w - 1) // stride_w].reshape(
+        c, stride_h, stride_w, run_h, run_w)
+    for residue_h in range(stride_h):
+        first_h = (residue_h - pad_h) % stride_h
+        rows = image[:, first_h::stride_h]
+        top = (pad_h + first_h) // stride_h
+        for residue_w in range(stride_w):
+            first_w = (residue_w - pad_w) % stride_w
+            src = rows[:, :, first_w::stride_w]
+            left = (pad_w + first_w) // stride_w
+            plane[:, residue_h, residue_w,
+                  top : top + src.shape[1], left : left + src.shape[2]] = src
+    # Row (c, i, j) starts at cell (i // stride_h, j // stride_w) of
+    # residue plane (c, i % stride_h, j % stride_w): the rows of one
+    # residue pair are one strided view with a contiguous inner run.
+    # (np.ndarray over the buffer rather than as_strided: a fifth of
+    # the call overhead, and it refuses a view past the buffer's end.)
+    rows_out = out.reshape(c, kernel_h, kernel_w, out_h * run_w)
+    item = work.itemsize
+    strides = (plane.strides[0], run_w * item, item, item)
+    for i in range(min(stride_h, kernel_h)):
+        for j in range(min(stride_w, kernel_w)):
+            dst = rows_out[:, i::stride_h, j::stride_w]
+            offset = (i * stride_w + j) * run_h * run_w * item
+            np.copyto(dst, np.ndarray(dst.shape, work.dtype, work,
+                                      offset, strides))
     return out
 
 

@@ -14,14 +14,15 @@ with a keyed pool:
   ``scratch_buffer("conv.col", self._col_shape)`` and gets the same
   array back on every subsequent call with that geometry.  Distinct
   tags never alias, so a chunk may hold several live buffers at once
-  (``conv.wrot``, ``conv.dy_plane`` and ``conv.dy_col`` in conv's
-  backward-data loop);
+  (``conv.wrot``, ``conv.dy_plane``, ``conv.dy_runs``,
+  ``conv.dy_run_plane`` and ``conv.dx_runs`` in conv's backward-data
+  loop);
 * **uninitialised** — buffers come from ``np.empty`` and are *not*
   cleared between calls.  Callers must fully overwrite the region they
-  read (``im2col`` overwrites its whole output and clears the padded
-  ``work`` plane it is handed before using it; conv's backward-data
-  loop zero-fills ``conv.dy_plane`` once per chunk), which the pooled
-  call sites already do.
+  read (``im2col`` and ``im2col_runs`` overwrite their whole output
+  and clear the ``work`` plane they are handed before using it; conv's
+  backward-data loop zero-fills ``conv.dy_plane`` once per chunk),
+  which the pooled call sites already do.
 
 ``pool_stats()`` aggregates hit/miss counters across every thread that
 ever touched the pool; the zero-allocation regression test resets the

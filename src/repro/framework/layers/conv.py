@@ -9,19 +9,35 @@ per-thread pool in :mod:`repro.compiler.scratch`, so concurrent chunks
 never share scratch (the "object privatization" of Algorithm 4, line 2)
 and the steady state allocates nothing per call.
 
+Forward reads its columns as *row runs*
+(:func:`repro.blaslib.im2col_runs`): each column-matrix row is one
+contiguous run of ``out_h * run_w`` floats of the padded plane
+(``run_w`` is the padded width over the stride), where exact ``im2col``
+copies runs of only ``out_w``.  ``W_g @ runs`` lands in an
+``(og, out_h * run_w)`` scratch; every kept column is the same
+``K``-long dot product ``W_g @ im2col(x)`` computes, and one
+``np.add(kept, bias, out=y)`` stores the ``out_w`` kept columns of each
+output row with the bias — the single rounding ``y += bias`` made.  The
+``run_w - out_w`` other columns straddle a row edge and are dropped
+unread: ``run_w / out_w`` times the GEMM flops buys a column copy in
+long runs.
+
 The backward pass is two loops over samples, the split InnerProduct
 uses: the weight/bias gradients as a privatized reduction
 (``dW_g += dY_g @ im2col(x)ᵀ``), and the bottom gradient as a
-reduction-free loop that never scatters.  ``dX`` is the *correlation* of
-the top diff with the filter bank rotated 180° and channel-transposed,
+reduction-free loop that never scatters.  The weight gradient keeps
+exact ``im2col`` columns: its GEMM sums over positions, so discarded
+columns would enter the sum.  ``dX`` is the *correlation* of the top
+diff with the filter bank rotated 180° and channel-transposed,
 ``W_rot[g][c, (o, i, j)] = W[g·og + o, c, kh−1−i, kw−1−j]``: the top diff
 is written into a zeroed ``(og, H+kh−1, W+kw−1)`` plane — entry
 ``(oh, ow)`` at ``(oh·stride_h + kh−1−pad_h, ow·stride_w + kw−1−pad_w)``,
 so a stride leaves zeros between entries and entries whose window lies
 wholly in the padding fall outside the plane and are dropped — and then
-``dX_g = W_rot[g] @ im2col(plane)`` with a stride-1, unpadded ``kh × kw``
-window.  One path serves every stride, pad and group; each sample's
-``dX`` still depends on that sample alone.
+``dX_g = W_rot[g] @ im2col_runs(plane)`` with a stride-1, unpadded
+``kh × kw`` window, cropped into the bottom diff like forward's output.
+One path serves every stride, pad and group; each sample's ``dX`` still
+depends on that sample alone.
 """
 
 from __future__ import annotations
@@ -153,11 +169,15 @@ class ConvolutionLayer(Layer):
         )
         og = self.num_output // self.group
         window = self.kernel_h * self.kernel_w
+        self._runs = blaslib.runs_layout(
+            c // self.group, h, w, self.kernel_h, self.kernel_w,
+            self.pad_h, self.pad_w, self.stride_h, self.stride_w)
         self._wrot_shape = (self.group, c // self.group, og * window)
         self._dy_plane_shape = (
             og, h + self.kernel_h - 1, w + self.kernel_w - 1
         )
-        self._dy_col_shape = (og * window, h * w)
+        self._dy_runs = blaslib.runs_layout(
+            *self._dy_plane_shape, self.kernel_h, self.kernel_w, 0, 0, 1, 1)
         self._dy_rows = _interleave(
             h, self.kernel_h, self.pad_h, self.stride_h, self.out_h)
         self._dy_cols = _interleave(
@@ -172,28 +192,38 @@ class ConvolutionLayer(Layer):
         x = bottom[0].data
         y = top[0].data
         weights = self.blobs[0].data.reshape(self.num_output, -1)
-        col = scratch_buffer("conv.col", self._col_shape, DTYPE)
-        padded = scratch_buffer("conv.padded", self._padded_shape, DTYPE)
+        runs = self._runs
+        cols = scratch_buffer("conv.runs", runs.cols, DTYPE)
+        plane = scratch_buffer("conv.run_plane", runs.work, DTYPE)
         cg = self.channels // self.group
         og = self.num_output // self.group
+        product = scratch_buffer("conv.run_out", (og, runs.cols[1]), DTYPE)
+        # The out_w kept columns of each output row (module docstring).
+        kept = product.reshape(og, runs.out_h, runs.run_w)[:, :, :runs.out_w]
+        if self.bias_term:
+            # Broadcast once per chunk: numpy adds a full operand to the
+            # strided crop about a third faster than a (C, 1, 1) one.
+            bias = scratch_buffer("conv.bias", y.shape[1:], DTYPE)
+            np.copyto(bias, self.blobs[1].data[:, None, None])
         for s in range(lo, hi):
             for g in range(self.group):
-                blaslib.im2col(
+                blaslib.im2col_runs(
                     x[s, g * cg : (g + 1) * cg],
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
-                    out=col, work=padded,
+                    out=cols, work=plane,
                 )
-                out_plane = y[s, g * og : (g + 1) * og].reshape(og, -1)
                 blaslib.gemm(
                     False, False, 1.0,
-                    weights[g * og : (g + 1) * og], col,
-                    0.0, out_plane,
+                    weights[g * og : (g + 1) * og], cols,
+                    0.0, product,
                 )
-            if self.bias_term:
-                bias = self.blobs[1].data
-                y[s] += bias[:, None, None]
+                if self.bias_term:
+                    np.add(kept, bias[g * og : (g + 1) * og],
+                           out=y[s, g * og : (g + 1) * og])
+                else:
+                    np.copyto(y[s, g * og : (g + 1) * og], kept)
 
     def _backward_weight_chunk(
         self,
@@ -239,8 +269,8 @@ class ConvolutionLayer(Layer):
     ) -> None:
         """Bottom gradients of samples ``[lo, hi)`` (disjoint): per sample
         and group, the top diff interleaved into the zeroed plane, one
-        unpadded stride-1 ``im2col`` of it and one ``gemm`` against the
-        rotated filter bank straight into the bottom diff (module
+        unpadded stride-1 ``im2col_runs`` of it and one ``gemm`` against
+        the rotated filter bank, cropped into the bottom diff (module
         docstring)."""
         dy = top[0].diff
         dx = bottom[0].diff
@@ -258,7 +288,11 @@ class ConvolutionLayer(Layer):
         # between and around them survive every sample.
         plane = scratch_buffer("conv.dy_plane", self._dy_plane_shape, DTYPE)
         plane.fill(0.0)
-        cols = scratch_buffer("conv.dy_col", self._dy_col_shape, DTYPE)
+        runs = self._dy_runs
+        cols = scratch_buffer("conv.dy_runs", runs.cols, DTYPE)
+        work = scratch_buffer("conv.dy_run_plane", runs.work, DTYPE)
+        product = scratch_buffer("conv.dx_runs", (cg, runs.cols[1]), DTYPE)
+        kept = product.reshape(cg, runs.out_h, runs.run_w)[:, :, :runs.out_w]
         plane_h, top_h = self._dy_rows
         plane_w, top_w = self._dy_cols
 
@@ -266,11 +300,10 @@ class ConvolutionLayer(Layer):
             for g in range(self.group):
                 plane[:, plane_h, plane_w] = (
                     dy[s, g * og : (g + 1) * og, top_h, top_w])
-                blaslib.im2col(plane, kh, kw, 0, 0, 1, 1, out=cols)
-                blaslib.gemm(
-                    False, False, 1.0, wrot[g], cols, 0.0,
-                    dx[s, g * cg : (g + 1) * cg].reshape(cg, -1),
-                )
+                blaslib.im2col_runs(plane, kh, kw, 0, 0, 1, 1,
+                                    out=cols, work=work)
+                blaslib.gemm(False, False, 1.0, wrot[g], cols, 0.0, product)
+                np.copyto(dx[s, g * cg : (g + 1) * cg], kept)
 
     def backward_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
         return self._conv_loops(top, propagate_down, bottom)

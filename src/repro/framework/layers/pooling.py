@@ -11,7 +11,10 @@ Semantics follow Caffe exactly:
 
 * *ceil* output sizing, so the last window may overhang the padded image;
 * MAX records each window's argmax (first occurrence, row-major; a NaN
-  counts as the maximum) for the backward routing;
+  counts as the maximum) for the backward routing — in a TRAIN-phase
+  net only (``train_mode``, which ``Net`` sets from the phase before
+  ``setup``).  A TEST-phase net never runs backward, so its MAX pool
+  keeps no ``_max_idx`` table, and a backward through it is refused;
 * AVE divides by the window area clipped to the *padded* image bounds
   (``height + pad``), which reduces to the true clipped area when
   ``pad == 0``.
@@ -36,6 +39,12 @@ It walks the chunk in blocks of planes sized to stay in L2
    on ``cand == cand`` to find the window's first NaN.  Values
    ``np.maximum`` does not pin down bit for bit (``+0.0`` against
    ``-0.0``, two NaN payloads) are re-read from the recorded cell.
+
+A TEST-phase forward is steps 1 and 2 alone — the copy and the
+``k**2 - 1`` folds, about a third of the passes.  Only a block whose
+maxima include a ±0 or a NaN also runs steps 3 and 4, into a scratch
+index grid, so that those cells are re-read from the same first cell the
+TRAIN phase reads: both phases produce the same bytes.
 
 MAX backward is one ``np.add.at`` per chunk over plane-offset indices.
 
@@ -105,6 +114,11 @@ class PoolingLayer(Layer):
 
     contract = LayerContract(scratch=("_max_idx",))
 
+    #: MAX only: keep each window's argmax for the backward routing.
+    #: ``Net`` sets it from the phase before ``setup``; a TEST-phase net
+    #: never runs backward, so its MAX pool computes values only.
+    train_mode = True
+
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
         self.method = str(spec.param("pool", "MAX")).upper()
@@ -124,11 +138,12 @@ class PoolingLayer(Layer):
                          (self.out_w - 1) * self.stride_w + self.kernel_w)
         if self.method == "MAX":
             # Plane-local flat index (ih * in_w + iw) of each window max;
-            # every forward chunk overwrites its planes' entries.
+            # every TRAIN-phase forward chunk overwrites its planes'
+            # entries.
             self._max_idx = np.zeros(
                 (n * c, self.out_h, self.out_w), dtype=np.int64
-            )
-            self._setup_max_tables()
+            ) if self.train_mode else None
+            self._setup_max_tables(n * c)
         else:
             self._ave_divisor = self._divisor_grid()
 
@@ -144,7 +159,7 @@ class PoolingLayer(Layer):
         widths = (w1 - w0).astype(DTYPE)
         return heights[:, None] * widths[None, :]
 
-    def _setup_max_tables(self) -> None:
+    def _setup_max_tables(self, planes: int) -> None:
         """Shape-derived constants of the MAX kernels (see module doc)."""
         area = self.kernel_h * self.kernel_w
         # Column c of a padded row is stored at [c % stride_w, c // stride_w].
@@ -159,23 +174,25 @@ class PoolingLayer(Layer):
         rows = np.arange(self.out_h) * self.stride_h - self.pad_h
         cols = np.arange(self.out_w) * self.stride_w - self.pad_w
         self._origin_idx = rows[:, None] * self.in_w + cols[None, :]
-        self._plane_base = (np.arange(len(self._max_idx))
+        self._plane_base = (np.arange(planes)
                             * (self.in_h * self.in_w))[:, None, None]
         # What one plane keeps hot across a block's passes: input,
-        # de-interleaved copy and output; index; the three work arrays.
+        # de-interleaved copy and output; in a TRAIN-phase net also the
+        # index and the three work arrays.
         out_area = self.out_h * self.out_w
-        plane_bytes = (
-            DTYPE().itemsize * (self.in_h * self.in_w + out_area
-                                + self.eff_h * self.stride_w * self._deint_w)
-            + (self._max_idx.itemsize + 1
-               + 2 * self._off_dtype.itemsize) * out_area
-        )
+        plane_bytes = DTYPE().itemsize * (
+            self.in_h * self.in_w + out_area
+            + self.eff_h * self.stride_w * self._deint_w)
+        if self.train_mode:
+            plane_bytes += (np.dtype(np.int64).itemsize + 1
+                            + 2 * self._off_dtype.itemsize) * out_area
         self._block = max(1, _BLOCK_BYTES // plane_bytes)
 
     def _max_forward(
-        self, planes: np.ndarray, out: np.ndarray, idx: np.ndarray
+        self, planes: np.ndarray, out: np.ndarray, idx: np.ndarray | None
     ) -> None:
-        """MAX-pool ``planes`` into ``out``/``idx``, one L2 block at a time."""
+        """MAX-pool ``planes`` into ``out`` and, unless ``idx`` is None
+        (TEST phase), their argmax into ``idx``, one L2 block at a time."""
         block = self._block
         grid = (block, self.out_h, self.out_w)
         deint = scratch_buffer(
@@ -185,16 +202,24 @@ class PoolingLayer(Layer):
         miss = scratch_buffer("pool.miss", grid, np.bool_)
         cand_off = scratch_buffer("pool.cand_off", grid, self._off_dtype)
         off = scratch_buffer("pool.off", grid, self._off_dtype)
+        # A TEST-phase block that must re-read a ±0 or NaN maximum finds
+        # its first offsets here instead of in the argmax table.
+        spare = (scratch_buffer("pool.idx", grid, np.int64)
+                 if idx is None else None)
         for start in range(0, len(planes), block):
             stop = min(start + block, len(planes))
             n = stop - start
             self._max_block(
-                planes[start:stop], out[start:stop], idx[start:stop],
+                planes[start:stop], out[start:stop],
+                spare[:n] if idx is None else idx[start:stop],
                 deint[:n], miss[:n], cand_off[:n], off[:n],
+                values_only=idx is None,
             )
 
-    def _max_block(self, planes, out, idx, deint, miss, cand_off, off) -> None:
-        """Steps 1-4 of the module docstring on one block of planes."""
+    def _max_block(self, planes, out, idx, deint, miss, cand_off, off,
+                   values_only) -> None:
+        """Steps 1-4 of the module docstring on one block of planes;
+        ``values_only`` skips steps 3-4 unless a maximum is ±0 or NaN."""
         sw = self.stride_w
         # De-interleaved -inf padded copy of the block: the only copy of
         # the input this kernel makes.
@@ -217,6 +242,10 @@ class PoolingLayer(Layer):
         np.copyto(out, cands[0])
         for cand in cands[1:]:
             np.maximum(out, cand, out=out)
+        # |max| > 0 is false exactly for ±0 and NaN, the maxima
+        # np.maximum does not pin down bit for bit.
+        if values_only and np.abs(out).min() > 0:
+            return
 
         def first_offset(mark_misses):
             # off = min(off, o) wherever offset o is not marked a miss
@@ -255,7 +284,9 @@ class PoolingLayer(Layer):
         if count <= 0:
             return
         if self.method == "MAX":
-            self._max_forward(planes, out, self._max_idx[lo:hi])
+            self._max_forward(
+                planes, out,
+                self._max_idx[lo:hi] if self.train_mode else None)
             return
         padded = scratch_buffer(
             "pool.fwd", (count, self.eff_h, self.eff_w), DTYPE
@@ -292,6 +323,12 @@ class PoolingLayer(Layer):
         count = hi - lo
         if count <= 0:
             return
+        if self.method == "MAX" and not self.train_mode:
+            raise ValueError(
+                f"layer {self.name!r}: MAX pooling backward in a TEST-phase "
+                "net: its forward kept no argmax table to route the "
+                "gradient by (train_mode is False)"
+            )
         dplanes.fill(0.0)
         if self.method == "MAX":
             idx = self._max_idx[lo:hi]

@@ -5,10 +5,12 @@ has the call signature of the production routine it froze, so a test can
 ``monkeypatch.setattr`` it in and replay a whole training trajectory on
 the old kernels.  Two generations live here, held to two standards:
 
-* **Bitwise**: MAX pooling, ``im2col``, ``col2im`` and the synthetic
-  MNIST brush (one ``canvas +=`` per brush point) were rewritten for
-  speed under the promise that their outputs stay byte-for-byte what
-  these produce; the parity tests hold them to it.
+* **Bitwise**: MAX pooling, ``im2col``, ``col2im``, the synthetic
+  MNIST brush (one ``canvas +=`` per brush point) and convolution's
+  forward and backward-data GEMMs on exact ``im2col`` columns (now on
+  ``im2col_runs`` row runs) were rewritten for speed under the promise
+  that their outputs stay byte-for-byte what these produce; the parity
+  tests hold them to it.
 * **Tolerance-bounded** (the deliberate numeric re-baselines):
   InnerProduct's per-sample / per-output-row ``gemv`` loops, AVE
   pooling's ``windows.sum`` forward and LRN's float64 prefix-sum window
@@ -21,8 +23,8 @@ the old kernels.  Two generations live here, held to two standards:
 
 Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
 the double copy in ``im2col``, the Python loop around ``gemv``, the
-float64 upcast, the ``col2im`` scatter and the per-point brush loop are
-the point.
+float64 upcast, the ``col2im`` scatter, the per-point brush loop and
+conv's exact ``im2col`` columns are the point.
 """
 
 from __future__ import annotations
@@ -198,6 +200,55 @@ def conv_backward_data_chunk(layer, top, bottom, lo: int, hi: int) -> None:
                 layer.pad_h, layer.pad_w, layer.stride_h, layer.stride_w,
                 out=dx[s, g * cg : (g + 1) * cg],
             )
+
+
+# ----------------------------------------------------------------------
+# Convolution forward and backward-data correlation
+# (ConvolutionLayer.forward_chunk / _backward_data_chunk): one exact
+# im2col + gemm straight into the top / bottom blob per sample and group
+# ----------------------------------------------------------------------
+def conv_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
+    x = bottom[0].data
+    y = top[0].data
+    weights = layer.blobs[0].data.reshape(layer.num_output, -1)
+    col = np.empty(layer._col_shape, DTYPE)
+    cg = layer.channels // layer.group
+    og = layer.num_output // layer.group
+    for s in range(lo, hi):
+        for g in range(layer.group):
+            blaslib.im2col(
+                x[s, g * cg : (g + 1) * cg],
+                layer.kernel_h, layer.kernel_w, layer.pad_h, layer.pad_w,
+                layer.stride_h, layer.stride_w, out=col,
+            )
+            blaslib.gemm(False, False, 1.0, weights[g * og : (g + 1) * og],
+                         col, 0.0, y[s, g * og : (g + 1) * og].reshape(og, -1))
+        if layer.bias_term:
+            y[s] += layer.blobs[1].data[:, None, None]
+
+
+def conv_correlation_data_chunk(layer, top, bottom, lo: int, hi: int) -> None:
+    """dX_g = W_rot[g] @ im2col(interleaved dY plane), stride 1, no pad."""
+    dy = top[0].diff
+    dx = bottom[0].diff
+    _, _, in_h, in_w = bottom[0].shape
+    cg = layer.channels // layer.group
+    og = layer.num_output // layer.group
+    kh, kw = layer.kernel_h, layer.kernel_w
+    wrot = np.ascontiguousarray(
+        layer.blobs[0].data.reshape(layer.group, og, cg, kh, kw)
+        [..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+    ).reshape(layer.group, cg, og * kh * kw)
+    plane = np.zeros((og, in_h + kh - 1, in_w + kw - 1), DTYPE)
+    plane_h, top_h = layer._dy_rows
+    plane_w, top_w = layer._dy_cols
+    for s in range(lo, hi):
+        for g in range(layer.group):
+            plane[:, plane_h, plane_w] = (
+                dy[s, g * og : (g + 1) * og, top_h, top_w])
+            cols = blaslib.im2col(plane, kh, kw, 0, 0, 1, 1)
+            blaslib.gemm(False, False, 1.0, wrot[g], cols, 0.0,
+                         dx[s, g * cg : (g + 1) * cg].reshape(cg, -1))
 
 
 # ----------------------------------------------------------------------

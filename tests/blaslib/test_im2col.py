@@ -116,12 +116,15 @@ class TestCol2im:
 import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
 
 #: (C, H, W, kh, kw, ph, pw, sh, sw): the three cifar10 convs' geometry
-#: in small, lenet's pad-free one, and a lopsided strided case.
+#: in small, lenet's pad-free one, lopsided strided cases, and pads past
+#: the kernel under stride 3.
 GEOMETRIES = [
     (3, 8, 8, 5, 5, 2, 2, 1, 1),
     (2, 6, 6, 5, 5, 0, 0, 1, 1),
     (3, 7, 5, 3, 2, 1, 0, 2, 1),
     (1, 4, 9, 2, 4, 1, 3, 3, 2),
+    (2, 5, 6, 2, 3, 3, 4, 3, 3),
+    (2, 7, 4, 1, 3, 2, 0, 1, 3),
 ]
 
 
@@ -143,6 +146,29 @@ class TestOracleParity:
         assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
         with use_backend("reference"):
             assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
+
+    def test_im2col_runs_kept_columns_bytes(self, rng, geometry):
+        """Every kept column of the row runs is ``im2col``'s, bit for
+        bit, with a NaN ``work`` plane and a dirty ``out`` on entry."""
+        c, h, w, kh, kw, ph, pw, sh, sw = geometry
+        image = rng.standard_normal((c, h, w)).astype(np.float32)
+        args = (kh, kw, ph, pw, sh, sw)
+        want = oracle.im2col(image, *args).tobytes()
+        layout = blaslib.runs_layout(c, h, w, *args)
+
+        def kept(runs):
+            return np.ascontiguousarray(runs.reshape(
+                -1, layout.out_h, layout.run_w)[:, :, :layout.out_w]
+            ).tobytes()
+
+        work = np.full(layout.work, np.nan, np.float32)
+        out = np.full(layout.cols, 7.0, np.float32)
+        assert blaslib.im2col_runs(image, *args, out=out, work=work) is out
+        assert kept(out) == want
+        assert np.isfinite(out).all()  # no run reads past the plane
+        assert kept(blaslib.im2col_runs(image, *args)) == want
+        with use_backend("reference"):
+            assert kept(blaslib.im2col_runs(image, *args)) == want
 
     def test_col2im_bytes(self, rng, geometry):
         c, h, w, kh, kw, ph, pw, sh, sw = geometry
@@ -172,6 +198,10 @@ class TestCallerBuffers:
     def im2col(self, **buffers):
         return blaslib.im2col(self.IMAGE, *self.ARGS, **buffers)
 
+    def im2col_runs(self, **buffers):
+        # -> runs (18, 4 * 6), flat plane 2 * 6 * 6 + 2 of slack
+        return blaslib.im2col_runs(self.IMAGE, *self.ARGS, **buffers)
+
     def col2im(self, **buffers):
         return blaslib.col2im(np.ones((18, 16), np.float32), 2, 4, 4,
                               *self.ARGS, **buffers)
@@ -187,6 +217,28 @@ class TestCallerBuffers:
     def test_im2col_rejects(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.im2col(**bad)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(out=np.empty((18, 16), np.float32)),
+         "im2col_runs out has shape"),
+        (dict(out=np.empty((18, 24), np.float64)),
+         "im2col_runs out has dtype"),
+        (dict(out=np.empty((24, 18), np.float32).T),
+         "im2col_runs out must be C-contiguous"),
+        (dict(work=np.empty((2, 6, 6), np.float32)),
+         "im2col_runs work has shape"),
+        (dict(work=np.empty(74, np.float64)), "im2col_runs work has dtype"),
+        (dict(work=np.empty(148, np.float32)[::2]),
+         "im2col_runs work must be C-contiguous"),
+    ])
+    def test_im2col_runs_rejects(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.im2col_runs(**bad)
+
+    def test_im2col_runs_rejects_a_2d_image(self):
+        with pytest.raises(ValueError, match=r"im2col_runs expects"):
+            blaslib.im2col_runs(np.zeros((4, 4), np.float32),
+                                2, 2, 0, 0, 1, 1)
 
     @pytest.mark.parametrize("bad, match", [
         (dict(out=np.empty((2, 4, 5), np.float32)), "col2im out has shape"),

@@ -5,10 +5,11 @@ Host-independent: both runs happen here, on this machine's BLAS, and
 differ only in whether a set of kernels are the production routines or
 the frozen pre-rewrite copies in ``tests/_oracle_kernels.py``.
 
-* MAX pooling, ``im2col`` and ``col2im`` (PR 15): losses and every
-  parameter blob agree **exactly**, sequentially and under the
-  two-thread blockwise executor (whose chunking splits the plane/sample
-  ranges differently).
+* MAX pooling, ``im2col``, ``col2im``, and convolution's forward and
+  backward-data GEMMs (on ``im2col_runs`` row runs, frozen on exact
+  ``im2col`` columns): losses and every parameter blob agree
+  **exactly**, sequentially and under the two-thread blockwise executor
+  (whose chunking splits the plane/sample ranges differently).
 * InnerProduct, AVE pooling forward, LRN and convolution backward-data
   (the deliberate numeric re-baselines — block GEMMs, ordered float32
   adds, a correlation with the rotated filter bank instead of
@@ -49,6 +50,10 @@ def use_oracle_kernels(monkeypatch):
         "MAX", oracle.max_pool_backward_chunk, production[1]))
     monkeypatch.setattr(blaslib, "im2col", oracle.im2col)
     monkeypatch.setattr(blaslib, "col2im", oracle.col2im)
+    monkeypatch.setattr(ConvolutionLayer, "forward_chunk",
+                        oracle.conv_forward_chunk)
+    monkeypatch.setattr(ConvolutionLayer, "_backward_data_chunk",
+                        oracle.conv_correlation_data_chunk)
 
 
 def train(network, threads):

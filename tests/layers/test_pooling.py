@@ -195,6 +195,29 @@ class TestScratchRouting:
         assert np.array_equal(bottom[0].diff, full)
 
 
+class TestTestPhase:
+    """A TEST-phase MAX pool computes values only: no argmax table, and
+    a backward through it is refused instead of routing gradients by a
+    table nobody wrote."""
+
+    def test_net_sets_the_phase(self):
+        from repro.zoo import build_net
+        for phase in ("TRAIN", "TEST"):
+            pool = build_net("lenet", phase=phase).layer("pool1")
+            assert pool.train_mode is (phase == "TRAIN")
+            assert (pool._max_idx is None) is (phase == "TEST")
+
+    def test_backward_is_refused(self):
+        from repro.zoo import build_net
+        net = build_net("lenet", phase="TEST")
+        net.forward()
+        i = net.layer_names.index("pool1")
+        pool, bottom, top = net.layers[i], net.bottoms[i], net.tops[i]
+        top[0].diff[...] = 1.0
+        with pytest.raises(ValueError, match=r"'pool1'.*TEST-phase"):
+            pool.backward(top, [True], bottom)
+
+
 class TestValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="pool method"):
@@ -213,7 +236,7 @@ class TestValidation:
 # Frozen-oracle parity: the MAX kernels against tests/_oracle_kernels.py
 # ----------------------------------------------------------------------
 import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.framework.layers import pooling  # noqa: E402
@@ -226,7 +249,7 @@ SPECIALS = np.array(
 )
 
 
-CONTENTS = ["normal", "quantised", "constant", "inf", "specials"]
+CONTENTS = ["normal", "quantised", "constant", "inf", "specials", "zeros"]
 
 
 @st.composite
@@ -249,6 +272,8 @@ def pool_case(draw, contents=CONTENTS):
 
 
 def case_input(shape, content, seed):
+    if content == "windows":
+        return SPECIALS[[0, 1, 1, 0, 5, 4]].reshape(shape)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape).astype(np.float32)
     if content == "quantised":  # ties, and both zeros
@@ -261,11 +286,18 @@ def case_input(shape, content, seed):
     elif content == "specials":
         mask = rng.random(shape) < 0.3
         x[mask] = rng.choice(SPECIALS, int(mask.sum()))
+    elif content == "zeros":  # maxima of ±0 and of two NaN payloads
+        x = np.abs(x)
+        mask = rng.random(shape) < 0.8
+        x[mask] = -x[mask]
+        mask = rng.random(shape) < 0.5
+        x[mask] = rng.choice(SPECIALS[[0, 1, 4, 5]], int(mask.sum()))
     return x
 
 
-def setup_case(case, pool="MAX"):
+def setup_case(case, pool="MAX", train_mode=True):
     layer = pool_layer(pool=pool, **case["geometry"])
+    layer.train_mode = train_mode  # as Net sets it: before setup
     x = case_input(case["shape"], case["content"], case["seed"])
     bottom, top = [make_blob(x.shape, values=x)], [Blob()]
     layer.setup(bottom, top)
@@ -276,11 +308,26 @@ def setup_case(case, pool="MAX"):
     return layer, bottom, top, list(zip(bounds, bounds[1:]))
 
 
+#: One window of each kind a values-only forward must re-read from its
+#: first maximal cell: +0 before -0, -0 before +0, -NaN before +NaN.
+SIGNED_WINDOWS = dict(
+    geometry=dict(kernel_h=1, kernel_w=2, stride_h=1, stride_w=2,
+                  pad_h=0, pad_w=0),
+    shape=(1, 1, 1, 6), content="windows", seed=0, block=1, cuts=[],
+)
+
+
 class TestMaxOracleParity:
-    @given(case=pool_case())
+    @given(case=pool_case(), train_mode=st.booleans())
+    @example(case=SIGNED_WINDOWS, train_mode=False)
+    @example(case=SIGNED_WINDOWS, train_mode=True)
     @settings(max_examples=300, deadline=None)
-    def test_forward_bytes_and_indices(self, case):
-        layer, bottom, top, chunks = setup_case(case)
+    def test_forward_bytes_and_indices(self, case, train_mode):
+        """TRAIN phase: values and argmax table equal the oracle's.  TEST
+        phase: no table, and the values equal both the oracle's and the
+        TRAIN-phase forward's, byte for byte, however the planes are
+        cut and whatever the scratch pool held."""
+        layer, bottom, top, chunks = setup_case(case, train_mode=train_mode)
         if top[0].count == 0:
             return
         for warm in (True, False):  # the second pass finds dirty buffers
@@ -289,13 +336,23 @@ class TestMaxOracleParity:
             if warm:
                 dirty_scratch_pool()
                 top[0].data[...] = 7.0
-                layer._max_idx[...] = -99
-        got, got_idx = top[0].data.tobytes(), layer._max_idx.copy()
-        top[0].data[...] = 7.0
-        layer._max_idx[...] = -99
-        oracle.max_pool_forward_chunk(layer, bottom, top, 0, chunks[-1][1])
-        assert got == top[0].data.tobytes()
-        assert np.array_equal(got_idx, layer._max_idx)
+                if train_mode:
+                    layer._max_idx[...] = -99
+        got = top[0].data.tobytes()
+        twin, _, twin_top, _ = setup_case(case)
+        if train_mode:
+            got_idx = layer._max_idx.copy()
+        else:
+            assert layer._max_idx is None
+            twin.forward(bottom, twin_top)
+            assert got == twin_top[0].data.tobytes()
+        twin_top[0].data[...] = 7.0
+        twin._max_idx[...] = -99
+        oracle.max_pool_forward_chunk(twin, bottom, twin_top,
+                                      0, chunks[-1][1])
+        assert got == twin_top[0].data.tobytes()
+        if train_mode:
+            assert np.array_equal(got_idx, twin._max_idx)
 
     @given(case=pool_case())
     @settings(max_examples=150, deadline=None)
