@@ -10,7 +10,10 @@ This package provides that surface:
 * Level 1: :func:`axpy`, :func:`axpby`, :func:`scal`, :func:`dot`,
   :func:`asum`, :func:`nrm2`, :func:`copy`, :func:`set_scalar`.
 * Level 2: :func:`gemv`, :func:`ger`.
-* Level 3: :func:`gemm`.
+* Level 3: :func:`gemm`, on matrices or on a stack of them along one
+  leading axis (InnerProduct hands over a chunk's sample blocks in one
+  call); each product of a stack is issued to BLAS, and accounted, as
+  its own 2-D call would be.
 * Convolution lowering: :func:`im2col`, :func:`im2col_runs`,
   :func:`col2im`.  Convolution's forward and backward-data GEMMs read
   ``im2col_runs`` columns (long contiguous runs of the padded plane, a
@@ -26,8 +29,9 @@ Two backends are registered:
 * ``"reference"`` — pure-Python loops, used by tests as an independent
   oracle and to mirror Caffe's "native and limited BLAS implementation".
 
-Every call is accounted in :class:`~repro.blaslib.dispatch.OpCounter` so the
-performance simulator can derive operation counts from real executions.
+Every call — every product, for a stacked :func:`gemm` — is accounted in
+:class:`~repro.blaslib.dispatch.OpCounter` so the performance simulator
+can derive operation counts from real executions.
 """
 
 from repro.blaslib.dispatch import (

@@ -76,10 +76,14 @@ class OpCounter:
     bytes_moved: Dict[str, int] = field(default_factory=dict)
     calls: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, kind: str, flops: int, nbytes: int) -> None:
-        self.flops[kind] = self.flops.get(kind, 0) + int(flops)
-        self.bytes_moved[kind] = self.bytes_moved.get(kind, 0) + int(nbytes)
-        self.calls[kind] = self.calls.get(kind, 0) + 1
+    def record(self, kind: str, flops: int, nbytes: int,
+               times: int = 1) -> None:
+        """Count ``times`` invocations of ``kind``, each of ``flops`` and
+        ``nbytes``."""
+        self.flops[kind] = self.flops.get(kind, 0) + int(flops) * times
+        self.bytes_moved[kind] = (self.bytes_moved.get(kind, 0)
+                                  + int(nbytes) * times)
+        self.calls[kind] = self.calls.get(kind, 0) + times
 
     def total_flops(self) -> int:
         return sum(self.flops.values())
@@ -136,8 +140,10 @@ def op_counter() -> Iterator[OpCounter]:
             outer.calls = merged.calls
 
 
-def record_op(kind: str, flops: int, nbytes: int) -> None:
-    """Internal hook used by the BLAS kernels to report their work."""
+def record_op(kind: str, flops: int, nbytes: int, times: int = 1) -> None:
+    """Internal hook used by the BLAS kernels to report their work:
+    ``times`` invocations (a stacked ``gemm``'s products) of ``flops``
+    and ``nbytes`` each."""
     counter = _active_counter()
     if counter is not None:
-        counter.record(kind, flops, nbytes)
+        counter.record(kind, flops, nbytes, times)

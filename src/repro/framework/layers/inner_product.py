@@ -5,15 +5,20 @@ batch axis are flattened — and computes ``Y = X @ W.T + b``.  The
 coalesced iteration space is ``S``, but the unit of BLAS work is a
 *block* of ``_BLOCK`` samples aligned at absolute multiples of
 ``_BLOCK`` (the ragged last block is its own fixed shape): one ``gemm``
-per block, not one ``gemv`` per sample.
+product per block, not one ``gemv`` per sample.  A chunk hands BLAS all
+of its whole blocks in one stacked ``gemm`` call (numpy's ``matmul``
+loop issues one ``sgemm`` per block, on the block's own operands), plus
+one call for the ragged last block when it reaches it — no Python loop
+over blocks.
 
-**Cut invariance.**  A chunk ``[lo, hi)`` walks every block it touches.
-A block that a chunk edge cuts is still computed *whole* — same
-operands, same shapes — into per-thread scratch, and only the rows in
-``[lo, hi)`` are stored; an uncut block takes the same path.  So a
+**Cut invariance.**  A chunk ``[lo, hi)`` computes every block it
+touches.  A block that a chunk edge cuts is still computed *whole* —
+same operands, same shapes — into per-thread scratch, and only the rows
+in ``[lo, hi)`` are stored; an uncut block takes the same path.  So a
 sample's value depends on its absolute block, never on the chunk that
-computed it, and every schedule, thread count and plan yields the same
-bytes.  The price is at most two redundant block GEMMs per chunk.
+computed it or on how many blocks shared its call, and every schedule,
+thread count and plan yields the same bytes.  The price is at most two
+redundant block products per chunk.
 
 The backward pass is two reduction-free loops under the same rule:
 bottom-gradient rows in blocks of samples (``dX_blk = dY_blk @ W``), and
@@ -23,16 +28,16 @@ privatized buffer or a merge (paper layers only privatize where a true
 reduction exists — the convolutional layers).
 
 Operand order is chosen by measurement, not algebra.  Forward computes
-``W @ X_blk.T`` into a ``(num_output, B)`` scratch and stores its
-transpose: at ``B = 8`` OpenBLAS runs ``X_blk @ W.T`` at about half that
-speed on a wide layer (lenet ip1, 500 x 800; mlp fc1, 100 x 3072) and
-gains only microseconds on a ten-row one.  ``dY_blk @ W`` and
+``W @ X_blk.T`` into a ``(blocks, num_output, B)`` scratch and stores
+its transpose: at ``B = 8`` OpenBLAS runs ``X_blk @ W.T`` at about half
+that speed on a wide layer (lenet ip1, 500 x 800; mlp fc1, 100 x 3072)
+and gains only microseconds on a ten-row one.  ``dY_blk @ W`` and
 ``dY[:, r0:r1].T @ X`` are fastest as written.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,12 +54,26 @@ from repro.framework.shape_inference import (
     register_shape_rule,
 )
 
-#: Samples (or output rows) per BLAS call.  Blocks sit at absolute
+#: Samples (or output rows) per BLAS product.  Blocks sit at absolute
 #: multiples of it, which is what makes a value independent of the chunk
 #: cut.  8 is serving's padded batch and leaves batch 64 with the eight
 #: blocks the paper's ip1 curve (Fig. 5, flat beyond 8 threads) can use;
-#: the Python loop, not the block width, was the cost.
+#: the Python loop over blocks, not the block width, was the cost.
 _BLOCK = 8
+
+
+def _stacks(lo: int, hi: int, size: int) -> List[Tuple[int, int, int]]:
+    """The aligned blocks chunk ``[lo, hi)`` of a ``size``-long space
+    touches, as at most two stacks ``(start, stop, width)``: every whole
+    block of ``_BLOCK``, then the ragged last block if the chunk reaches
+    it.  Each stack is one ``gemm`` call of ``(stop - start) // width``
+    products."""
+    first = lo - lo % _BLOCK
+    whole = min(hi + -hi % _BLOCK, size - size % _BLOCK)
+    stacks = [(first, whole, _BLOCK)] if whole > first else []
+    if hi > whole:
+        stacks.append((whole, size, size - whole))
+    return stacks
 
 
 @register_layer("InnerProduct")
@@ -72,14 +91,6 @@ class InnerProductLayer(Layer):
     contract = LayerContract(
         seed_params=("filler_seed",),
         fallback="stable_digest",
-        loops=("forward_chunk", "_backward_data_chunk",
-               "_backward_weight_rows"),
-        note=(
-            "one gemm per aligned block of _BLOCK coalesced iterations "
-            "is the chunking design (priced as segments dispatch by the "
-            "cost model): sample blocks in forward/backward-data, "
-            "output-row blocks in backward-weight"
-        ),
     )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
@@ -110,18 +121,21 @@ class InnerProductLayer(Layer):
         y = top[0].flat_data.reshape(self.outer, self.num_output)
         weights = self.blobs[0].data
         bias = self.blobs[1].data if self.bias_term else None
-        yt = scratch_buffer("ip.yt", (self.num_output, _BLOCK))
-        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-            stop = min(start + _BLOCK, self.outer)
-            if stop - start != _BLOCK:  # ragged last block: its own shape
-                yt = scratch_buffer("ip.yt", (self.num_output, stop - start))
+        for start, stop, width in _stacks(lo, hi, self.outer):
+            blocks = (stop - start) // width
+            yt = scratch_buffer("ip.yt", (blocks, self.num_output, width))
             # (W @ X_blk.T).T rather than X_blk @ W.T: module docstring.
-            blaslib.gemm(False, True, 1.0, weights, x[start:stop], 0.0, yt)
-            own = slice(max(start, lo) - start, min(stop, hi) - start)
+            blaslib.gemm(False, True, 1.0, weights,
+                         x[start:stop].reshape(blocks, width, self.inner),
+                         0.0, yt)
+            rows = scratch_buffer("ip.y", (blocks, width, self.num_output))
             if bias is None:
-                y[max(start, lo) : min(stop, hi)] = yt.T[own]
+                np.copyto(rows, yt.transpose(0, 2, 1))
             else:
-                np.add(yt.T[own], bias, out=y[max(start, lo) : min(stop, hi)])
+                np.add(yt.transpose(0, 2, 1), bias, out=rows)
+            own = slice(max(start, lo) - start, min(stop, hi) - start)
+            y[max(start, lo) : min(stop, hi)] = (
+                rows.reshape(-1, self.num_output)[own])
 
     def _backward_data_chunk(
         self, top: Sequence[Blob], bottom: Sequence[Blob], lo: int, hi: int
@@ -131,15 +145,16 @@ class InnerProductLayer(Layer):
         dy = top[0].flat_diff.reshape(self.outer, self.num_output)
         dx = bottom[0].flat_diff.reshape(self.outer, self.inner)
         weights = self.blobs[0].data
-        dx_blk = scratch_buffer("ip.dx", (_BLOCK, self.inner))
-        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-            stop = min(start + _BLOCK, self.outer)
-            if stop - start != _BLOCK:
-                dx_blk = scratch_buffer("ip.dx", (stop - start, self.inner))
-            blaslib.gemm(False, False, 1.0, dy[start:stop], weights, 0.0,
-                         dx_blk)
+        for start, stop, width in _stacks(lo, hi, self.outer):
+            blocks = (stop - start) // width
+            dx_blk = scratch_buffer("ip.dx", (blocks, width, self.inner))
+            blaslib.gemm(False, False, 1.0,
+                         dy[start:stop].reshape(blocks, width,
+                                                self.num_output),
+                         weights, 0.0, dx_blk)
             own = slice(max(start, lo) - start, min(stop, hi) - start)
-            dx[max(start, lo) : min(stop, hi)] = dx_blk[own]
+            dx[max(start, lo) : min(stop, hi)] = (
+                dx_blk.reshape(-1, self.inner)[own])
 
     def _backward_weight_rows(self, top: Sequence[Blob],
                               bottom: Sequence[Blob], lo: int, hi: int) -> None:
@@ -148,28 +163,30 @@ class InnerProductLayer(Layer):
         Rows are computed in aligned blocks of ``_BLOCK`` output rows,
         ``dY[:, r0:r1].T @ X`` over the whole batch, so this loop needs
         no reduction and a row's value is independent of how rows are
-        chunked across threads.  (A single chunk-wide ``gemm`` would let
+        chunked across threads.  (A single chunk-wide product would let
         BLAS re-block the inner sum per chunk shape, breaking that
         invariance.)  The bias sum is taken per block for the same
         reason: numpy reduces a one-column slice pairwise and a wider
-        one row by row.
+        one row by row, and a ``(batch, blocks, width)`` view sums each
+        block's columns as the ``(batch, width)`` slice alone would.
         """
         x = bottom[0].flat_data.reshape(self.outer, self.inner)
         dy = top[0].flat_diff.reshape(self.outer, self.num_output)
         dweights = self.blobs[0].flat_diff.reshape(self.num_output, self.inner)
         dbias = self.blobs[1].flat_diff if self.bias_term else None
-        dw_blk = scratch_buffer("ip.dw", (_BLOCK, self.inner))
-        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-            stop = min(start + _BLOCK, self.num_output)
-            if stop - start != _BLOCK:
-                dw_blk = scratch_buffer("ip.dw", (stop - start, self.inner))
-            dy_blk = dy[:, start:stop]
-            blaslib.gemm(True, False, 1.0, dy_blk, x, 0.0, dw_blk)
+        for start, stop, width in _stacks(lo, hi, self.num_output):
+            blocks = (stop - start) // width
+            # (batch, blocks, width): block b is dY[:, r0:r1] of its rows.
+            dy_blocks = dy[:, start:stop].reshape(self.outer, blocks, width)
+            dw_blk = scratch_buffer("ip.dw", (blocks, width, self.inner))
+            blaslib.gemm(True, False, 1.0, dy_blocks.transpose(1, 0, 2), x,
+                         0.0, dw_blk)
             own = slice(max(start, lo) - start, min(stop, hi) - start)
-            dweights[max(start, lo) : min(stop, hi)] += dw_blk[own]
+            dweights[max(start, lo) : min(stop, hi)] += (
+                dw_blk.reshape(-1, self.inner)[own])
             if dbias is not None:
                 dbias[max(start, lo) : min(stop, hi)] += (
-                    dy_blk.sum(axis=0)[own])
+                    dy_blocks.sum(axis=0).reshape(-1)[own])
 
     def backward_loops(self, top, propagate_down, bottom):
         """Two reduction-free loops: bottom grads over sample rows, weight

@@ -150,11 +150,15 @@ def ip_costs(
     in_bytes = n * inner * BYTES
     out_bytes = n * num_output * BYTES
     weight_bytes = weight_count * BYTES
-    # One gemm — one segment — per aligned block of IP_BLOCK samples
-    # (forward, backward-data) or output rows (backward-weight).  Every
-    # block GEMM re-reads the full weight matrix, and a block that a chunk
-    # edge cuts is computed whole on both sides, so with the modelled
-    # machine's 16 cores busy no active thread reads it less than once.
+    # One segment per aligned block of IP_BLOCK samples (forward,
+    # backward-data) or output rows (backward-weight).  The layer issues
+    # a chunk's blocks as one stacked gemm call, so this overprices its
+    # dispatch; it is kept so the modelled figures and every analyzer
+    # document stay as they are until measured costs replace the model.
+    # Every block product re-reads the full weight matrix, and a block
+    # that a chunk edge cuts is computed whole on both sides, so with the
+    # modelled machine's 16 cores busy no active thread reads it less
+    # than once.
     # Large weights do not stay cache-resident, so the layer is
     # weight-traffic bound — the mechanism behind the paper's ip1
     # plateau (Section 4.1.1).

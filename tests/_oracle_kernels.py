@@ -6,11 +6,12 @@ has the call signature of the production routine it froze, so a test can
 the old kernels.  Two generations live here, held to two standards:
 
 * **Bitwise**: MAX pooling, ``im2col``, ``col2im``, the synthetic
-  MNIST brush (one ``canvas +=`` per brush point) and convolution's
+  MNIST brush (one ``canvas +=`` per brush point), convolution's
   forward and backward-data GEMMs on exact ``im2col`` columns (now on
-  ``im2col_runs`` row runs) were rewritten for speed under the promise
-  that their outputs stay byte-for-byte what these produce; the parity
-  tests hold them to it.
+  ``im2col_runs`` row runs) and InnerProduct's one ``gemm`` per aligned
+  block (now one stacked ``gemm`` per chunk) were rewritten for speed
+  under the promise that their outputs stay byte-for-byte what these
+  produce; the parity tests hold them to it.
 * **Tolerance-bounded** (the deliberate numeric re-baselines):
   InnerProduct's per-sample / per-output-row ``gemv`` loops, AVE
   pooling's ``windows.sum`` forward and LRN's float64 prefix-sum window
@@ -22,9 +23,10 @@ the old kernels.  Two generations live here, held to two standards:
   kernels, at every chunk cut.
 
 Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
-the double copy in ``im2col``, the Python loop around ``gemv``, the
-float64 upcast, the ``col2im`` scatter, the per-point brush loop and
-conv's exact ``im2col`` columns are the point.
+the double copy in ``im2col``, the Python loops around ``gemv`` and
+around IP's block ``gemm``, the float64 upcast, the ``col2im`` scatter,
+the per-point brush loop and conv's exact ``im2col`` columns are the
+point.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ import numpy as np
 
 from repro import blaslib
 from repro.blaslib.im2col import conv_out_size
+from repro.compiler.scratch import scratch_buffer
 from repro.data.synth_mnist import SIZE as MNIST_SIZE
 from repro.framework.blob import DTYPE
+from repro.framework.layers.inner_product import _BLOCK as IP_BLOCK
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +257,8 @@ def conv_correlation_data_chunk(layer, top, bottom, lo: int, hi: int) -> None:
 
 # ----------------------------------------------------------------------
 # InnerProduct (forward_chunk / _backward_data_chunk /
-# _backward_weight_rows): one gemv per sample, one per output row
+# _backward_weight_rows), tolerance generation: one gemv per sample, one
+# per output row
 # ----------------------------------------------------------------------
 def ip_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
     x = bottom[0].flat_data.reshape(layer.outer, layer.inner)
@@ -284,6 +289,65 @@ def ip_backward_weight_rows(layer, top, bottom, lo: int, hi: int) -> None:
         blaslib.gemv(True, 1.0, x, dy_row, 1.0, dweights[row])
         if dbias is not None:
             dbias[row] += dy_row.sum()
+
+
+# ----------------------------------------------------------------------
+# InnerProduct (forward_chunk / _backward_data_chunk /
+# _backward_weight_rows), bitwise generation: one 2-D gemm per aligned
+# block of IP_BLOCK samples or output rows, computed whole into scratch,
+# only the chunk's own rows stored
+# ----------------------------------------------------------------------
+def ip_block_forward_chunk(layer, bottom, top, lo: int, hi: int) -> None:
+    x = bottom[0].flat_data.reshape(layer.outer, layer.inner)
+    y = top[0].flat_data.reshape(layer.outer, layer.num_output)
+    weights = layer.blobs[0].data
+    bias = layer.blobs[1].data if layer.bias_term else None
+    yt = scratch_buffer("ip.yt", (layer.num_output, IP_BLOCK))
+    for start in range(lo - lo % IP_BLOCK, hi, IP_BLOCK):
+        stop = min(start + IP_BLOCK, layer.outer)
+        if stop - start != IP_BLOCK:  # ragged last block: its own shape
+            yt = scratch_buffer("ip.yt", (layer.num_output, stop - start))
+        blaslib.gemm(False, True, 1.0, weights, x[start:stop], 0.0, yt)
+        own = slice(max(start, lo) - start, min(stop, hi) - start)
+        if bias is None:
+            y[max(start, lo) : min(stop, hi)] = yt.T[own]
+        else:
+            np.add(yt.T[own], bias, out=y[max(start, lo) : min(stop, hi)])
+
+
+def ip_block_backward_data_chunk(layer, top, bottom, lo: int,
+                                 hi: int) -> None:
+    dy = top[0].flat_diff.reshape(layer.outer, layer.num_output)
+    dx = bottom[0].flat_diff.reshape(layer.outer, layer.inner)
+    weights = layer.blobs[0].data
+    dx_blk = scratch_buffer("ip.dx", (IP_BLOCK, layer.inner))
+    for start in range(lo - lo % IP_BLOCK, hi, IP_BLOCK):
+        stop = min(start + IP_BLOCK, layer.outer)
+        if stop - start != IP_BLOCK:
+            dx_blk = scratch_buffer("ip.dx", (stop - start, layer.inner))
+        blaslib.gemm(False, False, 1.0, dy[start:stop], weights, 0.0,
+                     dx_blk)
+        own = slice(max(start, lo) - start, min(stop, hi) - start)
+        dx[max(start, lo) : min(stop, hi)] = dx_blk[own]
+
+
+def ip_block_backward_weight_rows(layer, top, bottom, lo: int,
+                                  hi: int) -> None:
+    x = bottom[0].flat_data.reshape(layer.outer, layer.inner)
+    dy = top[0].flat_diff.reshape(layer.outer, layer.num_output)
+    dweights = layer.blobs[0].flat_diff.reshape(layer.num_output, layer.inner)
+    dbias = layer.blobs[1].flat_diff if layer.bias_term else None
+    dw_blk = scratch_buffer("ip.dw", (IP_BLOCK, layer.inner))
+    for start in range(lo - lo % IP_BLOCK, hi, IP_BLOCK):
+        stop = min(start + IP_BLOCK, layer.num_output)
+        if stop - start != IP_BLOCK:
+            dw_blk = scratch_buffer("ip.dw", (stop - start, layer.inner))
+        dy_blk = dy[:, start:stop]
+        blaslib.gemm(True, False, 1.0, dy_blk, x, 0.0, dw_blk)
+        own = slice(max(start, lo) - start, min(stop, hi) - start)
+        dweights[max(start, lo) : min(stop, hi)] += dw_blk[own]
+        if dbias is not None:
+            dbias[max(start, lo) : min(stop, hi)] += dy_blk.sum(axis=0)[own]
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,66 @@ class TestGemm:
         assert np.allclose(c1, c2, atol=1e-5)
 
 
+class TestGemmStack:
+    """A leading stack axis: one product per entry, each the bytes and
+    the accounting of its own 2-D call; a 2-D A or B is shared."""
+
+    @staticmethod
+    def operands(rng, trans_a, trans_b, shared, products=3, m=8, k=40,
+                 n=24):
+        """(a, b, c) with ``shared`` (None, "A" or "B") left 2-D."""
+        a_shape = (k, m) if trans_a else (m, k)
+        b_shape = (n, k) if trans_b else (k, n)
+        a = rng.standard_normal(
+            a_shape if shared == "A" else (products, *a_shape))
+        b = rng.standard_normal(
+            b_shape if shared == "B" else (products, *b_shape))
+        c = rng.standard_normal((products, m, n))
+        return a.astype(np.float32), b.astype(np.float32), c.astype(np.float32)
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("shared", [None, "A", "B"])
+    @pytest.mark.parametrize("trans_a", [False, True])
+    @pytest.mark.parametrize("trans_b", [False, True])
+    def test_stacked_equals_the_per_product_loop_bytes(
+            self, rng, backend, beta, shared, trans_a, trans_b):
+        a, b, c = self.operands(rng, trans_a, trans_b, shared)
+        looped = c.copy()
+        with use_backend(backend):
+            for i in range(len(c)):
+                blaslib.gemm(trans_a, trans_b, 1.0,
+                             a if shared == "A" else a[i],
+                             b if shared == "B" else b[i], beta, looped[i])
+            blaslib.gemm(trans_a, trans_b, 1.0, a, b, beta, c)
+        assert c.tobytes() == looped.tobytes()
+
+    def test_counter_sees_one_op_per_product(self, rng):
+        a, b, c = self.operands(rng, False, True, "A", products=5)
+        with blaslib.op_counter() as one:
+            blaslib.gemm(False, True, 1.0, a, b[0], 0.0, c[0])
+        with blaslib.op_counter() as stacked:
+            blaslib.gemm(False, True, 1.0, a, b, 0.0, c)
+        assert stacked.calls["gemm"] == 5
+        assert stacked.flops["gemm"] == 5 * one.flops["gemm"]
+        assert stacked.bytes_moved["gemm"] == 5 * one.bytes_moved["gemm"]
+        assert one.flops["gemm"] == 2 * 8 * 40 * 24
+
+    @pytest.mark.parametrize("shapes, operand", [
+        (((1, 2, 8, 40), (40, 24), (2, 8, 24)), "operand A"),
+        (((8, 40), (2, 40, 24, 1), (2, 8, 24)), "operand B"),
+        (((8, 40), (40, 24), (1, 2, 8, 24)), "operand C"),
+        (((3, 8, 40), (2, 40, 24), (3, 8, 24)), "A has 3, B has 2"),
+        (((3, 8, 40), (40, 24), (2, 8, 24)), "A has 3, C has 2"),
+        (((3, 8, 40), (40, 24), (8, 24)), "C has shape"),
+        (((8, 40), (40, 24), (3, 8, 25)), "C has shape"),
+    ])
+    def test_bad_stacks_name_the_operand(self, shapes, operand):
+        a, b, c = (np.zeros(shape, np.float32) for shape in shapes)
+        with pytest.raises(ValueError, match=operand):
+            blaslib.gemm(False, False, 1.0, a, b, 0.0, c)
+
+
 class TestGemv:
     def test_plain(self, rng):
         a = rng.standard_normal((4, 3)).astype(np.float32)

@@ -5,11 +5,15 @@ Host-independent: both runs happen here, on this machine's BLAS, and
 differ only in whether a set of kernels are the production routines or
 the frozen pre-rewrite copies in ``tests/_oracle_kernels.py``.
 
-* MAX pooling, ``im2col``, ``col2im``, and convolution's forward and
+* MAX pooling, ``im2col``, ``col2im``, convolution's forward and
   backward-data GEMMs (on ``im2col_runs`` row runs, frozen on exact
-  ``im2col`` columns): losses and every parameter blob agree
+  ``im2col`` columns) and InnerProduct's stacked block GEMMs (frozen as
+  one ``gemm`` per block): losses and every parameter blob agree
   **exactly**, sequentially and under the two-thread blockwise executor
-  (whose chunking splits the plane/sample ranges differently).
+  (whose chunking splits the plane/sample ranges differently).  mlp runs
+  at batch 20, two whole sample blocks and a ragged one, so its IP
+  forward and backward-data really stack blocks; at batch 8 the sample
+  loop is a single block.
 * InnerProduct, AVE pooling forward, LRN and convolution backward-data
   (the deliberate numeric re-baselines — block GEMMs, ordered float32
   adds, a correlation with the rotated filter bank instead of
@@ -32,6 +36,8 @@ from repro.zoo import build_solver
 
 ITERS = 3
 BATCH = 8
+#: Nets trained at another batch: see the module docstring.
+BATCHES = {"mlp": 20}
 
 
 def for_method(method, oracle_fn, production_fn):
@@ -54,12 +60,18 @@ def use_oracle_kernels(monkeypatch):
                         oracle.conv_forward_chunk)
     monkeypatch.setattr(ConvolutionLayer, "_backward_data_chunk",
                         oracle.conv_correlation_data_chunk)
+    monkeypatch.setattr(InnerProductLayer, "forward_chunk",
+                        oracle.ip_block_forward_chunk)
+    monkeypatch.setattr(InnerProductLayer, "_backward_data_chunk",
+                        oracle.ip_block_backward_data_chunk)
+    monkeypatch.setattr(InnerProductLayer, "_backward_weight_rows",
+                        oracle.ip_block_backward_weight_rows)
 
 
-def train(network, threads):
+def train(network, threads, batch=BATCH):
     """(loss history, every parameter's bytes) after ITERS iterations."""
     def run(executor=None):
-        solver = build_solver(network, max_iter=ITERS, batch=BATCH,
+        solver = build_solver(network, max_iter=ITERS, batch=batch,
                               executor=executor)
         solver.step(ITERS)
         params = [blob.data.tobytes()
@@ -74,12 +86,13 @@ def train(network, threads):
 
 
 @pytest.mark.parametrize("threads", [0, 2], ids=["sequential", "blockwise2"])
-@pytest.mark.parametrize("network", ["cifar10", "lenet"])
+@pytest.mark.parametrize("network", ["cifar10", "lenet", "mlp"])
 def test_trajectory_equals_oracle_kernels(network, threads, monkeypatch):
-    losses, params = train(network, threads)
+    batch = BATCHES.get(network, BATCH)
+    losses, params = train(network, threads, batch)
     with monkeypatch.context() as patch:
         use_oracle_kernels(patch)
-        oracle_losses, oracle_params = train(network, threads)
+        oracle_losses, oracle_params = train(network, threads, batch)
     assert len(losses) == ITERS and params
     assert losses == oracle_losses
     assert params == oracle_params

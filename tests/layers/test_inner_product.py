@@ -117,14 +117,18 @@ class TestBackward:
 
 
 # ----------------------------------------------------------------------
-# Block-GEMM kernels: cut-invariance (bitwise) and parity with the
-# frozen per-sample / per-row gemv loops (tolerance-bounded)
+# Block-GEMM kernels: cut-invariance (bitwise), parity with the frozen
+# one-gemm-per-block loops (bitwise) and with the per-sample / per-row
+# gemv loops (tolerance-bounded)
 # ----------------------------------------------------------------------
 import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.framework.layers.inner_product import _BLOCK  # noqa: E402
+from repro.framework.layers.inner_product import (  # noqa: E402
+    _BLOCK,
+    InnerProductLayer,
+)
 from repro.testing import NAN_BYTE, dirty_scratch_pool  # noqa: E402
 
 
@@ -214,22 +218,28 @@ def run_chunks(written, start_value, chunk, chunks):
     return [array.tobytes() for array in written]
 
 
-def cut_dependent_kernels(case, impl=None):
-    """Names of the kernels of ``impl`` (default: production) whose
-    bytes under ``case``'s partition — chunks in shuffled order, scratch
-    pool NaN-filled — differ from one full-range call's."""
+def full_and_cut_bytes(case, impl=None):
+    """``{kernel name: (bytes of one full-range call, bytes under
+    case's partition — chunks in shuffled order, scratch pool
+    NaN-filled)}`` for the kernels of ``impl`` (default: production)."""
     layer, bottom, top, rng = setup_ip_case(case)
-    failed = []
+    stored = {}
     for name, cuts, space, written, start_value, chunk in kernels(
             layer, bottom, top, impl or production(layer)):
         bounds = sorted({0, space, *case[cuts]})
         chunks = list(zip(bounds, bounds[1:]))
         rng.shuffle(chunks)
-        want = run_chunks(written, start_value, chunk, [(0, space)])
+        full = run_chunks(written, start_value, chunk, [(0, space)])
         dirty_scratch_pool(NAN_BYTE)
-        if run_chunks(written, start_value, chunk, chunks) != want:
-            failed.append(name)
-    return failed
+        stored[name] = full, run_chunks(written, start_value, chunk, chunks)
+    return stored
+
+
+def cut_dependent_kernels(case, impl=None):
+    """Names of the kernels of ``impl`` (default: production) whose
+    bytes under ``case``'s partition differ from one full-range call's."""
+    return [name for name, (full, cut) in full_and_cut_bytes(
+        case, impl).items() if full != cut]
 
 
 def lo_aligned_blocks(lo, hi):
@@ -305,7 +315,30 @@ class TestCutInvariance:
                           "_backward_weight_rows"}
 
 
+def use_per_block_gemms(patch):
+    """InnerProductLayer's three chunk bodies back on the frozen one-gemm-
+    per-block forms; FusedInnerProductReLU reaches them through super()."""
+    patch.setattr(InnerProductLayer, "forward_chunk",
+                  oracle.ip_block_forward_chunk)
+    patch.setattr(InnerProductLayer, "_backward_data_chunk",
+                  oracle.ip_block_backward_data_chunk)
+    patch.setattr(InnerProductLayer, "_backward_weight_rows",
+                  oracle.ip_block_backward_weight_rows)
+
+
 class TestOracleParity:
+    @given(case=ip_case())
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_the_per_block_gemms(self, case):
+        """One stacked gemm per chunk stores the bytes of one gemm per
+        block, full-range and under the case's cuts, for both layer
+        types."""
+        stacked = full_and_cut_bytes(case)
+        with pytest.MonkeyPatch.context() as patch:
+            use_per_block_gemms(patch)
+            per_block = full_and_cut_bytes(case)
+        assert stacked == per_block
+
     @given(case=ip_case())
     @settings(max_examples=200, deadline=None)
     def test_close_to_the_gemv_loops(self, case):
