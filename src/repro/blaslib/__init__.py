@@ -23,24 +23,16 @@ This package provides that surface:
   as the tested adjoint of ``im2col`` and the reference that
   correlation is checked against.
 
-Two backends are registered:
-
-* ``"numpy"`` (default) — vectorized, the production path.
-* ``"reference"`` — pure-Python loops, used by tests as an independent
-  oracle and to mirror Caffe's "native and limited BLAS implementation".
+Each kernel has one implementation, vectorized with numpy.  The tests
+check it against independent pure-Python loops that live with them
+(``tests/_oracle_kernels.py``), never in this package.
 
 Every call — every product, for a stacked :func:`gemm` — is accounted in
 :class:`~repro.blaslib.dispatch.OpCounter` so the performance simulator
 can derive operation counts from real executions.
 """
 
-from repro.blaslib.dispatch import (
-    OpCounter,
-    backend_name,
-    get_backend,
-    op_counter,
-    use_backend,
-)
+from repro.blaslib.dispatch import OpCounter, op_counter
 from repro.blaslib.level1 import (
     asum,
     axpby,
@@ -60,14 +52,12 @@ __all__ = [
     "asum",
     "axpby",
     "axpy",
-    "backend_name",
     "col2im",
     "copy",
     "dot",
     "gemm",
     "gemv",
     "ger",
-    "get_backend",
     "im2col",
     "im2col_runs",
     "nrm2",
@@ -75,5 +65,4 @@ __all__ = [
     "runs_layout",
     "scal",
     "set_scalar",
-    "use_backend",
 ]

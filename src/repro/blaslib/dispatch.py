@@ -1,10 +1,10 @@
-"""Backend dispatch and operation accounting for the BLAS substrate.
+"""Operation accounting for the BLAS substrate.
 
-The dispatcher keeps a process-global current backend (``"numpy"`` or
-``"reference"``) and a stack-based context manager to switch it, plus an
-:class:`OpCounter` that tallies floating-point operations and bytes moved
-per BLAS level.  The simulator uses these tallies to build its cost model
-from *measured* call patterns instead of hand-derived formulas.
+Every kernel reports its work through :func:`record_op`; an
+:class:`OpCounter` opened with :func:`op_counter` tallies floating-point
+operations and bytes moved per call kind.  The simulator uses these
+tallies to build its cost model from *measured* call patterns instead of
+hand-derived formulas.
 """
 
 from __future__ import annotations
@@ -13,48 +13,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
-
-_VALID_BACKENDS = ("numpy", "reference")
-
-# Backend selection is thread-local so a worker thread running the reference
-# backend (e.g. inside a test oracle) does not perturb concurrent workers.
-_state = threading.local()
-
-
-def _current() -> str:
-    return getattr(_state, "backend", "numpy")
-
-
-def backend_name() -> str:
-    """Return the name of the active BLAS backend for this thread."""
-    return _current()
-
-
-def get_backend() -> str:
-    """Alias of :func:`backend_name` kept for API symmetry."""
-    return _current()
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the BLAS backend for the calling thread.
-
-    Parameters
-    ----------
-    name:
-        ``"numpy"`` for the vectorized production backend or
-        ``"reference"`` for the pure-Python oracle.
-    """
-    if name not in _VALID_BACKENDS:
-        raise ValueError(
-            f"unknown BLAS backend {name!r}; expected one of {_VALID_BACKENDS}"
-        )
-    previous = _current()
-    _state.backend = name
-    try:
-        yield
-    finally:
-        _state.backend = previous
 
 
 @dataclass
@@ -111,11 +69,19 @@ class OpCounter:
         self.calls.clear()
 
 
-_counter_state = threading.local()
+class _CounterState(threading.local):
+    """The calling thread's innermost open counter.  The class default
+    makes the lookup on a thread that never opened one a plain attribute
+    read, not a failed one."""
+
+    counter: OpCounter | None = None
+
+
+_counter_state = _CounterState()
 
 
 def _active_counter() -> OpCounter | None:
-    return getattr(_counter_state, "counter", None)
+    return _counter_state.counter
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blaslib.dispatch import backend_name, record_op
+from repro.blaslib.dispatch import record_op
 
 
 def gemm(
@@ -56,12 +56,6 @@ def gemm(
     record_op("gemm", 2 * m * n * k,
               m * k * a.itemsize + k * n * b.itemsize + 2 * m * n * c.itemsize,
               1 if products is None else products)
-    if backend_name() == "reference":
-        for i, c_i in enumerate(c[None] if products is None else c):
-            _reference_product(alpha, op_a[i] if op_a.ndim == 3 else op_a,
-                               op_b[i] if op_b.ndim == 3 else op_b, beta, c_i)
-        return c
-
     if beta == 0.0:
         if alpha == 1.0 and c.flags["C_CONTIGUOUS"]:
             np.matmul(op_a, op_b, out=c)
@@ -77,22 +71,6 @@ def gemm(
         c *= beta
         c += alpha * (op_a @ op_b)
     return c
-
-
-def _reference_product(alpha: float, op_a: np.ndarray, op_b: np.ndarray,
-                       beta: float, c: np.ndarray) -> None:
-    """One 2-D product, triple loop in Python floats."""
-    m, k = op_a.shape
-    n = op_b.shape[1]
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for p in range(k):
-                acc += float(op_a[i, p]) * float(op_b[p, j])
-            # beta == 0 makes C write-only, as in BLAS: callers hand in
-            # uninitialised scratch and NaN * 0 is NaN.
-            c[i, j] = (alpha * acc if beta == 0.0
-                       else alpha * acc + beta * c[i, j])
 
 
 def _stack_length(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:

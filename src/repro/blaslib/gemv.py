@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blaslib.dispatch import backend_name, record_op
+from repro.blaslib.dispatch import record_op
 
 
 def gemv(
@@ -38,17 +38,6 @@ def gemv(
         raise ValueError(f"gemv y has shape {y.shape}, expected ({out_len},)")
 
     record_op("gemv", 2 * m * n, a.nbytes + x.nbytes + 2 * y.nbytes)
-    if backend_name() == "reference":
-        op_a = a.T if trans else a
-        for i in range(out_len):
-            acc = 0.0
-            for j in range(in_len):
-                acc += float(op_a[i, j]) * float(x[j])
-            # beta == 0 makes y write-only, as in BLAS (NaN * 0 is NaN).
-            y[i] = (alpha * acc if beta == 0.0
-                    else alpha * acc + beta * y[i])
-        return y
-
     op_a = a.T if trans else a
     if beta == 0.0:
         product = op_a @ x
@@ -71,10 +60,5 @@ def ger(alpha: float, x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarray
         raise ValueError(f"ger y has shape {y.shape}, expected ({n},)")
 
     record_op("ger", 2 * m * n, x.nbytes + y.nbytes + 2 * a.nbytes)
-    if backend_name() == "reference":
-        for i in range(m):
-            for j in range(n):
-                a[i, j] = a[i, j] + alpha * float(x[i]) * float(y[j])
-        return a
     a += alpha * np.outer(x, y)
     return a

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.blaslib.dispatch import backend_name, record_op
+from repro.blaslib.dispatch import record_op
 
 
 def conv_out_size(in_size: int, kernel: int, pad: int, stride: int) -> int:
@@ -125,12 +125,6 @@ def im2col(
             raise ValueError("im2col out must be C-contiguous")
 
     record_op("im2col", 0, image.nbytes + out.nbytes)
-    if backend_name() == "reference":
-        _im2col_reference(
-            image, kernel_h, kernel_w, pad_h, pad_w, stride_h, stride_w, out
-        )
-        return out
-
     if pad_h or pad_w:
         padded = _padded_plane(
             "im2col", work, (c, h + 2 * pad_h, w + 2 * pad_w), image.dtype
@@ -225,16 +219,7 @@ def im2col_runs(
             raise ValueError("im2col_runs work must be C-contiguous")
 
     record_op("im2col", 0, image.nbytes + out.nbytes)
-    out_h, out_w, run_h, run_w = layout[:4]
-    if backend_name() == "reference":
-        kept = np.empty((layout.cols[0], out_h * out_w), dtype=image.dtype)
-        _im2col_reference(image, kernel_h, kernel_w, pad_h, pad_w,
-                          stride_h, stride_w, kept)
-        out.fill(0.0)
-        out.reshape(-1, out_h, run_w)[:, :, :out_w] = (
-            kept.reshape(-1, out_h, out_w))
-        return out
-
+    out_h, _, run_h, run_w = layout[:4]
     work.fill(0.0)
     plane = work[: work.size - (kernel_w - 1) // stride_w].reshape(
         c, stride_h, stride_w, run_h, run_w)
@@ -263,36 +248,6 @@ def im2col_runs(
             np.copyto(dst, np.ndarray(dst.shape, work.dtype, work,
                                       offset, strides))
     return out
-
-
-def _im2col_reference(
-    image: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    pad_h: int,
-    pad_w: int,
-    stride_h: int,
-    stride_w: int,
-    out: np.ndarray,
-) -> None:
-    c, h, w = image.shape
-    out_h = conv_out_size(h, kernel_h, pad_h, stride_h)
-    out_w = conv_out_size(w, kernel_w, pad_w, stride_w)
-    row = 0
-    for ch in range(c):
-        for kh in range(kernel_h):
-            for kw in range(kernel_w):
-                col = 0
-                for oh in range(out_h):
-                    ih = oh * stride_h + kh - pad_h
-                    for ow in range(out_w):
-                        iw = ow * stride_w + kw - pad_w
-                        if 0 <= ih < h and 0 <= iw < w:
-                            out[row, col] = image[ch, ih, iw]
-                        else:
-                            out[row, col] = 0.0
-                        col += 1
-                row += 1
 
 
 def col2im(
@@ -328,14 +283,6 @@ def col2im(
                       (channels, height, width), col.dtype)
 
     record_op("col2im", col.size, col.nbytes + out.nbytes)
-    if backend_name() == "reference":
-        out.fill(0.0)
-        _col2im_reference(
-            col, channels, height, width, kernel_h, kernel_w,
-            pad_h, pad_w, stride_h, stride_w, out,
-        )
-        return out
-
     padded = _padded_plane(
         "col2im", work,
         (channels, height + 2 * pad_h, width + 2 * pad_w), col.dtype,
@@ -348,33 +295,3 @@ def col2im(
             padded[:, kh:h_stop:stride_h, kw:w_stop:stride_w] += view[:, kh, kw]
     np.copyto(out, padded[:, pad_h : pad_h + height, pad_w : pad_w + width])
     return out
-
-
-def _col2im_reference(
-    col: np.ndarray,
-    channels: int,
-    height: int,
-    width: int,
-    kernel_h: int,
-    kernel_w: int,
-    pad_h: int,
-    pad_w: int,
-    stride_h: int,
-    stride_w: int,
-    out: np.ndarray,
-) -> None:
-    out_h = conv_out_size(height, kernel_h, pad_h, stride_h)
-    out_w = conv_out_size(width, kernel_w, pad_w, stride_w)
-    row = 0
-    for ch in range(channels):
-        for kh in range(kernel_h):
-            for kw in range(kernel_w):
-                col_idx = 0
-                for oh in range(out_h):
-                    ih = oh * stride_h + kh - pad_h
-                    for ow in range(out_w):
-                        iw = ow * stride_w + kw - pad_w
-                        if 0 <= ih < height and 0 <= iw < width:
-                            out[ch, ih, iw] += col[row, col_idx]
-                        col_idx += 1
-                row += 1

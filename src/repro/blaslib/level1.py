@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blaslib.dispatch import backend_name, record_op
+from repro.blaslib.dispatch import record_op
 
 
 def _check_vectors(*vecs: np.ndarray) -> int:
@@ -31,10 +31,6 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y += alpha * x`` in place; returns ``y``."""
     n = _check_vectors(x, y)
     record_op("axpy", 2 * n, x.nbytes + 2 * y.nbytes)
-    if backend_name() == "reference":
-        for i in range(n):
-            y[i] = y[i] + alpha * x[i]
-        return y
     if alpha == 1.0:
         y += x
     else:
@@ -46,10 +42,6 @@ def axpby(alpha: float, x: np.ndarray, beta: float, y: np.ndarray) -> np.ndarray
     """``y = alpha * x + beta * y`` in place; returns ``y``."""
     n = _check_vectors(x, y)
     record_op("axpby", 3 * n, x.nbytes + 2 * y.nbytes)
-    if backend_name() == "reference":
-        for i in range(n):
-            y[i] = alpha * x[i] + beta * y[i]
-        return y
     y *= beta
     y += alpha * x
     return y
@@ -59,34 +51,22 @@ def scal(alpha: float, x: np.ndarray) -> np.ndarray:
     """``x *= alpha`` in place; returns ``x``."""
     n = _check_vectors(x)
     record_op("scal", n, 2 * x.nbytes)
-    if backend_name() == "reference":
-        for i in range(n):
-            x[i] = alpha * x[i]
-        return x
     x *= alpha
     return x
 
 
 def set_scalar(alpha: float, x: np.ndarray) -> np.ndarray:
     """``x[:] = alpha`` (Caffe's ``caffe_set``); returns ``x``."""
-    n = _check_vectors(x)
+    _check_vectors(x)
     record_op("set", 0, x.nbytes)
-    if backend_name() == "reference":
-        for i in range(n):
-            x[i] = alpha
-        return x
     x.fill(alpha)
     return x
 
 
 def copy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y[:] = x`` (Caffe's ``caffe_copy``); returns ``y``."""
-    n = _check_vectors(x, y)
+    _check_vectors(x, y)
     record_op("copy", 0, x.nbytes + y.nbytes)
-    if backend_name() == "reference":
-        for i in range(n):
-            y[i] = x[i]
-        return y
     np.copyto(y, x)
     return y
 
@@ -95,11 +75,6 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     """Inner product ``x . y``."""
     n = _check_vectors(x, y)
     record_op("dot", 2 * n, x.nbytes + y.nbytes)
-    if backend_name() == "reference":
-        acc = 0.0
-        for i in range(n):
-            acc += float(x[i]) * float(y[i])
-        return acc
     return float(np.dot(x, y))
 
 
@@ -107,11 +82,6 @@ def asum(x: np.ndarray) -> float:
     """Sum of absolute values (BLAS ``asum``)."""
     n = _check_vectors(x)
     record_op("asum", n, x.nbytes)
-    if backend_name() == "reference":
-        acc = 0.0
-        for i in range(n):
-            acc += abs(float(x[i]))
-        return acc
     return float(np.sum(np.abs(x)))
 
 
@@ -119,9 +89,4 @@ def nrm2(x: np.ndarray) -> float:
     """Euclidean norm (BLAS ``nrm2``)."""
     n = _check_vectors(x)
     record_op("nrm2", 2 * n, x.nbytes)
-    if backend_name() == "reference":
-        acc = 0.0
-        for i in range(n):
-            acc += float(x[i]) * float(x[i])
-        return acc ** 0.5
     return float(np.linalg.norm(x))

@@ -7,3 +7,20 @@
 
 The analysis suite is ``python -m repro.analysis``.
 """
+
+import argparse
+
+
+def at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``, so a
+    nonsense count is a usage error naming its flag (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse

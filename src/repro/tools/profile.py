@@ -20,6 +20,7 @@ import argparse
 import sys
 
 from repro.bench.pinning import pin_blas_threads
+from repro.tools import at_least
 
 #: Must run before the numpy-importing repro imports below.
 _BLAS_PIN = pin_blas_threads()
@@ -38,8 +39,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro.tools.profile")
     parser.add_argument("--net", choices=("lenet", "cifar10"),
                         default="lenet")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--iters", type=int, default=3)
+    parser.add_argument("--threads", type=at_least(1), default=1)
+    parser.add_argument("--iters", type=at_least(1), default=3)
     args = parser.parse_args(argv)
 
     net = build_net(args.net)

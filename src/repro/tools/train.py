@@ -50,6 +50,7 @@ from repro.resilience import (
     HealthGuard,
     NumericFault,
 )
+from repro.tools import at_least
 from repro.zoo import build_solver
 
 
@@ -71,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--net", choices=("lenet", "cifar10"),
                         help="zoo network")
     source.add_argument("--prototxt", help="path to a network prototxt")
-    parser.add_argument("--iters", type=int, default=50,
+    parser.add_argument("--iters", type=at_least(1), default=50,
                         help="training iterations (default 50)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=at_least(1), default=1,
                         help="coarse-grain thread count (default 1)")
     parser.add_argument("--reduction", choices=REDUCTION_MODES,
                         default="ordered",
@@ -91,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("SGD", "AdaGrad", "Nesterov"))
     parser.add_argument("--lr", type=float, default=None,
                         help="override base learning rate")
-    parser.add_argument("--display", type=int, default=10,
-                        help="print loss every N iterations")
+    parser.add_argument("--display", type=at_least(0), default=10,
+                        help="print loss every N iterations (0: never)")
     parser.add_argument("--snapshot", default=None,
                         help="save trained weights to this .npz path")
     parser.add_argument("--test", action="store_true",
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full-state checkpoint file (atomic, "
                              "CRC-32-checksummed; also written on a "
                              "numeric-guard halt)")
-    parser.add_argument("--checkpoint-every", type=int, default=0,
+    parser.add_argument("--checkpoint-every", type=at_least(0), default=0,
                         metavar="N",
                         help="write --checkpoint every N iterations "
                              "(requires --checkpoint)")
@@ -119,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.checkpoint_every < 0:
-        parser.error(f"--checkpoint-every must be >= 0, "
-                     f"got {args.checkpoint_every}")
     if args.checkpoint_every and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint PATH")
 

@@ -1,9 +1,11 @@
-"""Frozen copies of kernels as they stood before they were rewritten.
+"""Test-side kernel oracles: frozen copies of kernels as they stood
+before they were rewritten, and independent pure-Python BLAS loops.
 
 Test-only: nothing under ``src/`` imports this module.  Every function
-has the call signature of the production routine it froze, so a test can
-``monkeypatch.setattr`` it in and replay a whole training trajectory on
-the old kernels.  Two generations live here, held to two standards:
+has the call signature of the production routine it stands for, so a
+test can ``monkeypatch.setattr`` a frozen kernel in and replay a whole
+training trajectory on the old kernels.  Two frozen generations live
+here, held to two standards:
 
 * **Bitwise**: MAX pooling, ``im2col``, ``col2im``, the synthetic
   MNIST brush (one ``canvas +=`` per brush point), convolution's
@@ -21,6 +23,17 @@ the old kernels.  Two generations live here, held to two standards:
   agree with these to ``rtol=1e-5, atol=1e-6``; what stays bitwise is
   parallel == sequential == fused == served == resumed under the *new*
   kernels, at every chunk cut.
+
+The third kind is not a frozen copy of anything:
+
+* **Independent** (``reference_<kernel>``, one per ``repro.blaslib``
+  kernel): scalar Python loops over each element, written from the BLAS
+  definition and never from production code.  They call nothing in
+  ``repro.blaslib`` (a test pins that they record no op), keep BLAS's
+  ``beta == 0`` write-only rule (a NaN in the output must not leak), and
+  ``reference_im2col_runs`` zeroes the columns it discards.  Tests
+  compare the vectorized kernels against them: byte for byte where the
+  inputs make both sums exact, to a tolerance elsewhere.
 
 Do not "tidy" these: the k**2 copy, the per-plane ``np.add.at`` loop,
 the double copy in ``im2col``, the Python loops around ``gemv`` and
@@ -411,3 +424,168 @@ def lrn_backward_chunk(layer, top, propagate_down, bottom,
         (dy * layer._scale_pow[lo:hi]
          - coeff * x * window.astype(DTYPE)),
     )
+
+
+# ----------------------------------------------------------------------
+# Independent reference loops: one per blaslib kernel, scalar Python
+# ----------------------------------------------------------------------
+def reference_axpy(alpha, x, y):
+    for i in range(len(y)):
+        y[i] = y[i] + alpha * x[i]
+    return y
+
+
+def reference_axpby(alpha, x, beta, y):
+    for i in range(len(y)):
+        y[i] = alpha * x[i] + beta * y[i]
+    return y
+
+
+def reference_scal(alpha, x):
+    for i in range(len(x)):
+        x[i] = alpha * x[i]
+    return x
+
+
+def reference_set_scalar(alpha, x):
+    for i in range(len(x)):
+        x[i] = alpha
+    return x
+
+
+def reference_copy(x, y):
+    for i in range(len(y)):
+        y[i] = x[i]
+    return y
+
+
+def reference_dot(x, y) -> float:
+    acc = 0.0
+    for i in range(len(x)):
+        acc += float(x[i]) * float(y[i])
+    return acc
+
+
+def reference_asum(x) -> float:
+    acc = 0.0
+    for i in range(len(x)):
+        acc += abs(float(x[i]))
+    return acc
+
+
+def reference_nrm2(x) -> float:
+    acc = 0.0
+    for i in range(len(x)):
+        acc += float(x[i]) * float(x[i])
+    return acc ** 0.5
+
+
+def reference_gemv(trans, alpha, a, x, beta, y):
+    op_a = a.T if trans else a
+    for i in range(len(y)):
+        acc = 0.0
+        for j in range(len(x)):
+            acc += float(op_a[i, j]) * float(x[j])
+        # beta == 0 makes y write-only, as in BLAS (NaN * 0 is NaN).
+        y[i] = alpha * acc if beta == 0.0 else alpha * acc + beta * y[i]
+    return y
+
+
+def reference_ger(alpha, x, y, a):
+    for i in range(len(x)):
+        for j in range(len(y)):
+            a[i, j] = a[i, j] + alpha * float(x[i]) * float(y[j])
+    return a
+
+
+def reference_gemm(trans_a, trans_b, alpha, a, b, beta, c):
+    """One triple loop per product; a 3-D operand is a stack along its
+    leading axis, a 2-D ``A`` or ``B`` is shared by every product."""
+    op_a = a.swapaxes(-1, -2) if trans_a else a
+    op_b = b.swapaxes(-1, -2) if trans_b else b
+    for s, c_s in enumerate(c[None] if c.ndim == 2 else c):
+        a_s = op_a[s] if op_a.ndim == 3 else op_a
+        b_s = op_b[s] if op_b.ndim == 3 else op_b
+        m, k = a_s.shape
+        for i in range(m):
+            for j in range(b_s.shape[1]):
+                acc = 0.0
+                for p in range(k):
+                    acc += float(a_s[i, p]) * float(b_s[p, j])
+                # beta == 0 makes C write-only, as in BLAS: callers hand
+                # in uninitialised scratch and NaN * 0 is NaN.
+                c_s[i, j] = (alpha * acc if beta == 0.0
+                             else alpha * acc + beta * c_s[i, j])
+    return c
+
+
+def _window_count(size, kernel, pad, stride) -> int:
+    return (size + 2 * pad - kernel) // stride + 1
+
+
+def reference_im2col(image, kernel_h, kernel_w, pad_h, pad_w, stride_h,
+                     stride_w, out=None, work=None):
+    """Every column entry read from the image, or 0.0 in the padding."""
+    c, h, w = image.shape
+    out_h = _window_count(h, kernel_h, pad_h, stride_h)
+    out_w = _window_count(w, kernel_w, pad_w, stride_w)
+    if out is None:
+        out = np.empty((c * kernel_h * kernel_w, out_h * out_w), image.dtype)
+    row = 0
+    for ch in range(c):
+        for kh in range(kernel_h):
+            for kw in range(kernel_w):
+                col = 0
+                for oh in range(out_h):
+                    ih = oh * stride_h + kh - pad_h
+                    for ow in range(out_w):
+                        iw = ow * stride_w + kw - pad_w
+                        if 0 <= ih < h and 0 <= iw < w:
+                            out[row, col] = image[ch, ih, iw]
+                        else:
+                            out[row, col] = 0.0
+                        col += 1
+                row += 1
+    return out
+
+
+def reference_im2col_runs(image, kernel_h, kernel_w, pad_h, pad_w,
+                          stride_h, stride_w, out=None, work=None):
+    """``reference_im2col``'s columns at their row-run positions; the
+    discarded columns are zeroed."""
+    c, h, w = image.shape
+    kept = reference_im2col(image, kernel_h, kernel_w, pad_h, pad_w,
+                            stride_h, stride_w)
+    out_h = _window_count(h, kernel_h, pad_h, stride_h)
+    out_w = _window_count(w, kernel_w, pad_w, stride_w)
+    run_w = -(-(w + 2 * pad_w) // stride_w)
+    if out is None:
+        out = np.empty((len(kept), out_h * run_w), image.dtype)
+    out.fill(0.0)
+    out.reshape(-1, out_h, run_w)[:, :, :out_w] = kept.reshape(
+        -1, out_h, out_w)
+    return out
+
+
+def reference_col2im(col, channels, height, width, kernel_h, kernel_w,
+                     pad_h, pad_w, stride_h, stride_w, out=None, work=None):
+    """Every column entry added onto its pixel, in column order."""
+    out_h = _window_count(height, kernel_h, pad_h, stride_h)
+    out_w = _window_count(width, kernel_w, pad_w, stride_w)
+    if out is None:
+        out = np.empty((channels, height, width), col.dtype)
+    out.fill(0.0)
+    row = 0
+    for ch in range(channels):
+        for kh in range(kernel_h):
+            for kw in range(kernel_w):
+                col_idx = 0
+                for oh in range(out_h):
+                    ih = oh * stride_h + kh - pad_h
+                    for ow in range(out_w):
+                        iw = ow * stride_w + kw - pad_w
+                        if 0 <= ih < height and 0 <= iw < width:
+                            out[ch, ih, iw] += col[row, col_idx]
+                        col_idx += 1
+                row += 1
+    return out

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
 from repro import blaslib
-from repro.blaslib import use_backend
 from repro.blaslib.im2col import conv_out_size
 
 
@@ -33,8 +33,7 @@ class TestIm2col:
     def test_matches_reference(self, rng):
         image = rng.standard_normal((3, 6, 5)).astype(np.float32)
         fast = blaslib.im2col(image, 3, 2, 1, 1, 2, 1)
-        with use_backend("reference"):
-            slow = blaslib.im2col(image, 3, 2, 1, 1, 2, 1)
+        slow = oracle.reference_im2col(image, 3, 2, 1, 1, 2, 1)
         assert np.array_equal(fast, slow)
 
     def test_convolution_via_gemm(self, rng):
@@ -94,8 +93,7 @@ class TestCol2im:
     def test_matches_reference(self, rng):
         col = rng.standard_normal((2 * 3 * 2, 3 * 5)).astype(np.float32)
         fast = blaslib.col2im(col, 2, 6, 6, 3, 2, 1, 0, 2, 1)
-        with use_backend("reference"):
-            slow = blaslib.col2im(col, 2, 6, 6, 3, 2, 1, 0, 2, 1)
+        slow = oracle.reference_col2im(col, 2, 6, 6, 3, 2, 1, 0, 2, 1)
         assert np.allclose(fast, slow, atol=1e-5)
 
     def test_overlap_accumulates(self):
@@ -113,7 +111,6 @@ class TestCol2im:
 # ----------------------------------------------------------------------
 # Frozen-oracle parity and caller-buffer validation
 # ----------------------------------------------------------------------
-import _oracle_kernels as oracle  # noqa: E402  (tests/ is on sys.path)
 
 #: (C, H, W, kh, kw, ph, pw, sh, sw): the three cifar10 convs' geometry
 #: in small, lenet's pad-free one, lopsided strided cases, and pads past
@@ -144,8 +141,8 @@ class TestOracleParity:
         assert blaslib.im2col(image, *args, out=out, work=work) is out
         assert out.tobytes() == want.tobytes()
         assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
-        with use_backend("reference"):
-            assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
+        assert oracle.reference_im2col(image, *args).tobytes() == (
+            want.tobytes())
 
     def test_im2col_runs_kept_columns_bytes(self, rng, geometry):
         """Every kept column of the row runs is ``im2col``'s, bit for
@@ -167,8 +164,7 @@ class TestOracleParity:
         assert kept(out) == want
         assert np.isfinite(out).all()  # no run reads past the plane
         assert kept(blaslib.im2col_runs(image, *args)) == want
-        with use_backend("reference"):
-            assert kept(blaslib.im2col_runs(image, *args)) == want
+        assert kept(oracle.reference_im2col_runs(image, *args)) == want
 
     def test_col2im_bytes(self, rng, geometry):
         c, h, w, kh, kw, ph, pw, sh, sw = geometry
@@ -182,8 +178,8 @@ class TestOracleParity:
         assert blaslib.col2im(col, *args, out=out, work=work) is out
         assert out.tobytes() == want.tobytes()
         assert blaslib.col2im(col, *args).tobytes() == want.tobytes()
-        with use_backend("reference"):
-            assert blaslib.col2im(col, *args).tobytes() == want.tobytes()
+        assert oracle.reference_col2im(col, *args).tobytes() == (
+            want.tobytes())
 
 
 class TestCallerBuffers:

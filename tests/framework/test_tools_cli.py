@@ -11,6 +11,13 @@ from repro.tools.profile import main as profile_main
 MALFORMED_SCHEDULES = ["bogus", "static,x", "static,-3", "dynamic,0",
                        "guided,0"]
 
+#: (flag, value): counts the CLIs refuse as usage errors (exit 2).
+NONSENSE_TRAIN_COUNTS = [("--iters", "0"), ("--iters", "-3"),
+                         ("--threads", "0"), ("--threads", "-2"),
+                         ("--display", "-1"), ("--checkpoint-every", "-1")]
+NONSENSE_PROFILE_COUNTS = [("--threads", "0"), ("--threads", "-2"),
+                           ("--iters", "0"), ("--iters", "-2")]
+
 
 class TestTrainCli:
     def test_zoo_training(self, capsys, tmp_path):
@@ -58,6 +65,15 @@ class TestTrainCli:
     def test_requires_net_or_prototxt(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("flag, value", NONSENSE_TRAIN_COUNTS)
+    def test_nonsense_count_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            train_main(["--net", "lenet", flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= " in err
+        assert f"got {value}" in err
 
     @pytest.mark.parametrize("schedule", MALFORMED_SCHEDULES)
     def test_malformed_schedule_flag_is_a_usage_error(self, capsys,
@@ -130,3 +146,12 @@ class TestProfileCli:
                              "--threads", "2"])
         assert code == 0
         assert "conv2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", NONSENSE_PROFILE_COUNTS)
+    def test_nonsense_count_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            profile_main(["--net", "lenet", flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= " in err
+        assert f"got {value}" in err

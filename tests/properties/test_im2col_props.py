@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
 from repro import blaslib
 
 
@@ -30,8 +31,7 @@ class TestIm2colProperties:
         image = np.random.default_rng(seed).standard_normal(
             (c, h, w)).astype(np.float32)
         fast = blaslib.im2col(image, kh, kw, ph, pw, sh, sw)
-        with blaslib.use_backend("reference"):
-            slow = blaslib.im2col(image, kh, kw, ph, pw, sh, sw)
+        slow = oracle.reference_im2col(image, kh, kw, ph, pw, sh, sw)
         assert np.array_equal(fast, slow)
 
     @given(case=conv_case())
