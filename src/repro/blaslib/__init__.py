@@ -14,11 +14,11 @@ This package provides that surface:
   leading axis (InnerProduct hands over a chunk's sample blocks in one
   call); each product of a stack is issued to BLAS, and accounted, as
   its own 2-D call would be.
-* Convolution lowering: :func:`im2col`, :func:`im2col_runs`,
-  :func:`col2im`.  Convolution's forward and backward-data GEMMs read
-  ``im2col_runs`` columns (long contiguous runs of the padded plane, a
-  few discarded columns per output row); its weight gradient sums over
-  every column and so reads exact ``im2col`` columns.  No layer calls
+* Convolution lowering: :func:`im2col` (on one image or a stack of
+  them), :func:`im2col_runs`, :func:`col2im`.  Convolution's forward
+  and weight gradient read exact ``im2col`` columns, its backward-data
+  GEMM ``im2col_runs`` columns (long contiguous runs of the padded
+  plane, a few discarded columns per output row).  No layer calls
   ``col2im`` (convolution's backward-data is a correlation); it is kept
   as the tested adjoint of ``im2col`` and the reference that
   correlation is checked against.

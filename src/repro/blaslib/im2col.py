@@ -13,7 +13,10 @@ Both kernels move each element once.  ``im2col`` assigns the strided
 ``(C, kernel_h, kernel_w, out_h, out_w)`` window view of the zero-padded
 image straight into ``out`` seen under that same 5-d shape — which is why
 ``out`` must be C-contiguous: on anything else that reshape would be a
-copy and the columns would be lost.  ``col2im`` accumulates the
+copy and the columns would be lost.  Like ``gemm``, it takes a stack
+along one leading axis: images ``(N, C, H, W)``, ``out`` ``(N, K, P)``
+and ``work`` ``(N, C, H_p, W_p)``, one copy for the stack, and one
+``im2col`` op recorded per image.  ``col2im`` accumulates the
 ``kernel_h * kernel_w`` column slabs into the padded plane in (kh, kw)
 order — the order fixes every pixel's summation order and with it the
 bits of the result — and crops the interior into ``out``.
@@ -22,12 +25,12 @@ The padded plane is ``work``, a ``(C, H + 2 pad_h, W + 2 pad_w)`` array
 of the input's dtype supplied by the caller (the conv layer passes one
 from its per-thread scratch pool; this package does not know the pool).
 Its contents on entry are ignored: it is cleared on every call.  Without
-``work`` the call allocates the plane, which is fine for one-off use;
-``im2col`` of an unpadded image reads the image itself and needs none.
+``work`` the call allocates the plane, fine for one-off use; ``im2col``
+of an unpadded C-contiguous image reads the image itself, needing none.
 
-``im2col_runs`` is the row-run lowering beside it.  numpy copies
-``im2col``'s window view in runs of only ``out_w`` floats, so for a
-small image the copy costs about as much as the GEMM that reads it.
+``im2col_runs`` is the row-run lowering beside it, which convolution's
+backward-data reads.  numpy copies one image's ``im2col`` window view in
+runs of only ``out_w`` floats.
 ``im2col_runs`` instead lays the zero-padded plane out in one flat
 ``work`` array — de-interleaved by the stride, ``padded[c, r, q]`` at
 ``[c, r % stride_h, q % stride_w, r // stride_h, q // stride_w]`` of a
@@ -69,9 +72,10 @@ def conv_out_size(in_size: int, kernel: int, pad: int, stride: int) -> int:
 
 
 def _check_buffer(func: str, name: str, buf: np.ndarray,
-                  shape: tuple, dtype: np.dtype) -> None:
+                  shape: tuple, dtype: np.dtype,
+                  contiguous: bool = False) -> None:
     """``ValueError`` naming the argument if a caller buffer cannot be
-    written in place."""
+    written in place (or, with ``contiguous``, viewed as one run)."""
     if buf.shape != shape:
         raise ValueError(
             f"{func} {name} has shape {buf.shape}, expected {shape}"
@@ -81,14 +85,17 @@ def _check_buffer(func: str, name: str, buf: np.ndarray,
             f"{func} {name} has dtype {buf.dtype}, expected {dtype} "
             "(the input's)"
         )
+    if contiguous and not buf.flags["C_CONTIGUOUS"]:
+        raise ValueError(f"{func} {name} must be C-contiguous")
 
 
 def _padded_plane(func: str, work: np.ndarray | None,
-                  shape: tuple, dtype: np.dtype) -> np.ndarray:
+                  shape: tuple, dtype: np.dtype,
+                  contiguous: bool = False) -> np.ndarray:
     """The zeroed padded work plane: the caller's, or a fresh one."""
     if work is None:
         return np.zeros(shape, dtype=dtype)
-    _check_buffer(func, "work", work, shape, dtype)
+    _check_buffer(func, "work", work, shape, dtype, contiguous)
     work.fill(0.0)
     return work
 
@@ -104,42 +111,43 @@ def im2col(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unfold one image ``(C, H, W)`` into a column matrix.
+    """Unfold one image ``(C, H, W)``, or each of a stack ``(N, C, H,
+    W)`` (module docstring), into a column matrix.
 
-    Returns an array of shape
-    ``(C * kernel_h * kernel_w, out_h * out_w)``; ``out`` may supply a
-    preallocated C-contiguous destination of that shape and the image's
-    dtype, ``work`` the padded plane (module docstring).
+    Returns an array of shape ``(C * kernel_h * kernel_w, out_h *
+    out_w)``, stacked like the image; ``out`` may supply a preallocated
+    C-contiguous destination of that shape and the image's dtype,
+    ``work`` the padded plane(s) (module docstring).
     """
-    if image.ndim != 3:
-        raise ValueError(f"im2col expects (C, H, W), got shape {image.shape}")
-    c, h, w = image.shape
+    if image.ndim not in (3, 4):
+        raise ValueError("im2col image must be (C, H, W) or (N, C, H, W), "
+                         f"got shape {image.shape}")
+    *stack, c, h, w = image.shape
     out_h = conv_out_size(h, kernel_h, pad_h, stride_h)
     out_w = conv_out_size(w, kernel_w, pad_w, stride_w)
-    col_shape = (c * kernel_h * kernel_w, out_h * out_w)
+    col_shape = (*stack, c * kernel_h * kernel_w, out_h * out_w)
     if out is None:
         out = np.empty(col_shape, dtype=image.dtype)
     else:
-        _check_buffer("im2col", "out", out, col_shape, image.dtype)
-        if not out.flags["C_CONTIGUOUS"]:
-            raise ValueError("im2col out must be C-contiguous")
+        _check_buffer("im2col", "out", out, col_shape, image.dtype, True)
 
-    record_op("im2col", 0, image.nbytes + out.nbytes)
-    if pad_h or pad_w:
+    images = stack[0] if stack else 1
+    record_op("im2col", 0, (image.nbytes + out.nbytes) // max(images, 1),
+              images)
+    if pad_h or pad_w or not image.flags["C_CONTIGUOUS"]:
         padded = _padded_plane(
-            "im2col", work, (c, h + 2 * pad_h, w + 2 * pad_w), image.dtype
+            "im2col", work,
+            (*stack, c, h + 2 * pad_h, w + 2 * pad_w), image.dtype, True,
         )
-        padded[:, pad_h : pad_h + h, pad_w : pad_w + w] = image
+        padded[..., pad_h : pad_h + h, pad_w : pad_w + w] = image
     else:
         padded = image
-    # Strided view: (C, kernel_h, kernel_w, out_h, out_w) without copying.
-    sc, sh, sw = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(c, kernel_h, kernel_w, out_h, out_w),
-        strides=(sc, sh, sw, sh * stride_h, sw * stride_w),
-        writeable=False,
-    )
+    # Window view (N, C, kh, kw, out_h, out_w) of the padded plane(s):
+    # np.ndarray over the buffer costs a fifth of as_strided's overhead.
+    *outer, sh, sw = padded.strides
+    view = np.ndarray(
+        (*stack, c, kernel_h, kernel_w, out_h, out_w), padded.dtype, padded,
+        0, (*outer, sh, sw, sh * stride_h, sw * stride_w))
     np.copyto(out.reshape(view.shape), view)
     return out
 
@@ -208,15 +216,13 @@ def im2col_runs(
     if out is None:
         out = np.empty(layout.cols, dtype=image.dtype)
     else:
-        _check_buffer("im2col_runs", "out", out, layout.cols, image.dtype)
-        if not out.flags["C_CONTIGUOUS"]:
-            raise ValueError("im2col_runs out must be C-contiguous")
+        _check_buffer("im2col_runs", "out", out, layout.cols, image.dtype,
+                      True)
     if work is None:
         work = np.empty(layout.work, dtype=image.dtype)
     else:
-        _check_buffer("im2col_runs", "work", work, layout.work, image.dtype)
-        if not work.flags["C_CONTIGUOUS"]:
-            raise ValueError("im2col_runs work must be C-contiguous")
+        _check_buffer("im2col_runs", "work", work, layout.work, image.dtype,
+                      True)
 
     record_op("im2col", 0, image.nbytes + out.nbytes)
     out_h, _, run_h, run_w = layout[:4]

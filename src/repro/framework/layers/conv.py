@@ -9,33 +9,28 @@ per-thread pool in :mod:`repro.compiler.scratch`, so concurrent chunks
 never share scratch (the "object privatization" of Algorithm 4, line 2)
 and the steady state allocates nothing per call.
 
-Forward reads its columns as *row runs*
-(:func:`repro.blaslib.im2col_runs`): each column-matrix row is one
-contiguous run of ``out_h * run_w`` floats of the padded plane
-(``run_w`` is the padded width over the stride), where exact ``im2col``
-copies runs of only ``out_w``.  ``W_g @ runs`` lands in an
-``(og, out_h * run_w)`` scratch; every kept column is the same
-``K``-long dot product ``W_g @ im2col(x)`` computes, and one
-``np.add(kept, bias, out=y)`` stores the ``out_w`` kept columns of each
-output row with the bias — the single rounding ``y += bias`` made.  The
-``run_w - out_w`` other columns straddle a row edge and are dropped
-unread: ``run_w / out_w`` times the GEMM flops buys a column copy in
-long runs.
+Forward lowers a block of samples at a time: one stacked exact
+``im2col`` of the block's images per group, then one stacked ``gemm``
+with ``W_g`` shared by every product, written straight into the top
+blob viewed as ``(n, og, out_h * out_w)``, and one ``+= bias`` for the
+block.  Each product is the ``sgemm`` the one-sample call issues, so no
+byte depends on the block.  A block holds as many samples as keep its
+column stack within ``_COLUMN_BYTES`` (at most the batch): the size
+comes from the layer's shapes, never from the chunk, so the scratch is
+the same for every chunk and every served batch size.
 
 The backward pass is two loops over samples, the split InnerProduct
 uses: the weight/bias gradients as a privatized reduction
 (``dW_g += dY_g @ im2col(x)ᵀ``), and the bottom gradient as a
-reduction-free loop that never scatters.  The weight gradient keeps
-exact ``im2col`` columns: its GEMM sums over positions, so discarded
-columns would enter the sum.  ``dX`` is the *correlation* of the top
-diff with the filter bank rotated 180° and channel-transposed,
+reduction-free loop that never scatters.  ``dX`` is the *correlation*
+of the top diff with the filter bank rotated 180° and channel-transposed,
 ``W_rot[g][c, (o, i, j)] = W[g·og + o, c, kh−1−i, kw−1−j]``: the top diff
 is written into a zeroed ``(og, H+kh−1, W+kw−1)`` plane — entry
 ``(oh, ow)`` at ``(oh·stride_h + kh−1−pad_h, ow·stride_w + kw−1−pad_w)``,
 so a stride leaves zeros between entries and entries whose window lies
 wholly in the padding fall outside the plane and are dropped — and then
 ``dX_g = W_rot[g] @ im2col_runs(plane)`` with a stride-1, unpadded
-``kh × kw`` window, cropped into the bottom diff like forward's output.
+``kh × kw`` window, whose kept columns are copied into the bottom diff.
 One path serves every stride, pad and group; each sample's ``dX`` still
 depends on that sample alone.
 """
@@ -66,6 +61,11 @@ from repro.framework.shape_inference import (
     register_shape_rule,
     require_axes,
 )
+
+
+#: Column-stack budget of one forward block of samples: 1 MiB, half a
+#: core's L2 on the hosts this runs on.  Results do not depend on it.
+_COLUMN_BYTES = 1 << 20
 
 
 def _pair(spec, base: str, default=None) -> tuple[int, int]:
@@ -123,13 +123,12 @@ class ConvolutionLayer(Layer):
         reduction_params=(0, 1),
         seed_params=("filler_seed",),
         fallback="stable_digest",
-        loops=("forward_chunk", "_backward_weight_chunk",
-               "_backward_data_chunk"),
+        loops=("_backward_weight_chunk", "_backward_data_chunk"),
         note=(
-            "one im2col + gemm per coalesced iteration (sample x group) "
-            "is the chunking design, priced as segments dispatch by the "
-            "cost model; the column buffers, padded planes and rotated "
-            "filter bank come from the scratch pool"
+            "backward's one im2col + gemm per coalesced iteration (sample "
+            "x group) is the chunking design, priced as segments dispatch "
+            "by the cost model; the column buffers, padded planes and "
+            "rotated filter bank come from the scratch pool"
         ),
     )
 
@@ -167,11 +166,11 @@ class ConvolutionLayer(Layer):
         self._padded_shape = (
             c // self.group, h + 2 * self.pad_h, w + 2 * self.pad_w
         )
+        samples = _COLUMN_BYTES // (DTYPE().itemsize * self._col_shape[0]
+                                    * self._col_shape[1])
+        self._block = max(1, min(bottom[0].shape[0], samples))
         og = self.num_output // self.group
         window = self.kernel_h * self.kernel_w
-        self._runs = blaslib.runs_layout(
-            c // self.group, h, w, self.kernel_h, self.kernel_w,
-            self.pad_h, self.pad_w, self.stride_h, self.stride_w)
         self._wrot_shape = (self.group, c // self.group, og * window)
         self._dy_plane_shape = (
             og, h + self.kernel_h - 1, w + self.kernel_w - 1
@@ -189,41 +188,36 @@ class ConvolutionLayer(Layer):
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
-        x = bottom[0].data
-        y = top[0].data
+        self._forward_blocks(bottom[0].data[lo:hi], top[0].data[lo:hi])
+
+    def _forward_blocks(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Convolve the samples ``x`` into ``y`` one block of
+        ``self._block`` samples at a time (module docstring)."""
         weights = self.blobs[0].data.reshape(self.num_output, -1)
-        runs = self._runs
-        cols = scratch_buffer("conv.runs", runs.cols, DTYPE)
-        plane = scratch_buffer("conv.run_plane", runs.work, DTYPE)
+        block = self._block
+        cols = scratch_buffer("conv.cols", (block, *self._col_shape), DTYPE)
+        planes = scratch_buffer(
+            "conv.planes", (block, *self._padded_shape), DTYPE)
         cg = self.channels // self.group
         og = self.num_output // self.group
-        product = scratch_buffer("conv.run_out", (og, runs.cols[1]), DTYPE)
-        # The out_w kept columns of each output row (module docstring).
-        kept = product.reshape(og, runs.out_h, runs.run_w)[:, :, :runs.out_w]
-        if self.bias_term:
-            # Broadcast once per chunk: numpy adds a full operand to the
-            # strided crop about a third faster than a (C, 1, 1) one.
-            bias = scratch_buffer("conv.bias", y.shape[1:], DTYPE)
-            np.copyto(bias, self.blobs[1].data[:, None, None])
-        for s in range(lo, hi):
+        for start in range(0, len(x), block):
+            xs = x[start : start + block]
+            ys = y[start : start + block].reshape(len(xs), self.num_output, -1)
             for g in range(self.group):
-                blaslib.im2col_runs(
-                    x[s, g * cg : (g + 1) * cg],
+                blaslib.im2col(
+                    xs[:, g * cg : (g + 1) * cg],
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
-                    out=cols, work=plane,
+                    out=cols[: len(xs)], work=planes[: len(xs)],
                 )
                 blaslib.gemm(
                     False, False, 1.0,
-                    weights[g * og : (g + 1) * og], cols,
-                    0.0, product,
+                    weights[g * og : (g + 1) * og], cols[: len(xs)],
+                    0.0, ys[:, g * og : (g + 1) * og],
                 )
-                if self.bias_term:
-                    np.add(kept, bias[g * og : (g + 1) * og],
-                           out=y[s, g * og : (g + 1) * og])
-                else:
-                    np.copyto(y[s, g * og : (g + 1) * og], kept)
+            if self.bias_term:
+                ys += self.blobs[1].data[:, None]
 
     def _backward_weight_chunk(
         self,

@@ -19,17 +19,17 @@ Semantics follow Caffe exactly:
   (``height + pad``), which reduces to the true clipped area when
   ``pad == 0``.
 
-MAX forward never materialises the ``k**2``-times-the-input window copy.
-It walks the chunk in blocks of planes sized to stay in L2
-(``_BLOCK_BYTES``) and, per block:
+Both forwards and AVE backward walk the chunk in blocks of planes sized
+to stay in L2 (``_BLOCK_BYTES``), copied into a padded scratch laid out
+``(rows, cols, planes)``: the cells window offset ``(kh, kw)`` feeds to
+every output are then one ``(out_h, out_w, n)`` view whose contiguous
+inner axis runs over the block's planes, not along one short output
+row.  Results go back to the blob through a transposed view.  Nothing
+``k**2`` times the input is ever materialised.  Per block, MAX forward
 
-1. copies the planes once into a ``-inf`` padded scratch whose columns
-   are de-interleaved by ``stride_w`` (column ``c`` at
-   ``[c % stride_w, c // stride_w]``), so the cells window offset
-   ``(wh, ww)`` contributes to all outputs are a view with a contiguous
-   inner run;
-2. **value by maximum**: folds the ``k**2`` offset views into the top
-   blob with ``np.maximum`` (which propagates NaN);
+1. copies the planes into the ``-inf`` padded scratch;
+2. **value by maximum**: folds the ``k**2`` offset views with
+   ``np.maximum`` (which propagates NaN);
 3. **index by arithmetic**: the first offset equal to the maximum is
    ``min over o of (o if equal else k**2)``, computed as
    ``(cand != max) * (k**2 - o) + o`` in a one-byte integer — no masks,
@@ -48,16 +48,14 @@ TRAIN phase reads: both phases produce the same bytes.
 
 MAX backward is one ``np.add.at`` per chunk over plane-offset indices.
 
-AVE works on a zero-padded scratch copy of the chunk's planes, forward
-and backward as mirrors of each other: window offset ``(kh, kw)`` is one
-strided view of the padded planes, and the ``k**2`` views are added into
-the top blob (forward) or receive the scaled top diff (backward) in
-row-major offset order.  A window's sum therefore has one fixed float32
-add order, and nothing ``k**2`` times the input is ever materialised.
+AVE forward and backward are mirrors of each other on the zero-padded
+block: the ``k**2`` offset views are added into the result (forward) or
+receive the scaled top diff (backward) in row-major offset order, so a
+window's sum has one fixed float32 add order.
 
-Every work array comes from the per-thread scratch pool; the block loop
-runs ``ceil(planes / block)`` times, not once per plane.  All of it is
-plane-wise, so no value depends on where a chunk is cut.
+Every work array comes from the per-thread scratch pool, sized by the
+block, never by the chunk.  All of it is plane-wise, so no value depends
+on where a chunk or a block is cut.
 """
 
 from __future__ import annotations
@@ -81,9 +79,9 @@ from repro.framework.shape_inference import (
 )
 
 
-#: Working-set budget of one MAX-forward block of planes.  The 2 * k**2
-#: passes over a block re-read it, so it has to stay in L2; 1 MiB is half
-#: a core's L2 on the hosts this runs on.  Results do not depend on it.
+#: Working-set budget of one block of planes.  The k**2 or more passes
+#: over a block re-read it, so it has to stay in L2; 1 MiB is half a
+#: core's L2 on the hosts this runs on.  Results do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -136,6 +134,12 @@ class PoolingLayer(Layer):
                          (self.out_h - 1) * self.stride_h + self.kernel_h)
         self.eff_w = max(w + 2 * self.pad_w,
                          (self.out_w - 1) * self.stride_w + self.kernel_w)
+        # What one plane keeps hot across a block's passes: input, padded
+        # copy, result and output; in a TRAIN-phase MAX pool also the
+        # index and the three work arrays.
+        out_area = self.out_h * self.out_w
+        plane_bytes = DTYPE().itemsize * (
+            h * w + self.eff_h * self.eff_w + 2 * out_area)
         if self.method == "MAX":
             # Plane-local flat index (ih * in_w + iw) of each window max;
             # every TRAIN-phase forward chunk overwrites its planes'
@@ -144,8 +148,12 @@ class PoolingLayer(Layer):
                 (n * c, self.out_h, self.out_w), dtype=np.int64
             ) if self.train_mode else None
             self._setup_max_tables(n * c)
+            if self.train_mode:
+                plane_bytes += (np.dtype(np.int64).itemsize + 1
+                                + 2 * self._off_dtype.itemsize) * out_area
         else:
             self._ave_divisor = self._divisor_grid()
+        self._block = max(1, _BLOCK_BYTES // plane_bytes)
 
     def _divisor_grid(self) -> np.ndarray:
         """Caffe's AVE divisor: window area clipped to the padded image."""
@@ -162,8 +170,6 @@ class PoolingLayer(Layer):
     def _setup_max_tables(self, planes: int) -> None:
         """Shape-derived constants of the MAX kernels (see module doc)."""
         area = self.kernel_h * self.kernel_w
-        # Column c of a padded row is stored at [c % stride_w, c // stride_w].
-        self._deint_w = -(-self.eff_w // self.stride_w)
         # Window offsets 0..area-1 plus the sentinel ``area`` ("no match").
         self._off_dtype = np.min_scalar_type(area)
         self._miss_scale = np.arange(area, 0, -1, dtype=self._off_dtype)
@@ -173,79 +179,70 @@ class PoolingLayer(Layer):
                             + offsets % self.kernel_w)
         rows = np.arange(self.out_h) * self.stride_h - self.pad_h
         cols = np.arange(self.out_w) * self.stride_w - self.pad_w
-        self._origin_idx = rows[:, None] * self.in_w + cols[None, :]
+        self._origin_idx = (rows[:, None] * self.in_w + cols)[:, :, None]
         self._plane_base = (np.arange(planes)
                             * (self.in_h * self.in_w))[:, None, None]
-        # What one plane keeps hot across a block's passes: input,
-        # de-interleaved copy and output; in a TRAIN-phase net also the
-        # index and the three work arrays.
-        out_area = self.out_h * self.out_w
-        plane_bytes = DTYPE().itemsize * (
-            self.in_h * self.in_w + out_area
-            + self.eff_h * self.stride_w * self._deint_w)
-        if self.train_mode:
-            plane_bytes += (np.dtype(np.int64).itemsize + 1
-                            + 2 * self._off_dtype.itemsize) * out_area
-        self._block = max(1, _BLOCK_BYTES // plane_bytes)
 
-    def _max_forward(
+    def _forward_blocks(
         self, planes: np.ndarray, out: np.ndarray, idx: np.ndarray | None
     ) -> None:
-        """MAX-pool ``planes`` into ``out`` and, unless ``idx`` is None
-        (TEST phase), their argmax into ``idx``, one L2 block at a time."""
+        """Pool ``planes`` into ``out`` one L2 block at a time, planes
+        innermost, and a TRAIN-phase MAX pool's argmax into ``idx``
+        (module docstring)."""
         block = self._block
-        grid = (block, self.out_h, self.out_w)
-        deint = scratch_buffer(
-            "pool.deint",
-            (block, self.eff_h, self.stride_w, self._deint_w), DTYPE,
-        )
-        miss = scratch_buffer("pool.miss", grid, np.bool_)
-        cand_off = scratch_buffer("pool.cand_off", grid, self._off_dtype)
-        off = scratch_buffer("pool.off", grid, self._off_dtype)
-        # A TEST-phase block that must re-read a ±0 or NaN maximum finds
-        # its first offsets here instead of in the argmax table.
-        spare = (scratch_buffer("pool.idx", grid, np.int64)
-                 if idx is None else None)
+        # Each work array holds `block` planes' cells; a block of n planes
+        # reads its first n planes' worth as (rows, cols, n).
+        padded = scratch_buffer(
+            "pool.planes", (block, self.eff_h * self.eff_w), DTYPE)
+        result = scratch_buffer(
+            "pool.out", (block, self.out_h * self.out_w), DTYPE)
+        is_max = self.method == "MAX"
+        fold = np.maximum if is_max else np.add
         for start in range(0, len(planes), block):
-            stop = min(start + block, len(planes))
-            n = stop - start
-            self._max_block(
-                planes[start:stop], out[start:stop],
-                spare[:n] if idx is None else idx[start:stop],
-                deint[:n], miss[:n], cand_off[:n], off[:n],
-                values_only=idx is None,
-            )
+            n = min(block, len(planes) - start)
+            pad = padded[:n].reshape(self.eff_h, self.eff_w, n)
+            acc = result[:n].reshape(self.out_h, self.out_w, n)
+            # The block's only copy of its input, -inf (MAX) or zero padded.
+            if pad.shape[:2] != planes.shape[1:]:
+                pad.fill(-np.inf if is_max else 0.0)
+            pad[self.pad_h : self.pad_h + self.in_h,
+                self.pad_w : self.pad_w + self.in_w] = (
+                    planes[start : start + n].transpose(1, 2, 0))
+            # One (out_h, out_w, n) view per window offset, row-major.
+            views = [
+                pad[kh : kh + self.stride_h * self.out_h : self.stride_h,
+                    kw : kw + self.stride_w * self.out_w : self.stride_w]
+                for kh in range(self.kernel_h)
+                for kw in range(self.kernel_w)
+            ]
+            np.copyto(acc, views[0])
+            for view in views[1:]:
+                fold(acc, view, out=acc)
+            if not is_max:
+                acc /= self._ave_divisor[:, :, None]
+            # |max| > 0 is false exactly for ±0 and NaN, the maxima
+            # np.maximum does not pin down bit for bit.
+            elif idx is not None or not np.abs(acc).min() > 0:
+                self._max_index(
+                    planes[start : start + n], views, acc,
+                    None if idx is None
+                    else idx[start : start + n].transpose(1, 2, 0))
+            np.copyto(out[start : start + n], acc.transpose(2, 0, 1))
 
-    def _max_block(self, planes, out, idx, deint, miss, cand_off, off,
-                   values_only) -> None:
-        """Steps 1-4 of the module docstring on one block of planes;
-        ``values_only`` skips steps 3-4 unless a maximum is ±0 or NaN."""
-        sw = self.stride_w
-        # De-interleaved -inf padded copy of the block: the only copy of
-        # the input this kernel makes.
-        deint.fill(-np.inf)
-        for residue in range(sw):
-            first = (residue - self.pad_w) % sw
-            src = planes[:, :, first::sw]
-            start = (self.pad_w + first) // sw
-            deint[:, self.pad_h : self.pad_h + self.in_h, residue,
-                  start : start + src.shape[2]] = src
-        # One (n, out_h, out_w) view per window offset, row-major, each
-        # with a contiguous inner run.
-        cands = [
-            deint[:, wh : wh + self.stride_h * self.out_h : self.stride_h,
-                  ww % sw, ww // sw : ww // sw + self.out_w]
-            for wh in range(self.kernel_h)
-            for ww in range(self.kernel_w)
-        ]
-
-        np.copyto(out, cands[0])
-        for cand in cands[1:]:
-            np.maximum(out, cand, out=out)
-        # |max| > 0 is false exactly for ±0 and NaN, the maxima
-        # np.maximum does not pin down bit for bit.
-        if values_only and np.abs(out).min() > 0:
-            return
+    def _max_index(self, planes, cands, best, idx) -> None:
+        """Steps 3-4 of the module docstring on one block: each window's
+        first maximal offset as a plane index into ``idx`` (``(out_h,
+        out_w, n)``; a scratch grid in the TEST phase), and the ±0 and
+        NaN maxima in ``best`` re-read from their recorded cells."""
+        grid = (self._block, self.out_h * self.out_w)
+        n, cells = len(planes), best.shape
+        miss = scratch_buffer("pool.miss", grid, np.bool_)[:n].reshape(cells)
+        cand_off = scratch_buffer(
+            "pool.cand_off", grid, self._off_dtype)[:n].reshape(cells)
+        off = scratch_buffer("pool.off", grid, self._off_dtype)[:n].reshape(
+            cells)
+        if idx is None:
+            idx = scratch_buffer("pool.idx", grid, np.int64)[:n].reshape(cells)
 
         def first_offset(mark_misses):
             # off = min(off, o) wherever offset o is not marked a miss
@@ -257,7 +254,7 @@ class PoolingLayer(Layer):
 
         none = len(cands)
         off.fill(none)
-        first_offset(lambda cand: np.not_equal(cand, out, out=miss))
+        first_offset(lambda cand: np.not_equal(cand, best, out=miss))
         has_nan = off.max() == none
         if has_nan:
             # A NaN maximum equals no candidate; argmax semantics want
@@ -265,12 +262,37 @@ class PoolingLayer(Layer):
             first_offset(lambda cand: np.equal(cand, cand, out=miss))
         np.take(self._offset_idx, off, out=idx, mode="clip")
         idx += self._origin_idx
-        if has_nan or not out.all():
+        if has_nan or not best.all():
             # np.maximum may hand back either operand when both are NaN
             # or when +0.0 meets -0.0; the first one is wanted, bit for
             # bit.  Such a maximum is a real cell, so idx is in-plane.
-            p, i, j = np.nonzero((out == 0) | (out != out))
-            out[p, i, j] = planes.reshape(len(planes), -1)[p, idx[p, i, j]]
+            i, j, p = np.nonzero((best == 0) | (best != best))
+            best[i, j, p] = planes.reshape(len(planes), -1)[p, idx[i, j, p]]
+
+    def _ave_backward(self, dplanes: np.ndarray, dout: np.ndarray) -> None:
+        """Add AVE's gradient of ``dout`` into ``dplanes``: each window
+        offset, in row-major order, receives the scaled top diff."""
+        block = self._block
+        padded = scratch_buffer(
+            "pool.planes", (block, self.eff_h * self.eff_w), DTYPE)
+        contrib = scratch_buffer(
+            "pool.out", (block, self.out_h * self.out_w), DTYPE)
+        for start in range(0, len(dplanes), block):
+            n = min(block, len(dplanes) - start)
+            pad = padded[:n].reshape(self.eff_h, self.eff_w, n)
+            scaled = contrib[:n].reshape(self.out_h, self.out_w, n)
+            np.divide(dout[start : start + n].transpose(1, 2, 0),
+                      self._ave_divisor[:, :, None], out=scaled)
+            pad.fill(0.0)
+            for kh in range(self.kernel_h):
+                h_stop = kh + self.stride_h * self.out_h
+                for kw in range(self.kernel_w):
+                    w_stop = kw + self.stride_w * self.out_w
+                    pad[kh:h_stop:self.stride_h,
+                        kw:w_stop:self.stride_w] += scaled
+            dplanes[start : start + n] += pad[
+                self.pad_h : self.pad_h + self.in_h,
+                self.pad_w : self.pad_w + self.in_w].transpose(2, 0, 1)
 
     # ------------------------------------------------------------------
     # chunk protocol: one iteration == one (sample, channel) plane
@@ -280,32 +302,10 @@ class PoolingLayer(Layer):
     ) -> None:
         planes = bottom[0].data.reshape(-1, self.in_h, self.in_w)[lo:hi]
         out = top[0].data.reshape(-1, self.out_h, self.out_w)[lo:hi]
-        count = hi - lo
-        if count <= 0:
-            return
-        if self.method == "MAX":
-            self._max_forward(
-                planes, out,
-                self._max_idx[lo:hi] if self.train_mode else None)
-            return
-        padded = scratch_buffer(
-            "pool.fwd", (count, self.eff_h, self.eff_w), DTYPE
-        )
-        padded.fill(0.0)
-        padded[:, self.pad_h : self.pad_h + self.in_h,
-               self.pad_w : self.pad_w + self.in_w] = planes
-        # The mirror of backward: each window offset contributes one
-        # strided view of the padded planes to every output.
-        views = [
-            padded[:, kh : kh + self.stride_h * self.out_h : self.stride_h,
-                   kw : kw + self.stride_w * self.out_w : self.stride_w]
-            for kh in range(self.kernel_h)
-            for kw in range(self.kernel_w)
-        ]
-        np.copyto(out, views[0])
-        for view in views[1:]:
-            out += view
-        out /= self._ave_divisor
+        self._forward_blocks(
+            planes, out,
+            self._max_idx[lo:hi]
+            if self.method == "MAX" and self.train_mode else None)
 
     def backward_chunk(
         self,
@@ -330,45 +330,33 @@ class PoolingLayer(Layer):
                 "gradient by (train_mode is False)"
             )
         dplanes.fill(0.0)
-        if self.method == "MAX":
-            idx = self._max_idx[lo:hi]
-            # One scatter-add for the whole chunk: plane p's indices are
-            # shifted into its slot of the flat slab.  Cells of different
-            # planes are disjoint and np.add.at walks its indices in
-            # order, so each cell accumulates exactly as a per-plane call
-            # would; window maxima can coincide across overlapping
-            # windows, so accumulation is required.
-            flat_idx = scratch_buffer("pool.flat_idx", idx.shape, np.int64)
-            np.add(idx, self._plane_base[:count], out=flat_idx)
-            lowest = idx.min()
-            if lowest < 0:
-                # An all -inf window that starts in the padding records
-                # a cell before its plane.  A negative index counts from
-                # the end of that plane — not of the slab — and one
-                # beyond the plane's length is an error.
-                plane_size = self.in_h * self.in_w
-                if lowest < -plane_size:
-                    raise IndexError(
-                        f"layer {self.name!r}: recorded max index "
-                        f"{lowest} is outside a plane of {plane_size}"
-                    )
-                flat_idx += (idx < 0) * plane_size
-            np.add.at(dplanes.reshape(-1), flat_idx.reshape(-1),
-                      dout.reshape(-1))
-        else:
-            contrib = dout / self._ave_divisor[None]
-            padded = scratch_buffer(
-                "pool.bwd", (count, self.eff_h, self.eff_w), DTYPE
-            )
-            padded.fill(0.0)
-            for kh in range(self.kernel_h):
-                h_stop = kh + self.stride_h * self.out_h
-                for kw in range(self.kernel_w):
-                    w_stop = kw + self.stride_w * self.out_w
-                    padded[:, kh:h_stop:self.stride_h,
-                           kw:w_stop:self.stride_w] += contrib
-            dplanes += padded[:, self.pad_h : self.pad_h + self.in_h,
-                              self.pad_w : self.pad_w + self.in_w]
+        if self.method != "MAX":
+            self._ave_backward(dplanes, dout)
+            return
+        idx = self._max_idx[lo:hi]
+        # One scatter-add for the whole chunk: plane p's indices are
+        # shifted into its slot of the flat slab.  Cells of different
+        # planes are disjoint and np.add.at walks its indices in order,
+        # so each cell accumulates exactly as a per-plane call would;
+        # window maxima can coincide across overlapping windows, so
+        # accumulation is required.
+        flat_idx = scratch_buffer("pool.flat_idx", idx.shape, np.int64)
+        np.add(idx, self._plane_base[:count], out=flat_idx)
+        lowest = idx.min()
+        if lowest < 0:
+            # An all -inf window that starts in the padding records a
+            # cell before its plane.  A negative index counts from the
+            # end of that plane — not of the slab — and one beyond the
+            # plane's length is an error.
+            plane_size = self.in_h * self.in_w
+            if lowest < -plane_size:
+                raise IndexError(
+                    f"layer {self.name!r}: recorded max index "
+                    f"{lowest} is outside a plane of {plane_size}"
+                )
+            flat_idx += (idx < 0) * plane_size
+        np.add.at(dplanes.reshape(-1), flat_idx.reshape(-1),
+                  dout.reshape(-1))
 
 
 @register_shape_rule("Pooling")

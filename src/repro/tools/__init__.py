@@ -24,3 +24,14 @@ def at_least(minimum: int):
 
     parse.__name__ = "int"  # argparse's "invalid int value" message
     return parse
+
+
+
+def positive_float(text: str) -> float:
+    """An argparse ``type``: a finite number above zero, so a nonsense
+    rate (``0``, ``-5``, ``nan``, ``inf``) is a usage error (exit 2)."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value

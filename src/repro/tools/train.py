@@ -50,7 +50,7 @@ from repro.resilience import (
     HealthGuard,
     NumericFault,
 )
-from repro.tools import at_least
+from repro.tools import at_least, positive_float
 from repro.zoo import build_solver
 
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "training")
     parser.add_argument("--solver", default="SGD",
                         choices=("SGD", "AdaGrad", "Nesterov"))
-    parser.add_argument("--lr", type=float, default=None,
+    parser.add_argument("--lr", type=positive_float, default=None,
                         help="override base learning rate")
     parser.add_argument("--display", type=at_least(0), default=10,
                         help="print loss every N iterations (0: never)")
@@ -163,7 +163,8 @@ def main(argv=None) -> int:
             spec = parse_prototxt(handle.read())
         net = Net(spec, phase="TRAIN")
         params = SolverParams(type=args.solver,
-                              base_lr=args.lr or 0.01,
+                              base_lr=(args.lr if args.lr is not None
+                                       else 0.01),
                               momentum=0.0 if args.solver == "AdaGrad"
                               else 0.9,
                               max_iter=args.iters)

@@ -525,7 +525,18 @@ def _window_count(size, kernel, pad, stride) -> int:
 
 def reference_im2col(image, kernel_h, kernel_w, pad_h, pad_w, stride_h,
                      stride_w, out=None, work=None):
-    """Every column entry read from the image, or 0.0 in the padding."""
+    """Every column entry read from the image, or 0.0 in the padding; a
+    stack ``(N, C, H, W)`` one image at a time."""
+    if image.ndim == 4:
+        cols = np.stack([
+            reference_im2col(one, kernel_h, kernel_w, pad_h, pad_w,
+                             stride_h, stride_w)
+            for one in image
+        ])
+        if out is None:
+            return cols
+        out[...] = cols
+        return out
     c, h, w = image.shape
     out_h = _window_count(h, kernel_h, pad_h, stride_h)
     out_w = _window_count(w, kernel_w, pad_w, stride_w)

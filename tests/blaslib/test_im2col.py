@@ -182,6 +182,65 @@ class TestOracleParity:
             want.tobytes())
 
 
+#: (C, H, W, kh, kw, ph, pw, sh, sw): padded and unpadded, stride 1 and 2.
+STACK_GEOMETRIES = [
+    (3, 8, 8, 5, 5, 2, 2, 1, 1),
+    (2, 6, 6, 5, 5, 0, 0, 1, 1),
+    (3, 7, 5, 3, 2, 1, 0, 2, 1),
+    (2, 7, 7, 3, 3, 0, 0, 2, 2),
+]
+
+
+@pytest.mark.parametrize("geometry", STACK_GEOMETRIES)
+class TestStackedIm2col:
+    """A stack ``(N, C, H, W)`` is N one-image calls in one: the same
+    bytes per image, and N ``im2col`` ops of one image's bytes each."""
+
+    @staticmethod
+    def stack(rng, geometry, n=3):
+        c, h, w = geometry[:3]
+        return rng.standard_normal((n, c, h, w)).astype(np.float32)
+
+    def test_equals_the_per_image_loop_bytes(self, rng, geometry):
+        c, h, w, kh, kw, ph, pw, sh, sw = geometry
+        args = (kh, kw, ph, pw, sh, sw)
+        images = self.stack(rng, geometry)
+        want = np.stack([blaslib.im2col(one, *args) for one in images])
+        out = np.full_like(want, 7.0)
+        work = np.full((3, *padded_shape(c, h, w, ph, pw)), np.nan,
+                       np.float32)
+        assert blaslib.im2col(images, *args, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+        assert blaslib.im2col(images, *args).tobytes() == want.tobytes()
+        assert oracle.reference_im2col(images, *args).tobytes() == (
+            want.tobytes())
+
+    def test_non_contiguous_images(self, rng, geometry):
+        """A channel slice of a wider stack, as a grouped conv hands
+        over, goes through ``work`` when unpadded."""
+        c, h, w, kh, kw, ph, pw, sh, sw = geometry
+        args = (kh, kw, ph, pw, sh, sw)
+        images = self.stack(rng, (2 * c, h, w))[:, c:]
+        want = np.stack([blaslib.im2col(np.ascontiguousarray(one), *args)
+                         for one in images])
+        work = np.full((3, *padded_shape(c, h, w, ph, pw)), np.nan,
+                       np.float32)
+        got = blaslib.im2col(images, *args, work=work)
+        assert got.tobytes() == want.tobytes()
+        assert blaslib.im2col(images, *args).tobytes() == want.tobytes()
+
+    def test_counts_one_op_per_image(self, rng, geometry):
+        args = geometry[3:]
+        images = self.stack(rng, geometry)
+        with blaslib.op_counter() as one:
+            blaslib.im2col(images[0], *args)
+        with blaslib.op_counter() as stacked:
+            blaslib.im2col(images, *args)
+        assert stacked.calls["im2col"] == 3
+        assert stacked.flops["im2col"] == 0
+        assert stacked.bytes_moved["im2col"] == 3 * one.bytes_moved["im2col"]
+
+
 class TestCallerBuffers:
     """``out`` and ``work`` are written in place, so a buffer that cannot
     be — wrong shape, another dtype, a non-contiguous ``out`` — is a
@@ -245,6 +304,23 @@ class TestCallerBuffers:
     def test_col2im_rejects(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.col2im(**bad)
+
+    STACK = np.ones((3, 2, 4, 4), np.float32)
+
+    @pytest.mark.parametrize("image, buffers, match", [
+        (np.ones((1, 3, 2, 4, 4), np.float32), {}, "im2col image must be"),
+        (STACK, dict(out=np.empty((2, 18, 16), np.float32)),
+         "im2col out has shape"),
+        (STACK, dict(work=np.empty((2, 2, 6, 6), np.float32)),
+         "im2col work has shape"),
+        (STACK, dict(out=np.empty((3, 16, 18), np.float32).swapaxes(1, 2)),
+         "im2col out must be C-contiguous"),
+        (STACK, dict(work=np.empty((6, 2, 6, 6), np.float32)[::2]),
+         "im2col work must be C-contiguous"),
+    ])
+    def test_stacked_im2col_rejects(self, image, buffers, match):
+        with pytest.raises(ValueError, match=match):
+            blaslib.im2col(image, *self.ARGS, **buffers)
 
     def test_rejected_out_is_left_untouched(self):
         out = np.full((16, 18), 7.0, np.float32).T

@@ -15,6 +15,8 @@ MALFORMED_SCHEDULES = ["bogus", "static,x", "static,-3", "dynamic,0",
 NONSENSE_TRAIN_COUNTS = [("--iters", "0"), ("--iters", "-3"),
                          ("--threads", "0"), ("--threads", "-2"),
                          ("--display", "-1"), ("--checkpoint-every", "-1")]
+#: Learning rates --lr refuses as usage errors (exit 2).
+NONSENSE_RATES = ["0", "-5", "nan", "inf"]
 NONSENSE_PROFILE_COUNTS = [("--threads", "0"), ("--threads", "-2"),
                            ("--iters", "0"), ("--iters", "-2")]
 
@@ -47,7 +49,8 @@ class TestTrainCli:
         ])
         assert code == 0
 
-    def test_prototxt_input(self, capsys, tmp_path):
+    @staticmethod
+    def tiny_prototxt(tmp_path):
         prototxt = tmp_path / "net.prototxt"
         prototxt.write_text("""
         layer { name: "d" type: "Data" top: "data" top: "label"
@@ -58,9 +61,33 @@ class TestTrainCli:
         layer { name: "loss" type: "SoftmaxWithLoss" bottom: "ip"
                 bottom: "label" top: "loss" }
         """)
-        code = train_main(["--prototxt", str(prototxt), "--iters", "2"])
+        return str(prototxt)
+
+    def test_prototxt_input(self, capsys, tmp_path):
+        code = train_main(["--prototxt", self.tiny_prototxt(tmp_path),
+                           "--iters", "2"])
         assert code == 0
         assert "final loss" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["--net", "--prototxt"])
+    @pytest.mark.parametrize("rate", NONSENSE_RATES)
+    def test_nonsense_rate_is_a_usage_error(self, capsys, tmp_path, source,
+                                            rate):
+        """``--lr 0`` used to train at 0.01 on the prototxt path, and a
+        negative rate ran gradient ascent on both."""
+        net = "lenet" if source == "--net" else self.tiny_prototxt(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            train_main([source, net, "--iters", "1", "--lr", rate])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --lr: must be a finite number > 0" in err
+        assert f"got {rate}" in err
+
+    def test_prototxt_rate_is_taken_as_given(self, capsys, tmp_path):
+        code = train_main(["--prototxt", self.tiny_prototxt(tmp_path),
+                           "--iters", "1", "--display", "1", "--lr", "0.003"])
+        assert code == 0
+        assert "lr 0.003" in capsys.readouterr().out
 
     def test_requires_net_or_prototxt(self):
         with pytest.raises(SystemExit):

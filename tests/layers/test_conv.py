@@ -1,6 +1,7 @@
 """Unit tests for the Convolution layer."""
 
 import itertools
+import math
 
 import _oracle_kernels as oracle  # tests/ is on sys.path (conftest.py)
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from repro.framework.blob import Blob
 from repro.framework.layer import create_layer
+from repro.framework.layers import conv
 from repro.framework.layers.conv import ConvolutionLayer
 
 from repro.testing import make_blob, spec
@@ -116,6 +118,47 @@ class TestForward:
         layer = conv_layer()
         with pytest.raises(ValueError, match="4-d"):
             layer.setup([make_blob((2, 3), rng=rng)], [Blob()])
+
+
+class TestForwardBlocks:
+    """Forward lowers a block of samples per stacked ``im2col`` and
+    ``gemm``: where the blocks and the chunks are cut changes no byte,
+    and every byte is the per-sample exact-``im2col`` forward's."""
+
+    CHUNKS = [(0, 2), (2, 5), (5, 7)]  # 7 samples, cut mid-block
+
+    @pytest.mark.parametrize("params", [
+        dict(kernel_size=3),
+        dict(kernel_size=3, stride=2, pad=1),
+        dict(num_output=4, group=2, kernel_h=3, kernel_w=2, pad=1),
+        dict(num_output=6, group=2, kernel_size=2, stride=2,
+             bias_term=False),
+    ])
+    def test_block_and_chunk_cuts_change_no_byte(self, rng, monkeypatch,
+                                                 params):
+        x = rng.standard_normal((7, 4, 7, 6)).astype(np.float32)
+
+        def forward(column_bytes):
+            monkeypatch.setattr(conv, "_COLUMN_BYTES", column_bytes)
+            layer = conv_layer(**params)
+            bottom, top = [make_blob(x.shape, values=x)], [Blob()]
+            layer.setup(bottom, top)
+            top[0].data[...] = np.nan
+            for lo, hi in self.CHUNKS:
+                layer.forward_chunk(bottom, top, lo, hi)
+            return layer, bottom, top
+
+        layer, bottom, top = forward(conv._COLUMN_BYTES)
+        assert layer._block == 7
+        sample_bytes = 4 * math.prod(layer._col_shape)
+        want = top[0].data.tobytes()
+        for column_bytes, block in ((1, 1), (3 * sample_bytes, 3)):
+            layer, _, top = forward(column_bytes)
+            assert layer._block == block
+            assert top[0].data.tobytes() == want, block
+        top[0].data[...] = np.nan
+        oracle.conv_forward_chunk(layer, bottom, top, 0, 7)
+        assert top[0].data.tobytes() == want
 
 
 class TestBackward:

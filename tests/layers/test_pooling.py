@@ -483,3 +483,41 @@ class TestMaxRegressions:
             layer.forward(bottom, top)
             outs.append((top[0].data.tobytes(), layer._max_idx.tobytes()))
         assert outs[0] == outs[1]
+
+
+class TestBlockBoundaries:
+    """Forward and backward walk a chunk in blocks of planes: where the
+    blocks and the chunks are cut changes no byte, MAX or AVE, with a
+    padded, overhanging window and with an exact unpadded fit."""
+
+    CHUNKS = [(0, 6), (6, 11), (11, 15)]  # 15 planes, cut mid-block
+
+    @pytest.mark.parametrize("method", ["AVE", "MAX"])
+    @pytest.mark.parametrize("geometry, shape", [
+        (dict(kernel_size=3, stride=2, pad=1), (3, 5, 9, 7)),  # ceil
+        (dict(kernel_size=2, stride=2), (3, 5, 8, 6)),         # exact fit
+    ])
+    def test_block_and_chunk_cuts_change_no_byte(self, rng, monkeypatch,
+                                                 method, geometry, shape):
+        x = rng.standard_normal(shape).astype(np.float32)
+        dy = None
+        results, blocks = [], []
+        for block_bytes in (1, 5000, pooling._BLOCK_BYTES):
+            monkeypatch.setattr(pooling, "_BLOCK_BYTES", block_bytes)
+            layer = pool_layer(pool=method, **geometry)
+            bottom, top = [make_blob(shape, values=x)], [Blob()]
+            layer.setup(bottom, top)
+            blocks.append(layer._block)
+            top[0].data[...] = np.nan
+            for lo, hi in self.CHUNKS:
+                layer.forward_chunk(bottom, top, lo, hi)
+            if dy is None:
+                dy = rng.standard_normal(top[0].shape).astype(np.float32)
+            top[0].diff[...] = dy
+            bottom[0].diff[...] = np.nan
+            for lo, hi in self.CHUNKS:
+                layer.backward_chunk(top, [True], bottom, lo, hi, [])
+            results.append((top[0].data.tobytes(), bottom[0].diff.tobytes()))
+        assert blocks[0] == 1 and 1 < blocks[1] < 15 <= blocks[2]
+        assert results[0] == results[1] == results[2]
+        assert not np.isnan(np.frombuffer(results[0][1], np.float32)).any()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler.scratch import pool_stats
 from repro.resilience.checkpoint import CheckpointMismatch
 from repro.resilience.faults import InjectedFault
 from repro.serve.clock import ManualClock
@@ -96,6 +97,26 @@ class TestRunBatch:
         result = engine.run_batch(poisoned, ["c", "d"])
         # Same clean sample, bitwise same output, poison alongside or not.
         assert np.array_equal(baseline.outputs[0], result.outputs[0])
+
+
+class TestScratch:
+    def test_no_scratch_per_batch_size(self):
+        """Conv and pool size their work arrays from the layer's shapes,
+        never from how many rows a batch serves: once one full batch has
+        run, no batch size allocates scratch again."""
+        eng = InferenceEngine(
+            lambda: build_net("lenet", phase="TEST"),
+            num_threads=2, max_batch=8, clock=ManualClock(),
+        )
+        try:
+            eng.run_batch(_samples(eng, 8))
+            misses = pool_stats()["misses"]
+            for k in range(1, 9):
+                result = eng.run_batch(_samples(eng, k, seed=k))
+                assert all(out is not None for out in result.outputs)
+                assert pool_stats()["misses"] == misses, k
+        finally:
+            eng.close()
 
 
 class TestRecovery:
