@@ -15,12 +15,13 @@ This package provides that surface:
   call); each product of a stack is issued to BLAS, and accounted, as
   its own 2-D call would be.
 * Convolution lowering: :func:`im2col` (on one image or a stack of
-  them), :func:`im2col_runs`, :func:`col2im`.  Convolution's forward
-  and weight gradient read exact ``im2col`` columns, its backward-data
-  GEMM ``im2col_runs`` columns (long contiguous runs of the padded
-  plane, a few discarded columns per output row).  No layer calls
-  ``col2im`` (convolution's backward-data is a correlation); it is kept
-  as the tested adjoint of ``im2col`` and the reference that
+  them, copied in two stages of long runs), :func:`im2col_runs`,
+  :func:`col2im`.  Convolution's forward, weight gradient and
+  backward-data all read exact ``im2col`` columns.  No layer calls
+  ``im2col_runs`` (row runs of the padded plane with discarded columns,
+  which backward-data used to read) or ``col2im`` (convolution's
+  backward-data is a correlation); they are kept with their tests,
+  ``col2im`` as the tested adjoint of ``im2col`` and the reference that
   correlation is checked against.
 
 Each kernel has one implementation, vectorized with numpy.  The tests

@@ -14,15 +14,15 @@ with a keyed pool:
   ``scratch_buffer("conv.col", self._col_shape)`` and gets the same
   array back on every subsequent call with that geometry.  Distinct
   tags never alias, so a chunk may hold several live buffers at once
-  (``conv.wrot``, ``conv.dy_plane``, ``conv.dy_runs``,
-  ``conv.dy_run_plane`` and ``conv.dx_runs`` in conv's backward-data
-  loop);
+  (``conv.wrot``, ``conv.dy_planes`` and ``conv.dy_cols`` in conv's
+  backward-data loop).  A hit is one dict lookup on the key as the
+  caller spelled it; only a key seen for the first time is normalised;
 * **uninitialised** — buffers come from ``np.empty`` and are *not*
   cleared between calls.  Callers must fully overwrite the region they
-  read (``im2col`` and ``im2col_runs`` overwrite their whole output
-  and clear the ``work`` plane they are handed before using it; conv's
-  backward-data loop zero-fills ``conv.dy_plane`` once per chunk),
-  which the pooled call sites already do.
+  read (``im2col`` overwrites its whole output and clears the ``work``
+  plane it is handed before using it; conv's backward-data loop
+  zero-fills ``conv.dy_planes`` once per chunk), which the pooled call
+  sites already do.
 
 ``pool_stats()`` aggregates hit/miss counters across every thread that
 ever touched the pool; the zero-allocation regression test resets the
@@ -48,14 +48,24 @@ _Key = Tuple[str, Tuple[int, ...], str]
 
 
 class _PoolState:
-    """One thread's buffers plus its share of the global counters."""
+    """One thread's buffers plus its share of the global counters.
 
-    __slots__ = ("buffers", "hits", "misses")
+    ``buffers`` holds each array once, under its normalised key;
+    ``asked`` maps every key exactly as a caller spelled it (a shape
+    tuple, a dtype class) to the same array, so a hit is one dict
+    lookup with no key rebuilt."""
+
+    __slots__ = ("buffers", "asked", "hits", "misses")
 
     def __init__(self) -> None:
         self.buffers: Dict[_Key, np.ndarray] = {}
+        self.asked: Dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
+
+    def forget(self) -> None:
+        self.buffers.clear()
+        self.asked.clear()
 
 
 _TLS = threading.local()
@@ -80,7 +90,7 @@ def _retire_dead_locked() -> None:
         else:
             _RETIRED["hits"] += state.hits
             _RETIRED["misses"] += state.misses
-            state.buffers.clear()
+            state.forget()
     _STATES[:] = live
 
 
@@ -117,6 +127,14 @@ def scratch_buffer(tag: str, shape: Sequence[int],
     are unspecified on entry — callers overwrite before reading.
     """
     state = _state()
+    asked = (tag, shape, dtype)
+    try:
+        buf = state.asked.get(asked)
+    except TypeError:  # an unhashable spelling (a list shape)
+        asked = buf = None
+    if buf is not None:
+        state.hits += 1
+        return buf
     dt = np.dtype(dtype)
     key = (tag, tuple(int(d) for d in shape), dt.str)
     buf = state.buffers.get(key)
@@ -126,6 +144,8 @@ def scratch_buffer(tag: str, shape: Sequence[int],
         state.misses += 1
     else:
         state.hits += 1
+    if asked is not None:
+        state.asked[asked] = buf
     return buf
 
 
@@ -172,6 +192,6 @@ def clear_pool() -> None:
         _retire_dead_locked()
         states = [s for _, s in _STATES]
     for state in states:
-        state.buffers.clear()
+        state.forget()
         state.hits = 0
         state.misses = 0

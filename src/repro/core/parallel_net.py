@@ -35,7 +35,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,9 @@ def iteration_owners(
             index += 1
     return owners
 
+
+#: Executor settings a bound loop is resolved from (``_dispatch``).
+_BINDING_INPUTS = frozenset({"schedule", "reduction", "team", "plan"})
 
 #: Block buffers alive at once in the ``"blockwise"`` reduction: bounds its
 #: extra memory to ``BLOCK_WINDOW x (largest layer's coefficient bytes)``.
@@ -176,6 +179,13 @@ class ParallelExecutor(LayerwiseExecutor):
         by_rank = {v: k for k, v in TIER_ORDER.items()}
         return by_rank[rank]
 
+    def __setattr__(self, name: str, value) -> None:
+        # Assigning a setting a bound loop was resolved from drops them
+        # all (see _dispatch).
+        object.__setattr__(self, name, value)
+        if name in _BINDING_INPUTS:
+            object.__setattr__(self, "_bound", {})
+
     # ------------------------------------------------------------------
     # dispatch: the chunk runner every layer body calls (Algorithms 4, 5)
     # ------------------------------------------------------------------
@@ -186,9 +196,32 @@ class ParallelExecutor(LayerwiseExecutor):
         Without ``loop.reduction`` every chunk gets ``loop.grad_targets``
         itself (chunks write disjoint regions).  With it, chunks
         accumulate into private buffers that the layer's reduction mode
-        merges into the targets.
+        merges into the targets.  How a loop runs is resolved once per
+        ``(layer, phase, space, reduction, block)`` by :meth:`_bind`
+        and kept until one of the executor's settings is assigned.
         """
-        space, work, targets = loop.space, loop.body, loop.grad_targets
+        key = (layer_name, phase, loop.space, loop.reduction, loop.block)
+        run = self._bound.get(key)
+        if run is None:
+            run = self._bound[key] = self._bind(*key)
+        try:
+            run(loop.body, loop.grad_targets)
+        except WorkerError as exc:
+            # Chunk-failure reporting: name the layer/phase whose region
+            # failed before the error unwinds to the solver.
+            exc.layer = layer_name
+            exc.phase = phase
+            raise
+
+    def _bind(self, layer_name: str, phase: str, space: int,
+              reduction: bool, block: int
+              ) -> Callable[[Callable, Sequence[np.ndarray]], None]:
+        """``run(work, targets)`` for one loop shape: the plan entry and
+        schedule (:func:`~repro.core.plan.layer_schedule`), the reduction
+        mode and the runner — inline, ``team.parallel_for``, blockwise
+        or per-thread — chosen here, once.  ``run`` still looks up
+        ``team.parallel_for`` on every call, so a wrapper installed on
+        the team later sees every region."""
         if space <= 0:
             raise ValueError(
                 f"layer {layer_name!r} has an empty coalesced {phase} space "
@@ -197,18 +230,23 @@ class ParallelExecutor(LayerwiseExecutor):
             )
         team = self.team
         sync = team.sync
-        if sync.observes_chunks:
+        observe = sync.observes_chunks
+
+        def chunked(work):
+            """``work`` as ``chunk(lo, hi, tid, into)``, each chunk first
+            announced to a sync backend that observes chunks."""
+            if not observe:
+                return lambda lo, hi, tid, into: work(lo, hi, into)
+
             def chunk(lo: int, hi: int, tid: int, into) -> None:
                 sync.chunk_point(team, tid, layer_name, phase, lo, hi)
                 work(lo, hi, into)
-        else:
-            def chunk(lo: int, hi: int, tid: int, into) -> None:
-                work(lo, hi, into)
+            return chunk
 
         layer_plan, schedule = layer_schedule(
             self.plan, layer_name, space, self.schedule)
         mode = None
-        if loop.reduction:
+        if reduction:
             mode = self.reduction
             if layer_plan is not None and layer_plan.reduction is not None:
                 mode = layer_plan.reduction
@@ -220,33 +258,36 @@ class ParallelExecutor(LayerwiseExecutor):
         if (layer_plan is not None and layer_plan.threads <= 1) or (
             mode in ("ordered", "atomic", "tree") and team.num_threads == 1
         ):
-            chunk(0, space, 0, targets)
-            return
-        try:
-            if mode is None:
-                team.parallel_for(
-                    space,
-                    lambda lo, hi, tid: chunk(lo, hi, tid, targets),
-                    schedule,
+            def inline(work, targets) -> None:
+                chunked(work)(0, space, 0, targets)
+            return inline
+        if mode is None:
+            def region(work, targets) -> None:
+                if observe:
+                    chunk = chunked(work)
+                    body = lambda lo, hi, tid: chunk(lo, hi, tid, targets)
+                else:
+                    body = lambda lo, hi, tid: work(lo, hi, targets)
+                team.parallel_for(space, body, schedule)
+            return region
+        if mode == "blockwise":
+            # The window loop distributes *block indices*, not civ
+            # iterations, so a plan's civ granularity must not rescale
+            # its chunks — keep the thread limit only.
+            if layer_plan is not None:
+                schedule = PlannedSchedule(
+                    make_schedule(layer_plan.schedule), layer_plan.threads
                 )
-            elif mode == "blockwise":
-                # The window loop distributes *block indices*, not civ
-                # iterations, so a plan's civ granularity must not
-                # rescale its chunks — keep the thread limit only.
-                if layer_plan is not None:
-                    schedule = PlannedSchedule(
-                        make_schedule(layer_plan.schedule), layer_plan.threads
-                    )
-                self._blockwise(space, max(loop.block, 1), chunk, targets,
+            block = max(block, 1)
+
+            def blockwise(work, targets) -> None:
+                self._blockwise(space, block, chunked(work), targets,
                                 schedule)
-            else:
-                self._per_thread(space, chunk, targets, schedule, mode)
-        except WorkerError as exc:
-            # Chunk-failure reporting: name the layer/phase whose region
-            # failed before the error unwinds to the solver.
-            exc.layer = layer_name
-            exc.phase = phase
-            raise
+            return blockwise
+
+        def per_thread(work, targets) -> None:
+            self._per_thread(space, chunked(work), targets, schedule, mode)
+        return per_thread
 
     def _per_thread(self, space, chunk, targets, schedule, mode: str) -> None:
         """Algorithm 5: every thread accumulates its chunks into a private

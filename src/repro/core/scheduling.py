@@ -13,9 +13,12 @@ is the full range with no overlap (property-tested).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 Chunk = Tuple[int, int]  # [lo, hi)
+
+#: Distinct ``(space, num_threads)`` plans one static schedule keeps.
+_PLANS_KEPT = 64
 
 
 class Schedule:
@@ -55,14 +58,28 @@ class StaticSchedule(Schedule):
     contiguous block per thread (OpenMP's default): thread ``t`` gets
     ``ceil(space / T)`` iterations until the space runs out.  With a chunk
     size, fixed-size chunks are dealt round-robin.
+
+    A plan depends only on ``(space, num_threads)``, so it is computed
+    once per pair and the same lists are returned after that: callers
+    read them and never mutate them.
     """
 
     def __init__(self, chunk: Optional[int] = None) -> None:
         if chunk is not None and chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
         self.chunk = chunk
+        self._plans: Dict[Tuple[int, int], List[List[Chunk]]] = {}
 
     def plan(self, space: int, num_threads: int) -> List[List[Chunk]]:
+        plan = self._plans.get((space, num_threads))
+        if plan is None:
+            plan = self._deal(space, num_threads)
+            if len(self._plans) >= _PLANS_KEPT:
+                self._plans.clear()
+            self._plans[space, num_threads] = plan
+        return plan
+
+    def _deal(self, space: int, num_threads: int) -> List[List[Chunk]]:
         if space < 0:
             raise ValueError(f"space must be non-negative, got {space}")
         if num_threads <= 0:

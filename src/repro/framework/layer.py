@@ -311,6 +311,10 @@ class Layer:
 
     type_names: tuple = ()
 
+    #: :meth:`forward_loop`'s last loop and the ``(bottom, top)`` lists
+    #: it closes over.
+    _forward_memo: Tuple[LoopSpec | None, tuple] = (None, ())
+
     #: What this class promises the analyzers (see :class:`LayerContract`).
     #: ``None`` means undeclared; ``repro.analysis`` flags a class whose
     #: own methods run per chunk without a contract of its own (FP001),
@@ -400,7 +404,7 @@ class Layer:
         last call; True when it did.  The rule is the one validator: a
         bad spec or bottom raises its ``ShapeError`` here, naming the
         layer, exactly as ``infer_net`` reports it."""
-        shapes = tuple(b.shape for b in bottom)
+        shapes = tuple([b.shape for b in bottom])
         if shapes == self._geometry_for:
             return False
         spec = self.spec
@@ -584,6 +588,25 @@ class Layer:
     # ------------------------------------------------------------------
     # the pass bodies (Algorithm 4 forward, Algorithm 5 backward)
     # ------------------------------------------------------------------
+    def forward_loop(self, bottom: Sequence[Blob],
+                     top: Sequence[Blob]) -> LoopSpec:
+        """The forward space as one :class:`LoopSpec` of
+        :meth:`forward_chunk`.
+
+        Built when the blobs or the space change and the same object on
+        every other pass, so a chunk runner can bind it once.  Its body
+        looks ``forward_chunk`` up on every call: a wrapper installed on
+        the instance later still sees every chunk.
+        """
+        space = self.forward_space(bottom, top)
+        loop, blobs = self._forward_memo
+        if (loop is None or loop.space != space or blobs[0] is not bottom
+                or blobs[1] is not top):
+            loop = LoopSpec(space, lambda lo, hi, _grads: self.forward_chunk(
+                bottom, top, lo, hi))
+            self._forward_memo = loop, (bottom, top)
+        return loop
+
     def forward(
         self,
         bottom: Sequence[Blob],
@@ -592,14 +615,12 @@ class Layer:
     ) -> float:
         """Forward pass; returns this layer's loss contribution.
 
-        Reshape (sequential, as in Caffe), the forward space as one
-        :class:`LoopSpec` of :meth:`forward_chunk` handed to ``run``, the
-        sequential :meth:`forward_finalize` epilogue, the loss share.
+        Reshape (sequential, as in Caffe), :meth:`forward_loop` handed
+        to ``run``, the sequential :meth:`forward_finalize` epilogue,
+        the loss share.
         """
         self.reshape(bottom, top)
-        run(self.name, "forward", LoopSpec(
-            self.forward_space(bottom, top),
-            lambda lo, hi, _grads: self.forward_chunk(bottom, top, lo, hi)))
+        run(self.name, "forward", self.forward_loop(bottom, top))
         self.forward_finalize(bottom, top)
         loss = 0.0
         for top_blob, weight in zip(top, self.loss_weights):

@@ -29,10 +29,13 @@ is written into a zeroed ``(og, H+kh−1, W+kw−1)`` plane — entry
 ``(oh, ow)`` at ``(oh·stride_h + kh−1−pad_h, ow·stride_w + kw−1−pad_w)``,
 so a stride leaves zeros between entries and entries whose window lies
 wholly in the padding fall outside the plane and are dropped — and then
-``dX_g = W_rot[g] @ im2col_runs(plane)`` with a stride-1, unpadded
-``kh × kw`` window, whose kept columns are copied into the bottom diff.
-One path serves every stride, pad and group; each sample's ``dX`` still
-depends on that sample alone.
+``dX_g = W_rot[g] @ im2col(plane)`` with a stride-1, unpadded
+``kh × kw`` window.  Like forward it runs a block of samples at a time
+(sized from the shapes by ``_COLUMN_BYTES``): one stacked ``im2col`` of
+the block's planes and one stacked ``gemm`` written straight into the
+bottom diff viewed as ``(n, cg, H * W)``.  One path serves every
+stride, pad and group; each sample's ``dX`` still depends on that
+sample alone.
 """
 
 from __future__ import annotations
@@ -166,17 +169,15 @@ class ConvolutionLayer(Layer):
         self._padded_shape = (
             c // self.group, h + 2 * self.pad_h, w + 2 * self.pad_w
         )
-        samples = _COLUMN_BYTES // (DTYPE().itemsize * self._col_shape[0]
-                                    * self._col_shape[1])
-        self._block = max(1, min(bottom[0].shape[0], samples))
+        self._block = _block_of(bottom[0].shape[0], self._col_shape)
         og = self.num_output // self.group
         window = self.kernel_h * self.kernel_w
         self._wrot_shape = (self.group, c // self.group, og * window)
         self._dy_plane_shape = (
             og, h + self.kernel_h - 1, w + self.kernel_w - 1
         )
-        self._dy_runs = blaslib.runs_layout(
-            *self._dy_plane_shape, self.kernel_h, self.kernel_w, 0, 0, 1, 1)
+        self._dy_col_shape = (og * window, h * w)
+        self._dy_block = _block_of(bottom[0].shape[0], self._dy_col_shape)
         self._dy_rows = _interleave(
             h, self.kernel_h, self.pad_h, self.stride_h, self.out_h)
         self._dy_cols = _interleave(
@@ -261,11 +262,12 @@ class ConvolutionLayer(Layer):
     def _backward_data_chunk(
         self, top: Sequence[Blob], bottom: Sequence[Blob], lo: int, hi: int
     ) -> None:
-        """Bottom gradients of samples ``[lo, hi)`` (disjoint): per sample
-        and group, the top diff interleaved into the zeroed plane, one
-        unpadded stride-1 ``im2col_runs`` of it and one ``gemm`` against
-        the rotated filter bank, cropped into the bottom diff (module
-        docstring)."""
+        """Bottom gradients of samples ``[lo, hi)`` (disjoint), a block of
+        ``self._dy_block`` samples at a time: per block and group, the top
+        diffs interleaved into the zeroed planes, one stacked unpadded
+        stride-1 ``im2col`` of them and one stacked ``gemm`` against the
+        rotated filter bank, written straight into the bottom diff
+        (module docstring)."""
         dy = top[0].diff
         dx = bottom[0].diff
         cg = self.channels // self.group
@@ -278,26 +280,28 @@ class ConvolutionLayer(Layer):
             self.blobs[0].data.reshape(self.group, og, cg, kh, kw)
             [..., ::-1, ::-1].transpose(0, 2, 1, 3, 4),
         )
+        block = self._dy_block
         # Only the interleave positions are ever written, so the zeros
-        # between and around them survive every sample.
-        plane = scratch_buffer("conv.dy_plane", self._dy_plane_shape, DTYPE)
-        plane.fill(0.0)
-        runs = self._dy_runs
-        cols = scratch_buffer("conv.dy_runs", runs.cols, DTYPE)
-        work = scratch_buffer("conv.dy_run_plane", runs.work, DTYPE)
-        product = scratch_buffer("conv.dx_runs", (cg, runs.cols[1]), DTYPE)
-        kept = product.reshape(cg, runs.out_h, runs.run_w)[:, :, :runs.out_w]
+        # between and around them survive every block.
+        planes = scratch_buffer(
+            "conv.dy_planes", (block, *self._dy_plane_shape), DTYPE)
+        planes.fill(0.0)
+        cols = scratch_buffer(
+            "conv.dy_cols", (block, *self._dy_col_shape), DTYPE)
         plane_h, top_h = self._dy_rows
         plane_w, top_w = self._dy_cols
 
-        for s in range(lo, hi):
+        for start in range(lo, hi, block):
+            n = min(block, hi - start)
+            dxs = dx[start : start + n].reshape(n, self.channels, -1)
             for g in range(self.group):
-                plane[:, plane_h, plane_w] = (
-                    dy[s, g * og : (g + 1) * og, top_h, top_w])
-                blaslib.im2col_runs(plane, kh, kw, 0, 0, 1, 1,
-                                    out=cols, work=work)
-                blaslib.gemm(False, False, 1.0, wrot[g], cols, 0.0, product)
-                np.copyto(dx[s, g * cg : (g + 1) * cg], kept)
+                planes[:n, :, plane_h, plane_w] = (
+                    dy[start : start + n, g * og : (g + 1) * og,
+                       top_h, top_w])
+                blaslib.im2col(planes[:n], kh, kw, 0, 0, 1, 1,
+                               out=cols[:n])
+                blaslib.gemm(False, False, 1.0, wrot[g], cols[:n], 0.0,
+                             dxs[:, g * cg : (g + 1) * cg])
 
     def backward_loops(self, top, propagate_down, bottom) -> List[LoopSpec]:
         return self._conv_loops(top, propagate_down, bottom)
@@ -325,6 +329,14 @@ class ConvolutionLayer(Layer):
                     top, bottom, lo, hi),
             ))
         return loops
+
+
+def _block_of(batch: int, col_shape: tuple[int, int]) -> int:
+    """Samples per block: as many as keep their column stack of
+    ``col_shape`` columns within ``_COLUMN_BYTES``, at least one and at
+    most the batch."""
+    per_sample = DTYPE().itemsize * col_shape[0] * col_shape[1]
+    return max(1, min(batch, _COLUMN_BYTES // per_sample))
 
 
 def _interleave(extent: int, kernel: int, pad: int, stride: int,

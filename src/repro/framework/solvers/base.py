@@ -15,7 +15,9 @@ change the trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -102,6 +104,10 @@ class LayerwiseExecutor:
     #: Team size the layer hooks run with.
     num_threads = 1
 
+    #: :meth:`_live_loop`'s cuts by ``(layer name, rows)``: the loop,
+    #: the bottom shape and the cut.
+    _cuts: Optional[Dict[Tuple[str, int], tuple]] = None
+
     _dispatch = staticmethod(run_sequential)
 
     def forward_layer(self, net: Net, i: int,
@@ -112,10 +118,27 @@ class LayerwiseExecutor:
         layer, bottom = net.layers[i], net.bottoms[i]
         run = self._dispatch
         if rows is not None:
+            dispatch = run
+
             def run(layer_name: str, phase: str, loop: LoopSpec) -> None:
-                self._dispatch(layer_name, phase,
-                               live_loop(layer, bottom, loop, rows))
+                dispatch(layer_name, phase,
+                         self._live_loop(layer, bottom, loop, rows))
         return layer.forward(bottom, net.tops[i], run)
+
+    def _live_loop(self, layer: Layer, bottom: Sequence[Blob],
+                   loop: LoopSpec, rows: int) -> LoopSpec:
+        """:func:`live_loop`, cut once per loop, bottom shape and
+        ``rows`` (the layer's forward loop is the same object from pass
+        to pass) and the same cut returned after that."""
+        cuts = self._cuts
+        if cuts is None:
+            cuts = self._cuts = {}
+        shape = bottom[0].shape if bottom else None
+        memo = cuts.get((layer.name, rows))
+        if memo is None or memo[0] is not loop or memo[1] != shape:
+            memo = cuts[layer.name, rows] = (
+                loop, shape, live_loop(layer, bottom, loop, rows))
+        return memo[2]
 
     def backward_layer(self, net: Net, i: int) -> None:
         """Run layer ``i`` backward (only called on layers that take

@@ -9,8 +9,8 @@ here, held to two standards:
 
 * **Bitwise**: MAX pooling, ``im2col``, ``col2im``, the synthetic
   MNIST brush (one ``canvas +=`` per brush point), convolution's
-  forward and backward-data GEMMs on exact ``im2col`` columns (now on
-  ``im2col_runs`` row runs) and InnerProduct's one ``gemm`` per aligned
+  forward and backward-data GEMMs on exact per-sample ``im2col`` columns
+  (now stacked over blocks of samples) and InnerProduct's one ``gemm`` per aligned
   block (now one stacked ``gemm`` per chunk) were rewritten for speed
   under the promise that their outputs stay byte-for-byte what these
   produce; the parity tests hold them to it.

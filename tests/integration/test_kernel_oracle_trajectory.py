@@ -6,8 +6,8 @@ differ only in whether a set of kernels are the production routines or
 the frozen pre-rewrite copies in ``tests/_oracle_kernels.py``.
 
 * MAX pooling, ``im2col``, ``col2im``, convolution's forward and
-  backward-data GEMMs (on ``im2col_runs`` row runs, frozen on exact
-  ``im2col`` columns) and InnerProduct's stacked block GEMMs (frozen as
+  backward-data GEMMs (stacked over blocks of samples, frozen as one
+  exact ``im2col`` + ``gemm`` per sample) and InnerProduct's stacked block GEMMs (frozen as
   one ``gemm`` per block): losses and every parameter blob agree
   **exactly**, sequentially and under the two-thread blockwise executor
   (whose chunking splits the plane/sample ranges differently).  mlp runs

@@ -161,6 +161,49 @@ class TestForwardBlocks:
         assert top[0].data.tobytes() == want
 
 
+class TestBackwardDataBlocks:
+    """Backward-data lowers a block of samples' interleaved top-diff
+    planes per stacked ``im2col`` and ``gemm``, straight into the bottom
+    diff: where the blocks and the chunks are cut changes no byte, and
+    every byte is the per-sample exact-``im2col`` correlation's."""
+
+    CHUNKS = TestForwardBlocks.CHUNKS
+
+    @pytest.mark.parametrize("params", [
+        dict(kernel_size=3),
+        dict(kernel_size=3, stride=2, pad=1),
+        dict(num_output=4, group=2, kernel_h=3, kernel_w=2, pad=1),
+        dict(num_output=6, group=2, kernel_size=2, stride=2, pad=3),
+    ])
+    def test_block_and_chunk_cuts_change_no_byte(self, rng, monkeypatch,
+                                                 params):
+        x = rng.standard_normal((7, 4, 7, 6)).astype(np.float32)
+
+        def backward_data(column_bytes):
+            monkeypatch.setattr(conv, "_COLUMN_BYTES", column_bytes)
+            layer = conv_layer(**params)
+            bottom, top = [make_blob(x.shape, values=x)], [Blob()]
+            layer.setup(bottom, top)
+            top[0].diff[...] = np.random.default_rng(5).standard_normal(
+                top[0].shape)
+            bottom[0].diff[...] = np.nan
+            for lo, hi in self.CHUNKS:
+                layer._backward_data_chunk(top, bottom, lo, hi)
+            return layer, bottom, top
+
+        layer, bottom, top = backward_data(conv._COLUMN_BYTES)
+        assert layer._dy_block == 7
+        sample_bytes = 4 * math.prod(layer._dy_col_shape)
+        want = bottom[0].diff.tobytes()
+        for column_bytes, block in ((1, 1), (3 * sample_bytes, 3)):
+            layer, bottom, _ = backward_data(column_bytes)
+            assert layer._dy_block == block
+            assert bottom[0].diff.tobytes() == want, block
+        bottom[0].diff[...] = np.nan
+        oracle.conv_correlation_data_chunk(layer, top, bottom, 0, 7)
+        assert bottom[0].diff.tobytes() == want
+
+
 class TestBackward:
     def test_gradient_check(self, rng):
         from repro.framework.gradient_check import check_gradient

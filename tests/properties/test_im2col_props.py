@@ -60,3 +60,43 @@ class TestIm2colProperties:
         oh = conv_out_size(h, kh, ph, sh)
         ow = conv_out_size(w, kw, pw, sw)
         assert col.shape == (c * kh * kw, oh * ow)
+
+
+@st.composite
+def strided_case(draw):
+    """Strides up to 4 (past the kernel too), pads up to the kernel, one
+    image or a stack of one or of several, contiguous or not."""
+    kh = draw(st.integers(1, 3))
+    kw = draw(st.integers(1, 3))
+    ph = draw(st.integers(0, kh))
+    pw = draw(st.integers(0, kw))
+    h = draw(st.integers(max(1, kh - 2 * ph), 9))
+    w = draw(st.integers(max(1, kw - 2 * pw), 9))
+    return dict(
+        c=draw(st.integers(1, 3)), h=h, w=w, kh=kh, kw=kw, ph=ph, pw=pw,
+        sh=draw(st.integers(1, 4)), sw=draw(st.integers(1, 4)),
+        stack=draw(st.sampled_from([None, 1, 3])),
+        sliced=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestIm2colTwoStageCopy:
+    @given(case=strided_case())
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_the_reference(self, case):
+        """``im2col`` is a pure copy: its bytes are the scalar loop's at
+        every stride, pad and stack, through a dirty ``out`` and a NaN
+        ``work`` plane."""
+        c, h, w = case["c"], case["h"], case["w"]
+        args = tuple(case[k] for k in ("kh", "kw", "ph", "pw", "sh", "sw"))
+        lead = () if case["stack"] is None else (case["stack"],)
+        rng = np.random.default_rng(case["seed"])
+        wide = rng.standard_normal((*lead, c, h, 2 * w)).astype(np.float32)
+        image = wide[..., 1::2] if case["sliced"] else wide[..., :w].copy()
+        want = oracle.reference_im2col(image, *args)
+        assert blaslib.im2col(image, *args).tobytes() == want.tobytes()
+        out = np.full_like(want, 7.0)
+        work = np.full((*lead, c, h + 2 * case["ph"], w + 2 * case["pw"]),
+                       np.nan, np.float32)
+        assert blaslib.im2col(image, *args, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
