@@ -1,14 +1,18 @@
-"""Benchmark harness utilities shared by the ``benchmarks/`` suite.
+"""Measurement helpers: the figure harness and the BLAS thread pin.
 
-Each benchmark regenerates one of the paper's figures: it prints the
-figure's rows/series (and saves them under ``benchmarks/out/``) from the
-machine models driven by the real networks, and times a real code path
-with pytest-benchmark so the functional runtime is exercised too.
+:mod:`repro.bench.harness` is shared by the ``benchmarks/`` suite: each
+benchmark regenerates one of the paper's figures, prints its
+rows/series (and saves them under ``benchmarks/out/``) from the machine
+models driven by the real networks, and times a real code path with
+pytest-benchmark so the functional runtime is exercised too.
+:mod:`repro.bench.pinning` pins the BLAS pools to one thread for every
+measuring entry point (the ledger's worker processes,
+``repro.tools.profile``).
 
 The harness re-exports (``emit``, ``lenet_costs``, ...) load lazily:
 importing ``repro.bench`` submodules must not pull numpy, because
 :mod:`repro.bench.pinning` has to run *before* numpy loads for the BLAS
-thread pin to take effect (the ledger's worker processes rely on it).
+thread pin to take effect.
 """
 
 _HARNESS_EXPORTS = ("cifar_costs", "emit", "lenet_costs", "models",

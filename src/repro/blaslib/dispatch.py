@@ -43,9 +43,6 @@ class OpCounter:
                                   + int(nbytes) * times)
         self.calls[kind] = self.calls.get(kind, 0) + times
 
-    def total_flops(self) -> int:
-        return sum(self.flops.values())
-
     def total_bytes(self) -> int:
         return sum(self.bytes_moved.values())
 

@@ -74,10 +74,6 @@ class CoalescedSpace:
             total += idx * stride
         return total
 
-    def outer_extent(self) -> int:
-        """Extent of the outermost (batch) loop alone."""
-        return self.dims[0]
-
     def imbalance(self, num_threads: int) -> float:
         """Static-schedule load imbalance of this space.
 

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.reduction import (
     BITWISE_INVARIANT,
     REDUCTION_MODES,
-    TIER_ORDER,
     invariance_tier,
 )
 from repro.core.scheduling import Chunk, ChunkServer, Schedule, make_schedule
@@ -179,10 +178,6 @@ class ExecutionPlan:
         layers = dict(self.layers)
         layers[layer_plan.layer] = layer_plan
         return replace(self, layers=layers)
-
-    @property
-    def claimed_tier_rank(self) -> int:
-        return TIER_ORDER[self.tier]
 
     def to_json(self) -> Dict:
         return {

@@ -77,10 +77,6 @@ class Blob:
     def num_axes(self) -> int:
         return len(self._shape)
 
-    def shape_at(self, axis: int) -> int:
-        """Extent along ``axis``; negative axes count from the end."""
-        return self._shape[self.canonical_axis(axis)]
-
     def canonical_axis(self, axis: int) -> int:
         n = len(self._shape)
         if not -n <= axis < n:
@@ -196,14 +192,6 @@ class Blob:
                 f"{other.name!r} ({self.count} > {other.count})"
             )
         self._flat_data = other._flat_data
-
-    def share_diff_with(self, other: "Blob") -> None:
-        if self.count > other.count:
-            raise ValueError(
-                f"blob {self.name!r}: cannot share diff with smaller blob "
-                f"{other.name!r} ({self.count} > {other.count})"
-            )
-        self._flat_diff = other._flat_diff
 
     # ------------------------------------------------------------------
     # numerics helpers

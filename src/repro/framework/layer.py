@@ -653,9 +653,5 @@ class Layer:
     def type(self) -> str:
         return self.spec.type
 
-    def param_memory_bytes(self) -> int:
-        """Bytes of coefficient storage (used by the memory experiment)."""
-        return sum(blob.nbytes for blob in self.blobs)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -141,10 +141,6 @@ def shape_rule_for(type_name: str) -> Optional[ShapeRule]:
     return _SHAPE_RULES.get(type_name.lower())
 
 
-def registered_shape_rule_types() -> List[str]:
-    return sorted(_SHAPE_RULES)
-
-
 def _require_extents(
     spec: LayerSpec, names: Sequence[str], shapes: Sequence[Tuple[int, ...]]
 ) -> None:

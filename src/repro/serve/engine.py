@@ -5,13 +5,17 @@ One engine owns one TEST-phase :class:`~repro.framework.net.Net` and one
 plancheck plan honored when given).  The server hands it a formed batch
 of raw samples; the engine:
 
-1. **quarantines poisoned inputs** — any sample carrying NaN/Inf is
-   demoted to a coded per-request error and its batch row zeroed, so
-   one malformed payload cannot poison its batch-mates (the HealthGuard
-   sentinel idea applied per-sample instead of per-iteration);
-2. **stages** the batch, zero-padded to ``max_batch``, into the net's
-   data layers via :class:`StagedSource` — staging is idempotent, so a
-   retry replays the *identical* bytes;
+1. **stages** the batch: every sample's shape is checked, then one
+   assignment fills a fresh zero-padded ``(max_batch, ...)`` float32
+   array;
+2. **quarantines poisoned inputs** — one per-row finiteness mask over
+   the live rows demotes any sample carrying NaN/Inf (or a value
+   float32 cannot hold) to a coded per-request error and zeroes its
+   row, so one malformed payload cannot poison its batch-mates (the
+   HealthGuard sentinel idea applied per-sample instead of
+   per-iteration); the array then turns read-only and is parked once
+   in the net's data layers via :class:`StagedSource`, so a retry
+   replays the *identical* bytes without staging again;
 3. **executes** the forward pass over the live rows only, up to the
    logits (``executor.forward(net, rows=k, upto=...)``: blobs stay at
    ``max_batch``, each sample-disjoint loop covers the first ``k``
@@ -22,11 +26,14 @@ of raw samples; the engine:
    exponential backoff through the injected clock — the batch is
    replayed, and the pending-table's idempotent delivery upstream makes
    the replay exactly-once from the client's view;
-4. **quarantines poisoned outputs** — a non-finite logits row becomes a
-   coded error rather than a served lie;
-5. **logs** the exact batch composition (request ids + staged images)
-   so the servecheck certifier can re-run every served batch through
-   plain sequential ``Net.forward`` and demand bitwise parity.
+4. **quarantines poisoned outputs** — the live logits are copied once
+   and one finiteness mask over the copy turns a non-finite row into a
+   coded error rather than a served lie; served rows are views of that
+   copy;
+5. **logs** the exact batch composition (request ids + the staged
+   array itself) so the servecheck certifier can re-run every served
+   batch through plain sequential ``Net.forward`` and demand bitwise
+   parity.
 
 Hot reload (:meth:`InferenceEngine.reload`) parses and validates the
 new parameters *before* taking the engine lock, then swaps under it —
@@ -117,7 +124,8 @@ class BatchRecord:
 
     batch_index: int
     request_ids: Tuple[Optional[str], ...]   # None = padding row
-    images: np.ndarray                        # staged (max_batch, C, H, W)
+    images: np.ndarray                        # staged (max_batch, C, H, W),
+                                              # read-only
 
 
 @dataclass
@@ -232,37 +240,28 @@ class InferenceEngine:
                 f"request_ids holds {len(request_ids)} id(s) for {k} "
                 "sample(s); each sample needs exactly one"
             )
-        images = np.zeros((self.max_batch,) + self.sample_shape, dtype=DTYPE)
-        quarantined_input: List[int] = []
         for i, sample in enumerate(samples):
-            arr = np.asarray(sample, dtype=DTYPE)
-            if arr.shape != self.sample_shape:
+            shape = getattr(sample, "shape", None)  # None: not an array
+            if shape != self.sample_shape:
                 raise ValueError(
-                    f"sample {i} has shape {arr.shape}, expected "
+                    f"sample {i} has shape {shape}, expected "
                     f"{self.sample_shape}"
                 )
-            if np.all(np.isfinite(arr)):
-                images[i] = arr
-            else:
-                quarantined_input.append(i)  # row stays zero: batch-safe
+        images = np.zeros((self.max_batch,) + self.sample_shape, dtype=DTYPE)
+        live = images[:k]
+        live[...] = samples
+        finite_in = np.isfinite(live).reshape(k, -1).all(axis=1)
+        ok_in = finite_in.tolist()
+        if not all(ok_in):
+            live[~finite_in] = 0  # poisoned rows stay zero: batch-safe
+        images.flags.writeable = False
         with self._engine_lock:
             attempts = self._forward_with_recovery(images, k)
             batch_index = self.batches_executed
             self.batches_executed += 1
             completed_at = self.clock.now()
-            out = self._output.data
-            outputs: List[Optional[np.ndarray]] = []
-            quarantined_output: List[int] = []
-            for i in range(k):
-                if i in quarantined_input:
-                    outputs.append(None)
-                    continue
-                row = np.array(out[i], copy=True)
-                if np.all(np.isfinite(row)):
-                    outputs.append(row)
-                else:
-                    quarantined_output.append(i)
-                    outputs.append(None)
+            served = self._output.data[:k].copy()
+            ok_out = np.isfinite(served).reshape(k, -1).all(axis=1).tolist()
             if self.record_batches:
                 padded_ids = tuple(request_ids) + (None,) * (
                     self.max_batch - k
@@ -270,26 +269,30 @@ class InferenceEngine:
                 self.batch_log.append(BatchRecord(
                     batch_index=batch_index,
                     request_ids=padded_ids,
-                    images=images.copy(),
+                    images=images,
                 ))
         return BatchResult(
             batch_index=batch_index,
-            outputs=outputs,
-            quarantined_input=quarantined_input,
-            quarantined_output=quarantined_output,
+            outputs=[row if good_in and good_out else None
+                     for row, good_in, good_out in zip(served, ok_in, ok_out)],
+            quarantined_input=[i for i, good in enumerate(ok_in) if not good],
+            quarantined_output=[i for i, (good_in, good_out)
+                                in enumerate(zip(ok_in, ok_out))
+                                if good_in and not good_out],
             attempts=attempts,
             restarts=self.restarts,
             completed_at=completed_at,
         )
 
     def _forward_with_recovery(self, images: np.ndarray, rows: int) -> int:
-        """Stage + forward the first ``rows`` samples up to the logits,
-        restarting the team on transient faults."""
+        """Stage once, then forward the first ``rows`` samples up to the
+        logits, restarting the team on transient faults; the staged
+        array is read-only, so every attempt reads the same bytes."""
+        for source in self._staged:
+            source.stage(images)
         attempts = 0
         while True:
             attempts += 1
-            for source in self._staged:
-                source.stage(images)
             try:
                 self.executor.forward(self.net, rows=rows, upto=self.upto)
                 return attempts

@@ -1,5 +1,5 @@
-"""Unit tests for the performance certifier (perflint + perfcheck),
-BLAS pinning and the retained repro-bench/1 reader."""
+"""Unit tests for the performance certifier (perflint + perfcheck)
+and BLAS pinning."""
 
 import json
 
@@ -18,14 +18,6 @@ from repro.analysis.perflint import (
 )
 from repro.analysis.report import WARNING
 from repro.bench.pinning import BLAS_THREAD_VARS, pin_blas_threads
-from repro.bench.schema import (
-    BENCH_FORMAT,
-    BenchSchemaError,
-    envelope,
-    host_fingerprint,
-    load_bench,
-    validate_bench,
-)
 from repro.analysis.sources import chunk_reachable
 from repro.framework.layer import LayerContract, LoopSpec
 from repro.simulator import CPUModel
@@ -273,99 +265,6 @@ class TestRunPerfcheckStatic:
         assert report.ok
         assert any("perfcheck verdict: OK" in line
                    for line in report.summary_lines())
-
-
-# ---------------------------------------------------------------------------
-# repro-bench/1 schema
-# ---------------------------------------------------------------------------
-def perf_nets():
-    return {
-        "lenet": {
-            "batch": 64, "iters": 3, "warmup": 1,
-            "threads": {
-                "1": {
-                    "scale": 5.1,
-                    "layers": {
-                        "conv1.fwd": {
-                            "measured_us": 100.0, "predicted_us": 20.0,
-                            "residual": 1.0, "noisy": False,
-                        },
-                    },
-                },
-            },
-        },
-    }
-
-
-def timer():
-    return {"iters": 3, "warmup": 1, "clock": "perf_counter",
-            "blas": {"pinned_before_numpy": True}}
-
-
-class TestBenchSchema:
-    def test_envelope_roundtrip(self, tmp_path):
-        from repro.bench.schema import dump_bench
-
-        doc = envelope(kind="perf", timer=timer(), nets=perf_nets())
-        assert doc["format"] == BENCH_FORMAT
-        path = tmp_path / "BENCH_perf.json"
-        dump_bench(doc, path)
-        loaded = load_bench(path)
-        assert loaded["nets"]["lenet"]["threads"]["1"]["scale"] == 5.1
-
-    def test_host_fingerprint_keys(self):
-        host = host_fingerprint()
-        for key in ("platform", "machine", "python", "numpy", "cpus"):
-            assert key in host
-
-    def test_legacy_format_rejected_with_tool_pointer(self):
-        with pytest.raises(BenchSchemaError, match="bench_plan"):
-            validate_bench({"format": "repro-bench-plan/1"})
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(BenchSchemaError, match="format"):
-            validate_bench({"format": "something-else/9"})
-
-    def test_wrong_kind_rejected(self):
-        doc = envelope(kind="perf", timer=timer(), nets=perf_nets())
-        doc["kind"] = "nonsense"
-        with pytest.raises(BenchSchemaError, match="kind"):
-            validate_bench(doc)
-
-    def test_missing_entry_key_rejected(self):
-        nets = perf_nets()
-        del nets["lenet"]["threads"]["1"]["scale"]
-        with pytest.raises(BenchSchemaError, match="scale"):
-            envelope(kind="perf", timer=timer(), nets=nets)
-
-    def test_missing_layer_key_rejected(self):
-        nets = perf_nets()
-        layers = nets["lenet"]["threads"]["1"]["layers"]
-        del layers["conv1.fwd"]["residual"]
-        with pytest.raises(BenchSchemaError, match="residual"):
-            envelope(kind="perf", timer=timer(), nets=nets)
-
-    def test_non_integer_thread_key_rejected(self):
-        nets = perf_nets()
-        nets["lenet"]["threads"]["two"] = nets["lenet"]["threads"]["1"]
-        with pytest.raises(BenchSchemaError, match="integer"):
-            envelope(kind="perf", timer=timer(), nets=nets)
-
-    def test_committed_bench_files_validate(self):
-        import os
-
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
-        for name in ("BENCH_plan.json", "BENCH_fuse.json"):
-            path = os.path.join(root, name)
-            if os.path.exists(path):
-                doc = load_bench(path)
-                assert doc["format"] == BENCH_FORMAT
-
-    def test_corrupt_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(BenchSchemaError, match="cannot read"):
-            load_bench(path)
 
 
 class TestBlasPinning:
