@@ -18,7 +18,7 @@ subcommand of ``python -m repro.analysis`` with its own ``--help``:
 (DC: determinism and convergence invariance), ``rescheck`` (RS:
 checkpoint/resume and fault recovery), ``plancheck`` (PL: per-layer
 auto-parallelization plans), ``fusecheck`` (FU: operator fusion and the
-memory arena), ``synccheck`` (SY: locks, barriers and interleavings),
+memory arena), ``synccheck`` (SY: lock order and barrier protocol),
 ``perfcheck`` (PE: performance lint and roofline) and ``servecheck``
 (SV: the serving path under chaos).
 :mod:`repro.analysis.codes` names every FP/RT/NG/DC/RS/PL/FU/SY/PE/SV

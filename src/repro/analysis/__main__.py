@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import repro.analysis as safety
 from repro.analysis import (
     detcheck, fusecheck, netcheck, perfcheck, plancheck, rescheck,
-    servecheck, synccheck,
+    servecheck, synclint,
 )
 from repro.analysis.codes import catalogue_lines, drift_lines
 from repro.core.reduction import BITWISE_INVARIANT, REDUCTION_MODES, TIER_ORDER
@@ -99,9 +99,9 @@ _CERTIFY = dict(certify={}, certify_iters={}, certify_batch={})
 
 #: Smallest accepted value per integer flag, whichever mode declares it.
 _MINIMUM = {"batch": 1, "iters": 1, "certify_iters": 1, "certify_batch": 1,
-            "preemptions": 0, "max_runs": 1, "requests": 3}
+            "requests": 3}
 #: Flags naming a file the mode writes; checked before the work starts.
-_OUTPUTS = ("emit_plan", "trace", "trace_out")
+_OUTPUTS = ("emit_plan", "trace_out")
 
 
 class Family(NamedTuple):
@@ -212,45 +212,6 @@ def _run_fusecheck(args):
     )
 
 
-def _replay(args) -> int:
-    try:
-        with open(args.replay, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        runs = [synccheck.replay_trace(trace)
-                for trace in payload.get("traces", [payload])]
-    except (ValueError, LookupError, AttributeError, TypeError) as exc:
-        raise _InputError(f"{args.replay}: not a replayable trace file "
-                          f"({exc!r})")
-    ok = all(faithful for faithful, _ in runs)
-    if args.as_json:
-        print(json.dumps({"ok": ok, "replays": [
-            {"trace": i, "faithful": faithful, "status": record.status,
-             "steps": len(record.schedule)}
-            for i, (faithful, record) in enumerate(runs)]}, indent=2))
-    else:
-        for i, (faithful, record) in enumerate(runs):
-            print(f"trace {i}: {record.status} after "
-                  f"{len(record.schedule)} steps, replay "
-                  f"{'faithful' if faithful else 'BROKEN'}")
-    return 0 if ok or not args.gate else 1
-
-
-def _run_synccheck(args):
-    if args.replay:
-        return _replay(args)
-    report = synccheck.run_synccheck(
-        nets=args.net or list(synccheck.DEFAULT_NETS),
-        threads=args.threads, mode=args.mode, batch=args.batch,
-        iters=args.iters, preemptions=args.preemptions,
-        max_runs=args.max_runs, static_only=args.static_only,
-        certify=not args.skip_certify,
-    )
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump({"traces": report.traces}, fh, indent=2)
-    return report
-
-
 def _run_perfcheck(args):
     return perfcheck.run_perfcheck(
         nets=args.net or perfcheck.DEFAULT_NETS, threads=args.threads,
@@ -313,34 +274,7 @@ FAMILIES: Dict[str, Family] = {
         fusecheck,
         dict(net={}, prototxt={}, threads={}, batch={}, **_CERTIFY),
         _run_fusecheck),
-    "synccheck": Family(
-        synccheck,
-        dict(net={}, threads={},
-             mode=dict(default=synccheck.DEFAULT_MODE),
-             batch=dict(default=4), iters=dict(default=1), static_only={}),
-        _run_synccheck,
-        extras=(
-            ("--preemptions", dict(
-                type=int, default=2, metavar="N",
-                help="CHESS preemption bound (default: 2)")),
-            ("--max-runs", dict(
-                type=int, default=synccheck.DEFAULT_MAX_RUNS, metavar="N",
-                help="schedule budget per configuration; exceeding it is "
-                     "the SY104 warning (default: %(default)s)")),
-            ("--skip-certify", dict(
-                action="store_true",
-                help="skip the seeded-defect certification "
-                     "(SY201/SY202)")),
-            ("--trace", dict(
-                metavar="FILE", default=None,
-                help="write every dynamic verdict's replayable schedule "
-                     "trace to FILE as JSON")),
-            ("--replay", dict(
-                metavar="FILE", default=None,
-                help="re-execute the schedule traces in FILE "
-                     "deterministically and report faithfulness (no "
-                     "exploration)")),
-        )),
+    "synccheck": Family(synclint, {}, lambda args: synclint.run_synccheck()),
     "perfcheck": Family(
         perfcheck,
         dict(net={}, threads=dict(default=list(perfcheck.DEFAULT_THREADS))),
@@ -428,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv[1:] if mode else argv)
     _validate(parser, args, family)
     try:
-        for name in args.net:
+        for name in getattr(args, "net", ()):
             if name not in ZOO_NETS:
                 raise UnknownNet(name)
         out = family.run(args)

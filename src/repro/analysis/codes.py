@@ -17,10 +17,9 @@ Nine passes, ten code families, one place that names them all:
   transform checks (shape and cost parity, arena aliasing) and
   fused-vs-unfused bitwise replay certification.
 * **SY** — concurrency certifier (PR 8): lock-order / barrier-protocol
-  static lint over the runtime sources, deterministic bounded model
-  checking of the thread team under interleaving (deadlock, exception,
-  digest divergence), and seeded-defect certification of the checker
-  itself.
+  static lint over the runtime sources, the team's critical and ordered
+  constructs included; deadlocks at run time are the team watchdog's
+  (``TeamDeadlock``), not a code.
 * **PE** — performance certifier (PR 9): static performance-bug lint
   over the layer chunk code (float64 upcasts, hot-loop allocations,
   implicit copies, iteration-space Python loops) gated by the perf
@@ -259,29 +258,6 @@ CODE_CATALOGUE: Dict[str, Tuple[str, str, str]] = {
     "SY006": ("synccheck", "error",
               "re-acquisition of a held non-reentrant lock "
               "(self-deadlock)"),
-    # ---- concurrency certifier: interleaving model checker ----
-    "SY101": ("synccheck", "error",
-              "deadlock under some explored interleaving (every live "
-              "thread blocked; pending ops and replayable schedule "
-              "reported)"),
-    "SY102": ("synccheck", "error",
-              "exception raised under some explored interleaving that "
-              "the canonical schedule does not raise"),
-    "SY103": ("synccheck", "error",
-              "schedule-dependent output: a configuration whose "
-              "invariance tier promises determinism produced different "
-              "output bits under two interleavings"),
-    "SY104": ("synccheck", "warning",
-              "exploration truncated at the run budget before "
-              "exhausting the preemption-bounded schedule space"),
-    # ---- concurrency certifier: seeded-defect certification ----
-    "SY201": ("synccheck", "error",
-              "seeded synchronization defect NOT rediscovered: the "
-              "model checker missed a planted lock-order inversion or "
-              "barrier skip (checker regression)"),
-    "SY202": ("synccheck", "info",
-              "seeded defect rediscovered as a deadlock and its "
-              "recorded schedule replayed faithfully"),
     # ---- performance certifier: static performance-bug lint ----
     "PE001": ("perfcheck", "error",
               "undeclared float64 upcast in chunk-reachable code "
@@ -362,7 +338,7 @@ def source_code_references() -> Dict[str, List[str]]:
 
     Returns ``code -> [filenames]`` for every ``XX###`` token in any
     module of this package except the catalogue itself.  Both emission
-    sites (``Finding(rule="SY101", ...)``) and documentation mentions
+    sites (``Finding(rule="SY001", ...)``) and documentation mentions
     count as references — the drift check wants the catalogue and the
     sources to agree, whichever direction a code travels.
     """

@@ -162,15 +162,14 @@ class Replay:
     machinery at all); otherwise a :class:`ParallelExecutor` with
     ``threads`` threads and reduction ``mode`` drives the net, under the
     per-layer :class:`~repro.core.plan.ExecutionPlan` ``plan`` when one
-    is given (plancheck), on a :class:`~repro.core.team.ThreadTeam` built
-    on the synchronization backend ``sync`` when one is given (synccheck's
-    model checker).  ``spec_transform`` rewrites the zoo spec before the
-    net is built and ``post_build`` mutates the built net (fusecheck
-    replays fused+arena nets through them).  ``resume_at > 0`` models a
-    crash/restart (rescheck): the run checkpoints after that many steps,
-    ``crash`` (when given) is fired on that solver, and a brand-new
-    solver — fresh net, RNGs, data source and executor; nothing survives
-    but the file — restores the checkpoint and finishes the run.
+    is given (plancheck).  ``spec_transform`` rewrites the zoo spec
+    before the net is built and ``post_build`` mutates the built net
+    (fusecheck replays fused+arena nets through them).
+    ``resume_at > 0`` models a crash/restart (rescheck): the run
+    checkpoints after that many steps, ``crash`` (when given) is fired
+    on that solver, and a brand-new solver — fresh net, RNGs, data
+    source and executor; nothing survives but the file — restores the
+    checkpoint and finishes the run.
     """
 
     net: str
@@ -183,32 +182,23 @@ class Replay:
     post_build: Optional[Callable] = None
     resume_at: int = 0
     crash: Optional[Callable] = None
-    sync: object = None
 
     @contextmanager
     def solver(self) -> Iterator:
         """A fresh solver of this run on an executor (and team) of its
         own, both torn down on exit."""
         from repro.core import ParallelExecutor
-        from repro.core.team import ThreadTeam
 
-        team = None if self.sync is None else ThreadTeam(self.threads,
-                                                         sync=self.sync)
+        executor = None if self.threads == 0 else ParallelExecutor(
+            num_threads=self.threads, reduction=self.mode, plan=self.plan)
         try:
-            executor = None if self.threads == 0 else ParallelExecutor(
-                num_threads=self.threads, reduction=self.mode,
-                team=team, plan=self.plan)
-            try:
-                yield build_solver(
-                    self.net, self.iters, executor=executor,
-                    batch=self.batch, spec_transform=self.spec_transform,
-                    post_build=self.post_build)
-            finally:
-                if executor is not None:
-                    executor.close()
+            yield build_solver(
+                self.net, self.iters, executor=executor, batch=self.batch,
+                spec_transform=self.spec_transform,
+                post_build=self.post_build)
         finally:
-            if team is not None:
-                team.shutdown()
+            if executor is not None:
+                executor.close()
 
     def capture(self) -> Trajectory:
         """Train for ``iters`` steps and snapshot every step bitwise."""

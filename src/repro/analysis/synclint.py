@@ -1,12 +1,15 @@
-"""Static synchronization lint: the SY0xx half of synccheck.
+"""Concurrency certifier (synccheck): the static synchronization lint.
 
-Every analyzer so far certifies what runs *inside* parallel regions;
-this one checks the synchronization substrate itself.  The pass parses
-``repro.core``, ``repro.compiler`` and ``repro.resilience``, extracts
-every ``threading`` primitive (module-level and ``self.attr``
-assignments, including primitives nested in dict literals such as
-``ThreadTeam._ordered_turn["cond"]``), then simulates each function
-with a held-lock set to emit the SY lint family:
+The paper's runtime stands on one OpenMP-shaped primitive set —
+:class:`~repro.core.team.ThreadTeam` barriers, the critical lock, the
+ordered turn — and every other certifier (detcheck, rescheck, ...)
+takes the *correct use* of those primitives on faith.  This pass checks
+that use.  It parses ``repro.core``, ``repro.compiler`` and
+``repro.resilience``, extracts every ``threading`` primitive
+(module-level and ``self.attr`` assignments, including primitives
+nested in dict literals such as ``ThreadTeam._ordered_turn["cond"]``),
+then simulates each function with a held-lock set to emit the SY lint
+family:
 
 * **SY001** — lock-order cycle in the inter-procedural acquisition
   graph (two functions acquiring the same locks in opposite orders can
@@ -30,20 +33,34 @@ with a held-lock set to emit the SY lint family:
 * **SY006** — re-acquisition of a held non-reentrant ``Lock`` (self
   deadlock).
 
+The team's constructs count as locks: a call ``X.critical(fn)`` or
+``X.ordered(fn)`` holds ``<critical>`` (the team's critical lock) or
+``<ordered>`` (its ordered turn) while ``fn``'s body runs, ``fn`` a
+lambda or a module-level function.  Threads nesting the two in opposite
+orders are therefore an SY001 cycle, and a barrier inside either is
+SY002.
+
 The lint is deliberately conservative in its *resolution* (an
 unresolvable receiver is ignored rather than guessed) and deliberately
-eager in its *rules* — the corpus must be clean, and the certification
-test proves each rule fires on seeded-defect fixtures.
+eager in its *rules* — the corpus must be clean, and the tests prove
+each rule fires on seeded-defect fixtures.  What it cannot see — a wait
+that never ends at run time — is the team watchdog's to catch:
+``ThreadTeam(n, watchdog=seconds)`` (or ``REPRO_TEAM_WATCHDOG``) turns
+such a wait into :class:`~repro.core.team.TeamDeadlock`.
+
+CLI: ``python -m repro.analysis synccheck --gate`` (``--json`` for the
+full document).
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.report import Finding
+from repro.analysis.report import Finding, Gated
 from repro.analysis.sources import Rule, package_roots, visit
 
 #: threading constructors we track, mapped to a primitive kind.
@@ -72,9 +89,16 @@ _MUTATOR_METHODS = {
 #: abort is sanctioned, the abort call unblocks the peers).
 _EXEMPT_BRANCH_MARKERS = ("shutdown", "abort", "stop", "closed", "broken")
 
+#: Call names that wait at a team barrier.
+_BARRIER_CALL_NAMES = {"barrier", "_barrier_wait"}
+
+#: Team constructs that hold a lock-like resource while their function
+#: argument runs: ``ctx.critical(fn)`` / ``ctx.ordered(fn)``.
+_HOLDING_CALLS = {"critical": "<critical>", "ordered": "<ordered>"}
+
 #: Call names that block on other threads (beyond barrier waits).
 _BLOCKING_CALL_NAMES = {
-    "join", "join_worker", "parallel", "parallel_for", "parallel_for_nest",
+    "join", "parallel", "parallel_for", "parallel_for_nest",
 }
 
 
@@ -307,7 +331,9 @@ class _FunctionScanner:
 
     # -- expression-level classification -------------------------------
     def _classify_call(self, call: ast.Call, held: Set[str],
-                       in_while: bool) -> None:
+                       in_while: bool) -> Optional[ast.AST]:
+        """Emit ``call``'s events; returns a lambda argument whose body
+        was scanned already (under the construct's held resource)."""
         func = call.func
         if isinstance(func, ast.Attribute):
             attr = func.attr
@@ -337,10 +363,15 @@ class _FunctionScanner:
                     self._emit("cond_wait", ident or "<condition>", held,
                                call.lineno, in_while=True)
                 return
-            if attr == "barrier_wait" or attr == "barrier":
+            if attr in _BARRIER_CALL_NAMES:
                 self.summary.barrier_lines.append(call.lineno)
-                self._emit("barrier", f"<{attr}>", held, call.lineno)
+                self._emit("barrier", f"<{attr.lstrip('_')}>", held,
+                           call.lineno)
                 return
+            if attr in _HOLDING_CALLS and call.args:
+                return self._holding_call(_HOLDING_CALLS[attr],
+                                          call.args[0], held, in_while,
+                                          call.lineno)
             if attr == "acquire":
                 ident = self._resolve(receiver)
                 if self.index.kind(ident) in _LOCK_KINDS:
@@ -368,6 +399,20 @@ class _FunctionScanner:
                 self._emit("blocking", func.id, held, call.lineno)
             self._callee(func, held)
 
+    def _holding_call(self, resource: str, fn: ast.AST, held: Set[str],
+                      in_while: bool, lineno: int) -> Optional[ast.AST]:
+        """``X.critical(fn)`` / ``X.ordered(fn)``: acquire ``resource``,
+        run ``fn``'s body (a lambda's, or a module function's through
+        the fixpoint pass) with it held."""
+        self._emit("acquire", resource, held, lineno)
+        inner = held | {resource}
+        if isinstance(fn, ast.Lambda):
+            self._scan_expr(fn.body, inner, in_while)
+            return fn
+        if isinstance(fn, ast.Name):
+            self._emit("call", f"{self.modname}.{fn.id}", inner, lineno)
+        return None
+
     def _callee(self, func: ast.AST, held: Set[str]) -> None:
         """Record a potentially-resolvable call for the fixpoint pass."""
         if isinstance(func, ast.Name):
@@ -380,9 +425,16 @@ class _FunctionScanner:
 
     def _scan_expr(self, node: ast.AST, held: Set[str],
                    in_while: bool) -> None:
-        for sub in ast.walk(node):
+        # ast.walk's breadth-first order, minus the bodies of lambdas a
+        # holding call scanned already.
+        todo = deque([node])
+        while todo:
+            sub = todo.popleft()
+            scanned = None
             if isinstance(sub, ast.Call):
-                self._classify_call(sub, held, in_while)
+                scanned = self._classify_call(sub, held, in_while)
+            todo.extend(child for child in ast.iter_child_nodes(sub)
+                        if child is not scanned)
 
     # -- statement-level walk ------------------------------------------
     def scan(self, body: List[ast.stmt]) -> FunctionSummary:
@@ -807,3 +859,27 @@ def analyze_sync(parsed: Sequence[Tuple[Path, ast.Module]]) -> List[Finding]:
                  summary.barrier_lines[0])
 
     return findings
+
+
+# ---------------------------------------------------------------------------
+# report
+# ---------------------------------------------------------------------------
+@dataclass
+class SynccheckReport(Gated):
+    findings: List[Finding] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {
+            "ok": self.ok,
+            "findings": [f.to_json() for f in self.findings],
+        }
+
+    def summary_lines(self) -> List[str]:
+        lines = [f.line() for f in self.findings]
+        lines.append("synccheck: OK" if self.ok else "synccheck: FINDINGS")
+        return lines
+
+
+def run_synccheck() -> SynccheckReport:
+    """The synccheck document: the SY0xx lint over the runtime corpus."""
+    return SynccheckReport(lint_sync())

@@ -229,20 +229,6 @@ class ParallelExecutor(LayerwiseExecutor):
                 "dispatch — check its batch size / bottom shapes"
             )
         team = self.team
-        sync = team.sync
-        observe = sync.observes_chunks
-
-        def chunked(work):
-            """``work`` as ``chunk(lo, hi, tid, into)``, each chunk first
-            announced to a sync backend that observes chunks."""
-            if not observe:
-                return lambda lo, hi, tid, into: work(lo, hi, into)
-
-            def chunk(lo: int, hi: int, tid: int, into) -> None:
-                sync.chunk_point(team, tid, layer_name, phase, lo, hi)
-                work(lo, hi, into)
-            return chunk
-
         layer_plan, schedule = layer_schedule(
             self.plan, layer_name, space, self.schedule)
         mode = None
@@ -259,16 +245,13 @@ class ParallelExecutor(LayerwiseExecutor):
             mode in ("ordered", "atomic", "tree") and team.num_threads == 1
         ):
             def inline(work, targets) -> None:
-                chunked(work)(0, space, 0, targets)
+                work(0, space, targets)
             return inline
         if mode is None:
             def region(work, targets) -> None:
-                if observe:
-                    chunk = chunked(work)
-                    body = lambda lo, hi, tid: chunk(lo, hi, tid, targets)
-                else:
-                    body = lambda lo, hi, tid: work(lo, hi, targets)
-                team.parallel_for(space, body, schedule)
+                team.parallel_for(
+                    space, lambda lo, hi, tid: work(lo, hi, targets),
+                    schedule)
             return region
         if mode == "blockwise":
             # The window loop distributes *block indices*, not civ
@@ -281,15 +264,14 @@ class ParallelExecutor(LayerwiseExecutor):
             block = max(block, 1)
 
             def blockwise(work, targets) -> None:
-                self._blockwise(space, block, chunked(work), targets,
-                                schedule)
+                self._blockwise(space, block, work, targets, schedule)
             return blockwise
 
         def per_thread(work, targets) -> None:
-            self._per_thread(space, chunked(work), targets, schedule, mode)
+            self._per_thread(space, work, targets, schedule, mode)
         return per_thread
 
-    def _per_thread(self, space, chunk, targets, schedule, mode: str) -> None:
+    def _per_thread(self, space, work, targets, schedule, mode: str) -> None:
         """Algorithm 5: every thread accumulates its chunks into a private
         buffer, then the buffers are merged — in thread-id order
         (``ordered``), under the critical lock in completion order
@@ -304,7 +286,7 @@ class ParallelExecutor(LayerwiseExecutor):
             tid = ctx.thread_id
             grads = private[tid] = self.pool.request(tid, sizes)
             for lo, hi in chunks_of(tid):
-                chunk(lo, hi, tid, grads)
+                work(lo, hi, grads)
             if mode == "ordered":
                 ctx.ordered(lambda: add_into(targets, grads))
             elif mode == "atomic":
@@ -314,7 +296,7 @@ class ParallelExecutor(LayerwiseExecutor):
         if mode == "tree":
             add_into(targets, tree_combine(private))
 
-    def _blockwise(self, space, block: int, chunk, targets, schedule) -> None:
+    def _blockwise(self, space, block: int, work, targets, schedule) -> None:
         """Fixed-block accumulation: bitwise thread-count invariant.
 
         The space is cut at multiples of ``block`` (block boundaries
@@ -332,7 +314,7 @@ class ParallelExecutor(LayerwiseExecutor):
             def window_body(b_lo: int, b_hi: int, tid: int) -> None:
                 for rel in range(b_lo, b_hi):
                     lo = (first + rel) * block
-                    chunk(lo, min(lo + block, space), tid, buffers[rel])
+                    work(lo, min(lo + block, space), buffers[rel])
 
             self.team.parallel_for(count, window_body, schedule)
             for buffer in buffers:  # fixed block order

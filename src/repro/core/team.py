@@ -15,20 +15,18 @@ speedup is not observable in this container.
 Worker exceptions are captured and re-raised in the caller as
 :class:`WorkerError` with the originating thread id.
 
-Sync-point API
---------------
-Every blocking synchronization operation the team performs funnels
-through one :class:`TeamSync` backend (barrier waits, the critical lock,
-the ordered turn, worker joins, chunk boundaries).  The default backend
-executes the real :mod:`threading` primitives; the synccheck model
-checker (:mod:`repro.analysis.interleave`) substitutes a cooperative
-scheduler that virtualizes every primitive and explores thread
-interleavings deterministically.  The backend also gives the team a
-single choke point for the deadlock watchdog: pass ``watchdog=<seconds>``
-(or set ``REPRO_TEAM_WATCHDOG``) and any barrier / ordered-turn /
-critical-lock wait that exceeds the timeout raises :class:`TeamDeadlock`
+Deadlock watchdog
+-----------------
+Every blocking wait a region can make — a region barrier, the critical
+lock, the ordered turn — goes through the team's own
+:meth:`ThreadTeam._barrier_wait`, :meth:`RegionContext.critical` and
+:meth:`RegionContext.ordered`, which record each thread's last sync
+point.  Pass ``watchdog=<seconds>`` (or set ``REPRO_TEAM_WATCHDOG``) and
+any such wait that exceeds the timeout raises :class:`TeamDeadlock`
 with a per-thread stack dump and each thread's last sync point, instead
-of hanging CI forever.
+of hanging CI forever.  Together with synccheck's static lock-order and
+barrier lint (:mod:`repro.analysis.synclint`) it is the team's deadlock
+detector.
 """
 
 from __future__ import annotations
@@ -86,66 +84,63 @@ class WorkerError(RuntimeError):
         self.phase: Optional[str] = None
 
 
-class TeamSync:
-    """The team's sync-point API, backed by real threading primitives.
+def _default_watchdog() -> Optional[float]:
+    """``REPRO_TEAM_WATCHDOG`` in seconds; unset or empty is off.  Any
+    other value must be a timeout the team can wait: a typo must not
+    switch the deadlock detector off without a word."""
+    raw = os.environ.get("REPRO_TEAM_WATCHDOG", "").strip()
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0
+    if not 0 < value <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"REPRO_TEAM_WATCHDOG must be a positive number of seconds "
+            f"(at most threading.TIMEOUT_MAX) or empty, got {raw!r}")
+    return value
 
-    Subclass and pass ``sync=`` to :class:`ThreadTeam` to intercept or
-    virtualize every synchronization operation.  Methods receive the
-    team and the calling thread's id, so one backend instance can serve
-    any number of teams.
-    """
 
-    #: When True, the executor emits :meth:`chunk_point` before every
-    #: dispatched chunk (the model checker's preemption points).  The
-    #: default backend never observes chunks, keeping the uninstrumented
-    #: hot path free of per-chunk calls.
-    observes_chunks = False
+class RegionContext:
+    """Per-thread view of a parallel region (what ``omp_get_thread_num``
+    and friends expose)."""
 
-    # -- barriers ------------------------------------------------------
-    def barrier_wait(self, team: "ThreadTeam", tid: int, point: str) -> None:
-        """Wait at one of the team's barriers (``start``/``finish``/
-        ``region``), applying the watchdog when configured.
+    def __init__(self, team: "ThreadTeam", thread_id: int) -> None:
+        self._team = team
+        self.thread_id = thread_id
+        self.num_threads = team.num_threads
 
-        Only *region* barriers are watchdogged: workers park at the
-        start barrier indefinitely between regions, and the finish
-        barrier collects threads that are guaranteed to arrive (every
-        in-region blocking point is either abort-broken or watchdogged
-        itself), so timing either out would break the lifecycle
-        rendezvous instead of catching a protocol deadlock."""
-        team._note_sync(tid, f"{point}-barrier")
-        barrier = team._barrier_of(point)
-        if team.watchdog is None or point != "region":
-            barrier.wait()
-            return
-        try:
-            barrier.wait(timeout=team.watchdog)
-        except threading.BrokenBarrierError:
-            if team._ordered_turn["aborted"]:
-                # A region abort broke the barrier on purpose; the
-                # caller classifies this as a secondary failure.
-                raise
-            raise team._deadlock_error(tid, f"{point}-barrier") from None
+    def barrier(self) -> None:
+        """Wait until every team thread reaches this point."""
+        self._team._barrier_wait(self.thread_id, "region")
 
-    # -- critical ------------------------------------------------------
-    def critical(self, team: "ThreadTeam", tid: int,
-                 fn: Callable[[], None]) -> None:
-        team._note_sync(tid, "critical")
+    def critical(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` under the team-wide mutual exclusion lock."""
+        team = self._team
+        team._last_sync[self.thread_id] = "critical"
         lock = team._critical_lock
         if team.watchdog is None:
             acquired = lock.acquire()
         else:
             acquired = lock.acquire(timeout=team.watchdog)
         if not acquired:
-            raise team._deadlock_error(tid, "critical")
+            raise team._deadlock_error(self.thread_id, "critical")
         try:
             fn()
         finally:
             lock.release()
 
-    # -- ordered turn --------------------------------------------------
-    def ordered(self, team: "ThreadTeam", tid: int,
-                fn: Callable[[], None]) -> None:
-        team._note_sync(tid, "ordered")
+    def ordered(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` when it is this thread's turn, in thread-id order.
+
+        This is the construct of Algorithm 5 lines 22-24: each thread
+        incorporates its privatized gradients into the shared blob only
+        after all lower-numbered threads have done so, reproducing the
+        sequential accumulation order.
+        """
+        team, tid = self._team, self.thread_id
+        team._last_sync[tid] = "ordered"
         turn = team._ordered_turn
         with turn["cond"]:
             while turn["next"] != tid and not turn["aborted"]:
@@ -160,78 +155,6 @@ class TeamSync:
                 turn["next"] += 1
                 turn["cond"].notify_all()
 
-    # -- abort / reset -------------------------------------------------
-    def abort(self, team: "ThreadTeam") -> None:
-        """A failed thread must not deadlock peers waiting on its turn
-        or at a barrier: mark the region aborted and break the barrier."""
-        turn = team._ordered_turn
-        with turn["cond"]:
-            turn["aborted"] = True
-            turn["cond"].notify_all()
-        team._barrier.abort()
-
-    def reset(self, team: "ThreadTeam") -> None:
-        team._ordered_turn["next"] = 0
-        if team._ordered_turn["aborted"]:
-            team._ordered_turn["aborted"] = False
-            team._barrier.reset()
-
-    # -- chunk boundaries / lifecycle ---------------------------------
-    def chunk_point(self, team: "ThreadTeam", tid: int, layer: str,
-                    phase: str, lo: int, hi: int) -> None:
-        """Called before each dispatched chunk when
-        :attr:`observes_chunks` is True; a no-op otherwise."""
-
-    def join_worker(self, team: "ThreadTeam", tid: int,
-                    worker: threading.Thread) -> None:
-        worker.join(timeout=10.0)
-
-    def thread_exit(self, team: "ThreadTeam", tid: int) -> None:
-        """A worker thread is about to return from its loop."""
-
-
-#: Shared default backend (stateless: all state lives on the team).
-_REAL_SYNC = TeamSync()
-
-
-def _default_watchdog() -> Optional[float]:
-    raw = os.environ.get("REPRO_TEAM_WATCHDOG", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-class RegionContext:
-    """Per-thread view of a parallel region (what ``omp_get_thread_num``
-    and friends expose)."""
-
-    def __init__(self, team: "ThreadTeam", thread_id: int) -> None:
-        self._team = team
-        self.thread_id = thread_id
-        self.num_threads = team.num_threads
-
-    def barrier(self) -> None:
-        """Wait until every team thread reaches this point."""
-        self._team.sync.barrier_wait(self._team, self.thread_id, "region")
-
-    def critical(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` under the team-wide mutual exclusion lock."""
-        self._team.sync.critical(self._team, self.thread_id, fn)
-
-    def ordered(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` when it is this thread's turn, in thread-id order.
-
-        This is the construct of Algorithm 5 lines 22-24: each thread
-        incorporates its privatized gradients into the shared blob only
-        after all lower-numbered threads have done so, reproducing the
-        sequential accumulation order.
-        """
-        self._team.sync.ordered(self._team, self.thread_id, fn)
-
 
 class ThreadTeam:
     """Persistent OpenMP-like thread team.
@@ -241,9 +164,6 @@ class ThreadTeam:
     num_threads:
         Team size, including the calling (master) thread.  ``1`` runs
         everything inline.
-    sync:
-        Optional :class:`TeamSync` backend; defaults to the real
-        threading primitives.
     watchdog:
         Deadlock watchdog timeout in seconds for every synchronization
         wait.  ``None`` (the default) waits forever; the
@@ -254,14 +174,16 @@ class ThreadTeam:
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
 
-    def __init__(self, num_threads: int, sync: Optional[TeamSync] = None,
+    def __init__(self, num_threads: int,
                  watchdog: Optional[float] = None) -> None:
         if num_threads <= 0:
             raise ValueError(f"num_threads must be positive, got {num_threads}")
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {watchdog}")
+        if watchdog is not None and not 0 < watchdog <= threading.TIMEOUT_MAX:
+            # Beyond TIMEOUT_MAX every timed wait raises OverflowError.
+            raise ValueError(
+                f"watchdog must be positive and at most threading."
+                f"TIMEOUT_MAX seconds, got {watchdog}")
         self.num_threads = num_threads
-        self.sync = sync if sync is not None else _REAL_SYNC
         self.watchdog = watchdog if watchdog is not None else _default_watchdog()
         self._barrier = threading.Barrier(num_threads)
         self._critical_lock = threading.Lock()
@@ -295,17 +217,34 @@ class ThreadTeam:
     # ------------------------------------------------------------------
     # sync bookkeeping
     # ------------------------------------------------------------------
-    def _barrier_of(self, point: str) -> threading.Barrier:
-        if point == "region":
-            return self._barrier
-        if point == "start":
-            return self._start
-        if point == "finish":
-            return self._finish
-        raise ValueError(f"unknown barrier point {point!r}")
+    def _barrier_wait(self, tid: int, point: str) -> None:
+        """Wait at one of the team's barriers (``start``/``finish``/
+        ``region``), applying the watchdog when configured.
 
-    def _note_sync(self, tid: int, label: str) -> None:
-        self._last_sync[tid] = label
+        Only *region* barriers are watchdogged: workers park at the
+        start barrier indefinitely between regions, and the finish
+        barrier collects threads that are guaranteed to arrive (every
+        in-region blocking point is either abort-broken or watchdogged
+        itself), so timing either out would break the lifecycle
+        rendezvous instead of catching a protocol deadlock."""
+        self._last_sync[tid] = f"{point}-barrier"
+        if point == "region":
+            barrier = self._barrier
+        elif point == "start":
+            barrier = self._start
+        else:
+            barrier = self._finish
+        if self.watchdog is None or point != "region":
+            barrier.wait()
+            return
+        try:
+            barrier.wait(timeout=self.watchdog)
+        except threading.BrokenBarrierError:
+            if self._ordered_turn["aborted"]:
+                # A region abort broke the barrier on purpose; the
+                # caller classifies this as a secondary failure.
+                raise
+            raise self._deadlock_error(tid, f"{point}-barrier") from None
 
     def _deadlock_error(self, tid: int, point: str) -> TeamDeadlock:
         """Build the watchdog report: per-thread last sync point + stack."""
@@ -336,28 +275,29 @@ class ThreadTeam:
     # region execution
     # ------------------------------------------------------------------
     def _worker_loop(self, thread_id: int) -> None:
-        try:
-            while True:
-                self.sync.barrier_wait(self, thread_id, "start")
-                if self._shutdown:
-                    return
-                fn = self._region_fn
-                assert fn is not None
-                try:
-                    fn(RegionContext(self, thread_id))
-                except BaseException as exc:  # noqa: BLE001 - reported to caller
-                    self._errors[thread_id] = WorkerError(
-                        thread_id, exc, traceback.format_exc()
-                    )
-                    self._abort_region()
-                self.sync.barrier_wait(self, thread_id, "finish")
-        except SystemExit:
-            return  # a checker sync backend abandoned the run: die quietly
-        finally:
-            self.sync.thread_exit(self, thread_id)
+        while True:
+            self._barrier_wait(thread_id, "start")
+            if self._shutdown:
+                return
+            fn = self._region_fn
+            assert fn is not None
+            try:
+                fn(RegionContext(self, thread_id))
+            except BaseException as exc:  # noqa: BLE001 - reported to caller
+                self._errors[thread_id] = WorkerError(
+                    thread_id, exc, traceback.format_exc()
+                )
+                self._abort_region()
+            self._barrier_wait(thread_id, "finish")
 
     def _abort_region(self) -> None:
-        self.sync.abort(self)
+        """A failed thread must not deadlock peers waiting on its turn
+        or at a barrier: mark the region aborted and break the barrier."""
+        turn = self._ordered_turn
+        with turn["cond"]:
+            turn["aborted"] = True
+            turn["cond"].notify_all()
+        self._barrier.abort()
 
     def parallel(self, fn: Callable[[RegionContext], None]) -> None:
         """Run ``fn(ctx)`` on every team thread; the caller is thread 0.
@@ -374,13 +314,13 @@ class ThreadTeam:
         self._region_fn = fn
         self._errors = [None] * self.num_threads
         self._master_ident = threading.get_ident()
-        self.sync.barrier_wait(self, 0, "start")
+        self._barrier_wait(0, "start")
         try:
             fn(RegionContext(self, 0))
         except BaseException as exc:  # noqa: BLE001 - reported below
             self._errors[0] = WorkerError(0, exc, traceback.format_exc())
             self._abort_region()
-        self.sync.barrier_wait(self, 0, "finish")
+        self._barrier_wait(0, "finish")
         self._region_fn = None
         errors = [e for e in self._errors if e is not None]
         self._reset_region_state()
@@ -400,7 +340,11 @@ class ThreadTeam:
             raise root
 
     def _reset_region_state(self) -> None:
-        self.sync.reset(self)
+        turn = self._ordered_turn
+        turn["next"] = 0
+        if turn["aborted"]:
+            turn["aborted"] = False
+            self._barrier.reset()
 
     # ------------------------------------------------------------------
     # worksharing helper
@@ -497,15 +441,15 @@ class ThreadTeam:
         if already_down or not workers:
             self._release_dead_pool_states()
             return
-        self.sync.barrier_wait(self, 0, "start")
-        for tid, worker in enumerate(workers, start=1):
-            self.sync.join_worker(self, tid, worker)
+        self._barrier_wait(0, "start")
+        for worker in workers:
+            worker.join(timeout=10.0)
         self._release_dead_pool_states()
 
     def restart(self) -> None:
         """Shut down (if still running) and respawn a fresh worker pool.
 
-        Reuses the team's configuration (size, sync backend, watchdog)
+        Reuses the team's configuration (size, watchdog)
         but replaces every synchronization primitive, so a team whose
         region aborted — even one whose barriers were broken — comes
         back ready for :meth:`parallel`.  This is the supervisor hook:
@@ -550,7 +494,5 @@ class ThreadTeam:
         try:
             if not self._shutdown and self._workers:
                 self.shutdown()
-        except BaseException:
-            # BaseException: a checker-abandoned team's sync backend
-            # raises SystemExit from shutdown(); GC must stay silent.
+        except Exception:
             pass

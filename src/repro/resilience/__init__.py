@@ -29,12 +29,10 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
 )
 from repro.resilience.faults import (
-    BarrierSkip,
     ChunkAbort,
     FaultPlan,
     InjectedFault,
     LayerRaise,
-    LockOrderInversion,
     NaNBlob,
     PoisonSample,
     RequestStorm,
@@ -54,14 +52,12 @@ from repro.resilience.guards import (
 )
 
 __all__ = [
-    "BarrierSkip",
     "CHECKPOINT_VERSION",
     "CheckpointCorrupt",
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointMismatch",
     "ChunkAbort",
-    "LockOrderInversion",
     "PoisonSample",
     "RequestStorm",
     "SlowChunk",

@@ -22,23 +22,13 @@ Fault classes:
   chunk when the team has workers, on the master's first chunk for a
   one-thread team; it never fires under a plain ``SequentialExecutor``
   (no parallel region exists to abort).
-* :class:`LockOrderInversion` / :class:`BarrierSkip` — *schedule-level*
-  defect descriptors consumed by the synccheck certifier
-  (:mod:`repro.analysis.synccheck`), not by :func:`inject`: each one
-  describes a known-bad synchronization program (threads nesting the
-  critical and ordered constructs in opposite orders; one thread
-  skipping a region barrier) that the interleaving model checker must
-  rediscover as a deadlock with a replayable schedule.  They ride in a
-  :class:`FaultPlan` so seeded-defect certification shares the one
-  fault vocabulary, but :func:`inject` ignores them (there is no layer
-  or iteration to patch).
 * :class:`RequestStorm` / :class:`SlowChunk` / :class:`PoisonSample` —
   *serve-level* defect descriptors consumed by the servecheck chaos
   harness (:mod:`repro.serve.chaos`): an overload burst, a straggler
   chunk stall, and a NaN-poisoned client payload, replayed
-  deterministically against the inference service.  Like the
-  schedule-level descriptors they ride in a :class:`FaultPlan` (one
-  fault vocabulary) and are ignored by :func:`inject`.
+  deterministically against the inference service.  They ride in a
+  :class:`FaultPlan` (one fault vocabulary) and are ignored by
+  :func:`inject`.
 * :func:`corrupt_checkpoint` / :func:`truncate_checkpoint` — damage a
   checkpoint file deterministically (seeded byte flips / truncation) to
   exercise the CRC-32 and header verification paths.
@@ -142,42 +132,18 @@ class PoisonSample:
     request: int
 
 
-@dataclass(frozen=True)
-class LockOrderInversion:
-    """Seeded synchronization defect: inside one parallel region, even
-    threads run ``ordered(critical(...))`` while odd threads run
-    ``critical(ordered(...))`` — a classic ABBA inversion between the
-    team's ordered turn and its critical lock.  Interpreted by the
-    synccheck model checker (never by :func:`inject`)."""
-
-    threads: int = 2
-
-
-@dataclass(frozen=True)
-class BarrierSkip:
-    """Seeded synchronization defect: thread ``skip_tid`` skips the
-    first of two region barriers every other thread waits on — barrier
-    divergence that strands the team.  Interpreted by the synccheck
-    model checker (never by :func:`inject`)."""
-
-    threads: int = 2
-    skip_tid: int = 1
-
-
 class FaultPlan:
     """An ordered, seeded collection of fault descriptors."""
 
     def __init__(self, *faults, seed: int = 0) -> None:
         for fault in faults:
             if not isinstance(fault, (NaNBlob, LayerRaise, ChunkAbort,
-                                      LockOrderInversion, BarrierSkip,
                                       RequestStorm, SlowChunk,
                                       PoisonSample)):
                 raise TypeError(
                     f"FaultPlan entries must be NaNBlob / LayerRaise / "
-                    f"ChunkAbort / LockOrderInversion / BarrierSkip / "
-                    f"RequestStorm / SlowChunk / PoisonSample, "
-                    f"got {type(fault).__name__}"
+                    f"ChunkAbort / RequestStorm / SlowChunk / "
+                    f"PoisonSample, got {type(fault).__name__}"
                 )
         self.faults: Tuple = faults
         self.seed = seed

@@ -14,7 +14,7 @@ Degradation ladder (every rung a coded response, never silence):
 
 Certified by the ``servecheck`` analyzer family (SV codes): a static
 lint of this package (bounded queues only, no wall-clock reads, no
-unbounded waits, synccheck's lock discipline) plus a dynamic chaos
+unbounded waits, synccheck's static lock rules) plus a dynamic chaos
 certification that replays a recorded trace under injected worker
 crashes, straggler chunks, poisoned samples and request storms, gating
 on zero lost/duplicated responses and bitwise parity of every served

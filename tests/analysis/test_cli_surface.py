@@ -7,9 +7,7 @@ hand-written ``*_main`` per family (``PYTHONPATH=src python
 tests/analysis/test_cli_surface.py`` rewrites it from whatever is
 checked out); the table-driven ``main()`` must rebuild the same flags —
 option strings, dest, type, default, choices, action kind — in every
-mode.  The one sanctioned difference: ``synccheck --mode`` gained
-``choices`` when the shared ``--mode`` declaration replaced its private
-one.
+mode.
 """
 
 from __future__ import annotations
@@ -82,24 +80,10 @@ def test_snapshot_covers_every_mode():
     assert sorted(_snapshot()) == sorted(MODES)
 
 
-def pinned_surface(mode: str) -> dict:
-    """:func:`surface` with synccheck's ``--mode`` choices, which follow
-    ``REDUCTION_MODES`` rather than the snapshot, checked and blanked."""
-    got = surface(mode)
-    if mode == "synccheck":
-        from repro.core.reduction import REDUCTION_MODES
-
-        for action in got["actions"]:
-            if action["dest"] == "mode":
-                assert action["choices"] == list(REDUCTION_MODES)
-                action["choices"] = None
-    return got
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_parser_matches_snapshot(mode):
     expected = _snapshot()[mode]
-    got = pinned_surface(mode)
+    got = surface(mode)
     assert got["prog"] == expected["prog"]
     assert ([a["options"] for a in got["actions"]]
             == [a["options"] for a in expected["actions"]])
@@ -136,13 +120,14 @@ BAD_INPUT = [
     ["detcheck", "--net", "nope", "--static-only"],
     ["netcheck", "--prototxt", "/nonexistent.prototxt"],
     ["netcheck", "--prototxt", "{garbage}"],
+    ["plancheck", "--net", "mlp", "--threads", "2",
+     "--emit-plan", "/no_dir/plan.json"],
+    ["servecheck", "--static-only", "--trace-out", "/no_dir/trace.json"],
+    # synccheck's retired explorer flags are unknown flags like any other.
     ["synccheck", "--replay", "/nonexistent.json"],
     ["synccheck", "--replay", "{garbage}"],
     ["synccheck", "--mode", "bogus"],
-    ["plancheck", "--net", "mlp", "--threads", "2",
-     "--emit-plan", "/no_dir/plan.json"],
     ["synccheck", "--static-only", "--trace", "/no_dir/traces.json"],
-    ["servecheck", "--static-only", "--trace-out", "/no_dir/trace.json"],
     # perfcheck's retired timing flags are unknown flags like any other.
     ["perfcheck", "--net", "nope", "--static-only"],
     ["perfcheck", "--bench-out", "/no_dir/BENCH_perf.json"],
@@ -181,7 +166,7 @@ def test_hostile_geometry_is_findings_and_exit_one(tmp_path, capsys):
 
 if __name__ == "__main__":
     SNAPSHOT_PATH.write_text(json.dumps(
-        {mode: pinned_surface(mode) for mode in MODES}, indent=1,
+        {mode: surface(mode) for mode in MODES}, indent=1,
         sort_keys=True,
     ) + "\n")
     print(f"wrote {SNAPSHOT_PATH}")

@@ -2,12 +2,12 @@
 
 ``static_reports.json`` holds the stdout of every static entry point of
 the CLI on the mlp net — the code catalogue, the parallel-safety static
-pass, the static halves of detcheck, rescheck, synccheck and servecheck,
-and perfcheck (lint + roofline, no clock) — of the four trajectory
-replays on mlp: detcheck's mode certificates, rescheck's resume and
-fault certification, and plancheck's and fusecheck's ``--certify`` —
-and of the two dynamic explorations: the parallel-safety shadow replay
-on mlp and synccheck's schedule exploration on lenet.  Every mode
+pass, the static halves of detcheck, rescheck and servecheck, synccheck
+(the sync lint) and perfcheck (lint + roofline, no clock) — of the four
+trajectory replays on mlp: detcheck's mode certificates, rescheck's
+resume and fault certification, and plancheck's and fusecheck's
+``--certify`` — of the parallel-safety shadow replay on mlp and of the
+serving chaos replay.  Every mode
 replays bitwise on mlp, so these documents hold no ULP figures.  A
 refactor of the lints or certifiers underneath must
 reproduce each document exactly; a deliberate change to a report
@@ -33,7 +33,7 @@ COMMANDS = {
     "parallel-safety": STATIC,
     "detcheck": ["detcheck", *STATIC],
     "rescheck": ["rescheck", *STATIC],
-    "synccheck": ["synccheck", *STATIC],
+    "synccheck": ["synccheck", "--json"],
     "servecheck": ["servecheck", *STATIC],
     "perfcheck": ["perfcheck", "--net", "mlp", "--json"],
     "detcheck-replay": ["detcheck", "--net", "mlp", "--threads", "2",
@@ -45,8 +45,6 @@ COMMANDS = {
     "fusecheck-certify": ["fusecheck", "--net", "mlp", "--threads", "2",
                           "--certify", "--json"],
     "parallel-safety-replay": ["--net", "mlp", "--threads", "1,2", "--json"],
-    "synccheck-explore": ["synccheck", "--net", "lenet", "--threads", "2",
-                          "--json"],
     "servecheck-replay": ["servecheck", "--net", "mlp", "--threads", "2",
                           "--requests", "24", "--json"],
 }

@@ -5,13 +5,14 @@ parallel execution must match sequential execution for every reduction
 mode, thread count and network.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.plancheck import plan_spec
 from repro.core import ParallelExecutor, ThreadTeam
 from repro.core.scheduling import DynamicSchedule, StaticSchedule
-from repro.core.team import TeamSync
 from repro.data import register_default_sources
 from repro.zoo import build_net, lenet_spec
 
@@ -180,42 +181,43 @@ class TestCifar:
         assert np.array_equal(grads, ref_grads)
 
 
-class RecordingSync(TeamSync):
-    """Real synchronization, plus a log of every chunk the executor
-    announces (what the synccheck model checker sees)."""
-
-    observes_chunks = True
-
-    def __init__(self):
-        self.chunks = []
-
-    def chunk_point(self, team, tid, layer, phase, lo, hi):
-        self.chunks.append((layer, phase, lo, hi))  # append is GIL-atomic
+def recording(loop, chunks, layer, phase):
+    """``loop`` with a body that first logs ``(layer, phase, lo, hi)``."""
+    def body(lo, hi, grads):
+        chunks.append((layer, phase, lo, hi))  # append is GIL-atomic
+        loop.body(lo, hi, grads)
+    return replace(loop, body=body)
 
 
 class TestChunkStream:
-    """Every dispatched loop announces chunks that tile its iteration
-    space exactly once — whichever route (region, blockwise window,
+    """Every dispatched loop runs chunks that tile its iteration space
+    exactly once — whichever route (region, blockwise window,
     per-thread walk, inline single call) the dispatch routine took."""
 
     @staticmethod
     def observe(threads, reduction, plan=None):
         net = build_net("lenet")
         spaces = {}  # (layer, phase) -> loop spaces in dispatch order
+        chunks = []
         for layer in net.layers:
+            def forward_loop(*args, _name=layer.name,
+                             _loop=layer.forward_loop):
+                return recording(_loop(*args), chunks, _name, "forward")
+
             def loops(*args, _name=layer.name, _loops=layer.backward_loops):
                 out = _loops(*args)
                 spaces[_name, "backward"] = [loop.space for loop in out]
-                return out
+                return [recording(loop, chunks, _name, "backward")
+                        for loop in out]
+            layer.forward_loop = forward_loop
             layer.backward_loops = loops
-        sync = RecordingSync()
-        with ThreadTeam(threads, sync=sync) as team:
+        with ThreadTeam(threads) as team:
             executor = ParallelExecutor(team=team, reduction=reduction,
                                         plan=plan)
             run_once(net, executor)
         for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
             spaces[layer.name, "forward"] = [layer.forward_space(bottom, top)]
-        return spaces, sync.chunks
+        return spaces, chunks
 
     @staticmethod
     def assert_tiles(spaces, chunks):

@@ -299,14 +299,25 @@ class TestWatchdog:
     def test_env_var_parsing(self, monkeypatch):
         from repro.core.team import _default_watchdog
 
-        for raw, want in (("2.5", 2.5), ("", None),
-                          ("junk", None), ("-1", None)):
+        for raw, want in (("2.5", 2.5), ("", None), (" ", None)):
             monkeypatch.setenv("REPRO_TEAM_WATCHDOG", raw)
             assert _default_watchdog() == want
+        monkeypatch.delenv("REPRO_TEAM_WATCHDOG")
+        assert _default_watchdog() is None
+        # A malformed value must not switch the deadlock detector off
+        # without a word: the same ValueError as ThreadTeam(n, watchdog=0).
+        for raw in ("junk", "-1", "0", "nan", "inf"):
+            monkeypatch.setenv("REPRO_TEAM_WATCHDOG", raw)
+            with pytest.raises(ValueError,
+                               match=f"REPRO_TEAM_WATCHDOG.*{raw!r}"):
+                ThreadTeam(2)
 
     def test_invalid_watchdog_rejected(self):
         with pytest.raises(ValueError):
             ThreadTeam(2, watchdog=0)
+        # an unwaitable timeout would fail every region barrier instead
+        with pytest.raises(ValueError):
+            ThreadTeam(2, watchdog=float("inf"))
 
     def test_barrier_timeout_reports_stuck_thread(self):
         from repro.core.team import TeamDeadlock
